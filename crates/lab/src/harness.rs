@@ -18,9 +18,8 @@
 //!   `urltable_generation` gauge never goes backwards;
 //! - **SLO breach-then-clear** — when `expect_slo_breach` is scripted,
 //!   the fault timeline must trip the proxy's in-process SLO watchdog
-//!   (`slo_breach_total >= 1` on the scraped timeline) and every
-//!   `slo_state_*` verdict gauge must return to Ok after the faults
-//!   heal.
+//!   (`slo_breach_total >= 1`, polled after the stream ends) and every
+//!   `slo_state_*` verdict gauge must then return to Ok.
 //!
 //! Each timeline sample carries the process's `/_cpms/metrics.json`
 //! *and* `/_cpms/series.json` (flight-recorder) payloads; both are
@@ -369,12 +368,15 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
         }
     }
 
-    // ---- SLO watchdog: the breach must clear once chaos stops --------
-    // The proxy's default rules watch 2-second error-rate windows, so
-    // after the faults are healed and the stream ends, every
-    // `slo_state_*` gauge must drain back to Ok. Polled via the admin
-    // plane so the verdicts come from the proxy's own watchdog, not
-    // from any lab-side re-derivation.
+    // ---- SLO watchdog: the breach must fire, then clear ---------------
+    // The proxy's default rules watch 2-second error-rate windows and
+    // are evaluated on its sampler tick, so the breach may only be
+    // counted a tick after the stream has ended (the cumulative
+    // `slo_breach_total` keeps it from being missed), and once the
+    // faults are healed every `slo_state_*` gauge must drain back to
+    // Ok. Polled via the admin plane so the verdicts come from the
+    // proxy's own watchdog, not from any lab-side re-derivation.
+    let mut slo_breached = false;
     let mut slo_cleared = false;
     let mut slo_clear_ms = 0u128;
     if scenario.assertions.expect_slo_breach() {
@@ -384,6 +386,11 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
         while Instant::now() < deadline {
             if let Ok(resp) = admin.send("metrics") {
                 if let Ok(metrics) = serde_json::from_str::<Value>(&resp.output) {
+                    slo_breached |= metrics
+                        .get("counters")
+                        .and_then(|c| c.get("slo_breach_total"))
+                        .and_then(Value::as_u64)
+                        .is_some_and(|n| n >= 1);
                     let clear = metrics
                         .get("gauges")
                         .and_then(Value::as_object)
@@ -393,7 +400,7 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
                                 .filter(|(name, _)| name.starts_with("slo_state_"))
                                 .all(|(_, state)| state.as_i64() == Some(0))
                         });
-                    if clear {
+                    if slo_breached && clear {
                         slo_cleared = true;
                         break;
                     }
@@ -572,26 +579,20 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
         },
     });
     // SLO breach-then-clear: the scripted fault must have tripped the
-    // proxy watchdog (the cumulative `slo_breach_total` counter is
-    // immune to scrape timing), and the verdict gauges must have
-    // drained back to Ok once the cluster was healthy again.
+    // proxy watchdog, and the verdict gauges must have drained back to
+    // Ok once the cluster was healthy again.
     if scenario.assertions.expect_slo_breach() {
-        let breach_fired = samples.iter().any(|s| {
-            s.source == "proxy"
-                && s.metrics
-                    .get("counters")
-                    .and_then(|c| c.get("slo_breach_total"))
-                    .and_then(Value::as_u64)
-                    .is_some_and(|n| n >= 1)
-        });
         checks.push(Check {
             name: "slo-breach-then-clear",
-            pass: breach_fired && slo_cleared,
-            detail: match (breach_fired, slo_cleared) {
+            pass: slo_breached && slo_cleared,
+            detail: match (slo_breached, slo_cleared) {
                 (true, true) => {
                     format!("breach fired under fault, cleared {slo_clear_ms} ms after heal")
                 }
-                (false, _) => "no sample ever showed slo_breach_total >= 1".to_string(),
+                (false, _) => format!(
+                    "slo_breach_total never reached 1 within {} ms of the stream ending",
+                    scenario.assertions.converge_within_ms
+                ),
                 (true, false) => format!(
                     "breach fired but slo_state_* gauges never cleared within {} ms",
                     scenario.assertions.converge_within_ms

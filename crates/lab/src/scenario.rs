@@ -201,9 +201,9 @@ pub struct AssertionSpec {
     /// (default 2: the proxy plus one backend).
     pub min_trace_processes: Option<usize>,
     /// When true, the fault timeline must drive the proxy's SLO
-    /// watchdog into breach (`slo_breach_total >= 1` somewhere on the
-    /// timeline) *and* every `slo_state_*` gauge must return to Ok
-    /// after anti-entropy convergence. Default false.
+    /// watchdog into breach (`slo_breach_total >= 1` by
+    /// `converge_within_ms` after the stream ends) *and* every
+    /// `slo_state_*` gauge must then return to Ok. Default false.
     pub expect_slo_breach: Option<bool>,
 }
 

@@ -18,7 +18,7 @@ use crate::agent::{
 use crate::broker::{Broker, BrokerHandle};
 use crate::store::NodeStore;
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
-use cpms_obs::{Counter, Gauge, HistogramRecorder, MetricsRegistry, TracedSpan};
+use cpms_obs::{Counter, Gauge, HistogramRecorder, MetricsRegistry, Span, TracedSpan};
 use cpms_store::{ShipError, ShipMetrics, Shipper, TransferScheduler};
 use cpms_urltable::{SnapshotHandle, TableError, TablePublisher, UrlEntry, UrlTable};
 use cpms_wire::WireError;
@@ -254,6 +254,7 @@ struct ControllerMetrics {
     ops: Arc<Counter>,
     errors: Arc<Counter>,
     op_ns: HistogramRecorder,
+    table_update_ns: HistogramRecorder,
     generation: Arc<Gauge>,
 }
 
@@ -263,6 +264,9 @@ impl ControllerMetrics {
             ops: registry.counter("mgmt_ops_total"),
             errors: registry.counter("mgmt_op_errors_total"),
             op_ns: registry.histogram_with_shards("mgmt_op_ns", 1).recorder(0),
+            table_update_ns: registry
+                .histogram_with_shards("urltable_update_ns", 1)
+                .recorder(0),
             generation: registry.gauge("mgmt_table_generation"),
             registry,
         }
@@ -280,7 +284,8 @@ impl ControllerMetrics {
 /// Every mutating operation is observed: its latency lands in the
 /// `mgmt_op_ns` histogram, its outcome in `mgmt_ops_total` /
 /// `mgmt_op_errors_total` (plus a per-operation counter), and the
-/// publication generation in the `mgmt_table_generation` gauge. The
+/// publication generation in the `mgmt_table_generation` gauge; the part
+/// of it spent publishing to the URL table lands in `urltable_update_ns`. The
 /// controller owns a private [`MetricsRegistry`] by default; hand it a
 /// shared one with [`Controller::set_metrics`] to fold the management
 /// plane into the same stats surface as the proxy.
@@ -425,6 +430,15 @@ impl Controller {
         result
     }
 
+    /// Publishes one table mutation through the publisher, recording the
+    /// whole lock → clone → mutate → swap into `urltable_update_ns`: the
+    /// share of a management operation that is the table, as opposed to
+    /// broker RPCs and content shipping.
+    fn update_table<T>(&self, mutate: impl FnOnce(&mut UrlTable) -> T) -> T {
+        let _span = Span::enter("urltable_update", &self.metrics.table_update_ns);
+        self.publisher.update(mutate)
+    }
+
     /// The current URL-table snapshot (what the distributor routes from).
     pub fn table(&self) -> Arc<UrlTable> {
         self.publisher.snapshot()
@@ -495,7 +509,7 @@ impl Controller {
             .collect();
         let mut dropped_locations = 0usize;
         let mut lost: Vec<UrlPath> = Vec::new();
-        self.publisher.update(|t| -> Result<(), TableError> {
+        self.update_table(|t| -> Result<(), TableError> {
             for (path, replicas) in &affected {
                 if *replicas > 1 {
                     t.remove_location(path, node)?;
@@ -640,7 +654,7 @@ impl Controller {
         let (size, checksum) = committed
             .map(|m| (m.size, m.checksum))
             .unwrap_or((body.len() as u64, cpms_store::fnv64(body)));
-        self.publisher.update(|t| {
+        self.update_table(|t| {
             t.insert(
                 path.clone(),
                 UrlEntry::new(content, kind, size)
@@ -677,7 +691,7 @@ impl Controller {
                 first_err.get_or_insert(e.into());
             }
         }
-        self.publisher.update(|t| t.remove(path))?;
+        self.update_table(|t| t.remove(path))?;
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -738,7 +752,7 @@ impl Controller {
             .push_meta(self.broker(target)?, path, meta, &body, false)
             .map_err(|e| Self::ship_failure(target, e))?;
         // Commit before publish: the location becomes routable only now.
-        self.publisher.update(|t| t.add_location(path, target))?;
+        self.update_table(|t| t.add_location(path, target))?;
         Ok(())
     }
 
@@ -769,7 +783,7 @@ impl Controller {
         }
         self.broker(node)?
             .dispatch(DeleteFile { path: path.clone() })?;
-        self.publisher.update(|t| t.remove_location(path, node))?;
+        self.update_table(|t| t.remove_location(path, node))?;
         Ok(())
     }
 
@@ -803,7 +817,7 @@ impl Controller {
             }));
         }
         // Table first (it validates the destination atomically)…
-        self.publisher.update(|t| t.rename(from, to))?;
+        self.update_table(|t| t.rename(from, to))?;
         // …then propagate to brokers.
         let mut first_err: Option<MgmtError> = None;
         for (old, new, locations) in moves {
@@ -1160,6 +1174,11 @@ mod tests {
         let op_ns = snap.histogram("mgmt_op_ns").unwrap();
         assert_eq!(op_ns.count, 4);
         assert!(op_ns.max > 0, "operations take measurable time");
+        // the three successful ops each published once; the table's share
+        // of an operation is inside the operation
+        let table_ns = snap.histogram("urltable_update_ns").unwrap();
+        assert_eq!(table_ns.count, 3);
+        assert!(table_ns.max > 0 && table_ns.sum < op_ns.sum);
         // publish, replicate, delete each published a generation
         assert_eq!(snap.gauge("mgmt_table_generation"), Some(3));
         assert!(snap

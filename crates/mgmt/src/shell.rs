@@ -815,6 +815,7 @@ mod tests {
         assert!(stats.contains("mgmt_ops_total"), "{stats}");
         assert!(stats.contains("mgmt_op_errors_total"), "{stats}");
         assert!(stats.contains("mgmt_op_ns"), "{stats}");
+        assert!(stats.contains("urltable_update_ns"), "{stats}");
         assert!(stats.contains("urltable_entries"), "{stats}");
         assert!(stats.contains("delete failed"), "{stats}");
         assert!(out(&mut sh, "stats now").starts_with("error: usage"));
@@ -970,6 +971,7 @@ mod tests {
         assert!(top.contains("600B"), "{top}");
         assert!(top.contains("-- stage latency --"), "{top}");
         assert!(top.contains("mgmt_op_ns"), "{top}");
+        assert!(top.contains("urltable_update_ns"), "{top}");
         assert!(out(&mut sh, "top now").starts_with("error: usage"));
         sh.shutdown();
     }

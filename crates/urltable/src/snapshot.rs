@@ -8,9 +8,14 @@
 //! immutable snapshots:
 //!
 //! * The [`TablePublisher`] (held by the controller) owns the only
-//!   mutable path. Each management mutation clones the current table,
-//!   applies the change, and publishes the result as a fresh
-//!   `Arc<UrlTable>` with a generation tag.
+//!   mutable path. Each management mutation clones the current table (a
+//!   root-pointer bump: the table is a persistent tree), applies the
+//!   change — which copies only the directory levels on the path it
+//!   touches — and publishes the result as a fresh `Arc<UrlTable>` with a
+//!   generation tag. Old and new snapshot share every other level, so a
+//!   publication costs O(depth × fan-out of the touched levels) whatever
+//!   the table size, and dropping an old snapshot frees only the levels
+//!   the newer ones replaced.
 //! * Any number of [`SnapshotHandle`]s (one per distributor worker)
 //!   observe publications. The fast path is a single atomic generation
 //!   load; only when the generation moved does a reader touch the lock
@@ -92,10 +97,11 @@ impl TablePublisher {
         self.shared.generation.load(Ordering::Acquire)
     }
 
-    /// Applies `mutate` copy-on-write: clones the current table, runs the
-    /// closure on the clone, and publishes the result — swap first, then
-    /// generation tag, so a reader that observes the new generation is
-    /// guaranteed to load a snapshot at least that new.
+    /// Applies `mutate` copy-on-write: clones the current table (cheap:
+    /// levels are shared until written), runs the closure on the clone,
+    /// and publishes the result — swap first, then generation tag, so a
+    /// reader that observes the new generation is guaranteed to load a
+    /// snapshot at least that new.
     ///
     /// The closure's return value is passed through, so fallible table
     /// operations compose directly:

@@ -5,11 +5,19 @@
 //! of the content tree, as described in §5.2 of the paper. Every content
 //! object has exactly one record ([`UrlEntry`]); directories exist implicitly
 //! as interior hash levels.
+//!
+//! The tree is *persistent*: every level sits behind an `Arc`, cloning a
+//! table bumps the root pointer, and a mutation copies only the levels on
+//! the path it touches (`Arc::make_mut`), sharing every other level with
+//! the clones taken before it. That is what makes publishing one change to
+//! a large table (see `snapshot`) cost O(depth × fan-out of the touched
+//! levels) instead of O(table).
 
 use crate::entry::UrlEntry;
 use cpms_model::{NodeId, UrlPath};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from URL-table operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +68,7 @@ impl std::error::Error for TableError {}
 
 #[derive(Debug, Clone)]
 enum Child {
-    Dir(Dir),
+    Dir(Arc<Dir>),
     Leaf(UrlEntry),
 }
 
@@ -78,6 +86,27 @@ impl Dir {
     fn is_empty(&self) -> bool {
         self.children.is_empty() && self.default.is_none()
     }
+
+    /// Descends from `root` along `segments` for writing, creating missing
+    /// levels and un-sharing each level on the way. `None` if a segment is
+    /// a file.
+    fn make_path<'a, 's>(
+        root: &'a mut Arc<Dir>,
+        segments: impl Iterator<Item = &'s str>,
+    ) -> Option<&'a mut Dir> {
+        let mut dir = Arc::make_mut(root);
+        for seg in segments {
+            dir = match dir
+                .children
+                .entry(seg.to_string())
+                .or_insert_with(|| Child::Dir(Arc::default()))
+            {
+                Child::Dir(d) => Arc::make_mut(d),
+                Child::Leaf(_) => return None,
+            };
+        }
+        Some(dir)
+    }
 }
 
 /// The content-aware distributor's URL table: a multi-level hash table with
@@ -93,7 +122,7 @@ impl Dir {
 /// never change routing data).
 #[derive(Debug, Clone, Default)]
 pub struct UrlTable {
-    root: Dir,
+    root: Arc<Dir>,
     len: usize,
     dir_defaults: usize,
     generation: u64,
@@ -135,17 +164,9 @@ impl UrlTable {
         }
         let segments: Vec<&str> = path.segments().collect();
         let (last, interior) = segments.split_last().expect("non-root path has segments");
-        let mut dir = &mut self.root;
-        for seg in interior {
-            dir = match dir
-                .children
-                .entry((*seg).to_string())
-                .or_insert_with(|| Child::Dir(Dir::default()))
-            {
-                Child::Dir(d) => d,
-                Child::Leaf(_) => return Err(TableError::NotADirectory { path: path.clone() }),
-            };
-        }
+        let Some(dir) = Dir::make_path(&mut self.root, interior.iter().copied()) else {
+            return Err(TableError::NotADirectory { path });
+        };
         match dir.children.get(*last) {
             Some(_) => Err(TableError::AlreadyExists { path }),
             None => {
@@ -160,7 +181,7 @@ impl UrlTable {
     /// Looks up the record for `path`: the exact record if present, else
     /// the deepest ancestor directory's default record.
     pub fn lookup(&self, path: &UrlPath) -> Option<&UrlEntry> {
-        let mut dir = &self.root;
+        let mut dir = &*self.root;
         let mut best_default: Option<&UrlEntry> = self.root.default.as_deref();
         let mut segments = path.segments().peekable();
         while let Some(seg) = segments.next() {
@@ -222,7 +243,7 @@ impl UrlTable {
         }
         let mut best_default_depth: Option<usize> = self.root.default.as_ref().map(|_| 0);
         let hit = {
-            let mut dir = &self.root;
+            let mut dir = &*self.root;
             let mut segments = path.segments().enumerate().peekable();
             let mut outcome = Hit::Miss;
             while let Some((depth, seg)) = segments.next() {
@@ -254,10 +275,10 @@ impl UrlTable {
                 Child::Dir(_) => None,
             },
             Hit::Default { depth } => {
-                let mut dir = &mut self.root;
+                let mut dir = Arc::make_mut(&mut self.root);
                 for seg in path.segments().take(depth) {
                     dir = match dir.children.get_mut(seg) {
-                        Some(Child::Dir(d)) => d,
+                        Some(Child::Dir(d)) => Arc::make_mut(d),
                         _ => unreachable!("default depth walked a directory chain"),
                     };
                 }
@@ -280,21 +301,11 @@ impl UrlTable {
         dir_path: &UrlPath,
         entry: UrlEntry,
     ) -> Result<(), TableError> {
-        let mut dir = &mut self.root;
-        for seg in dir_path.segments() {
-            dir = match dir
-                .children
-                .entry(seg.to_string())
-                .or_insert_with(|| Child::Dir(Dir::default()))
-            {
-                Child::Dir(d) => d,
-                Child::Leaf(_) => {
-                    return Err(TableError::NotADirectory {
-                        path: dir_path.clone(),
-                    })
-                }
-            };
-        }
+        let Some(dir) = Dir::make_path(&mut self.root, dir_path.segments()) else {
+            return Err(TableError::NotADirectory {
+                path: dir_path.clone(),
+            });
+        };
         if dir.default.replace(Box::new(entry)).is_none() {
             self.dir_defaults += 1;
         }
@@ -308,10 +319,10 @@ impl UrlTable {
     ///
     /// [`TableError::NotFound`] if the directory has no default.
     pub fn remove_dir_default(&mut self, dir_path: &UrlPath) -> Result<UrlEntry, TableError> {
-        let mut dir = &mut self.root;
+        let mut dir = Arc::make_mut(&mut self.root);
         for seg in dir_path.segments() {
             dir = match dir.children.get_mut(seg) {
-                Some(Child::Dir(d)) => d,
+                Some(Child::Dir(d)) => Arc::make_mut(d),
                 _ => {
                     return Err(TableError::NotFound {
                         path: dir_path.clone(),
@@ -346,42 +357,17 @@ impl UrlTable {
         if path.is_root() {
             return Err(TableError::IsRoot);
         }
-        let segments: Vec<String> = path.segments().map(str::to_string).collect();
-        let entry = Self::remove_rec(&mut self.root, &segments, path)?;
-        self.len -= 1;
-        self.generation += 1;
-        Ok(entry)
-    }
-
-    fn remove_rec(
-        dir: &mut Dir,
-        segments: &[String],
-        path: &UrlPath,
-    ) -> Result<UrlEntry, TableError> {
-        let (first, rest) = segments.split_first().expect("segments nonempty");
-        if rest.is_empty() {
-            match dir.children.get(first) {
-                Some(Child::Leaf(_)) => match dir.children.remove(first) {
-                    Some(Child::Leaf(e)) => Ok(e),
-                    _ => unreachable!("checked leaf above"),
-                },
-                _ => Err(TableError::NotFound { path: path.clone() }),
+        if !matches!(self.find(path), Some(Child::Leaf(_))) {
+            return Err(TableError::NotFound { path: path.clone() });
+        }
+        let segments: Vec<&str> = path.segments().collect();
+        match Self::detach(Arc::make_mut(&mut self.root), &segments) {
+            Some(Child::Leaf(entry)) => {
+                self.len -= 1;
+                self.generation += 1;
+                Ok(entry)
             }
-        } else {
-            let child = dir
-                .children
-                .get_mut(first)
-                .ok_or_else(|| TableError::NotFound { path: path.clone() })?;
-            match child {
-                Child::Dir(sub) => {
-                    let entry = Self::remove_rec(sub, rest, path)?;
-                    if sub.is_empty() {
-                        dir.children.remove(first);
-                    }
-                    Ok(entry)
-                }
-                Child::Leaf(_) => Err(TableError::NotFound { path: path.clone() }),
-            }
+            _ => unreachable!("found a record at this path above"),
         }
     }
 
@@ -401,70 +387,52 @@ impl UrlTable {
         if self.find(to).is_some() {
             return Err(TableError::DestinationExists { path: to.clone() });
         }
-        // Detach the source child (leaf or whole dir).
-        let from_segments: Vec<String> = from.segments().map(str::to_string).collect();
-        let child = Self::detach(&mut self.root, &from_segments)
-            .ok_or_else(|| TableError::NotFound { path: from.clone() })?;
-        // Attach at destination.
+        if self.find(from).is_none() {
+            return Err(TableError::NotFound { path: from.clone() });
+        }
+        // Reject a destination that runs through a file before anything
+        // moves. The walk sees the tree as it will be once the source is
+        // detached, so it stops where it would enter the source itself.
         let to_segments: Vec<&str> = to.segments().collect();
         let (last, interior) = to_segments.split_last().expect("non-root");
-        let mut dir = &mut self.root;
-        for seg in interior {
-            dir = match dir
-                .children
-                .entry((*seg).to_string())
-                .or_insert_with(|| Child::Dir(Dir::default()))
-            {
-                Child::Dir(d) => d,
-                Child::Leaf(_) => {
-                    // Roll back is complex; reject paths through files before
-                    // detaching instead. Defensive: restore by re-attaching
-                    // at the source (source interior still exists or can be
-                    // recreated).
-                    Self::attach(&mut self.root, &from_segments, child);
-                    return Err(TableError::NotADirectory { path: to.clone() });
-                }
+        let enters_source_at = to.starts_with(from).then(|| from.depth());
+        let mut dir = &*self.root;
+        for (depth, seg) in interior.iter().enumerate() {
+            if enters_source_at == Some(depth + 1) {
+                break;
+            }
+            dir = match dir.children.get(*seg) {
+                Some(Child::Dir(d)) => d,
+                Some(Child::Leaf(_)) => return Err(TableError::NotADirectory { path: to.clone() }),
+                None => break,
             };
         }
+        let from_segments: Vec<&str> = from.segments().collect();
+        let child = Self::detach(Arc::make_mut(&mut self.root), &from_segments)
+            .expect("source found above");
+        let dir = Dir::make_path(&mut self.root, interior.iter().copied())
+            .expect("destination interior checked above");
         dir.children.insert((*last).to_string(), child);
         self.generation += 1;
         Ok(())
     }
 
-    fn detach(root: &mut Dir, segments: &[String]) -> Option<Child> {
-        fn rec(dir: &mut Dir, segments: &[String]) -> Option<Child> {
-            let (first, rest) = segments.split_first()?;
-            if rest.is_empty() {
-                dir.children.remove(first)
-            } else {
-                let sub = match dir.children.get_mut(first)? {
-                    Child::Dir(d) => d,
-                    Child::Leaf(_) => return None,
-                };
-                let detached = rec(sub, rest)?;
-                if sub.is_empty() {
-                    dir.children.remove(first);
-                }
-                Some(detached)
-            }
+    /// Removes and returns the child at `segments` (leaf or whole
+    /// directory), pruning now-empty interior directories.
+    fn detach(dir: &mut Dir, segments: &[&str]) -> Option<Child> {
+        let (first, rest) = segments.split_first()?;
+        if rest.is_empty() {
+            return dir.children.remove(*first);
         }
-        rec(root, segments)
-    }
-
-    fn attach(root: &mut Dir, segments: &[String], child: Child) {
-        let (last, interior) = segments.split_last().expect("nonempty");
-        let mut dir = root;
-        for seg in interior {
-            dir = match dir
-                .children
-                .entry(seg.clone())
-                .or_insert_with(|| Child::Dir(Dir::default()))
-            {
-                Child::Dir(d) => d,
-                Child::Leaf(_) => return, // cannot restore through a file; drop
-            };
+        let sub = match dir.children.get_mut(*first)? {
+            Child::Dir(d) => Arc::make_mut(d),
+            Child::Leaf(_) => return None,
+        };
+        let detached = Self::detach(sub, rest)?;
+        if sub.is_empty() {
+            dir.children.remove(*first);
         }
-        dir.children.insert(last.clone(), child);
+        Some(detached)
     }
 
     /// Adds a replica location to `path`'s record. Returns whether the
@@ -550,7 +518,9 @@ impl UrlTable {
     /// implementation).
     pub fn memory_bytes(&self) -> usize {
         fn rec(dir: &Dir) -> usize {
-            let mut total = std::mem::size_of::<Dir>()
+            // Each level is its own `Arc` allocation: two counters, then the `Dir`.
+            let mut total = 2 * std::mem::size_of::<usize>()
+                + std::mem::size_of::<Dir>()
                 + dir.children.capacity()
                     * (std::mem::size_of::<String>() + std::mem::size_of::<Child>());
             if let Some(default) = &dir.default {
@@ -569,7 +539,7 @@ impl UrlTable {
     }
 
     fn find(&self, path: &UrlPath) -> Option<&Child> {
-        let mut dir = &self.root;
+        let mut dir = &*self.root;
         let mut segments = path.segments().peekable();
         loop {
             let seg = segments.next()?;
@@ -585,7 +555,7 @@ impl UrlTable {
     }
 
     fn find_mut(&mut self, path: &UrlPath) -> Option<&mut Child> {
-        let mut dir = &mut self.root;
+        let mut dir = Arc::make_mut(&mut self.root);
         let mut segments = path.segments().peekable();
         loop {
             let seg = segments.next()?;
@@ -594,7 +564,7 @@ impl UrlTable {
                 return Some(child);
             }
             match child {
-                Child::Dir(d) => dir = d,
+                Child::Dir(d) => dir = Arc::make_mut(d),
                 Child::Leaf(_) => return None,
             }
         }
@@ -604,7 +574,9 @@ impl UrlTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::TablePublisher;
     use cpms_model::{ContentId, ContentKind};
+    use std::collections::HashSet;
 
     fn p(s: &str) -> UrlPath {
         s.parse().unwrap()
@@ -736,6 +708,135 @@ mod tests {
             t.rename(&UrlPath::root(), &p("/c")),
             Err(TableError::IsRoot)
         );
+    }
+
+    #[test]
+    fn rename_through_a_file_changes_nothing() {
+        let mut t = UrlTable::new();
+        t.insert(p("/src/only.html"), e(1)).unwrap();
+        t.insert(p("/dst/file"), e(2)).unwrap();
+        let state = |t: &UrlTable| {
+            let mut records: Vec<(String, UrlEntry)> = t
+                .iter()
+                .map(|(path, entry)| (path.to_string(), entry.clone()))
+                .collect();
+            records.sort_by(|a, b| a.0.cmp(&b.0));
+            (t.len(), t.generation(), records)
+        };
+        let before = state(&t);
+        for from in ["/src/only.html", "/src"] {
+            assert_eq!(
+                t.rename(&p(from), &p("/dst/file/deeper/x")),
+                Err(TableError::NotADirectory {
+                    path: p("/dst/file/deeper/x")
+                })
+            );
+            assert_eq!(state(&t), before, "failed rename of {from} moved something");
+        }
+        // A destination inside the source is not "through a file": the
+        // source is detached before the destination is built.
+        t.rename(&p("/dst/file"), &p("/dst/file/inner")).unwrap();
+        assert_eq!(
+            t.lookup(&p("/dst/file/inner")).unwrap().content(),
+            ContentId(2)
+        );
+    }
+
+    /// Every directory level of `t` by path (`""` is the root).
+    fn levels(t: &UrlTable) -> HashMap<String, *const Dir> {
+        fn rec(dir: &Arc<Dir>, path: String, out: &mut HashMap<String, *const Dir>) {
+            for (name, child) in &dir.children {
+                if let Child::Dir(d) = child {
+                    rec(d, format!("{path}/{name}"), out);
+                }
+            }
+            out.insert(path, Arc::as_ptr(dir));
+        }
+        let mut out = HashMap::new();
+        rec(&t.root, String::new(), &mut out);
+        out
+    }
+
+    #[test]
+    fn update_copies_the_touched_path_and_shares_the_rest() {
+        let publisher = TablePublisher::default();
+        publisher.update(|t| {
+            for i in 0..60u32 {
+                let (top, sub) = (["a", "x", "y"][i as usize % 3], ["b", "q"][i as usize % 2]);
+                t.insert(p(&format!("/{top}/{sub}/f{i}.html")), e(i))
+                    .unwrap();
+            }
+        });
+        let old = publisher.snapshot();
+        publisher
+            .update(|t| t.insert(p("/a/b/c.html"), e(99)))
+            .unwrap();
+        let new = publisher.snapshot();
+
+        let (old_levels, new_levels) = (levels(&old), levels(&new));
+        assert_eq!(new_levels.len(), 10, "root + 3 + 6 directories");
+        assert_eq!(old_levels.len(), new_levels.len());
+        for (path, level) in &new_levels {
+            let touched = ["", "/a", "/a/b"].contains(&path.as_str());
+            assert_eq!(
+                old_levels[path] != *level,
+                touched,
+                "level {path:?}: copied iff on the touched path"
+            );
+        }
+        assert!(old.lookup(&p("/a/b/c.html")).is_none());
+        assert!(new.lookup(&p("/a/b/c.html")).is_some());
+    }
+
+    /// Levels one mutation allocated: those of the table after it that the
+    /// clone taken before it does not hold.
+    fn copied_levels(t: &mut UrlTable, mutate: impl FnOnce(&mut UrlTable)) -> usize {
+        let before = t.clone();
+        mutate(t);
+        let old: HashSet<*const Dir> = levels(&before).into_values().collect();
+        levels(t).values().filter(|l| !old.contains(*l)).count()
+    }
+
+    #[test]
+    fn copies_per_mutation_do_not_depend_on_table_size() {
+        // The benchmark's preloaded shape (perfbench `Rig::start`).
+        let counts = |entries: u32| {
+            let mut t = UrlTable::new();
+            for i in 0..entries {
+                let path = format!("/cold/a{}/b{}/c{i}.html", i % 40, (i / 40) % 50);
+                t.insert(p(&path), e(i)).unwrap();
+            }
+            [
+                copied_levels(&mut t, |t| {
+                    t.insert(p("/cold/a3/b2/new.html"), e(7)).unwrap()
+                }),
+                copied_levels(&mut t, |t| {
+                    drop(t.remove(&p("/cold/a3/b2/c83.html")).unwrap())
+                }),
+                copied_levels(&mut t, |t| {
+                    assert!(t
+                        .add_location(&p("/cold/a5/b1/c45.html"), NodeId(9))
+                        .unwrap());
+                }),
+                copied_levels(&mut t, |t| {
+                    assert!(t.record_hits(&p("/cold/a5/b1/c45.html"), 3));
+                }),
+                copied_levels(&mut t, |t| {
+                    t.rename(&p("/cold/a5/b1/c45.html"), &p("/cold/a5/b1/moved.html"))
+                        .unwrap();
+                }),
+                // A subtree moves as one shared level, whatever it holds.
+                copied_levels(&mut t, |t| {
+                    t.rename(&p("/cold/a7"), &p("/cold/z7")).unwrap()
+                }),
+                copied_levels(&mut t, |t| {
+                    assert!(t.lookup(&p("/cold/z7/b0/c7.html")).is_some())
+                }),
+            ]
+        };
+        let small = counts(1_000);
+        assert_eq!(small, [4, 4, 4, 4, 4, 2, 0]);
+        assert_eq!(counts(100_000), small);
     }
 
     #[test]
