@@ -300,12 +300,15 @@ fn main() {
     let table = routing_table(&paths);
 
     let backends = origins.iter().map(|o| o.addr()).collect();
-    let proxy = ContentAwareProxy::start_with_registry(
-        table,
+    let proxy = ContentAwareProxy::start_with_config(
+        TablePublisher::new(table),
         backends,
-        8,
-        config.workers,
         Arc::clone(&registry),
+        ProxyConfig {
+            workers: config.workers,
+            prefork: 8,
+            ..ProxyConfig::default()
+        },
     )
     .unwrap();
 

@@ -14,13 +14,13 @@
 //! sockets to workers round-robin through bounded queues. Each worker
 //! then serves *all* of its connections — thousands of keep-alive clients
 //! per thread — from one poll loop of non-blocking state machines (see
-//! [`crate::conn`]); thread count is fixed by configuration, not by
+//! `conn.rs`); thread count is fixed by configuration, not by
 //! concurrency.
 //!
-//! Workers never share mutable routing state — each owns a [`LiveRouter`]
-//! (pinned URL-table snapshot + private lookup cache), a shard of the
-//! pre-forked connection pool, its own counters, and a private hit
-//! ledger. The only cross-worker state is the shared in-flight counters
+//! Workers never share mutable routing state — each owns a
+//! [`cpms_dispatch::LiveRouter`] (pinned URL-table snapshot + private
+//! lookup cache), a shard of the pre-forked connection pool, its own
+//! counters, and a private hit ledger. The only cross-worker state is the shared in-flight counters
 //! used for replica choice, the admission counters, and the snapshot
 //! publication protocol itself.
 //!
@@ -288,77 +288,11 @@ impl ContentAwareProxy {
         backends: Vec<SocketAddr>,
         prefork: u32,
     ) -> io::Result<ContentAwareProxy> {
-        Self::start_with_workers(table, backends, prefork, DEFAULT_WORKERS)
-    }
-
-    /// Starts the proxy with an explicit worker count (≥ 1). Each worker
-    /// runs one event loop serving all of its connections, so `workers`
-    /// bounds CPU parallelism — not the number of concurrent clients.
-    ///
-    /// # Errors
-    ///
-    /// Bind or pre-fork connection failures.
-    pub fn start_with_workers(
-        table: UrlTable,
-        backends: Vec<SocketAddr>,
-        prefork: u32,
-        workers: usize,
-    ) -> io::Result<ContentAwareProxy> {
-        Self::start_with_registry(
-            table,
-            backends,
-            prefork,
-            workers,
-            Arc::new(MetricsRegistry::new()),
-        )
-    }
-
-    /// Starts the proxy recording into a caller-supplied registry, so
-    /// other components (the management controller, benches) can share
-    /// one stats surface with the request path. This is the single-
-    /// system-image wiring: everything the caller registers alongside
-    /// the proxy shows up on [`METRICS_PATH`] and in console reports.
-    ///
-    /// # Errors
-    ///
-    /// Bind or pre-fork connection failures.
-    pub fn start_with_registry(
-        table: UrlTable,
-        backends: Vec<SocketAddr>,
-        prefork: u32,
-        workers: usize,
-        registry: Arc<MetricsRegistry>,
-    ) -> io::Result<ContentAwareProxy> {
-        Self::start_with_publisher(
+        Self::start_with_config(
             TablePublisher::new(table),
             backends,
-            prefork,
-            workers,
-            registry,
-        )
-    }
-
-    /// Starts the proxy over a caller-supplied [`TablePublisher`] — the
-    /// seam that lets a management controller and the proxy share one
-    /// logical table (`controller.publisher().share()`), so management
-    /// mutations route live without any copy step between the planes.
-    ///
-    /// # Errors
-    ///
-    /// Bind or pre-fork connection failures.
-    pub fn start_with_publisher(
-        publisher: TablePublisher,
-        backends: Vec<SocketAddr>,
-        prefork: u32,
-        workers: usize,
-        registry: Arc<MetricsRegistry>,
-    ) -> io::Result<ContentAwareProxy> {
-        Self::start_with_config(
-            publisher,
-            backends,
-            registry,
+            Arc::new(MetricsRegistry::new()),
             ProxyConfig {
-                workers,
                 prefork,
                 ..ProxyConfig::default()
             },
@@ -367,7 +301,15 @@ impl ContentAwareProxy {
 
     /// Starts the proxy with the full set of data-plane knobs: worker
     /// count, pre-fork depth, global connection cap, and per-tenant
-    /// connection caps.
+    /// connection caps. Each worker runs one event loop serving all of
+    /// its connections, so `config.workers` bounds CPU parallelism — not
+    /// the number of concurrent clients.
+    ///
+    /// `publisher` and `registry` are the single-system-image wiring: a
+    /// management controller shares one logical table with the proxy
+    /// (`controller.publisher().share()`), so its mutations route live,
+    /// and whatever else records into `registry` shows up on
+    /// [`METRICS_PATH`] and in console reports beside the request path.
     ///
     /// # Errors
     ///
@@ -526,9 +468,9 @@ impl ContentAwareProxy {
         &self.stats
     }
 
-    /// The metrics registry every worker records into. Shared with the
-    /// caller of [`ContentAwareProxy::start_with_registry`], fresh
-    /// otherwise.
+    /// The metrics registry every worker records into: the one handed
+    /// to [`ContentAwareProxy::start_with_config`], fresh for
+    /// [`ContentAwareProxy::start`].
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.registry
     }
@@ -775,6 +717,14 @@ mod tests {
             .with_locations(nodes.iter().map(|&n| NodeId(n)))
     }
 
+    fn sized(prefork: u32, workers: usize) -> ProxyConfig {
+        ProxyConfig {
+            workers,
+            prefork,
+            ..ProxyConfig::default()
+        }
+    }
+
     #[test]
     fn routes_by_content() {
         // node 0 has /a only; node 1 has /b only — partitioned placement
@@ -841,12 +791,11 @@ mod tests {
         let o0 = start_origin(0, &[("/ext", b"ext-0")]);
         let o1 = start_origin(1, &[("/ext", b"ext-1")]);
         let controller_side = TablePublisher::new(UrlTable::new());
-        let proxy = ContentAwareProxy::start_with_publisher(
+        let proxy = ContentAwareProxy::start_with_config(
             controller_side.share(),
             vec![o0.addr(), o1.addr()],
-            1,
-            1,
             Arc::new(MetricsRegistry::new()),
+            sized(1, 1),
         )
         .unwrap();
         let mut client = HttpClient::connect(proxy.addr()).unwrap();
@@ -895,7 +844,13 @@ mod tests {
         let o0 = start_origin(0, &[("/w", b"w")]);
         let mut table = UrlTable::new();
         table.insert("/w".parse().unwrap(), entry(0, &[0])).unwrap();
-        let proxy = ContentAwareProxy::start_with_workers(table, vec![o0.addr()], 4, 4).unwrap();
+        let proxy = ContentAwareProxy::start_with_config(
+            TablePublisher::new(table),
+            vec![o0.addr()],
+            Arc::new(MetricsRegistry::new()),
+            sized(4, 4),
+        )
+        .unwrap();
         let addr = proxy.addr();
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -1159,7 +1114,13 @@ mod tests {
         let gone_addr = listener.local_addr().unwrap();
         let mut table = UrlTable::new();
         table.insert("/a".parse().unwrap(), entry(0, &[0])).unwrap();
-        let proxy = ContentAwareProxy::start_with_workers(table, vec![gone_addr], 1, 1).unwrap();
+        let proxy = ContentAwareProxy::start_with_config(
+            TablePublisher::new(table),
+            vec![gone_addr],
+            Arc::new(MetricsRegistry::new()),
+            sized(1, 1),
+        )
+        .unwrap();
         drop(listener);
 
         let mut client = HttpClient::connect(proxy.addr()).unwrap();

@@ -87,7 +87,7 @@ impl ChildProc {
     }
 
     /// Graceful shutdown: close stdin (the daemons' EOF exit signal),
-    /// wait up to [`REAP_DEADLINE`], then SIGKILL as a backstop.
+    /// wait up to `REAP_DEADLINE`, then SIGKILL as a backstop.
     pub fn shutdown(&mut self) {
         self.stdin = None; // dropping the pipe delivers EOF
         let deadline = Instant::now() + REAP_DEADLINE;

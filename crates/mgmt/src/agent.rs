@@ -7,16 +7,18 @@
 //!
 //! An agent is a *serializable wire message*: the controller ships an
 //! [`AgentRequest`] to a broker over a `cpms-wire` transport (in-process
-//! channel or TCP), the broker executes it against its node's
-//! [`NodeStore`], and the [`AgentReply`] rides back the same way. The
-//! built-in agents cover the operations the controller needs (store,
-//! delete, rename, replicate, status, listing); new management functions
-//! are added by implementing [`Agent`] and giving [`AgentRequest`] a
-//! variant, without touching broker or controller plumbing.
+//! channel or TCP), the broker executes it against its node's content
+//! store ([`BrokerState::content`]), and the [`AgentReply`] rides back
+//! the same way. Each built-in agent is one call on that store — `put`,
+//! `delete`, `rename`, `touch`, `stats`, `inventory`, or a tunneled ship
+//! request — and that call's `Result` is the agent's result. New
+//! management functions are added by implementing [`Agent`] and giving
+//! [`AgentRequest`] a variant, without touching broker or controller
+//! plumbing.
 
-use crate::store::{BrokerState, StoreError, StoredFile};
+use crate::store::{BrokerState, StoredFile};
 use cpms_model::{NodeId, UrlPath};
-use cpms_store::{ShipReply, ShipRequest};
+use cpms_store::{ShipReply, ShipRequest, StoreError};
 use cpms_wire::WireError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -48,7 +50,7 @@ pub enum AgentOutput {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum AgentError {
-    /// A store-level failure on the target node.
+    /// The node's content store refused the operation.
     Store(StoreError),
     /// The broker for the target node is gone (crashed / shut down /
     /// unreachable).
@@ -119,8 +121,8 @@ pub trait Agent: Send {
     /// Short name for logs and reports.
     fn name(&self) -> &'static str;
 
-    /// Runs the function on the broker's node, against both halves of
-    /// its state: the metadata ledger and the content repository.
+    /// Runs the function on the broker's node, against its content
+    /// store.
     ///
     /// # Errors
     ///
@@ -249,30 +251,14 @@ impl Agent for StoreFile {
     }
 
     fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        // The ledger is authoritative for quota/conflict policy; commit
-        // the bytes second and roll the ledger back if they fail.
-        let prior = state.meta().get(&self.path).copied();
-        state
-            .meta_mut()
-            .store(self.path.clone(), self.file, self.overwrite)?;
         let body = cpms_store::synthetic_body(self.file.content, self.file.size);
-        if let Err(e) = state.content().put(
+        state.content().put(
             &self.path,
             self.file.content,
             self.file.version,
             &body,
-            true,
-        ) {
-            match prior {
-                Some(f) => {
-                    let _ = state.meta_mut().store(self.path.clone(), f, true);
-                }
-                None => {
-                    let _ = state.meta_mut().remove(&self.path);
-                }
-            }
-            return Err(AgentError::Store(e.into()));
-        }
+            self.overwrite,
+        )?;
         Ok(AgentOutput::Done)
     }
 }
@@ -294,10 +280,7 @@ impl Agent for DeleteFile {
     }
 
     fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        state.meta_mut().remove(&self.path)?;
-        // The ledger delete is the decision; the repository follows
-        // (already-absent bytes are not an error).
-        let _ = state.content().delete(&self.path);
+        state.content().delete(&self.path)?;
         Ok(AgentOutput::Done)
     }
 }
@@ -317,8 +300,7 @@ impl Agent for RenameFile {
     }
 
     fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        state.meta_mut().rename(&self.from, self.to.clone())?;
-        let _ = state.content().rename(&self.from, &self.to);
+        state.content().rename(&self.from, &self.to)?;
         Ok(AgentOutput::Done)
     }
 }
@@ -337,9 +319,7 @@ impl Agent for TouchFile {
     }
 
     fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        let version = state.meta_mut().touch(&self.path)?;
-        let _ = state.content().touch(&self.path);
-        Ok(AgentOutput::Version(version))
+        Ok(AgentOutput::Version(state.content().touch(&self.path)?))
     }
 }
 
@@ -354,11 +334,12 @@ impl Agent for StatusProbe {
     }
 
     fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        let store = state.meta();
+        // O(1): the monitor's heartbeat must not walk the manifest.
+        let stats = state.content().stats();
         Ok(AgentOutput::Status {
-            files: store.len(),
-            used_bytes: store.used_bytes(),
-            free_bytes: store.free_bytes(),
+            files: stats.objects as usize,
+            used_bytes: stats.committed_bytes,
+            free_bytes: stats.free_bytes(),
         })
     }
 }
@@ -373,17 +354,26 @@ impl Agent for ListFiles {
     }
 
     fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        let mut listing: Vec<(UrlPath, StoredFile)> =
-            state.meta().iter().map(|(p, f)| (p.clone(), *f)).collect();
-        listing.sort_by(|a, b| a.0.cmp(&b.0));
+        let listing = state
+            .content()
+            .inventory()
+            .into_iter()
+            .map(|(path, object)| {
+                let file = StoredFile {
+                    content: object.content,
+                    size: object.size,
+                    version: object.version,
+                };
+                (path, file)
+            })
+            .collect();
         Ok(AgentOutput::Listing(listing))
     }
 }
 
 /// Tunnels one content-shipping request to the node's content store —
-/// this is how replica bytes actually arrive at a broker. Commits and
-/// deletes keep the metadata ledger in sync, preserving the invariant
-/// that a ledger entry always has committed bytes behind it.
+/// this is how replica bytes actually arrive at a broker. Store-level
+/// failures ride inside the reply ([`ShipReply::Err`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShipAgent {
     /// The ship-protocol message to apply.
@@ -396,26 +386,10 @@ impl Agent for ShipAgent {
     }
 
     fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        let reply = cpms_store::apply(state.content(), &self.request);
-        match (&self.request, &reply) {
-            (ShipRequest::Commit { path, .. }, ShipReply::Committed(object)) => {
-                let file = StoredFile {
-                    content: object.content,
-                    size: object.size,
-                    version: object.version,
-                };
-                if let Err(e) = state.meta_mut().store(path.clone(), file, true) {
-                    // The ledger would lie about the commit: undo it.
-                    let _ = state.content().delete(path);
-                    return Err(AgentError::Store(e));
-                }
-            }
-            (ShipRequest::Delete { path }, ShipReply::Deleted(_)) => {
-                let _ = state.meta_mut().remove(path);
-            }
-            _ => {}
-        }
-        Ok(AgentOutput::Ship(reply))
+        Ok(AgentOutput::Ship(cpms_store::apply(
+            state.content(),
+            &self.request,
+        )))
     }
 }
 
@@ -433,47 +407,104 @@ mod tests {
     }
 
     fn f(id: u32) -> StoredFile {
+        sized(id, 100)
+    }
+
+    fn sized(id: u32, size: u64) -> StoredFile {
         StoredFile {
             content: ContentId(id),
-            size: 100,
+            size,
             version: 0,
+        }
+    }
+
+    fn store_file(
+        s: &mut BrokerState,
+        path: &str,
+        file: StoredFile,
+        overwrite: bool,
+    ) -> Result<AgentOutput, AgentError> {
+        StoreFile {
+            path: p(path),
+            file,
+            overwrite,
+        }
+        .execute(s)
+    }
+
+    fn status(s: &mut BrokerState) -> (usize, u64, u64) {
+        match StatusProbe.execute(s).unwrap() {
+            AgentOutput::Status {
+                files,
+                used_bytes,
+                free_bytes,
+            } => (files, used_bytes, free_bytes),
+            other => panic!("unexpected output {other:?}"),
         }
     }
 
     #[test]
     fn store_then_delete() {
         let mut s = store();
-        let out = StoreFile {
-            path: p("/a"),
-            file: f(1),
-            overwrite: false,
-        }
-        .execute(&mut s)
-        .unwrap();
+        let out = store_file(&mut s, "/a", f(1), false).unwrap();
         assert_eq!(out, AgentOutput::Done);
-        assert!(s.meta().contains(&p("/a")));
-        assert!(s.content().contains(&p("/a")), "bytes committed too");
+        assert_eq!(
+            s.content().read(&p("/a")).unwrap(),
+            cpms_store::synthetic_body(ContentId(1), 100),
+            "the file's bytes are committed"
+        );
 
         DeleteFile { path: p("/a") }.execute(&mut s).unwrap();
-        assert!(!s.meta().contains(&p("/a")));
-        assert!(!s.content().contains(&p("/a")), "bytes removed too");
+        assert!(!s.content().contains(&p("/a")));
         let err = DeleteFile { path: p("/a") }.execute(&mut s).unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
-            AgentError::Store(StoreError::NotFound { .. })
-        ));
+            AgentError::Store(StoreError::NotFound { path: p("/a") })
+        );
+    }
+
+    #[test]
+    fn replayed_store_is_done_conflict_and_oversize_are_refused() {
+        let mut s = BrokerState::new(NodeId(1), 1000);
+        store_file(&mut s, "/a", sized(1, 600), false).unwrap();
+        // A retried frame whose first copy landed: same answer as every
+        // other replayed frame of the ship protocol.
+        let replay = store_file(&mut s, "/a", sized(1, 600), false);
+        assert_eq!(replay, Ok(AgentOutput::Done));
+        assert_eq!(status(&mut s), (1, 600, 400));
+        // A different object at the occupied path is still a conflict.
+        let err = store_file(&mut s, "/a", sized(2, 600), false).unwrap_err();
+        assert_eq!(
+            err,
+            AgentError::Store(StoreError::AlreadyExists { path: p("/a") })
+        );
+        // Oversize: refused with what was needed and what was free.
+        let err = store_file(&mut s, "/b", sized(3, 500), false).unwrap_err();
+        assert_eq!(
+            err,
+            AgentError::Store(StoreError::DiskFull {
+                path: p("/b"),
+                needed: 500,
+                free: 400
+            })
+        );
+        // An overwrite may reuse the bytes it replaces.
+        let err = store_file(&mut s, "/a", sized(1, 1100), true).unwrap_err();
+        assert_eq!(
+            err,
+            AgentError::Store(StoreError::DiskFull {
+                path: p("/a"),
+                needed: 1100,
+                free: 1000
+            })
+        );
+        assert_eq!(status(&mut s), (1, 600, 400), "refusals changed nothing");
     }
 
     #[test]
     fn rename_and_touch() {
         let mut s = store();
-        StoreFile {
-            path: p("/old"),
-            file: f(2),
-            overwrite: false,
-        }
-        .execute(&mut s)
-        .unwrap();
+        store_file(&mut s, "/old", f(2), false).unwrap();
         RenameFile {
             from: p("/old"),
             to: p("/new"),
@@ -488,27 +519,14 @@ mod tests {
     fn status_and_listing() {
         let mut s = store();
         for i in 0..3 {
-            StoreFile {
-                path: p(&format!("/f{i}")),
-                file: f(i),
-                overwrite: false,
-            }
-            .execute(&mut s)
-            .unwrap();
+            store_file(&mut s, &format!("/f{i}"), f(i), false).unwrap();
         }
-        match StatusProbe.execute(&mut s).unwrap() {
-            AgentOutput::Status {
-                files, used_bytes, ..
-            } => {
-                assert_eq!(files, 3);
-                assert_eq!(used_bytes, 300);
-            }
-            other => panic!("unexpected output {other:?}"),
-        }
+        assert_eq!(status(&mut s), (3, 300, (1 << 20) - 300));
         match ListFiles.execute(&mut s).unwrap() {
             AgentOutput::Listing(l) => {
                 assert_eq!(l.len(), 3);
                 assert!(l.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
+                assert_eq!(l[0], (p("/f0"), f(0)));
             }
             other => panic!("unexpected output {other:?}"),
         }
@@ -528,26 +546,42 @@ mod tests {
         );
     }
 
+    fn ship(s: &mut BrokerState, request: ShipRequest) -> ShipReply {
+        match (ShipAgent { request }).execute(s).unwrap() {
+            AgentOutput::Ship(reply) => reply,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn status_subtracts_staged_reservations() {
+        let mut s = BrokerState::new(NodeId(1), 1000);
+        let meta = cpms_store::ObjectMeta::for_body(ContentId(9), &[7u8; 600], 256, 0);
+        let begun = ship(
+            &mut s,
+            ShipRequest::Begin {
+                path: p("/staged"),
+                meta,
+                overwrite: false,
+            },
+        );
+        assert!(matches!(begun, ShipReply::Begun { .. }), "{begun:?}");
+        assert_eq!(status(&mut s), (0, 0, 400));
+    }
+
     #[test]
     fn ship_commit_syncs_the_ledger() {
         use cpms_store::{fnv64, hex_encode, ObjectMeta};
         let mut s = store();
         let body = vec![7u8; 300];
         let meta = ObjectMeta::for_body(ContentId(9), &body, 256, 0);
-        let reply = |r: AgentOutput| match r {
-            AgentOutput::Ship(reply) => reply,
-            other => panic!("{other:?}"),
-        };
-        let begun = reply(
-            ShipAgent {
-                request: ShipRequest::Begin {
-                    path: p("/shipped"),
-                    meta,
-                    overwrite: false,
-                },
-            }
-            .execute(&mut s)
-            .unwrap(),
+        let begun = ship(
+            &mut s,
+            ShipRequest::Begin {
+                path: p("/shipped"),
+                meta,
+                overwrite: false,
+            },
         );
         let transfer = match begun {
             ShipReply::Begun { transfer, .. } => transfer,
@@ -555,42 +589,46 @@ mod tests {
         };
         for index in 0..meta.chunk_count() {
             let range = meta.chunk_range(index).unwrap();
-            ShipAgent {
-                request: ShipRequest::Chunk {
+            ship(
+                &mut s,
+                ShipRequest::Chunk {
                     transfer,
                     index,
                     data: hex_encode(&body[range.clone()]),
                     checksum: fnv64(&body[range]),
                 },
-            }
-            .execute(&mut s)
-            .unwrap();
+            );
         }
-        assert!(
-            !s.meta().contains(&p("/shipped")),
-            "staged bytes are not in the ledger yet"
+        assert_eq!(
+            ListFiles.execute(&mut s).unwrap(),
+            AgentOutput::Listing(Vec::new()),
+            "staged bytes are not listed yet"
         );
-        ShipAgent {
-            request: ShipRequest::Commit {
+        ship(
+            &mut s,
+            ShipRequest::Commit {
                 transfer,
                 path: p("/shipped"),
                 checksum: meta.checksum,
             },
-        }
-        .execute(&mut s)
-        .unwrap();
-        let file = s.meta().get(&p("/shipped")).expect("ledger synced");
-        assert_eq!(file.content, ContentId(9));
-        assert_eq!(file.size, 300, "ledger records the committed size");
+        );
+        assert_eq!(
+            ListFiles.execute(&mut s).unwrap(),
+            AgentOutput::Listing(vec![(p("/shipped"), sized(9, 300))]),
+            "the listing records the committed size"
+        );
         assert_eq!(s.content().read(&p("/shipped")).unwrap(), body);
 
-        ShipAgent {
-            request: ShipRequest::Delete {
+        ship(
+            &mut s,
+            ShipRequest::Delete {
                 path: p("/shipped"),
             },
-        }
-        .execute(&mut s)
-        .unwrap();
-        assert!(!s.meta().contains(&p("/shipped")), "delete synced");
+        );
+        assert_eq!(
+            status(&mut s).0,
+            0,
+            "a shipped delete leaves nothing listed"
+        );
     }
 }

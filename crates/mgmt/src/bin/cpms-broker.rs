@@ -2,41 +2,41 @@
 //! "standalone … daemon process on each backend server", networked.
 //!
 //! Usage:
-//!   cpms-broker <ADDR> \[NODE\] \[DISK_MB\] \[--store DIR\] \[--http\]
-//!               \[--record-interval MS\]
-//!     Binds a broker for node NODE (default 0) with a DISK_MB disk
-//!     (default 256) on ADDR (e.g. 127.0.0.1:7070; port 0 picks an
-//!     ephemeral port). Prints the bound address on stdout and serves
-//!     until stdin closes (or a `shutdown` line arrives) — so an
-//!     orchestrator that spawned it with a piped stdin reclaims the
-//!     process just by dropping the pipe. A controller elsewhere
-//!     reaches it with `Broker::connect(node, addr)`.
 //!
-//!     With `--store DIR` the broker keeps object bytes in a durable
-//!     on-disk content store rooted at DIR: shipped replicas survive a
-//!     restart, and on startup any objects already committed under DIR
-//!     are adopted back into the broker's ledger. Without it, content
-//!     lives in memory and dies with the process.
+//! ```text
+//! cpms-broker <ADDR> [NODE] [DISK_MB] [--store DIR] [--http] [--record-interval MS]
+//! cpms-broker --smoke
+//! ```
 //!
-//!     With `--http` the broker also runs a co-located origin HTTP
-//!     server backed by the same content store — the "back-end web
-//!     server" of the paper's node, serving whatever replicas the
-//!     management plane ships here. Its address is printed as a second
-//!     stdout line `http <ADDR>`.
+//! The first form binds a broker for node NODE (default 0) with a
+//! DISK_MB disk (default 256) on ADDR (e.g. 127.0.0.1:7070; port 0 picks
+//! an ephemeral port). It prints the bound address on stdout and serves
+//! until stdin closes (or a `shutdown` line arrives) — so an orchestrator
+//! that spawned it with a piped stdin reclaims the process just by
+//! dropping the pipe. A controller elsewhere reaches it with
+//! `Broker::connect(node, addr)`.
 //!
-//!     `--record-interval MS` starts the process's flight recorder: a
-//!     sampler snapshots the metrics registry every MS milliseconds
-//!     into a bounded in-memory time series, exported by the co-located
-//!     origin at `/_cpms/series.json`. Default 100; `0` disables.
+//! With `--store DIR` the broker serves a durable on-disk content store
+//! rooted at DIR: shipped replicas survive a restart, because the store's
+//! manifest under DIR is the broker's whole state. Without it, content
+//! lives in memory and dies with the process.
 //!
-//!   cpms-broker --smoke
-//!     Self-test for CI: binds an ephemeral loopback daemon, exercises
-//!     agent RPCs over real TCP — including through a fault-injecting
-//!     transport at 20% frame loss and a poisoned (truncating)
-//!     transport — and exits 0 if the wire layer held up.
+//! With `--http` the broker also runs a co-located origin HTTP server
+//! backed by the same content store — the "back-end web server" of the
+//! paper's node, serving whatever replicas the management plane ships
+//! here. Its address is printed as a second stdout line `http <ADDR>`.
+//!
+//! `--record-interval MS` starts the process's flight recorder: a sampler
+//! snapshots the metrics registry every MS milliseconds into a bounded
+//! in-memory time series, exported by the co-located origin at
+//! `/_cpms/series.json`. Default 100; `0` disables.
+//!
+//! `--smoke` is the self-test for CI: it binds an ephemeral loopback
+//! daemon, exercises agent RPCs over real TCP — including through a
+//! fault-injecting transport at 20% frame loss and a poisoned
+//! (truncating) transport — and exits 0 if the wire layer held up.
 
-use cpms_mgmt::store::{NodeStore, StoredFile};
-use cpms_mgmt::{AgentError, AgentOutput, Broker};
+use cpms_mgmt::{AgentError, AgentOutput, Broker, BrokerState, StoredFile};
 use cpms_model::{ContentId, NodeId, UrlPath};
 use cpms_obs::MetricsRegistry;
 use cpms_wire::{FaultPlan, FaultyTransport, TcpTransport, Transport, WireError};
@@ -87,15 +87,12 @@ fn daemon(addr: &str, rest: &[String]) {
         .get(1)
         .map(|s| s.parse().expect("DISK_MB must be a number"))
         .unwrap_or(256);
-    let meta = NodeStore::new(NodeId(node), disk_mb << 20);
-    let state = match &store_dir {
-        Some(dir) => {
-            let content = cpms_store::ContentStore::open(NodeId(node), dir.as_str(), disk_mb << 20)
-                .expect("open on-disk content store");
-            cpms_mgmt::BrokerState::with_content(meta, Arc::new(content))
-        }
-        None => cpms_mgmt::BrokerState::from_meta(meta),
-    };
+    let mut state = BrokerState::new(NodeId(node), disk_mb << 20);
+    if let Some(dir) = &store_dir {
+        let content = cpms_store::ContentStore::open(NodeId(node), dir.as_str(), disk_mb << 20)
+            .expect("open on-disk content store");
+        state = state.with_content(Arc::new(content));
+    }
     // Grab the content store before the broker takes ownership of the
     // state: the co-located origin serves the same bytes the management
     // plane ships here.
@@ -190,7 +187,7 @@ fn smoke() {
     // 1. A real TCP daemon on loopback; plain RPCs must round-trip.
     let mut host = Broker::bind(
         "127.0.0.1:0".parse().expect("literal addr"),
-        NodeStore::new(NodeId(0), 1 << 20),
+        BrokerState::new(NodeId(0), 1 << 20),
     )
     .expect("bind ephemeral broker");
     let addr = host.addr().expect("tcp daemon has an address");
@@ -265,9 +262,9 @@ fn smoke() {
         err.root()
     );
 
-    // 4. Shutdown returns the final store state over the same wire.
-    let store = host.shutdown().expect("final state");
-    assert_eq!(store.len(), 2);
+    // 4. Shutdown hands back the final state.
+    let state = host.shutdown().expect("final state");
+    assert_eq!(state.content().stats().objects, 2);
     let err = remote
         .dispatch(cpms_mgmt::agent::StatusProbe)
         .expect_err("daemon is gone");

@@ -11,7 +11,6 @@
 //!     repairs all of it. Exits 0 only if every byte arrived intact
 //!     (zero checksum rejections) and the final audit is clean.
 
-use cpms_mgmt::store::NodeStore;
 use cpms_mgmt::{AntiEntropyAuditor, BrokerState, Cluster, Controller};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_store::{fnv64, synthetic_body, ObjectMeta, ShipPort, ShipReply, ShipRequest, Shipper};
@@ -40,10 +39,7 @@ fn smoke() {
     //    wire. Loss is injected client-side so the daemons themselves
     //    stay honest.
     let handles: Vec<_> = (0..3u16)
-        .map(|n| {
-            let state = BrokerState::from_meta(NodeStore::new(NodeId(n), 1 << 20));
-            bind_lossy_broker(n, state)
-        })
+        .map(|n| bind_lossy_broker(n, BrokerState::new(NodeId(n), 1 << 20)))
         .collect();
     let mut controller = Controller::new(Cluster::from_handles(handles));
     eprintln!(

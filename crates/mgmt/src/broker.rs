@@ -6,9 +6,9 @@
 //! > node."
 //!
 //! A broker is a [`cpms_wire::Service`]: it owns its node's
-//! [`NodeStore`] and executes serialized [`AgentRequest`]s received over
-//! a wire transport, replying with [`AgentReply`]s. The same service
-//! runs in two deployments:
+//! [`BrokerState`] — one content store — and executes serialized
+//! [`AgentRequest`]s received over a wire transport against it, replying
+//! with [`AgentReply`]s. The same service runs in two deployments:
 //!
 //! - **in-process** ([`Broker::spawn`]) — a [`cpms_wire::InProcServer`]
 //!   executor thread reached over channels, preserving the original
@@ -20,10 +20,10 @@
 //! Either way, the controller's end is a [`BrokerHandle`]: a retrying,
 //! deadline-bounded [`cpms_wire::Client`] plus (for locally hosted
 //! brokers) the server handle itself, so tests and the single-process
-//! deployment can stop a broker and recover its final store state.
+//! deployment can stop a broker and recover its final state.
 
 use crate::agent::{AgentError, AgentOutput, AgentReply, AgentRequest, ShipAgent};
-use crate::store::{BrokerState, NodeStore};
+use crate::store::BrokerState;
 use cpms_model::NodeId;
 use cpms_obs::{MetricsRegistry, SpanCollector, TraceContext, TracedSpan};
 use cpms_store::{ShipPort, ShipReply, ShipRequest};
@@ -37,7 +37,7 @@ use std::time::Duration;
 /// Default per-RPC deadline for broker calls.
 pub const BROKER_DEADLINE: Duration = Duration::from_secs(2);
 
-/// The broker's wire service: one node's store behind the agent
+/// The broker's wire service: one node's content store behind the agent
 /// protocol. Requests are [`AgentRequest`] JSON payloads; responses are
 /// [`AgentReply`] JSON payloads.
 #[derive(Debug)]
@@ -47,21 +47,9 @@ pub struct BrokerService {
 }
 
 impl BrokerService {
-    /// Wraps a node store as a wire service, backing it with a fresh
-    /// in-memory content repository (existing ledger files are
-    /// materialized so both views start consistent).
+    /// Wraps a node's state as a wire service.
     #[must_use]
-    pub fn new(store: NodeStore) -> Self {
-        BrokerService {
-            state: BrokerState::from_meta(store),
-            spans: None,
-        }
-    }
-
-    /// Wraps explicit broker state — the seam for a disk-backed or
-    /// pre-populated content repository.
-    #[must_use]
-    pub fn with_state(state: BrokerState) -> Self {
+    pub fn new(state: BrokerState) -> Self {
         BrokerService { state, spans: None }
     }
 
@@ -80,17 +68,17 @@ impl BrokerService {
         self.state.node()
     }
 
-    /// The broker's full state (ledger + content repository).
+    /// The broker's state.
     #[must_use]
     pub fn state(&self) -> &BrokerState {
         &self.state
     }
 
-    /// Unwraps the service back into its metadata store (after the
-    /// server that owned it stopped).
+    /// Unwraps the service back into its state (after the server that
+    /// owned it stopped).
     #[must_use]
-    pub fn into_store(self) -> NodeStore {
-        self.state.into_meta()
+    pub fn into_state(self) -> BrokerState {
+        self.state
     }
 }
 
@@ -220,20 +208,20 @@ impl BrokerHandle {
         reply.into()
     }
 
-    /// Stops a locally hosted broker and returns its final store state
-    /// (for inspection or migration). Idempotent: returns `None` on
-    /// repeated calls, if the broker already died, or if the broker is a
-    /// remote daemon this process does not host.
-    pub fn shutdown(&mut self) -> Option<NodeStore> {
+    /// Stops a locally hosted broker and returns its final state (for
+    /// inspection or migration). Idempotent: returns `None` on repeated
+    /// calls, if the broker already died, or if the broker is a remote
+    /// daemon this process does not host.
+    pub fn shutdown(&mut self) -> Option<BrokerState> {
         match self.server.take()? {
-            BrokerServer::InProc(mut s) => s.stop().map(BrokerService::into_store),
-            BrokerServer::Tcp(mut s) => s.stop().map(BrokerService::into_store),
+            BrokerServer::InProc(mut s) => s.stop().map(BrokerService::into_state),
+            BrokerServer::Tcp(mut s) => s.stop().map(BrokerService::into_state),
         }
     }
 
     /// Simulates a broker crash: the server stops without handing its
-    /// state back (failure-injection for monitoring tests). The store
-    /// state is dropped.
+    /// state back (failure-injection for monitoring tests). The state is
+    /// dropped.
     pub fn kill(&mut self) {
         let _ = self.shutdown();
     }
@@ -257,7 +245,7 @@ impl ShipPort for BrokerHandle {
             Ok(other) => Err(WireError::Codec {
                 detail: format!("broker answered a ship request with {other:?}"),
             }),
-            Err(AgentError::Store(e)) => Ok(ShipReply::Err(e.into())),
+            Err(AgentError::Store(e)) => Ok(ShipReply::Err(e)),
             Err(AgentError::BrokerUnavailable(node)) => Err(WireError::Unavailable {
                 detail: format!("broker on {node} unavailable"),
             }),
@@ -287,51 +275,14 @@ impl Broker {
             })
     }
 
-    /// Starts an in-process broker for `store`'s node, returning the
-    /// controller-side handle.
-    pub fn spawn(store: NodeStore) -> BrokerHandle {
-        Self::spawn_state(BrokerState::from_meta(store))
-    }
-
-    /// Starts an in-process broker from explicit state — the seam for a
-    /// disk-backed or pre-populated content repository.
-    pub fn spawn_state(state: BrokerState) -> BrokerHandle {
-        let node = state.node();
-        let (transport, server) =
-            InProcServer::spawn_named(BrokerService::with_state(state), &format!("broker-{node}"));
-        BrokerHandle {
-            node,
-            client: Self::default_client(Arc::new(transport), node),
-            server: Some(BrokerServer::InProc(server)),
-            remote: false,
-        }
-    }
-
-    /// [`Broker::spawn_state`] with the broker recording `broker.*`
-    /// trace spans into `spans` — the single-process deployment's way of
-    /// folding broker-side hops into one collector.
-    pub fn spawn_observed(state: BrokerState, spans: Arc<SpanCollector>) -> BrokerHandle {
-        let node = state.node();
-        let service = BrokerService::with_state(state).with_collector(spans);
-        let (transport, server) = InProcServer::spawn_named(service, &format!("broker-{node}"));
-        BrokerHandle {
-            node,
-            client: Self::default_client(Arc::new(transport), node),
-            server: Some(BrokerServer::InProc(server)),
-            remote: false,
-        }
-    }
-
-    /// Starts an in-process broker whose client speaks through
-    /// `wrap(transport)` — the seam fault-injection tests use to put a
-    /// [`cpms_wire::FaultyTransport`] between controller and broker.
-    pub fn spawn_wrapped(
-        store: NodeStore,
+    /// Serves `service` from an in-process executor thread; the client
+    /// speaks through `wrap(transport)`.
+    fn in_proc(
+        service: BrokerService,
         wrap: impl FnOnce(Arc<dyn Transport>) -> Arc<dyn Transport>,
     ) -> BrokerHandle {
-        let node = store.node();
-        let (transport, server) =
-            InProcServer::spawn_named(BrokerService::new(store), &format!("broker-{node}"));
+        let node = service.node();
+        let (transport, server) = InProcServer::spawn_named(service, &format!("broker-{node}"));
         BrokerHandle {
             node,
             client: Self::default_client(wrap(Arc::new(transport)), node),
@@ -340,20 +291,61 @@ impl Broker {
         }
     }
 
-    /// Binds a TCP broker daemon for `store`'s node on `addr` (port 0
-    /// for ephemeral) and returns a handle connected to it over
+    /// Serves `service` from a TCP listener on `addr`; the client speaks
+    /// through `wrap(transport)`.
+    fn tcp(
+        addr: SocketAddr,
+        service: BrokerService,
+        wrap: impl FnOnce(Arc<dyn Transport>) -> Arc<dyn Transport>,
+    ) -> std::io::Result<BrokerHandle> {
+        let node = service.node();
+        let server = TcpServer::bind(addr, service)?;
+        let transport = TcpTransport::new(server.addr());
+        Ok(BrokerHandle {
+            node,
+            client: Self::default_client(wrap(Arc::new(transport)), node),
+            server: Some(BrokerServer::Tcp(server)),
+            remote: false,
+        })
+    }
+
+    /// Starts an in-process broker over `state`, returning the
+    /// controller-side handle.
+    pub fn spawn(state: BrokerState) -> BrokerHandle {
+        Self::in_proc(BrokerService::new(state), |t| t)
+    }
+
+    /// [`Broker::spawn`] with the broker recording `broker.*` trace spans
+    /// into `spans` — the single-process deployment's way of folding
+    /// broker-side hops into one collector.
+    pub fn spawn_observed(state: BrokerState, spans: Arc<SpanCollector>) -> BrokerHandle {
+        Self::in_proc(BrokerService::new(state).with_collector(spans), |t| t)
+    }
+
+    /// [`Broker::spawn`] whose client speaks through `wrap(transport)` —
+    /// the seam fault-injection tests use to put a
+    /// [`cpms_wire::FaultyTransport`] between controller and broker.
+    pub fn spawn_wrapped(
+        state: BrokerState,
+        wrap: impl FnOnce(Arc<dyn Transport>) -> Arc<dyn Transport>,
+    ) -> BrokerHandle {
+        Self::in_proc(BrokerService::new(state), wrap)
+    }
+
+    /// Binds a TCP broker daemon over `state` on `addr` (port 0 for
+    /// ephemeral) and returns a handle connected to it over
     /// loopback/network TCP.
     ///
     /// # Errors
     ///
     /// The bind failure, if any.
-    pub fn bind(addr: SocketAddr, store: NodeStore) -> std::io::Result<BrokerHandle> {
-        Self::bind_wrapped(addr, BrokerState::from_meta(store), |t| t)
+    pub fn bind(addr: SocketAddr, state: BrokerState) -> std::io::Result<BrokerHandle> {
+        Self::tcp(addr, BrokerService::new(state), |t| t)
     }
 
-    /// [`Broker::bind`] from explicit state, with the client's transport
-    /// passed through `wrap` — the seam that lets tests and smoke drills
-    /// put a [`cpms_wire::FaultyTransport`] on a real TCP connection.
+    /// [`Broker::bind`] with the client's transport passed through
+    /// `wrap` — the seam that lets tests and smoke drills put a
+    /// [`cpms_wire::FaultyTransport`] on a real TCP connection.
     ///
     /// # Errors
     ///
@@ -363,15 +355,7 @@ impl Broker {
         state: BrokerState,
         wrap: impl FnOnce(Arc<dyn Transport>) -> Arc<dyn Transport>,
     ) -> std::io::Result<BrokerHandle> {
-        let node = state.node();
-        let server = TcpServer::bind(addr, BrokerService::with_state(state))?;
-        let transport = TcpTransport::new(server.addr());
-        Ok(BrokerHandle {
-            node,
-            client: Self::default_client(wrap(Arc::new(transport)), node),
-            server: Some(BrokerServer::Tcp(server)),
-            remote: false,
-        })
+        Self::tcp(addr, BrokerService::new(state), wrap)
     }
 
     /// [`Broker::bind`] with the daemon recording `broker.*` trace spans
@@ -386,16 +370,7 @@ impl Broker {
         state: BrokerState,
         spans: Arc<SpanCollector>,
     ) -> std::io::Result<BrokerHandle> {
-        let node = state.node();
-        let service = BrokerService::with_state(state).with_collector(spans);
-        let server = TcpServer::bind(addr, service)?;
-        let transport = TcpTransport::new(server.addr());
-        Ok(BrokerHandle {
-            node,
-            client: Self::default_client(Arc::new(transport), node),
-            server: Some(BrokerServer::Tcp(server)),
-            remote: false,
-        })
+        Self::tcp(addr, BrokerService::new(state).with_collector(spans), |t| t)
     }
 
     /// A handle to a broker daemon running elsewhere (another process or
@@ -446,7 +421,7 @@ mod tests {
 
     #[test]
     fn dispatch_roundtrip() {
-        let mut h = Broker::spawn(NodeStore::new(NodeId(3), 1000));
+        let mut h = Broker::spawn(BrokerState::new(NodeId(3), 1000));
         assert_eq!(h.node(), NodeId(3));
         assert!(h.is_alive());
         assert_eq!(h.transport_kind(), "inproc");
@@ -463,13 +438,44 @@ mod tests {
         let stats = h.transport_stats();
         assert_eq!(stats.calls, 2);
         assert!(stats.last_rtt_ns > 0);
-        let store = h.shutdown().expect("final state");
-        assert!(store.contains(&p("/x")));
+        let state = h.shutdown().expect("final state");
+        assert!(state.content().contains(&p("/x")));
+    }
+
+    #[test]
+    fn objects_put_into_the_shared_store_after_start_are_the_brokers_too() {
+        // What an origin's backing store and the anti-entropy tests do:
+        // write the node's store from outside the agent protocol.
+        let shared = Arc::new(cpms_store::ContentStore::in_memory(NodeId(2), 1000));
+        let h = Broker::spawn(BrokerState::new(NodeId(2), 1000).with_content(Arc::clone(&shared)));
+        assert_eq!(h.node(), NodeId(2));
+        shared
+            .put(&p("/late"), ContentId(5), 3, &[1u8; 250], false)
+            .unwrap();
+        let late = StoredFile {
+            content: ContentId(5),
+            size: 250,
+            version: 3,
+        };
+        assert_eq!(
+            h.dispatch(ListFiles).unwrap(),
+            AgentOutput::Listing(vec![(p("/late"), late)])
+        );
+        assert_eq!(
+            h.dispatch(StatusProbe).unwrap(),
+            AgentOutput::Status {
+                files: 1,
+                used_bytes: 250,
+                free_bytes: 750
+            }
+        );
+        h.dispatch(DeleteFile { path: p("/late") }).unwrap();
+        assert!(!shared.contains(&p("/late")));
     }
 
     #[test]
     fn errors_propagate() {
-        let mut h = Broker::spawn(NodeStore::new(NodeId(0), 1000));
+        let mut h = Broker::spawn(BrokerState::new(NodeId(0), 1000));
         let err = h.dispatch(DeleteFile { path: p("/nope") }).unwrap_err();
         assert!(matches!(err, AgentError::Store(_)));
         h.shutdown();
@@ -477,7 +483,7 @@ mod tests {
 
     #[test]
     fn dispatch_after_shutdown_fails() {
-        let mut h = Broker::spawn(NodeStore::new(NodeId(0), 1000));
+        let mut h = Broker::spawn(BrokerState::new(NodeId(0), 1000));
         h.shutdown();
         assert!(!h.is_alive());
         let err = h.dispatch(ListFiles).unwrap_err();
@@ -487,7 +493,7 @@ mod tests {
 
     #[test]
     fn concurrent_dispatches_serialize() {
-        let h = Broker::spawn(NodeStore::new(NodeId(0), 100_000));
+        let h = Broker::spawn(BrokerState::new(NodeId(0), 100_000));
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let h = &h;
@@ -513,7 +519,7 @@ mod tests {
     fn tcp_daemon_roundtrip() {
         let mut h = Broker::bind(
             "127.0.0.1:0".parse().unwrap(),
-            NodeStore::new(NodeId(7), 1000),
+            BrokerState::new(NodeId(7), 1000),
         )
         .unwrap();
         assert_eq!(h.transport_kind(), "tcp");
@@ -531,8 +537,8 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        let store = h.shutdown().expect("final state over TCP too");
-        assert!(store.contains(&p("/net")));
+        let state = h.shutdown().expect("final state over TCP too");
+        assert!(state.content().contains(&p("/net")));
         assert!(!h.is_alive());
     }
 
@@ -542,7 +548,7 @@ mod tests {
         // client-only handle — the two-process topology in one test.
         let mut host = Broker::bind(
             "127.0.0.1:0".parse().unwrap(),
-            NodeStore::new(NodeId(4), 1000),
+            BrokerState::new(NodeId(4), 1000),
         )
         .unwrap();
         let addr = host.addr().expect("tcp daemon has an address");
@@ -555,13 +561,13 @@ mod tests {
             })
             .unwrap();
         assert!(remote.shutdown().is_none(), "connect owns no server");
-        let store = host.shutdown().expect("host owns the daemon");
-        assert!(store.contains(&p("/r")), "remote write landed");
+        let state = host.shutdown().expect("host owns the daemon");
+        assert!(state.content().contains(&p("/r")), "remote write landed");
     }
 
     #[test]
     fn garbage_payload_surfaces_codec_error_not_a_hang() {
-        let h = Broker::spawn(NodeStore::new(NodeId(1), 1000));
+        let h = Broker::spawn(BrokerState::new(NodeId(1), 1000));
         // Speak raw bytes past the typed dispatch layer.
         let reply = h.client().call_raw(b"not an agent").unwrap();
         let reply: AgentReply = serde_json::from_str(std::str::from_utf8(&reply).unwrap()).unwrap();

@@ -16,7 +16,7 @@ use crate::agent::{
     AgentError, AgentOutput, DeleteFile, ListFiles, RenameFile, StatusProbe, TouchFile,
 };
 use crate::broker::{Broker, BrokerHandle};
-use crate::store::NodeStore;
+use crate::store::BrokerState;
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_obs::{Counter, Gauge, HistogramRecorder, MetricsRegistry, Span, TracedSpan};
 use cpms_store::{ShipError, ShipMetrics, Shipper, TransferScheduler};
@@ -125,7 +125,7 @@ impl Cluster {
     pub fn start_mode(mode: WireMode, nodes: usize, disk_capacity: u64) -> Self {
         Cluster {
             brokers: (0..nodes)
-                .map(|i| Self::host(mode, NodeStore::new(NodeId(i as u16), disk_capacity)))
+                .map(|i| Self::host(mode, BrokerState::new(NodeId(i as u16), disk_capacity)))
                 .collect(),
         }
     }
@@ -137,16 +137,16 @@ impl Cluster {
                 .iter()
                 .enumerate()
                 .map(|(i, &cap)| {
-                    Self::host(WireMode::InProc, NodeStore::new(NodeId(i as u16), cap))
+                    Self::host(WireMode::InProc, BrokerState::new(NodeId(i as u16), cap))
                 })
                 .collect(),
         }
     }
 
-    fn host(mode: WireMode, store: NodeStore) -> BrokerHandle {
+    fn host(mode: WireMode, state: BrokerState) -> BrokerHandle {
         match mode {
-            WireMode::InProc => Broker::spawn(store),
-            WireMode::Tcp => Broker::bind("127.0.0.1:0".parse().expect("literal addr"), store)
+            WireMode::InProc => Broker::spawn(state),
+            WireMode::Tcp => Broker::bind("127.0.0.1:0".parse().expect("literal addr"), state)
                 .expect("bind ephemeral loopback broker"),
         }
     }
@@ -328,7 +328,7 @@ impl Controller {
     /// Redirects the controller's metrics into `registry` — the
     /// single-system-image wiring that puts management-plane metrics on
     /// the same surface as the request path (share the registry with
-    /// [`ContentAwareProxy::start_with_registry`][proxy]).
+    /// [`ContentAwareProxy::start_with_config`][proxy]).
     ///
     /// [proxy]: https://docs.rs/cpms-httpd
     pub fn set_metrics(&mut self, registry: &Arc<MetricsRegistry>) {
@@ -537,7 +537,7 @@ impl Controller {
     /// management-error taxonomy.
     fn ship_failure(node: NodeId, e: ShipError) -> MgmtError {
         match e {
-            ShipError::Store(e) => MgmtError::Agent(AgentError::Store(e.into())),
+            ShipError::Store(e) => MgmtError::Agent(AgentError::Store(e)),
             ShipError::Wire(w) => MgmtError::Agent(AgentError::from_wire(node, w)),
             ShipError::Protocol { detail } => MgmtError::Agent(AgentError::Transport {
                 node,
@@ -744,7 +744,7 @@ impl Controller {
             Some(x) => x,
             None => {
                 return Err(last_err.unwrap_or(MgmtError::Agent(AgentError::Store(
-                    crate::store::StoreError::NotFound { path: path.clone() },
+                    cpms_store::StoreError::NotFound { path: path.clone() },
                 ))))
             }
         };
@@ -1194,7 +1194,6 @@ mod tests {
 
     #[test]
     fn management_operations_trace_across_controller_and_brokers() {
-        use crate::store::BrokerState;
         use cpms_obs::SpanCollector;
 
         // Each broker gets its own collector, standing in for a separate
@@ -1206,7 +1205,7 @@ mod tests {
             .enumerate()
             .map(|(i, spans)| {
                 Broker::spawn_observed(
-                    BrokerState::from_meta(NodeStore::new(NodeId(i as u16), 1 << 20)),
+                    BrokerState::new(NodeId(i as u16), 1 << 20),
                     Arc::clone(spans),
                 )
             })

@@ -8,7 +8,9 @@
 //! Architecture, mirroring the paper's four components:
 //!
 //! - [`Broker`] — a daemon on each back-end node that executes management
-//!   functions against that node's local file store ([`NodeStore`]). The
+//!   functions against that node's content store ([`BrokerState`], one
+//!   [`cpms_store::ContentStore`] — the only record of what the node
+//!   holds). The
 //!   paper implements brokers in Java for portability; here each broker is
 //!   a [`cpms_wire::Service`] reachable over a [`cpms_wire`] transport —
 //!   in-process channels ([`WireMode::InProc`]) or a real TCP daemon
@@ -74,4 +76,4 @@ pub use autorep::{AutoReplicator, RebalanceAction};
 pub use broker::{Broker, BrokerHandle, BrokerService};
 pub use controller::{Cluster, Controller, EvictReport, MgmtError, WireMode};
 pub use monitor::{ClusterMonitor, NodeHealth, NodeTransportHealth};
-pub use store::{BrokerState, NodeStore, StoredFile};
+pub use store::{BrokerState, StoredFile};

@@ -1,17 +1,18 @@
-//! Per-node local file stores.
+//! What a broker owns on its node: one [`cpms_store::ContentStore`].
 //!
-//! A [`NodeStore`] models one back-end node's local filesystem as the
-//! management system sees it: the set of content files present, their
-//! sizes and versions, and the disk-capacity budget. Brokers execute
-//! agents against their node's store.
+//! The content store is the only record of what the node holds — bytes,
+//! sizes, versions, checksums and the disk quota all live in its
+//! manifest. [`BrokerState`] hands that store to the agents; the agent
+//! protocol reports each object as a [`StoredFile`].
 
-use cpms_model::{ContentId, NodeId, UrlPath};
+use cpms_model::{ContentId, NodeId};
+use cpms_store::ContentStore;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 
-/// One file as stored on a node.
+/// One file as the agent protocol describes it (the rows of a
+/// [`crate::AgentOutput::Listing`], the payload of a
+/// [`crate::agent::StoreFile`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoredFile {
     /// Which content object this file is a copy of.
@@ -22,412 +23,40 @@ pub struct StoredFile {
     pub version: u64,
 }
 
-/// Errors from store operations. Serializable because agent results
-/// (which embed store failures) ride the wire back to the controller.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum StoreError {
-    /// The path has no file on this node.
-    NotFound {
-        /// The missing path.
-        path: UrlPath,
-    },
-    /// Storing would exceed the node's disk capacity.
-    DiskFull {
-        /// The path being stored.
-        path: UrlPath,
-        /// Bytes that would be needed.
-        needed: u64,
-        /// Bytes actually free.
-        free: u64,
-    },
-    /// A file already exists at the path (store with `overwrite = false`).
-    AlreadyExists {
-        /// The conflicting path.
-        path: UrlPath,
-    },
-    /// The node's content repository refused the operation (checksum
-    /// mismatch, incomplete transfer, I/O failure — anything beyond the
-    /// metadata-level taxonomy above).
-    Content {
-        /// The underlying content-store failure, rendered.
-        detail: String,
-    },
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::NotFound { path } => write!(f, "no file at {path}"),
-            StoreError::DiskFull { path, needed, free } => {
-                write!(
-                    f,
-                    "disk full storing {path}: need {needed} bytes, {free} free"
-                )
-            }
-            StoreError::AlreadyExists { path } => write!(f, "file already exists at {path}"),
-            StoreError::Content { detail } => write!(f, "content repository: {detail}"),
-        }
-    }
-}
-
-impl From<StoreError> for cpms_store::StoreError {
-    /// The reverse direction, for tunneling ledger failures back to a
-    /// ship-protocol caller.
-    fn from(e: StoreError) -> Self {
-        match e {
-            StoreError::NotFound { path } => cpms_store::StoreError::NotFound { path },
-            StoreError::DiskFull { path, needed, free } => {
-                cpms_store::StoreError::DiskFull { path, needed, free }
-            }
-            StoreError::AlreadyExists { path } => cpms_store::StoreError::AlreadyExists { path },
-            StoreError::Content { detail } => cpms_store::StoreError::Io { detail },
-        }
-    }
-}
-
-impl From<cpms_store::StoreError> for StoreError {
-    /// Maps a content-repository failure onto the metadata-level
-    /// taxonomy the controller's policies match on; failure modes that
-    /// only exist for real bytes (checksums, chunking, I/O) fold into
-    /// [`StoreError::Content`].
-    fn from(e: cpms_store::StoreError) -> Self {
-        match e {
-            cpms_store::StoreError::NotFound { path } => StoreError::NotFound { path },
-            cpms_store::StoreError::DiskFull { path, needed, free } => {
-                StoreError::DiskFull { path, needed, free }
-            }
-            cpms_store::StoreError::AlreadyExists { path } => StoreError::AlreadyExists { path },
-            other => StoreError::Content {
-                detail: other.to_string(),
-            },
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-/// One node's local content files plus disk accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NodeStore {
-    node: NodeId,
-    files: HashMap<UrlPath, StoredFile>,
-    capacity_bytes: u64,
-    used_bytes: u64,
-}
-
-impl NodeStore {
-    /// Creates an empty store for `node` with the given disk capacity.
-    pub fn new(node: NodeId, capacity_bytes: u64) -> Self {
-        NodeStore {
-            node,
-            files: HashMap::new(),
-            capacity_bytes,
-            used_bytes: 0,
-        }
-    }
-
-    /// The node this store belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Number of files stored.
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
-
-    /// Disk capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    /// Bytes in use.
-    pub fn used_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    /// Bytes free.
-    pub fn free_bytes(&self) -> u64 {
-        self.capacity_bytes - self.used_bytes
-    }
-
-    /// The file at `path`, if present.
-    pub fn get(&self, path: &UrlPath) -> Option<&StoredFile> {
-        self.files.get(path)
-    }
-
-    /// Whether a copy of `path` exists here.
-    pub fn contains(&self, path: &UrlPath) -> bool {
-        self.files.contains_key(path)
-    }
-
-    /// Stores (or overwrites) a file.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::DiskFull`] if the file does not fit;
-    /// [`StoreError::AlreadyExists`] if `overwrite` is false and the path
-    /// is taken.
-    pub fn store(
-        &mut self,
-        path: UrlPath,
-        file: StoredFile,
-        overwrite: bool,
-    ) -> Result<(), StoreError> {
-        let existing = self.files.get(&path).copied();
-        if existing.is_some() && !overwrite {
-            return Err(StoreError::AlreadyExists { path });
-        }
-        let freed = existing.map(|f| f.size).unwrap_or(0);
-        let needed = file.size;
-        let free = self.capacity_bytes - (self.used_bytes - freed);
-        if needed > free {
-            return Err(StoreError::DiskFull { path, needed, free });
-        }
-        self.used_bytes = self.used_bytes - freed + needed;
-        self.files.insert(path, file);
-        Ok(())
-    }
-
-    /// Removes the file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] if absent.
-    pub fn remove(&mut self, path: &UrlPath) -> Result<StoredFile, StoreError> {
-        match self.files.remove(path) {
-            Some(f) => {
-                self.used_bytes -= f.size;
-                Ok(f)
-            }
-            None => Err(StoreError::NotFound { path: path.clone() }),
-        }
-    }
-
-    /// Renames a file (same node, metadata only).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] / [`StoreError::AlreadyExists`].
-    pub fn rename(&mut self, from: &UrlPath, to: UrlPath) -> Result<(), StoreError> {
-        if self.files.contains_key(&to) {
-            return Err(StoreError::AlreadyExists { path: to });
-        }
-        let f = self
-            .files
-            .remove(from)
-            .ok_or_else(|| StoreError::NotFound { path: from.clone() })?;
-        self.files.insert(to, f);
-        Ok(())
-    }
-
-    /// Bumps the version of a mutable document in place.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::NotFound`] if absent.
-    pub fn touch(&mut self, path: &UrlPath) -> Result<u64, StoreError> {
-        match self.files.get_mut(path) {
-            Some(f) => {
-                f.version += 1;
-                Ok(f.version)
-            }
-            None => Err(StoreError::NotFound { path: path.clone() }),
-        }
-    }
-
-    /// Lists all files, in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&UrlPath, &StoredFile)> {
-        self.files.iter()
-    }
-}
-
-/// Everything a broker owns on its node: the metadata ledger
-/// ([`NodeStore`]) the controller's policies reason over, plus the
-/// durable content repository ([`cpms_store::ContentStore`]) that holds
-/// the actual bytes. Agents execute against this pair and keep the two
-/// views consistent — a file is only listed in the ledger while its
-/// bytes are committed in the repository.
+/// The state agents execute against: the node's content store, shared
+/// with whoever else serves from it (a co-located origin server).
 #[derive(Debug)]
 pub struct BrokerState {
-    meta: NodeStore,
-    content: Arc<cpms_store::ContentStore>,
+    content: Arc<ContentStore>,
 }
 
+/// The name the frozen `perfbench/` spells [`BrokerState::new`] by.
+pub type NodeStore = BrokerState;
+
 impl BrokerState {
-    /// Fresh state for `node`: empty ledger, in-memory content store,
-    /// one shared capacity.
+    /// Fresh state for `node`: an empty in-memory content store with a
+    /// `capacity_bytes` quota.
     pub fn new(node: NodeId, capacity_bytes: u64) -> Self {
         BrokerState {
-            meta: NodeStore::new(node, capacity_bytes),
-            content: Arc::new(cpms_store::ContentStore::in_memory(node, capacity_bytes)),
+            content: Arc::new(ContentStore::in_memory(node, capacity_bytes)),
         }
     }
 
-    /// Wraps an existing metadata ledger, materializing each of its
-    /// files into a fresh in-memory content store (their deterministic
-    /// [`cpms_store::synthetic_body`] bytes) so the two views start
-    /// consistent.
-    pub fn from_meta(meta: NodeStore) -> Self {
-        let content = Arc::new(cpms_store::ContentStore::in_memory(
-            meta.node(),
-            meta.capacity_bytes(),
-        ));
-        let state = BrokerState { meta, content };
-        state.materialize_meta();
-        state
-    }
-
-    /// Pairs a ledger with an existing (possibly disk-backed, possibly
-    /// already populated) content repository, reconciling both ways:
-    /// committed objects absent from the ledger are adopted into it, and
-    /// ledger files absent from the repository are materialized.
-    pub fn with_content(mut meta: NodeStore, content: Arc<cpms_store::ContentStore>) -> Self {
-        for (path, object) in content.inventory() {
-            if !meta.contains(&path) {
-                let _ = meta.store(
-                    path,
-                    StoredFile {
-                        content: object.content,
-                        size: object.size,
-                        version: object.version,
-                    },
-                    false,
-                );
-            }
-        }
-        let state = BrokerState { meta, content };
-        state.materialize_meta();
-        state
-    }
-
-    /// Puts the synthetic body of every ledger file the repository lacks.
-    fn materialize_meta(&self) {
-        for (path, file) in self.meta.iter() {
-            if !self.content.contains(path) {
-                let body = cpms_store::synthetic_body(file.content, file.size);
-                let _ = self
-                    .content
-                    .put(path, file.content, file.version, &body, true);
-            }
-        }
+    /// Serves `content` instead — a disk-backed, pre-populated or shared
+    /// store. Its node, quota and objects are the broker's from here on.
+    #[must_use]
+    pub fn with_content(self, content: Arc<ContentStore>) -> Self {
+        BrokerState { content }
     }
 
     /// The node this state belongs to.
     pub fn node(&self) -> NodeId {
-        self.meta.node()
+        self.content.node()
     }
 
-    /// The metadata ledger.
-    pub fn meta(&self) -> &NodeStore {
-        &self.meta
-    }
-
-    /// Mutable access to the metadata ledger.
-    pub fn meta_mut(&mut self) -> &mut NodeStore {
-        &mut self.meta
-    }
-
-    /// The content repository (shared with origin servers that serve
-    /// object bodies straight from the store).
-    pub fn content(&self) -> &Arc<cpms_store::ContentStore> {
+    /// The content store (shared with origin servers that serve object
+    /// bodies straight from it).
+    pub fn content(&self) -> &Arc<ContentStore> {
         &self.content
-    }
-
-    /// Unwraps back into the metadata ledger (broker shutdown).
-    pub fn into_meta(self) -> NodeStore {
-        self.meta
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn p(s: &str) -> UrlPath {
-        s.parse().unwrap()
-    }
-
-    fn file(id: u32, size: u64) -> StoredFile {
-        StoredFile {
-            content: ContentId(id),
-            size,
-            version: 0,
-        }
-    }
-
-    #[test]
-    fn store_and_accounting() {
-        let mut s = NodeStore::new(NodeId(0), 1000);
-        s.store(p("/a"), file(1, 400), false).unwrap();
-        assert_eq!(s.used_bytes(), 400);
-        assert_eq!(s.free_bytes(), 600);
-        assert!(s.contains(&p("/a")));
-        s.remove(&p("/a")).unwrap();
-        assert_eq!(s.used_bytes(), 0);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn disk_full_rejected() {
-        let mut s = NodeStore::new(NodeId(0), 1000);
-        s.store(p("/a"), file(1, 800), false).unwrap();
-        let err = s.store(p("/b"), file(2, 300), false).unwrap_err();
-        assert!(matches!(err, StoreError::DiskFull { free: 200, .. }));
-        assert_eq!(s.len(), 1, "failed store leaves state unchanged");
-    }
-
-    #[test]
-    fn overwrite_frees_old_size() {
-        let mut s = NodeStore::new(NodeId(0), 1000);
-        s.store(p("/a"), file(1, 900), false).unwrap();
-        // overwriting with a smaller file must account for freeing 900
-        s.store(p("/a"), file(1, 950), true).unwrap();
-        assert_eq!(s.used_bytes(), 950);
-        let err = s.store(p("/a"), file(1, 1100), true).unwrap_err();
-        assert!(matches!(err, StoreError::DiskFull { .. }));
-    }
-
-    #[test]
-    fn no_overwrite_flag() {
-        let mut s = NodeStore::new(NodeId(0), 1000);
-        s.store(p("/a"), file(1, 10), false).unwrap();
-        assert!(matches!(
-            s.store(p("/a"), file(2, 10), false),
-            Err(StoreError::AlreadyExists { .. })
-        ));
-    }
-
-    #[test]
-    fn rename_moves_metadata() {
-        let mut s = NodeStore::new(NodeId(0), 1000);
-        s.store(p("/a"), file(1, 10), false).unwrap();
-        s.rename(&p("/a"), p("/b")).unwrap();
-        assert!(!s.contains(&p("/a")));
-        assert_eq!(s.get(&p("/b")).unwrap().content, ContentId(1));
-        assert!(matches!(
-            s.rename(&p("/missing"), p("/c")),
-            Err(StoreError::NotFound { .. })
-        ));
-        s.store(p("/c"), file(2, 10), false).unwrap();
-        assert!(matches!(
-            s.rename(&p("/b"), p("/c")),
-            Err(StoreError::AlreadyExists { .. })
-        ));
-    }
-
-    #[test]
-    fn touch_bumps_version() {
-        let mut s = NodeStore::new(NodeId(0), 1000);
-        s.store(p("/a"), file(1, 10), false).unwrap();
-        assert_eq!(s.touch(&p("/a")).unwrap(), 1);
-        assert_eq!(s.touch(&p("/a")).unwrap(), 2);
-        assert!(s.touch(&p("/zzz")).is_err());
     }
 }

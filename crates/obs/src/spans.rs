@@ -385,7 +385,7 @@ impl SpanCollector {
     /// Stores one finished span, applying tail sampling once the
     /// shard is full: errors always stay, slower spans displace the
     /// fastest non-error span of a bounded random probe set, and one in
-    /// [`TAIL_KEEP_ONE_IN`] of the rest survives regardless.
+    /// `TAIL_KEEP_ONE_IN` of the rest survives regardless.
     pub fn record(&self, record: SpanRecord) {
         if !self.is_enabled() {
             return;

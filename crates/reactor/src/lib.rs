@@ -8,8 +8,8 @@
 //! Pieces, all safe to use from `#![forbid(unsafe_code)]` crates:
 //!
 //! - [`Poller`]: level-triggered readiness selection, implemented by
-//!   [`EpollPoller`] (Linux epoll via raw syscall bindings) and
-//!   [`PollPoller`] (portable poll(2)) — pick with [`new_poller`] /
+//!   `EpollPoller` (Linux epoll via raw syscall bindings) and
+//!   `PollPoller` (portable poll(2)) — pick with [`new_poller`] /
 //!   [`new_poller_of`].
 //! - [`TimerWheel`]: hashed wheel for per-connection deadlines (idle,
 //!   request-head, relay) with O(1) schedule/cancel and lazy cancellation.

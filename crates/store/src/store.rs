@@ -312,6 +312,9 @@ struct Inner {
     next_transfer: u64,
     capacity: u64,
     committed_bytes: u64,
+    /// Chunks across the manifest, kept beside `committed_bytes` so
+    /// `stats()` never walks the manifest.
+    committed_chunks: u64,
     staged_bytes: u64,
     committed_total: u64,
     resumed_transfers: u64,
@@ -344,12 +347,20 @@ impl Inner {
     /// The single place committed state changes on ingest: callers have
     /// already verified the checksum.
     fn install(&mut self, path: &UrlPath, meta: ObjectMeta, body: &[u8]) -> Result<(), StoreError> {
-        let replaced = self.manifest.get(path).map(|m| m.size).unwrap_or(0);
         self.medium.write(path, body)?;
-        self.manifest.insert(path.clone(), meta);
-        self.committed_bytes = self.committed_bytes - replaced + meta.size;
+        if let Some(replaced) = self.manifest.insert(path.clone(), meta) {
+            self.uncount(&replaced);
+        }
+        self.committed_bytes += meta.size;
+        self.committed_chunks += u64::from(meta.chunk_count());
         self.committed_total += 1;
         self.persist_manifest()
+    }
+
+    /// Takes an object that left the manifest out of the accounting.
+    fn uncount(&mut self, gone: &ObjectMeta) {
+        self.committed_bytes -= gone.size;
+        self.committed_chunks -= u64::from(gone.chunk_count());
     }
 }
 
@@ -374,6 +385,7 @@ impl ContentStore {
                 next_transfer: 1,
                 capacity,
                 committed_bytes: 0,
+                committed_chunks: 0,
                 staged_bytes: 0,
                 committed_total: 0,
                 resumed_transfers: 0,
@@ -399,6 +411,7 @@ impl ContentStore {
         std::fs::create_dir_all(root.join("objects")).map_err(|e| StoreError::io(&e))?;
         let mut manifest = BTreeMap::new();
         let mut committed_bytes = 0_u64;
+        let mut committed_chunks = 0_u64;
         let manifest_file = root.join("manifest.json");
         if manifest_file.exists() {
             let json = std::fs::read_to_string(&manifest_file).map_err(|e| StoreError::io(&e))?;
@@ -412,6 +425,7 @@ impl ContentStore {
                     .unwrap_or(false);
                 if ok {
                     committed_bytes += meta.size;
+                    committed_chunks += u64::from(meta.chunk_count());
                     manifest.insert(path, meta);
                 }
             }
@@ -425,6 +439,7 @@ impl ContentStore {
                 next_transfer: 1,
                 capacity,
                 committed_bytes,
+                committed_chunks,
                 staged_bytes: 0,
                 committed_total: 0,
                 resumed_transfers: 0,
@@ -792,12 +807,13 @@ impl ContentStore {
     /// [`StoreError::NotFound`] / I/O.
     pub fn delete(&self, path: &UrlPath) -> Result<ObjectMeta, StoreError> {
         let mut inner = self.lock();
-        let meta = inner
-            .manifest
-            .remove(path)
-            .ok_or_else(|| StoreError::NotFound { path: path.clone() })?;
-        inner.committed_bytes -= meta.size;
+        if !inner.manifest.contains_key(path) {
+            return Err(StoreError::NotFound { path: path.clone() });
+        }
+        // Medium first: a failed removal leaves the object listed.
         inner.medium.remove(path)?;
+        let meta = inner.manifest.remove(path).expect("checked above");
+        inner.uncount(&meta);
         inner.persist_manifest()?;
         Ok(meta)
     }
@@ -812,11 +828,12 @@ impl ContentStore {
         if inner.manifest.contains_key(to) {
             return Err(StoreError::AlreadyExists { path: to.clone() });
         }
-        let meta = inner
-            .manifest
-            .remove(from)
-            .ok_or_else(|| StoreError::NotFound { path: from.clone() })?;
+        if !inner.manifest.contains_key(from) {
+            return Err(StoreError::NotFound { path: from.clone() });
+        }
+        // Medium first: a failed move leaves the object listed at `from`.
         inner.medium.rename(from, to)?;
+        let meta = inner.manifest.remove(from).expect("checked above");
         inner.manifest.insert(to.clone(), meta);
         inner.persist_manifest()
     }
@@ -906,11 +923,7 @@ impl ContentStore {
         StoreStats {
             node: self.node,
             objects: inner.manifest.len() as u64,
-            chunks: inner
-                .manifest
-                .values()
-                .map(|m| u64::from(m.chunk_count()))
-                .sum(),
+            chunks: inner.committed_chunks,
             committed_bytes: inner.committed_bytes,
             capacity_bytes: inner.capacity,
             staged_transfers: inner.staged.len() as u64,
@@ -1136,6 +1149,138 @@ mod tests {
     }
 
     #[test]
+    fn store_and_accounting() {
+        let store = ContentStore::in_memory(NodeId(0), 1000);
+        let meta = ObjectMeta::for_body(ContentId(1), &[7u8; 400], 128, 0);
+        ship(&store, &p("/a"), meta, &[7u8; 400]);
+        let stats = store.stats();
+        assert_eq!((stats.objects, stats.chunks), (1, 4));
+        assert_eq!(stats.committed_bytes, 400);
+        assert_eq!(stats.free_bytes(), 600);
+        store.delete(&p("/a")).unwrap();
+        let stats = store.stats();
+        assert_eq!((stats.objects, stats.chunks), (0, 0));
+        assert_eq!(stats.free_bytes(), 1000);
+    }
+
+    #[test]
+    fn disk_full_rejected() {
+        let store = ContentStore::in_memory(NodeId(0), 1000);
+        store
+            .put(&p("/a"), ContentId(1), 0, &[1u8; 800], false)
+            .unwrap();
+        let err = store
+            .put(&p("/b"), ContentId(2), 0, &[2u8; 300], false)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::DiskFull {
+                path: p("/b"),
+                needed: 300,
+                free: 200
+            }
+        );
+        assert_eq!(
+            store.stats().objects,
+            1,
+            "failed put leaves state unchanged"
+        );
+    }
+
+    #[test]
+    fn no_overwrite_flag() {
+        let store = ContentStore::in_memory(NodeId(0), 1000);
+        let first = store
+            .put(&p("/a"), ContentId(1), 0, &[1u8; 10], false)
+            .unwrap();
+        // The identical object again is a replay, not a conflict.
+        let replay = store
+            .put(&p("/a"), ContentId(1), 0, &[1u8; 10], false)
+            .unwrap();
+        assert_eq!(replay, first);
+        assert_eq!(store.stats().committed_total, 1, "replay installs nothing");
+        assert_eq!(
+            store.put(&p("/a"), ContentId(2), 0, &[2u8; 10], false),
+            Err(StoreError::AlreadyExists { path: p("/a") })
+        );
+    }
+
+    #[test]
+    fn rename_moves_metadata() {
+        let store = ContentStore::in_memory(NodeId(0), 1000);
+        let meta = store
+            .put(&p("/a"), ContentId(1), 0, &[1u8; 10], false)
+            .unwrap();
+        store.rename(&p("/a"), &p("/b")).unwrap();
+        assert!(!store.contains(&p("/a")));
+        assert_eq!(store.meta(&p("/b")), Some(meta));
+        assert_eq!(store.read(&p("/b")).unwrap(), [1u8; 10]);
+        assert_eq!(
+            store.rename(&p("/missing"), &p("/c")),
+            Err(StoreError::NotFound {
+                path: p("/missing")
+            })
+        );
+        store
+            .put(&p("/c"), ContentId(2), 0, &[2u8; 10], false)
+            .unwrap();
+        assert_eq!(
+            store.rename(&p("/b"), &p("/c")),
+            Err(StoreError::AlreadyExists { path: p("/c") })
+        );
+    }
+
+    #[test]
+    fn touch_bumps_version() {
+        let store = ContentStore::in_memory(NodeId(0), 1000);
+        store
+            .put(&p("/a"), ContentId(1), 0, &[1u8; 10], false)
+            .unwrap();
+        assert_eq!(store.touch(&p("/a")).unwrap(), 1);
+        assert_eq!(store.touch(&p("/a")).unwrap(), 2);
+        assert!(matches!(
+            store.touch(&p("/zzz")),
+            Err(StoreError::NotFound { .. })
+        ));
+    }
+
+    /// A fresh directory for one disk-backed test.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cpms-store-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn failed_rename_and_delete_leave_the_manifest_unchanged() {
+        let dir = scratch_dir("failed-rename");
+        let store = ContentStore::open(NodeId(1), &dir, 1 << 20).unwrap();
+        store
+            .put(&p("/from"), ContentId(1), 0, &[5u8; 700], false)
+            .unwrap();
+        // A non-empty directory where the destination object file would
+        // go: `fs::rename` of a file onto it fails.
+        let blocker = Medium::object_file(&dir, &p("/to"));
+        std::fs::create_dir_all(blocker.join("occupied")).unwrap();
+        let err = store.rename(&p("/from"), &p("/to")).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err:?}");
+        assert!(store.contains(&p("/from")) && !store.contains(&p("/to")));
+        assert_eq!(store.stats().committed_bytes, 700);
+        assert_eq!(store.read(&p("/from")).unwrap(), [5u8; 700]);
+
+        // Same for delete: swap the object file for a directory so
+        // `fs::remove_file` fails.
+        let object = Medium::object_file(&dir, &p("/from"));
+        std::fs::remove_file(&object).unwrap();
+        std::fs::create_dir(&object).unwrap();
+        let err = store.delete(&p("/from")).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err:?}");
+        assert!(store.contains(&p("/from")));
+        assert_eq!(store.stats().committed_bytes, 700);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn overwrite_put_replaces_and_reaccounts() {
         let store = ContentStore::in_memory(NodeId(0), 1000);
         store
@@ -1145,6 +1290,7 @@ mod tests {
             .put(&p("/a"), ContentId(1), 1, &[2u8; 950], true)
             .unwrap();
         assert_eq!(store.stats().committed_bytes, 950);
+        assert_eq!(store.stats().chunks, 1, "the replaced object's chunk left");
         assert!(matches!(
             store.put(&p("/a"), ContentId(1), 2, &[3u8; 1100], true),
             Err(StoreError::DiskFull { .. })
@@ -1193,12 +1339,7 @@ mod tests {
 
     #[test]
     fn disk_store_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!(
-            "cpms-store-test-{}-{}",
-            std::process::id(),
-            std::thread::current().name().unwrap_or("t").len()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir("reopen");
         let body = synthetic_body(ContentId(7), 5000);
         {
             let store = ContentStore::open(NodeId(1), &dir, 1 << 20).unwrap();

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build, tests, formatting, and lints for the whole workspace
-# (repo crates and vendored stand-ins alike). Run from anywhere; operates
+# (repo crates and vendored stand-ins alike), doc links for the repo crates. Run from anywhere; operates
 # on the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,6 +16,10 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (crates/* only: a broken or private intra-doc link is an error)"
+# Every package under crates/ is named cpms-<directory>.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps $(ls crates | sed 's/^/-p cpms-/')
 
 echo "==> metrics smoke (request_latency --smoke)"
 cargo run --release -q -p cpms-bench --bin request_latency -- --smoke

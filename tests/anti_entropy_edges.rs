@@ -5,7 +5,6 @@
 //! manifest corrupted to contents that parse fine but lie about the
 //! object they describe.
 
-use cpms_mgmt::store::NodeStore;
 use cpms_mgmt::{
     AntiEntropyAuditor, Broker, BrokerHandle, BrokerState, Cluster, Controller, Drift,
 };
@@ -38,10 +37,9 @@ fn cluster_with_stores() -> (Controller, Vec<Arc<ContentStore>>) {
         .iter()
         .enumerate()
         .map(|(n, store)| {
-            Broker::spawn_state(BrokerState::with_content(
-                NodeStore::new(NodeId(n as u16), 1 << 20),
-                Arc::clone(store),
-            ))
+            Broker::spawn(
+                BrokerState::new(NodeId(n as u16), 1 << 20).with_content(Arc::clone(store)),
+            )
         })
         .collect();
     (Controller::new(Cluster::from_handles(handles)), stores)
@@ -230,14 +228,12 @@ fn stale_manifest_record_is_caught_by_deep_verify() {
             .put(&object, ContentId(7), 0, &body, false)
             .unwrap();
         let handles = vec![
-            Broker::spawn_state(BrokerState::with_content(
-                NodeStore::new(NodeId(0), 1 << 20),
-                Arc::clone(&stale_store),
-            )),
-            Broker::spawn_state(BrokerState::with_content(
-                NodeStore::new(NodeId(1), 1 << 20),
-                Arc::clone(&good_store),
-            )),
+            Broker::spawn(
+                BrokerState::new(NodeId(0), 1 << 20).with_content(Arc::clone(&stale_store)),
+            ),
+            Broker::spawn(
+                BrokerState::new(NodeId(1), 1 << 20).with_content(Arc::clone(&good_store)),
+            ),
         ];
         let mut controller = Controller::new(Cluster::from_handles(handles));
         controller

@@ -6,11 +6,13 @@
 //! admin endpoint and through the management console's `stats` report.
 
 use cpms_httpd::client::HttpClient;
-use cpms_httpd::{ContentAwareProxy, OriginServer, SiteContent, METRICS_JSON_PATH, METRICS_PATH};
+use cpms_httpd::{
+    ContentAwareProxy, OriginServer, ProxyConfig, SiteContent, METRICS_JSON_PATH, METRICS_PATH,
+};
 use cpms_mgmt::{Cluster, ClusterMonitor, Controller, NodeHealth};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_obs::MetricsRegistry;
-use cpms_urltable::{UrlEntry, UrlTable};
+use cpms_urltable::{TablePublisher, UrlEntry, UrlTable};
 use std::sync::Arc;
 
 fn p(s: &str) -> UrlPath {
@@ -46,12 +48,15 @@ fn one_registry_surfaces_every_subsystem() {
                 .with_locations([NodeId(0), NodeId(1)]),
         )
         .unwrap();
-    let proxy = ContentAwareProxy::start_with_registry(
-        table,
+    let proxy = ContentAwareProxy::start_with_config(
+        TablePublisher::new(table),
         vec![o0.addr(), o1.addr()],
-        2,
-        2,
         Arc::clone(&registry),
+        ProxyConfig {
+            workers: 2,
+            prefork: 2,
+            ..ProxyConfig::default()
+        },
     )
     .unwrap();
 
@@ -157,9 +162,17 @@ fn request_latency_histograms_cover_the_pipeline_stages() {
             UrlEntry::new(ContentId(0), ContentKind::StaticHtml, 1).with_locations([NodeId(0)]),
         )
         .unwrap();
-    let proxy =
-        ContentAwareProxy::start_with_registry(table, vec![o0.addr()], 1, 1, Arc::clone(&registry))
-            .unwrap();
+    let proxy = ContentAwareProxy::start_with_config(
+        TablePublisher::new(table),
+        vec![o0.addr()],
+        Arc::clone(&registry),
+        ProxyConfig {
+            workers: 1,
+            prefork: 1,
+            ..ProxyConfig::default()
+        },
+    )
+    .unwrap();
     let mut client = HttpClient::connect(proxy.addr()).unwrap();
     for _ in 0..20 {
         client.get("/x").unwrap();

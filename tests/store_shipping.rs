@@ -3,7 +3,6 @@
 //! promise under test — a URL-table generation never routes to a node
 //! whose store has not committed the bytes.
 
-use cpms_mgmt::store::NodeStore;
 use cpms_mgmt::{
     AntiEntropyAuditor, Broker, BrokerHandle, BrokerState, Cluster, Controller, Drift,
 };
@@ -39,7 +38,7 @@ fn lossy_tcp_shipping_preserves_integrity() {
             .map(|n| {
                 Broker::bind_wrapped(
                     "127.0.0.1:0".parse().unwrap(),
-                    BrokerState::from_meta(NodeStore::new(NodeId(n), 1 << 20)),
+                    BrokerState::new(NodeId(n), 1 << 20),
                     move |t| {
                         Arc::new(FaultyTransport::new(
                             t,
@@ -168,10 +167,9 @@ fn anti_entropy_repairs_injected_drift() {
             .iter()
             .enumerate()
             .map(|(n, store)| {
-                Broker::spawn_state(BrokerState::with_content(
-                    NodeStore::new(NodeId(n as u16), 1 << 20),
-                    Arc::clone(store),
-                ))
+                Broker::spawn(
+                    BrokerState::new(NodeId(n as u16), 1 << 20).with_content(Arc::clone(store)),
+                )
             })
             .collect();
         let mut controller = Controller::new(Cluster::from_handles(handles));
@@ -285,29 +283,23 @@ fn killed_transfer_never_publishes_uncommitted_replica() {
     with_deadline("killed_transfer", TEST_DEADLINE, || {
         let target_store = Arc::new(ContentStore::in_memory(NodeId(1), 1 << 20));
         let dead = Arc::new(AtomicBool::new(false));
-        let handles = vec![
-            Broker::spawn_state(BrokerState::from_meta(NodeStore::new(NodeId(0), 1 << 20))),
-            {
-                let dead = Arc::clone(&dead);
-                Broker::bind_wrapped(
-                    "127.0.0.1:0".parse().unwrap(),
-                    BrokerState::with_content(
-                        NodeStore::new(NodeId(1), 1 << 20),
-                        Arc::clone(&target_store),
-                    ),
-                    move |t| {
-                        Arc::new(GuillotineTransport {
-                            inner: t,
-                            armed: AtomicBool::new(true),
-                            dead,
-                            chunk_frames: AtomicU32::new(0),
-                            kill_after: 2,
-                        }) as Arc<dyn Transport>
-                    },
-                )
-                .unwrap()
-            },
-        ];
+        let handles = vec![Broker::spawn(BrokerState::new(NodeId(0), 1 << 20)), {
+            let dead = Arc::clone(&dead);
+            Broker::bind_wrapped(
+                "127.0.0.1:0".parse().unwrap(),
+                BrokerState::new(NodeId(1), 1 << 20).with_content(Arc::clone(&target_store)),
+                move |t| {
+                    Arc::new(GuillotineTransport {
+                        inner: t,
+                        armed: AtomicBool::new(true),
+                        dead,
+                        chunk_frames: AtomicU32::new(0),
+                        kill_after: 2,
+                    }) as Arc<dyn Transport>
+                },
+            )
+            .unwrap()
+        }];
         let mut controller = Controller::new(Cluster::from_handles(handles));
 
         let object = path("/ship/payload.bin");

@@ -6,8 +6,7 @@ use cpms_dispatch::failover::{BackupDistributor, HeartbeatListener, HeartbeatSen
 use cpms_dispatch::mapping::ConnKey;
 use cpms_dispatch::relay::Distributor;
 use cpms_mgmt::agent::{StatusProbe, StoreFile};
-use cpms_mgmt::store::{NodeStore, StoredFile};
-use cpms_mgmt::{AgentError, AgentOutput, Broker};
+use cpms_mgmt::{AgentError, AgentOutput, Broker, BrokerState, StoredFile};
 use cpms_model::{ContentId, NodeId, UrlPath};
 use cpms_wire::{FaultPlan, FaultyTransport, InProcServer, Transport, WireError};
 use std::io::Write as _;
@@ -31,15 +30,13 @@ fn p(s: &str) -> UrlPath {
 #[test]
 fn broker_rpcs_survive_fifteen_percent_frame_loss() {
     with_deadline("fifteen_percent_frame_loss", TEST_DEADLINE, || {
-        let mut handle = Broker::spawn_wrapped(NodeStore::new(NodeId(0), 1 << 20), |inner| {
+        let mut handle = Broker::spawn_wrapped(BrokerState::new(NodeId(0), 1 << 20), |inner| {
             Arc::new(FaultyTransport::new(inner, FaultPlan::lossy(0x10_55, 0.15)))
         });
         assert_eq!(handle.transport_kind(), "faulty");
 
         // The wire client's own retry absorbs most loss; the outer budget
-        // covers the tail where a whole RPC exhausts its attempts. The
-        // store is made idempotent (overwrite) so a lost *reply* to a
-        // success is safe to repeat.
+        // covers the tail where a whole RPC exhausts its attempts.
         retry("store through 15% loss", 3, || {
             handle.dispatch(StoreFile {
                 path: p("/lossy.html"),
@@ -48,7 +45,7 @@ fn broker_rpcs_survive_fifteen_percent_frame_loss() {
                     size: 32,
                     version: 0,
                 },
-                overwrite: true,
+                overwrite: false,
             })
         });
 
@@ -77,7 +74,7 @@ fn broker_rpcs_survive_fifteen_percent_frame_loss() {
 #[test]
 fn poisoned_frame_surfaces_typed_error() {
     with_deadline("poisoned_frame", TEST_DEADLINE, || {
-        let mut handle = Broker::spawn_wrapped(NodeStore::new(NodeId(3), 1 << 20), |inner| {
+        let mut handle = Broker::spawn_wrapped(BrokerState::new(NodeId(3), 1 << 20), |inner| {
             Arc::new(FaultyTransport::new(inner, FaultPlan::poisoned(0xBAD)))
         });
         let err = handle
@@ -104,7 +101,7 @@ fn tcp_daemon_survives_partial_frames_and_garbage() {
     with_deadline("partial_frames", TEST_DEADLINE, || {
         let mut host = Broker::bind(
             "127.0.0.1:0".parse().unwrap(),
-            NodeStore::new(NodeId(0), 1 << 20),
+            BrokerState::new(NodeId(0), 1 << 20),
         )
         .unwrap();
         let addr = host.addr().expect("tcp daemon has an address");
@@ -245,7 +242,7 @@ fn promoted_backup_detects_stale_snapshot() {
 fn lossy_rpcs_record_one_logical_span_per_call() {
     with_deadline("lossy_span_accounting", TEST_DEADLINE, || {
         let registry = Arc::new(cpms_obs::MetricsRegistry::new());
-        let handle = Broker::spawn_wrapped(NodeStore::new(NodeId(5), 1 << 20), |inner| {
+        let handle = Broker::spawn_wrapped(BrokerState::new(NodeId(5), 1 << 20), |inner| {
             Arc::new(FaultyTransport::new(inner, FaultPlan::lossy(0x10_55, 0.15)))
         });
         handle.attach_metrics(&registry);
@@ -350,7 +347,7 @@ fn garbage_extension_area_never_wedges_the_daemon() {
     with_deadline("garbage_extension", TEST_DEADLINE, || {
         let mut host = Broker::bind(
             "127.0.0.1:0".parse().unwrap(),
-            NodeStore::new(NodeId(0), 1 << 20),
+            BrokerState::new(NodeId(0), 1 << 20),
         )
         .unwrap();
         let addr = host.addr().expect("tcp daemon has an address");
