@@ -373,7 +373,9 @@ impl Agent for ListFiles {
 
 /// Tunnels one content-shipping request to the node's content store —
 /// this is how replica bytes actually arrive at a broker. Store-level
-/// failures ride inside the reply ([`ShipReply::Err`]).
+/// failures ride inside the reply ([`ShipReply::Err`]). Chunk bytes are
+/// not part of the message: the broker service hands the payload's raw
+/// tail to [`cpms_store::apply_tail`] beside the request.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShipAgent {
     /// The ship-protocol message to apply.
@@ -385,6 +387,8 @@ impl Agent for ShipAgent {
         "ship"
     }
 
+    /// The tail-less form: a `Chunk` is staged only in its legacy hex
+    /// spelling, a `Fetch` answers hex ([`cpms_store::apply`]).
     fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
         Ok(AgentOutput::Ship(cpms_store::apply(
             state.content(),

@@ -3,7 +3,11 @@
 //!
 //! Usage:
 //!   cpms-ship --smoke
-//!     Binds three broker daemons on loopback whose client transports
+//!     First, over a clean wire, counts what shipping costs in bytes:
+//!     two brokers, objects of 64 KiB and up, and the wire may carry at
+//!     most 1.10 bytes per payload byte shipped — a count that repeats
+//!     exactly, so chunk bytes spelled as text again fail it without a
+//!     timing. Then binds three broker daemons on loopback whose client transports
 //!     cross a fault-injecting wire at 20% frame loss, publishes a
 //!     multi-chunk corpus through the controller's shipping pipeline,
 //!     then injects three kinds of drift (a deleted replica, an orphan
@@ -11,7 +15,7 @@
 //!     repairs all of it. Exits 0 only if every byte arrived intact
 //!     (zero checksum rejections) and the final audit is clean.
 
-use cpms_mgmt::{AntiEntropyAuditor, BrokerState, Cluster, Controller};
+use cpms_mgmt::{AntiEntropyAuditor, Broker, BrokerState, Cluster, Controller};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_store::{fnv64, synthetic_body, ObjectMeta, ShipPort, ShipReply, ShipRequest, Shipper};
 use cpms_wire::{FaultPlan, FaultyTransport, Transport};
@@ -34,7 +38,52 @@ fn path(s: &str) -> UrlPath {
 
 const LOSS: f64 = 0.20;
 
+/// Wire bytes the clean leg may send per payload byte shipped. Raw chunk
+/// tails cost ~1.03 (frame header + a ~100-byte head per 4 KiB chunk);
+/// hex inside JSON cost 2.03.
+const WIRE_BYTES_PER_SHIPPED_BYTE: f64 = 1.10;
+
+/// Publishes large objects over a lossless wire and holds the bytes the
+/// wire carried against the bytes that were shipped.
+fn clean_wire_leg() {
+    let handles: Vec<_> = (0..2u16)
+        .map(|n| {
+            Broker::bind(
+                "127.0.0.1:0".parse().expect("literal addr"),
+                BrokerState::new(NodeId(n), 1 << 20),
+            )
+            .expect("bind clean broker")
+        })
+        .collect();
+    let mut controller = Controller::new(Cluster::from_handles(handles));
+    for (i, size) in [65_536_u64, 200_000].into_iter().enumerate() {
+        controller
+            .publish(
+                &path(&format!("/bulk/{i}.bin")),
+                ContentId(i as u32),
+                ContentKind::OtherStatic,
+                size,
+                Priority::Normal,
+                &[NodeId(0), NodeId(1)],
+            )
+            .expect("publish over a clean wire");
+    }
+    let snapshot = controller.metrics().snapshot();
+    let wire = snapshot.counter("wire_tx_bytes_total").unwrap_or(0);
+    let shipped = snapshot.counter("ship_bytes_total").unwrap_or(0);
+    assert_eq!(shipped, 2 * (65_536 + 200_000), "every byte was shipped");
+    let ratio = wire as f64 / shipped as f64;
+    assert!(
+        ratio <= WIRE_BYTES_PER_SHIPPED_BYTE,
+        "wire carried {wire} B for {shipped} B shipped: {ratio:.3} > {WIRE_BYTES_PER_SHIPPED_BYTE}"
+    );
+    controller.shutdown();
+    eprintln!("smoke: clean wire carried {ratio:.3} bytes per shipped byte");
+}
+
 fn smoke() {
+    clean_wire_leg();
+
     // 1. Three TCP daemons; every controller-side frame crosses a lossy
     //    wire. Loss is injected client-side so the daemons themselves
     //    stay honest.
@@ -169,7 +218,7 @@ fn smoke() {
 /// Binds one TCP broker whose *client* transport is wrapped in a lossy
 /// fault plan (distinct seed per node).
 fn bind_lossy_broker(n: u16, state: BrokerState) -> cpms_mgmt::BrokerHandle {
-    cpms_mgmt::Broker::bind_wrapped(
+    Broker::bind_wrapped(
         "127.0.0.1:0".parse().expect("literal addr"),
         state,
         |transport: Arc<dyn Transport>| {

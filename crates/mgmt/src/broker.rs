@@ -39,7 +39,9 @@ pub const BROKER_DEADLINE: Duration = Duration::from_secs(2);
 
 /// The broker's wire service: one node's content store behind the agent
 /// protocol. Requests are [`AgentRequest`] JSON payloads; responses are
-/// [`AgentReply`] JSON payloads.
+/// [`AgentReply`] JSON payloads. A tunneled ship request's chunk bytes
+/// ride behind either as the payload's raw tail
+/// ([`cpms_wire::with_tail`]).
 #[derive(Debug)]
 pub struct BrokerService {
     state: BrokerState,
@@ -84,7 +86,9 @@ impl BrokerService {
 
 impl cpms_wire::Service for BrokerService {
     fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        let reply: AgentReply = match std::str::from_utf8(request)
+        let (head, tail) = cpms_wire::split_tail(request);
+        let mut reply_tail = Vec::new();
+        let reply: AgentReply = match std::str::from_utf8(head)
             .map_err(|e| format!("payload is not UTF-8: {e}"))
             .and_then(|text| serde_json::from_str::<AgentRequest>(text).map_err(|e| e.to_string()))
         {
@@ -105,7 +109,15 @@ impl cpms_wire::Service for BrokerService {
                     }
                     _ => None,
                 };
-                let result = agent.execute(&mut self.state);
+                let result = match &agent {
+                    AgentRequest::Ship(ship) => {
+                        let (reply, bytes) =
+                            cpms_store::apply_tail(self.state.content(), &ship.request, tail);
+                        reply_tail = bytes;
+                        Ok(AgentOutput::Ship(reply))
+                    }
+                    other => other.execute(&mut self.state),
+                };
                 if let (Some(span), Err(e)) = (span.as_mut(), &result) {
                     span.set_error(true);
                     span.set_detail(e.to_string());
@@ -117,9 +129,10 @@ impl cpms_wire::Service for BrokerService {
                 error: WireError::Codec { detail },
             }),
         };
-        serde_json::to_string(&reply)
-            .expect("agent replies always serialize")
-            .into_bytes()
+        cpms_wire::with_tail(
+            serde_json::to_string(&reply).expect("agent replies always serialize"),
+            &reply_tail,
+        )
     }
 }
 
@@ -200,12 +213,22 @@ impl BrokerHandle {
     /// poisoned frame, retries exhausted), plus whatever the agent
     /// itself reports.
     pub fn dispatch(&self, agent: impl Into<AgentRequest>) -> Result<AgentOutput, AgentError> {
-        let request: AgentRequest = agent.into();
-        let reply: AgentReply = self
+        self.dispatch_tail(agent.into(), &[])
+            .map(|(output, _tail)| output)
+    }
+
+    /// [`BrokerHandle::dispatch`] with raw bytes riding behind the agent
+    /// and behind its reply — a tunneled ship request's chunk.
+    fn dispatch_tail(
+        &self,
+        request: AgentRequest,
+        tail: &[u8],
+    ) -> Result<(AgentOutput, Vec<u8>), AgentError> {
+        let (reply, reply_tail): (AgentReply, Vec<u8>) = self
             .client
-            .call(&request)
+            .call_tail(&request, tail)
             .map_err(|e| AgentError::from_wire(self.node, e))?;
-        reply.into()
+        Result::from(reply).map(|output| (output, reply_tail))
     }
 
     /// Stops a locally hosted broker and returns its final state (for
@@ -237,15 +260,20 @@ impl ShipPort for BrokerHandle {
     /// Content shipping rides the agent protocol: the request is
     /// tunneled as a [`ShipAgent`], so the same broker endpoint carries
     /// both management functions and replica bytes.
-    fn ship(&self, request: &ShipRequest) -> Result<ShipReply, WireError> {
-        match self.dispatch(ShipAgent {
+    fn ship_tail(
+        &self,
+        request: &ShipRequest,
+        tail: &[u8],
+    ) -> Result<(ShipReply, Vec<u8>), WireError> {
+        let agent = ShipAgent {
             request: request.clone(),
-        }) {
-            Ok(AgentOutput::Ship(reply)) => Ok(reply),
-            Ok(other) => Err(WireError::Codec {
+        };
+        match self.dispatch_tail(agent.into(), tail) {
+            Ok((AgentOutput::Ship(reply), reply_tail)) => Ok((reply, reply_tail)),
+            Ok((other, _)) => Err(WireError::Codec {
                 detail: format!("broker answered a ship request with {other:?}"),
             }),
-            Err(AgentError::Store(e)) => Ok(ShipReply::Err(e)),
+            Err(AgentError::Store(e)) => Ok((ShipReply::Err(e), Vec::new())),
             Err(AgentError::BrokerUnavailable(node)) => Err(WireError::Unavailable {
                 detail: format!("broker on {node} unavailable"),
             }),
@@ -568,15 +596,55 @@ mod tests {
     #[test]
     fn garbage_payload_surfaces_codec_error_not_a_hang() {
         let h = Broker::spawn(BrokerState::new(NodeId(1), 1000));
-        // Speak raw bytes past the typed dispatch layer.
-        let reply = h.client().call_raw(b"not an agent").unwrap();
-        let reply: AgentReply = serde_json::from_str(std::str::from_utf8(&reply).unwrap()).unwrap();
-        match Result::from(reply) {
-            Err(AgentError::Transport {
-                node,
-                error: WireError::Codec { .. },
-            }) => assert_eq!(node, NodeId(1)),
+        // Speak raw bytes past the typed dispatch layer: no agent at all,
+        // a lone separator, a tail with no head, a frame's worth of zeros.
+        let zeros = vec![0u8; 16 << 20];
+        for payload in [&b"not an agent"[..], &[0], b"\0headless", &zeros] {
+            let reply = h.client().call_raw(payload).unwrap();
+            let reply: AgentReply =
+                serde_json::from_str(std::str::from_utf8(&reply).unwrap()).unwrap();
+            match Result::from(reply) {
+                Err(AgentError::Transport {
+                    node,
+                    error: WireError::Codec { .. },
+                }) => assert_eq!(node, NodeId(1)),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_broker_that_predates_tails_refuses_a_chunk_with_a_codec_error() {
+        use cpms_store::{ShipError, Shipper};
+        // The service as it was: the whole payload goes to the decoder.
+        let (transport, _server) = InProcServer::spawn(|request: &[u8]| {
+            let reply = match std::str::from_utf8(request)
+                .map_err(|e| e.to_string())
+                .and_then(|t| serde_json::from_str::<AgentRequest>(t).map_err(|e| e.to_string()))
+            {
+                Ok(agent) => agent.execute(&mut BrokerState::new(NodeId(5), 1 << 20)),
+                Err(detail) => Err(AgentError::Transport {
+                    node: NodeId(5),
+                    error: WireError::Codec { detail },
+                }),
+            };
+            serde_json::to_string(&AgentReply::from(reply))
+                .unwrap()
+                .into_bytes()
+        });
+        let old = BrokerHandle {
+            node: NodeId(5),
+            client: Broker::default_client(Arc::new(transport), NodeId(5)),
+            server: None,
+            remote: true,
+        };
+        let err = Shipper::new()
+            .push(&old, &p("/new"), ContentId(1), 0, &[7u8; 5000], false)
+            .unwrap_err();
+        match err {
+            ShipError::Wire(WireError::Codec { .. }) => {}
             other => panic!("{other:?}"),
         }
+        assert_eq!(old.transport_stats().retries, 0, "refused once, for good");
     }
 }

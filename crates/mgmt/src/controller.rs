@@ -621,9 +621,13 @@ impl Controller {
             .map(|&n| self.broker(n))
             .collect::<Result<_, _>>()?;
         let shipper = &self.shipper;
+        // One description of the body for every replica: the bytes are
+        // hashed once per publication, not once per copy.
+        let meta =
+            cpms_store::ObjectMeta::for_body(content, body, cpms_store::DEFAULT_CHUNK_SIZE, 0);
         let results = self.sched.run(handles, |_, handle| {
             shipper
-                .push(handle, path, content, 0, body, false)
+                .push_described(handle, path, meta, body, false)
                 .map(|outcome| (handle.node(), outcome))
         });
         let mut stored: Vec<NodeId> = Vec::new();
@@ -651,9 +655,8 @@ impl Controller {
         }
         // Entry size/checksum reflect the committed bytes, not the
         // caller's declaration.
-        let (size, checksum) = committed
-            .map(|m| (m.size, m.checksum))
-            .unwrap_or((body.len() as u64, cpms_store::fnv64(body)));
+        let committed = committed.unwrap_or(meta);
+        let (size, checksum) = (committed.size, committed.checksum);
         self.update_table(|t| {
             t.insert(
                 path.clone(),

@@ -77,15 +77,18 @@ impl EventLog {
     /// Appends an event, evicting the oldest once full. The thread's
     /// active [`TraceContext`], if any, stamps the event.
     pub fn record(&self, stage: &'static str, request: Option<RequestId>, detail: String) {
+        let trace = TraceContext::current().map(|c| c.trace);
+        // The sequence number is drawn under the ring lock, so ring order
+        // is sequence order even between racing writers.
+        let mut ring = self.ring.lock().expect("event log lock");
         let event = Event {
             seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
             at_micros: u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX),
             request,
-            trace: TraceContext::current().map(|c| c.trace),
+            trace,
             stage,
             detail,
         };
-        let mut ring = self.ring.lock().expect("event log lock");
         if ring.len() == self.capacity {
             ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);

@@ -32,8 +32,8 @@ mod throttle;
 pub use object::{fnv64, hex_decode, hex_encode, synthetic_body, ObjectMeta, DEFAULT_CHUNK_SIZE};
 pub use sched::TransferScheduler;
 pub use ship::{
-    apply, ShipError, ShipMetrics, ShipOutcome, ShipPort, ShipReply, ShipRequest, Shipper,
-    StoreClient, StoreService, SHIP_DEADLINE,
+    apply, apply_tail, ShipError, ShipMetrics, ShipOutcome, ShipPort, ShipReply, ShipRequest,
+    Shipper, StoreClient, StoreService, SHIP_DEADLINE,
 };
 pub use store::{ContentStore, StoreError, StoreStats};
 pub use throttle::TokenBucket;

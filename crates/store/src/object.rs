@@ -24,9 +24,10 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Lower-hex encodes `bytes` (chunk payloads ride inside JSON wire
-/// messages as hex strings; the vendored serde stand-in has no efficient
-/// byte-array representation).
+/// Lower-hex encodes `bytes`. Names on-disk object files (the hex of the
+/// URL path) and spells the legacy form of chunk messages that
+/// [`apply`](crate::apply) still answers; chunk bytes themselves cross
+/// the wire raw, as payload tails.
 #[must_use]
 pub fn hex_encode(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
@@ -37,7 +38,8 @@ pub fn hex_encode(bytes: &[u8]) -> String {
     out
 }
 
-/// Decodes a lower/upper-hex string back into bytes.
+/// Decodes a lower/upper-hex string back into bytes (a legacy sender's
+/// chunk `data`).
 ///
 /// # Errors
 ///

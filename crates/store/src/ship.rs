@@ -10,6 +10,12 @@
 //! re-stages identical bytes, a replayed `Commit` after a lost ack finds
 //! the committed object and succeeds.
 //!
+//! Chunk bytes never ride as JSON text: `Chunk` carries them as the
+//! request payload's raw tail and `Fetch` is answered with them as the
+//! reply's tail (`cpms_wire::with_tail`), the message's `data` field left
+//! empty. The older form — the bytes hex-encoded into `data` — is still
+//! decoded on receipt by [`apply`], and sent by nothing.
+//!
 //! The sending half is [`Shipper`]: it drives a [`ShipPort`] (any
 //! request/reply funnel to a remote store — a raw wire [`StoreClient`] or
 //! a broker dispatch adapter), re-sends individual rejected chunks
@@ -51,7 +57,9 @@ pub enum ShipRequest {
         transfer: u64,
         /// Chunk index.
         index: u32,
-        /// Hex-encoded chunk bytes.
+        /// Empty: the chunk bytes are the payload's tail. A legacy sender
+        /// puts them here hex-encoded instead, which receivers still
+        /// decode.
         data: String,
         /// FNV-1a 64 of the raw bytes.
         checksum: u64,
@@ -139,7 +147,9 @@ pub enum ShipReply {
     Aborted(bool),
     /// One chunk of a committed object.
     ChunkData {
-        /// Hex-encoded bytes.
+        /// Empty: the chunk bytes are the reply payload's tail. Hex of
+        /// the bytes only when [`apply`] answers a caller that cannot
+        /// take a tail.
         data: String,
         /// FNV-1a 64 of the raw bytes.
         checksum: u64,
@@ -165,18 +175,42 @@ pub enum ShipReply {
     Err(StoreError),
 }
 
-/// Executes one ship request against a local store — shared by the
-/// standalone [`StoreService`] and by broker services that embed a
-/// content store behind their own agent protocol.
+/// Executes one ship request that arrived without a payload tail, for a
+/// caller that cannot take one back: a `Chunk` must carry its bytes as
+/// hex in `data` (the legacy form), and a `Fetch` is answered with hex
+/// in `ChunkData::data`. The services use [`apply_tail`] and never build
+/// a hex string.
 #[must_use]
 pub fn apply(store: &ContentStore, request: &ShipRequest) -> ShipReply {
+    match apply_tail(store, request, &[]) {
+        (ShipReply::ChunkData { checksum, .. }, bytes) => ShipReply::ChunkData {
+            data: hex_encode(&bytes),
+            checksum,
+        },
+        (reply, _) => reply,
+    }
+}
+
+/// Executes one ship request against a local store — shared by the
+/// standalone [`StoreService`] and by broker services that embed a
+/// content store behind their own agent protocol. `tail` is the raw
+/// tail the request payload carried (a `Chunk`'s bytes); the returned
+/// bytes are the tail to send behind the reply (a `Fetch`ed chunk),
+/// empty for every other reply.
+#[must_use]
+pub fn apply_tail(
+    store: &ContentStore,
+    request: &ShipRequest,
+    tail: &[u8],
+) -> (ShipReply, Vec<u8>) {
     fn ok_or<T>(r: Result<T, StoreError>, f: impl FnOnce(T) -> ShipReply) -> ShipReply {
         match r {
             Ok(v) => f(v),
             Err(e) => ShipReply::Err(e),
         }
     }
-    match request {
+    let mut reply_tail = Vec::new();
+    let reply = match request {
         ShipRequest::Begin {
             path,
             meta,
@@ -189,17 +223,27 @@ pub fn apply(store: &ContentStore, request: &ShipRequest) -> ShipReply {
             index,
             data,
             checksum,
-        } => match hex_decode(data) {
-            Ok(bytes) => ok_or(
-                store.stage_chunk(*transfer, *index, &bytes, *checksum),
-                |()| ShipReply::ChunkOk,
-            ),
-            Err(detail) => ShipReply::Err(StoreError::BadChunk {
-                path: "/".parse().expect("root path literal"),
-                index: *index,
-                detail,
-            }),
-        },
+        } => {
+            let stage = |bytes: &[u8]| {
+                ok_or(
+                    store.stage_chunk(*transfer, *index, bytes, *checksum),
+                    |()| ShipReply::ChunkOk,
+                )
+            };
+            if data.is_empty() {
+                stage(tail)
+            } else {
+                // A legacy sender hexes the bytes into `data`.
+                match hex_decode(data) {
+                    Ok(bytes) => stage(&bytes),
+                    Err(detail) => ShipReply::Err(StoreError::BadChunk {
+                        path: "/".parse().expect("root path literal"),
+                        index: *index,
+                        detail,
+                    }),
+                }
+            }
+        }
         ShipRequest::Commit {
             transfer,
             path,
@@ -211,8 +255,9 @@ pub fn apply(store: &ContentStore, request: &ShipRequest) -> ShipReply {
         ShipRequest::Abort { transfer } => ShipReply::Aborted(store.abort(*transfer)),
         ShipRequest::Fetch { path, index } => {
             ok_or(store.read_chunk(path, *index), |(bytes, checksum)| {
+                reply_tail = bytes;
                 ShipReply::ChunkData {
-                    data: hex_encode(&bytes),
+                    data: String::new(),
                     checksum,
                 }
             })
@@ -229,7 +274,8 @@ pub fn apply(store: &ContentStore, request: &ShipRequest) -> ShipReply {
             ShipReply::Swept { transfers, bytes }
         }
         ShipRequest::Delete { path } => ok_or(store.delete(path), ShipReply::Deleted),
-    }
+    };
+    (reply, reply_tail)
 }
 
 /// A standalone wire service hosting one content store (the data-plane
@@ -255,18 +301,23 @@ impl StoreService {
 
 impl cpms_wire::Service for StoreService {
     fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        let reply = match std::str::from_utf8(request)
+        let (head, tail) = cpms_wire::split_tail(request);
+        let (reply, reply_tail) = match std::str::from_utf8(head)
             .map_err(|e| format!("payload is not UTF-8: {e}"))
             .and_then(|text| serde_json::from_str::<ShipRequest>(text).map_err(|e| e.to_string()))
         {
-            Ok(req) => apply(&self.store, &req),
-            Err(detail) => ShipReply::Err(StoreError::Io {
-                detail: format!("undecodable ship request: {detail}"),
-            }),
+            Ok(req) => apply_tail(&self.store, &req, tail),
+            Err(detail) => (
+                ShipReply::Err(StoreError::Io {
+                    detail: format!("undecodable ship request: {detail}"),
+                }),
+                Vec::new(),
+            ),
         };
-        serde_json::to_string(&reply)
-            .expect("ship replies always serialize")
-            .into_bytes()
+        cpms_wire::with_tail(
+            serde_json::to_string(&reply).expect("ship replies always serialize"),
+            &reply_tail,
+        )
     }
 }
 
@@ -275,13 +326,30 @@ impl cpms_wire::Service for StoreService {
 /// and by broker handles (ship requests tunneled through the agent
 /// protocol).
 pub trait ShipPort {
-    /// Sends one ship request and returns the remote store's reply.
+    /// Sends one ship request with `tail` riding behind it as raw bytes
+    /// (a `Chunk`'s data; empty otherwise) and returns the remote store's
+    /// reply with the tail that rode behind it (a `Fetch`ed chunk; empty
+    /// otherwise).
     ///
     /// # Errors
     ///
     /// Transport-level failures only; store-level failures arrive as
     /// [`ShipReply::Err`].
-    fn ship(&self, request: &ShipRequest) -> Result<ShipReply, WireError>;
+    fn ship_tail(
+        &self,
+        request: &ShipRequest,
+        tail: &[u8],
+    ) -> Result<(ShipReply, Vec<u8>), WireError>;
+
+    /// [`ShipPort::ship_tail`] for the requests that neither carry nor
+    /// are answered with chunk bytes.
+    ///
+    /// # Errors
+    ///
+    /// See [`ShipPort::ship_tail`].
+    fn ship(&self, request: &ShipRequest) -> Result<ShipReply, WireError> {
+        self.ship_tail(request, &[]).map(|(reply, _tail)| reply)
+    }
 
     /// The destination, for error labels.
     fn peer(&self) -> String {
@@ -323,8 +391,12 @@ impl StoreClient {
 }
 
 impl ShipPort for StoreClient {
-    fn ship(&self, request: &ShipRequest) -> Result<ShipReply, WireError> {
-        self.client.call(request)
+    fn ship_tail(
+        &self,
+        request: &ShipRequest,
+        tail: &[u8],
+    ) -> Result<(ShipReply, Vec<u8>), WireError> {
+        self.client.call_tail(request, tail)
     }
 
     fn peer(&self) -> String {
@@ -511,7 +583,7 @@ impl Shipper {
         body: &[u8],
         overwrite: bool,
     ) -> Result<ShipOutcome, ShipError> {
-        self.push_meta(
+        self.push_described(
             port,
             path,
             ObjectMeta::for_body(content, body, crate::object::DEFAULT_CHUNK_SIZE, version),
@@ -520,7 +592,8 @@ impl Shipper {
         )
     }
 
-    /// [`Shipper::push`] with explicit chunk geometry.
+    /// [`Shipper::push`] with explicit chunk geometry, for a `meta` that
+    /// came from somewhere else than `body` (a manifest, the URL table).
     ///
     /// # Errors
     ///
@@ -537,8 +610,33 @@ impl Shipper {
         body: &[u8],
         overwrite: bool,
     ) -> Result<ShipOutcome, ShipError> {
-        assert_eq!(meta.size, body.len() as u64, "meta must describe body");
         assert_eq!(meta.checksum, fnv64(body), "meta must describe body");
+        self.push_described(port, path, meta, body, overwrite)
+    }
+
+    /// [`Shipper::push_meta`] for a `meta` the caller built from this
+    /// very `body` with [`ObjectMeta::for_body`] — so one object going
+    /// to several nodes is hashed once, not once more per replica. The
+    /// body is not hashed again here; a `meta` that does not describe it
+    /// is refused by the receiver's commit
+    /// ([`StoreError::ChecksumMismatch`]).
+    ///
+    /// # Errors
+    ///
+    /// See [`Shipper::push`].
+    ///
+    /// # Panics
+    ///
+    /// If `meta.size` is not the body's length.
+    pub fn push_described(
+        &self,
+        port: &dyn ShipPort,
+        path: &UrlPath,
+        meta: ObjectMeta,
+        body: &[u8],
+        overwrite: bool,
+    ) -> Result<ShipOutcome, ShipError> {
+        assert_eq!(meta.size, body.len() as u64, "meta must describe body");
         let start = Instant::now();
         if let Some(m) = &self.metrics {
             m.inflight.add(1);
@@ -652,7 +750,7 @@ impl Shipper {
         let request = ShipRequest::Chunk {
             transfer,
             index,
-            data: hex_encode(chunk),
+            data: String::new(),
             checksum,
         };
         let mut last: Option<ShipError> = None;
@@ -664,7 +762,7 @@ impl Shipper {
                 }
             }
             self.throttle_take(chunk.len() as u64);
-            match port.ship(&request) {
+            match port.ship_tail(&request, chunk).map(|(reply, _tail)| reply) {
                 Ok(ShipReply::ChunkOk) => {
                     outcome.chunks_sent += 1;
                     outcome.bytes_sent += chunk.len() as u64;
@@ -760,15 +858,16 @@ impl Shipper {
                 }
             }
             self.throttle_take(expected_len as u64);
-            match port.ship(&request) {
-                Ok(ShipReply::ChunkData { data, checksum }) => {
-                    let bytes = match hex_decode(&data) {
-                        Ok(b) => b,
-                        Err(detail) => {
-                            last = Some(ShipError::Protocol { detail });
-                            continue;
-                        }
-                    };
+            match port.ship_tail(&request, &[]) {
+                Ok((ShipReply::ChunkData { data, .. }, _)) if !data.is_empty() => {
+                    return Err(ShipError::Protocol {
+                        detail: format!(
+                            "Fetch answered hex chunk data by {}: it predates payload tails",
+                            port.peer()
+                        ),
+                    })
+                }
+                Ok((ShipReply::ChunkData { checksum, .. }, bytes)) => {
                     if bytes.len() != expected_len || fnv64(&bytes) != checksum {
                         // Corrupted in flight: re-fetch.
                         last = Some(ShipError::Store(StoreError::ChunkRejected {
@@ -785,8 +884,8 @@ impl Shipper {
                     }
                     return Ok(bytes);
                 }
-                Ok(ShipReply::Err(e)) => return Err(ShipError::Store(e)),
-                Ok(other) => {
+                Ok((ShipReply::Err(e), _)) => return Err(ShipError::Store(e)),
+                Ok((other, _)) => {
                     return Err(ShipError::Protocol {
                         detail: format!("Fetch answered {other:?} by {}", port.peer()),
                     })
@@ -872,6 +971,178 @@ mod tests {
         // Committed exactly once despite duplicates/replays.
         assert_eq!(store.stats().objects, 1);
         let _ = outcome;
+    }
+
+    /// Opens a transfer of `body` in 1000-byte chunks on a fresh store.
+    fn begun(body: &[u8]) -> (ContentStore, ObjectMeta, u64) {
+        let store = ContentStore::in_memory(NodeId(0), 1 << 20);
+        let meta = ObjectMeta::for_body(ContentId(5), body, 1000, 0);
+        let begin = ShipRequest::Begin {
+            path: p("/t"),
+            meta,
+            overwrite: false,
+        };
+        match apply(&store, &begin) {
+            ShipReply::Begun { transfer, .. } => (store, meta, transfer),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A current-form chunk message: no `data`, the bytes ride as tail.
+    fn chunk_of(transfer: u64, index: u32, honest: &[u8]) -> ShipRequest {
+        ShipRequest::Chunk {
+            transfer,
+            index,
+            data: String::new(),
+            checksum: fnv64(honest),
+        }
+    }
+
+    #[test]
+    fn tail_is_held_to_the_chunk_geometry_and_checksum() {
+        let body = synthetic_body(ContentId(5), 2500);
+        let (store, meta, transfer) = begun(&body);
+        let first = &body[..1000];
+        for wrong_len in [&body[..999], &body[..1001], &[][..]] {
+            let (reply, _) = apply_tail(&store, &chunk_of(transfer, 0, first), wrong_len);
+            assert!(
+                matches!(reply, ShipReply::Err(StoreError::BadChunk { index: 0, .. })),
+                "{} bytes: {reply:?}",
+                wrong_len.len()
+            );
+        }
+        let mut flipped = first.to_vec();
+        flipped[7] ^= 0x01;
+        let (reply, _) = apply_tail(&store, &chunk_of(transfer, 0, first), &flipped);
+        assert!(
+            matches!(
+                reply,
+                ShipReply::Err(StoreError::ChunkRejected { index: 0, .. })
+            ),
+            "{reply:?}"
+        );
+        assert_eq!(store.stats().rejected_chunks, 1);
+        for index in 0..meta.chunk_count() {
+            let bytes = &body[meta.chunk_range(index).unwrap()];
+            let (reply, tail) = apply_tail(&store, &chunk_of(transfer, index, bytes), bytes);
+            assert_eq!((reply, tail), (ShipReply::ChunkOk, Vec::new()));
+        }
+        let commit = ShipRequest::Commit {
+            transfer,
+            path: p("/t"),
+            checksum: meta.checksum,
+        };
+        assert_eq!(apply(&store, &commit), ShipReply::Committed(meta));
+        assert_eq!(store.read(&p("/t")).unwrap(), body);
+    }
+
+    #[test]
+    fn commit_over_wrong_staged_bytes_is_checksum_mismatch() {
+        let body = synthetic_body(ContentId(5), 2500);
+        let (store, meta, transfer) = begun(&body);
+        // Each chunk is honest about itself, none is the announced object.
+        let other = synthetic_body(ContentId(6), 2500);
+        for index in 0..meta.chunk_count() {
+            let bytes = &other[meta.chunk_range(index).unwrap()];
+            let (reply, _) = apply_tail(&store, &chunk_of(transfer, index, bytes), bytes);
+            assert_eq!(reply, ShipReply::ChunkOk);
+        }
+        let commit = ShipRequest::Commit {
+            transfer,
+            path: p("/t"),
+            checksum: meta.checksum,
+        };
+        assert!(matches!(
+            apply(&store, &commit),
+            ShipReply::Err(StoreError::ChecksumMismatch { .. })
+        ));
+        assert!(!store.contains(&p("/t")));
+    }
+
+    #[test]
+    fn legacy_hex_chunks_still_stage_and_a_tailless_fetch_answers_hex() {
+        let body = synthetic_body(ContentId(5), 2500);
+        let (store, meta, transfer) = begun(&body);
+        let hexed = |index: u32, data: String| ShipRequest::Chunk {
+            transfer,
+            index,
+            data,
+            checksum: fnv64(&body[meta.chunk_range(index).unwrap()]),
+        };
+        assert!(matches!(
+            apply(&store, &hexed(0, "not hex".to_string())),
+            ShipReply::Err(StoreError::BadChunk { index: 0, .. })
+        ));
+        for index in 0..meta.chunk_count() {
+            let data = hex_encode(&body[meta.chunk_range(index).unwrap()]);
+            assert_eq!(apply(&store, &hexed(index, data)), ShipReply::ChunkOk);
+        }
+        let commit = ShipRequest::Commit {
+            transfer,
+            path: p("/t"),
+            checksum: meta.checksum,
+        };
+        assert_eq!(apply(&store, &commit), ShipReply::Committed(meta));
+
+        let last = &body[2000..];
+        let fetch = ShipRequest::Fetch {
+            path: p("/t"),
+            index: 2,
+        };
+        assert_eq!(
+            apply(&store, &fetch),
+            ShipReply::ChunkData {
+                data: hex_encode(last),
+                checksum: fnv64(last),
+            }
+        );
+        let (reply, tail) = apply_tail(&store, &fetch, &[]);
+        assert_eq!(
+            reply,
+            ShipReply::ChunkData {
+                data: String::new(),
+                checksum: fnv64(last),
+            }
+        );
+        assert_eq!(tail, last);
+    }
+
+    #[test]
+    fn pull_from_a_peer_that_answers_hex_is_a_protocol_error() {
+        /// A store served the way it was before payload tails.
+        struct LegacyPort(ContentStore);
+        impl ShipPort for LegacyPort {
+            fn ship_tail(
+                &self,
+                request: &ShipRequest,
+                _tail: &[u8],
+            ) -> Result<(ShipReply, Vec<u8>), WireError> {
+                Ok((apply(&self.0, request), Vec::new()))
+            }
+        }
+        let port = LegacyPort(ContentStore::in_memory(NodeId(0), 1 << 20));
+        let body = synthetic_body(ContentId(7), 9000);
+        port.0
+            .put(&p("/old"), ContentId(7), 0, &body, false)
+            .unwrap();
+        let err = Shipper::new().pull(&port, &p("/old")).unwrap_err();
+        assert!(matches!(err, ShipError::Protocol { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn hostile_payloads_get_typed_refusals() {
+        use cpms_wire::Service;
+        let mut service = StoreService::new(Arc::new(ContentStore::in_memory(NodeId(0), 1 << 20)));
+        let zeros = vec![0u8; 16 << 20];
+        for payload in [&[][..], &[0], b"\0a tail and no head", b"{\"Stat\"", &zeros] {
+            let reply = service.handle(payload);
+            let reply: ShipReply =
+                serde_json::from_str(std::str::from_utf8(&reply).unwrap()).unwrap();
+            assert!(
+                matches!(reply, ShipReply::Err(StoreError::Io { .. })),
+                "{reply:?}"
+            );
+        }
     }
 
     #[test]

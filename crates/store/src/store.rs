@@ -226,6 +226,44 @@ impl Medium {
         }
     }
 
+    /// Reads `range` of the object at `path` without touching the rest
+    /// of it. An object that ends before `range.end` is an I/O error: the
+    /// manifest promised those bytes.
+    fn read_range(
+        &self,
+        path: &UrlPath,
+        range: std::ops::Range<usize>,
+    ) -> Result<Vec<u8>, StoreError> {
+        let too_short = || StoreError::Io {
+            detail: "object shorter than manifest size".to_string(),
+        };
+        match self {
+            Medium::Memory(map) => map
+                .get(path)
+                .ok_or_else(|| StoreError::NotFound { path: path.clone() })?
+                .get(range)
+                .map(<[u8]>::to_vec)
+                .ok_or_else(too_short),
+            Medium::Disk { root } => {
+                use std::io::{Read, Seek, SeekFrom};
+                let mut file = std::fs::File::open(Self::object_file(root, path)).map_err(|e| {
+                    match e.kind() {
+                        std::io::ErrorKind::NotFound => StoreError::NotFound { path: path.clone() },
+                        _ => StoreError::io(&e),
+                    }
+                })?;
+                file.seek(SeekFrom::Start(range.start as u64))
+                    .map_err(|e| StoreError::io(&e))?;
+                let mut chunk = vec![0; range.len()];
+                file.read_exact(&mut chunk).map_err(|e| match e.kind() {
+                    std::io::ErrorKind::UnexpectedEof => too_short(),
+                    _ => StoreError::io(&e),
+                })?;
+                Ok(chunk)
+            }
+        }
+    }
+
     fn write(&mut self, path: &UrlPath, body: &[u8]) -> Result<(), StoreError> {
         match self {
             Medium::Memory(map) => {
@@ -565,32 +603,43 @@ impl ContentStore {
         data: &[u8],
         checksum: u64,
     ) -> Result<(), StoreError> {
+        {
+            let mut inner = self.lock();
+            let staged = inner
+                .staged
+                .get_mut(&transfer)
+                .ok_or(StoreError::NoSuchTransfer { transfer })?;
+            staged.touched = true;
+            let Some(expected_len) = staged.meta.chunk_len(index) else {
+                return Err(StoreError::BadChunk {
+                    path: staged.path.clone(),
+                    index,
+                    detail: format!(
+                        "index out of range (object has {})",
+                        staged.meta.chunk_count()
+                    ),
+                });
+            };
+            if data.len() != expected_len as usize {
+                return Err(StoreError::BadChunk {
+                    path: staged.path.clone(),
+                    index,
+                    detail: format!("length {} != expected {expected_len}", data.len()),
+                });
+            }
+        }
+        // Hash and copy with the lock released: the node's origin reads
+        // through the same lock. Transfer ids are never reused, so the
+        // geometry checked above still holds if the id is still staged.
+        let got = fnv64(data);
+        let chunk = data.to_vec();
         let mut inner = self.lock();
         let staged = inner
             .staged
             .get_mut(&transfer)
             .ok_or(StoreError::NoSuchTransfer { transfer })?;
-        staged.touched = true;
-        let path = staged.path.clone();
-        let Some(expected_len) = staged.meta.chunk_len(index) else {
-            return Err(StoreError::BadChunk {
-                path,
-                index,
-                detail: format!(
-                    "index out of range (object has {})",
-                    staged.meta.chunk_count()
-                ),
-            });
-        };
-        if data.len() != expected_len as usize {
-            return Err(StoreError::BadChunk {
-                path,
-                index,
-                detail: format!("length {} != expected {expected_len}", data.len()),
-            });
-        }
-        let got = fnv64(data);
         if got != checksum {
+            let path = staged.path.clone();
             inner.rejected_chunks += 1;
             return Err(StoreError::ChunkRejected {
                 path,
@@ -599,8 +648,7 @@ impl ContentStore {
                 got,
             });
         }
-        let staged = inner.staged.get_mut(&transfer).expect("still held");
-        staged.chunks[index as usize] = Some(data.to_vec());
+        staged.chunks[index as usize] = Some(chunk);
         Ok(())
     }
 
@@ -662,12 +710,10 @@ impl ContentStore {
                 return Err(StoreError::AlreadyExists { path: path.clone() });
             }
         }
-        let body: Vec<u8> = staged
-            .chunks
-            .iter()
-            .flatten()
-            .flat_map(|c| c.iter().copied())
-            .collect();
+        let mut body = Vec::with_capacity(usize::try_from(staged.meta.size).unwrap_or(0));
+        for chunk in staged.chunks.iter().flatten() {
+            body.extend_from_slice(chunk);
+        }
         let got = fnv64(&body);
         if got != checksum || got != staged.meta.checksum {
             inner.verify_failures += 1;
@@ -755,25 +801,21 @@ impl ContentStore {
     ///
     /// [`StoreError::NotFound`] / [`StoreError::BadChunk`] / I/O.
     pub fn read_chunk(&self, path: &UrlPath, index: u32) -> Result<(Vec<u8>, u64), StoreError> {
-        let inner = self.lock();
-        let meta = inner
-            .manifest
-            .get(path)
-            .ok_or_else(|| StoreError::NotFound { path: path.clone() })?;
-        let range = meta
-            .chunk_range(index)
-            .ok_or_else(|| StoreError::BadChunk {
-                path: path.clone(),
-                index,
-                detail: format!("index out of range (object has {})", meta.chunk_count()),
-            })?;
-        let body = inner.medium.read(path)?;
-        let chunk = body
-            .get(range)
-            .ok_or_else(|| StoreError::Io {
-                detail: "object shorter than manifest size".to_string(),
-            })?
-            .to_vec();
+        let chunk = {
+            let inner = self.lock();
+            let meta = inner
+                .manifest
+                .get(path)
+                .ok_or_else(|| StoreError::NotFound { path: path.clone() })?;
+            let range = meta
+                .chunk_range(index)
+                .ok_or_else(|| StoreError::BadChunk {
+                    path: path.clone(),
+                    index,
+                    detail: format!("index out of range (object has {})", meta.chunk_count()),
+                })?;
+            inner.medium.read_range(path, range)?
+        };
         let sum = fnv64(&chunk);
         Ok((chunk, sum))
     }
@@ -1356,6 +1398,51 @@ mod tests {
             // Truncate the object file behind the manifest's back: the
             // next open drops the record instead of serving a torso.
             store.delete(&p("/site/page.html")).unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn read_chunk_reads_one_chunk_with_the_same_typed_errors() {
+        let dir = scratch_dir("read-chunk");
+        let body = synthetic_body(ContentId(8), 2500);
+        let meta = ObjectMeta::for_body(ContentId(8), &body, 1000, 0);
+        for store in [
+            ContentStore::in_memory(NodeId(0), 1 << 20),
+            ContentStore::open(NodeId(0), &dir, 1 << 20).unwrap(),
+        ] {
+            ship(&store, &p("/o"), meta, &body);
+            for (index, expected) in [(0, &body[..1000]), (1, &body[1000..2000])] {
+                let (chunk, sum) = store.read_chunk(&p("/o"), index).unwrap();
+                assert_eq!((&chunk[..], sum), (expected, fnv64(expected)));
+            }
+            let (last, sum) = store.read_chunk(&p("/o"), 2).unwrap();
+            assert_eq!((&last[..], sum), (&body[2000..], fnv64(&body[2000..])));
+            assert!(matches!(
+                store.read_chunk(&p("/o"), 3),
+                Err(StoreError::BadChunk { index: 3, .. })
+            ));
+            assert_eq!(
+                store.read_chunk(&p("/none"), 0),
+                Err(StoreError::NotFound { path: p("/none") })
+            );
+        }
+        // The object file truncated behind the manifest's back: the chunks
+        // still on disk read, the ones cut off are an I/O error.
+        let store = ContentStore::open(NodeId(0), &dir, 1 << 20).unwrap();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(Medium::object_file(&dir, &p("/o")))
+            .unwrap();
+        file.set_len(1500).unwrap();
+        assert_eq!(store.read_chunk(&p("/o"), 0).unwrap().0, &body[..1000]);
+        for cut in [1, 2] {
+            assert_eq!(
+                store.read_chunk(&p("/o"), cut),
+                Err(StoreError::Io {
+                    detail: "object shorter than manifest size".to_string()
+                })
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -117,6 +117,39 @@ impl WireMetrics {
     }
 }
 
+/// Builds the payload `head ++ 0x00 ++ tail` — a serialized message with
+/// raw bytes riding behind it. An empty `tail` adds nothing, so a message
+/// without one is the bare JSON it always was.
+///
+/// The split is unambiguous because the JSON writer escapes every control
+/// character: no serialized head contains a `0x00`, so the first one in a
+/// payload can only be the separator. The tail may hold any bytes,
+/// `0x00` and invalid UTF-8 included. The frame checksum covers the whole
+/// payload, head and tail alike.
+#[must_use]
+pub fn with_tail(head: String, tail: &[u8]) -> Vec<u8> {
+    let mut payload = head.into_bytes();
+    if !tail.is_empty() {
+        payload.reserve_exact(1 + tail.len());
+        payload.push(0);
+        payload.extend_from_slice(tail);
+    }
+    payload
+}
+
+/// Splits a payload at its first `0x00` into `(head, tail)`, both
+/// borrowed; the tail is empty when the payload carries none. The
+/// inverse of [`with_tail`]. A receiver that does not split hands the
+/// whole payload to its JSON decoder, which refuses the `0x00` — a typed
+/// error, never a misread byte.
+#[must_use]
+pub fn split_tail(payload: &[u8]) -> (&[u8], &[u8]) {
+    match payload.iter().position(|&b| b == 0) {
+        Some(at) => (&payload[..at], &payload[at + 1..]),
+        None => (payload, &[]),
+    }
+}
+
 /// A retrying, observable RPC client over any [`Transport`].
 #[derive(Debug)]
 pub struct Client {
@@ -221,18 +254,42 @@ impl Client {
         Req: Serialize,
         Resp: Deserialize,
     {
-        let payload = serde_json::to_string(request)
-            .map_err(|e| WireError::Codec {
-                detail: format!("encode request: {e}"),
-            })?
-            .into_bytes();
-        let response = self.call_raw(&payload)?;
-        let text = std::str::from_utf8(&response).map_err(|e| WireError::Codec {
+        self.call_tail(request, &[])
+            .map(|(response, _tail)| response)
+    }
+
+    /// [`Client::call`] with raw bytes riding behind the typed messages:
+    /// `tail` is appended to the serialized request (see [`with_tail`]),
+    /// and whatever tail the response carries comes back beside the
+    /// decoded reply (empty when it carries none). This is how bulk
+    /// bytes cross the wire without being spelled as JSON text.
+    ///
+    /// # Errors
+    ///
+    /// See [`Client::call`].
+    pub fn call_tail<Req, Resp>(
+        &self,
+        request: &Req,
+        tail: &[u8],
+    ) -> Result<(Resp, Vec<u8>), WireError>
+    where
+        Req: Serialize,
+        Resp: Deserialize,
+    {
+        let head = serde_json::to_string(request).map_err(|e| WireError::Codec {
+            detail: format!("encode request: {e}"),
+        })?;
+        let mut response = self.call_raw(&with_tail(head, tail))?;
+        let (head, tail) = split_tail(&response);
+        let text = std::str::from_utf8(head).map_err(|e| WireError::Codec {
             detail: format!("response is not UTF-8: {e}"),
         })?;
-        serde_json::from_str(text).map_err(|e| WireError::Codec {
+        let reply = serde_json::from_str(text).map_err(|e| WireError::Codec {
             detail: format!("decode response: {e}"),
-        })
+        })?;
+        let tail_at = response.len() - tail.len();
+        response.drain(..tail_at);
+        Ok((reply, response))
     }
 
     /// One raw-payload RPC under the deadline + retry policy, with every
@@ -547,6 +604,74 @@ mod tests {
         assert!(matches!(err, WireError::Codec { .. }), "{err:?}");
         assert_eq!(client.stats().retries, 0);
         server.stop();
+    }
+
+    /// Bytes no JSON string could hold unescaped: the separator's own
+    /// value, a lone continuation byte, an overlong lead byte.
+    const HOSTILE_TAIL: &[u8] = &[0x00, 0x00, b'{', 0xFF, 0x80, 0xC0, b'"', 0x00];
+
+    #[test]
+    fn tail_rides_behind_both_typed_messages() {
+        // A tail-aware service: decodes the head, answers the tail reversed.
+        let (transport, mut server) = InProcServer::spawn(|req: &[u8]| {
+            let (head, tail) = split_tail(req);
+            let ping: Ping = serde_json::from_str(std::str::from_utf8(head).unwrap()).unwrap();
+            let reversed: Vec<u8> = tail.iter().rev().copied().collect();
+            with_tail(
+                serde_json::to_string(&Pong {
+                    n: ping.n,
+                    doubled: ping.n * 2,
+                })
+                .unwrap(),
+                &reversed,
+            )
+        });
+        let client = Client::new(Arc::new(transport));
+        let (pong, tail): (Pong, Vec<u8>) =
+            client.call_tail(&Ping { n: 21 }, HOSTILE_TAIL).unwrap();
+        assert_eq!(pong, Pong { n: 21, doubled: 42 });
+        let expected: Vec<u8> = HOSTILE_TAIL.iter().rev().copied().collect();
+        assert_eq!(tail, expected);
+        // The tail costs its own length plus the separator, nothing more.
+        let head_len = serde_json::to_string(&Ping { n: 21 }).unwrap().len();
+        assert_eq!(
+            client.stats().tx_bytes,
+            (HEADER_LEN + head_len + 1 + HOSTILE_TAIL.len()) as u64
+        );
+        // No tail either way is the plain typed call.
+        let (pong, tail): (Pong, Vec<u8>) = client.call_tail(&Ping { n: 1 }, &[]).unwrap();
+        assert_eq!((pong.doubled, tail), (2, Vec::new()));
+        server.stop();
+    }
+
+    #[test]
+    fn split_never_panics_on_hostile_payloads() {
+        assert_eq!(split_tail(&[]), (&[][..], &[][..]));
+        assert_eq!(split_tail(&[0]), (&[][..], &[][..]));
+        assert_eq!(split_tail(b"\0tail"), (&[][..], &b"tail"[..]), "head-less");
+        assert_eq!(split_tail(b"{}"), (&b"{}"[..], &[][..]));
+        assert_eq!(split_tail(b"{}\0"), (&b"{}"[..], &[][..]));
+        assert_eq!(with_tail("{}".to_string(), &[]), b"{}");
+        // A full frame of zeros splits into borrowed halves: nothing is
+        // allocated for it, whatever its size.
+        let zeros = vec![0u8; usize::try_from(crate::frame::MAX_FRAME).unwrap()];
+        let (head, tail) = split_tail(&zeros);
+        assert_eq!((head.len(), tail.len()), (0, zeros.len() - 1));
+    }
+
+    #[test]
+    fn frame_checksum_covers_the_tail() {
+        let payload = with_tail("{\"n\":1}".to_string(), HOSTILE_TAIL);
+        let mut frame = crate::frame::encode_frame(&payload);
+        assert_eq!(
+            crate::frame::read_frame(&mut &frame[..]).unwrap(),
+            payload,
+            "the frame carries head and tail verbatim"
+        );
+        let last = frame.len() - 1;
+        frame[last] ^= 0x01;
+        let err = crate::frame::read_frame(&mut &frame[..]).unwrap_err();
+        assert!(matches!(err, WireError::Corrupt { .. }), "{err:?}");
     }
 
     #[test]

@@ -35,7 +35,9 @@
 //!
 //! Serialization is `serde_json` over the payload bytes: every message a
 //! peer sends or receives is an ordinary `#[derive(Serialize,
-//! Deserialize)]` type in the crate that owns it.
+//! Deserialize)]` type in the crate that owns it. Bulk bytes do not ride
+//! as JSON text: a payload may end in `0x00` plus a raw tail
+//! ([`with_tail`] / [`split_tail`], [`Client::call_tail`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +48,7 @@ pub mod faulty;
 pub mod frame;
 pub mod transport;
 
-pub use client::{Client, ClientStats, RetryPolicy};
+pub use client::{split_tail, with_tail, Client, ClientStats, RetryPolicy};
 pub use error::WireError;
 pub use faulty::{FaultPlan, FaultStats, FaultSwitch, FaultyTransport};
 pub use transport::{InProcServer, InProcTransport, Service, TcpServer, TcpTransport, Transport};

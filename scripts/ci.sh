@@ -30,9 +30,6 @@ cargo run --release -q -p cpms-mgmt --bin cpms-broker -- --smoke
 echo "==> content shipping smoke (cpms-ship --smoke: loopback TCP ship under 20% loss + anti-entropy)"
 cargo run --release -q -p cpms-mgmt --bin cpms-ship -- --smoke
 
-echo "==> shipping throughput smoke (shipping --smoke: chunk size x loss matrix)"
-cargo run --release -q -p cpms-bench --bin shipping -- --smoke
-
 echo "==> proxy data-plane smoke (cpms-proxy --smoke: 400-conn churn relay, overload 503s, tenant caps)"
 timeout --signal=KILL 120 ./target/release/cpms-proxy --smoke
 

@@ -88,38 +88,29 @@ fn lossy_tcp_shipping_preserves_integrity() {
     })
 }
 
-/// A port that corrupts the payload of each chunk the first time it
+/// A port that corrupts the bytes of each chunk the first time it
 /// crosses, leaving the announced checksum honest — so the receiver
-/// must detect the mismatch and reject the chunk.
+/// must detect the mismatch and reject the chunk. It sits above the
+/// wire: the frame that carries the flipped byte checksums clean.
 struct CorruptingPort<P> {
     inner: P,
     poisoned_once: Mutex<HashSet<u32>>,
 }
 
 impl<P: ShipPort> ShipPort for CorruptingPort<P> {
-    fn ship(&self, request: &ShipRequest) -> Result<ShipReply, WireError> {
-        if let ShipRequest::Chunk {
-            transfer,
-            index,
-            data,
-            checksum,
-        } = request
-        {
-            let mut seen = self.poisoned_once.lock().unwrap();
-            if seen.insert(*index) {
-                // Flip the first byte of the hex payload.
-                let mut bad = data.clone();
-                let replacement = if bad.starts_with("00") { "ff" } else { "00" };
-                bad.replace_range(0..2, replacement);
-                return self.inner.ship(&ShipRequest::Chunk {
-                    transfer: *transfer,
-                    index: *index,
-                    data: bad,
-                    checksum: *checksum,
-                });
+    fn ship_tail(
+        &self,
+        request: &ShipRequest,
+        tail: &[u8],
+    ) -> Result<(ShipReply, Vec<u8>), WireError> {
+        if let ShipRequest::Chunk { index, .. } = request {
+            if self.poisoned_once.lock().unwrap().insert(*index) {
+                let mut bad = tail.to_vec();
+                bad[0] ^= 0xFF;
+                return self.inner.ship_tail(request, &bad);
             }
         }
-        self.inner.ship(request)
+        self.inner.ship_tail(request, tail)
     }
 }
 
@@ -152,6 +143,46 @@ fn poisoned_chunks_are_rejected_and_resent() {
         assert_eq!(stats.rejected_chunks, 5, "receiver counted every poison");
         assert_eq!(store.read(&target).unwrap(), body, "committed bytes honest");
         assert_eq!(store.verify(&target).unwrap().checksum, fnv64(&body));
+    })
+}
+
+/// Push then pull through one TCP broker: the chunks go out as request
+/// tails and come back as reply tails, and the object that returns is
+/// the object that left — every byte value, a short last chunk.
+#[test]
+fn push_then_pull_over_a_tcp_broker_is_byte_identical() {
+    with_deadline("push_then_pull_tcp", TEST_DEADLINE, || {
+        let mut handle = Broker::bind(
+            "127.0.0.1:0".parse().unwrap(),
+            BrokerState::new(NodeId(0), 1 << 20),
+        )
+        .unwrap();
+        let mut body = synthetic_body(ContentId(3), 70_001);
+        // Whatever the generator drew, the bytes a text encoding trips on
+        // are in there: the separator's value and invalid UTF-8.
+        body[..4].copy_from_slice(&[0x00, 0xFF, 0x00, 0xC0]);
+        body[4096] = 0x00;
+        let target = path("/roundtrip/blob.bin");
+        let shipper = Shipper::new();
+        let outcome = shipper
+            .push(&handle, &target, ContentId(3), 0, &body, false)
+            .unwrap();
+        assert_eq!(outcome.chunks_sent, 18);
+        assert_eq!(outcome.chunk_retries, 0);
+        let (meta, pulled) = shipper.pull(&handle, &target).unwrap();
+        assert_eq!(meta, outcome.meta);
+        assert_eq!(pulled, body);
+        // 18 chunks out, 18 back, and neither direction paid a text
+        // encoding: well under the 2x a hex spelling costs.
+        let stats = handle.transport_stats();
+        for (direction, wire) in [("tx", stats.tx_bytes), ("rx", stats.rx_bytes)] {
+            assert!(
+                wire < body.len() as u64 * 11 / 10,
+                "{direction}: {wire} wire bytes for {} shipped",
+                body.len()
+            );
+        }
+        handle.shutdown();
     })
 }
 

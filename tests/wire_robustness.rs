@@ -410,3 +410,43 @@ fn garbage_extension_area_never_wedges_the_daemon() {
         host.shutdown().expect("clean shutdown");
     })
 }
+
+mod payload_tail {
+    use cpms_mgmt::agent::{AgentRequest, ShipAgent};
+    use cpms_store::ShipRequest;
+    use cpms_wire::{split_tail, with_tail};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Any head the agent protocol can serialize — strings holding
+        /// `0x00`, other control characters and replacement characters
+        /// included — with any bytes behind it splits back into exactly
+        /// that head and exactly those bytes.
+        #[test]
+        fn any_head_and_any_tail_split_back_exactly(
+            text in prop::collection::vec(prop_oneof![0u8..0x20, any::<u8>()], 0..64),
+            transfer in any::<u64>(),
+            index in any::<u32>(),
+            tail in prop::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..300),
+        ) {
+            let request = AgentRequest::Ship(ShipAgent {
+                request: ShipRequest::Chunk {
+                    transfer,
+                    index,
+                    data: String::from_utf8_lossy(&text).into_owned(),
+                    checksum: transfer.rotate_left(17),
+                },
+            });
+            let head = serde_json::to_string(&request).unwrap();
+            prop_assert!(!head.as_bytes().contains(&0), "the writer escapes 0x00");
+            let payload = with_tail(head.clone(), &tail);
+            let (got_head, got_tail) = split_tail(&payload);
+            prop_assert_eq!(got_head, head.as_bytes());
+            prop_assert_eq!(got_tail, &tail[..]);
+            let decoded: AgentRequest =
+                serde_json::from_str(std::str::from_utf8(got_head).unwrap()).unwrap();
+            prop_assert_eq!(serde_json::to_string(&decoded).unwrap(), head);
+        }
+    }
+}
