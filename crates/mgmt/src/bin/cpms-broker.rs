@@ -34,7 +34,10 @@
 //! `--smoke` is the self-test for CI: it binds an ephemeral loopback
 //! daemon, exercises agent RPCs over real TCP — including through a
 //! fault-injecting transport at 20% frame loss and a poisoned
-//! (truncating) transport — and exits 0 if the wire layer held up.
+//! (truncating) transport — and exits 0 if the wire layer held up. On
+//! Linux it first gates what hosting a broker costs this process, read
+//! from `/proc/self/task`: threads added by a TCP broker with one peer and by
+//! an in-process broker, and the wire threads' wake-ups while idle.
 
 use cpms_mgmt::{AgentError, AgentOutput, Broker, BrokerState, StoredFile};
 use cpms_model::{ContentId, NodeId, UrlPath};
@@ -183,7 +186,62 @@ fn store_file(handle: &cpms_mgmt::BrokerHandle, p: &str, id: u32) {
         .expect("store over TCP");
 }
 
+/// From `/proc/self/task/*/status`: this process's thread count, and the
+/// voluntary context switches made so far by its `wire-*` threads (a TCP
+/// server's acceptor and connection readers).
+#[cfg(target_os = "linux")]
+fn threads_and_wire_wakeups() -> (usize, u64) {
+    let statuses: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .expect("list /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("status")).ok())
+        .collect();
+    let wakeups = statuses
+        .iter()
+        .filter(|status| status.starts_with("Name:\twire-"))
+        .flat_map(|status| status.lines())
+        .filter_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+        .map(|count| count.trim().parse::<u64>().expect("switch count"))
+        .sum();
+    (statuses.len(), wakeups)
+}
+
+/// What hosting a broker costs this process — exact here, where nothing
+/// else is running: a TCP broker and its one peer are an acceptor and a
+/// reader, an in-process broker is no thread at all, and a thread with
+/// nothing to do stays asleep.
+#[cfg(target_os = "linux")]
+fn thread_cost_gate() {
+    let (base, _) = threads_and_wire_wakeups();
+    let mut inproc = Broker::spawn(BrokerState::new(NodeId(1), 1 << 20));
+    store_file(&inproc, "/smoke/inproc.html", 1);
+    let inproc_threads = threads_and_wire_wakeups().0 - base;
+    inproc.shutdown();
+
+    let mut tcp = Broker::bind(
+        "127.0.0.1:0".parse().expect("literal addr"),
+        BrokerState::new(NodeId(1), 1 << 20),
+    )
+    .expect("bind ephemeral broker");
+    store_file(&tcp, "/smoke/tcp.html", 1);
+    let (threads, before) = threads_and_wire_wakeups();
+    let tcp_threads = threads - base;
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let idle_wakeups = threads_and_wire_wakeups().1 - before;
+    tcp.shutdown();
+
+    eprintln!(
+        "smoke: threads added: tcp broker + 1 peer = {tcp_threads}, in-process broker = {inproc_threads}; \
+         idle wire threads woke {idle_wakeups}x in 300 ms"
+    );
+    assert_eq!(tcp_threads, 2, "an acceptor and one reader");
+    assert_eq!(inproc_threads, 0, "the dispatching thread runs the broker");
+    assert!(idle_wakeups <= 2, "idle wire threads poll nothing");
+}
+
 fn smoke() {
+    #[cfg(target_os = "linux")]
+    thread_cost_gate();
+
     // 1. A real TCP daemon on loopback; plain RPCs must round-trip.
     let mut host = Broker::bind(
         "127.0.0.1:0".parse().expect("literal addr"),

@@ -242,31 +242,17 @@ fn dispatch(
 ) -> AdminResponse {
     let words: Vec<&str> = cmd.split_whitespace().collect();
     match words.as_slice() {
-        ["fault", node, rest @ ..] => match switch_for(switches, node) {
-            Ok((node, switch)) => match rest {
-                ["loss", rate] | ["loss", rate, _] => {
-                    let Ok(rate) = rate.parse::<f64>() else {
-                        return AdminResponse::err(format!("bad loss rate {rate:?}"));
-                    };
-                    let seed = rest
-                        .get(2)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0xC405_0000 + u64::from(node.0));
-                    switch.arm(FaultPlan::lossy(seed, rate));
-                    AdminResponse::ok(format!("armed {rate} loss on {node}"))
-                }
-                ["poison"] | ["poison", _] => {
-                    let seed = rest
-                        .get(1)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(0xBAD_0000 + u64::from(node.0));
-                    switch.arm(FaultPlan::poisoned(seed));
-                    AdminResponse::ok(format!("armed poison on {node}"))
-                }
-                _ => AdminResponse::err("usage: fault <node> loss <rate> [seed] | poison [seed]"),
-            },
-            Err(e) => AdminResponse::err(e),
-        },
+        ["fault", node, rest @ ..] => {
+            let armed = switch_for(switches, node).and_then(|(node, switch)| {
+                let (plan, what) = fault_plan(node, rest)?;
+                switch.arm(plan);
+                Ok(format!("armed {what} on {node}"))
+            });
+            match armed {
+                Ok(done) => AdminResponse::ok(done),
+                Err(e) => AdminResponse::err(e),
+            }
+        }
         ["partition", node] => match switch_for(switches, node) {
             Ok((node, switch)) => {
                 switch.set_partitioned(true);
@@ -310,6 +296,37 @@ fn dispatch(
                 AdminResponse::ok("shutting down")
             }
         },
+    }
+}
+
+const FAULT_USAGE: &str = "usage: fault <node> loss <rate> [seed] | poison [seed]";
+
+/// The plan `fault <node> ...` arms, and its name. The words come off
+/// the admin socket: a rate that is not a number within `0..=1` (`NaN`,
+/// `7`, `-1`) and a seed that does not parse are refused, not armed as
+/// something else.
+fn fault_plan(node: NodeId, words: &[&str]) -> Result<(FaultPlan, String), String> {
+    let seed = |word: Option<&&str>, default: u64| match word {
+        None => Ok(default + u64::from(node.0)),
+        Some(word) => word
+            .parse::<u64>()
+            .map_err(|_| format!("bad seed {word:?}; {FAULT_USAGE}")),
+    };
+    match words {
+        ["loss", rate, rest @ ..] if rest.len() <= 1 => {
+            let rate = rate
+                .parse::<f64>()
+                .ok()
+                .filter(|rate| (0.0..=1.0).contains(rate))
+                .ok_or_else(|| format!("bad loss rate {rate:?} (not in 0..=1); {FAULT_USAGE}"))?;
+            let plan = FaultPlan::lossy(seed(rest.first(), 0xC405_0000)?, rate);
+            Ok((plan, format!("{rate} loss")))
+        }
+        ["poison", rest @ ..] if rest.len() <= 1 => {
+            let plan = FaultPlan::poisoned(seed(rest.first(), 0xBAD_0000)?);
+            Ok((plan, "poison".to_string()))
+        }
+        _ => Err(FAULT_USAGE.to_string()),
     }
 }
 
@@ -489,5 +506,83 @@ fn switch_for<'a>(
     match switches.get(usize::from(id)) {
         Some(switch) => Ok((NodeId(id), switch)),
         None => Err(format!("no node {raw} in this topology")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cpms_wire::InProcServer;
+
+    /// `dispatch` over one echoing node behind a fault switch: what the
+    /// admin socket answered, and whether a call still crosses the link.
+    struct Rig {
+        shell: Shell,
+        switches: Vec<Arc<FaultSwitch>>,
+        stop: mpsc::Sender<&'static str>,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let (transport, server) = InProcServer::spawn(|request: &[u8]| request.to_vec());
+            std::mem::forget(server); // serves for the length of the test
+            let controller = Controller::new(Cluster::from_handles(Vec::new()));
+            Rig {
+                shell: Shell::new(RemoteConsole::new(controller)),
+                switches: vec![Arc::new(FaultSwitch::new(Arc::new(transport)))],
+                stop: mpsc::channel().0,
+            }
+        }
+
+        fn admin(&mut self, cmd: &str) -> AdminResponse {
+            dispatch(&mut self.shell, &self.switches, &self.stop, cmd)
+        }
+
+        fn link_carries(&self) -> bool {
+            self.switches[0]
+                .call(b"ping", Duration::from_secs(1))
+                .is_ok()
+        }
+    }
+
+    #[test]
+    fn fault_refuses_rates_outside_the_unit_interval_and_bad_seeds() {
+        let mut rig = Rig::new();
+        for cmd in [
+            "fault 0 loss NaN",
+            "fault 0 loss -0.1",
+            "fault 0 loss 1.5",
+            "fault 0 loss inf",
+            "fault 0 loss 0.5 0x10",
+            "fault 0 loss 0.5 -3",
+            "fault 0 poison seed",
+            "fault 0 loss",
+            "fault 0 poison 1 2",
+        ] {
+            let response = rig.admin(cmd);
+            assert!(!response.ok, "{cmd}: {response:?}");
+            assert!(response.output.contains(FAULT_USAGE), "{cmd}: {response:?}");
+            assert!(
+                rig.switches[0].armed_stats().is_none(),
+                "{cmd} armed a plan"
+            );
+            assert!(rig.link_carries(), "{cmd} cut the link");
+        }
+    }
+
+    #[test]
+    fn fault_arms_both_ends_of_the_unit_interval() {
+        let mut rig = Rig::new();
+        let response = rig.admin("fault n0 loss 1 42");
+        assert!(response.ok, "{response:?}");
+        assert_eq!(response.output, "armed 1 loss on n0");
+        assert!(!rig.link_carries(), "rate 1 drops every frame");
+        let response = rig.admin("fault 0 loss 0");
+        assert!(response.ok, "{response:?}");
+        assert!(rig.link_carries(), "rate 0 drops none");
+        assert!(rig.admin("fault 0 poison 7").ok);
+        assert!(!rig.link_carries(), "poison truncates every frame");
+        assert!(rig.admin("heal 0").ok);
+        assert!(rig.link_carries());
     }
 }

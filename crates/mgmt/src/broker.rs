@@ -10,9 +10,9 @@
 //! [`AgentRequest`]s received over a wire transport against it, replying
 //! with [`AgentReply`]s. The same service runs in two deployments:
 //!
-//! - **in-process** ([`Broker::spawn`]) — a [`cpms_wire::InProcServer`]
-//!   executor thread reached over channels, preserving the original
-//!   single-process control plane;
+//! - **in-process** ([`Broker::spawn`]) — a [`cpms_wire::InProcServer`],
+//!   which runs the service on the dispatching thread, preserving the
+//!   original single-process control plane;
 //! - **TCP daemon** ([`Broker::bind`] / the `cpms-broker` binary) — a
 //!   [`cpms_wire::TcpServer`] bound to a real socket, reachable from
 //!   other processes and hosts ([`Broker::connect`]).
@@ -93,9 +93,10 @@ impl cpms_wire::Service for BrokerService {
             .and_then(|text| serde_json::from_str::<AgentRequest>(text).map_err(|e| e.to_string()))
         {
             Ok(agent) => {
-                // The executor activated the frame's trace context (if
-                // any) before calling us, so this span parents to the
-                // caller's `wire.attempt` hop.
+                // The request's trace context (if any) is this thread's
+                // current one — the server activated the frame's, or we
+                // are on the caller's thread — so this span parents to
+                // the caller's `wire.attempt` hop.
                 let mut span = match (&self.spans, TraceContext::current()) {
                     (Some(spans), Some(_)) => {
                         let mut span = TracedSpan::enter(spans, format!("broker.{}", agent.name()));
@@ -192,7 +193,8 @@ impl BrokerHandle {
     }
 
     /// Whether the broker is still reachable. For locally hosted brokers
-    /// this is the server thread's liveness; for remote daemons
+    /// this is whether the server still holds its service (it does not
+    /// once stopped, or after a handler panicked); for remote daemons
     /// ([`Broker::connect`]) liveness is the monitor's job and this
     /// returns `true`.
     pub fn is_alive(&self) -> bool {
@@ -303,14 +305,14 @@ impl Broker {
             })
     }
 
-    /// Serves `service` from an in-process executor thread; the client
-    /// speaks through `wrap(transport)`.
+    /// Serves `service` in process; the client speaks through
+    /// `wrap(transport)`.
     fn in_proc(
         service: BrokerService,
         wrap: impl FnOnce(Arc<dyn Transport>) -> Arc<dyn Transport>,
     ) -> BrokerHandle {
         let node = service.node();
-        let (transport, server) = InProcServer::spawn_named(service, &format!("broker-{node}"));
+        let (transport, server) = InProcServer::spawn(service);
         BrokerHandle {
             node,
             client: Self::default_client(wrap(Arc::new(transport)), node),

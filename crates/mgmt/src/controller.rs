@@ -96,8 +96,8 @@ impl From<TableError> for MgmtError {
 /// Which transport a cluster's brokers are served over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireMode {
-    /// In-process executor threads reached over channels (the original
-    /// single-process control plane).
+    /// In-process brokers, run on the controller's own thread (the
+    /// original single-process control plane).
     #[default]
     InProc,
     /// Each broker is a TCP daemon on an ephemeral loopback port; every

@@ -920,10 +920,7 @@ mod tests {
 
     fn spawn_store(node: u16, capacity: u64) -> (Arc<ContentStore>, StoreClient) {
         let store = Arc::new(ContentStore::in_memory(NodeId(node), capacity));
-        let (transport, server) = InProcServer::spawn_named(
-            StoreService::new(Arc::clone(&store)),
-            &format!("store-{node}"),
-        );
+        let (transport, server) = InProcServer::spawn(StoreService::new(Arc::clone(&store)));
         // Leak the server handle: test stores live for the test body.
         std::mem::forget(server);
         (store, StoreClient::new(Arc::new(transport)))
@@ -957,8 +954,7 @@ mod tests {
     #[test]
     fn push_survives_lossy_transport() {
         let store = Arc::new(ContentStore::in_memory(NodeId(0), 1 << 20));
-        let (transport, server) =
-            InProcServer::spawn_named(StoreService::new(Arc::clone(&store)), "store-lossy");
+        let (transport, server) = InProcServer::spawn(StoreService::new(Arc::clone(&store)));
         std::mem::forget(server);
         let lossy = FaultyTransport::new(Arc::new(transport), FaultPlan::lossy(42, 0.15));
         let client = StoreClient::new(Arc::new(lossy));

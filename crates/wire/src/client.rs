@@ -403,15 +403,7 @@ impl Client {
         if self.retry.jitter <= 0.0 {
             return backoff;
         }
-        // splitmix64 over an atomic counter: deterministic, lock-free.
-        let mut z = self
-            .jitter_state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let unit = (z >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+        let unit = crate::splitmix_unit(&self.jitter_state);
         let factor = 1.0 + self.retry.jitter * (2.0 * unit - 1.0);
         backoff.mul_f64(factor.max(0.0))
     }

@@ -150,14 +150,7 @@ impl FaultyTransport {
 
     /// One uniform draw in `[0, 1)` from the deterministic stream.
     fn unit(&self) -> f64 {
-        let mut z = self
-            .stream
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
+        crate::splitmix_unit(&self.stream)
     }
 }
 

@@ -21,11 +21,11 @@
 //!   and protocol mismatch are all typed [`WireError`]s, never hangs.
 //! - [`transport`] — the [`Transport`] trait (one request/response
 //!   exchange under a deadline) with two production implementations:
-//!   [`InProcTransport`] (crossbeam channels to a server thread in this
+//!   [`InProcTransport`] (a direct call into a service hosted in this
 //!   process, preserving the original single-process deployment) and
 //!   [`TcpTransport`] (framed loopback or cross-host TCP with connection
 //!   reuse). Servers host a [`Service`] via [`InProcServer`] /
-//!   [`TcpServer`].
+//!   [`TcpServer`], which run it on the thread a request arrived on.
 //! - [`client`] — [`Client`]: typed serde calls with deadline + retry
 //!   policy, per-RPC latency histograms and retry/timeout/byte counters
 //!   recorded into a [`cpms_obs::MetricsRegistry`].
@@ -52,3 +52,17 @@ pub use client::{split_tail, with_tail, Client, ClientStats, RetryPolicy};
 pub use error::WireError;
 pub use faulty::{FaultPlan, FaultStats, FaultSwitch, FaultyTransport};
 pub use transport::{InProcServer, InProcTransport, Service, TcpServer, TcpTransport, Transport};
+
+/// The next uniform draw in `[0, 1)` of the splitmix64 stream whose
+/// state is `state`: deterministic and lock-free, so retry jitter and
+/// fault plans replay from their seeds.
+fn splitmix_unit(state: &std::sync::atomic::AtomicU64) -> f64 {
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut z = state
+        .fetch_add(GAMMA, std::sync::atomic::Ordering::Relaxed)
+        .wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}

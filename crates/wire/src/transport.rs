@@ -3,7 +3,7 @@
 //! A transport carries one request payload to a peer and returns its
 //! response payload, under a per-call deadline. The two impls are:
 //!
-//! - [`InProcTransport`] — crossbeam channels to a server thread in the
+//! - [`InProcTransport`] — a direct call into a service hosted in the
 //!   same process. This preserves the original all-in-process control
 //!   plane: no sockets, but the same framing-level semantics (a deadline
 //!   can expire, the server can be gone).
@@ -13,20 +13,20 @@
 //!   the next call after a failure).
 //!
 //! Servers implement [`Service`] (an `FnMut(&[u8]) -> Vec<u8>` works) and
-//! are hosted by [`InProcServer`] or [`TcpServer`]. Both servers execute
-//! requests on a single executor thread that owns the service — requests
-//! from concurrent clients serialize, which is exactly the behavior a
-//! per-node broker wants.
+//! are hosted by [`InProcServer`] or [`TcpServer`]. Both run the service
+//! under one lock on the thread its request arrived on (the caller's, or
+//! the connection's reader) — requests from concurrent clients serialize,
+//! which is exactly the behavior a per-node broker wants.
 
 use crate::error::WireError;
 use crate::frame::{read_frame_ext_or_eof, write_frame_ext, TracedFrameOrEof, FLAG_TRACE_CAPABLE};
 use cpms_obs::{ScopedTrace, TraceContext};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use std::collections::HashMap;
 use std::fmt;
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -50,7 +50,7 @@ pub trait Transport: Send + Sync + fmt::Debug {
     }
 }
 
-/// A request handler owned by a server's executor thread.
+/// A request handler owned by the server that hosts it.
 pub trait Service: Send + 'static {
     /// Handles one decoded request payload, returning the response
     /// payload.
@@ -63,34 +63,44 @@ impl<F: FnMut(&[u8]) -> Vec<u8> + Send + 'static> Service for F {
     }
 }
 
-struct ExecRequest {
-    payload: Vec<u8>,
-    // The trace context carried by the request, re-activated on the
-    // executor thread (which is not the thread that read the frame).
-    trace: Option<TraceContext>,
-    reply: Sender<Vec<u8>>,
+/// A hosted service — a `Mutex<Option<S>>`, `None` once stopped or after a
+/// handler panicked — with its type erased, for [`InProcTransport`].
+trait Host: Send + Sync {
+    /// Runs the handler on the calling thread, under the lock and under
+    /// that thread's current trace context. `Unavailable` once the
+    /// service is gone; a handler's panic is not unwound into the caller
+    /// but answered `Closed`, and drops the (maybe half-updated) service.
+    fn run(&self, request: &[u8]) -> Result<Vec<u8>, WireError>;
 }
 
-/// Runs `service.handle` with the request's trace context active on
-/// this thread (or explicitly cleared, so no context leaks between
-/// unrelated requests).
-fn handle_with_trace<S: Service>(service: &mut S, req: &ExecRequest) -> Vec<u8> {
-    let _scope = match req.trace {
-        Some(ctx) => ScopedTrace::activate(ctx),
-        None => ScopedTrace::clear(),
-    };
-    service.handle(&req.payload)
+impl<S: Service> Host for Mutex<Option<S>> {
+    fn run(&self, request: &[u8]) -> Result<Vec<u8>, WireError> {
+        let mut slot = self.lock().expect("handler panics are caught, not held");
+        let service = slot.as_mut().ok_or_else(|| WireError::Unavailable {
+            detail: "server is gone".to_string(),
+        })?;
+        catch_unwind(AssertUnwindSafe(|| service.handle(request))).map_err(|_| {
+            *slot = None;
+            WireError::Closed
+        })
+    }
 }
 
-/// How often blocked server loops wake to check for shutdown.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// Whether the service is still there. A held lock is a request in
+/// flight, which counts, so this never waits for one.
+fn is_hosted<S>(service: &Mutex<Option<S>>) -> bool {
+    match service.try_lock() {
+        Ok(slot) => slot.is_some(),
+        Err(e) => matches!(e, TryLockError::WouldBlock),
+    }
+}
 
 // ---------------------------------------------------------------- in-proc
 
-/// Channel-backed [`Transport`] to an [`InProcServer`] in this process.
+/// Direct-call [`Transport`] to an [`InProcServer`] in this process.
 #[derive(Clone)]
 pub struct InProcTransport {
-    tx: Sender<ExecRequest>,
+    host: Arc<dyn Host>,
 }
 
 impl fmt::Debug for InProcTransport {
@@ -101,23 +111,15 @@ impl fmt::Debug for InProcTransport {
 
 impl Transport for InProcTransport {
     fn call(&self, request: &[u8], deadline: Duration) -> Result<Vec<u8>, WireError> {
-        let (reply_tx, reply_rx) = bounded(1);
-        self.tx
-            .send(ExecRequest {
-                payload: request.to_vec(),
-                trace: TraceContext::current(),
-                reply: reply_tx,
-            })
-            .map_err(|_| WireError::Unavailable {
-                detail: "in-process server is gone".to_string(),
-            })?;
-        match reply_rx.recv_timeout(deadline) {
-            Ok(payload) => Ok(payload),
-            Err(RecvTimeoutError::Timeout) => Err(WireError::Timeout {
+        let start = Instant::now();
+        let response = self.host.run(request)?;
+        // A late reply is discarded, as a remote peer's would be.
+        if start.elapsed() > deadline {
+            return Err(WireError::Timeout {
                 deadline_ms: deadline.as_millis() as u64,
-            }),
-            Err(RecvTimeoutError::Disconnected) => Err(WireError::Closed),
+            });
         }
+        Ok(response)
     }
 
     fn kind(&self) -> &'static str {
@@ -125,76 +127,40 @@ impl Transport for InProcTransport {
     }
 }
 
-/// Hosts a [`Service`] on a dedicated executor thread, reachable through
-/// [`InProcTransport`]s.
+/// Hosts a [`Service`] for [`InProcTransport`]s, which run it on their
+/// callers' threads: the server has no thread of its own.
 #[derive(Debug)]
 pub struct InProcServer<S> {
-    thread: Option<JoinHandle<S>>,
-    stop: Arc<AtomicBool>,
+    service: Arc<Mutex<Option<S>>>,
 }
 
 impl<S: Service> InProcServer<S> {
-    /// Spawns the executor thread; returns the client transport and the
-    /// server handle.
+    /// Hosts `service`; returns its client transport and server handle.
     pub fn spawn(service: S) -> (InProcTransport, InProcServer<S>) {
-        Self::spawn_named(service, "wire-inproc")
+        let service = Arc::new(Mutex::new(Some(service)));
+        let host: Arc<dyn Host> = service.clone();
+        (InProcTransport { host }, InProcServer { service })
     }
+}
 
-    /// [`InProcServer::spawn`] with an explicit thread name.
-    pub fn spawn_named(mut service: S, name: &str) -> (InProcTransport, InProcServer<S>) {
-        let (tx, rx): (Sender<ExecRequest>, Receiver<ExecRequest>) = unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || {
-                loop {
-                    match rx.recv_timeout(POLL_INTERVAL) {
-                        Ok(req) => {
-                            let response = handle_with_trace(&mut service, &req);
-                            // The caller may have timed out and gone away.
-                            let _ = req.reply.send(response);
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if stop_flag.load(Ordering::Acquire) {
-                                break;
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                service
-            })
-            .expect("spawn in-proc wire server");
-        (
-            InProcTransport { tx },
-            InProcServer {
-                thread: Some(thread),
-                stop,
-            },
-        )
-    }
-
-    /// Whether the executor thread is still running.
+impl<S> InProcServer<S> {
+    /// Whether the service is still being served.
     #[must_use]
     pub fn is_running(&self) -> bool {
-        self.thread.as_ref().is_some_and(|t| !t.is_finished())
+        is_hosted(&self.service)
     }
 
-    /// Stops the executor and returns the service (its final state).
-    /// Idempotent; `None` after the first call or a panic.
+    /// Stops serving, once any in-flight request is done, and returns
+    /// the service (its final state). Idempotent; `None` after the first
+    /// call or a handler panic.
     pub fn stop(&mut self) -> Option<S> {
-        self.stop.store(true, Ordering::Release);
-        self.thread.take()?.join().ok()
+        self.service.lock().ok()?.take()
     }
 }
 
 impl<S> Drop for InProcServer<S> {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.stop();
     }
 }
 
@@ -312,172 +278,125 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Hosts a [`Service`] behind a TCP listener: an acceptor thread, one
-/// reader thread per connection, and a single executor thread that owns
-/// the service (concurrent clients serialize, preserving per-node
-/// ordering).
+/// Hosts a [`Service`] behind a TCP listener: an acceptor thread and one
+/// reader thread per connection, all blocked in the kernel while idle.
+/// Each reader runs the service itself, under the service's lock
+/// (concurrent clients serialize, preserving per-node ordering).
 #[derive(Debug)]
 pub struct TcpServer<S> {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    service: Arc<Mutex<Option<S>>>,
+    // Clones of the live connections' streams, for `stop()` to shut
+    // down: entered by the acceptor, removed by each reader as it ends.
+    conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
     acceptor: Option<JoinHandle<()>>,
-    executor: Option<JoinHandle<S>>,
 }
 
 impl<S: Service> TcpServer<S> {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// serving.
+    /// Binds `addr` (port 0 for an ephemeral port) and starts serving.
     ///
     /// # Errors
     ///
     /// The bind failure, if any.
     pub fn bind(addr: SocketAddr, service: S) -> std::io::Result<TcpServer<S>> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
+        let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let (exec_tx, exec_rx): (Sender<ExecRequest>, Receiver<ExecRequest>) = unbounded();
-
-        let executor = {
-            let stop = Arc::clone(&stop);
-            let mut service = service;
-            std::thread::Builder::new()
-                .name(format!("wire-exec-{local}"))
-                .spawn(move || {
-                    loop {
-                        match exec_rx.recv_timeout(POLL_INTERVAL) {
-                            Ok(req) => {
-                                let response = handle_with_trace(&mut service, &req);
-                                let _ = req.reply.send(response);
-                            }
-                            Err(RecvTimeoutError::Timeout) => {
-                                if stop.load(Ordering::Acquire) {
-                                    break;
-                                }
-                            }
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                    service
-                })
-                .expect("spawn wire executor thread")
-        };
-
+        let service = Arc::new(Mutex::new(Some(service)));
+        let conns = Arc::new(Mutex::new(HashMap::new()));
         let acceptor = {
-            let stop = Arc::clone(&stop);
+            let (stop, service, conns) = (stop.clone(), service.clone(), conns.clone());
             std::thread::Builder::new()
-                .name(format!("wire-accept-{local}"))
+                .name(format!("wire-accept-{addr}"))
                 .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        match listener.accept() {
-                            Ok((conn, _)) => {
-                                let exec_tx = exec_tx.clone();
-                                let stop = Arc::clone(&stop);
-                                let _ = std::thread::Builder::new()
-                                    .name("wire-conn".to_string())
-                                    .spawn(move || serve_connection(conn, &exec_tx, &stop));
-                            }
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                                std::thread::sleep(POLL_INTERVAL);
-                            }
-                            Err(_) => std::thread::sleep(POLL_INTERVAL),
+                    for (id, conn) in (0u64..).zip(listener.incoming()) {
+                        // Pairs with the Release store in `stop()`.
+                        if stop.load(Ordering::Acquire) {
+                            break;
                         }
+                        let Ok((conn, clone)) = conn.and_then(|c| Ok((c.try_clone()?, c))) else {
+                            continue;
+                        };
+                        conns.lock().expect("conns lock").insert(id, clone);
+                        let (service, conns) = (service.clone(), conns.clone());
+                        let _ = std::thread::Builder::new()
+                            .name("wire-conn".to_string())
+                            .spawn(move || {
+                                let _ = serve_connection(conn, &*service);
+                                conns.lock().expect("conns lock").remove(&id);
+                            });
                     }
-                })
-                .expect("spawn wire acceptor thread")
+                })?
         };
-
         Ok(TcpServer {
-            addr: local,
+            addr,
             stop,
+            service,
+            conns,
             acceptor: Some(acceptor),
-            executor: Some(executor),
         })
     }
+}
 
+impl<S> TcpServer<S> {
     /// The bound address (with the real port when bound to port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Whether the executor thread is still running.
+    /// Whether the service is still being served.
     #[must_use]
     pub fn is_running(&self) -> bool {
-        self.executor.as_ref().is_some_and(|t| !t.is_finished())
+        is_hosted(&self.service)
     }
 
-    /// Stops accepting and executing, returning the service's final
-    /// state. Idempotent; `None` after the first call.
+    /// Stops accepting and serving, once any in-flight request is done,
+    /// and returns the service's final state. Idempotent; `None` after
+    /// the first call or a handler panic.
     pub fn stop(&mut self) -> Option<S> {
-        self.stop.store(true, Ordering::Release);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            self.stop.store(true, Ordering::Release);
+            // Unblock accept() with a throwaway connection.
+            let _ = TcpStream::connect(self.addr);
+            let _ = acceptor.join();
         }
-        self.executor.take()?.join().ok()
+        // No acceptor, so no connection is missing from the registry:
+        // unblock every reader, wherever in a frame its peer left it.
+        for conn in self.conns.lock().ok()?.values() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        self.service.lock().ok()?.take()
     }
 }
 
 impl<S> Drop for TcpServer<S> {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        if let Some(e) = self.executor.take() {
-            let _ = e.join();
-        }
+        self.stop();
     }
 }
 
-/// One connection's read-execute-write loop. Exits on client disconnect,
-/// any frame error, or server shutdown.
-fn serve_connection(mut conn: TcpStream, exec_tx: &Sender<ExecRequest>, stop: &AtomicBool) {
+/// One connection's read-execute-write loop, until the client
+/// disconnects, the service is gone, `stop()` shuts the socket down, or a
+/// frame error desynchronizes the stream (the client maps the dropped
+/// connection to `Closed` and may retry on a fresh one).
+fn serve_connection(mut conn: TcpStream, service: &dyn Host) -> Result<(), WireError> {
     conn.set_nodelay(true).ok();
-    // Short read timeouts let the loop notice shutdown between frames.
-    if conn.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
-    while !stop.load(Ordering::Acquire) {
-        let frame = match read_frame_ext_or_eof(&mut conn) {
-            Ok(TracedFrameOrEof::Frame(f)) => f,
-            Ok(TracedFrameOrEof::Eof) => return,
-            // Idle between frames: poll again.
-            Err(WireError::Timeout { .. }) => continue,
-            // Any other frame error (including a malformed extension
-            // area) desynchronizes the stream: drop the connection (the
-            // client maps this to Closed and may retry on a fresh one).
-            Err(_) => return,
+    while let TracedFrameOrEof::Frame(frame) = read_frame_ext_or_eof(&mut conn)? {
+        // The frame's trace context, or explicitly none: nothing leaks
+        // between unrelated requests.
+        let _scope = match frame.trace {
+            Some(ctx) => ScopedTrace::activate(ctx),
+            None => ScopedTrace::clear(),
         };
-        let (reply_tx, reply_rx) = bounded(1);
-        if exec_tx
-            .send(ExecRequest {
-                payload: frame.payload,
-                trace: frame.trace,
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            return; // executor gone: shutting down
-        }
-        let response = loop {
-            match reply_rx.recv_timeout(POLL_INTERVAL) {
-                Ok(r) => break r,
-                Err(RecvTimeoutError::Timeout) => {
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        };
+        let response = service.run(&frame.payload)?;
         // Responses always advertise extension capability (old clients
         // never read the flags byte) — this is the negotiation signal
         // that lets a new client start attaching trace contexts.
-        if write_frame_ext(&mut conn, &response, FLAG_TRACE_CAPABLE, None).is_err() {
-            return;
-        }
+        write_frame_ext(&mut conn, &response, FLAG_TRACE_CAPABLE, None)?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -570,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn inproc_propagates_trace_context_to_the_executor() {
+    fn inproc_propagates_trace_context_to_the_handler() {
         let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
         let sink = std::sync::Arc::clone(&seen);
         let (t, mut server) = InProcServer::spawn(move |_req: &[u8]| {
@@ -585,7 +504,7 @@ mod tests {
         t.call(b"untraced", Duration::from_secs(1)).unwrap();
         server.stop();
         let seen = seen.lock().unwrap();
-        assert_eq!(seen[0], Some(ctx), "context crosses the channel");
+        assert_eq!(seen[0], Some(ctx), "the caller's context is the handler's");
         assert_eq!(seen[1], None, "no context leaks between requests");
     }
 
@@ -632,5 +551,147 @@ mod tests {
         assert!(matches!(err, WireError::Timeout { .. }), "{err:?}");
         assert!(start.elapsed() < Duration::from_millis(150));
         server.stop();
+    }
+
+    /// Records the requests it handled, so a test can read them back
+    /// from the final state `stop()` returns. `slow` takes 100 ms,
+    /// `panic` panics; `entered` hears every request as it starts.
+    struct Recorder {
+        handled: Vec<Vec<u8>>,
+        entered: std::sync::mpsc::Sender<()>,
+    }
+
+    impl Service for Recorder {
+        fn handle(&mut self, request: &[u8]) -> Vec<u8> {
+            let _ = self.entered.send(());
+            match request {
+                b"slow" => std::thread::sleep(Duration::from_millis(100)),
+                b"panic" => panic!("handler panic under test"),
+                _ => {}
+            }
+            self.handled.push(request.to_vec());
+            request.to_ascii_uppercase()
+        }
+    }
+
+    fn recorder() -> (Recorder, std::sync::mpsc::Receiver<()>) {
+        let (entered, rx) = std::sync::mpsc::channel();
+        let handled = Vec::new();
+        (Recorder { handled, entered }, rx)
+    }
+
+    fn loopback() -> SocketAddr {
+        "127.0.0.1:0".parse().unwrap()
+    }
+
+    #[test]
+    fn tcp_stalled_partial_header_delays_neither_other_peers_nor_stop() {
+        use std::io::Write as _;
+        let (service, _entered) = recorder();
+        let mut server = TcpServer::bind(loopback(), service).unwrap();
+        let mut frame = Vec::new();
+        write_frame_ext(&mut frame, b"late", FLAG_TRACE_CAPABLE, None).unwrap();
+        let mut staller = TcpStream::connect(server.addr()).unwrap();
+        staller
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+
+        // 5 of the header's 12 bytes, then a stall.
+        staller.write_all(&frame[..5]).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let other = TcpTransport::new(server.addr());
+        let start = Instant::now();
+        assert_eq!(other.call(b"abc", Duration::from_secs(2)).unwrap(), b"ABC");
+        assert!(start.elapsed() < Duration::from_millis(200));
+        // The slow peer loses nothing for being slow.
+        staller.write_all(&frame[5..]).unwrap();
+        match read_frame_ext_or_eof(&mut staller).unwrap() {
+            TracedFrameOrEof::Frame(reply) => assert_eq!(reply.payload, b"LATE"),
+            TracedFrameOrEof::Eof => panic!("the stalled frame was dropped"),
+        }
+
+        // Stalled mid-header again, this time across `stop()`.
+        staller.write_all(&frame[..5]).unwrap();
+        let start = Instant::now();
+        let service = server.stop().expect("service returned");
+        assert!(start.elapsed() < Duration::from_millis(200));
+        assert_eq!(service.handled, [b"abc".to_vec(), b"late".to_vec()]);
+        assert!(
+            matches!(
+                read_frame_ext_or_eof(&mut staller),
+                Ok(TracedFrameOrEof::Eof) | Err(WireError::Closed | WireError::Io { .. })
+            ),
+            "stop() shut the stalled connection down"
+        );
+    }
+
+    #[test]
+    fn tcp_connection_churn_leaves_the_registry_empty() {
+        let mut server = TcpServer::bind(loopback(), echo_upper()).unwrap();
+        for _ in 0..200 {
+            let t = TcpTransport::new(server.addr());
+            assert_eq!(t.call(b"x", Duration::from_secs(2)).unwrap(), b"X");
+        }
+        // Each reader leaves on its own thread once it reads the EOF.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !server.conns.lock().unwrap().is_empty() {
+            assert!(Instant::now() < deadline, "connections never left");
+            std::thread::yield_now();
+        }
+        server.stop().expect("service returned");
+    }
+
+    #[test]
+    fn stop_during_a_request_returns_state_that_includes_it() {
+        let (service, entered) = recorder();
+        let (t, mut inproc) = InProcServer::spawn(service);
+        std::thread::scope(|scope| {
+            let caller = scope.spawn(|| t.call(b"slow", Duration::from_secs(2)));
+            entered.recv().unwrap();
+            let service = inproc.stop().expect("service returned");
+            assert_eq!(service.handled, [b"slow".to_vec()]);
+            assert_eq!(caller.join().unwrap().unwrap(), b"SLOW");
+        });
+
+        let (service, entered) = recorder();
+        let mut tcp = TcpServer::bind(loopback(), service).unwrap();
+        let t = TcpTransport::new(tcp.addr());
+        std::thread::scope(|scope| {
+            scope.spawn(|| t.call(b"slow", Duration::from_secs(2)));
+            entered.recv().unwrap();
+            let service = tcp.stop().expect("service returned");
+            assert_eq!(service.handled, [b"slow".to_vec()]);
+        });
+    }
+
+    #[test]
+    fn a_panicking_handler_closes_the_call_and_ends_the_server() {
+        let (service, _entered) = recorder();
+        let (t, mut inproc) = InProcServer::spawn(service);
+        let err = t.call(b"panic", Duration::from_secs(2)).unwrap_err();
+        assert!(matches!(err, WireError::Closed), "{err:?}");
+        assert!(!inproc.is_running());
+        let err = t.call(b"after", Duration::from_secs(2)).unwrap_err();
+        assert!(matches!(err, WireError::Unavailable { .. }), "{err:?}");
+        assert!(
+            inproc.stop().is_none(),
+            "a panicked service is not handed back"
+        );
+
+        let (service, _entered) = recorder();
+        let mut tcp = TcpServer::bind(loopback(), service).unwrap();
+        let t = TcpTransport::new(tcp.addr());
+        for request in [&b"panic"[..], b"after"] {
+            let err = t.call(request, Duration::from_secs(2)).unwrap_err();
+            assert!(
+                matches!(err, WireError::Closed | WireError::Unavailable { .. }),
+                "{err:?}"
+            );
+        }
+        assert!(!tcp.is_running());
+        assert!(
+            tcp.stop().is_none(),
+            "a panicked service is not handed back"
+        );
     }
 }

@@ -43,8 +43,10 @@ echo "    SLO gate: the kill fault must trip the proxy watchdog into breach and 
 timeout --signal=KILL 150 ./target/release/cpms-lab --smoke
 
 echo "==> benchmark harness (perfbench/ is a workspace of its own: its tests, then cpms-bench run --smoke,"
-echo "    so an API drift in crates/ that breaks the benchmark fails here and not in the benchmark pipeline)"
-cargo test --release --manifest-path perfbench/Cargo.toml
-timeout --signal=KILL 180 cargo run --release --quiet --manifest-path perfbench/Cargo.toml --bin cpms-bench -- run --smoke
+echo "    so an API drift in crates/ that breaks the benchmark fails here and not in the benchmark pipeline;"
+echo "    --locked + git diff: a dependency-set change under crates/ must fail here, not rewrite the frozen perfbench/Cargo.lock)"
+cargo test --release --locked --manifest-path perfbench/Cargo.toml
+timeout --signal=KILL 180 cargo run --release --locked --quiet --manifest-path perfbench/Cargo.toml --bin cpms-bench -- run --smoke
+git diff --exit-code -- perfbench BENCHMARK.json
 
 echo "ci: all gates passed"

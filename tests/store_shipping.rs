@@ -120,8 +120,7 @@ impl<P: ShipPort> ShipPort for CorruptingPort<P> {
 fn poisoned_chunks_are_rejected_and_resent() {
     with_deadline("poisoned_chunks", TEST_DEADLINE, || {
         let store = Arc::new(ContentStore::in_memory(NodeId(0), 1 << 20));
-        let (transport, server) =
-            InProcServer::spawn_named(StoreService::new(Arc::clone(&store)), "poisoned-store");
+        let (transport, server) = InProcServer::spawn(StoreService::new(Arc::clone(&store)));
         std::mem::forget(server);
         let port = CorruptingPort {
             inner: StoreClient::new(Arc::new(transport)),
