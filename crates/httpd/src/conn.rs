@@ -762,10 +762,7 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
         METRICS_PATH => Some(render_metrics(cx, false)),
         METRICS_JSON_PATH => Some(render_metrics(cx, true)),
         TRACE_JSON_PATH => Some(cx.registry.spans().to_json()),
-        SERIES_JSON_PATH => Some(cx.registry.series().map_or_else(
-            || "{\"scrape_seq\":0,\"uptime_micros\":0,\"samples\":0,\"series\":{}}".to_string(),
-            |recorder| recorder.to_json(),
-        )),
+        SERIES_JSON_PATH => Some(cx.registry.series_json()),
         _ => None,
     };
     if let Some(body) = admin_body {
@@ -1042,7 +1039,10 @@ fn on_backend_event(cx: &mut Cx, conn: &mut Conn, ev: Event) -> Verdict {
                             // bytes arrived with it.
                             let keep_alive = conn.keep_alive;
                             let head = response_head(rh.status, rh.content_length, keep_alive);
-                            conn.wbuf.reserve(head.len() + rh.content_length);
+                            // The length is the backend's word: reserve
+                            // no more than back-pressure lets the ring hold.
+                            conn.wbuf
+                                .reserve(head.len() + rh.content_length.min(WBUF_HIGH));
                             conn.wbuf.extend(head.as_bytes());
                             let relay = conn.relay.as_mut().expect("still relaying");
                             relay.head_sent = true;

@@ -259,10 +259,7 @@ fn serve_connection(
         let admin_body = match request.path.as_str() {
             crate::proxy::METRICS_JSON_PATH => Some(registry.snapshot().to_json()),
             crate::proxy::TRACE_JSON_PATH => Some(spans.to_json()),
-            crate::proxy::SERIES_JSON_PATH => Some(registry.series().map_or_else(
-                || "{\"scrape_seq\":0,\"uptime_micros\":0,\"samples\":0,\"series\":{}}".to_string(),
-                |recorder| recorder.to_json(),
-            )),
+            crate::proxy::SERIES_JSON_PATH => Some(registry.series_json()),
             _ => None,
         };
         if let Some(body) = admin_body {

@@ -6,15 +6,15 @@
 //! > management tasks."
 //!
 //! An agent is a *serializable wire message*: the controller ships an
-//! [`AgentRequest`] to a broker over a `cpms-wire` transport (in-process
-//! channel or TCP), the broker executes it against its node's content
-//! store ([`BrokerState::content`]), and the [`AgentReply`] rides back
-//! the same way. Each built-in agent is one call on that store — `put`,
-//! `delete`, `rename`, `touch`, `stats`, `inventory`, or a tunneled ship
-//! request — and that call's `Result` is the agent's result. New
-//! management functions are added by implementing [`Agent`] and giving
-//! [`AgentRequest`] a variant, without touching broker or controller
-//! plumbing.
+//! [`AgentRequest`] to a broker over a `cpms-wire` transport (a call on
+//! the dispatching thread, or TCP), the broker executes it against its
+//! node's content store ([`BrokerState::content`]), and the
+//! [`AgentReply`] rides back the same way. Each built-in agent is one
+//! call on that store — `put`, `delete`, `rename`, `touch`, `stats`, or a
+//! tunneled ship request — and that call's `Result` is the agent's
+//! result. New management functions are added by implementing [`Agent`]
+//! and giving [`AgentRequest`] a variant, without touching broker or
+//! controller plumbing.
 
 use crate::store::{BrokerState, StoredFile};
 use cpms_model::{NodeId, UrlPath};
@@ -29,8 +29,6 @@ use std::fmt;
 pub enum AgentOutput {
     /// The operation completed with nothing to report.
     Done,
-    /// A listing of the node's files.
-    Listing(Vec<(UrlPath, StoredFile)>),
     /// A status snapshot of the node.
     Status {
         /// Files stored on the node.
@@ -146,8 +144,6 @@ pub enum AgentRequest {
     Touch(TouchFile),
     /// Probe node status.
     Status(StatusProbe),
-    /// List every file on the node.
-    List(ListFiles),
     /// Tunnel a content-shipping request to the node's content store.
     Ship(ShipAgent),
 }
@@ -162,7 +158,6 @@ impl AgentRequest {
             AgentRequest::Rename(a) => a.name(),
             AgentRequest::Touch(a) => a.name(),
             AgentRequest::Status(a) => a.name(),
-            AgentRequest::List(a) => a.name(),
             AgentRequest::Ship(a) => a.name(),
         }
     }
@@ -179,7 +174,6 @@ impl AgentRequest {
             AgentRequest::Rename(a) => a.execute(state),
             AgentRequest::Touch(a) => a.execute(state),
             AgentRequest::Status(a) => a.execute(state),
-            AgentRequest::List(a) => a.execute(state),
             AgentRequest::Ship(a) => a.execute(state),
         }
     }
@@ -201,7 +195,6 @@ into_request!(
     RenameFile => Rename,
     TouchFile => Touch,
     StatusProbe => Status,
-    ListFiles => List,
     ShipAgent => Ship,
 );
 
@@ -341,33 +334,6 @@ impl Agent for StatusProbe {
             used_bytes: stats.committed_bytes,
             free_bytes: stats.free_bytes(),
         })
-    }
-}
-
-/// Lists every file on the node (used to audit the single system image).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ListFiles;
-
-impl Agent for ListFiles {
-    fn name(&self) -> &'static str {
-        "list-files"
-    }
-
-    fn execute(&self, state: &mut BrokerState) -> Result<AgentOutput, AgentError> {
-        let listing = state
-            .content()
-            .inventory()
-            .into_iter()
-            .map(|(path, object)| {
-                let file = StoredFile {
-                    content: object.content,
-                    size: object.size,
-                    version: object.version,
-                };
-                (path, file)
-            })
-            .collect();
-        Ok(AgentOutput::Listing(listing))
     }
 }
 
@@ -526,20 +492,18 @@ mod tests {
             store_file(&mut s, &format!("/f{i}"), f(i), false).unwrap();
         }
         assert_eq!(status(&mut s), (3, 300, (1 << 20) - 300));
-        match ListFiles.execute(&mut s).unwrap() {
-            AgentOutput::Listing(l) => {
-                assert_eq!(l.len(), 3);
-                assert!(l.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
-                assert_eq!(l[0], (p("/f0"), f(0)));
-            }
-            other => panic!("unexpected output {other:?}"),
-        }
+        let l = inventory(&mut s);
+        assert_eq!(l.len(), 3);
+        assert!(l.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
+        assert_eq!(
+            (&l[0].0, l[0].1.content, l[0].1.size),
+            (&p("/f0"), ContentId(0), 100)
+        );
     }
 
     #[test]
     fn agent_names() {
         assert_eq!(StatusProbe.name(), "status-probe");
-        assert_eq!(ListFiles.name(), "list-files");
         assert_eq!(DeleteFile { path: p("/x") }.name(), "delete-file");
         assert_eq!(
             ShipAgent {
@@ -553,6 +517,14 @@ mod tests {
     fn ship(s: &mut BrokerState, request: ShipRequest) -> ShipReply {
         match (ShipAgent { request }).execute(s).unwrap() {
             AgentOutput::Ship(reply) => reply,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The node's committed objects, as the audit reads them.
+    fn inventory(s: &mut BrokerState) -> Vec<(UrlPath, cpms_store::ObjectMeta)> {
+        match ship(s, ShipRequest::Inventory) {
+            ShipReply::InventoryIs(listing) => listing,
             other => panic!("{other:?}"),
         }
     }
@@ -604,8 +576,8 @@ mod tests {
             );
         }
         assert_eq!(
-            ListFiles.execute(&mut s).unwrap(),
-            AgentOutput::Listing(Vec::new()),
+            inventory(&mut s),
+            Vec::new(),
             "staged bytes are not listed yet"
         );
         ship(
@@ -617,9 +589,9 @@ mod tests {
             },
         );
         assert_eq!(
-            ListFiles.execute(&mut s).unwrap(),
-            AgentOutput::Listing(vec![(p("/shipped"), sized(9, 300))]),
-            "the listing records the committed size"
+            inventory(&mut s),
+            vec![(p("/shipped"), meta)],
+            "the inventory records the committed object"
         );
         assert_eq!(s.content().read(&p("/shipped")).unwrap(), body);
 

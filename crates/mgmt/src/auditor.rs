@@ -4,13 +4,14 @@
 //! The URL table is the single system image the distributor routes
 //! from; the content stores are what nodes actually hold. Crashes,
 //! partial transfers, operator mistakes, and disk corruption can make
-//! the two drift. The [`AntiEntropyAuditor`] walks every node's store
-//! inventory (over the same ship protocol replica bytes travel on),
-//! compares it against the table — including the committed checksums
-//! recorded at publish time — and either reports the drift or repairs
-//! it: missing copies are re-shipped from a healthy replica, orphan
-//! objects are deleted, stale or corrupt copies are overwritten with
-//! verified bytes.
+//! the two drift. The [`AntiEntropyAuditor`] is the one judge of whether
+//! they agree: it walks every node's store inventory (over the same ship
+//! protocol replica bytes travel on), compares it against the table —
+//! the content id, and the committed checksum recorded at publish time
+//! against the bytes re-hashed on the node — and either reports the
+//! drift or repairs it: missing copies are re-shipped from a healthy
+//! replica, orphan objects are deleted, stale or corrupt copies are
+//! overwritten with verified bytes.
 
 use crate::controller::Controller;
 use cpms_model::{NodeId, UrlPath};
@@ -39,8 +40,9 @@ pub enum Drift {
         /// The node holding it.
         node: NodeId,
     },
-    /// The node's copy does not match the checksum the table recorded
-    /// at publish time (a stale or corrupt replica).
+    /// The node's copy is not the object the table routes to it: another
+    /// content id, or bytes that do not hash to the checksum the table
+    /// recorded at publish time (a stale or corrupt replica).
     StaleObject {
         /// The object's path.
         path: UrlPath,
@@ -127,51 +129,27 @@ impl DriftReport {
     }
 }
 
+/// Times a node's inventory fetch is attempted before the node is
+/// reported unreachable.
+const INVENTORY_ATTEMPTS: u32 = 3;
+
 /// Walks node inventories and reconciles them with the URL table.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AntiEntropyAuditor {
-    inventory_attempts: u32,
-    deep_verify: bool,
     shipper: Shipper,
 }
 
-impl Default for AntiEntropyAuditor {
-    fn default() -> Self {
-        AntiEntropyAuditor::new()
-    }
-}
-
 impl AntiEntropyAuditor {
-    /// An auditor with 3 inventory attempts per node and deep verify on.
+    /// An auditor: 3 inventory attempts per node, every routed copy
+    /// re-hashed on its node.
     #[must_use]
     pub fn new() -> Self {
-        AntiEntropyAuditor {
-            inventory_attempts: 3,
-            deep_verify: true,
-            shipper: Shipper::new(),
-        }
-    }
-
-    /// Sets how many times a node's inventory fetch is attempted before
-    /// the node is reported unreachable.
-    #[must_use]
-    pub fn with_inventory_attempts(mut self, attempts: u32) -> Self {
-        self.inventory_attempts = attempts.max(1);
-        self
-    }
-
-    /// Enables or disables deep verification (re-checksumming each
-    /// routed object on its node, catching bit rot the manifest alone
-    /// cannot).
-    #[must_use]
-    pub fn with_deep_verify(mut self, deep: bool) -> Self {
-        self.deep_verify = deep;
-        self
+        AntiEntropyAuditor::default()
     }
 
     /// Fetches one node's committed inventory with bounded retries.
     fn inventory(&self, port: &dyn ShipPort) -> Option<HashMap<UrlPath, ObjectMeta>> {
-        for _ in 0..self.inventory_attempts {
+        for _ in 0..INVENTORY_ATTEMPTS {
             if let Ok(ShipReply::InventoryIs(listing)) = port.ship(&ShipRequest::Inventory) {
                 return Some(listing.into_iter().collect());
             }
@@ -179,13 +157,10 @@ impl AntiEntropyAuditor {
         None
     }
 
-    /// The store-side checksum of `path` on the node behind `port`:
-    /// manifest checksum, or the actual re-hashed bytes under deep
-    /// verify (a verify failure reports as a mismatching checksum).
+    /// The checksum of `path`'s bytes as the node behind `port` re-hashes
+    /// them — bit rot the manifest alone cannot show (a verify failure
+    /// reports as a mismatching checksum).
     fn store_checksum(&self, port: &dyn ShipPort, path: &UrlPath, manifest: &ObjectMeta) -> u64 {
-        if !self.deep_verify {
-            return manifest.checksum;
-        }
         match port.ship(&ShipRequest::Verify { path: path.clone() }) {
             Ok(ShipReply::Verified(meta)) => meta.checksum,
             // Corrupt on disk (or unreadable): force a mismatch so the
@@ -231,12 +206,20 @@ impl AntiEntropyAuditor {
                         node,
                     }),
                     Some(object) => {
-                        if entry.checksum() == 0 {
-                            continue; // published before checksums existed
-                        }
-                        let handle = cluster.broker(node).expect("index in range");
-                        let got = self.store_checksum(handle, &path, object);
-                        if got != entry.checksum() {
+                        // Another object under the routed path is stale
+                        // whatever its bytes hash to; the right one is
+                        // stale when the bytes the node re-hashes are not
+                        // the ones the table recorded.
+                        let stale = if object.content != entry.content() {
+                            Some(object.checksum)
+                        } else if entry.checksum() == 0 {
+                            None // published before checksums existed
+                        } else {
+                            let handle = cluster.broker(node).expect("index in range");
+                            Some(self.store_checksum(handle, &path, object))
+                                .filter(|&got| got != entry.checksum())
+                        };
+                        if let Some(got) = stale {
                             report.drift.push(Drift::StaleObject {
                                 path: path.clone(),
                                 node,
@@ -287,7 +270,9 @@ impl AntiEntropyAuditor {
             };
             match self.shipper.pull(handle, path) {
                 Ok((meta, body)) => {
-                    if entry.checksum() != 0 && meta.checksum != entry.checksum() {
+                    if meta.content != entry.content()
+                        || (entry.checksum() != 0 && meta.checksum != entry.checksum())
+                    {
                         last = format!("{source} also stale ({:#x})", meta.checksum);
                         continue;
                     }
@@ -358,7 +343,9 @@ impl AntiEntropyAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::StoreFile;
     use crate::controller::Cluster;
+    use crate::store::StoredFile;
     use cpms_model::{ContentId, ContentKind, Priority};
 
     fn p(s: &str) -> UrlPath {
@@ -400,18 +387,74 @@ mod tests {
         c.shutdown();
     }
 
+    /// Writes `(content, size)`'s synthetic bytes at `path` straight into
+    /// `node`'s store (`put` with overwrite), the table none the wiser.
+    fn put_behind_the_table(c: &Controller, node: u16, path: &str, content: u32, size: u64) {
+        let file = StoredFile {
+            content: ContentId(content),
+            size,
+            version: 0,
+        };
+        c.cluster()
+            .broker(NodeId(node))
+            .unwrap()
+            .dispatch(StoreFile {
+                path: p(path),
+                file,
+                overwrite: true,
+            })
+            .unwrap();
+    }
+
+    /// `c` carries one injected drift item, on node 1: `repair` finds it
+    /// (as `expected` says), heals it, and a second audit is clean.
+    fn heals(mut c: Controller, expected: impl Fn(&Drift) -> bool) {
+        let auditor = AntiEntropyAuditor::new();
+        let report = auditor.repair(&mut c);
+        assert_eq!(report.drift_count(), 1, "{:?}", report.drift);
+        let found = &report.drift[0];
+        assert!(expected(found) && found.node() == NodeId(1), "{found:?}");
+        assert_eq!(report.repaired, 1, "{:?}", report.failed_repairs);
+        let after = auditor.audit(&c);
+        assert!(after.is_clean(), "drift converged to zero: {after:?}");
+        c.shutdown();
+    }
+
     #[test]
     fn missing_copy_is_found_and_reshipped() {
-        let mut c = published_controller();
+        let c = published_controller();
         // Inject drift: delete node 1's object behind the table's back.
         let handle = c.cluster().broker(NodeId(1)).unwrap();
         handle.ship(&ShipRequest::Delete { path: p("/a") }).unwrap();
-        let auditor = AntiEntropyAuditor::new();
-        let report = auditor.repair(&mut c);
-        assert_eq!(report.drift_count(), 1);
-        assert_eq!(report.repaired, 1, "{:?}", report.failed_repairs);
-        assert!(auditor.audit(&c).is_clean(), "drift converged to zero");
-        c.shutdown();
+        heals(c, |d| matches!(d, Drift::MissingObject { .. }));
+    }
+
+    #[test]
+    fn other_bytes_under_the_same_content_id_are_stale() {
+        let c = published_controller();
+        // The right id, committed and self-consistent — 4000 bytes where
+        // the table recorded the checksum of 5000.
+        put_behind_the_table(&c, 1, "/a", 1, 4000);
+        heals(c, |d| matches!(d, Drift::StaleObject { .. }));
+    }
+
+    #[test]
+    fn another_content_id_is_stale_even_where_the_table_has_no_checksum() {
+        let c = published_controller();
+        // An entry from before checksums existed, routed to two nodes —
+        // and node 1 holds some other object under its path.
+        put_behind_the_table(&c, 0, "/old", 7, 300);
+        put_behind_the_table(&c, 1, "/old", 8, 300);
+        c.publisher()
+            .update(|t| {
+                t.insert(
+                    p("/old"),
+                    UrlEntry::new(ContentId(7), ContentKind::StaticHtml, 300)
+                        .with_locations([NodeId(0), NodeId(1)]),
+                )
+            })
+            .unwrap();
+        heals(c, |d| matches!(d, Drift::StaleObject { expected: 0, .. }));
     }
 
     #[test]

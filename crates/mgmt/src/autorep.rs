@@ -481,7 +481,9 @@ mod tests {
                 .replica_count()
                 > 1
         );
-        assert!(controller.verify_consistency().is_empty());
+        assert!(crate::AntiEntropyAuditor::new()
+            .audit(&controller)
+            .is_clean());
         controller.shutdown();
     }
 

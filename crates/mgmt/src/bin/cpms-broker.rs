@@ -39,9 +39,10 @@
 //! from `/proc/self/task`: threads added by a TCP broker with one peer and by
 //! an in-process broker, and the wire threads' wake-ups while idle.
 
-use cpms_mgmt::{AgentError, AgentOutput, Broker, BrokerState, StoredFile};
+use cpms_mgmt::{AgentError, AgentOutput, Broker, BrokerState, ShipAgent, StoredFile};
 use cpms_model::{ContentId, NodeId, UrlPath};
 use cpms_obs::MetricsRegistry;
+use cpms_store::{ShipPort, ShipReply, ShipRequest};
 use cpms_wire::{FaultPlan, FaultyTransport, TcpTransport, Transport, WireError};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -298,9 +299,9 @@ fn smoke() {
     ));
     let doomed = cpms_wire::Client::new(poisoned).with_retry(cpms_wire::RetryPolicy::no_retry());
     let err = doomed
-        .call::<_, cpms_mgmt::AgentReply>(&cpms_mgmt::AgentRequest::List(
-            cpms_mgmt::agent::ListFiles,
-        ))
+        .call::<_, cpms_mgmt::AgentReply>(&cpms_mgmt::AgentRequest::Ship(ShipAgent {
+            request: ShipRequest::Inventory,
+        }))
         .expect_err("truncated frames cannot succeed");
     assert!(
         matches!(
@@ -311,8 +312,8 @@ fn smoke() {
     );
     // The daemon shrugged it off: a clean client still works.
     let remote = Broker::connect(NodeId(0), addr);
-    match remote.dispatch(cpms_mgmt::agent::ListFiles) {
-        Ok(AgentOutput::Listing(l)) => assert_eq!(l.len(), 2),
+    match remote.ship(&ShipRequest::Inventory) {
+        Ok(ShipReply::InventoryIs(l)) => assert_eq!(l.len(), 2),
         other => panic!("daemon should have survived poison, got {other:?}"),
     }
     eprintln!(

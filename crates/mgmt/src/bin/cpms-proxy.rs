@@ -270,12 +270,7 @@ fn dispatch(
         },
         ["metrics"] => AdminResponse::ok(shell.console().controller().metrics_json()),
         ["traces"] => AdminResponse::ok(shell.console().controller().metrics().spans().to_json()),
-        ["series"] => {
-            AdminResponse::ok(shell.console().controller().metrics().series().map_or_else(
-                || "{\"scrape_seq\":0,\"uptime_micros\":0,\"samples\":0,\"series\":{}}".to_string(),
-                |recorder| recorder.to_json(),
-            ))
-        }
+        ["series"] => AdminResponse::ok(shell.console().controller().metrics().series_json()),
         ["generation"] => AdminResponse::ok(
             shell
                 .console()

@@ -70,12 +70,6 @@ impl BrokerService {
         self.state.node()
     }
 
-    /// The broker's state.
-    #[must_use]
-    pub fn state(&self) -> &BrokerState {
-        &self.state
-    }
-
     /// Unwraps the service back into its state (after the server that
     /// owned it stopped).
     #[must_use]
@@ -433,7 +427,7 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::{DeleteFile, ListFiles, StatusProbe, StoreFile};
+    use crate::agent::{DeleteFile, StatusProbe, StoreFile};
     use crate::store::StoredFile;
     use cpms_model::{ContentId, UrlPath};
 
@@ -482,15 +476,17 @@ mod tests {
         shared
             .put(&p("/late"), ContentId(5), 3, &[1u8; 250], false)
             .unwrap();
-        let late = StoredFile {
-            content: ContentId(5),
-            size: 250,
-            version: 3,
-        };
-        assert_eq!(
-            h.dispatch(ListFiles).unwrap(),
-            AgentOutput::Listing(vec![(p("/late"), late)])
-        );
+        match h.ship(&ShipRequest::Inventory).unwrap() {
+            ShipReply::InventoryIs(l) => {
+                assert_eq!(l.len(), 1);
+                let (path, late) = &l[0];
+                assert_eq!(
+                    (path, late.content, late.size, late.version),
+                    (&p("/late"), ContentId(5), 250, 3)
+                );
+            }
+            other => panic!("{other:?}"),
+        }
         assert_eq!(
             h.dispatch(StatusProbe).unwrap(),
             AgentOutput::Status {
@@ -516,7 +512,7 @@ mod tests {
         let mut h = Broker::spawn(BrokerState::new(NodeId(0), 1000));
         h.shutdown();
         assert!(!h.is_alive());
-        let err = h.dispatch(ListFiles).unwrap_err();
+        let err = h.dispatch(StatusProbe).unwrap_err();
         assert!(matches!(err, AgentError::BrokerUnavailable(NodeId(0))));
         assert!(h.shutdown().is_none(), "second shutdown is a no-op");
     }
@@ -560,8 +556,8 @@ mod tests {
             overwrite: false,
         })
         .unwrap();
-        match h.dispatch(ListFiles).unwrap() {
-            AgentOutput::Listing(l) => {
+        match h.ship(&ShipRequest::Inventory).unwrap() {
+            ShipReply::InventoryIs(l) => {
                 assert_eq!(l.len(), 1);
                 assert_eq!(l[0].0, p("/net"));
             }

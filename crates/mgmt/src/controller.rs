@@ -12,9 +12,7 @@
 //! agents to the affected brokers, then update the URL table — so the
 //! distributor only routes to copies that actually exist.
 
-use crate::agent::{
-    AgentError, AgentOutput, DeleteFile, ListFiles, RenameFile, StatusProbe, TouchFile,
-};
+use crate::agent::{AgentError, AgentOutput, DeleteFile, RenameFile, StatusProbe, TouchFile};
 use crate::broker::{Broker, BrokerHandle};
 use crate::store::BrokerState;
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
@@ -195,33 +193,6 @@ impl Cluster {
     }
 }
 
-/// An observed divergence between the URL table and the brokers' actual
-/// file stores (see [`Controller::verify_consistency`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Inconsistency {
-    /// The table lists a location that has no copy of the file.
-    MissingCopy {
-        /// The object's path.
-        path: UrlPath,
-        /// The node that should have it.
-        node: NodeId,
-    },
-    /// A node stores a file the table doesn't know about (orphan).
-    Orphan {
-        /// The orphan's path.
-        path: UrlPath,
-        /// The node storing it.
-        node: NodeId,
-    },
-    /// Copies disagree about the content id.
-    ContentMismatch {
-        /// The object's path.
-        path: UrlPath,
-        /// The node with the divergent copy.
-        node: NodeId,
-    },
-}
-
 /// What [`Controller::evict`] did to the routing image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvictReport {
@@ -296,7 +267,6 @@ pub struct Controller {
     metrics: ControllerMetrics,
     shipper: Shipper,
     sched: TransferScheduler,
-    throttle: Option<Arc<cpms_store::TokenBucket>>,
     decommissioned: HashSet<NodeId>,
 }
 
@@ -312,17 +282,8 @@ impl Controller {
             metrics: ControllerMetrics::new(registry),
             shipper,
             sched: TransferScheduler::default(),
-            throttle: None,
             decommissioned: HashSet::new(),
         }
-    }
-
-    fn rebuild_shipper(&mut self) {
-        let mut shipper = Shipper::new().with_metrics(ShipMetrics::attach(&self.metrics.registry));
-        if let Some(bucket) = &self.throttle {
-            shipper = shipper.with_throttle(Arc::clone(bucket));
-        }
-        self.shipper = shipper;
     }
 
     /// Redirects the controller's metrics into `registry` — the
@@ -336,19 +297,7 @@ impl Controller {
         // Broker RPC latency/retry/byte counters land on the same surface.
         self.cluster.attach_metrics(registry);
         // Transfer counters and latency too.
-        self.rebuild_shipper();
-    }
-
-    /// Caps content-transfer bandwidth with a shared token bucket.
-    pub fn set_bandwidth_limit(&mut self, bucket: Arc<cpms_store::TokenBucket>) {
-        self.throttle = Some(bucket);
-        self.rebuild_shipper();
-    }
-
-    /// Caps how many transfers the controller runs concurrently during
-    /// fan-out operations (publish to N nodes).
-    pub fn set_transfer_limit(&mut self, limit: usize) {
-        self.sched = TransferScheduler::new(limit);
+        self.shipper = Shipper::new().with_metrics(ShipMetrics::attach(registry));
     }
 
     /// The transfer scheduler (in-flight/lifetime transfer counts for
@@ -881,77 +830,12 @@ impl Controller {
             })
             .collect()
     }
-
-    /// Audits the single system image: every table location must have a
-    /// matching broker copy and vice versa. Returns all divergences
-    /// (empty = consistent).
-    pub fn verify_consistency(&self) -> Vec<Inconsistency> {
-        let mut problems = Vec::new();
-        // Gather each node's actual listing.
-        let mut per_node: Vec<std::collections::HashMap<UrlPath, ContentId>> = Vec::new();
-        for i in 0..self.cluster.len() {
-            let node = NodeId(i as u16);
-            // Evicted nodes are outside the image: leftover files on
-            // their disks are expected, not orphans.
-            if self.is_decommissioned(node) {
-                per_node.push(std::collections::HashMap::new());
-                continue;
-            }
-            let listing = match self
-                .cluster
-                .broker(node)
-                .expect("index in range")
-                .dispatch(ListFiles)
-            {
-                Ok(AgentOutput::Listing(l)) => l,
-                _ => Vec::new(),
-            };
-            per_node.push(listing.into_iter().map(|(p, f)| (p, f.content)).collect());
-        }
-        // Table → brokers.
-        let table = self.table();
-        for (path, entry) in table.iter() {
-            for &node in entry.locations() {
-                match per_node.get(node.index()).and_then(|m| m.get(&path)) {
-                    None => problems.push(Inconsistency::MissingCopy {
-                        path: path.clone(),
-                        node,
-                    }),
-                    Some(&content) if content != entry.content() => {
-                        problems.push(Inconsistency::ContentMismatch {
-                            path: path.clone(),
-                            node,
-                        })
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        // Brokers → table (orphans).
-        for (i, listing) in per_node.iter().enumerate() {
-            let node = NodeId(i as u16);
-            for path in listing.keys() {
-                let hosted = table
-                    .lookup_exact(path)
-                    .map(|e| e.hosted_on(node))
-                    .unwrap_or(false);
-                if !hosted {
-                    problems.push(Inconsistency::Orphan {
-                        path: path.clone(),
-                        node,
-                    });
-                }
-            }
-        }
-        problems
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::StoreFile;
-    use crate::store::StoredFile;
+    use crate::auditor::AntiEntropyAuditor;
 
     fn p(s: &str) -> UrlPath {
         s.parse().unwrap()
@@ -959,6 +843,11 @@ mod tests {
 
     fn controller(nodes: usize) -> Controller {
         Controller::new(Cluster::start(nodes, 1 << 20))
+    }
+
+    /// Table and stores agree, by the one judge of that.
+    fn coherent(c: &Controller) -> bool {
+        AntiEntropyAuditor::new().audit(c).is_clean()
     }
 
     fn publish(c: &mut Controller, path: &str, id: u32, nodes: &[u16]) {
@@ -981,7 +870,7 @@ mod tests {
         let table = c.table();
         let entry = table.lookup(&p("/a/x.html")).unwrap();
         assert_eq!(entry.locations(), [NodeId(0), NodeId(2)]);
-        assert!(c.verify_consistency().is_empty());
+        assert!(coherent(&c));
         c.shutdown();
     }
 
@@ -1003,10 +892,7 @@ mod tests {
             err,
             MgmtError::Table(TableError::AlreadyExists { .. })
         ));
-        assert!(
-            c.verify_consistency().is_empty(),
-            "failed publish left no orphans"
-        );
+        assert!(coherent(&c), "failed publish left no orphans");
         c.shutdown();
     }
 
@@ -1026,10 +912,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, MgmtError::Agent(_)));
         assert!(c.table().is_empty());
-        assert!(
-            c.verify_consistency().is_empty(),
-            "rollback removed partial copies"
-        );
+        assert!(coherent(&c), "rollback removed partial copies");
         c.shutdown();
     }
 
@@ -1039,7 +922,7 @@ mod tests {
         publish(&mut c, "/a", 1, &[0]);
         c.replicate(&p("/a"), NodeId(1)).unwrap();
         assert_eq!(c.table().lookup(&p("/a")).unwrap().replica_count(), 2);
-        assert!(c.verify_consistency().is_empty());
+        assert!(coherent(&c));
 
         assert!(matches!(
             c.replicate(&p("/a"), NodeId(1)),
@@ -1048,7 +931,7 @@ mod tests {
 
         c.offload(&p("/a"), NodeId(0)).unwrap();
         assert_eq!(c.table().lookup(&p("/a")).unwrap().locations(), [NodeId(1)]);
-        assert!(c.verify_consistency().is_empty());
+        assert!(coherent(&c));
 
         // never drop the last copy
         assert!(matches!(
@@ -1069,7 +952,7 @@ mod tests {
         publish(&mut c, "/a", 1, &[0, 1, 2]);
         c.delete(&p("/a")).unwrap();
         assert!(c.table().is_empty());
-        assert!(c.verify_consistency().is_empty());
+        assert!(coherent(&c));
         assert!(matches!(
             c.delete(&p("/a")),
             Err(MgmtError::Table(TableError::NotFound { .. }))
@@ -1085,7 +968,7 @@ mod tests {
         c.rename(&p("/img"), &p("/media")).unwrap();
         assert!(c.table().lookup(&p("/media/a.gif")).is_some());
         assert!(c.table().lookup(&p("/media/deep/b.gif")).is_some());
-        assert!(c.verify_consistency().is_empty());
+        assert!(coherent(&c));
         c.shutdown();
     }
 
@@ -1118,42 +1001,6 @@ mod tests {
             Ok(AgentOutput::Status { files, .. }) => assert_eq!(*files, 1),
             other => panic!("{other:?}"),
         }
-        c.shutdown();
-    }
-
-    #[test]
-    fn consistency_detects_orphan_and_missing() {
-        let mut c = controller(2);
-        publish(&mut c, "/a", 1, &[0]);
-        // sabotage: delete the file behind the controller's back
-        c.cluster
-            .broker(NodeId(0))
-            .unwrap()
-            .dispatch(DeleteFile { path: p("/a") })
-            .unwrap();
-        let problems = c.verify_consistency();
-        assert!(problems
-            .iter()
-            .any(|i| matches!(i, Inconsistency::MissingCopy { .. })));
-
-        // sabotage: store an unknown file directly
-        c.cluster
-            .broker(NodeId(1))
-            .unwrap()
-            .dispatch(StoreFile {
-                path: p("/ghost"),
-                file: StoredFile {
-                    content: ContentId(9),
-                    size: 1,
-                    version: 0,
-                },
-                overwrite: false,
-            })
-            .unwrap();
-        let problems = c.verify_consistency();
-        assert!(problems
-            .iter()
-            .any(|i| matches!(i, Inconsistency::Orphan { .. })));
         c.shutdown();
     }
 

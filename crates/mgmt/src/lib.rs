@@ -13,8 +13,8 @@
 //!   holds). The
 //!   paper implements brokers in Java for portability; here each broker is
 //!   a [`cpms_wire::Service`] reachable over a [`cpms_wire`] transport —
-//!   in-process channels ([`WireMode::InProc`]) or a real TCP daemon
-//!   ([`WireMode::Tcp`], the `cpms-broker` binary).
+//!   in process, run on the dispatching thread ([`WireMode::InProc`]), or
+//!   a real TCP daemon ([`WireMode::Tcp`], the `cpms-broker` binary).
 //! - [`agent::AgentRequest`] — a management function shipped to a broker
 //!   as a serialized wire message ("mobile code"): delete a file, store a
 //!   file, replicate content from a peer, report status. New functions are

@@ -39,7 +39,7 @@
 
 use crate::auditor::AntiEntropyAuditor;
 use crate::console::RemoteConsole;
-use crate::monitor::ClusterMonitor;
+use crate::monitor::{ClusterMonitor, NodeTransportHealth};
 use cpms_model::{ContentId, ContentKind, NodeId, UrlPath};
 use cpms_obs::{SloVerdict, SpanId, SpanRecord, TraceId};
 use cpms_store::{ShipPort, ShipReply, ShipRequest, StoreStats};
@@ -279,13 +279,6 @@ impl Shell {
                     "store"
                 );
                 for row in &rows {
-                    let state = if row.down {
-                        "down"
-                    } else if row.consecutive_misses > 0 {
-                        "suspect"
-                    } else {
-                        "up"
-                    };
                     let rtt = if row.last_rtt_ns == 0 {
                         "-".to_string()
                     } else {
@@ -300,7 +293,7 @@ impl Shell {
                         "{:<5} {:<8} {:<8} {:>10} {:>6} {:>6} {:>8} {:>9} {:>10} {:>10}",
                         row.node.to_string(),
                         row.transport,
-                        state,
+                        state_label(row),
                         rtt,
                         row.consecutive_misses,
                         row.calls,
@@ -373,17 +366,13 @@ impl Shell {
                 ))
             }
             "audit" => {
-                let problems = self.console.controller().verify_consistency();
                 let report = AntiEntropyAuditor::new().audit(self.console.controller());
-                if problems.is_empty() && report.is_clean() {
+                if report.is_clean() {
                     Ok(ShellOutcome::Output(
                         "consistent: URL table and brokers agree".to_string(),
                     ))
                 } else {
                     let mut out = String::new();
-                    for p in &problems {
-                        let _ = writeln!(out, "INCONSISTENT: {p:?}");
-                    }
                     for d in &report.drift {
                         let _ = writeln!(out, "DRIFT: {d}");
                     }
@@ -482,13 +471,7 @@ impl Shell {
             "node", "state", "objects", "used", "capacity"
         );
         for row in &rows {
-            let state = if row.down {
-                "down"
-            } else if row.consecutive_misses > 0 {
-                "suspect"
-            } else {
-                "up"
-            };
+            let state = state_label(row);
             match self.store_stats(row.node) {
                 Some(s) => {
                     let _ = writeln!(
@@ -685,6 +668,17 @@ fn render_trace_tree(records: &[SpanRecord]) -> String {
         records.len()
     );
     out
+}
+
+/// A node's reachability as `nodes` and `top` print it.
+fn state_label(row: &NodeTransportHealth) -> &'static str {
+    if row.down {
+        "down"
+    } else if row.consecutive_misses > 0 {
+        "suspect"
+    } else {
+        "up"
+    }
 }
 
 fn expect_args<'a, const N: usize>(
@@ -900,6 +894,26 @@ mod tests {
         // repair heals it; the follow-up audit is healthy again.
         assert!(out(&mut sh, "repair").contains("repaired"));
         assert!(out(&mut sh, "audit").starts_with("consistent"));
+        sh.shutdown();
+    }
+
+    #[test]
+    fn audit_asks_each_node_for_one_inventory_and_one_verify_per_routed_copy() {
+        let mut sh = shell();
+        assert!(out(&mut sh, "publish /a.html html 600 0,1").starts_with("published"));
+        assert!(out(&mut sh, "publish /b.html html 600 1").starts_with("published"));
+        assert!(out(&mut sh, "publish /c.html html 600 0,1").starts_with("published"));
+        let calls = |sh: &Shell| -> Vec<u64> {
+            let cluster = sh.console.controller().cluster();
+            (0..3)
+                .map(|n| cluster.broker(NodeId(n)).unwrap().transport_stats().calls)
+                .collect()
+        };
+        let before = calls(&sh);
+        assert!(out(&mut sh, "audit").starts_with("consistent"));
+        let cost: Vec<u64> = calls(&sh).iter().zip(&before).map(|(a, b)| a - b).collect();
+        // n0 is routed 2 copies, n1 3, n2 none.
+        assert_eq!(cost, [1 + 2, 1 + 3, 1], "one pass, no second listing");
         sh.shutdown();
     }
 

@@ -2,17 +2,18 @@
 //!
 //! The content store is the only record of what the node holds — bytes,
 //! sizes, versions, checksums and the disk quota all live in its
-//! manifest. [`BrokerState`] hands that store to the agents; the agent
-//! protocol reports each object as a [`StoredFile`].
+//! manifest. [`BrokerState`] hands that store to the agents; a
+//! [`StoredFile`] is how the agent protocol describes a file to store.
 
 use cpms_model::{ContentId, NodeId};
 use cpms_store::ContentStore;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// One file as the agent protocol describes it (the rows of a
-/// [`crate::AgentOutput::Listing`], the payload of a
-/// [`crate::agent::StoreFile`]).
+/// One file as the agent protocol describes it: the payload of a
+/// [`crate::agent::StoreFile`]. What a node holds is reported by its
+/// store's inventory ([`cpms_store::ShipRequest::Inventory`]), not in
+/// these terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StoredFile {
     /// Which content object this file is a copy of.

@@ -5,7 +5,7 @@
 //! operation sequences.
 
 use cpms_mgmt::console::RemoteConsole;
-use cpms_mgmt::{Cluster, Controller};
+use cpms_mgmt::{AntiEntropyAuditor, Cluster, Controller};
 use cpms_model::{ContentId, ContentKind, NodeId, UrlPath};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -113,9 +113,9 @@ proptest! {
                     }
                 }
             }
-            // Invariant: brokers and table agree after every operation.
-            let problems = console.controller().verify_consistency();
-            prop_assert!(problems.is_empty(), "inconsistent: {problems:?}");
+            // Invariant: stores and table agree after every operation.
+            let audit = AntiEntropyAuditor::new().audit(console.controller());
+            prop_assert!(audit.is_clean(), "inconsistent: {audit:?}");
         }
 
         // Final: the console view matches the model exactly.

@@ -182,6 +182,17 @@ impl MetricsRegistry {
         self.series.lock().expect("series slot lock").clone()
     }
 
+    /// The `/_cpms/series.json` document: the installed recorder's
+    /// ([`SeriesRecorder::to_json`]), or an empty one stamped zero when no
+    /// recorder is installed, so scrapers parse one shape either way.
+    #[must_use]
+    pub fn series_json(&self) -> String {
+        self.series().map_or_else(
+            || "{\"scrape_seq\":0,\"uptime_micros\":0,\"samples\":0,\"series\":{}}".to_string(),
+            |recorder| recorder.to_json(),
+        )
+    }
+
     /// Installs `watchdog` as this registry's SLO evaluator (normally
     /// via [`SloWatchdog::install`], which also registers its metrics).
     pub fn set_watchdog(&self, watchdog: Arc<SloWatchdog>) {

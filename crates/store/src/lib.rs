@@ -9,9 +9,8 @@
 //! quota/disk-usage accounting. Between nodes, content moves over
 //! `cpms-wire` through the ship protocol ([`ShipRequest`] /
 //! [`ShipReply`]): resumable chunked transfers with per-chunk checksum
-//! validation, bounded-retry resume after connection loss, optional
-//! [`TokenBucket`] bandwidth throttling, and a bounded-concurrency
-//! [`TransferScheduler`] for controller-side fan-out.
+//! validation, bounded-retry resume after connection loss, and a
+//! bounded-concurrency [`TransferScheduler`] for controller-side fan-out.
 //!
 //! The load-bearing invariant the rest of the system builds on:
 //! **commit before publish**. An object only becomes visible (readable,
@@ -27,7 +26,6 @@ mod object;
 mod sched;
 mod ship;
 mod store;
-mod throttle;
 
 pub use object::{fnv64, hex_decode, hex_encode, synthetic_body, ObjectMeta, DEFAULT_CHUNK_SIZE};
 pub use sched::TransferScheduler;
@@ -36,4 +34,3 @@ pub use ship::{
     Shipper, StoreClient, StoreService, SHIP_DEADLINE,
 };
 pub use store::{ContentStore, StoreError, StoreStats};
-pub use throttle::TokenBucket;

@@ -12,7 +12,6 @@ use std::sync::{Condvar, Mutex};
 /// Runs transfer jobs with at most `limit` in flight at once.
 #[derive(Debug)]
 pub struct TransferScheduler {
-    limit: usize,
     slots: Mutex<usize>,
     freed: Condvar,
     inflight: AtomicU64,
@@ -23,20 +22,12 @@ impl TransferScheduler {
     /// A scheduler allowing `limit` concurrent transfers (min 1).
     #[must_use]
     pub fn new(limit: usize) -> Self {
-        let limit = limit.max(1);
         TransferScheduler {
-            limit,
-            slots: Mutex::new(limit),
+            slots: Mutex::new(limit.max(1)),
             freed: Condvar::new(),
             inflight: AtomicU64::new(0),
             started_total: AtomicU64::new(0),
         }
-    }
-
-    /// The concurrency cap.
-    #[must_use]
-    pub fn limit(&self) -> usize {
-        self.limit
     }
 
     /// Transfers running right now (the console's "in-flight" column).

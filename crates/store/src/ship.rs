@@ -19,14 +19,12 @@
 //! The sending half is [`Shipper`]: it drives a [`ShipPort`] (any
 //! request/reply funnel to a remote store — a raw wire [`StoreClient`] or
 //! a broker dispatch adapter), re-sends individual rejected chunks
-//! (bounded per-chunk retries), resumes whole transfers after connection
-//! loss (bounded resume count, restarting from the receiver's reported
-//! progress), and optionally throttles through a
-//! [`TokenBucket`](crate::throttle::TokenBucket).
+//! (bounded per-chunk retries) and resumes whole transfers after
+//! connection loss (bounded resume count, restarting from the receiver's
+//! reported progress).
 
 use crate::object::{fnv64, hex_decode, hex_encode, ObjectMeta};
 use crate::store::{ContentStore, StoreError, StoreStats};
-use crate::throttle::TokenBucket;
 use cpms_model::{ContentId, UrlPath};
 use cpms_obs::{Counter, Gauge, HistogramRecorder, MetricsRegistry};
 use cpms_wire::{Client, RetryPolicy, Transport, WireError};
@@ -377,12 +375,6 @@ impl StoreClient {
         }
     }
 
-    /// Replaces the wrapped client (deadline/retry tuning).
-    #[must_use]
-    pub fn with_client(client: Client) -> Self {
-        StoreClient { client }
-    }
-
     /// The wrapped wire client (stats, metrics attachment).
     #[must_use]
     pub fn client(&self) -> &Client {
@@ -513,43 +505,24 @@ pub struct ShipOutcome {
     pub chunk_retries: u32,
 }
 
-/// Drives push and pull transfers over a [`ShipPort`].
+/// Per-chunk attempts before the whole transfer resumes.
+const CHUNK_ATTEMPTS: u32 = 3;
+
+/// Whole-transfer resume budget after connection loss.
+const MAX_RESUMES: u32 = 8;
+
+/// Drives push and pull transfers over a [`ShipPort`]: 3 attempts per
+/// chunk, 8 whole-transfer resumes.
 #[derive(Debug, Default)]
 pub struct Shipper {
-    /// Per-chunk attempts before the whole transfer resumes (≥ 1).
-    chunk_attempts: u32,
-    /// Whole-transfer resume budget after connection loss.
-    max_resumes: u32,
-    throttle: Option<Arc<TokenBucket>>,
     metrics: Option<ShipMetrics>,
 }
 
 impl Shipper {
-    /// A shipper with default bounds: 3 attempts per chunk, 8 resumes.
+    /// A shipper that records no metrics.
     #[must_use]
     pub fn new() -> Self {
-        Shipper {
-            chunk_attempts: 3,
-            max_resumes: 8,
-            throttle: None,
-            metrics: None,
-        }
-    }
-
-    /// Sets the per-chunk and whole-transfer retry bounds.
-    #[must_use]
-    pub fn with_limits(mut self, chunk_attempts: u32, max_resumes: u32) -> Self {
-        self.chunk_attempts = chunk_attempts.max(1);
-        self.max_resumes = max_resumes;
-        self
-    }
-
-    /// Throttles transfer bandwidth through `bucket` (shared across
-    /// shippers for a global cap).
-    #[must_use]
-    pub fn with_throttle(mut self, bucket: Arc<TokenBucket>) -> Self {
-        self.throttle = Some(bucket);
-        self
+        Shipper::default()
     }
 
     /// Records transfer counters/latency into `metrics`.
@@ -557,12 +530,6 @@ impl Shipper {
     pub fn with_metrics(mut self, metrics: ShipMetrics) -> Self {
         self.metrics = Some(metrics);
         self
-    }
-
-    fn throttle_take(&self, bytes: u64) {
-        if let Some(bucket) = &self.throttle {
-            bucket.take(bytes);
-        }
     }
 
     /// Ships `body` to the remote store as `path`, resuming through
@@ -655,7 +622,7 @@ impl Shipper {
                     outcome.meta = committed;
                     break Ok(());
                 }
-                Err(e) if e.is_resumable() && outcome.resumes < self.max_resumes => {
+                Err(e) if e.is_resumable() && outcome.resumes < MAX_RESUMES => {
                     outcome.resumes += 1;
                     if let Some(m) = &self.metrics {
                         m.resumes.inc();
@@ -754,14 +721,13 @@ impl Shipper {
             checksum,
         };
         let mut last: Option<ShipError> = None;
-        for attempt in 0..self.chunk_attempts {
+        for attempt in 0..CHUNK_ATTEMPTS {
             if attempt > 0 {
                 outcome.chunk_retries += 1;
                 if let Some(m) = &self.metrics {
                     m.chunk_retries.inc();
                 }
             }
-            self.throttle_take(chunk.len() as u64);
             match port.ship_tail(&request, chunk).map(|(reply, _tail)| reply) {
                 Ok(ShipReply::ChunkOk) => {
                     outcome.chunks_sent += 1;
@@ -850,14 +816,13 @@ impl Shipper {
             index,
         };
         let mut last: Option<ShipError> = None;
-        let attempts = self.chunk_attempts.max(1) + self.max_resumes;
+        let attempts = CHUNK_ATTEMPTS + MAX_RESUMES;
         for attempt in 0..attempts {
             if attempt > 0 {
                 if let Some(m) = &self.metrics {
                     m.chunk_retries.inc();
                 }
             }
-            self.throttle_take(expected_len as u64);
             match port.ship_tail(&request, &[]) {
                 Ok((ShipReply::ChunkData { data, .. }, _)) if !data.is_empty() => {
                     return Err(ShipError::Protocol {
@@ -1152,12 +1117,10 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_throttle_observe_transfer() {
+    fn metrics_observe_transfer() {
         let (_store, client) = spawn_store(0, 1 << 20);
         let registry = Arc::new(MetricsRegistry::new());
-        let shipper = Shipper::new()
-            .with_metrics(ShipMetrics::attach(&registry))
-            .with_throttle(Arc::new(TokenBucket::new(10 << 20, 1 << 20)));
+        let shipper = Shipper::new().with_metrics(ShipMetrics::attach(&registry));
         let body = synthetic_body(ContentId(4), 20_000);
         shipper
             .push(&client, &p("/m"), ContentId(4), 0, &body, false)

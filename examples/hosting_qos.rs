@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p cpms-core --example hosting_qos`
 
 use cpms_mgmt::console::RemoteConsole;
-use cpms_mgmt::{Cluster, Controller};
+use cpms_mgmt::{AntiEntropyAuditor, Cluster, Controller};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 
 fn main() {
@@ -98,11 +98,8 @@ fn main() {
     );
 
     // The audit proves brokers and the URL table agree.
-    let problems = console.controller().verify_consistency();
-    assert!(
-        problems.is_empty(),
-        "single system image intact: {problems:?}"
-    );
+    let audit = AntiEntropyAuditor::new().audit(console.controller());
+    assert!(audit.is_clean(), "single system image intact: {audit:?}");
     println!("consistency audit: table and brokers agree on every copy");
     console.shutdown();
 }

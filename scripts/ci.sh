@@ -49,4 +49,10 @@ cargo test --release --locked --manifest-path perfbench/Cargo.toml
 timeout --signal=KILL 180 cargo run --release --locked --quiet --manifest-path perfbench/Cargo.toml --bin cpms-bench -- run --smoke
 git diff --exit-code -- perfbench BENCHMARK.json
 
+echo "==> .rs lines per crate (ROADMAP item 7's count: crates/*, tests included)"
+for crate in crates/*; do
+    printf '%-18s %6d\n' "$crate" "$(find "$crate" -name '*.rs' -exec cat {} + | wc -l)"
+done
+printf '%-18s %6d\n' total "$(find crates -name '*.rs' -exec cat {} + | wc -l)"
+
 echo "ci: all gates passed"

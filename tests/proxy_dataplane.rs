@@ -288,3 +288,62 @@ fn connections_over_the_cap_shed_fast_503s() {
     assert_eq!(client.get("/a.html").unwrap().status, 200);
     proxy.shutdown();
 }
+
+/// A backend's response head is outside input: one announcing a body no
+/// allocator can hold must cost that exchange — a truncated 200 or a
+/// 502 — and nothing else. The proxy process, its workers and every
+/// other connection carry on.
+#[test]
+fn hostile_backend_content_length_costs_one_exchange_not_the_process() {
+    // Node 1 answers every request with the hostile head, two body
+    // bytes, and a close.
+    let hostile = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let hostile_addr = hostile.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for stream in hostile.incoming() {
+            let Ok(mut stream) = stream else { return };
+            std::thread::spawn(move || {
+                let mut head = Vec::new();
+                let mut byte = [0u8; 1];
+                while !head.ends_with(b"\r\n\r\n") {
+                    match stream.read(&mut byte) {
+                        Ok(1) => head.push(byte[0]),
+                        _ => return,
+                    }
+                }
+                let _ = stream
+                    .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 4611686018427387904\r\n\r\nxx");
+            });
+        }
+    });
+
+    let (origin, mut table) = single_origin();
+    table
+        .insert(
+            p("/evil.html"),
+            UrlEntry::new(ContentId(9), ContentKind::StaticHtml, 16).with_locations([NodeId(1)]),
+        )
+        .unwrap();
+    let mut proxy = ContentAwareProxy::start(table, vec![origin.addr(), hostile_addr], 2).unwrap();
+
+    let mut victim = TcpStream::connect(proxy.addr()).unwrap();
+    victim
+        .write_all(b"GET /evil.html HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    victim
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut got = Vec::new();
+    victim.read_to_end(&mut got).unwrap();
+    let text = String::from_utf8_lossy(&got);
+    assert!(
+        text.starts_with("HTTP/1.1 200") && text.ends_with("\r\n\r\nxx")
+            || text.starts_with("HTTP/1.1 502"),
+        "a short 200 or a 502: {text:?}"
+    );
+
+    let mut fresh = HttpClient::connect(proxy.addr()).unwrap();
+    let resp = fresh.get("/a.html").unwrap();
+    assert_eq!((resp.status, &resp.body[..]), (200, &b"alpha-body"[..]));
+    proxy.shutdown();
+}

@@ -408,7 +408,6 @@ fn killed_transfer_never_publishes_uncommitted_replica() {
             0,
             "no generation ever routed to a node lacking committed bytes"
         );
-        assert!(controller.verify_consistency().is_empty());
         assert!(AntiEntropyAuditor::new().audit(&controller).is_clean());
         controller.shutdown();
     })
