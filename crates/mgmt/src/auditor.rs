@@ -15,7 +15,7 @@
 
 use crate::controller::Controller;
 use cpms_model::{NodeId, UrlPath};
-use cpms_store::{ObjectMeta, ShipPort, ShipReply, ShipRequest, Shipper};
+use cpms_store::{ObjectMeta, ShipPort, ShipReply, ShipRequest, Shipper, StoreError};
 use cpms_urltable::UrlEntry;
 use std::collections::HashMap;
 use std::fmt;
@@ -251,15 +251,16 @@ impl AntiEntropyAuditor {
         report
     }
 
-    /// Pulls verified bytes for `path` from any healthy replica other
-    /// than `avoid`.
+    /// Pulls verified bytes for `path` — with the chunk sums the pull
+    /// verified them against — from any healthy replica other than
+    /// `avoid`.
     fn pull_healthy(
         &self,
         controller: &Controller,
         entry: &UrlEntry,
         path: &UrlPath,
         avoid: NodeId,
-    ) -> Result<(ObjectMeta, Vec<u8>), String> {
+    ) -> Result<(ObjectMeta, Vec<u64>, Vec<u8>), String> {
         let mut last = "no other replica".to_string();
         for &source in entry.locations() {
             if source == avoid {
@@ -269,14 +270,14 @@ impl AntiEntropyAuditor {
                 continue;
             };
             match self.shipper.pull(handle, path) {
-                Ok((meta, body)) => {
+                Ok((meta, sums, body)) => {
                     if meta.content != entry.content()
                         || (entry.checksum() != 0 && meta.checksum != entry.checksum())
                     {
                         last = format!("{source} also stale ({:#x})", meta.checksum);
                         continue;
                     }
-                    return Ok((meta, body));
+                    return Ok((meta, sums, body));
                 }
                 Err(e) => last = e.to_string(),
             }
@@ -297,7 +298,7 @@ impl AntiEntropyAuditor {
                     match table.lookup_exact(path) {
                         None => Err("no longer in the table".to_string()),
                         Some(entry) => self.pull_healthy(controller, entry, path, *node).and_then(
-                            |(meta, body)| {
+                            |(meta, sums, body)| {
                                 let handle = controller
                                     .cluster()
                                     .broker(*node)
@@ -312,7 +313,7 @@ impl AntiEntropyAuditor {
                                         handle.ship(&ShipRequest::Delete { path: path.clone() });
                                 }
                                 self.shipper
-                                    .push_meta(handle, path, meta, &body, true)
+                                    .push_described(handle, path, meta, &sums, &body, true)
                                     .map(|_| ())
                                     .map_err(|e| e.to_string())
                             },
@@ -325,7 +326,10 @@ impl AntiEntropyAuditor {
                     .ok_or("node gone".to_string())
                     .and_then(|handle| {
                         match handle.ship(&ShipRequest::Delete { path: path.clone() }) {
-                            Ok(ShipReply::Deleted(_)) => Ok(()),
+                            // Gone is gone: a delete retried after a
+                            // lost ack finds nothing left to delete.
+                            Ok(ShipReply::Deleted(_))
+                            | Ok(ShipReply::Err(StoreError::NotFound { .. })) => Ok(()),
                             Ok(other) => Err(format!("delete answered {other:?}")),
                             Err(e) => Err(e.to_string()),
                         }
@@ -427,6 +431,42 @@ mod tests {
         let handle = c.cluster().broker(NodeId(1)).unwrap();
         handle.ship(&ShipRequest::Delete { path: p("/a") }).unwrap();
         heals(c, |d| matches!(d, Drift::MissingObject { .. }));
+    }
+
+    /// Delivers every request twice and answers with the second reply:
+    /// what a client sees whose first ack was lost and whose retry
+    /// arrived.
+    #[derive(Debug)]
+    struct Redelivering(std::sync::Arc<dyn cpms_wire::Transport>);
+
+    impl cpms_wire::Transport for Redelivering {
+        fn call(
+            &self,
+            request: &[u8],
+            deadline: std::time::Duration,
+        ) -> Result<Vec<u8>, cpms_wire::WireError> {
+            self.0.call(request, deadline)?;
+            self.0.call(request, deadline)
+        }
+
+        fn kind(&self) -> &'static str {
+            "redelivering"
+        }
+    }
+
+    #[test]
+    fn an_orphan_delete_answered_not_found_on_replay_is_still_a_repair() {
+        use crate::{broker::Broker, store::BrokerState};
+        let handles = (0..2u16)
+            .map(|n| {
+                Broker::spawn_wrapped(BrokerState::new(NodeId(n), 1 << 20), |inner| {
+                    std::sync::Arc::new(Redelivering(inner))
+                })
+            })
+            .collect();
+        let c = Controller::new(Cluster::from_handles(handles));
+        put_behind_the_table(&c, 1, "/rogue", 9, 100);
+        heals(c, |d| matches!(d, Drift::OrphanObject { .. }));
     }
 
     #[test]

@@ -571,12 +571,12 @@ impl Controller {
             .collect::<Result<_, _>>()?;
         let shipper = &self.shipper;
         // One description of the body for every replica: the bytes are
-        // hashed once per publication, not once per copy.
-        let meta =
-            cpms_store::ObjectMeta::for_body(content, body, cpms_store::DEFAULT_CHUNK_SIZE, 0);
+        // hashed once per publication — whole-object checksum and chunk
+        // sums in one walk — not once per copy.
+        let (meta, sums) = shipper.describe(content, body, cpms_store::DEFAULT_CHUNK_SIZE, 0);
         let results = self.sched.run(handles, |_, handle| {
             shipper
-                .push_described(handle, path, meta, body, false)
+                .push_described(handle, path, meta, &sums, body, false)
                 .map(|outcome| (handle.node(), outcome))
         });
         let mut stored: Vec<NodeId> = Vec::new();
@@ -692,7 +692,7 @@ impl Controller {
                 Err(e) => last_err = Some(e),
             }
         }
-        let (meta, body) = match pulled {
+        let (meta, sums, body) = match pulled {
             Some(x) => x,
             None => {
                 return Err(last_err.unwrap_or(MgmtError::Agent(AgentError::Store(
@@ -700,8 +700,10 @@ impl Controller {
                 ))))
             }
         };
+        // The pull verified these sums against these bytes: send them on
+        // without hashing the body again.
         self.shipper
-            .push_meta(self.broker(target)?, path, meta, &body, false)
+            .push_described(self.broker(target)?, path, meta, &sums, &body, false)
             .map_err(|e| Self::ship_failure(target, e))?;
         // Commit before publish: the location becomes routable only now.
         self.update_table(|t| t.add_location(path, target))?;

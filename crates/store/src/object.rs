@@ -9,11 +9,16 @@
 use cpms_model::ContentId;
 use serde::{Deserialize, Serialize};
 
-/// Default shipping chunk size in bytes (4 KiB, one page).
-pub const DEFAULT_CHUNK_SIZE: u32 = 4096;
+/// Default shipping chunk size in bytes: 64 KiB, where the measured
+/// `store.ship_mib_s_*` curve flattens (DESIGN §12). Recorded per object
+/// in its [`ObjectMeta`], so stores written under another default keep
+/// the geometry they were written with.
+pub const DEFAULT_CHUNK_SIZE: u32 = 64 * 1024;
 
-/// FNV-1a 64-bit over `bytes` — the same hash family `cpms-wire` frames
-/// use, applied here per chunk and per whole object.
+/// The FNV-1a 64 state before any byte: `fnv64(b"")`.
+pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit over `bytes`, applied per chunk and per whole object.
 #[must_use]
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
@@ -22,6 +27,25 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
+}
+
+/// One pass over `bytes` for two sums: `(fnv64(bytes), running')`, where
+/// `running'` continues the FNV-1a state `running` over the same bytes —
+/// so a whole-object sum is folded chunk by chunk
+/// (`fnv64(a ++ b) == fnv64_fold(fnv64(a), b).1`) by the pass that checks
+/// each chunk. The two chains are independent, and one chain's xor → mul
+/// dependency leaves the multiplier idle three cycles in four: both run
+/// in the time of one.
+#[must_use]
+pub(crate) fn fnv64_fold(running: u64, bytes: &[u8]) -> (u64, u64) {
+    const PRIME: u64 = 0x100_0000_01b3;
+    let mut own = FNV_BASIS;
+    let mut running = running;
+    for &b in bytes {
+        own = (own ^ u64::from(b)).wrapping_mul(PRIME);
+        running = (running ^ u64::from(b)).wrapping_mul(PRIME);
+    }
+    (own, running)
 }
 
 /// Lower-hex encodes `bytes`. Names on-disk object files (the hex of the
@@ -85,11 +109,48 @@ impl ObjectMeta {
     /// If `chunk_size` is zero.
     #[must_use]
     pub fn for_body(content: ContentId, body: &[u8], chunk_size: u32, version: u64) -> Self {
+        Self::walk(content, body, chunk_size, version, |_sum| {})
+    }
+
+    /// [`ObjectMeta::for_body`] plus the `fnv64` of every chunk, in chunk
+    /// order, from the same single walk over `body`: everything a sender
+    /// announces about an object, however many replicas it goes to.
+    ///
+    /// # Panics
+    ///
+    /// If `chunk_size` is zero.
+    #[must_use]
+    pub fn describe(
+        content: ContentId,
+        body: &[u8],
+        chunk_size: u32,
+        version: u64,
+    ) -> (Self, Vec<u64>) {
+        let mut sums = Vec::new();
+        let meta = Self::walk(content, body, chunk_size, version, |sum| sums.push(sum));
+        (meta, sums)
+    }
+
+    /// The one loop that hashes a body: hands each chunk's sum to
+    /// `chunk_sum` and folds the whole-object checksum beside it.
+    fn walk(
+        content: ContentId,
+        body: &[u8],
+        chunk_size: u32,
+        version: u64,
+        mut chunk_sum: impl FnMut(u64),
+    ) -> Self {
         assert!(chunk_size > 0, "chunk size must be positive");
+        let mut checksum = FNV_BASIS;
+        for chunk in body.chunks(chunk_size as usize) {
+            let (own, running) = fnv64_fold(checksum, chunk);
+            chunk_sum(own);
+            checksum = running;
+        }
         ObjectMeta {
             content,
             size: body.len() as u64,
-            checksum: fnv64(body),
+            checksum,
             chunk_size,
             version,
         }
@@ -157,8 +218,33 @@ mod tests {
     #[test]
     fn fnv_distinguishes_and_is_stable() {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        // Manifests and URL tables written by earlier builds record this
+        // function's values: they may never move.
+        assert_eq!(
+            fnv64(&synthetic_body(ContentId(7), 1000)),
+            0x7639_8490_598c_aceb
+        );
         assert_ne!(fnv64(b"abc"), fnv64(b"abd"));
         assert_eq!(fnv64(b"abc"), fnv64(b"abc"));
+    }
+
+    #[test]
+    fn one_walk_describes_every_chunk_and_the_whole_body() {
+        const CHUNK: usize = 512;
+        for size in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+            let body = synthetic_body(ContentId(11), size as u64);
+            let (meta, sums) = ObjectMeta::describe(ContentId(11), &body, CHUNK as u32, 4);
+            assert_eq!(meta.checksum, fnv64(&body), "{size} B");
+            assert_eq!(
+                meta,
+                ObjectMeta::for_body(ContentId(11), &body, CHUNK as u32, 4)
+            );
+            assert_eq!(sums.len(), meta.chunk_count() as usize, "{size} B");
+            for (i, sum) in sums.iter().enumerate() {
+                let chunk = &body[meta.chunk_range(i as u32).unwrap()];
+                assert_eq!(*sum, fnv64(chunk), "{size} B, chunk {i}");
+            }
+        }
     }
 
     #[test]

@@ -63,27 +63,26 @@ impl TransferScheduler {
     }
 
     /// Runs `job` once per item concurrently (capped), returning results
-    /// in item order. Blocks until every job finishes.
+    /// in item order. Blocks until every job finishes. The first job runs
+    /// on the calling thread — which would otherwise only wait — and each
+    /// further one on a scoped thread of its own, so a single-target op
+    /// spawns nothing.
     pub fn run<T, R, F>(&self, items: Vec<T>, job: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(usize, T) -> R + Sync,
     {
-        if items.len() <= 1 {
-            // Inline fast path: no thread spawn for single-target ops.
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    self.acquire();
-                    let r = job(i, item);
-                    self.release();
-                    r
-                })
-                .collect();
-        }
-        let job = &job;
+        let run_one = &|i, item| {
+            self.acquire();
+            let r = job(i, item);
+            self.release();
+            r
+        };
+        let mut items = items.into_iter().enumerate();
+        let Some((_, first)) = items.next() else {
+            return Vec::new();
+        };
         // Worker threads start with an empty trace-context thread-local;
         // carry the caller's context across the spawn so fan-out RPCs
         // stay children of the publishing span instead of rooting their
@@ -91,21 +90,19 @@ impl TransferScheduler {
         let ctx = TraceContext::current();
         std::thread::scope(|scope| {
             let handles: Vec<_> = items
-                .into_iter()
-                .enumerate()
                 .map(|(i, item)| {
                     scope.spawn(move || {
                         let _trace = ctx.map(ScopedTrace::activate);
-                        self.acquire();
-                        let r = job(i, item);
-                        self.release();
-                        r
+                        run_one(i, item)
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("transfer job panicked"))
+            std::iter::once(run_one(0, first))
+                .chain(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("transfer job panicked")),
+                )
                 .collect()
         })
     }
@@ -161,6 +158,22 @@ mod tests {
         let out = sched.run(vec![7u32], |_, item| (std::thread::current().id(), item));
         assert_eq!(out[0].0, here);
         assert_eq!(out[0].1, 7);
+    }
+
+    #[test]
+    fn first_job_runs_on_the_calling_thread() {
+        let sched = TransferScheduler::new(4);
+        let here = std::thread::current().id();
+        let out = sched.run(vec![10u32, 11, 12], |i, item| {
+            (i, item, std::thread::current().id())
+        });
+        assert_eq!(out[0], (0, 10, here));
+        for (i, (idx, item, thread)) in out.iter().enumerate().skip(1) {
+            assert_eq!((*idx, *item), (i, 10 + i as u32), "results keep item order");
+            assert_ne!(*thread, here, "job {i} got a thread of its own");
+        }
+        assert_eq!(sched.started_total(), 3);
+        assert!(sched.run(Vec::<u32>::new(), |_, item| item).is_empty());
     }
 
     #[test]

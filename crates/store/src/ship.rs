@@ -5,10 +5,14 @@
 //! (or resumes) a staged transfer, `Chunk` ships one checksummed piece,
 //! `Commit` verifies and atomically installs, plus `Fetch`/`Meta` (pull
 //! side), `Verify`, `Inventory`, `Stat`, and `Gc` for the anti-entropy
-//! auditor and the console. Every message is idempotent, so the protocol
-//! is safe over an at-least-once lossy transport: a duplicated `Chunk`
-//! re-stages identical bytes, a replayed `Commit` after a lost ack finds
-//! the committed object and succeeds.
+//! auditor and the console. Every message leaves the same state however
+//! often it is delivered, so the protocol is safe over an at-least-once
+//! lossy transport: a duplicated `Chunk` re-stages identical bytes, a
+//! replayed `Begin` resumes, and a replayed `Commit` after a lost ack
+//! finds the committed object and succeeds. One *reply* does differ on
+//! replay: a `Delete` whose ack was lost is answered
+//! `Err(NotFound)` the second time — the object is gone either way, so
+//! callers on a lossy wire accept both answers and judge by the state.
 //!
 //! Chunk bytes never ride as JSON text: `Chunk` carries them as the
 //! request payload's raw tail and `Fetch` is answered with them as the
@@ -23,7 +27,9 @@
 //! connection loss (bounded resume count, restarting from the receiver's
 //! reported progress).
 
-use crate::object::{fnv64, hex_decode, hex_encode, ObjectMeta};
+use crate::object::{
+    fnv64_fold, hex_decode, hex_encode, ObjectMeta, DEFAULT_CHUNK_SIZE, FNV_BASIS,
+};
 use crate::store::{ContentStore, StoreError, StoreStats};
 use cpms_model::{ContentId, UrlPath};
 use cpms_obs::{Counter, Gauge, HistogramRecorder, MetricsRegistry};
@@ -462,6 +468,7 @@ pub struct ShipMetrics {
     bytes: Arc<Counter>,
     chunks: Arc<Counter>,
     chunk_retries: Arc<Counter>,
+    hashed_bytes: Arc<Counter>,
     resumes: Arc<Counter>,
     transfers: Arc<Counter>,
     failed: Arc<Counter>,
@@ -477,6 +484,7 @@ impl ShipMetrics {
             bytes: registry.counter("ship_bytes_total"),
             chunks: registry.counter("ship_chunks_total"),
             chunk_retries: registry.counter("ship_chunk_retries_total"),
+            hashed_bytes: registry.counter("ship_hashed_bytes_total"),
             resumes: registry.counter("ship_resumes_total"),
             transfers: registry.counter("ship_transfers_total"),
             failed: registry.counter("ship_failed_transfers_total"),
@@ -550,13 +558,28 @@ impl Shipper {
         body: &[u8],
         overwrite: bool,
     ) -> Result<ShipOutcome, ShipError> {
-        self.push_described(
-            port,
-            path,
-            ObjectMeta::for_body(content, body, crate::object::DEFAULT_CHUNK_SIZE, version),
-            body,
-            overwrite,
-        )
+        let (meta, sums) = self.describe(content, body, DEFAULT_CHUNK_SIZE, version);
+        self.push_described(port, path, meta, &sums, body, overwrite)
+    }
+
+    /// [`ObjectMeta::describe`], counted: the sending side's one hash
+    /// pass over a body (`ship_hashed_bytes_total`).
+    ///
+    /// # Panics
+    ///
+    /// If `chunk_size` is zero.
+    #[must_use]
+    pub fn describe(
+        &self,
+        content: ContentId,
+        body: &[u8],
+        chunk_size: u32,
+        version: u64,
+    ) -> (ObjectMeta, Vec<u64>) {
+        if let Some(m) = &self.metrics {
+            m.hashed_bytes.add(body.len() as u64);
+        }
+        ObjectMeta::describe(content, body, chunk_size, version)
     }
 
     /// [`Shipper::push`] with explicit chunk geometry, for a `meta` that
@@ -577,15 +600,19 @@ impl Shipper {
         body: &[u8],
         overwrite: bool,
     ) -> Result<ShipOutcome, ShipError> {
-        assert_eq!(meta.checksum, fnv64(body), "meta must describe body");
-        self.push_described(port, path, meta, body, overwrite)
+        let (described, sums) = self.describe(meta.content, body, meta.chunk_size, meta.version);
+        assert_eq!(meta.checksum, described.checksum, "meta must describe body");
+        self.push_described(port, path, meta, &sums, body, overwrite)
     }
 
-    /// [`Shipper::push_meta`] for a `meta` the caller built from this
-    /// very `body` with [`ObjectMeta::for_body`] — so one object going
-    /// to several nodes is hashed once, not once more per replica. The
-    /// body is not hashed again here; a `meta` that does not describe it
-    /// is refused by the receiver's commit
+    /// [`Shipper::push_meta`] for a `meta` and per-chunk `sums` the
+    /// caller already holds for this very `body` — from
+    /// [`Shipper::describe`] or a verified [`Shipper::pull`] — so one
+    /// object going to several nodes is hashed once, not once more per
+    /// replica. Nothing is hashed here: the sums were taken from the
+    /// honest body before it met the port, so a chunk damaged on the way
+    /// is refused by the receiver ([`StoreError::ChunkRejected`]), and a
+    /// `meta` that does not describe the body by its commit
     /// ([`StoreError::ChecksumMismatch`]).
     ///
     /// # Errors
@@ -594,16 +621,19 @@ impl Shipper {
     ///
     /// # Panics
     ///
-    /// If `meta.size` is not the body's length.
+    /// If `meta.size` is not the body's length, or `sums` is not one sum
+    /// per chunk.
     pub fn push_described(
         &self,
         port: &dyn ShipPort,
         path: &UrlPath,
         meta: ObjectMeta,
+        sums: &[u64],
         body: &[u8],
         overwrite: bool,
     ) -> Result<ShipOutcome, ShipError> {
         assert_eq!(meta.size, body.len() as u64, "meta must describe body");
+        assert_eq!(sums.len(), meta.chunk_count() as usize, "one sum per chunk");
         let start = Instant::now();
         if let Some(m) = &self.metrics {
             m.inflight.add(1);
@@ -617,7 +647,7 @@ impl Shipper {
             chunk_retries: 0,
         };
         let result = loop {
-            match self.push_attempt(port, path, meta, body, overwrite, &mut outcome) {
+            match self.push_attempt(port, path, (meta, sums), body, overwrite, &mut outcome) {
                 Ok(committed) => {
                     outcome.meta = committed;
                     break Ok(());
@@ -655,7 +685,7 @@ impl Shipper {
         &self,
         port: &dyn ShipPort,
         path: &UrlPath,
-        meta: ObjectMeta,
+        (meta, sums): (ObjectMeta, &[u64]),
         body: &[u8],
         overwrite: bool,
         outcome: &mut ShipOutcome,
@@ -683,7 +713,7 @@ impl Shipper {
                 continue;
             }
             let range = meta.chunk_range(index).expect("index in range");
-            let chunk = &body[range];
+            let chunk = (&body[range], sums[index as usize]);
             self.send_chunk(port, path, transfer, index, chunk, outcome)?;
         }
         let committed = port
@@ -710,10 +740,9 @@ impl Shipper {
         path: &UrlPath,
         transfer: u64,
         index: u32,
-        chunk: &[u8],
+        (chunk, checksum): (&[u8], u64),
         outcome: &mut ShipOutcome,
     ) -> Result<(), ShipError> {
-        let checksum = fnv64(chunk);
         let request = ShipRequest::Chunk {
             transfer,
             index,
@@ -765,7 +794,11 @@ impl Shipper {
     }
 
     /// Pulls a committed object from the remote store, verifying every
-    /// chunk and the whole body. Corrupted chunks are re-fetched.
+    /// chunk and — folded in the same pass, since chunks are fetched in
+    /// order — the whole body. Corrupted chunks are re-fetched. Returns
+    /// the manifest record, the per-chunk sums it verified (what
+    /// [`Shipper::push_described`] needs to send the body on without
+    /// hashing it again) and the body.
     ///
     /// # Errors
     ///
@@ -775,7 +808,7 @@ impl Shipper {
         &self,
         port: &dyn ShipPort,
         path: &UrlPath,
-    ) -> Result<(ObjectMeta, Vec<u8>), ShipError> {
+    ) -> Result<(ObjectMeta, Vec<u64>, Vec<u8>), ShipError> {
         let meta = match port
             .ship(&ShipRequest::Meta { path: path.clone() })
             .map_err(ShipError::Wire)?
@@ -789,10 +822,14 @@ impl Shipper {
             }
         };
         let mut body = Vec::with_capacity(usize::try_from(meta.size).unwrap_or(0));
+        let mut sums = Vec::with_capacity(meta.chunk_count() as usize);
+        let mut got = FNV_BASIS;
         for index in 0..meta.chunk_count() {
-            body.extend_from_slice(&self.fetch_chunk(port, path, &meta, index)?);
+            let (bytes, sum, running) = self.fetch_chunk(port, path, &meta, index, got)?;
+            body.extend_from_slice(&bytes);
+            sums.push(sum);
+            got = running;
         }
-        let got = fnv64(&body);
         if got != meta.checksum {
             return Err(ShipError::Store(StoreError::ChecksumMismatch {
                 path: path.clone(),
@@ -800,16 +837,20 @@ impl Shipper {
                 got,
             }));
         }
-        Ok((meta, body))
+        Ok((meta, sums, body))
     }
 
+    /// Fetches and verifies chunk `index`: its bytes, their sum, and
+    /// `running` (the whole-object FNV state before this chunk)
+    /// continued over them.
     fn fetch_chunk(
         &self,
         port: &dyn ShipPort,
         path: &UrlPath,
         meta: &ObjectMeta,
         index: u32,
-    ) -> Result<Vec<u8>, ShipError> {
+        running: u64,
+    ) -> Result<(Vec<u8>, u64, u64), ShipError> {
         let expected_len = meta.chunk_len(index).expect("index in range") as usize;
         let request = ShipRequest::Fetch {
             path: path.clone(),
@@ -833,13 +874,17 @@ impl Shipper {
                     })
                 }
                 Ok((ShipReply::ChunkData { checksum, .. }, bytes)) => {
-                    if bytes.len() != expected_len || fnv64(&bytes) != checksum {
+                    let (got, running) = fnv64_fold(running, &bytes);
+                    if let Some(m) = &self.metrics {
+                        m.hashed_bytes.add(bytes.len() as u64);
+                    }
+                    if bytes.len() != expected_len || got != checksum {
                         // Corrupted in flight: re-fetch.
                         last = Some(ShipError::Store(StoreError::ChunkRejected {
                             path: path.clone(),
                             index,
                             expected: checksum,
-                            got: fnv64(&bytes),
+                            got,
                         }));
                         continue;
                     }
@@ -847,7 +892,7 @@ impl Shipper {
                         m.chunks.inc();
                         m.bytes.add(bytes.len() as u64);
                     }
-                    return Ok(bytes);
+                    return Ok((bytes, got, running));
                 }
                 Ok((ShipReply::Err(e), _)) => return Err(ShipError::Store(e)),
                 Ok((other, _)) => {
@@ -875,7 +920,7 @@ impl Shipper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::synthetic_body;
+    use crate::object::{fnv64, synthetic_body};
     use cpms_model::NodeId;
     use cpms_wire::{FaultPlan, FaultyTransport, InProcServer};
 
@@ -904,9 +949,14 @@ mod tests {
         assert_eq!(outcome.resumes, 0);
         assert_eq!(store.read(&p("/obj")).unwrap(), body);
 
-        let (meta, pulled) = shipper.pull(&client, &p("/obj")).unwrap();
+        let (meta, sums, pulled) = shipper.pull(&client, &p("/obj")).unwrap();
         assert_eq!(meta, outcome.meta);
         assert_eq!(pulled, body);
+        assert_eq!(
+            sums,
+            ObjectMeta::describe(ContentId(1), &body, meta.chunk_size, 0).1,
+            "pull hands back the chunk sums it verified"
+        );
 
         // Idempotent re-push sends nothing.
         let again = shipper
@@ -1021,6 +1071,30 @@ mod tests {
     }
 
     #[test]
+    fn a_description_of_another_body_is_refused_by_the_receivers_commit() {
+        let (store, client) = spawn_store(0, 1 << 20);
+        let body = synthetic_body(ContentId(5), 2500);
+        // Honest chunk sums in order under a whole-object checksum that
+        // is some other object's: nothing is hashed on the sending side
+        // to notice, so the receiver's commit has to.
+        let (mut meta, sums) = ObjectMeta::describe(ContentId(5), &body, 1000, 0);
+        meta.checksum = fnv64(&synthetic_body(ContentId(6), 2500));
+        let err = Shipper::new()
+            .push_described(&client, &p("/t"), meta, &sums, &body, false)
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ShipError::Store(StoreError::ChecksumMismatch { expected, got, .. })
+                    if (*expected, *got) == (meta.checksum, fnv64(&body))
+            ),
+            "{err:?}"
+        );
+        assert!(!store.contains(&p("/t")));
+        assert_eq!(store.stats().verify_failures, 1);
+    }
+
+    #[test]
     fn legacy_hex_chunks_still_stage_and_a_tailless_fetch_answers_hex() {
         let body = synthetic_body(ContentId(5), 2500);
         let (store, meta, transfer) = begun(&body);
@@ -1130,5 +1204,10 @@ mod tests {
         assert_eq!(snap.counter("ship_transfers_total"), Some(1));
         assert_eq!(snap.gauge("ship_inflight"), Some(0));
         assert_eq!(snap.histogram("ship_transfer_ns").unwrap().count, 1);
+        // One hash pass on the sending side per push, one per pull.
+        assert_eq!(snap.counter("ship_hashed_bytes_total"), Some(20_000));
+        shipper.pull(&client, &p("/m")).unwrap();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("ship_hashed_bytes_total"), Some(40_000));
     }
 }

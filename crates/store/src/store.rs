@@ -9,11 +9,13 @@
 //!   restarts where it left off instead of from byte zero;
 //! - [`ContentStore::stage_chunk`] verifies each chunk's checksum before
 //!   accepting it — a poisoned chunk is rejected, counted, and must be
-//!   re-sent;
-//! - [`ContentStore::commit`] assembles the chunks, verifies the
-//!   whole-object checksum, and only then makes the object visible in the
-//!   manifest (and durable, for disk-backed stores). Until commit, the
-//!   object does not exist: readers never observe a partial body.
+//!   re-sent — and, in the same pass over the bytes, folds the
+//!   whole-object checksum forward over the chunks that arrive in order;
+//! - [`ContentStore::commit`] finishes that fold over whatever chunks it
+//!   has not covered, verifies the whole-object checksum, and only then
+//!   assembles the chunks and makes the object visible in the manifest
+//!   (and durable, for disk-backed stores). Until commit, the object
+//!   does not exist: readers never observe a partial body.
 //! - [`ContentStore::gc`] sweeps staged transfers that made no progress
 //!   since the previous sweep (abandoned mid-flight ships).
 //!
@@ -21,12 +23,13 @@
 //! directory: object files plus a `manifest.json` rewritten atomically
 //! via tmp-file + rename).
 
-use crate::object::{fnv64, ObjectMeta, DEFAULT_CHUNK_SIZE};
+use crate::object::{fnv64, fnv64_fold, ObjectMeta, DEFAULT_CHUNK_SIZE, FNV_BASIS};
 use cpms_model::{ContentId, NodeId, UrlPath};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Errors from store and shipping operations.
@@ -184,6 +187,11 @@ pub struct StoreStats {
     pub gc_transfers: u64,
     /// Bytes released by gc.
     pub gc_bytes: u64,
+    /// Every byte this store has run through `fnv64`: staged chunks, the
+    /// part of a commit the staging fold had not covered, `verify`,
+    /// `read_chunk` and `put`. Over the bytes shipped it is the
+    /// receiving side's hash passes per byte.
+    pub hashed_bytes: u64,
     /// Whether the store is disk-backed (survives restart).
     pub durable: bool,
 }
@@ -316,12 +324,33 @@ impl Medium {
     }
 }
 
+/// How far a staged transfer's whole-object checksum is folded:
+/// `running` is the FNV-1a state over the staged bytes of chunks
+/// `[0, folded)`, all of which are present.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fold {
+    folded: u32,
+    running: u64,
+}
+
+impl Fold {
+    /// Nothing folded yet.
+    const START: Fold = Fold {
+        folded: 0,
+        running: FNV_BASIS,
+    };
+}
+
 /// One in-flight staged transfer.
 #[derive(Debug)]
 struct Staged {
     path: UrlPath,
     meta: ObjectMeta,
     chunks: Vec<Option<Vec<u8>>>,
+    /// `stage_chunk` advances it when the chunk at `folded` arrives and
+    /// resets it when a chunk below `folded` is replaced by different
+    /// bytes; `commit` finishes it.
+    fold: Fold,
     /// Bytes reserved against the quota (the full object size, reserved
     /// at `begin` so concurrent ships cannot jointly overshoot).
     reserved: u64,
@@ -333,6 +362,32 @@ struct Staged {
 }
 
 impl Staged {
+    /// Stores a verified `chunk` at `index` and keeps the fold true to
+    /// the staged bytes. `seen` is the fold as the stager read it before
+    /// hashing (with the store lock released) and `running` is
+    /// `seen.running` continued over `chunk`.
+    fn land(&mut self, index: u32, chunk: Vec<u8>, seen: Fold, running: u64) {
+        if index < self.fold.folded {
+            // A replay of identical bytes leaves the fold standing. Other
+            // bytes take it back to the start: it must describe exactly
+            // the chunks `commit` will install.
+            if self.chunks[index as usize].as_deref() != Some(&chunk[..]) {
+                self.fold = Fold::START;
+            }
+        } else if index == seen.folded && self.fold == seen {
+            // `running` continued the fold as it still stands. Of two
+            // racing stagers of this chunk one gets here and the other
+            // finds the fold moved on and is a replay; a stager that
+            // raced a replacement below it finds the fold reset and
+            // leaves it so.
+            self.fold = Fold {
+                folded: index + 1,
+                running,
+            };
+        }
+        self.chunks[index as usize] = Some(chunk);
+    }
+
     fn received(&self) -> u64 {
         self.chunks.iter().flatten().map(|c| c.len() as u64).sum()
     }
@@ -408,6 +463,9 @@ impl Inner {
 pub struct ContentStore {
     node: NodeId,
     inner: Mutex<Inner>,
+    /// [`StoreStats::hashed_bytes`]; outside the lock because chunks are
+    /// hashed with it released.
+    hashed_bytes: AtomicU64,
 }
 
 impl ContentStore {
@@ -432,6 +490,7 @@ impl ContentStore {
                 gc_transfers: 0,
                 gc_bytes: 0,
             }),
+            hashed_bytes: AtomicU64::new(0),
         }
     }
 
@@ -486,6 +545,7 @@ impl ContentStore {
                 gc_transfers: 0,
                 gc_bytes: 0,
             }),
+            hashed_bytes: AtomicU64::new(0),
         };
         store.lock().persist_manifest()?;
         Ok(store)
@@ -495,6 +555,10 @@ impl ContentStore {
         self.inner
             .lock()
             .expect("content store lock never poisoned")
+    }
+
+    fn count_hashed(&self, bytes: usize) {
+        self.hashed_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// The node this store belongs to.
@@ -577,6 +641,7 @@ impl ContentStore {
                 path: path.clone(),
                 meta,
                 chunks: vec![None; meta.chunk_count() as usize],
+                fold: Fold::START,
                 reserved: meta.size,
                 overwrite,
                 touched: true,
@@ -587,7 +652,10 @@ impl ContentStore {
 
     /// Stages one chunk of an open transfer after verifying its checksum
     /// and length. Idempotent for re-sent chunks that match what is
-    /// already staged.
+    /// already staged. The pass that checks the chunk also continues the
+    /// transfer's whole-object checksum over it when it is the next chunk
+    /// in order, so [`ContentStore::commit`] has only the out-of-order
+    /// remainder left to hash.
     ///
     /// # Errors
     ///
@@ -603,7 +671,7 @@ impl ContentStore {
         data: &[u8],
         checksum: u64,
     ) -> Result<(), StoreError> {
-        {
+        let seen = {
             let mut inner = self.lock();
             let staged = inner
                 .staged
@@ -627,11 +695,13 @@ impl ContentStore {
                     detail: format!("length {} != expected {expected_len}", data.len()),
                 });
             }
-        }
+            staged.fold
+        };
         // Hash and copy with the lock released: the node's origin reads
         // through the same lock. Transfer ids are never reused, so the
         // geometry checked above still holds if the id is still staged.
-        let got = fnv64(data);
+        let (got, running) = fnv64_fold(seen.running, data);
+        self.count_hashed(data.len());
         let chunk = data.to_vec();
         let mut inner = self.lock();
         let staged = inner
@@ -648,13 +718,15 @@ impl ContentStore {
                 got,
             });
         }
-        staged.chunks[index as usize] = Some(chunk);
+        staged.land(index, chunk, seen, running);
         Ok(())
     }
 
-    /// Commits a staged transfer: assembles the chunks, verifies the
-    /// whole-object checksum against both the staged meta and the
-    /// caller-announced `checksum`, and atomically installs the object.
+    /// Commits a staged transfer: finishes the whole-object checksum the
+    /// staging fold began (over every chunk the fold has not covered —
+    /// none when they arrived in order), verifies it against both the
+    /// staged meta and the caller-announced `checksum`, then assembles
+    /// the chunks and atomically installs the object.
     /// Idempotent: committing a transfer that already committed (id `0`
     /// sentinel or a re-sent commit after a lost ack) succeeds if the
     /// committed object matches `checksum`.
@@ -710,11 +782,14 @@ impl ContentStore {
                 return Err(StoreError::AlreadyExists { path: path.clone() });
             }
         }
-        let mut body = Vec::with_capacity(usize::try_from(staged.meta.size).unwrap_or(0));
-        for chunk in staged.chunks.iter().flatten() {
-            body.extend_from_slice(chunk);
+        let mut got = staged.fold.running;
+        for chunk in staged.chunks[staged.fold.folded as usize..]
+            .iter()
+            .flatten()
+        {
+            got = fnv64_fold(got, chunk).1;
+            self.count_hashed(chunk.len());
         }
-        let got = fnv64(&body);
         if got != checksum || got != staged.meta.checksum {
             inner.verify_failures += 1;
             return Err(StoreError::ChecksumMismatch {
@@ -722,6 +797,10 @@ impl ContentStore {
                 expected: checksum,
                 got,
             });
+        }
+        let mut body = Vec::with_capacity(usize::try_from(staged.meta.size).unwrap_or(0));
+        for chunk in staged.chunks.iter().flatten() {
+            body.extend_from_slice(chunk);
         }
         let staged = inner.staged.remove(&transfer).expect("still held");
         inner.staged_bytes -= staged.reserved;
@@ -758,6 +837,7 @@ impl ContentStore {
         overwrite: bool,
     ) -> Result<ObjectMeta, StoreError> {
         let meta = ObjectMeta::for_body(content, body, DEFAULT_CHUNK_SIZE, version);
+        self.count_hashed(body.len());
         let mut inner = self.lock();
         let replaced = match inner.manifest.get(path) {
             Some(m) if !overwrite => {
@@ -817,6 +897,7 @@ impl ContentStore {
             inner.medium.read_range(path, range)?
         };
         let sum = fnv64(&chunk);
+        self.count_hashed(chunk.len());
         Ok((chunk, sum))
     }
 
@@ -913,6 +994,7 @@ impl ContentStore {
             .ok_or_else(|| StoreError::NotFound { path: path.clone() })?;
         let body = inner.medium.read(path)?;
         let got = fnv64(&body);
+        self.count_hashed(body.len());
         if body.len() as u64 != meta.size || got != meta.checksum {
             inner.verify_failures += 1;
             return Err(StoreError::ChecksumMismatch {
@@ -976,6 +1058,7 @@ impl ContentStore {
             verify_failures: inner.verify_failures,
             gc_transfers: inner.gc_transfers,
             gc_bytes: inner.gc_bytes,
+            hashed_bytes: self.hashed_bytes.load(Ordering::Relaxed),
             durable: inner.medium.durable(),
         }
     }
@@ -1076,6 +1159,48 @@ mod tests {
         }
         store.commit(id, &p("/x"), meta.checksum).unwrap();
         assert_eq!(store.read(&p("/x")).unwrap(), body);
+    }
+
+    /// The interleaving the fold's compare-and-advance exists for, forced:
+    /// a stager reads the fold, a replacement below it lands while it
+    /// hashes, then it lands.
+    #[test]
+    fn a_stager_that_raced_a_replacement_below_it_does_not_advance_the_stale_fold() {
+        let store = ContentStore::in_memory(NodeId(0), 1 << 20);
+        let body = synthetic_body(ContentId(2), 4000);
+        let other = synthetic_body(ContentId(3), 1000);
+        let meta = ObjectMeta::for_body(ContentId(2), &body, 1000, 0);
+        let (id, _) = store.begin(&p("/x"), meta, false).unwrap();
+        for i in 0..2 {
+            let chunk = &body[meta.chunk_range(i).unwrap()];
+            store.stage_chunk(id, i, chunk, fnv64(chunk)).unwrap();
+        }
+        // Chunk 2's stager reads the fold (two chunks in) and goes off to
+        // hash with the lock released...
+        let seen = store.lock().staged[&id].fold;
+        assert_eq!(seen.folded, 2);
+        let chunk = &body[2000..3000];
+        let (_, running) = fnv64_fold(seen.running, chunk);
+        // ...chunk 0 is replaced by other bytes meanwhile...
+        store.stage_chunk(id, 0, &other, fnv64(&other)).unwrap();
+        // ...and chunk 2 lands with the state it read before that.
+        let mut inner = store.lock();
+        let staged = inner.staged.get_mut(&id).unwrap();
+        staged.land(2, chunk.to_vec(), seen, running);
+        assert_eq!(staged.fold, Fold::START, "the stale state was not built on");
+        drop(inner);
+        let last = &body[3000..];
+        store.stage_chunk(id, 3, last, fnv64(last)).unwrap();
+        let mut assembled = body.clone();
+        assembled[..1000].copy_from_slice(&other);
+        assert_eq!(
+            store.commit(id, &p("/x"), meta.checksum),
+            Err(StoreError::ChecksumMismatch {
+                path: p("/x"),
+                expected: meta.checksum,
+                got: fnv64(&assembled),
+            })
+        );
     }
 
     #[test]

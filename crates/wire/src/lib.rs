@@ -17,8 +17,9 @@
 //! Layers, bottom up:
 //!
 //! - [`frame`] — one message on a byte stream: 12-byte header (magic,
-//!   version, length, FNV-1a checksum) + payload. Truncation, corruption,
-//!   and protocol mismatch are all typed [`WireError`]s, never hangs.
+//!   version, length, a word-at-a-time 32-bit checksum) + payload.
+//!   Truncation, corruption, and protocol mismatch — a frame of another
+//!   version included — are all typed [`WireError`]s, never hangs.
 //! - [`transport`] — the [`Transport`] trait (one request/response
 //!   exchange under a deadline) with two production implementations:
 //!   [`InProcTransport`] (a direct call into a service hosted in this

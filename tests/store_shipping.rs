@@ -8,8 +8,8 @@ use cpms_mgmt::{
 };
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_store::{
-    fnv64, synthetic_body, ContentStore, ShipPort, ShipReply, ShipRequest, Shipper, StoreClient,
-    StoreService,
+    fnv64, synthetic_body, ContentStore, ObjectMeta, ShipPort, ShipReply, ShipRequest, Shipper,
+    StoreClient, StoreService, DEFAULT_CHUNK_SIZE,
 };
 use cpms_wire::{FaultPlan, FaultyTransport, InProcServer, Transport, WireError};
 use std::collections::HashSet;
@@ -51,7 +51,8 @@ fn lossy_tcp_shipping_preserves_integrity() {
             .collect();
         let mut controller = Controller::new(Cluster::from_handles(handles));
 
-        // 20 KB at the default 4 KiB chunk = 5 chunks per replica.
+        // Five chunks per replica, whatever the default chunk size is.
+        let size = 5 * u64::from(DEFAULT_CHUNK_SIZE);
         for (i, nodes) in [&[0u16, 1][..], &[1, 2], &[0, 1, 2]].iter().enumerate() {
             let nodes: Vec<NodeId> = nodes.iter().map(|&n| NodeId(n)).collect();
             // Publish rolls itself back on failure, so a budgeted retry is
@@ -65,7 +66,7 @@ fn lossy_tcp_shipping_preserves_integrity() {
                         &path(&format!("/lossy/{i}.bin")),
                         ContentId(i as u32),
                         ContentKind::OtherStatic,
-                        20_000,
+                        size,
                         Priority::Normal,
                         &nodes,
                     )
@@ -127,10 +128,12 @@ fn poisoned_chunks_are_rejected_and_resent() {
             poisoned_once: Mutex::new(HashSet::new()),
         };
 
-        let body = synthetic_body(ContentId(9), 18_000); // 5 chunks
+        // 18,000 B in 4 KiB chunks: 5 chunks, the last one short.
+        let body = synthetic_body(ContentId(9), 18_000);
+        let meta = ObjectMeta::for_body(ContentId(9), &body, 4096, 0);
         let target = path("/poisoned/payload.bin");
         let outcome = Shipper::new()
-            .push(&port, &target, ContentId(9), 0, &body, false)
+            .push_meta(&port, &target, meta, &body, false)
             .expect("every chunk heals on the second attempt");
 
         assert_eq!(outcome.chunks_sent, 5);
@@ -161,14 +164,17 @@ fn push_then_pull_over_a_tcp_broker_is_byte_identical() {
         // are in there: the separator's value and invalid UTF-8.
         body[..4].copy_from_slice(&[0x00, 0xFF, 0x00, 0xC0]);
         body[4096] = 0x00;
+        // 70,001 B in 4 KiB chunks: 18 chunks, the second starting with
+        // the separator's value and the last one a single byte.
+        let described = ObjectMeta::for_body(ContentId(3), &body, 4096, 0);
         let target = path("/roundtrip/blob.bin");
         let shipper = Shipper::new();
         let outcome = shipper
-            .push(&handle, &target, ContentId(3), 0, &body, false)
+            .push_meta(&handle, &target, described, &body, false)
             .unwrap();
         assert_eq!(outcome.chunks_sent, 18);
         assert_eq!(outcome.chunk_retries, 0);
-        let (meta, pulled) = shipper.pull(&handle, &target).unwrap();
+        let (meta, _sums, pulled) = shipper.pull(&handle, &target).unwrap();
         assert_eq!(meta, outcome.meta);
         assert_eq!(pulled, body);
         // 18 chunks out, 18 back, and neither direction paid a text
@@ -312,6 +318,8 @@ impl Transport for GuillotineTransport {
 fn killed_transfer_never_publishes_uncommitted_replica() {
     with_deadline("killed_transfer", TEST_DEADLINE, || {
         let target_store = Arc::new(ContentStore::in_memory(NodeId(1), 1 << 20));
+        // 5 chunks: the guillotine (2 chunk frames) falls mid-stream.
+        let size = 5 * u64::from(DEFAULT_CHUNK_SIZE);
         let dead = Arc::new(AtomicBool::new(false));
         let handles = vec![Broker::spawn(BrokerState::new(NodeId(0), 1 << 20)), {
             let dead = Arc::clone(&dead);
@@ -338,7 +346,7 @@ fn killed_transfer_never_publishes_uncommitted_replica() {
                 &object,
                 ContentId(0),
                 ContentKind::OtherStatic,
-                20_000, // 5 chunks: the guillotine falls mid-stream
+                size,
                 Priority::Normal,
                 &[NodeId(0)],
             )

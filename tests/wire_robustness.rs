@@ -108,7 +108,10 @@ fn tcp_daemon_survives_partial_frames_and_garbage() {
 
         // Half a header, then hang up.
         let mut socket = std::net::TcpStream::connect(addr).unwrap();
-        socket.write_all(&[0xC9, 0x57, 0x01]).unwrap();
+        let [m0, m1] = cpms_wire::frame::MAGIC;
+        socket
+            .write_all(&[m0, m1, cpms_wire::frame::VERSION])
+            .unwrap();
         drop(socket);
         // A full bogus header announcing a huge frame, then hang up.
         let mut socket = std::net::TcpStream::connect(addr).unwrap();
@@ -343,7 +346,9 @@ fn extensionless_peer_receives_plain_frames() {
 /// the daemon for later well-formed clients.
 #[test]
 fn garbage_extension_area_never_wedges_the_daemon() {
-    use cpms_wire::frame::{checksum, FLAG_TRACE, FLAG_TRACE_CAPABLE, TRACE_EXT_VERSION};
+    use cpms_wire::frame::{
+        checksum, FLAG_TRACE, FLAG_TRACE_CAPABLE, MAGIC, TRACE_EXT_VERSION, VERSION,
+    };
     with_deadline("garbage_extension", TEST_DEADLINE, || {
         let mut host = Broker::bind(
             "127.0.0.1:0".parse().unwrap(),
@@ -353,7 +358,7 @@ fn garbage_extension_area_never_wedges_the_daemon() {
         let addr = host.addr().expect("tcp daemon has an address");
 
         let raw_frame = |flags: u8, body: &[u8]| -> Vec<u8> {
-            let mut out = vec![0xC9, 0x57, 0x01, flags];
+            let mut out = vec![MAGIC[0], MAGIC[1], VERSION, flags];
             out.extend_from_slice(&u32::try_from(body.len()).unwrap().to_be_bytes());
             out.extend_from_slice(&checksum(body).to_be_bytes());
             out.extend_from_slice(body);
