@@ -259,7 +259,7 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
         let resp = admin
             .send(&cmd)
             .map_err(|e| format!("admin publish: {e}"))?;
-        if !resp.ok || resp.output.starts_with("error:") {
+        if !resp.ok {
             return Err(format!("publish /obj/{i}.html failed: {}", resp.output));
         }
         // The proxy shell assigns ContentIds sequentially from 0, and
@@ -362,11 +362,6 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
         std::thread::sleep(Duration::from_millis(200));
     }
     let converge_ms = converge_started.elapsed().as_millis();
-    if let Ok(resp) = admin.send("generation") {
-        if let Ok(generation) = resp.output.trim().parse::<u64>() {
-            generations.push(generation);
-        }
-    }
 
     // ---- SLO watchdog: the breach must fire, then clear ---------------
     // The proxy's default rules watch 2-second error-rate windows and
@@ -374,8 +369,8 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
     // counted a tick after the stream has ended (the cumulative
     // `slo_breach_total` keeps it from being missed), and once the
     // faults are healed every `slo_state_*` gauge must drain back to
-    // Ok. Polled via the admin plane so the verdicts come from the
-    // proxy's own watchdog, not from any lab-side re-derivation.
+    // Ok. Polled from the proxy's `/_cpms/metrics.json` so the verdicts
+    // come from its own watchdog, not from any lab-side re-derivation.
     let mut slo_breached = false;
     let mut slo_cleared = false;
     let mut slo_clear_ms = 0u128;
@@ -384,26 +379,24 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
         let deadline =
             clear_started + Duration::from_millis(scenario.assertions.converge_within_ms);
         while Instant::now() < deadline {
-            if let Ok(resp) = admin.send("metrics") {
-                if let Ok(metrics) = serde_json::from_str::<Value>(&resp.output) {
-                    slo_breached |= metrics
-                        .get("counters")
-                        .and_then(|c| c.get("slo_breach_total"))
-                        .and_then(Value::as_u64)
-                        .is_some_and(|n| n >= 1);
-                    let clear = metrics
-                        .get("gauges")
-                        .and_then(Value::as_object)
-                        .is_some_and(|gauges| {
-                            gauges
-                                .iter()
-                                .filter(|(name, _)| name.starts_with("slo_state_"))
-                                .all(|(_, state)| state.as_i64() == Some(0))
-                        });
-                    if slo_breached && clear {
-                        slo_cleared = true;
-                        break;
-                    }
+            if let Some(metrics) = fetch_json(proxy.http, METRICS_JSON_PATH) {
+                slo_breached |= metrics
+                    .get("counters")
+                    .and_then(|c| c.get("slo_breach_total"))
+                    .and_then(Value::as_u64)
+                    .is_some_and(|n| n >= 1);
+                let clear = metrics
+                    .get("gauges")
+                    .and_then(Value::as_object)
+                    .is_some_and(|gauges| {
+                        gauges
+                            .iter()
+                            .filter(|(name, _)| name.starts_with("slo_state_"))
+                            .all(|(_, state)| state.as_i64() == Some(0))
+                    });
+                if slo_breached && clear {
+                    slo_cleared = true;
+                    break;
                 }
             }
             std::thread::sleep(Duration::from_millis(100));
@@ -706,15 +699,6 @@ fn scrape(
     generations: &mut Vec<u64>,
     traces: &mut TraceStore,
 ) {
-    let fetch_json = |addr: SocketAddr, path: &str| -> Option<Value> {
-        let mut client = HttpClient::connect(addr).ok()?;
-        let resp = client.get(path).ok()?;
-        if resp.status != 200 {
-            return None;
-        }
-        let body = String::from_utf8(resp.body).ok()?;
-        serde_json::from_str(&body).ok()
-    };
     let mut grab = |source: String, addr: SocketAddr| -> Option<Value> {
         if let Some(dump) = fetch_json(addr, TRACE_JSON_PATH) {
             traces.absorb(&dump);
@@ -744,6 +728,17 @@ fn scrape(
         }
         let _ = grab(format!("origin-n{i}"), broker.http);
     }
+}
+
+/// GETs one `/_cpms/*` introspection document as JSON; `None` when the
+/// process is unreachable or the document unparseable.
+fn fetch_json(addr: SocketAddr, path: &str) -> Option<Value> {
+    let mut client = HttpClient::connect(addr).ok()?;
+    let resp = client.get(path).ok()?;
+    if resp.status != 200 {
+        return None;
+    }
+    serde_json::from_str(std::str::from_utf8(&resp.body).ok()?).ok()
 }
 
 #[cfg(test)]

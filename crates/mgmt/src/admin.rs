@@ -1,26 +1,34 @@
 //! A newline-delimited-JSON admin API for management daemons.
 //!
-//! The interactive [`Shell`](crate::shell::Shell) reads commands from a
-//! TTY; a cluster orchestrator (the `cpms-lab` harness) needs the same
-//! verbs over a socket, with machine-parseable success/failure. The
-//! protocol is one JSON object per line in each direction:
+//! The [`Shell`](crate::shell::Shell) is the remote console; this socket
+//! is how a cluster orchestrator (the `cpms-lab` harness) reaches the
+//! shell of the one daemon that owns a controller. The protocol is one
+//! JSON object per line in each direction:
 //!
 //! ```text
 //! -> {"cmd": "publish /a.html html 1024 0,1"}
-//! <- {"ok": true, "output": "published /a.html as content#0"}
+//! <- {"ok": true, "output": "published /a.html as c0"}
 //! ```
 //!
 //! `ok` is `false` both for command errors ("no such node") and for
 //! health commands that *detected* a problem (`audit` finding drift), so
 //! a driver can gate on it directly.
+//!
+//! The socket is for **control**. Introspection — metrics, traces, the
+//! flight recorder's series — is served over HTTP at `/_cpms/*` by every
+//! process, controller or not.
 
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The longest request line the server reads, newline excluded. A longer
+/// one is answered `ok: false` and its connection closed, so a peer that
+/// never sends a newline costs this much memory and no more.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// One admin request: a single shell command line.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,14 +66,23 @@ impl AdminResponse {
     }
 }
 
+/// What `stop()` needs from the accept thread: whether to stop, and a
+/// clone of the connection being served, to shut down.
+#[derive(Debug, Default)]
+struct Live {
+    stopped: bool,
+    conn: Option<TcpStream>,
+}
+
 /// A TCP listener serving the ND-JSON admin protocol, dispatching each
-/// request line to a handler. Connections are served one at a time —
-/// the admin plane has a single driver, and serializing keeps the
-/// handler a plain `FnMut` over mutable daemon state.
+/// request line to a handler. Connections are served one at a time on
+/// the accept thread — the admin plane has a single driver, and
+/// serializing keeps the handler a plain `FnMut` over mutable daemon
+/// state.
 #[derive(Debug)]
 pub struct AdminServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    live: Arc<Mutex<Live>>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -78,80 +95,38 @@ impl AdminServer {
     /// Propagates the listener bind failure.
     pub fn bind(
         addr: SocketAddr,
-        handler: impl FnMut(&str) -> AdminResponse + Send + 'static,
+        mut handler: impl FnMut(&str) -> AdminResponse + Send + 'static,
     ) -> io::Result<AdminServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handler = Arc::new(Mutex::new(handler));
+        let live = Arc::new(Mutex::new(Live::default()));
+        let accept_live = Arc::clone(&live);
         let accept_thread = std::thread::Builder::new()
             .name("cpms-admin".to_string())
             .spawn(move || {
                 for conn in listener.incoming() {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        break;
-                    }
                     let Ok(stream) = conn else { continue };
-                    let _ = Self::serve_connection(stream, &handler, &stop_flag);
+                    {
+                        // Checked and registered under one lock, so a
+                        // `stop()` either sees this connection or is seen.
+                        let mut live = accept_live.lock().expect("admin live lock");
+                        if live.stopped {
+                            break;
+                        }
+                        let Ok(clone) = stream.try_clone() else {
+                            continue;
+                        };
+                        live.conn = Some(clone);
+                    }
+                    let _ = serve_connection(stream, &mut handler);
+                    accept_live.lock().expect("admin live lock").conn = None;
                 }
-            })
-            .expect("spawn admin accept thread");
+            })?;
         Ok(AdminServer {
             addr,
-            stop,
+            live,
             accept_thread: Some(accept_thread),
         })
-    }
-
-    fn serve_connection(
-        stream: TcpStream,
-        handler: &Arc<Mutex<impl FnMut(&str) -> AdminResponse>>,
-        stop: &AtomicBool,
-    ) -> io::Result<()> {
-        // Short read timeout so an idle connection cannot pin the server
-        // past a stop() call; a timeout just re-checks the flag.
-        stream.set_read_timeout(Some(Duration::from_millis(250)))?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut reader = BufReader::new(stream);
-        let mut line = String::new();
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-            match reader.read_line(&mut line) {
-                Ok(0) => return Ok(()),
-                Ok(_) => {
-                    let trimmed = line.trim();
-                    if !trimmed.is_empty() {
-                        let response = match serde_json::from_str::<AdminRequest>(trimmed) {
-                            Ok(request) => {
-                                let mut handler = handler.lock().expect("admin handler lock");
-                                handler(&request.cmd)
-                            }
-                            Err(e) => AdminResponse::err(format!("bad request line: {e}")),
-                        };
-                        let encoded =
-                            serde_json::to_string(&response).expect("response serializes");
-                        writer.write_all(encoded.as_bytes())?;
-                        writer.write_all(b"\n")?;
-                        writer.flush()?;
-                    }
-                    line.clear();
-                }
-                // Timed out mid-wait: any partial line stays buffered in
-                // `line` and the next read appends the rest.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                    ) =>
-                {
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// The bound address.
@@ -160,20 +135,68 @@ impl AdminServer {
         self.addr
     }
 
-    /// Stops accepting connections and joins the accept thread.
+    /// Stops serving and joins the accept thread. A connected client's
+    /// read half is shut down: an idle connection ends at once, one
+    /// mid-request still gets its answer.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        let Some(accept_thread) = self.accept_thread.take() else {
+            return;
+        };
+        if let Ok(mut live) = self.live.lock() {
+            live.stopped = true;
+            if let Some(conn) = &live.conn {
+                let _ = conn.shutdown(Shutdown::Read);
+            }
+        }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        let _ = accept_thread.join();
     }
 }
 
 impl Drop for AdminServer {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// One connection's read-dispatch-write loop, until the client hangs up,
+/// `stop()` shuts the socket down, or a request line runs past
+/// [`MAX_REQUEST_LINE`].
+fn serve_connection(
+    stream: TcpStream,
+    handler: &mut impl FnMut(&str) -> AdminResponse,
+) -> io::Result<()> {
+    let mut writer = BufWriter::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        if reader.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        let too_long = line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n');
+        let request = line.trim_ascii();
+        let response = if too_long {
+            AdminResponse::err(format!(
+                "request line too long (over {MAX_REQUEST_LINE} bytes)"
+            ))
+        } else if request.is_empty() {
+            continue;
+        } else {
+            match serde_json::from_str::<AdminRequest>(&String::from_utf8_lossy(request)) {
+                Ok(request) => handler(&request.cmd),
+                Err(e) => AdminResponse::err(format!("bad request line: {e}")),
+            }
+        };
+        let encoded = serde_json::to_string(&response).expect("response serializes");
+        writer.write_all(encoded.as_bytes())?;
+        writer.write_all(b"\n")?;
+        writer.flush()?;
+        if too_long {
+            return Ok(());
+        }
     }
 }
 
@@ -231,14 +254,7 @@ mod tests {
 
     #[test]
     fn round_trips_commands_and_failures() {
-        let mut server = AdminServer::bind("127.0.0.1:0".parse().unwrap(), |cmd| {
-            if cmd == "ping" {
-                AdminResponse::ok("pong")
-            } else {
-                AdminResponse::err(format!("unknown {cmd:?}"))
-            }
-        })
-        .unwrap();
+        let mut server = ping_server();
         let mut client = AdminClient::connect(server.addr()).unwrap();
         assert_eq!(client.send("ping").unwrap(), AdminResponse::ok("pong"));
         let bad = client.send("nope").unwrap();
@@ -268,5 +284,70 @@ mod tests {
         let response: AdminResponse = serde_json::from_str(&line).unwrap();
         assert!(!response.ok);
         assert!(response.output.contains("bad request line"));
+    }
+
+    fn ping_server() -> AdminServer {
+        AdminServer::bind("127.0.0.1:0".parse().unwrap(), |cmd| {
+            if cmd == "ping" {
+                AdminResponse::ok("pong")
+            } else {
+                AdminResponse::err(format!("unknown {cmd:?}"))
+            }
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn over_long_lines_are_refused_and_the_next_client_served() {
+        let server = ping_server();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut writer = BufWriter::new(stream.try_clone().unwrap());
+        let mut reader = BufReader::new(stream);
+        // Exactly the limit still parses: padding is whitespace.
+        let mut at_limit = br#"{"cmd": "ping"}"#.to_vec();
+        at_limit.resize(MAX_REQUEST_LINE, b' ');
+        writer.write_all(&at_limit).unwrap();
+        writer.write_all(b"\n").unwrap();
+        writer.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(
+            serde_json::from_str::<AdminResponse>(&line).unwrap(),
+            AdminResponse::ok("pong")
+        );
+        // One byte more, and no newline ever: answered, then hung up on.
+        writer.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
+        writer.flush().unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        let refused: AdminResponse = serde_json::from_str(&line).unwrap();
+        assert!(!refused.ok, "{refused:?}");
+        assert!(refused.output.contains("too long"), "{refused:?}");
+        line.clear();
+        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+        let mut next = AdminClient::connect(server.addr()).unwrap();
+        assert_eq!(next.send("ping").unwrap(), AdminResponse::ok("pong"));
+    }
+
+    #[test]
+    fn stop_is_prompt_with_an_idle_client_connected() {
+        let mut server = ping_server();
+        let mut idle = AdminClient::connect(server.addr()).unwrap();
+        assert_eq!(idle.send("ping").unwrap(), AdminResponse::ok("pong"));
+        let (done, stopped) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            let started = std::time::Instant::now();
+            server.stop();
+            let _ = done.send(started.elapsed());
+        });
+        let took = stopped
+            .recv_timeout(Duration::from_secs(5))
+            .expect("stop returned");
+        stopper.join().unwrap();
+        assert!(took < Duration::from_millis(50), "stop took {took:?}");
+        assert!(idle.send("ping").is_err(), "the idle client was let go");
     }
 }

@@ -5,11 +5,15 @@
 //!   cpms-console \[--watch\] \[NODES\] \[DISK_MB\]
 //!
 //! Starts NODES broker threads (default 4) with DISK_MB disks (default
-//! 256) and reads commands from stdin — interactively or from a script:
+//! 256) and reads [`Shell`] commands from stdin — interactively or from
+//! a script — until EOF or a `quit`/`exit` line:
 //!
 //!   echo "publish /a.html html 1024 0,1
 //!         ls
 //!         audit" | cargo run -p cpms-mgmt --bin cpms-console
+//!
+//! Exits 1 if any command answered `ok: false`: a command error or a
+//! health command that found a problem.
 //!
 //! With `--watch` the console instead takes a one-shot observability
 //! pass: it installs a flight recorder + SLO watchdog on the cluster's
@@ -18,10 +22,9 @@
 //! unreachable node. The same views are available interactively as the
 //! `top` and `health` shell commands.
 
-use cpms_mgmt::console::RemoteConsole;
-use cpms_mgmt::shell::{Shell, ShellOutcome};
+use cpms_mgmt::shell::Shell;
 use cpms_mgmt::{Cluster, Controller};
-use cpms_obs::{Sampler, SloRule, SloWatchdog};
+use cpms_obs::{MetricsRegistry, Sampler, SloRule, SloWatchdog};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,70 +58,50 @@ fn main() {
         .unwrap_or(256);
 
     eprintln!("cpms-console: {nodes} broker(s), {disk_mb} MB disks. `help` for commands.");
-    let console = RemoteConsole::new(Controller::new(Cluster::start(nodes, disk_mb << 20)));
-    let mut shell = Shell::new(console);
+    let controller = Controller::new(Cluster::start(nodes, disk_mb << 20));
+    let registry = Arc::clone(controller.metrics());
+    let mut shell = Shell::new(controller);
     if watch {
-        watch_once(shell);
+        watch_once(shell, &registry);
         return;
     }
 
-    let stdin = std::io::stdin();
     let mut stdout = std::io::stdout();
-    let interactive = false; // keep prompts off stdout so scripts stay clean
     let mut failures = 0u32;
-    for line in stdin.lock().lines() {
+    for line in std::io::stdin().lock().lines() {
         let Ok(line) = line else { break };
-        match shell.execute(&line) {
-            ShellOutcome::Output(out) => {
-                if !out.is_empty() {
-                    let _ = writeln!(stdout, "{out}");
-                }
-            }
-            ShellOutcome::Failure(out) => {
-                failures += 1;
-                if !out.is_empty() {
-                    let _ = writeln!(stdout, "{out}");
-                }
-            }
-            ShellOutcome::Quit => break,
+        if matches!(line.trim(), "quit" | "exit") {
+            break;
         }
-        if interactive {
-            let _ = write!(stdout, "> ");
-            let _ = stdout.flush();
+        let response = shell.execute(&line);
+        failures += u32::from(!response.ok);
+        if !response.output.is_empty() {
+            let _ = writeln!(stdout, "{}", response.output);
         }
     }
     shell.shutdown();
     if failures > 0 {
-        // Health commands found drift or down nodes: scripts and CI
-        // must see that as a failed run, not a clean exit.
-        eprintln!("cpms-console: {failures} health check(s) failed");
+        // Failed commands and health checks that found drift or down
+        // nodes: scripts and CI must see a failed run, not a clean exit.
+        eprintln!("cpms-console: {failures} command(s) failed");
         std::process::exit(1);
     }
 }
 
 /// One-shot `--watch` pass: recorder + watchdog on, a few sampling
 /// rounds, then the merged `top` and `health` views on stdout.
-fn watch_once(mut shell: Shell) {
-    let registry = Arc::clone(shell.console().controller().metrics());
+fn watch_once(mut shell: Shell, registry: &Arc<MetricsRegistry>) {
     SloWatchdog::install(
-        &registry,
+        registry,
         vec![SloRule::parse(WATCH_SLO).expect("literal SLO rule parses")],
     );
-    let mut sampler = Sampler::start(&registry, WATCH_INTERVAL);
+    let mut sampler = Sampler::start(registry, WATCH_INTERVAL);
     std::thread::sleep(WATCH_INTERVAL * 4);
-    let mut stdout = std::io::stdout();
     let mut sick = false;
     for command in ["top", "health"] {
-        match shell.execute(command) {
-            ShellOutcome::Output(out) => {
-                let _ = writeln!(stdout, "{out}");
-            }
-            ShellOutcome::Failure(out) => {
-                sick = true;
-                let _ = writeln!(stdout, "{out}");
-            }
-            ShellOutcome::Quit => unreachable!("top/health never quit"),
-        }
+        let response = shell.execute(command);
+        sick |= !response.ok;
+        println!("{}", response.output);
     }
     sampler.stop();
     shell.shutdown();

@@ -30,21 +30,24 @@
 //! ```
 //!
 //! then serves until stdin closes or the admin socket receives
-//! `shutdown`. The admin protocol is [`cpms_mgmt::admin`]'s ND-JSON:
-//! every shell command (`publish`, `audit`, `evict`, …) plus the chaos
-//! verbs wired to per-link [`FaultSwitch`]es:
+//! `shutdown`. The admin socket is for **control**: it speaks
+//! [`cpms_mgmt::admin`]'s ND-JSON, every [`Shell`] command (`publish`,
+//! `audit`, `evict`, `help`, …) plus the verbs that need this daemon's
+//! own state — the chaos switches wired to per-link [`FaultSwitch`]es,
+//! and the stop verb:
 //!
 //! ```text
 //! fault <node> loss <rate> [seed]   arm frame loss on the node's link
 //! fault <node> poison [seed]        arm frame truncation
 //! partition <node>                  cut the link entirely
 //! heal <node>                       disarm faults and reconnect
-//! metrics                           merged metrics registry as JSON
-//! traces                            retained spans as JSON
-//! series                            flight-recorder time series as JSON
-//! generation                        current URL-table generation
 //! shutdown                          clean exit
 //! ```
+//!
+//! **Introspection** is not on the socket: the proxy's HTTP port serves
+//! the registry this daemon's controller records into at
+//! `/_cpms/metrics.json` (the `urltable_generation` gauge included),
+//! `/_cpms/trace.json` and `/_cpms/series.json`, like every process.
 //!
 //! With the recorder on, the daemon also watches two default SLOs —
 //! `proxy_backend_errors_total rate <= 0 over 2s` and
@@ -54,8 +57,7 @@
 
 use cpms_httpd::{ContentAwareProxy, ProxyConfig, TenantCap};
 use cpms_mgmt::admin::{AdminResponse, AdminServer};
-use cpms_mgmt::console::RemoteConsole;
-use cpms_mgmt::shell::{Shell, ShellOutcome};
+use cpms_mgmt::shell::{parse_node, Shell};
 use cpms_mgmt::{Broker, Cluster, Controller};
 use cpms_model::NodeId;
 use cpms_obs::{MetricsRegistry, SloRule, SloWatchdog};
@@ -186,7 +188,7 @@ fn main() {
         ContentAwareProxy::start_with_config(publisher, backends, Arc::clone(&registry), config)
             .expect("start content-aware proxy");
 
-    let mut shell = Shell::new(RemoteConsole::new(controller));
+    let mut shell = Shell::new(controller);
     let (stop_tx, stop_rx) = mpsc::channel::<&'static str>();
     let admin_stop = stop_tx.clone();
     let admin = AdminServer::bind(admin_addr, move |cmd| {
@@ -232,8 +234,8 @@ fn main() {
     proxy.shutdown();
 }
 
-/// Handles one admin command: chaos verbs against the fault switches,
-/// daemon verbs, and everything else through the shell.
+/// Handles one admin command: the fault switches and the stop verb
+/// here, everything else through the shell.
 fn dispatch(
     shell: &mut Shell,
     switches: &[Arc<FaultSwitch>],
@@ -241,56 +243,46 @@ fn dispatch(
     cmd: &str,
 ) -> AdminResponse {
     let words: Vec<&str> = cmd.split_whitespace().collect();
-    match words.as_slice() {
-        ["fault", node, rest @ ..] => {
-            let armed = switch_for(switches, node).and_then(|(node, switch)| {
-                let (plan, what) = fault_plan(node, rest)?;
-                switch.arm(plan);
-                Ok(format!("armed {what} on {node}"))
-            });
-            match armed {
-                Ok(done) => AdminResponse::ok(done),
-                Err(e) => AdminResponse::err(e),
-            }
+    let done = match words.as_slice() {
+        [verb @ ("fault" | "partition" | "heal"), node, rest @ ..] => {
+            flip_switch(switches, verb, node, rest)
         }
-        ["partition", node] => match switch_for(switches, node) {
-            Ok((node, switch)) => {
-                switch.set_partitioned(true);
-                AdminResponse::ok(format!("partitioned {node}"))
-            }
-            Err(e) => AdminResponse::err(e),
-        },
-        ["heal", node] => match switch_for(switches, node) {
-            Ok((node, switch)) => {
-                switch.disarm();
-                switch.set_partitioned(false);
-                AdminResponse::ok(format!("healed {node}"))
-            }
-            Err(e) => AdminResponse::err(e),
-        },
-        ["metrics"] => AdminResponse::ok(shell.console().controller().metrics_json()),
-        ["traces"] => AdminResponse::ok(shell.console().controller().metrics().spans().to_json()),
-        ["series"] => AdminResponse::ok(shell.console().controller().metrics().series_json()),
-        ["generation"] => AdminResponse::ok(
-            shell
-                .console()
-                .controller()
-                .publisher()
-                .generation()
-                .to_string(),
-        ),
         ["shutdown"] => {
             let _ = stop.send("admin shutdown");
-            AdminResponse::ok("shutting down")
+            Ok("shutting down".to_string())
         }
-        _ => match shell.execute(cmd) {
-            ShellOutcome::Output(out) => AdminResponse::ok(out),
-            ShellOutcome::Failure(out) => AdminResponse::err(out),
-            ShellOutcome::Quit => {
-                let _ = stop.send("admin quit");
-                AdminResponse::ok("shutting down")
-            }
-        },
+        _ => return shell.execute(cmd),
+    };
+    done.map_or_else(AdminResponse::err, AdminResponse::ok)
+}
+
+/// `fault`, `partition` or `heal` against one node's link.
+fn flip_switch(
+    switches: &[Arc<FaultSwitch>],
+    verb: &str,
+    node: &str,
+    rest: &[&str],
+) -> Result<String, String> {
+    let node = parse_node(node)?;
+    let switch = switches
+        .get(usize::from(node.0))
+        .ok_or_else(|| format!("no node {node} in this topology"))?;
+    match (verb, rest) {
+        ("fault", _) => {
+            let (plan, what) = fault_plan(node, rest)?;
+            switch.arm(plan);
+            Ok(format!("armed {what} on {node}"))
+        }
+        ("partition", []) => {
+            switch.set_partitioned(true);
+            Ok(format!("partitioned {node}"))
+        }
+        ("heal", []) => {
+            switch.disarm();
+            switch.set_partitioned(false);
+            Ok(format!("healed {node}"))
+        }
+        _ => Err(format!("usage: {verb} <node>")),
     }
 }
 
@@ -489,21 +481,6 @@ fn smoke() {
     println!("smoke ok: relay under churn, overload shedding, tenant caps");
 }
 
-/// Resolves a `<node>` argument (`2` or `n2`) to its fault switch.
-fn switch_for<'a>(
-    switches: &'a [Arc<FaultSwitch>],
-    raw: &str,
-) -> Result<(NodeId, &'a Arc<FaultSwitch>), String> {
-    let digits = raw.strip_prefix('n').unwrap_or(raw);
-    let id: u16 = digits
-        .parse()
-        .map_err(|_| format!("bad node {raw:?} (use e.g. `2` or `n2`)"))?;
-    match switches.get(usize::from(id)) {
-        Some(switch) => Ok((NodeId(id), switch)),
-        None => Err(format!("no node {raw} in this topology")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,7 +500,7 @@ mod tests {
             std::mem::forget(server); // serves for the length of the test
             let controller = Controller::new(Cluster::from_handles(Vec::new()));
             Rig {
-                shell: Shell::new(RemoteConsole::new(controller)),
+                shell: Shell::new(controller),
                 switches: vec![Arc::new(FaultSwitch::new(Arc::new(transport)))],
                 stop: mpsc::channel().0,
             }
@@ -563,6 +540,29 @@ mod tests {
             );
             assert!(rig.link_carries(), "{cmd} cut the link");
         }
+    }
+
+    #[test]
+    fn failed_commands_answer_not_ok() {
+        let mut rig = Rig::new();
+        for cmd in [
+            "delete /nope",
+            "evict n99",
+            "publish /a.html html 10 7",
+            "frobnicate",
+            "partition n1",
+            "heal x0",
+            "heal 0 now",
+            // Introspection is served over /_cpms/*, not this socket.
+            "metrics",
+            "generation",
+        ] {
+            let response = rig.admin(cmd);
+            assert!(!response.ok, "{cmd}: {response:?}");
+            assert!(!response.output.is_empty(), "{cmd}: {response:?}");
+        }
+        assert!(rig.admin("help").ok);
+        assert!(rig.link_carries(), "no failed command touched the link");
     }
 
     #[test]

@@ -318,12 +318,6 @@ impl Controller {
         self.metrics.registry.snapshot().to_console()
     }
 
-    /// Samples the table gauges and renders the full registry as JSON.
-    pub fn metrics_json(&self) -> String {
-        self.sample_gauges();
-        self.metrics.registry.snapshot().to_json()
-    }
-
     /// Refreshes the point-in-time gauges (table size/memory/generation)
     /// from the current snapshot.
     fn sample_gauges(&self) {
@@ -970,6 +964,32 @@ mod tests {
         c.rename(&p("/img"), &p("/media")).unwrap();
         assert!(c.table().lookup(&p("/media/a.gif")).is_some());
         assert!(c.table().lookup(&p("/media/deep/b.gif")).is_some());
+        assert!(coherent(&c));
+        c.shutdown();
+    }
+
+    #[test]
+    fn rename_carries_priority_and_replicas() {
+        let mut c = controller(3);
+        c.publish(
+            &p("/shop/cart.asp"),
+            ContentId(1),
+            ContentKind::Asp,
+            50,
+            Priority::Critical,
+            &[NodeId(0)],
+        )
+        .unwrap();
+        c.replicate(&p("/shop/cart.asp"), NodeId(2)).unwrap();
+        c.rename(&p("/shop"), &p("/store")).unwrap();
+        let table = c.table();
+        assert_eq!(table.len(), 1);
+        let entry = table.lookup(&p("/store/cart.asp")).unwrap();
+        assert_eq!(entry.priority(), Priority::Critical);
+        assert_eq!(entry.locations(), [NodeId(0), NodeId(2)]);
+        c.offload(&p("/store/cart.asp"), NodeId(0)).unwrap();
+        c.delete(&p("/store/cart.asp")).unwrap();
+        assert!(c.table().is_empty());
         assert!(coherent(&c));
         c.shutdown();
     }

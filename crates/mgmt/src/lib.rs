@@ -25,9 +25,12 @@
 //!   corresponding agents to the affected brokers, and keeps the
 //!   distributor's URL table in sync ("the controller will change the URL
 //!   table to adapt to these changes").
-//! - [`console::RemoteConsole`] — the administrator-facing file-manager
-//!   API: a coherent view of the whole document tree with insert, delete,
-//!   rename, assign, and replicate operations.
+//!   The controller *is* the file-manager API: insert, delete, rename,
+//!   assign, and replicate, over one coherent document tree
+//!   ([`Controller::table`]).
+//! - The §3 remote console — [`shell::Shell`], one command language over
+//!   the controller, driven from stdin by the `cpms-console` binary and
+//!   over a daemon's [`admin`] socket by the same lines.
 //!
 //! Plus §3.3's [`autorep::AutoReplicator`]: the load-balancing policy that
 //! replicates popular content to underutilized nodes and sheds copies from
@@ -37,20 +40,24 @@
 //! # Example
 //!
 //! ```
-//! use cpms_mgmt::{Cluster, Controller, console::RemoteConsole};
-//! use cpms_model::{ContentId, ContentKind, NodeId, UrlPath};
+//! use cpms_mgmt::shell::Shell;
+//! use cpms_mgmt::{Cluster, Controller};
+//! use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 //!
 //! // Three nodes with 1 GB of disk each.
-//! let cluster = Cluster::start(3, 1 << 30);
-//! let mut console = RemoteConsole::new(Controller::new(cluster));
+//! let mut controller = Controller::new(Cluster::start(3, 1 << 30));
 //!
 //! let path: UrlPath = "/site/index.html".parse().unwrap();
-//! console.publish(&path, ContentId(0), ContentKind::StaticHtml, 2048, &[NodeId(0)])?;
-//! console.replicate(&path, NodeId(2))?;
+//! let kind = ContentKind::StaticHtml;
+//! controller.publish(&path, ContentId(0), kind, 2048, Priority::Normal, &[NodeId(0)])?;
+//! controller.replicate(&path, NodeId(2))?;
+//! let table = controller.table();
+//! assert_eq!(table.lookup(&path).unwrap().locations(), [NodeId(0), NodeId(2)]);
 //!
-//! let view = console.tree_view();
-//! assert_eq!(view.len(), 1);
-//! assert_eq!(view[0].locations, vec![NodeId(0), NodeId(2)]);
+//! // The remote console speaks the same operations as command lines.
+//! let mut console = Shell::new(controller);
+//! assert!(console.execute("audit").ok);
+//! assert!(!console.execute("delete /missing.html").ok);
 //! # console.shutdown();
 //! # Ok::<(), cpms_mgmt::MgmtError>(())
 //! ```
@@ -63,7 +70,6 @@ pub mod agent;
 pub mod auditor;
 pub mod autorep;
 pub mod broker;
-pub mod console;
 pub mod controller;
 pub mod monitor;
 pub mod shell;

@@ -4,9 +4,8 @@
 //! consistent with what the brokers actually store, under arbitrary
 //! operation sequences.
 
-use cpms_mgmt::console::RemoteConsole;
 use cpms_mgmt::{AntiEntropyAuditor, Cluster, Controller};
-use cpms_model::{ContentId, ContentKind, NodeId, UrlPath};
+use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -47,7 +46,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
     fn single_system_image_stays_consistent(ops in prop::collection::vec(op_strategy(), 1..40)) {
-        let mut console = RemoteConsole::new(Controller::new(Cluster::start(NODES, 1 << 20)));
+        let mut controller = Controller::new(Cluster::start(NODES, 1 << 20));
         // model: slot -> (content id, replica set)
         let mut model: HashMap<u8, (u32, Vec<u8>)> = HashMap::new();
         let mut next_content = 0u32;
@@ -60,11 +59,12 @@ proptest! {
                     uniq.sort_unstable();
                     uniq.dedup();
                     let node_ids: Vec<NodeId> = uniq.iter().map(|&n| NodeId(n as u16)).collect();
-                    let r = console.publish(
+                    let r = controller.publish(
                         &path,
                         ContentId(next_content),
                         ContentKind::StaticHtml,
                         size as u64,
+                        Priority::Normal,
                         &node_ids,
                     );
                     if let std::collections::hash_map::Entry::Vacant(e) = model.entry(slot) {
@@ -76,11 +76,11 @@ proptest! {
                     }
                 }
                 Op::Delete { slot } => {
-                    let r = console.delete(&slot_path(slot));
+                    let r = controller.delete(&slot_path(slot));
                     prop_assert_eq!(r.is_ok(), model.remove(&slot).is_some());
                 }
                 Op::Replicate { slot, node } => {
-                    let r = console.replicate(&slot_path(slot), NodeId(node as u16));
+                    let r = controller.replicate(&slot_path(slot), NodeId(node as u16));
                     match model.get_mut(&slot) {
                         Some((_, replicas)) if !replicas.contains(&node) => {
                             prop_assert!(r.is_ok());
@@ -90,7 +90,7 @@ proptest! {
                     }
                 }
                 Op::Offload { slot, node } => {
-                    let r = console.offload(&slot_path(slot), NodeId(node as u16));
+                    let r = controller.offload(&slot_path(slot), NodeId(node as u16));
                     match model.get_mut(&slot) {
                         Some((_, replicas))
                             if replicas.contains(&node) && replicas.len() > 1 =>
@@ -102,7 +102,7 @@ proptest! {
                     }
                 }
                 Op::Rename { slot, to_slot } => {
-                    let r = console.rename(&slot_path(slot), &slot_path(to_slot));
+                    let r = controller.rename(&slot_path(slot), &slot_path(to_slot));
                     let ok = slot != to_slot
                         && model.contains_key(&slot)
                         && !model.contains_key(&to_slot);
@@ -114,26 +114,26 @@ proptest! {
                 }
             }
             // Invariant: stores and table agree after every operation.
-            let audit = AntiEntropyAuditor::new().audit(console.controller());
+            let audit = AntiEntropyAuditor::new().audit(&controller);
             prop_assert!(audit.is_clean(), "inconsistent: {audit:?}");
         }
 
-        // Final: the console view matches the model exactly.
-        let view = console.tree_view();
-        prop_assert_eq!(view.len(), model.len());
-        for row in view {
+        // Final: the table matches the model exactly.
+        let table = controller.table();
+        prop_assert_eq!(table.len(), model.len());
+        for (path, entry) in table.iter() {
             let slot = model
                 .iter()
-                .find(|(_, (id, _))| ContentId(*id) == row.content)
+                .find(|(_, (id, _))| ContentId(*id) == entry.content())
                 .map(|(slot, _)| *slot)
-                .expect("every view row is in the model");
-            prop_assert_eq!(slot_path(slot), row.path.clone());
-            let mut got: Vec<u8> = row.locations.iter().map(|n| n.0 as u8).collect();
+                .expect("every table row is in the model");
+            prop_assert_eq!(slot_path(slot), path.clone());
+            let mut got: Vec<u8> = entry.locations().iter().map(|n| n.0 as u8).collect();
             got.sort_unstable();
             let mut want = model[&slot].1.clone();
             want.sort_unstable();
-            prop_assert_eq!(got, want, "replica sets agree for {}", row.path);
+            prop_assert_eq!(got, want, "replica sets agree for {}", path);
         }
-        console.shutdown();
+        controller.shutdown();
     }
 }

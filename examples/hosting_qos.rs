@@ -4,23 +4,21 @@
 //!
 //! Run with: `cargo run --release -p cpms-core --example hosting_qos`
 
-use cpms_mgmt::console::RemoteConsole;
 use cpms_mgmt::{AntiEntropyAuditor, Cluster, Controller};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 
 fn main() {
     // A five-node hosting cluster: nodes 0-1 are "premium" (fast), 2-4
     // commodity.
-    let console_nodes = 5;
-    let mut console = RemoteConsole::new(Controller::new(Cluster::start(console_nodes, 64 << 20)));
+    let mut controller = Controller::new(Cluster::start(5, 64 << 20));
     let premium = [NodeId(0), NodeId(1)];
     let commodity = [NodeId(2), NodeId(3), NodeId(4)];
 
     // Customer A pays for high availability: critical shopping pages go on
     // both premium nodes.
     let cart: UrlPath = "/customer-a/cart.asp".parse().expect("valid");
-    console
-        .publish_with_priority(
+    controller
+        .publish(
             &cart,
             ContentId(0),
             ContentKind::Asp,
@@ -35,12 +33,13 @@ fn main() {
         .iter()
         .enumerate()
     {
-        console
+        controller
             .publish(
                 &page.parse().expect("valid"),
                 ContentId(1 + i as u32),
                 ContentKind::StaticHtml,
                 8 * 1024,
+                Priority::Normal,
                 &commodity[i % commodity.len()..=i % commodity.len()],
             )
             .expect("publish page");
@@ -49,57 +48,56 @@ fn main() {
     // Customer C's news feed is mutable: §4 keeps it single-copy so
     // consistency stays a centralized, trivial problem.
     let feed: UrlPath = "/customer-c/news.html".parse().expect("valid");
-    console
+    controller
         .publish(
             &feed,
             ContentId(9),
             ContentKind::StaticHtml,
             2 * 1024,
+            Priority::Normal,
             &[NodeId(2)],
         )
         .expect("publish feed");
     for edition in 1..=3u64 {
-        let version = console
-            .controller_mut()
-            .update_content(&feed)
-            .expect("update feed");
+        let version = controller.update_content(&feed).expect("update feed");
         assert_eq!(version, edition);
         println!("published news edition {edition} (single-copy: no fan-out consistency work)");
     }
 
     // The administrator sees one coherent tree regardless of placement.
     println!("\nsingle system image:");
-    for row in console.tree_view() {
+    let table = controller.table();
+    let mut rows: Vec<_> = table.iter().collect();
+    rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    for (path, entry) in rows {
         println!(
             "  {:<28} {:>9} {:>8} priority={:<8} on {:?}",
-            row.path.to_string(),
-            row.kind.to_string(),
-            format!("{}B", row.size),
-            row.priority.to_string(),
-            row.locations.iter().map(|n| n.0).collect::<Vec<_>>(),
+            path.to_string(),
+            entry.kind().to_string(),
+            format!("{}B", entry.size_bytes()),
+            entry.priority().to_string(),
+            entry.locations().iter().map(|n| n.0).collect::<Vec<_>>(),
         );
     }
 
     // Demand spikes on customer B: replicate their index everywhere cheap.
     let b_index: UrlPath = "/customer-b/index.html".parse().expect("valid");
     for node in commodity.iter().skip(1) {
-        console.replicate(&b_index, *node).expect("replicate");
+        controller.replicate(&b_index, *node).expect("replicate");
     }
     println!(
         "\nafter replication, {} has {} copies",
         b_index,
-        console
-            .tree_view()
-            .iter()
-            .find(|r| r.path == b_index)
+        controller
+            .table()
+            .lookup(&b_index)
             .expect("present")
-            .locations
-            .len()
+            .replica_count()
     );
 
     // The audit proves brokers and the URL table agree.
-    let audit = AntiEntropyAuditor::new().audit(console.controller());
+    let audit = AntiEntropyAuditor::new().audit(&controller);
     assert!(audit.is_clean(), "single system image intact: {audit:?}");
     println!("consistency audit: table and brokers agree on every copy");
-    console.shutdown();
+    controller.shutdown();
 }

@@ -33,6 +33,16 @@ cargo run --release -q -p cpms-mgmt --bin cpms-ship -- --smoke
 echo "==> proxy data-plane smoke (cpms-proxy --smoke: 400-conn churn relay, overload 503s, tenant caps)"
 timeout --signal=KILL 120 ./target/release/cpms-proxy --smoke
 
+echo "==> remote console (cpms-console: a clean script exits 0 and audits consistent; a failed command exits 1)"
+console_out=$(printf 'publish /ci/a.html html 1024 0,1\nls\naudit\n' | ./target/release/cpms-console 3 16)
+grep -q '^consistent' <<<"$console_out"
+console_status=0
+printf 'delete /nope\n' | ./target/release/cpms-console 3 16 >/dev/null 2>&1 || console_status=$?
+if [ "$console_status" -ne 1 ]; then
+    echo "ci: cpms-console exited $console_status on a failed command, want 1"
+    exit 1
+fi
+
 echo "==> cluster lab smoke (cpms-lab --smoke: 5 real processes, partition + kill chaos;"
 echo "    tracing gate: merged traces.json must have zero orphan spans and a cross-process trace;"
 echo "    SLO gate: the kill fault must trip the proxy watchdog into breach and the breach must clear)"

@@ -11,9 +11,10 @@
 use cpms_dispatch::failover::{BackupDistributor, Heartbeat, MonitorVerdict};
 use cpms_dispatch::mapping::ConnKey;
 use cpms_dispatch::relay::Distributor;
-use cpms_mgmt::console::RemoteConsole;
 use cpms_mgmt::{AntiEntropyAuditor, AutoReplicator, Cluster, Controller, WireMode};
-use cpms_model::{ContentId, ContentKind, LoadSample, LoadTracker, NodeId, SimDuration, UrlPath};
+use cpms_model::{
+    ContentId, ContentKind, LoadSample, LoadTracker, NodeId, Priority, SimDuration, UrlPath,
+};
 
 fn p(s: &str) -> UrlPath {
     s.parse().unwrap()
@@ -52,13 +53,12 @@ fn transport_invariant(scenario: impl Fn(WireMode) -> Outcome) {
 }
 
 /// The paper's §3.2 walk-through: the administrator edits the tree through
-/// the console; the URL table and every broker follow — in process and
-/// over TCP alike.
+/// the controller's file-manager operations; the URL table and every
+/// broker follow — in process and over TCP alike.
 #[test]
 fn admin_operations_propagate_everywhere() {
     transport_invariant(|mode| {
-        let mut console =
-            RemoteConsole::new(Controller::new(Cluster::start_mode(mode, 4, 10 << 20)));
+        let mut controller = Controller::new(Cluster::start_mode(mode, 4, 10 << 20));
 
         // Build a small site spread over the cluster.
         let pages = [
@@ -68,34 +68,34 @@ fn admin_operations_propagate_everywhere() {
             ("/video/intro.mpg", ContentKind::Video, 3),
         ];
         for (i, (path, kind, node)) in pages.iter().enumerate() {
-            console
-                .publish(&p(path), ContentId(i as u32), *kind, 4096, &[NodeId(*node)])
+            controller
+                .publish(
+                    &p(path),
+                    ContentId(i as u32),
+                    *kind,
+                    4096,
+                    Priority::Normal,
+                    &[NodeId(*node)],
+                )
                 .unwrap();
         }
-        assert_eq!(console.tree_view().len(), 4);
-        assert!(coherent(console.controller()));
+        assert_eq!(controller.table().len(), 4);
+        assert!(coherent(&controller));
 
         // Reorganize: move images under /assets, replicate the home page.
-        console.rename(&p("/img"), &p("/assets/img")).unwrap();
-        console.replicate(&p("/index.html"), NodeId(3)).unwrap();
-        assert!(coherent(console.controller()));
-        let view = console.tree_view();
-        assert!(view.iter().any(|r| r.path == p("/assets/img/logo.gif")));
-        assert_eq!(
-            view.iter()
-                .find(|r| r.path == p("/index.html"))
-                .unwrap()
-                .locations
-                .len(),
-            2
-        );
+        controller.rename(&p("/img"), &p("/assets/img")).unwrap();
+        controller.replicate(&p("/index.html"), NodeId(3)).unwrap();
+        assert!(coherent(&controller));
+        let table = controller.table();
+        assert!(table.lookup(&p("/assets/img/logo.gif")).is_some());
+        assert_eq!(table.lookup(&p("/index.html")).unwrap().replica_count(), 2);
 
         // Retire the video.
-        console.delete(&p("/video/intro.mpg")).unwrap();
-        assert_eq!(console.tree_view().len(), 3);
-        assert!(coherent(console.controller()));
-        let result = outcome(console.controller());
-        console.shutdown();
+        controller.delete(&p("/video/intro.mpg")).unwrap();
+        assert_eq!(controller.table().len(), 3);
+        assert!(coherent(&controller));
+        let result = outcome(&controller);
+        controller.shutdown();
         result
     });
 }
@@ -105,25 +105,25 @@ fn admin_operations_propagate_everywhere() {
 #[test]
 fn mutable_content_stays_consistent_on_one_node() {
     transport_invariant(|mode| {
-        let mut console =
-            RemoteConsole::new(Controller::new(Cluster::start_mode(mode, 3, 10 << 20)));
+        let mut controller = Controller::new(Cluster::start_mode(mode, 3, 10 << 20));
         let feed = p("/news/today.html");
-        console
+        controller
             .publish(
                 &feed,
                 ContentId(1),
                 ContentKind::StaticHtml,
                 2048,
+                Priority::Normal,
                 &[NodeId(1)],
             )
             .unwrap();
         for expected in 1..=5u64 {
-            let version = console.controller_mut().update_content(&feed).unwrap();
+            let version = controller.update_content(&feed).unwrap();
             assert_eq!(version, expected, "single copy: one monotone version");
         }
-        assert!(coherent(console.controller()));
-        let result = outcome(console.controller());
-        console.shutdown();
+        assert!(coherent(&controller));
+        let result = outcome(&controller);
+        controller.shutdown();
         result
     });
 }
@@ -141,7 +141,7 @@ fn auto_replication_moves_real_copies() {
                     ContentId(i),
                     ContentKind::StaticHtml,
                     1024,
-                    cpms_model::Priority::Normal,
+                    Priority::Normal,
                     &[NodeId(0)], // everything starts on node 0
                 )
                 .unwrap();
@@ -267,7 +267,7 @@ fn broker_failure_is_contained() {
                 ContentId(1),
                 ContentKind::StaticHtml,
                 100,
-                cpms_model::Priority::Normal,
+                Priority::Normal,
                 &[NodeId(0)],
             )
             .unwrap();
@@ -297,7 +297,7 @@ fn monitor_excludes_dead_nodes_from_replication() {
                 ContentId(1),
                 ContentKind::StaticHtml,
                 512,
-                cpms_model::Priority::Normal,
+                Priority::Normal,
                 &[NodeId(0)],
             )
             .unwrap();
