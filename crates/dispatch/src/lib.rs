@@ -22,9 +22,11 @@
 //!    translation and header rewriting in [`relay::Distributor`], and the
 //!    primary/backup fault-tolerance scheme in [`failover`].
 //!
-//! The policies are consumed by the simulator (`cpms-sim`) and by the live
-//! TCP proxy (`cpms-httpd`); the splicing state machine is exercised by
-//! unit/property tests and by the live proxy's connection handling.
+//! The policies are consumed by the simulator (`cpms-sim`), and
+//! [`LiveRouter`] by the live TCP proxy (`cpms-httpd`); the splicing
+//! state machine is exercised by unit/property tests, the `dispatch`
+//! micro-bench and the failover integration tests — the live proxy does
+//! not use it.
 //!
 //! # Example: routing decisions
 //!

@@ -8,11 +8,11 @@
 //! in the URL table, and splice the client connection to a **pre-forked
 //! persistent backend connection** from a pool.
 //!
-//! A content-blind [`L4Proxy`] (connect-and-pipe, no HTTP parsing) is
-//! included as the layer-4 baseline, and [`client`] provides a small
-//! keep-alive HTTP client used by tests, examples, and benches.
+//! [`client`] provides a small keep-alive HTTP client used by tests,
+//! examples, and benches; [`loadgen`] is its reactor-driven counterpart
+//! for many concurrent connections.
 //!
-//! The proxies are **event-driven**: a fixed set of worker threads, each
+//! The proxy is **event-driven**: a fixed set of worker threads, each
 //! running one readiness-driven loop (via `cpms-reactor`) of non-blocking
 //! connection state machines, serves every concurrent client — thousands
 //! of keep-alive connections do not add threads. The origin stays a
@@ -58,14 +58,12 @@
 pub mod client;
 mod conn;
 pub mod http;
-pub mod l4proxy;
 pub mod loadgen;
 pub mod origin;
 pub mod pool;
 pub mod proxy;
 
 pub use http::TRACE_HEADER;
-pub use l4proxy::L4Proxy;
 pub use origin::{OriginServer, SiteContent};
 pub use proxy::{
     ContentAwareProxy, ProxyConfig, TenantCap, METRICS_JSON_PATH, METRICS_PATH, SERIES_JSON_PATH,

@@ -15,7 +15,7 @@
 
 use crate::controller::Controller;
 use cpms_model::{NodeId, UrlPath};
-use cpms_store::{ObjectMeta, ShipPort, ShipReply, ShipRequest, Shipper, StoreError};
+use cpms_store::{ObjectMeta, ShipPort, ShipReply, ShipRequest, Shipper};
 use cpms_urltable::UrlEntry;
 use std::collections::HashMap;
 use std::fmt;
@@ -309,8 +309,7 @@ impl AntiEntropyAuditor {
                                     // checksum (silent corruption), which
                                     // would let the re-ship short-circuit
                                     // as "already committed".
-                                    let _ =
-                                        handle.ship(&ShipRequest::Delete { path: path.clone() });
+                                    handle.delete_copy(path).map_err(|e| e.to_string())?;
                                 }
                                 self.shipper
                                     .push_described(handle, path, meta, &sums, &body, true)
@@ -324,16 +323,7 @@ impl AntiEntropyAuditor {
                     .cluster()
                     .broker(*node)
                     .ok_or("node gone".to_string())
-                    .and_then(|handle| {
-                        match handle.ship(&ShipRequest::Delete { path: path.clone() }) {
-                            // Gone is gone: a delete retried after a
-                            // lost ack finds nothing left to delete.
-                            Ok(ShipReply::Deleted(_))
-                            | Ok(ShipReply::Err(StoreError::NotFound { .. })) => Ok(()),
-                            Ok(other) => Err(format!("delete answered {other:?}")),
-                            Err(e) => Err(e.to_string()),
-                        }
-                    }),
+                    .and_then(|handle| handle.delete_copy(path).map_err(|e| e.to_string())),
             };
             match outcome {
                 Ok(()) => report.repaired += 1,
@@ -433,36 +423,11 @@ mod tests {
         heals(c, |d| matches!(d, Drift::MissingObject { .. }));
     }
 
-    /// Delivers every request twice and answers with the second reply:
-    /// what a client sees whose first ack was lost and whose retry
-    /// arrived.
-    #[derive(Debug)]
-    struct Redelivering(std::sync::Arc<dyn cpms_wire::Transport>);
-
-    impl cpms_wire::Transport for Redelivering {
-        fn call(
-            &self,
-            request: &[u8],
-            deadline: std::time::Duration,
-        ) -> Result<Vec<u8>, cpms_wire::WireError> {
-            self.0.call(request, deadline)?;
-            self.0.call(request, deadline)
-        }
-
-        fn kind(&self) -> &'static str {
-            "redelivering"
-        }
-    }
-
     #[test]
     fn an_orphan_delete_answered_not_found_on_replay_is_still_a_repair() {
-        use crate::{broker::Broker, store::BrokerState};
+        use crate::{broker::spawn_redelivering, store::BrokerState};
         let handles = (0..2u16)
-            .map(|n| {
-                Broker::spawn_wrapped(BrokerState::new(NodeId(n), 1 << 20), |inner| {
-                    std::sync::Arc::new(Redelivering(inner))
-                })
-            })
+            .map(|n| spawn_redelivering(BrokerState::new(NodeId(n), 1 << 20)))
             .collect();
         let c = Controller::new(Cluster::from_handles(handles));
         put_behind_the_table(&c, 1, "/rogue", 9, 100);

@@ -22,11 +22,11 @@
 //! brokers) the server handle itself, so tests and the single-process
 //! deployment can stop a broker and recover its final state.
 
-use crate::agent::{AgentError, AgentOutput, AgentReply, AgentRequest, ShipAgent};
+use crate::agent::{AgentError, AgentOutput, AgentReply, AgentRequest, DeleteFile, ShipAgent};
 use crate::store::BrokerState;
-use cpms_model::NodeId;
+use cpms_model::{NodeId, UrlPath};
 use cpms_obs::{MetricsRegistry, SpanCollector, TraceContext, TracedSpan};
-use cpms_store::{ShipPort, ShipReply, ShipRequest};
+use cpms_store::{ShipPort, ShipReply, ShipRequest, StoreError};
 use cpms_wire::{
     Client, ClientStats, InProcServer, RetryPolicy, TcpServer, TcpTransport, Transport, WireError,
 };
@@ -227,6 +227,16 @@ impl BrokerHandle {
         Result::from(reply).map(|output| (output, reply_tail))
     }
 
+    /// Deletes this node's copy of `path` with one [`DeleteFile`]. A
+    /// delete retried after its reply was lost finds nothing left and is
+    /// answered `NotFound`: gone is gone, so that answer is success too.
+    pub(crate) fn delete_copy(&self, path: &UrlPath) -> Result<(), AgentError> {
+        match self.dispatch(DeleteFile { path: path.clone() }) {
+            Ok(_) | Err(AgentError::Store(StoreError::NotFound { .. })) => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
     /// Stops a locally hosted broker and returns its final state (for
     /// inspection or migration). Idempotent: returns `None` on repeated
     /// calls, if the broker already died, or if the broker is a remote
@@ -422,6 +432,28 @@ impl Broker {
             remote: true,
         }
     }
+}
+
+/// [`Broker::spawn`] behind a link that delivers every request twice and
+/// answers with the second reply: what a client sees whose first ack was
+/// lost and whose retry arrived.
+#[cfg(test)]
+pub(crate) fn spawn_redelivering(state: BrokerState) -> BrokerHandle {
+    #[derive(Debug)]
+    struct Redelivering(Arc<dyn Transport>);
+
+    impl Transport for Redelivering {
+        fn call(&self, request: &[u8], deadline: Duration) -> Result<Vec<u8>, WireError> {
+            self.0.call(request, deadline)?;
+            self.0.call(request, deadline)
+        }
+
+        fn kind(&self) -> &'static str {
+            "redelivering"
+        }
+    }
+
+    Broker::spawn_wrapped(state, |inner| Arc::new(Redelivering(inner)))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! agents to the affected brokers, then update the URL table — so the
 //! distributor only routes to copies that actually exist.
 
-use crate::agent::{AgentError, AgentOutput, DeleteFile, RenameFile, StatusProbe, TouchFile};
+use crate::agent::{AgentError, AgentOutput, RenameFile, StatusProbe, TouchFile};
 use crate::broker::{Broker, BrokerHandle};
 use crate::store::BrokerState;
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
@@ -91,18 +91,6 @@ impl From<TableError> for MgmtError {
     }
 }
 
-/// Which transport a cluster's brokers are served over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireMode {
-    /// In-process brokers, run on the controller's own thread (the
-    /// original single-process control plane).
-    #[default]
-    InProc,
-    /// Each broker is a TCP daemon on an ephemeral loopback port; every
-    /// RPC crosses a real socket.
-    Tcp,
-}
-
 /// A running set of brokers, one per node.
 #[derive(Debug)]
 pub struct Cluster {
@@ -110,42 +98,20 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Starts `nodes` brokers, each with `disk_capacity` bytes of store.
+    /// Starts `nodes` in-process brokers (run on the controller's own
+    /// thread), each with `disk_capacity` bytes of store.
     pub fn start(nodes: usize, disk_capacity: u64) -> Self {
-        Self::start_mode(WireMode::InProc, nodes, disk_capacity)
+        Self::start_with_capacities(&vec![disk_capacity; nodes])
     }
 
-    /// Starts `nodes` brokers over the given wire transport.
-    ///
-    /// # Panics
-    ///
-    /// In [`WireMode::Tcp`] if binding a loopback listener fails.
-    pub fn start_mode(mode: WireMode, nodes: usize, disk_capacity: u64) -> Self {
-        Cluster {
-            brokers: (0..nodes)
-                .map(|i| Self::host(mode, BrokerState::new(NodeId(i as u16), disk_capacity)))
-                .collect(),
-        }
-    }
-
-    /// Starts brokers with per-node disk capacities.
+    /// Starts in-process brokers with per-node disk capacities.
     pub fn start_with_capacities(capacities: &[u64]) -> Self {
         Cluster {
             brokers: capacities
                 .iter()
                 .enumerate()
-                .map(|(i, &cap)| {
-                    Self::host(WireMode::InProc, BrokerState::new(NodeId(i as u16), cap))
-                })
+                .map(|(i, &cap)| Broker::spawn(BrokerState::new(NodeId(i as u16), cap)))
                 .collect(),
-        }
-    }
-
-    fn host(mode: WireMode, state: BrokerState) -> BrokerHandle {
-        match mode {
-            WireMode::InProc => Broker::spawn(state),
-            WireMode::Tcp => Broker::bind("127.0.0.1:0".parse().expect("literal addr"), state)
-                .expect("bind ephemeral loopback broker"),
         }
     }
 
@@ -590,9 +556,7 @@ impl Controller {
         if let Some(e) = failure {
             // Roll back the copies that did commit.
             for &done in &stored {
-                let _ = self
-                    .broker(done)?
-                    .dispatch(DeleteFile { path: path.clone() });
+                let _ = self.broker(done)?.delete_copy(path);
             }
             return Err(e);
         }
@@ -633,7 +597,7 @@ impl Controller {
             .to_vec();
         let mut first_err: Option<MgmtError> = None;
         for n in locations {
-            if let Err(e) = self.broker(n)?.dispatch(DeleteFile { path: path.clone() }) {
+            if let Err(e) = self.broker(n)?.delete_copy(path) {
                 first_err.get_or_insert(e.into());
             }
         }
@@ -729,8 +693,7 @@ impl Controller {
         if entry.replica_count() <= 1 {
             return Err(MgmtError::LastCopy { path: path.clone() });
         }
-        self.broker(node)?
-            .dispatch(DeleteFile { path: path.clone() })?;
+        self.broker(node)?.delete_copy(path)?;
         self.update_table(|t| t.remove_location(path, node))?;
         Ok(())
     }
@@ -953,6 +916,29 @@ mod tests {
             c.delete(&p("/a")),
             Err(MgmtError::Table(TableError::NotFound { .. }))
         ));
+        c.shutdown();
+    }
+
+    #[test]
+    fn offload_and_delete_survive_a_lost_delete_reply() {
+        // Every request arrives twice and the first reply is lost: each
+        // delete's replay finds the copy already gone.
+        let handles = (0..2u16)
+            .map(|n| crate::broker::spawn_redelivering(BrokerState::new(NodeId(n), 1 << 20)))
+            .collect();
+        let mut c = Controller::new(Cluster::from_handles(handles));
+        publish(&mut c, "/a.html", 1, &[0, 1]);
+
+        c.offload(&p("/a.html"), NodeId(0)).unwrap();
+        assert_eq!(
+            c.table().lookup(&p("/a.html")).unwrap().locations(),
+            [NodeId(1)]
+        );
+        assert!(coherent(&c), "{:?}", AntiEntropyAuditor::new().audit(&c));
+
+        c.delete(&p("/a.html")).unwrap();
+        assert!(c.table().is_empty());
+        assert!(coherent(&c));
         c.shutdown();
     }
 

@@ -13,8 +13,9 @@
 //!   holds). The
 //!   paper implements brokers in Java for portability; here each broker is
 //!   a [`cpms_wire::Service`] reachable over a [`cpms_wire`] transport —
-//!   in process, run on the dispatching thread ([`WireMode::InProc`]), or
-//!   a real TCP daemon ([`WireMode::Tcp`], the `cpms-broker` binary).
+//!   in process, run on the dispatching thread ([`Broker::spawn`], what
+//!   [`Cluster::start`] hosts), or a real TCP daemon ([`Broker::bind`],
+//!   the `cpms-broker` binary).
 //! - [`agent::AgentRequest`] — a management function shipped to a broker
 //!   as a serialized wire message ("mobile code"): delete a file, store a
 //!   file, replicate content from a peer, report status. New functions are
@@ -80,6 +81,6 @@ pub use agent::{Agent, AgentError, AgentOutput, AgentReply, AgentRequest, ShipAg
 pub use auditor::{AntiEntropyAuditor, Drift, DriftReport};
 pub use autorep::{AutoReplicator, RebalanceAction};
 pub use broker::{Broker, BrokerHandle, BrokerService};
-pub use controller::{Cluster, Controller, EvictReport, MgmtError, WireMode};
+pub use controller::{Cluster, Controller, EvictReport, MgmtError};
 pub use monitor::{ClusterMonitor, NodeHealth, NodeTransportHealth};
 pub use store::{BrokerState, StoredFile};

@@ -5,6 +5,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> docs name only drivers that exist (every quoted -p <pkg> --bin|--example|--bench <name> resolves to a file)"
+unresolved=$(grep -ohE -e '-p cpms-[a-z]+ [^`#]*--(bin|example|bench) [A-Za-z0-9_-]+' \
+        -e '--manifest-path perfbench/Cargo.toml [^`#]*--bin [A-Za-z0-9_-]+' \
+        README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md |
+    sed -E 's/^-p cpms-([a-z]+) .*--(bin|example|bench) /\1 \2 /; s/^--manifest-path perfbench.* --bin /perfbench bin /' |
+    sort -u | while read -r pkg kind name; do
+        case "$pkg/$kind/$name" in
+            perfbench/bin/cpms-bench) file=perfbench/src/main.rs ;;
+            */bin/*) file=crates/$pkg/src/bin/$name.rs ;;
+            */example/*) file=examples/$name.rs ;;
+            */bench/*) file=crates/$pkg/benches/$name.rs ;;
+        esac
+        [ -f "$file" ] || echo "    -p cpms-$pkg --$kind $name (no $file)"
+    done)
+if [ -n "$unresolved" ]; then
+    echo "ci: the docs name drivers that do not exist:"
+    echo "$unresolved"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

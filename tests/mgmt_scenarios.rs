@@ -3,15 +3,17 @@
 //! §4 mutable-content policy, and distributor failover.
 //!
 //! Every controller-driven scenario runs twice — once over in-process
-//! brokers run on the calling thread ([`WireMode::InProc`]) and once over
-//! real loopback TCP daemons ([`WireMode::Tcp`]) — and must produce
+//! brokers run on the calling thread ([`Broker::spawn`]) and once over
+//! real loopback TCP daemons ([`Broker::bind`]) — and must produce
 //! *identical* results and URL-table publication generations: the
 //! management plane's behavior is transport-invariant.
 
 use cpms_dispatch::failover::{BackupDistributor, Heartbeat, MonitorVerdict};
 use cpms_dispatch::mapping::ConnKey;
 use cpms_dispatch::relay::Distributor;
-use cpms_mgmt::{AntiEntropyAuditor, AutoReplicator, Cluster, Controller, WireMode};
+use cpms_mgmt::{
+    AntiEntropyAuditor, AutoReplicator, Broker, BrokerHandle, BrokerState, Cluster, Controller,
+};
 use cpms_model::{
     ContentId, ContentKind, LoadSample, LoadTracker, NodeId, Priority, SimDuration, UrlPath,
 };
@@ -20,7 +22,26 @@ fn p(s: &str) -> UrlPath {
     s.parse().unwrap()
 }
 
-const BOTH_MODES: [WireMode; 2] = [WireMode::InProc, WireMode::Tcp];
+/// How a scenario hosts one node's broker.
+type Host = fn(BrokerState) -> BrokerHandle;
+
+/// A broker as a TCP daemon on an ephemeral loopback port: every RPC
+/// crosses a real socket.
+fn tcp(state: BrokerState) -> BrokerHandle {
+    Broker::bind("127.0.0.1:0".parse().unwrap(), state).unwrap()
+}
+
+/// Both transports, named for failure messages.
+const BOTH_HOSTS: [(&str, Host); 2] = [("inproc", Broker::spawn), ("tcp", tcp)];
+
+/// `nodes` brokers, each with `disk_capacity` bytes, hosted by `host`.
+fn cluster(host: Host, nodes: u16, disk_capacity: u64) -> Cluster {
+    Cluster::from_handles(
+        (0..nodes)
+            .map(|n| host(BrokerState::new(NodeId(n), disk_capacity)))
+            .collect(),
+    )
+}
 
 /// The URL table and every node's store agree: ids, and the recorded
 /// checksums against the bytes re-hashed on each node.
@@ -42,10 +63,10 @@ fn outcome(controller: &Controller) -> Outcome {
     (view, controller.publisher().generation())
 }
 
-/// Runs `scenario` under both wire modes and asserts the outcomes are
+/// Runs `scenario` over both transports and asserts the outcomes are
 /// byte-identical — same tree, same locations, same generation count.
-fn transport_invariant(scenario: impl Fn(WireMode) -> Outcome) {
-    let results: Vec<Outcome> = BOTH_MODES.iter().map(|&mode| scenario(mode)).collect();
+fn transport_invariant(scenario: impl Fn(Host) -> Outcome) {
+    let results: Vec<Outcome> = BOTH_HOSTS.iter().map(|&(_, host)| scenario(host)).collect();
     assert_eq!(
         results[0], results[1],
         "InProc and Tcp transports must produce identical outcomes"
@@ -57,8 +78,8 @@ fn transport_invariant(scenario: impl Fn(WireMode) -> Outcome) {
 /// broker follow — in process and over TCP alike.
 #[test]
 fn admin_operations_propagate_everywhere() {
-    transport_invariant(|mode| {
-        let mut controller = Controller::new(Cluster::start_mode(mode, 4, 10 << 20));
+    transport_invariant(|host| {
+        let mut controller = Controller::new(cluster(host, 4, 10 << 20));
 
         // Build a small site spread over the cluster.
         let pages = [
@@ -104,8 +125,8 @@ fn admin_operations_propagate_everywhere() {
 /// versions never diverge.
 #[test]
 fn mutable_content_stays_consistent_on_one_node() {
-    transport_invariant(|mode| {
-        let mut controller = Controller::new(Cluster::start_mode(mode, 3, 10 << 20));
+    transport_invariant(|host| {
+        let mut controller = Controller::new(cluster(host, 3, 10 << 20));
         let feed = p("/news/today.html");
         controller
             .publish(
@@ -132,8 +153,8 @@ fn mutable_content_stays_consistent_on_one_node() {
 /// that the controller executes, moving real (simulated) files.
 #[test]
 fn auto_replication_moves_real_copies() {
-    transport_invariant(|mode| {
-        let mut controller = Controller::new(Cluster::start_mode(mode, 4, 10 << 20));
+    transport_invariant(|host| {
+        let mut controller = Controller::new(cluster(host, 4, 10 << 20));
         for i in 0..6u32 {
             controller
                 .publish(
@@ -255,8 +276,8 @@ fn distributor_failover_preserves_connections() {
 /// keeps working.
 #[test]
 fn broker_failure_is_contained() {
-    for mode in BOTH_MODES {
-        let cluster = Cluster::start_mode(mode, 3, 10 << 20);
+    for (mode, host) in BOTH_HOSTS {
+        let cluster = cluster(host, 3, 10 << 20);
         // Kill node 1's broker behind the controller's back.
         // (Cluster exposes broker handles read-only; we simulate the failure
         // by dropping its thread through the public kill path.)
@@ -279,7 +300,7 @@ fn broker_failure_is_contained() {
         controller.shutdown();
         // After shutdown every operation reports BrokerUnavailable.
         let err = controller.replicate(&p("/a.html"), NodeId(1)).unwrap_err();
-        assert!(matches!(err, cpms_mgmt::MgmtError::Agent(_)), "{mode:?}");
+        assert!(matches!(err, cpms_mgmt::MgmtError::Agent(_)), "{mode}");
     }
 }
 
@@ -289,8 +310,8 @@ fn broker_failure_is_contained() {
 fn monitor_excludes_dead_nodes_from_replication() {
     use cpms_mgmt::{AutoReplicator, ClusterMonitor, RebalanceAction};
 
-    for mode in BOTH_MODES {
-        let mut controller = Controller::new(Cluster::start_mode(mode, 3, 10 << 20));
+    for (mode, host) in BOTH_HOSTS {
+        let mut controller = Controller::new(cluster(host, 3, 10 << 20));
         controller
             .publish(
                 &p("/hot.html"),
@@ -307,7 +328,7 @@ fn monitor_excludes_dead_nodes_from_replication() {
         let mut monitor = ClusterMonitor::new(3, 2);
         let _ = monitor.poll_controller(&controller);
         let _ = monitor.poll_controller(&controller);
-        assert_eq!(monitor.down_nodes(), vec![NodeId(2)], "{mode:?}");
+        assert_eq!(monitor.down_nodes(), vec![NodeId(2)], "{mode}");
 
         // Node 0 is hammered; nodes 1 and 2 idle. Without the monitor the
         // planner might pick node 2 (the coldest: zero samples).
@@ -347,7 +368,7 @@ fn monitor_excludes_dead_nodes_from_replication() {
         // living there is no drift.
         let audit = AntiEntropyAuditor::new().audit(&controller);
         assert!(audit.drift.is_empty(), "{audit:?}");
-        assert_eq!(audit.unreachable, [NodeId(2)], "{mode:?}");
+        assert_eq!(audit.unreachable, [NodeId(2)], "{mode}");
         controller.shutdown();
     }
 }

@@ -1,15 +1,44 @@
-//! Live-socket integration: the content-aware proxy and the L4 baseline
-//! fronting real origin servers, including a management-driven migration
-//! while traffic flows.
+//! Live-socket integration: the content-aware proxy and a content-blind
+//! layer-4 baseline fronting real origin servers, including a
+//! management-driven migration while traffic flows.
 
 use cpms_httpd::client::HttpClient;
-use cpms_httpd::{ContentAwareProxy, L4Proxy, OriginServer, SiteContent};
+use cpms_httpd::{ContentAwareProxy, OriginServer, SiteContent};
 use cpms_model::{ContentId, ContentKind, NodeId, UrlPath};
 use cpms_urltable::{UrlEntry, UrlTable};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 fn p(s: &str) -> UrlPath {
     s.parse().unwrap()
+}
+
+/// The layer-4 baseline: each accepted connection is bound to the next
+/// back end round-robin before a byte of it is read, then piped both
+/// ways. Blocking, two threads per connection. The threads are detached
+/// and the listener lives until the test process exits, so a failing
+/// client fails the test at once instead of waiting on them.
+fn l4_round_robin(backends: Vec<SocketAddr>) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for (client, backend) in listener.incoming().zip(backends.iter().cycle()) {
+            let (Ok(client), Ok(server)) = (client, TcpStream::connect(backend)) else {
+                continue;
+            };
+            pipe(client.try_clone().unwrap(), server.try_clone().unwrap());
+            pipe(server, client);
+        }
+    });
+    addr
+}
+
+/// Copies `from` into `to` on a thread of its own, passing EOF on.
+fn pipe(mut from: TcpStream, mut to: TcpStream) {
+    std::thread::spawn(move || {
+        let _ = std::io::copy(&mut from, &mut to);
+        let _ = to.shutdown(Shutdown::Write);
+    });
 }
 
 /// Partitioned site over three origin nodes.
@@ -75,25 +104,20 @@ fn content_aware_proxy_serves_partitioned_site() {
 #[test]
 fn l4_baseline_cannot_serve_partitioned_site() {
     let (origins, _table) = partitioned_cluster();
-    let backends: Vec<_> = origins.iter().map(|o| o.addr()).collect();
-    let l4 = L4Proxy::start(backends).unwrap();
+    let l4 = l4_round_robin(origins.iter().map(|o| o.addr()).collect());
 
-    // The same path requested over several connections round-robins over
-    // nodes; only one of three holds it.
-    let mut ok = 0;
-    let mut missing = 0;
-    for _ in 0..9 {
-        let mut client = HttpClient::connect(l4.addr()).unwrap();
-        match client.get("/index.html").unwrap().status {
-            200 => ok += 1,
-            404 => missing += 1,
-            other => panic!("unexpected status {other}"),
-        }
-    }
-    assert!(ok > 0, "some connections landed on the right node");
-    assert!(
-        missing > 0,
-        "content-blind routing must miss on partitioned placement"
+    // The same path over nine connections: connection i lands on node
+    // i mod 3, and only node 0 holds the page.
+    let statuses: Vec<u16> = (0..9)
+        .map(|_| {
+            let mut client = HttpClient::connect(l4).unwrap();
+            client.get("/index.html").unwrap().status
+        })
+        .collect();
+    assert_eq!(
+        statuses,
+        [200, 404, 404, 200, 404, 404, 200, 404, 404],
+        "content-blind routing serves 3 of 9 and misses the other 6"
     );
 }
 
