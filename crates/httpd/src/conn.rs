@@ -14,11 +14,14 @@
 //!   defence), replacing the old blocking `SO_RCVTIMEO` dance.
 //! - **Relays** are non-blocking state machines over a pooled backend
 //!   connection: enqueue the request head, parse the response head
-//!   incrementally, then stream the body through a reusable scratch buffer
-//!   into the client's write ring.
-//! - **Client writes** drain the ring with vectored I/O; a high-water mark
-//!   on the ring pauses backend reads (backpressure) until the client
-//!   catches up, so one slow client cannot balloon the proxy's memory.
+//!   incrementally, then move the rest of the body backend → pipe →
+//!   client with `splice(2)`, so body bytes that did not arrive with the
+//!   head never enter user space.
+//! - **Client writes** drain the write ring with vectored I/O, then the
+//!   body pipe. Backend reads pause while the pipe holds bytes
+//!   (backpressure) and resume once it is empty, so one slow client holds
+//!   one pipe's worth of kernel memory and the loop never spins on a full
+//!   pipe.
 //! - **Keep-alive** clients multiplex any number of requests over their
 //!   connection, each bound to a pool connection only for the exchange —
 //!   pipelined requests parse straight out of the read buffer without
@@ -43,7 +46,8 @@ use cpms_obs::{
     Counter, Gauge, HistogramRecorder, MetricsRegistry, OwnedSpan, RequestId, SpanCollector,
 };
 use cpms_reactor::{
-    new_poller, Event, Interest, Poller, Slab, SlabKey, TimerId, TimerWheel, Token, WakeReceiver,
+    new_poller, Event, Interest, Pipe, Poller, Slab, SlabKey, TimerId, TimerWheel, Token,
+    WakeReceiver,
 };
 use cpms_urltable::SnapshotHandle;
 use parking_lot::Mutex;
@@ -72,15 +76,10 @@ const SLOW_REQUEST: Duration = Duration::from_millis(250);
 /// Upper bound on a request or response head.
 const HEAD_CAP: usize = 16 * 1024;
 
-/// Reusable per-worker read buffer size (also the relay's streaming
-/// chunk size).
+/// Reusable per-worker read buffer size. It also bounds the body bytes a
+/// response carries through user space: only those that arrive with the
+/// head, in the backend read that completes it.
 const SCRATCH: usize = 16 * 1024;
-
-/// Client write-ring high-water mark: above this, backend reads pause.
-const WBUF_HIGH: usize = 64 * 1024;
-
-/// Client write-ring low-water mark: below this, paused backends resume.
-const WBUF_LOW: usize = 16 * 1024;
 
 /// Cap on the poller wait so a worker re-checks the stop flag even if no
 /// event or timer arrives (wakers make shutdown prompt; this is a belt).
@@ -133,6 +132,9 @@ struct WorkerMetrics {
     unroutable: Arc<Counter>,
     backend_errors: Arc<Counter>,
     pool_failures: Arc<Counter>,
+    pool_discards: Arc<Counter>,
+    body_spliced: Arc<Counter>,
+    body_copied: Arc<Counter>,
     malformed: Arc<Counter>,
     conn_active: Arc<Gauge>,
     conn_closed: Arc<Counter>,
@@ -161,6 +163,9 @@ impl WorkerMetrics {
             unroutable: registry.counter("proxy_unroutable_total"),
             backend_errors: registry.counter("proxy_backend_errors_total"),
             pool_failures: registry.counter("proxy_pool_failures_total"),
+            pool_discards: registry.counter("proxy_pool_discards_total"),
+            body_spliced: registry.counter("proxy_body_spliced_bytes_total"),
+            body_copied: registry.counter("proxy_body_copied_bytes_total"),
             malformed: registry.counter("proxy_malformed_total"),
             conn_active: registry.gauge("proxy_conn_active"),
             conn_closed: registry.counter("proxy_conn_closed_total"),
@@ -196,7 +201,7 @@ enum RelayPhase {
     Send,
     /// Accumulating the response head.
     Head,
-    /// Streaming `remaining` body bytes through to the client.
+    /// Splicing `remaining` body bytes through the connection's pipe.
     Body,
 }
 
@@ -207,15 +212,17 @@ struct Relay {
     node: usize,
     /// Request-head bytes not yet written to the backend.
     out: VecDeque<u8>,
-    /// Response-head accumulation.
+    /// Response-head accumulation; once the head is parsed, whatever the
+    /// backend sent past the declared body (which bars the connection
+    /// from the pool).
     inbuf: Vec<u8>,
     phase: RelayPhase,
-    /// Body bytes still to stream once the head is parsed.
+    /// Body bytes still to splice once the head is parsed.
     remaining: usize,
     started: Instant,
     /// Interest currently registered for the backend fd.
     interest: Interest,
-    /// Backend reads paused by the client write-ring high-water mark.
+    /// Backend deregistered until the connection's pipe drains.
     paused: bool,
     /// True once the client response head has been enqueued — after
     /// that, a backend failure can only truncate, not turn into a 502.
@@ -229,8 +236,14 @@ struct Conn {
     stream: TcpStream,
     /// Bytes read from the client, scanned for request heads.
     rbuf: Vec<u8>,
-    /// Bytes to write to the client (head + body of queued responses).
+    /// Bytes to write to the client: response heads, whole small
+    /// responses, and body bytes that arrived with a head.
     wbuf: VecDeque<u8>,
+    /// Body bytes the client is owed after `wbuf`, spliced from the
+    /// backend. Held from the head of a response with a body still to
+    /// come until the pipe is empty again; it then goes back to the
+    /// worker's stack.
+    pipe: Option<Pipe>,
     /// Interest currently registered for the client fd.
     interest: Interest,
     /// Close once `wbuf` drains.
@@ -259,6 +272,7 @@ impl Conn {
             stream,
             rbuf: Vec::new(),
             wbuf: VecDeque::new(),
+            pipe: None,
             interest: Interest::READ,
             close_after_flush: false,
             client_eof: false,
@@ -274,19 +288,28 @@ impl Conn {
         }
     }
 
+    /// True when the client is owed nothing: the ring and the pipe are
+    /// both empty.
+    fn flushed(&self) -> bool {
+        self.wbuf.is_empty() && self.pipe.as_ref().is_none_or(Pipe::is_empty)
+    }
+
     /// The client interest this connection's state calls for.
     fn desired_interest(&self) -> Interest {
         // Read while waiting for (more of) a request. While a relay is in
-        // flight or the connection is draining to close, reads stop — with
-        // level-triggered polling an unread pipelined request would spin
-        // the loop. The poller re-fires readiness when interest returns.
+        // flight, the client is owed bytes, or the connection is draining
+        // to close, reads stop — with level-triggered polling an unread
+        // pipelined request would spin the loop. The poller re-fires
+        // readiness when interest returns.
+        let flushed = self.flushed();
         let read = self.relay.is_none()
+            && flushed
             && !self.close_after_flush
             && !self.client_eof
             && self.rbuf.len() < HEAD_CAP;
         Interest {
             read,
-            write: !self.wbuf.is_empty(),
+            write: !flushed,
         }
     }
 }
@@ -310,6 +333,8 @@ struct Cx {
     timers: TimerWheel,
     timer_conns: HashMap<TimerId, SlabKey>,
     scratch: Vec<u8>,
+    /// Empty body pipes, reused across relays.
+    pipes: Vec<Pipe>,
 }
 
 /// The worker thread body.
@@ -342,6 +367,7 @@ pub(crate) fn worker_loop(boot: WorkerBoot) {
         timers: TimerWheel::new(TIMER_TICK, TIMER_SLOTS),
         timer_conns: HashMap::new(),
         scratch: vec![0u8; SCRATCH],
+        pipes: Vec::new(),
     };
     let mut conns: Slab<Conn> = Slab::new();
     let mut events: Vec<Event> = Vec::with_capacity(256);
@@ -480,7 +506,8 @@ fn fire_timer(cx: &mut Cx, conns: &mut Slab<Conn>, id: TimerId) {
 }
 
 /// Full close: cancel timers, unwind relay accounting, release fds, and
-/// record connection-level metrics.
+/// record connection-level metrics. A body pipe still holding bytes
+/// closes with the connection, so no other client can ever read them.
 fn teardown(cx: &mut Cx, mut conn: Conn) {
     if let Some((id, _)) = conn.timer.take() {
         cx.timers.cancel(id);
@@ -492,7 +519,7 @@ fn teardown(cx: &mut Cx, mut conn: Conn) {
             span.set_error(true);
         }
         let _ = cx.poller.deregister(relay.stream.as_raw_fd());
-        cx.pools[cx.idx].discard(relay.node, relay.stream);
+        discard_backend(cx, relay.node, relay.stream);
         if let Some(span) = conn.span.as_mut() {
             span.set_error(true);
         }
@@ -547,7 +574,7 @@ fn on_client_event(cx: &mut Cx, conn: &mut Conn, ev: Event) -> Verdict {
         // condition would re-fire every wait.
         return Verdict::Close;
     }
-    if ev.writable && !conn.wbuf.is_empty() && flush_client(cx, conn) == Verdict::Close {
+    if ev.writable && !conn.flushed() && flush_client(cx, conn) == Verdict::Close {
         return Verdict::Close;
     }
     if ev.readable && read_client(cx, conn) == Verdict::Close {
@@ -562,7 +589,7 @@ fn settle(cx: &mut Cx, conn: &mut Conn) -> Verdict {
     if advance_requests(cx, conn) == Verdict::Close {
         return Verdict::Close;
     }
-    if conn.close_after_flush && conn.wbuf.is_empty() {
+    if conn.close_after_flush && conn.flushed() {
         return Verdict::Close;
     }
     sync_client_interest(cx, conn);
@@ -596,9 +623,10 @@ fn read_client(cx: &mut Cx, conn: &mut Conn) -> Verdict {
     }
 }
 
-/// Writes as much of the client ring as the socket accepts, with
-/// vectored I/O across the ring's two segments; resumes a paused backend
-/// once the ring drains below the low-water mark.
+/// Writes what the client is owed, as far as the socket accepts: the ring
+/// first (vectored I/O across its two segments), then the body pipe. An
+/// emptied pipe resumes a paused backend, or goes back to the worker's
+/// stack once its relay is done.
 fn flush_client(cx: &mut Cx, conn: &mut Conn) -> Verdict {
     while !conn.wbuf.is_empty() {
         let (a, b) = conn.wbuf.as_slices();
@@ -609,28 +637,54 @@ fn flush_client(cx: &mut Cx, conn: &mut Conn) -> Verdict {
             Ok(n) => {
                 conn.wbuf.drain(..n);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Verdict::Keep,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => return Verdict::Close,
         }
     }
-    if conn.wbuf.len() < WBUF_LOW {
-        if let Some(relay) = conn.relay.as_mut() {
-            if relay.paused {
-                relay.paused = false;
-                let want = Interest::READ;
-                if relay.interest != want {
-                    relay.interest = want;
-                    let _ = cx.poller.reregister(
-                        relay.stream.as_raw_fd(),
-                        backend_token(conn.key),
-                        want,
-                    );
-                }
-            }
+    let Some(pipe) = conn.pipe.as_mut() else {
+        return Verdict::Keep;
+    };
+    while !pipe.is_empty() {
+        match pipe.drain_into(&conn.stream, pipe.len()) {
+            Ok(0) => return Verdict::Close,
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Verdict::Keep,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return Verdict::Close,
         }
     }
+    match conn.relay.as_mut() {
+        Some(relay) => resume_backend(cx, conn.key, relay),
+        None => cx.pipes.extend(conn.pipe.take()),
+    }
     Verdict::Keep
+}
+
+/// Backpressure: while the pipe holds bytes the backend is deregistered,
+/// so neither readiness nor a hangup wakes the loop for a fill that would
+/// only answer `WouldBlock` (a full pipe and an empty socket say the
+/// same). The pipe's drain re-arms it.
+fn pause_backend(cx: &mut Cx, relay: &mut Relay) {
+    if !relay.paused {
+        relay.paused = true;
+        let _ = cx.poller.deregister(relay.stream.as_raw_fd());
+    }
+}
+
+fn resume_backend(cx: &mut Cx, key: SlabKey, relay: &mut Relay) {
+    if relay.paused {
+        relay.paused = false;
+        let _ = cx
+            .poller
+            .register(relay.stream.as_raw_fd(), backend_token(key), relay.interest);
+    }
+}
+
+/// Drops a backend connection instead of pooling it, and counts it.
+fn discard_backend(cx: &Cx, node: usize, stream: TcpStream) {
+    cx.m.pool_discards.inc();
+    cx.pools[cx.idx].discard(node, stream);
 }
 
 /// Appends a response to the client ring and flushes opportunistically.
@@ -652,24 +706,21 @@ fn enqueue_response(
 }
 
 /// Serves every complete request already buffered (keep-alive clients
-/// may pipeline several). Stops when a relay starts, the buffer runs
-/// dry, or the connection is closing.
+/// may pipeline several). Stops when a relay starts, the client is owed
+/// bytes (a response queued behind a pipe would overtake its body), the
+/// buffer runs dry, or the connection is closing.
 fn advance_requests(cx: &mut Cx, conn: &mut Conn) -> Verdict {
     loop {
-        if conn.relay.is_some() || conn.close_after_flush {
+        if conn.relay.is_some() || conn.close_after_flush || !conn.flushed() {
             return Verdict::Keep;
         }
         if conn.rbuf.is_empty() && conn.request_started.is_none() {
-            if conn.client_eof {
-                // Clean EOF between requests.
-                return if conn.wbuf.is_empty() {
-                    Verdict::Close
-                } else {
-                    conn.close_after_flush = true;
-                    Verdict::Keep
-                };
-            }
-            return Verdict::Keep;
+            // Clean EOF between requests closes; otherwise wait for more.
+            return if conn.client_eof {
+                Verdict::Close
+            } else {
+                Verdict::Keep
+            };
         }
         if conn.request_started.is_none() {
             // First byte of a fresh request: its clock, id, and head
@@ -884,15 +935,6 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
             return verdict;
         }
     };
-    if backend.set_nonblocking(true).is_err() {
-        in_flight[node.index()].fetch_sub(1, Ordering::Relaxed);
-        cx.pools[cx.idx].discard(node.index(), backend);
-        let verdict = enqueue_response(cx, conn, 502, b"backend failure", keep_alive);
-        record_request_done(cx, conn);
-        finish_request(conn);
-        return verdict;
-    }
-
     let relay_ctx = relay_span.as_ref().and_then(OwnedSpan::context);
     let head = request_head(&request.path, relay_ctx.as_ref());
     let mut relay = Relay {
@@ -936,7 +978,7 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
             if let Some(span) = conn.span.as_mut() {
                 span.set_error(true);
             }
-            cx.pools[cx.idx].discard(node.index(), relay.stream);
+            discard_backend(cx, node.index(), relay.stream);
             let verdict = enqueue_response(cx, conn, 502, b"backend failure", keep_alive);
             record_request_done(cx, conn);
             finish_request(conn);
@@ -1034,37 +1076,43 @@ fn on_backend_event(cx: &mut Cx, conn: &mut Conn, ev: Event) -> Verdict {
                         }
                         Err(_) => return fail_relay(cx, conn, "malformed backend response"),
                         Ok(Some(rh)) => {
+                            let take = (relay.inbuf.len() - rh.head_len).min(rh.content_length);
+                            let remaining = rh.content_length - take;
+                            // The rest of the body will need a pipe: take
+                            // it before the client is promised a 200, so
+                            // failing to get one is still an honest 502.
+                            if remaining > 0 && conn.pipe.is_none() {
+                                match cx.pipes.pop().map_or_else(Pipe::new, Ok) {
+                                    Ok(pipe) => conn.pipe = Some(pipe),
+                                    Err(_) => return fail_relay(cx, conn, "no pipe for the body"),
+                                }
+                            }
                             // Forward a fresh head carrying the client's
                             // keep-alive disposition, then whatever body
-                            // bytes arrived with it.
-                            let keep_alive = conn.keep_alive;
-                            let head = response_head(rh.status, rh.content_length, keep_alive);
-                            // The length is the backend's word: reserve
-                            // no more than back-pressure lets the ring hold.
-                            conn.wbuf
-                                .reserve(head.len() + rh.content_length.min(WBUF_HIGH));
-                            conn.wbuf.extend(head.as_bytes());
+                            // bytes arrived with it; anything past the
+                            // body stays in `inbuf`.
                             let relay = conn.relay.as_mut().expect("still relaying");
+                            let head = response_head(rh.status, rh.content_length, conn.keep_alive);
+                            let body_end = rh.head_len + take;
+                            conn.wbuf.reserve(head.len() + take);
+                            conn.wbuf.extend(head.as_bytes());
+                            conn.wbuf.extend(&relay.inbuf[rh.head_len..body_end]);
+                            relay.inbuf.drain(..body_end);
                             relay.head_sent = true;
-                            let body_in = relay.inbuf.len() - rh.head_len;
-                            let take = body_in.min(rh.content_length);
-                            let body: Vec<u8> = relay
-                                .inbuf
-                                .drain(..rh.head_len + take)
-                                .skip(rh.head_len)
-                                .collect();
-                            relay.remaining = rh.content_length - take;
+                            relay.remaining = remaining;
                             relay.phase = RelayPhase::Body;
-                            conn.wbuf.extend(body);
-                            if conn.relay.as_ref().expect("still relaying").remaining == 0 {
+                            cx.m.body_copied.add(take as u64);
+                            if remaining == 0 {
                                 return succeed_relay(cx, conn);
                             }
                         }
                     }
                 }
                 RelayPhase::Body => {
-                    let want = relay.remaining.min(cx.scratch.len());
-                    let n = match io::Read::read(&mut &relay.stream, &mut cx.scratch[..want]) {
+                    // Fill only an empty pipe (a paused backend is not
+                    // polled), so `WouldBlock` here means the socket is dry.
+                    let pipe = conn.pipe.as_mut().expect("a body relay holds a pipe");
+                    let n = match pipe.fill_from(&relay.stream, relay.remaining) {
                         Ok(0) => return fail_relay(cx, conn, "backend closed mid-body"),
                         Ok(n) => n,
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -1072,30 +1120,20 @@ fn on_backend_event(cx: &mut Cx, conn: &mut Conn, ev: Event) -> Verdict {
                         Err(_) => return fail_relay(cx, conn, "backend read failed"),
                     };
                     relay.remaining -= n;
-                    conn.wbuf.extend(&cx.scratch[..n]);
+                    cx.m.body_spliced.add(n as u64);
+                    if flush_client(cx, conn) == Verdict::Close {
+                        return Verdict::Close;
+                    }
                     if conn.relay.as_ref().expect("still relaying").remaining == 0 {
                         return succeed_relay(cx, conn);
                     }
+                    // Bytes still owed: read no more until the pipe is
+                    // empty again.
+                    if !conn.flushed() {
+                        pause_backend(cx, conn.relay.as_mut().expect("still relaying"));
+                        break;
+                    }
                 }
-            }
-            // Backpressure: a client that cannot drain its ring pauses
-            // the backend until the flush path brings the ring back
-            // under the low-water mark.
-            if conn.wbuf.len() > WBUF_HIGH {
-                let relay = conn.relay.as_mut().expect("still relaying");
-                if !relay.paused {
-                    relay.paused = true;
-                    relay.interest = Interest {
-                        read: false,
-                        write: false,
-                    };
-                    let _ = cx.poller.reregister(
-                        relay.stream.as_raw_fd(),
-                        backend_token(conn.key),
-                        relay.interest,
-                    );
-                }
-                break;
             }
         }
     }
@@ -1103,15 +1141,16 @@ fn on_backend_event(cx: &mut Cx, conn: &mut Conn, ev: Event) -> Verdict {
     if flush_client(cx, conn) == Verdict::Close {
         return Verdict::Close;
     }
-    if conn.close_after_flush && conn.wbuf.is_empty() {
+    if conn.close_after_flush && conn.flushed() {
         return Verdict::Close;
     }
     sync_client_interest(cx, conn);
     Verdict::Keep
 }
 
-/// Relay finished cleanly: return the pooled connection, close the spans,
-/// record the request, and resume serving buffered requests.
+/// Relay finished cleanly: return the pooled connection (only if it sent
+/// nothing past the body), close the spans, record the request, and
+/// resume serving buffered requests once the client is owed nothing.
 fn succeed_relay(cx: &mut Cx, conn: &mut Conn) -> Verdict {
     let mut relay = conn.relay.take().expect("succeed without relay");
     clear_conn_timer(cx, conn);
@@ -1119,7 +1158,22 @@ fn succeed_relay(cx: &mut Cx, conn: &mut Conn) -> Verdict {
     cx.m.relay_ns
         .record(u64::try_from(relay.started.elapsed().as_nanos()).unwrap_or(u64::MAX));
     let _ = cx.poller.deregister(relay.stream.as_raw_fd());
-    cx.pools[cx.idx].release(relay.node, relay.stream);
+    if relay.inbuf.is_empty() {
+        cx.pools[cx.idx].release(relay.node, relay.stream);
+    } else {
+        // Bytes past the declared length would open the next exchange
+        // on this connection: it can never be pooled again.
+        cx.registry.events().record(
+            "relay",
+            conn.request_id,
+            format!(
+                "node {} sent {} bytes past the body; connection discarded",
+                relay.node,
+                relay.inbuf.len()
+            ),
+        );
+        discard_backend(cx, relay.node, relay.stream);
+    }
     relay.span.take(); // drop records the relay span, un-errored
     cx.stats
         .worker(cx.idx)
@@ -1140,7 +1194,8 @@ fn succeed_relay(cx: &mut Cx, conn: &mut Conn) -> Verdict {
 
 /// Relay failed: discard the pooled connection and either 502 (head not
 /// yet sent) or truncate by closing (mid-body — the client already has a
-/// 200 head, so a short body is the only honest signal left).
+/// 200 head, so a short body, whatever the ring and pipe still hold, is
+/// the only honest signal left).
 fn fail_relay(cx: &mut Cx, conn: &mut Conn, why: &str) -> Verdict {
     let Some(mut relay) = conn.relay.take() else {
         return Verdict::Keep;
@@ -1150,7 +1205,7 @@ fn fail_relay(cx: &mut Cx, conn: &mut Conn, why: &str) -> Verdict {
     cx.m.relay_ns
         .record(u64::try_from(relay.started.elapsed().as_nanos()).unwrap_or(u64::MAX));
     let _ = cx.poller.deregister(relay.stream.as_raw_fd());
-    cx.pools[cx.idx].discard(relay.node, relay.stream);
+    discard_backend(cx, relay.node, relay.stream);
     if let Some(mut span) = relay.span.take() {
         span.set_error(true);
     }

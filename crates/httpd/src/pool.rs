@@ -6,6 +6,8 @@
 //! out and returns it afterwards. If a node's list is momentarily empty
 //! the pool opens an extra connection rather than queueing, counting the
 //! event (`overflow_connects`) so benches can report pool pressure.
+//! Every pooled connection is non-blocking from birth: its readers and
+//! writers are the proxy's event loops.
 
 use parking_lot::Mutex;
 use std::io;
@@ -32,9 +34,7 @@ impl SocketPool {
         for &addr in &backends {
             let mut conns = Vec::with_capacity(prefork as usize);
             for _ in 0..prefork {
-                let stream = TcpStream::connect(addr)?;
-                stream.set_nodelay(true)?;
-                conns.push(stream);
+                conns.push(connect(addr)?);
             }
             idle.push(Mutex::new(conns));
         }
@@ -84,9 +84,7 @@ impl SocketPool {
             return Ok(conn);
         }
         self.overflow_connects.fetch_add(1, Ordering::Relaxed);
-        let stream = TcpStream::connect(self.backends[idx])?;
-        stream.set_nodelay(true)?;
-        Ok(stream)
+        connect(self.backends[idx])
     }
 
     /// Returns a healthy connection to the pool ("releases the pre-forked
@@ -100,6 +98,14 @@ impl SocketPool {
     pub fn discard(&self, _idx: usize, conn: TcpStream) {
         drop(conn);
     }
+}
+
+/// Opens one pooled connection: no Nagle delay, non-blocking.
+fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
 }
 
 #[cfg(test)]
@@ -143,14 +149,31 @@ mod tests {
 
     #[test]
     fn pooled_connections_actually_work() {
+        use std::io::Read;
         let o = origin();
         let pool = SocketPool::prefork(vec![o.addr()], 2).unwrap();
-        let conn = pool.checkout(0).unwrap();
-        let mut reader = std::io::BufReader::new(conn.try_clone().unwrap());
-        let mut writer = conn;
-        crate::http::write_request(&mut writer, &"/x".parse().unwrap()).unwrap();
-        let resp = crate::http::read_response(&mut reader).unwrap();
+        let mut conn = pool.checkout(0).unwrap();
+        let mut buf = [0u8; 256];
+        let idle = conn.read(&mut buf).unwrap_err();
+        assert_eq!(idle.kind(), io::ErrorKind::WouldBlock, "born non-blocking");
+
+        crate::http::write_request(&mut conn, &"/x".parse().unwrap()).unwrap();
+        let mut got = Vec::new();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let resp = loop {
+            if let Ok(resp) = crate::http::read_response(&mut &got[..]) {
+                break resp;
+            }
+            assert!(std::time::Instant::now() < deadline, "no response");
+            match conn.read(&mut buf) {
+                Ok(n) => got.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                Err(e) => panic!("pooled read failed: {e}"),
+            }
+        };
         assert_eq!(resp.body, b"pool");
-        pool.release(0, writer);
+        pool.release(0, conn);
     }
 }

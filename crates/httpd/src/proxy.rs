@@ -322,10 +322,12 @@ impl ContentAwareProxy {
     ) -> io::Result<ContentAwareProxy> {
         let workers = config.workers;
         assert!(workers >= 1, "a proxy needs at least one worker");
-        // Each proxied connection costs up to two fds (client + pooled
-        // backend) plus slack for pools and admin; raise the soft nofile
-        // limit toward what the configured cap implies.
-        let _ = cpms_reactor::raise_nofile_limit(config.max_conns as u64 * 3 + 256);
+        // Each proxied connection costs up to four fds — client, pooled
+        // backend, and the two ends of its body pipe (a worker's idle
+        // pipes were each some connection's) — plus slack for idle pool
+        // connections and admin; raise the soft nofile limit toward what
+        // the configured cap implies.
+        let _ = cpms_reactor::raise_nofile_limit(config.max_conns as u64 * 4 + 256);
         // Deep accept backlog: churning clients redial in bursts, and a
         // SYN dropped off std's default 128-slot backlog costs the client
         // a full retransmit timeout.

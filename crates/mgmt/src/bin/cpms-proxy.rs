@@ -318,12 +318,14 @@ fn fault_plan(node: NodeId, words: &[&str]) -> Result<(FaultPlan, String), Strin
 }
 
 /// Self-contained high-concurrency data-plane check (`cpms-proxy
-/// --smoke`): spins an in-process origin + proxy, then asserts the three
+/// --smoke`): spins an in-process origin + proxy, then asserts the four
 /// behaviours the event-driven data plane promises — (1) hundreds of
 /// churning keep-alive connections all served correctly on a fixed
 /// worker count, (2) connections over the global cap shed with an
 /// immediate 503 at accept, (3) a tenant over its per-prefix cap shed
-/// with a 503 while other tenants keep flowing.
+/// with a 503 while other tenants keep flowing, (4) 1 MiB bodies arrive
+/// byte-exact with at most 16 KiB of each through user space, the rest
+/// spliced.
 fn smoke() {
     use cpms_httpd::client::HttpClient;
     use cpms_httpd::loadgen::{self, LoadConfig};
@@ -476,9 +478,72 @@ fn smoke() {
     drop(held);
     eprintln!("smoke: tenant cap held at 4 concurrent connections, 5th shed with 503");
 
+    // --- stage 4: 1 MiB bodies move backend → pipe → client; only what
+    // arrives with the response head passes through user space.
+    let bodies: Vec<Vec<u8>> = (0..4u8)
+        .map(|k| (0..1usize << 20).map(|i| (i % 251) as u8 ^ k).collect())
+        .collect();
+    let mut big_site = SiteContent::new();
+    let mut big_table = UrlTable::new();
+    for (k, body) in bodies.iter().enumerate() {
+        let path = format!("/big/{k}.bin");
+        big_site.add_static(&path, body.clone());
+        big_table
+            .insert(
+                path.parse().expect("literal path"),
+                UrlEntry::new(ContentId(k as u32), ContentKind::StaticHtml, 1 << 20)
+                    .with_locations([NodeId(0)]),
+            )
+            .expect("insert smoke path");
+    }
+    let big_origin = OriginServer::start(NodeId(0), big_site).expect("smoke big origin");
+    let big_registry = Arc::new(MetricsRegistry::new());
+    let mut big = ContentAwareProxy::start_with_config(
+        TablePublisher::new(big_table),
+        vec![big_origin.addr()],
+        Arc::clone(&big_registry),
+        ProxyConfig {
+            workers: 2,
+            ..ProxyConfig::default()
+        },
+    )
+    .expect("smoke body proxy");
+    let mut client = HttpClient::connect(big.addr()).expect("body conn");
+    let responses = 16u64;
+    for n in 0..responses as usize {
+        let resp = client
+            .get(&format!("/big/{}.bin", n % bodies.len()))
+            .expect("body request");
+        assert_eq!(resp.status, 200, "1 MiB body relayed");
+        assert!(
+            resp.body == bodies[n % bodies.len()],
+            "1 MiB body {n} arrived altered"
+        );
+    }
+    let snapshot = big_registry.snapshot();
+    let spliced = snapshot
+        .counter("proxy_body_spliced_bytes_total")
+        .unwrap_or(0);
+    let copied = snapshot
+        .counter("proxy_body_copied_bytes_total")
+        .unwrap_or(0);
+    assert_eq!(
+        spliced + copied,
+        responses << 20,
+        "every body byte counted once"
+    );
+    assert!(
+        copied <= responses * 16 * 1024,
+        "at most 16 KiB of body per response through user space, got {copied} B over {responses}"
+    );
+    eprintln!(
+        "smoke: {responses} x 1 MiB bodies byte-exact; {spliced} B spliced, {copied} B through user space"
+    );
+
+    big.shutdown();
     small.shutdown();
     proxy.shutdown();
-    println!("smoke ok: relay under churn, overload shedding, tenant caps");
+    println!("smoke ok: relay under churn, overload shedding, tenant caps, spliced bodies");
 }
 
 #[cfg(test)]

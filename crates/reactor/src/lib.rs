@@ -15,6 +15,9 @@
 //!   request-head, relay) with O(1) schedule/cancel and lazy cancellation.
 //! - [`Waker`]/[`WakeReceiver`]: pipe-based cross-thread wakeups that
 //!   coalesce while a loop is parked in `wait`.
+//! - [`Pipe`]: a non-blocking pipe that `splice(2)` fills from one
+//!   descriptor and drains into another — the user-space end of the
+//!   paper's TCP splice, so relayed bodies never enter user space.
 //! - [`Slab`]: generation-checked connection arena so stale poller tokens
 //!   can never alias a recycled slot.
 //! - [`raise_nofile_limit`]: rlimit bump for 10k-connection benchmarks.
@@ -22,9 +25,9 @@
 //!   socket-construction moments where `std::net` would stall or shed.
 //!
 //! The only `unsafe` lives in the private `sys` module, which binds the
-//! handful of syscalls (`epoll_*`, `poll`, `pipe2`, `*rlimit`, and the
-//! socket family) by hand so the workspace keeps its no-external-
-//! dependency invariant.
+//! handful of syscalls (`epoll_*`, `poll`, `pipe2`, `splice`, `*rlimit`,
+//! and the socket family) by hand so the workspace keeps its
+//! no-external-dependency invariant.
 
 #![warn(missing_docs)]
 
@@ -32,6 +35,7 @@ mod sys;
 
 mod limits;
 pub mod net;
+mod pipe;
 mod poller;
 mod slab;
 mod timer;
@@ -39,6 +43,7 @@ mod wake;
 
 pub use limits::{current_nofile_limit, raise_nofile_limit};
 pub use net::{connect_nonblocking, listen_with_backlog, take_connect_error};
+pub use pipe::Pipe;
 pub use poller::{new_poller, new_poller_of, Event, Interest, Poller, PollerKind, Token};
 pub use slab::{Slab, SlabKey};
 pub use timer::{TimerId, TimerWheel};
@@ -47,7 +52,7 @@ pub use wake::{waker_pair, WakeReceiver, Waker};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
+    use std::io::{self, Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
     use std::time::{Duration, Instant};
@@ -187,6 +192,76 @@ mod tests {
                 .unwrap();
             assert_eq!(n, 0, "{kind:?}: drained waker goes quiet");
         }
+    }
+
+    #[test]
+    fn pipe_splices_bytes_between_sockets_exactly_and_reports_eof() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut origin = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (from, _) = listener.accept().unwrap();
+        let to = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut sink, _) = listener.accept().unwrap();
+        from.set_nonblocking(true).unwrap();
+        to.set_nonblocking(true).unwrap();
+
+        let mut pipe = Pipe::new().unwrap();
+        let err = pipe.fill_from(&from, 1024).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "nothing sent yet");
+
+        // More than a default pipe holds: a fill answers `WouldBlock` when
+        // the socket is dry or the pipe full, and the relay drains then.
+        let body: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+        let writer = {
+            let body = body.clone();
+            std::thread::spawn(move || {
+                origin.write_all(&body).unwrap();
+                origin
+            })
+        };
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; 300_000];
+            sink.read_exact(&mut got).unwrap();
+            got
+        });
+        let drain_all = |pipe: &mut Pipe| {
+            while !pipe.is_empty() {
+                match pipe.drain_into(&to, pipe.len()) {
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    Err(e) => panic!("drain failed: {e}"),
+                }
+            }
+        };
+        let mut moved = 0;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while moved < body.len() {
+            assert!(Instant::now() < deadline, "relay stalled at {moved}");
+            match pipe.fill_from(&from, body.len() - moved) {
+                Ok(n) => {
+                    assert!(n > 0, "no EOF before the body ends");
+                    moved += n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => drain_all(&mut pipe),
+                Err(e) => panic!("fill failed: {e}"),
+            }
+        }
+        drain_all(&mut pipe);
+        assert_eq!(reader.join().unwrap(), body, "bytes arrive exact");
+        drop(writer.join().unwrap());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match pipe.fill_from(&from, 1024) {
+                Ok(0) => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    assert!(Instant::now() < deadline, "EOF never surfaced");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                other => panic!("expected EOF, got {other:?}"),
+            }
+        }
+        assert!(pipe.is_empty());
     }
 
     #[test]

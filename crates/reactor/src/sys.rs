@@ -39,6 +39,10 @@ pub const POLLNVAL: c_short = 0x020;
 pub const O_NONBLOCK: c_int = 0x800;
 pub const O_CLOEXEC: c_int = 0x80000;
 
+// splice flags.
+pub const SPLICE_F_MOVE: u32 = 0x1;
+pub const SPLICE_F_NONBLOCK: u32 = 0x2;
+
 // rlimit.
 pub const RLIMIT_NOFILE: c_int = 7;
 
@@ -108,6 +112,14 @@ extern "C" {
     fn pipe2(pipefd: *mut c_int, flags: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
     fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
+    fn splice(
+        fd_in: c_int,
+        off_in: *mut i64,
+        fd_out: c_int,
+        off_out: *mut i64,
+        len: usize,
+        flags: u32,
+    ) -> isize;
     fn close(fd: c_int) -> c_int;
     fn getrlimit(resource: c_int, rlim: *mut rlimit) -> c_int;
     fn setrlimit(resource: c_int, rlim: *const rlimit) -> c_int;
@@ -231,6 +243,30 @@ pub fn read_fd(fd: c_int, buf: &mut [u8]) -> io::Result<usize> {
 
 pub fn write_fd(fd: c_int, buf: &[u8]) -> io::Result<usize> {
     let n = unsafe { write(fd, buf.as_ptr(), buf.len()) };
+    if n < 0 {
+        Err(io::Error::last_os_error())
+    } else {
+        Ok(n as usize)
+    }
+}
+
+/// Moves up to `len` bytes from `fd_in` to `fd_out` inside the kernel;
+/// one of the two must be a pipe. Never blocks on the pipe, and never on
+/// a socket in non-blocking mode: either reports `WouldBlock` instead.
+pub fn splice_fds(fd_in: c_int, fd_out: c_int, len: usize) -> io::Result<usize> {
+    // SAFETY: null offsets ask the kernel to use (and advance) each fd's
+    // own position, which is what pipes and sockets require; no memory of
+    // ours is read or written.
+    let n = unsafe {
+        splice(
+            fd_in,
+            std::ptr::null_mut(),
+            fd_out,
+            std::ptr::null_mut(),
+            len,
+            SPLICE_F_MOVE | SPLICE_F_NONBLOCK,
+        )
+    };
     if n < 0 {
         Err(io::Error::last_os_error())
     } else {

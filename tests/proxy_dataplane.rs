@@ -1,15 +1,18 @@
 //! Event-driven data-plane behaviours the thread-per-connection proxy
 //! could not promise: slow clients cost a state machine (not a thread),
 //! keep-alive connections multiplex many requests onto the pre-forked
-//! pool, and admission control sheds overload with immediate 503s.
+//! pool, admission control sheds overload with immediate 503s, and
+//! bodies spliced through a pipe arrive byte-exact, in order, and only
+//! to the client they belong to.
 
 use cpms_httpd::client::HttpClient;
+use cpms_httpd::http::read_response;
 use cpms_httpd::{ContentAwareProxy, OriginServer, ProxyConfig, SiteContent};
 use cpms_model::{ContentId, ContentKind, NodeId, UrlPath};
 use cpms_obs::MetricsRegistry;
 use cpms_urltable::{TablePublisher, UrlEntry, UrlTable};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,17 +27,7 @@ fn single_origin() -> (OriginServer, UrlTable) {
     site.add_static("/a.html", b"alpha-body".to_vec());
     site.add_static("/b.html", b"bravo-body".to_vec());
     let origin = OriginServer::start(NodeId(0), site).unwrap();
-    let mut table = UrlTable::new();
-    for (i, path) in ["/a.html", "/b.html"].iter().enumerate() {
-        table
-            .insert(
-                p(path),
-                UrlEntry::new(ContentId(i as u32), ContentKind::StaticHtml, 16)
-                    .with_locations([NodeId(0)]),
-            )
-            .unwrap();
-    }
-    (origin, table)
+    (origin, table_of(&["/a.html", "/b.html"]))
 }
 
 /// A slowloris-style client trickling its request head one byte at a
@@ -297,24 +290,10 @@ fn connections_over_the_cap_shed_fast_503s() {
 fn hostile_backend_content_length_costs_one_exchange_not_the_process() {
     // Node 1 answers every request with the hostile head, two body
     // bytes, and a close.
-    let hostile = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let hostile_addr = hostile.local_addr().unwrap();
-    std::thread::spawn(move || {
-        for stream in hostile.incoming() {
-            let Ok(mut stream) = stream else { return };
-            std::thread::spawn(move || {
-                let mut head = Vec::new();
-                let mut byte = [0u8; 1];
-                while !head.ends_with(b"\r\n\r\n") {
-                    match stream.read(&mut byte) {
-                        Ok(1) => head.push(byte[0]),
-                        _ => return,
-                    }
-                }
-                let _ = stream
-                    .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 4611686018427387904\r\n\r\nxx");
-            });
-        }
+    let hostile_addr = scripted_backend(|_, stream| {
+        let _ =
+            stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 4611686018427387904\r\n\r\nxx");
+        false
     });
 
     let (origin, mut table) = single_origin();
@@ -346,4 +325,372 @@ fn hostile_backend_content_length_costs_one_exchange_not_the_process() {
     let resp = fresh.get("/a.html").unwrap();
     assert_eq!((resp.status, &resp.body[..]), (200, &b"alpha-body"[..]));
     proxy.shutdown();
+}
+
+/// A back end that answers each request head it reads by calling
+/// `reply(path, stream)`; the connection stays open while `reply`
+/// returns true.
+fn scripted_backend(
+    reply: impl Fn(&str, &mut TcpStream) -> bool + Send + Sync + 'static,
+) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let reply = Arc::new(reply);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { return };
+            let reply = Arc::clone(&reply);
+            std::thread::spawn(move || loop {
+                let mut head = Vec::new();
+                let mut byte = [0u8; 1];
+                while !head.ends_with(b"\r\n\r\n") {
+                    match stream.read(&mut byte) {
+                        Ok(1) => head.push(byte[0]),
+                        _ => return,
+                    }
+                }
+                let text = String::from_utf8_lossy(&head);
+                let path = text.split_whitespace().nth(1).unwrap_or("").to_string();
+                if !reply(&path, &mut stream) {
+                    return;
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A table routing each path to node 0.
+fn table_of(paths: &[&str]) -> UrlTable {
+    let mut table = UrlTable::new();
+    for (i, path) in paths.iter().enumerate() {
+        table
+            .insert(
+                p(path),
+                UrlEntry::new(ContentId(i as u32), ContentKind::StaticHtml, 16)
+                    .with_locations([NodeId(0)]),
+            )
+            .unwrap();
+    }
+    table
+}
+
+/// A one-worker proxy (every connection shares one pipe stack) in front
+/// of `backend`, and its registry.
+fn one_worker_proxy(
+    table: UrlTable,
+    backend: SocketAddr,
+    prefork: u32,
+) -> (ContentAwareProxy, Arc<MetricsRegistry>) {
+    let registry = Arc::new(MetricsRegistry::new());
+    let proxy = ContentAwareProxy::start_with_config(
+        TablePublisher::new(table),
+        vec![backend],
+        Arc::clone(&registry),
+        ProxyConfig {
+            workers: 1,
+            prefork,
+            ..ProxyConfig::default()
+        },
+    )
+    .unwrap();
+    (proxy, registry)
+}
+
+fn counter(registry: &MetricsRegistry, name: &str) -> u64 {
+    registry.snapshot().counter(name).unwrap_or(0)
+}
+
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Body sizes around the 16 KiB first backend read (the only body bytes
+/// that pass through user space), around the 64 KiB default pipe, and
+/// well past both.
+const BODY_SIZES: [usize; 7] = [16_383, 16_384, 16_385, 65_536, 65_537, 1 << 20, HUGE];
+
+const HUGE: usize = (4 << 20) + 7;
+
+/// A body larger than what a loopback socket to an idle reader plus a
+/// pipe of socket-buffer fragments hold together (≈4–5 MB under Linux's
+/// default TCP buffer autotuning, 4 MiB send-buffer cap), so its relay
+/// stalls with the back end still holding bytes.
+const STALLER: usize = 8 << 20;
+
+/// A body whose bytes depend on their offset and on the body's length,
+/// so a shifted, dropped or foreign byte cannot pass for a right one.
+fn pattern(len: usize) -> Vec<u8> {
+    let mut x = len as u64 | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+fn big_path(len: usize) -> String {
+    format!("/big/{len}.bin")
+}
+
+/// An origin serving a pattern body of every size in [`BODY_SIZES`],
+/// [`STALLER`] and the small `/a.html`, behind a one-worker proxy.
+fn big_bodies_proxy() -> (OriginServer, ContentAwareProxy, Arc<MetricsRegistry>) {
+    let mut site = SiteContent::new();
+    site.add_static("/a.html", b"alpha-body".to_vec());
+    let mut paths = vec!["/a.html".to_string()];
+    for len in BODY_SIZES.into_iter().chain([STALLER]) {
+        site.add_static(&big_path(len), pattern(len));
+        paths.push(big_path(len));
+    }
+    let origin = OriginServer::start(NodeId(0), site).unwrap();
+    let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
+    let (proxy, registry) = one_worker_proxy(table_of(&paths), origin.addr(), 2);
+    (origin, proxy, registry)
+}
+
+fn get_raw(path: &str) -> Vec<u8> {
+    format!("GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").into_bytes()
+}
+
+/// Every body size, three times over on one keep-alive connection,
+/// arrives byte-exact, and each body byte is counted once: through user
+/// space (at most what arrived with the head) or spliced.
+#[test]
+fn bodies_around_every_buffer_boundary_relay_byte_exact_on_one_connection() {
+    let (_origin, proxy, registry) = big_bodies_proxy();
+    let bodies: Vec<Vec<u8>> = BODY_SIZES.iter().map(|&len| pattern(len)).collect();
+    let mut client = HttpClient::connect(proxy.addr()).unwrap();
+    for _ in 0..3 {
+        for (len, body) in BODY_SIZES.iter().zip(&bodies) {
+            let resp = client.get(&big_path(*len)).unwrap();
+            assert_eq!(resp.status, 200);
+            assert!(resp.body == *body, "the {len} B body arrived altered");
+        }
+    }
+    assert_eq!(
+        client.reconnects(),
+        0,
+        "one keep-alive connection throughout"
+    );
+
+    let responses = 3 * BODY_SIZES.len() as u64;
+    let total = 3 * BODY_SIZES.iter().sum::<usize>() as u64;
+    let copied = counter(&registry, "proxy_body_copied_bytes_total");
+    let spliced = counter(&registry, "proxy_body_spliced_bytes_total");
+    assert_eq!(copied + spliced, total, "every body byte counted once");
+    assert!(
+        copied <= responses * 16 * 1024,
+        "{copied} B through user space for {responses} responses"
+    );
+}
+
+/// Pipelined large, large, small on one connection come back in request
+/// order — and so do 800 more pipelined behind them while the reader
+/// pauses. The pause fills the socket to the client mid-pipeline, so
+/// some 16,385 B response (whose body ends in one ~70 B fill) completes
+/// its relay with its tail still owed: the next response must wait for
+/// that tail, not overtake it.
+#[test]
+fn pipelined_large_large_small_answer_in_order() {
+    let (_origin, proxy, _registry) = big_bodies_proxy();
+    let (huge, odd, tailed) = (pattern(HUGE), pattern(65_537), pattern(16_385));
+    let mut wants: Vec<(String, &[u8])> = vec![
+        (big_path(HUGE), &huge),
+        (big_path(65_537), &odd),
+        ("/a.html".to_string(), b"alpha-body"),
+    ];
+    for _ in 0..400 {
+        wants.push((big_path(16_385), &tailed));
+        wants.push(("/a.html".to_string(), b"alpha-body"));
+    }
+    let conn = TcpStream::connect(proxy.addr()).unwrap();
+    let requests: Vec<u8> = wants.iter().flat_map(|(path, _)| get_raw(path)).collect();
+    (&conn).write_all(&requests).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(conn);
+    for (i, (path, want)) in wants.iter().enumerate() {
+        if i == 3 {
+            std::thread::sleep(Duration::from_millis(200));
+        }
+        let resp =
+            read_response(&mut reader).unwrap_or_else(|e| panic!("response {i} unreadable: {e:?}"));
+        assert_eq!(resp.status, 200, "response {i}");
+        assert!(
+            resp.body == *want,
+            "response {i} ({path}) out of order or altered"
+        );
+    }
+}
+
+/// Waits until no body byte has been spliced for 50 ms: a relay behind a
+/// client that stopped reading has then filled the socket and its pipe.
+fn wait_for_stall(registry: &MetricsRegistry) {
+    let mut last = u64::MAX;
+    wait_until("the relay stalls behind the unread client", || {
+        let now = counter(registry, "proxy_body_spliced_bytes_total");
+        std::thread::sleep(Duration::from_millis(50));
+        std::mem::replace(&mut last, now) == now
+    });
+}
+
+/// Takes at most 64 KiB per read, 2 ms apart.
+struct Throttled(TcpStream);
+
+impl Read for Throttled {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        std::thread::sleep(Duration::from_millis(2));
+        let cap = buf.len().min(64 * 1024);
+        self.0.read(&mut buf[..cap])
+    }
+}
+
+/// A reader that stalls an 8 MiB body — its socket full, its pipe full,
+/// the back end with bytes still to send — idles, and then drains it
+/// slowly holds up no neighbour on the same worker, and the worker
+/// sleeps while it waits: a back end left armed beside a full pipe
+/// answers `WouldBlock` to every fill and spins the loop.
+#[test]
+fn a_slow_reader_neither_stalls_a_neighbour_nor_spins_the_loop() {
+    let (_origin, proxy, registry) = big_bodies_proxy();
+    let slow = TcpStream::connect(proxy.addr()).unwrap();
+    (&slow).write_all(&get_raw(&big_path(STALLER))).unwrap();
+    wait_for_stall(&registry);
+    let polls_before = counter(&registry, "reactor_polls_total");
+    std::thread::sleep(Duration::from_millis(200));
+
+    let started = Instant::now();
+    let mut neighbour = HttpClient::connect(proxy.addr()).unwrap();
+    let mib = pattern(1 << 20);
+    for _ in 0..20 {
+        assert_eq!(neighbour.get("/a.html").unwrap().body, b"alpha-body");
+    }
+    for _ in 0..2 {
+        assert!(neighbour.get(&big_path(1 << 20)).unwrap().body == mib);
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "the neighbour waited on the stalled relay"
+    );
+
+    slow.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let resp = read_response(&mut BufReader::with_capacity(64 * 1024, Throttled(slow)))
+        .expect("slow reader's response");
+    assert!(resp.body == pattern(STALLER), "slow reader's body altered");
+    let polls = counter(&registry, "reactor_polls_total") - polls_before;
+    assert!(
+        polls < 5_000,
+        "{polls} poller rounds while a slow reader held 8 MiB: the loop spun"
+    );
+}
+
+/// A back end that closes mid-body leaves the client what it sent — the
+/// 200 head and a short body, exact — then a close.
+#[test]
+fn a_backend_closing_mid_body_costs_a_short_body_and_a_close() {
+    let sent = pattern(300_000);
+    let backend = {
+        let sent = sent.clone();
+        scripted_backend(move |_, stream| {
+            let mut out = b"HTTP/1.1 200 OK\r\nContent-Length: 1000000\r\n\r\n".to_vec();
+            out.extend_from_slice(&sent);
+            let _ = stream.write_all(&out);
+            false
+        })
+    };
+    let (proxy, registry) = one_worker_proxy(table_of(&["/cut.bin"]), backend, 1);
+    let mut conn = TcpStream::connect(proxy.addr()).unwrap();
+    conn.write_all(&get_raw("/cut.bin")).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut got = Vec::new();
+    conn.read_to_end(&mut got).unwrap();
+    let head_end = got
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .expect("a response head")
+        + 4;
+    let head = String::from_utf8_lossy(&got[..head_end]);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(head.contains("Content-Length: 1000000"), "{head}");
+    assert!(
+        got[head_end..] == sent[..],
+        "short body: {} of {} B sent",
+        got.len() - head_end,
+        sent.len()
+    );
+    assert_eq!(counter(&registry, "proxy_backend_errors_total"), 1);
+}
+
+/// A client that vanishes mid-body (its pipe full of its body) frees its
+/// connection, and the next client on that worker — who may well get
+/// the same pipe — reads exactly its own bytes.
+#[test]
+fn a_client_vanishing_mid_body_leaves_no_bytes_for_the_next() {
+    let (_origin, proxy, registry) = big_bodies_proxy();
+    let gauge = || {
+        registry
+            .snapshot()
+            .gauge("proxy_conn_active")
+            .unwrap_or(i64::MIN)
+    };
+    let (huge, odd) = (pattern(HUGE), pattern(65_537));
+    for _ in 0..3 {
+        let mut gone = TcpStream::connect(proxy.addr()).unwrap();
+        gone.write_all(&get_raw(&big_path(HUGE))).unwrap();
+        gone.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = vec![0u8; 64 * 1024];
+        let n = gone.read(&mut buf).unwrap();
+        assert!(buf[..n].starts_with(b"HTTP/1.1 200"));
+        wait_for_stall(&registry);
+        drop(gone);
+        wait_until("the vanished client is torn down", || {
+            proxy.active_connections() == 0 && gauge() == 0
+        });
+
+        let mut next = HttpClient::connect(proxy.addr()).unwrap();
+        assert!(next.get(&big_path(65_537)).unwrap().body == odd);
+        assert_eq!(next.get("/a.html").unwrap().body, b"alpha-body");
+        assert!(next.get(&big_path(HUGE)).unwrap().body == huge);
+        drop(next);
+        wait_until("the next client is torn down", || gauge() == 0);
+    }
+}
+
+/// A back end that sends bytes past the declared body has desynchronised
+/// its connection: the proxy discards it (and counts the discard) instead
+/// of pooling it, so the next client's exchange is clean.
+#[test]
+fn a_backend_connection_with_bytes_past_the_body_is_discarded() {
+    let backend = scripted_backend(|path, stream| {
+        let reply: &[u8] = if path == "/stray.html" {
+            // A whole response, then the start of one nobody asked for;
+            // its tail follows once the proxy has moved on.
+            let _ = stream.write_all(
+                b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nfirstHTTP/1.1 200 OK\r\nContent-Len",
+            );
+            std::thread::sleep(Duration::from_millis(50));
+            b"gth: 5\r\n\r\nWRONG"
+        } else {
+            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nclean"
+        };
+        stream.write_all(reply).is_ok()
+    });
+    let (proxy, registry) = one_worker_proxy(table_of(&["/stray.html", "/clean.html"]), backend, 1);
+    let mut first = HttpClient::connect(proxy.addr()).unwrap();
+    let resp = first.get("/stray.html").unwrap();
+    assert_eq!((resp.status, &resp.body[..]), (200, &b"first"[..]));
+    let mut next = HttpClient::connect(proxy.addr()).unwrap();
+    let resp = next.get("/clean.html").unwrap();
+    assert_eq!((resp.status, &resp.body[..]), (200, &b"clean"[..]));
+    assert_eq!(counter(&registry, "proxy_pool_discards_total"), 1);
 }
