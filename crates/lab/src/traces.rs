@@ -34,7 +34,7 @@ pub struct SpanRow {
     pub span: String,
     /// Parent span id, `None` for trace roots.
     pub parent: Option<String>,
-    /// Span name (`proxy.request`, `wire.call`, `broker.ship`, …).
+    /// Span name (`proxy.request`, `wire.call`, `broker.commit`, …).
     pub name: String,
     /// Free-form detail.
     pub detail: String,
@@ -352,7 +352,7 @@ mod tests {
             &[
                 (T, "aa", None, "mgmt.publish", 10, 900, false),
                 // parent "zz" was never captured anywhere
-                (T, "cc", Some("zz"), "broker.ship", 30, 100, false),
+                (T, "cc", Some("zz"), "broker.chunk", 30, 100, false),
             ],
         );
         store.absorb(&doc);

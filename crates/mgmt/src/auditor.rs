@@ -13,9 +13,10 @@
 //! replica, orphan objects are deleted, stale or corrupt copies are
 //! overwritten with verified bytes.
 
+use crate::broker::BrokerHandle;
 use crate::controller::Controller;
 use cpms_model::{NodeId, UrlPath};
-use cpms_store::{ObjectMeta, ShipPort, ShipReply, ShipRequest, Shipper};
+use cpms_store::{ObjectMeta, ShipReply, ShipRequest, Shipper};
 use cpms_urltable::UrlEntry;
 use std::collections::HashMap;
 use std::fmt;
@@ -148,20 +149,20 @@ impl AntiEntropyAuditor {
     }
 
     /// Fetches one node's committed inventory with bounded retries.
-    fn inventory(&self, port: &dyn ShipPort) -> Option<HashMap<UrlPath, ObjectMeta>> {
+    fn inventory(&self, broker: &BrokerHandle) -> Option<HashMap<UrlPath, ObjectMeta>> {
         for _ in 0..INVENTORY_ATTEMPTS {
-            if let Ok(ShipReply::InventoryIs(listing)) = port.ship(&ShipRequest::Inventory) {
+            if let Ok(ShipReply::InventoryIs(listing)) = broker.dispatch(ShipRequest::Inventory) {
                 return Some(listing.into_iter().collect());
             }
         }
         None
     }
 
-    /// The checksum of `path`'s bytes as the node behind `port` re-hashes
-    /// them — bit rot the manifest alone cannot show (a verify failure
-    /// reports as a mismatching checksum).
-    fn store_checksum(&self, port: &dyn ShipPort, path: &UrlPath, manifest: &ObjectMeta) -> u64 {
-        match port.ship(&ShipRequest::Verify { path: path.clone() }) {
+    /// The checksum of `path`'s bytes as `broker`'s node re-hashes them
+    /// — bit rot the manifest alone cannot show (a verify failure reports
+    /// as a mismatching checksum).
+    fn store_checksum(&self, broker: &BrokerHandle, path: &UrlPath, manifest: &ObjectMeta) -> u64 {
+        match broker.dispatch(ShipRequest::Verify { path: path.clone() }) {
             Ok(ShipReply::Verified(meta)) => meta.checksum,
             // Corrupt on disk (or unreadable): force a mismatch so the
             // copy is treated as stale.
@@ -337,9 +338,7 @@ impl AntiEntropyAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::StoreFile;
     use crate::controller::Cluster;
-    use crate::store::StoredFile;
     use cpms_model::{ContentId, ContentKind, Priority};
 
     fn p(s: &str) -> UrlPath {
@@ -381,22 +380,13 @@ mod tests {
         c.shutdown();
     }
 
-    /// Writes `(content, size)`'s synthetic bytes at `path` straight into
-    /// `node`'s store (`put` with overwrite), the table none the wiser.
+    /// Ships `(content, size)`'s synthetic bytes to `path` on `node`
+    /// (overwriting), the table none the wiser.
     fn put_behind_the_table(c: &Controller, node: u16, path: &str, content: u32, size: u64) {
-        let file = StoredFile {
-            content: ContentId(content),
-            size,
-            version: 0,
-        };
-        c.cluster()
-            .broker(NodeId(node))
-            .unwrap()
-            .dispatch(StoreFile {
-                path: p(path),
-                file,
-                overwrite: true,
-            })
+        let body = cpms_store::synthetic_body(ContentId(content), size);
+        let broker = c.cluster().broker(NodeId(node)).unwrap();
+        Shipper::new()
+            .push(broker, &p(path), ContentId(content), 0, &body, true)
             .unwrap();
     }
 
@@ -419,7 +409,9 @@ mod tests {
         let c = published_controller();
         // Inject drift: delete node 1's object behind the table's back.
         let handle = c.cluster().broker(NodeId(1)).unwrap();
-        handle.ship(&ShipRequest::Delete { path: p("/a") }).unwrap();
+        handle
+            .dispatch(ShipRequest::Delete { path: p("/a") })
+            .unwrap();
         heals(c, |d| matches!(d, Drift::MissingObject { .. }));
     }
 

@@ -32,17 +32,19 @@
 //! `/_cpms/series.json`. Default 100; `0` disables.
 //!
 //! `--smoke` is the self-test for CI: it binds an ephemeral loopback
-//! daemon, exercises agent RPCs over real TCP — including through a
-//! fault-injecting transport at 20% frame loss and a poisoned
-//! (truncating) transport — and exits 0 if the wire layer held up. On
-//! Linux it first gates what hosting a broker costs this process, read
-//! from `/proc/self/task`: threads added by a TCP broker with one peer and by
-//! an in-process broker, and the wire threads' wake-ups while idle.
+//! daemon, stores real bytes on it and sends it ship-protocol requests
+//! over real TCP — including through a fault-injecting transport at 20%
+//! frame loss, a poisoned (truncating) transport, and a request in a
+//! spelling the broker does not speak — and exits 0 if the wire layer
+//! held up. On Linux it first gates what hosting a broker costs this
+//! process, read from `/proc/self/task`: threads added by a TCP broker
+//! with one peer and by an in-process broker, and the wire threads'
+//! wake-ups while idle.
 
-use cpms_mgmt::{AgentError, AgentOutput, Broker, BrokerState, ShipAgent, StoredFile};
+use cpms_mgmt::{AgentError, Broker, BrokerHandle, BrokerState};
 use cpms_model::{ContentId, NodeId, UrlPath};
 use cpms_obs::MetricsRegistry;
-use cpms_store::{ShipPort, ShipReply, ShipRequest};
+use cpms_store::{synthetic_body, ShipReply, ShipRequest, Shipper, StoreError};
 use cpms_wire::{FaultPlan, FaultyTransport, TcpTransport, Transport, WireError};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -173,18 +175,17 @@ fn path(s: &str) -> UrlPath {
     s.parse().expect("literal path")
 }
 
-fn store_file(handle: &cpms_mgmt::BrokerHandle, p: &str, id: u32) {
-    handle
-        .dispatch(cpms_mgmt::agent::StoreFile {
-            path: path(p),
-            file: StoredFile {
-                content: ContentId(id),
-                size: 64,
-                version: 0,
-            },
-            overwrite: false,
-        })
+/// Ships 64 bytes of `id`'s body to `p`.
+fn store_file(handle: &BrokerHandle, p: &str, id: u32) {
+    let body = synthetic_body(ContentId(id), 64);
+    Shipper::new()
+        .push(handle, &path(p), ContentId(id), 0, &body, false)
         .expect("store over TCP");
+}
+
+/// Objects the broker's store reports.
+fn objects(handle: &BrokerHandle) -> u64 {
+    handle.store_stats().expect("stat over TCP").objects
 }
 
 /// From `/proc/self/task/*/status`: this process's thread count, and the
@@ -252,13 +253,7 @@ fn smoke() {
     let addr = host.addr().expect("tcp daemon has an address");
     store_file(&host, "/smoke/a.html", 1);
     store_file(&host, "/smoke/b.html", 2);
-    match host
-        .dispatch(cpms_mgmt::agent::StatusProbe)
-        .expect("status over TCP")
-    {
-        AgentOutput::Status { files, .. } => assert_eq!(files, 2, "both stores landed"),
-        other => panic!("unexpected status reply {other:?}"),
-    }
+    assert_eq!(objects(&host), 2, "both stores landed");
     eprintln!("smoke: plain TCP RPCs ok ({addr})");
 
     // 2. A second client whose frames cross a lossy wire: retry/backoff
@@ -273,14 +268,11 @@ fn smoke() {
     });
     let mut successes = 0u32;
     for _ in 0..50 {
-        // StatusProbe is idempotent, so at-least-once retry is safe.
-        let reply: cpms_mgmt::AgentReply = flaky
-            .call(&cpms_mgmt::AgentRequest::Status(
-                cpms_mgmt::agent::StatusProbe,
-            ))
+        // Stat is idempotent, so at-least-once retry is safe.
+        let reply: ShipReply = flaky
+            .call(&ShipRequest::Stat)
             .expect("retry must absorb 20% loss");
-        let out = Result::from(reply).expect("probe itself cannot fail");
-        assert!(matches!(out, AgentOutput::Status { files: 2, .. }));
+        assert!(matches!(reply, ShipReply::Stats(s) if s.objects == 2));
         successes += 1;
     }
     let stats = flaky.stats();
@@ -299,9 +291,7 @@ fn smoke() {
     ));
     let doomed = cpms_wire::Client::new(poisoned).with_retry(cpms_wire::RetryPolicy::no_retry());
     let err = doomed
-        .call::<_, cpms_mgmt::AgentReply>(&cpms_mgmt::AgentRequest::Ship(ShipAgent {
-            request: ShipRequest::Inventory,
-        }))
+        .call::<_, ShipReply>(&ShipRequest::Inventory)
         .expect_err("truncated frames cannot succeed");
     assert!(
         matches!(
@@ -312,7 +302,7 @@ fn smoke() {
     );
     // The daemon shrugged it off: a clean client still works.
     let remote = Broker::connect(NodeId(0), addr);
-    match remote.ship(&ShipRequest::Inventory) {
+    match remote.dispatch(ShipRequest::Inventory) {
         Ok(ShipReply::InventoryIs(l)) => assert_eq!(l.len(), 2),
         other => panic!("daemon should have survived poison, got {other:?}"),
     }
@@ -321,11 +311,29 @@ fn smoke() {
         err.root()
     );
 
-    // 4. Shutdown hands back the final state.
+    // 4. A request in a spelling the broker does not speak (the agent
+    //    envelope it once did): refused with a typed error on the first
+    //    attempt, never retried, and the daemon serves the next client.
+    let stranger = cpms_wire::Client::new(Arc::new(TcpTransport::new(addr)));
+    let raw = stranger
+        .call_raw(br#"{"Status":null}"#)
+        .expect("the daemon answers");
+    let reply: ShipReply =
+        serde_json::from_str(std::str::from_utf8(&raw).expect("JSON reply")).expect("a ship reply");
+    assert!(
+        matches!(&reply, ShipReply::Err(StoreError::Io { detail }) if detail.starts_with("undecodable")),
+        "an unknown request must be refused, got {reply:?}"
+    );
+    let stats = stranger.stats();
+    assert_eq!((stats.calls, stats.retries), (1, 0), "exactly one attempt");
+    assert_eq!(objects(&remote), 2, "the daemon serves a clean client");
+    eprintln!("smoke: unknown request spelling refused once ({reply:?})");
+
+    // 5. Shutdown hands back the final state.
     let state = host.shutdown().expect("final state");
     assert_eq!(state.content().stats().objects, 2);
     let err = remote
-        .dispatch(cpms_mgmt::agent::StatusProbe)
+        .dispatch(ShipRequest::Stat)
         .expect_err("daemon is gone");
     assert!(matches!(err, AgentError::BrokerUnavailable(NodeId(0))));
     eprintln!("smoke: shutdown clean; networked broker smoke PASSED");

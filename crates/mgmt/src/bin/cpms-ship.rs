@@ -17,11 +17,10 @@
 //!     repairs all of it. Exits 0 only if every byte arrived intact
 //!     (zero checksum rejections) and the final audit is clean.
 
-use cpms_mgmt::{AntiEntropyAuditor, Broker, BrokerState, Cluster, Controller};
+use cpms_mgmt::{AgentError, AntiEntropyAuditor, Broker, BrokerState, Cluster, Controller};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_store::{
-    fnv64, synthetic_body, ObjectMeta, ShipPort, ShipReply, ShipRequest, Shipper, StoreError,
-    StoreStats,
+    fnv64, synthetic_body, ObjectMeta, ShipReply, ShipRequest, Shipper, StoreError, StoreStats,
 };
 use cpms_wire::{FaultPlan, FaultyTransport, Transport};
 use std::sync::Arc;
@@ -44,10 +43,7 @@ fn path(s: &str) -> UrlPath {
 /// Node `n`'s store accounting, asked for over its wire.
 fn store_stats(controller: &Controller, n: u16) -> StoreStats {
     let handle = controller.cluster().broker(NodeId(n)).expect("node exists");
-    match handle.ship(&ShipRequest::Stat).expect("stat over TCP") {
-        ShipReply::Stats(stats) => stats,
-        other => panic!("unexpected stat reply {other:?}"),
-    }
+    handle.store_stats().expect("stat over TCP")
 }
 
 const LOSS: f64 = 0.20;
@@ -181,24 +177,20 @@ fn smoke() {
     //       `NotFound`.
     let victim = path("/site/index.html");
     let n1 = controller.cluster().broker(NodeId(1)).expect("n1 exists");
-    match n1
-        .ship(&ShipRequest::Delete {
-            path: victim.clone(),
-        })
-        .expect("delete over TCP")
-    {
-        ShipReply::Deleted(_) | ShipReply::Err(StoreError::NotFound { .. }) => {}
-        other => panic!("unexpected delete reply {other:?}"),
-    }
-    match n1
-        .ship(&ShipRequest::Meta {
-            path: victim.clone(),
-        })
-        .expect("meta over TCP")
-    {
-        ShipReply::Err(StoreError::NotFound { .. }) => {}
-        other => panic!("n1 still answers for {victim}: {other:?}"),
-    }
+    let not_found = |r: &Result<ShipReply, AgentError>| {
+        matches!(r, Err(AgentError::Store(StoreError::NotFound { .. })))
+    };
+    let deleted = n1.dispatch(ShipRequest::Delete {
+        path: victim.clone(),
+    });
+    assert!(
+        matches!(deleted, Ok(ShipReply::Deleted(_))) || not_found(&deleted),
+        "unexpected delete reply {deleted:?}"
+    );
+    let meta = n1.dispatch(ShipRequest::Meta {
+        path: victim.clone(),
+    });
+    assert!(not_found(&meta), "n1 still answers for {victim}: {meta:?}");
     //    b) n0 grows an object the table never routed to it (orphan).
     let shipper = Shipper::new();
     let orphan = path("/rogue/leftover.html");

@@ -5,10 +5,11 @@
 //! > administrative functions and monitor the status … of the managed
 //! > node."
 //!
-//! A broker is a [`cpms_wire::Service`]: it owns its node's
-//! [`BrokerState`] — one content store — and executes serialized
-//! [`AgentRequest`]s received over a wire transport against it, replying
-//! with [`AgentReply`]s. The same service runs in two deployments:
+//! A broker is its node's content store served over the wire: a
+//! [`StoreService`] over the [`BrokerState`]'s store, speaking one
+//! protocol — [`ShipRequest`] in, [`ShipReply`] out. Every management
+//! function the controller sends is one of its verbs (see
+//! [`crate::agent`]). The same service runs in two deployments:
 //!
 //! - **in-process** ([`Broker::spawn`]) — a [`cpms_wire::InProcServer`],
 //!   which runs the service on the dispatching thread, preserving the
@@ -22,11 +23,13 @@
 //! brokers) the server handle itself, so tests and the single-process
 //! deployment can stop a broker and recover its final state.
 
-use crate::agent::{AgentError, AgentOutput, AgentReply, AgentRequest, DeleteFile, ShipAgent};
+use crate::agent::AgentError;
 use crate::store::BrokerState;
-use cpms_model::{NodeId, UrlPath};
-use cpms_obs::{MetricsRegistry, SpanCollector, TraceContext, TracedSpan};
-use cpms_store::{ShipPort, ShipReply, ShipRequest, StoreError};
+use cpms_model::{ContentId, NodeId, UrlPath};
+use cpms_obs::{MetricsRegistry, SpanCollector};
+use cpms_store::{
+    ObjectMeta, ShipPort, ShipReply, ShipRequest, StoreError, StoreService, StoreStats,
+};
 use cpms_wire::{
     Client, ClientStats, InProcServer, RetryPolicy, TcpServer, TcpTransport, Transport, WireError,
 };
@@ -37,105 +40,11 @@ use std::time::Duration;
 /// Default per-RPC deadline for broker calls.
 pub const BROKER_DEADLINE: Duration = Duration::from_secs(2);
 
-/// The broker's wire service: one node's content store behind the agent
-/// protocol. Requests are [`AgentRequest`] JSON payloads; responses are
-/// [`AgentReply`] JSON payloads. A tunneled ship request's chunk bytes
-/// ride behind either as the payload's raw tail
-/// ([`cpms_wire::with_tail`]).
-#[derive(Debug)]
-pub struct BrokerService {
-    state: BrokerState,
-    spans: Option<Arc<SpanCollector>>,
-}
-
-impl BrokerService {
-    /// Wraps a node's state as a wire service.
-    #[must_use]
-    pub fn new(state: BrokerState) -> Self {
-        BrokerService { state, spans: None }
-    }
-
-    /// Records a `broker.<agent>` span into `spans` for every request
-    /// executed under an inbound trace context (requests arriving
-    /// untraced add nothing — a broker never roots traces of its own).
-    #[must_use]
-    pub fn with_collector(mut self, spans: Arc<SpanCollector>) -> Self {
-        self.spans = Some(spans);
-        self
-    }
-
-    /// The node this broker manages.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.state.node()
-    }
-
-    /// Unwraps the service back into its state (after the server that
-    /// owned it stopped).
-    #[must_use]
-    pub fn into_state(self) -> BrokerState {
-        self.state
-    }
-}
-
-impl cpms_wire::Service for BrokerService {
-    fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        let (head, tail) = cpms_wire::split_tail(request);
-        let mut reply_tail = Vec::new();
-        let reply: AgentReply = match std::str::from_utf8(head)
-            .map_err(|e| format!("payload is not UTF-8: {e}"))
-            .and_then(|text| serde_json::from_str::<AgentRequest>(text).map_err(|e| e.to_string()))
-        {
-            Ok(agent) => {
-                // The request's trace context (if any) is this thread's
-                // current one — the server activated the frame's, or we
-                // are on the caller's thread — so this span parents to
-                // the caller's `wire.attempt` hop.
-                let mut span = match (&self.spans, TraceContext::current()) {
-                    (Some(spans), Some(_)) => {
-                        let mut span = TracedSpan::enter(spans, format!("broker.{}", agent.name()));
-                        span.set_detail(match &agent {
-                            AgentRequest::Ship(s) => {
-                                format!("node={} {}", self.state.node(), s.request.verb())
-                            }
-                            _ => format!("node={}", self.state.node()),
-                        });
-                        Some(span)
-                    }
-                    _ => None,
-                };
-                let result = match &agent {
-                    AgentRequest::Ship(ship) => {
-                        let (reply, bytes) =
-                            cpms_store::apply_tail(self.state.content(), &ship.request, tail);
-                        reply_tail = bytes;
-                        Ok(AgentOutput::Ship(reply))
-                    }
-                    other => other.execute(&mut self.state),
-                };
-                if let (Some(span), Err(e)) = (span.as_mut(), &result) {
-                    span.set_error(true);
-                    span.set_detail(e.to_string());
-                }
-                result.into()
-            }
-            Err(detail) => AgentReply::Err(AgentError::Transport {
-                node: self.state.node(),
-                error: WireError::Codec { detail },
-            }),
-        };
-        cpms_wire::with_tail(
-            serde_json::to_string(&reply).expect("agent replies always serialize"),
-            &reply_tail,
-        )
-    }
-}
-
 /// How a locally hosted broker is served.
 #[derive(Debug)]
 enum BrokerServer {
-    InProc(InProcServer<BrokerService>),
-    Tcp(TcpServer<BrokerService>),
+    InProc(InProcServer<StoreService>),
+    Tcp(TcpServer<StoreService>),
 }
 
 /// The controller-side handle to one node's broker: a retrying wire
@@ -199,41 +108,91 @@ impl BrokerHandle {
         }
     }
 
-    /// Ships an agent to the broker over the wire and waits for its
-    /// result.
+    /// Sends one request to the broker and waits for its reply — the call
+    /// the controller, monitor, auditor and console make.
     ///
     /// # Errors
     ///
+    /// [`AgentError::Store`] when the store refused ([`ShipReply::Err`]),
     /// [`AgentError::BrokerUnavailable`] if the broker is gone,
     /// [`AgentError::Transport`] on other wire failures (timeout,
-    /// poisoned frame, retries exhausted), plus whatever the agent
-    /// itself reports.
-    pub fn dispatch(&self, agent: impl Into<AgentRequest>) -> Result<AgentOutput, AgentError> {
-        self.dispatch_tail(agent.into(), &[])
-            .map(|(output, _tail)| output)
+    /// poisoned frame, retries exhausted).
+    pub fn dispatch(&self, request: impl Into<ShipRequest>) -> Result<ShipReply, AgentError> {
+        match self.ship(&request.into()) {
+            Ok(ShipReply::Err(e)) => Err(AgentError::Store(e)),
+            Ok(reply) => Ok(reply),
+            Err(e) => Err(AgentError::from_wire(self.node, e)),
+        }
     }
 
-    /// [`BrokerHandle::dispatch`] with raw bytes riding behind the agent
-    /// and behind its reply — a tunneled ship request's chunk.
-    fn dispatch_tail(
-        &self,
-        request: AgentRequest,
-        tail: &[u8],
-    ) -> Result<(AgentOutput, Vec<u8>), AgentError> {
-        let (reply, reply_tail): (AgentReply, Vec<u8>) = self
-            .client
-            .call_tail(&request, tail)
-            .map_err(|e| AgentError::from_wire(self.node, e))?;
-        Result::from(reply).map(|output| (output, reply_tail))
+    /// The node's store accounting, with one `Stat`.
+    ///
+    /// # Errors
+    ///
+    /// See [`BrokerHandle::dispatch`]; a reply that is not `Stats` is an
+    /// [`AgentError::Transport`] codec error.
+    pub fn store_stats(&self) -> Result<StoreStats, AgentError> {
+        match self.dispatch(ShipRequest::Stat)? {
+            ShipReply::Stats(stats) => Ok(stats),
+            other => Err(self.unexpected("stat", &other)),
+        }
     }
 
-    /// Deletes this node's copy of `path` with one [`DeleteFile`]. A
-    /// delete retried after its reply was lost finds nothing left and is
+    /// The object record a `Meta`, `Rename` or `Touch` answers with.
+    pub(crate) fn record(&self, request: ShipRequest) -> Result<ObjectMeta, AgentError> {
+        let verb = request.verb();
+        match self.dispatch(request)? {
+            ShipReply::MetaIs(meta) => Ok(meta),
+            other => Err(self.unexpected(verb, &other)),
+        }
+    }
+
+    fn unexpected(&self, verb: &str, reply: &ShipReply) -> AgentError {
+        AgentError::Transport {
+            node: self.node,
+            error: WireError::Codec {
+                detail: format!("broker answered {verb} with {reply:?}"),
+            },
+        }
+    }
+
+    /// Deletes this node's copy of `path` with one `Delete`. A delete
+    /// retried after its reply was lost finds nothing left and is
     /// answered `NotFound`: gone is gone, so that answer is success too.
     pub(crate) fn delete_copy(&self, path: &UrlPath) -> Result<(), AgentError> {
-        match self.dispatch(DeleteFile { path: path.clone() }) {
+        match self.dispatch(ShipRequest::Delete { path: path.clone() }) {
             Ok(_) | Err(AgentError::Store(StoreError::NotFound { .. })) => Ok(()),
             Err(e) => Err(e),
+        }
+    }
+
+    /// Moves this node's copy of `content` from `from` to `to` with one
+    /// `Rename`. A rename retried after its reply was lost finds `to`
+    /// taken and is refused; a copy whose `from` is gone and whose `to`
+    /// holds `content` has moved, so that refusal is success too (two
+    /// `Meta` reads judge it).
+    pub(crate) fn rename_copy(
+        &self,
+        from: &UrlPath,
+        to: &UrlPath,
+        content: ContentId,
+    ) -> Result<(), AgentError> {
+        let meta = |path: &UrlPath| self.record(ShipRequest::Meta { path: path.clone() });
+        let rename = ShipRequest::Rename {
+            from: from.clone(),
+            to: to.clone(),
+        };
+        match self.record(rename) {
+            Err(AgentError::Store(_))
+                if matches!(meta(to), Ok(m) if m.content == content)
+                    && matches!(
+                        meta(from),
+                        Err(AgentError::Store(StoreError::NotFound { .. }))
+                    ) =>
+            {
+                Ok(())
+            }
+            result => result.map(drop),
         }
     }
 
@@ -242,10 +201,13 @@ impl BrokerHandle {
     /// calls, if the broker already died, or if the broker is a remote
     /// daemon this process does not host.
     pub fn shutdown(&mut self) -> Option<BrokerState> {
-        match self.server.take()? {
-            BrokerServer::InProc(mut s) => s.stop().map(BrokerService::into_state),
-            BrokerServer::Tcp(mut s) => s.stop().map(BrokerService::into_state),
-        }
+        let service = match self.server.take()? {
+            BrokerServer::InProc(mut s) => s.stop(),
+            BrokerServer::Tcp(mut s) => s.stop(),
+        }?;
+        Some(BrokerState {
+            content: Arc::clone(service.store()),
+        })
     }
 
     /// Simulates a broker crash: the server stops without handing its
@@ -263,28 +225,12 @@ impl Drop for BrokerHandle {
 }
 
 impl ShipPort for BrokerHandle {
-    /// Content shipping rides the agent protocol: the request is
-    /// tunneled as a [`ShipAgent`], so the same broker endpoint carries
-    /// both management functions and replica bytes.
     fn ship_tail(
         &self,
         request: &ShipRequest,
         tail: &[u8],
     ) -> Result<(ShipReply, Vec<u8>), WireError> {
-        let agent = ShipAgent {
-            request: request.clone(),
-        };
-        match self.dispatch_tail(agent.into(), tail) {
-            Ok((AgentOutput::Ship(reply), reply_tail)) => Ok((reply, reply_tail)),
-            Ok((other, _)) => Err(WireError::Codec {
-                detail: format!("broker answered a ship request with {other:?}"),
-            }),
-            Err(AgentError::Store(e)) => Ok((ShipReply::Err(e), Vec::new())),
-            Err(AgentError::BrokerUnavailable(node)) => Err(WireError::Unavailable {
-                detail: format!("broker on {node} unavailable"),
-            }),
-            Err(AgentError::Transport { error, .. }) => Err(error),
-        }
+        self.client.call_tail(request, tail)
     }
 
     fn peer(&self) -> String {
@@ -312,10 +258,10 @@ impl Broker {
     /// Serves `service` in process; the client speaks through
     /// `wrap(transport)`.
     fn in_proc(
-        service: BrokerService,
+        service: StoreService,
         wrap: impl FnOnce(Arc<dyn Transport>) -> Arc<dyn Transport>,
     ) -> BrokerHandle {
-        let node = service.node();
+        let node = service.store().node();
         let (transport, server) = InProcServer::spawn(service);
         BrokerHandle {
             node,
@@ -329,10 +275,10 @@ impl Broker {
     /// through `wrap(transport)`.
     fn tcp(
         addr: SocketAddr,
-        service: BrokerService,
+        service: StoreService,
         wrap: impl FnOnce(Arc<dyn Transport>) -> Arc<dyn Transport>,
     ) -> std::io::Result<BrokerHandle> {
-        let node = service.node();
+        let node = service.store().node();
         let server = TcpServer::bind(addr, service)?;
         let transport = TcpTransport::new(server.addr());
         Ok(BrokerHandle {
@@ -346,14 +292,17 @@ impl Broker {
     /// Starts an in-process broker over `state`, returning the
     /// controller-side handle.
     pub fn spawn(state: BrokerState) -> BrokerHandle {
-        Self::in_proc(BrokerService::new(state), |t| t)
+        Self::in_proc(StoreService::new(state.content), |t| t)
     }
 
     /// [`Broker::spawn`] with the broker recording `broker.*` trace spans
     /// into `spans` — the single-process deployment's way of folding
     /// broker-side hops into one collector.
     pub fn spawn_observed(state: BrokerState, spans: Arc<SpanCollector>) -> BrokerHandle {
-        Self::in_proc(BrokerService::new(state).with_collector(spans), |t| t)
+        Self::in_proc(
+            StoreService::new(state.content).with_collector(spans),
+            |t| t,
+        )
     }
 
     /// [`Broker::spawn`] whose client speaks through `wrap(transport)` —
@@ -363,7 +312,7 @@ impl Broker {
         state: BrokerState,
         wrap: impl FnOnce(Arc<dyn Transport>) -> Arc<dyn Transport>,
     ) -> BrokerHandle {
-        Self::in_proc(BrokerService::new(state), wrap)
+        Self::in_proc(StoreService::new(state.content), wrap)
     }
 
     /// Binds a TCP broker daemon over `state` on `addr` (port 0 for
@@ -374,7 +323,7 @@ impl Broker {
     ///
     /// The bind failure, if any.
     pub fn bind(addr: SocketAddr, state: BrokerState) -> std::io::Result<BrokerHandle> {
-        Self::tcp(addr, BrokerService::new(state), |t| t)
+        Self::tcp(addr, StoreService::new(state.content), |t| t)
     }
 
     /// [`Broker::bind`] with the client's transport passed through
@@ -389,7 +338,7 @@ impl Broker {
         state: BrokerState,
         wrap: impl FnOnce(Arc<dyn Transport>) -> Arc<dyn Transport>,
     ) -> std::io::Result<BrokerHandle> {
-        Self::tcp(addr, BrokerService::new(state), wrap)
+        Self::tcp(addr, StoreService::new(state.content), wrap)
     }
 
     /// [`Broker::bind`] with the daemon recording `broker.*` trace spans
@@ -404,7 +353,8 @@ impl Broker {
         state: BrokerState,
         spans: Arc<SpanCollector>,
     ) -> std::io::Result<BrokerHandle> {
-        Self::tcp(addr, BrokerService::new(state).with_collector(spans), |t| t)
+        let service = StoreService::new(state.content).with_collector(spans);
+        Self::tcp(addr, service, |t| t)
     }
 
     /// A handle to a broker daemon running elsewhere (another process or
@@ -459,20 +409,18 @@ pub(crate) fn spawn_redelivering(state: BrokerState) -> BrokerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::{DeleteFile, StatusProbe, StoreFile};
-    use crate::store::StoredFile;
-    use cpms_model::{ContentId, UrlPath};
+    use cpms_store::{fnv64, synthetic_body, ContentStore, ShipError, Shipper};
 
     fn p(s: &str) -> UrlPath {
         s.parse().unwrap()
     }
 
-    fn file(id: u32) -> StoredFile {
-        StoredFile {
-            content: ContentId(id),
-            size: 10,
-            version: 0,
-        }
+    /// Ships `id`'s 10 synthetic bytes to `path`.
+    fn put(h: &BrokerHandle, path: &str, id: u32) {
+        let body = synthetic_body(ContentId(id), 10);
+        Shipper::new()
+            .push(h, &p(path), ContentId(id), 0, &body, false)
+            .unwrap();
     }
 
     #[test]
@@ -481,18 +429,10 @@ mod tests {
         assert_eq!(h.node(), NodeId(3));
         assert!(h.is_alive());
         assert_eq!(h.transport_kind(), "inproc");
-        h.dispatch(StoreFile {
-            path: p("/x"),
-            file: file(1),
-            overwrite: false,
-        })
-        .unwrap();
-        match h.dispatch(StatusProbe).unwrap() {
-            AgentOutput::Status { files, .. } => assert_eq!(files, 1),
-            other => panic!("{other:?}"),
-        }
+        put(&h, "/x", 1);
+        assert_eq!(h.store_stats().unwrap().objects, 1);
         let stats = h.transport_stats();
-        assert_eq!(stats.calls, 2);
+        assert_eq!(stats.calls, 4, "begin, chunk, commit, stat");
         assert!(stats.last_rtt_ns > 0);
         let state = h.shutdown().expect("final state");
         assert!(state.content().contains(&p("/x")));
@@ -501,14 +441,14 @@ mod tests {
     #[test]
     fn objects_put_into_the_shared_store_after_start_are_the_brokers_too() {
         // What an origin's backing store and the anti-entropy tests do:
-        // write the node's store from outside the agent protocol.
-        let shared = Arc::new(cpms_store::ContentStore::in_memory(NodeId(2), 1000));
+        // write the node's store from outside the broker protocol.
+        let shared = Arc::new(ContentStore::in_memory(NodeId(2), 1000));
         let h = Broker::spawn(BrokerState::new(NodeId(2), 1000).with_content(Arc::clone(&shared)));
         assert_eq!(h.node(), NodeId(2));
         shared
             .put(&p("/late"), ContentId(5), 3, &[1u8; 250], false)
             .unwrap();
-        match h.ship(&ShipRequest::Inventory).unwrap() {
+        match h.dispatch(ShipRequest::Inventory).unwrap() {
             ShipReply::InventoryIs(l) => {
                 assert_eq!(l.len(), 1);
                 let (path, late) = &l[0];
@@ -519,22 +459,22 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        let stats = h.store_stats().unwrap();
         assert_eq!(
-            h.dispatch(StatusProbe).unwrap(),
-            AgentOutput::Status {
-                files: 1,
-                used_bytes: 250,
-                free_bytes: 750
-            }
+            (stats.objects, stats.committed_bytes, stats.free_bytes()),
+            (1, 250, 750)
         );
-        h.dispatch(DeleteFile { path: p("/late") }).unwrap();
+        h.dispatch(ShipRequest::Delete { path: p("/late") })
+            .unwrap();
         assert!(!shared.contains(&p("/late")));
     }
 
     #[test]
     fn errors_propagate() {
         let mut h = Broker::spawn(BrokerState::new(NodeId(0), 1000));
-        let err = h.dispatch(DeleteFile { path: p("/nope") }).unwrap_err();
+        let err = h
+            .dispatch(ShipRequest::Delete { path: p("/nope") })
+            .unwrap_err();
         assert!(matches!(err, AgentError::Store(_)));
         h.shutdown();
     }
@@ -544,7 +484,7 @@ mod tests {
         let mut h = Broker::spawn(BrokerState::new(NodeId(0), 1000));
         h.shutdown();
         assert!(!h.is_alive());
-        let err = h.dispatch(StatusProbe).unwrap_err();
+        let err = h.dispatch(ShipRequest::Stat).unwrap_err();
         assert!(matches!(err, AgentError::BrokerUnavailable(NodeId(0))));
         assert!(h.shutdown().is_none(), "second shutdown is a no-op");
     }
@@ -557,20 +497,12 @@ mod tests {
                 let h = &h;
                 scope.spawn(move || {
                     for i in 0..25 {
-                        h.dispatch(StoreFile {
-                            path: p(&format!("/t{t}/f{i}")),
-                            file: file(i),
-                            overwrite: false,
-                        })
-                        .unwrap();
+                        put(h, &format!("/t{t}/f{i}"), i);
                     }
                 });
             }
         });
-        match h.dispatch(StatusProbe).unwrap() {
-            AgentOutput::Status { files, .. } => assert_eq!(files, 100),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(h.store_stats().unwrap().objects, 100);
     }
 
     #[test]
@@ -582,13 +514,8 @@ mod tests {
         .unwrap();
         assert_eq!(h.transport_kind(), "tcp");
         assert!(h.is_alive());
-        h.dispatch(StoreFile {
-            path: p("/net"),
-            file: file(2),
-            overwrite: false,
-        })
-        .unwrap();
-        match h.ship(&ShipRequest::Inventory).unwrap() {
+        put(&h, "/net", 2);
+        match h.dispatch(ShipRequest::Inventory).unwrap() {
             ShipReply::InventoryIs(l) => {
                 assert_eq!(l.len(), 1);
                 assert_eq!(l[0].0, p("/net"));
@@ -611,56 +538,51 @@ mod tests {
         .unwrap();
         let addr = host.addr().expect("tcp daemon has an address");
         let mut remote = Broker::connect(NodeId(4), addr);
-        remote
-            .dispatch(StoreFile {
-                path: p("/r"),
-                file: file(3),
-                overwrite: false,
-            })
-            .unwrap();
+        put(&remote, "/r", 3);
         assert!(remote.shutdown().is_none(), "connect owns no server");
         let state = host.shutdown().expect("host owns the daemon");
         assert!(state.content().contains(&p("/r")), "remote write landed");
     }
 
+    /// The typed refusal a broker answers a payload it cannot decode.
+    fn undecodable(reply: &[u8]) -> bool {
+        let reply: ShipReply = serde_json::from_str(std::str::from_utf8(reply).unwrap()).unwrap();
+        matches!(reply, ShipReply::Err(StoreError::Io { detail }) if detail.starts_with("undecodable"))
+    }
+
     #[test]
     fn garbage_payload_surfaces_codec_error_not_a_hang() {
         let h = Broker::spawn(BrokerState::new(NodeId(1), 1000));
-        // Speak raw bytes past the typed dispatch layer: no agent at all,
-        // a lone separator, a tail with no head, a frame's worth of zeros.
+        // Speak raw bytes past the typed dispatch layer: no request at
+        // all, a lone separator, a tail with no head, a frame's worth of
+        // zeros, and a request in the deleted agent spelling.
         let zeros = vec![0u8; 16 << 20];
-        for payload in [&b"not an agent"[..], &[0], b"\0headless", &zeros] {
-            let reply = h.client().call_raw(payload).unwrap();
-            let reply: AgentReply =
-                serde_json::from_str(std::str::from_utf8(&reply).unwrap()).unwrap();
-            match Result::from(reply) {
-                Err(AgentError::Transport {
-                    node,
-                    error: WireError::Codec { .. },
-                }) => assert_eq!(node, NodeId(1)),
-                other => panic!("{other:?}"),
-            }
+        for payload in [
+            &b"not a request"[..],
+            &[0],
+            b"\0headless",
+            &zeros,
+            br#"{"Status":null}"#,
+        ] {
+            assert!(undecodable(&h.client().call_raw(payload).unwrap()));
         }
     }
 
     #[test]
     fn a_broker_that_predates_tails_refuses_a_chunk_with_a_codec_error() {
-        use cpms_store::{ShipError, Shipper};
         // The service as it was: the whole payload goes to the decoder.
-        let (transport, _server) = InProcServer::spawn(|request: &[u8]| {
+        let store = ContentStore::in_memory(NodeId(5), 1 << 20);
+        let (transport, _server) = InProcServer::spawn(move |request: &[u8]| {
             let reply = match std::str::from_utf8(request)
                 .map_err(|e| e.to_string())
-                .and_then(|t| serde_json::from_str::<AgentRequest>(t).map_err(|e| e.to_string()))
+                .and_then(|t| serde_json::from_str::<ShipRequest>(t).map_err(|e| e.to_string()))
             {
-                Ok(agent) => agent.execute(&mut BrokerState::new(NodeId(5), 1 << 20)),
-                Err(detail) => Err(AgentError::Transport {
-                    node: NodeId(5),
-                    error: WireError::Codec { detail },
+                Ok(request) => cpms_store::apply(&store, &request),
+                Err(detail) => ShipReply::Err(StoreError::Io {
+                    detail: format!("undecodable ship request: {detail}"),
                 }),
             };
-            serde_json::to_string(&AgentReply::from(reply))
-                .unwrap()
-                .into_bytes()
+            serde_json::to_string(&reply).unwrap().into_bytes()
         });
         let old = BrokerHandle {
             node: NodeId(5),
@@ -672,9 +594,166 @@ mod tests {
             .push(&old, &p("/new"), ContentId(1), 0, &[7u8; 5000], false)
             .unwrap_err();
         match err {
-            ShipError::Wire(WireError::Codec { .. }) => {}
+            ShipError::Store(StoreError::Io { detail }) if detail.starts_with("undecodable") => {}
             other => panic!("{other:?}"),
         }
         assert_eq!(old.transport_stats().retries, 0, "refused once, for good");
+    }
+
+    /// A store with something for every verb to act on: `/a` committed;
+    /// `/idle` staged, then left idle across a sweep while `/s` (one of
+    /// two chunks staged) and `/c` (both staged, uncommitted) began.
+    fn busy_store() -> Arc<ContentStore> {
+        let store = Arc::new(ContentStore::in_memory(NodeId(0), 1 << 20));
+        store
+            .put(
+                &p("/a"),
+                ContentId(1),
+                0,
+                &synthetic_body(ContentId(1), 100),
+                false,
+            )
+            .unwrap();
+        let idle = ObjectMeta::for_body(ContentId(3), &[3u8; 50], 64, 0);
+        assert_eq!(store.begin(&p("/idle"), idle, false).unwrap().0, 1);
+        assert_eq!(store.gc(), (0, 0));
+        // Transfers 2 and 3: 200-byte objects in two chunks each.
+        for (path, id, staged) in [("/s", 2, 1), ("/c", 5, 2)] {
+            let body = synthetic_body(ContentId(id), 200);
+            let meta = ObjectMeta::for_body(ContentId(id), &body, 128, 0);
+            let (transfer, _) = store.begin(&p(path), meta, false).unwrap();
+            for index in 0..staged {
+                let chunk = &body[meta.chunk_range(index).unwrap()];
+                store
+                    .stage_chunk(transfer, index, chunk, fnv64(chunk))
+                    .unwrap();
+            }
+        }
+        store
+    }
+
+    /// What the verbs can change: the committed objects and the staged
+    /// reservations.
+    fn state(store: &ContentStore) -> (Vec<(UrlPath, ObjectMeta)>, u64, u64) {
+        let stats = store.stats();
+        (
+            store.inventory(),
+            stats.staged_transfers,
+            stats.staged_bytes,
+        )
+    }
+
+    #[test]
+    fn every_verb_survives_redelivery() {
+        type Call = Box<dyn Fn(&BrokerHandle) -> String>;
+        fn send(request: ShipRequest, tail: Vec<u8>) -> Call {
+            Box::new(move |h| format!("{:?}", h.ship_tail(&request, &tail)))
+        }
+        let s_body = synthetic_body(ContentId(2), 200);
+        let c_body = synthetic_body(ContentId(5), 200);
+        let verbs: Vec<(&str, Call)> = vec![
+            (
+                "begin",
+                send(
+                    ShipRequest::Begin {
+                        path: p("/b"),
+                        meta: ObjectMeta::for_body(ContentId(4), &[4u8; 10], 64, 0),
+                        overwrite: false,
+                    },
+                    Vec::new(),
+                ),
+            ),
+            (
+                "chunk",
+                send(
+                    ShipRequest::Chunk {
+                        transfer: 2,
+                        index: 1,
+                        data: String::new(),
+                        checksum: fnv64(&s_body[128..]),
+                    },
+                    s_body[128..].to_vec(),
+                ),
+            ),
+            (
+                "commit",
+                send(
+                    ShipRequest::Commit {
+                        transfer: 3,
+                        path: p("/c"),
+                        checksum: fnv64(&c_body),
+                    },
+                    Vec::new(),
+                ),
+            ),
+            (
+                "abort",
+                send(ShipRequest::Abort { transfer: 2 }, Vec::new()),
+            ),
+            (
+                "fetch",
+                send(
+                    ShipRequest::Fetch {
+                        path: p("/a"),
+                        index: 0,
+                    },
+                    Vec::new(),
+                ),
+            ),
+            (
+                "meta",
+                send(ShipRequest::Meta { path: p("/a") }, Vec::new()),
+            ),
+            (
+                "verify",
+                send(ShipRequest::Verify { path: p("/a") }, Vec::new()),
+            ),
+            ("inventory", send(ShipRequest::Inventory, Vec::new())),
+            ("stat", send(ShipRequest::Stat, Vec::new())),
+            ("gc", send(ShipRequest::Gc, Vec::new())),
+            (
+                "delete",
+                send(ShipRequest::Delete { path: p("/a") }, Vec::new()),
+            ),
+            (
+                "rename",
+                // The controller's spelling: the replay rule is the handle's.
+                Box::new(|h| format!("{:?}", h.rename_copy(&p("/a"), &p("/r"), ContentId(1)))),
+            ),
+            (
+                "touch",
+                send(
+                    ShipRequest::Touch {
+                        path: p("/a"),
+                        version: 5,
+                    },
+                    Vec::new(),
+                ),
+            ),
+        ];
+        assert_eq!(verbs.len(), 13, "every verb of the broker protocol");
+        for (verb, call) in &verbs {
+            let once = busy_store();
+            let twice = busy_store();
+            let single = call(&Broker::spawn(
+                BrokerState::new(NodeId(0), 0).with_content(Arc::clone(&once)),
+            ));
+            let replayed = call(&spawn_redelivering(
+                BrokerState::new(NodeId(0), 0).with_content(Arc::clone(&twice)),
+            ));
+            assert!(!single.contains("Err"), "{verb} does its work: {single}");
+            if *verb == "delete" {
+                // Documented: gone is gone, and the replay says so.
+                assert!(single.contains("Deleted"), "{single}");
+                assert!(replayed.contains("NotFound"), "{replayed}");
+            } else {
+                assert_eq!(single, replayed, "{verb}: the caller sees one answer");
+            }
+            assert_eq!(
+                state(&once),
+                state(&twice),
+                "{verb}: the store ends the same"
+            );
+        }
     }
 }

@@ -8,16 +8,16 @@
 //! > and then send the agent that performs the content management function
 //! > to propagate these changes to the whole system."
 //!
-//! Every mutating operation therefore has two halves, in order: dispatch
-//! agents to the affected brokers, then update the URL table — so the
-//! distributor only routes to copies that actually exist.
+//! Every mutating operation therefore has two halves, in order: send
+//! store verbs to the affected brokers, then update the URL table — so
+//! the distributor only routes to copies that actually exist.
 
-use crate::agent::{AgentError, AgentOutput, RenameFile, StatusProbe, TouchFile};
+use crate::agent::AgentError;
 use crate::broker::{Broker, BrokerHandle};
 use crate::store::BrokerState;
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_obs::{Counter, Gauge, HistogramRecorder, MetricsRegistry, Span, TracedSpan};
-use cpms_store::{ShipError, ShipMetrics, Shipper, TransferScheduler};
+use cpms_store::{ShipError, ShipMetrics, ShipRequest, Shipper, StoreStats, TransferScheduler};
 use cpms_urltable::{SnapshotHandle, TableError, TablePublisher, UrlEntry, UrlTable};
 use cpms_wire::WireError;
 use std::collections::HashSet;
@@ -711,7 +711,7 @@ impl Controller {
 
     fn rename_impl(&mut self, from: &UrlPath, to: &UrlPath) -> Result<(), MgmtError> {
         // Collect the affected records first (file or subtree).
-        let moves: Vec<(UrlPath, UrlPath, Vec<NodeId>)> = self
+        let moves: Vec<(UrlPath, UrlPath, ContentId, Vec<NodeId>)> = self
             .table()
             .subtree(from)
             .map(|(path, entry)| {
@@ -719,7 +719,7 @@ impl Controller {
                 let new_path: UrlPath = format!("{}{}", to.as_str(), suffix)
                     .parse()
                     .expect("concatenation of valid paths is valid");
-                (path, new_path, entry.locations().to_vec())
+                (path, new_path, entry.content(), entry.locations().to_vec())
             })
             .collect();
         if moves.is_empty() {
@@ -731,12 +731,9 @@ impl Controller {
         self.update_table(|t| t.rename(from, to))?;
         // …then propagate to brokers.
         let mut first_err: Option<MgmtError> = None;
-        for (old, new, locations) in moves {
+        for (old, new, content, locations) in moves {
             for n in locations {
-                if let Err(e) = self.broker(n)?.dispatch(RenameFile {
-                    from: old.clone(),
-                    to: new.clone(),
-                }) {
+                if let Err(e) = self.broker(n)?.rename_copy(&old, &new, content) {
                     first_err.get_or_insert(e.into());
                 }
             }
@@ -748,12 +745,14 @@ impl Controller {
     }
 
     /// Pushes a content update to every copy of a mutable document,
-    /// returning the new version. §4 recommends keeping mutable documents
-    /// single-copy so this stays a one-node operation.
+    /// returning the new version: one past the highest any copy holds,
+    /// installed on all of them, so replicas converge on one version and
+    /// a replayed update installs nothing more. §4 recommends keeping
+    /// mutable documents single-copy so this stays a one-node operation.
     ///
     /// # Errors
     ///
-    /// Table or agent errors.
+    /// Table or broker errors.
     pub fn update_content(&mut self, path: &UrlPath) -> Result<u64, MgmtError> {
         self.timed("update_content", |c| c.update_content_impl(path))
     }
@@ -765,27 +764,29 @@ impl Controller {
             .ok_or_else(|| TableError::NotFound { path: path.clone() })?
             .locations()
             .to_vec();
+        let mut highest = 0;
+        for &n in &locations {
+            let meta = ShipRequest::Meta { path: path.clone() };
+            highest = highest.max(self.broker(n)?.record(meta)?.version);
+        }
         let mut version = 0;
         for n in locations {
-            match self.broker(n)?.dispatch(TouchFile { path: path.clone() })? {
-                AgentOutput::Version(v) => version = version.max(v),
-                other => unreachable!("touch returns a version, got {other:?}"),
-            }
+            let touch = ShipRequest::Touch {
+                path: path.clone(),
+                version: highest + 1,
+            };
+            version = version.max(self.broker(n)?.record(touch)?.version);
         }
         Ok(version)
     }
 
-    /// Probes every broker for its status.
-    pub fn status(&self) -> Vec<(NodeId, Result<AgentOutput, AgentError>)> {
+    /// Asks every broker for its store accounting.
+    pub fn status(&self) -> Vec<(NodeId, Result<StoreStats, AgentError>)> {
         (0..self.cluster.len())
             .map(|i| {
                 let node = NodeId(i as u16);
-                let result = self
-                    .cluster
-                    .broker(node)
-                    .expect("index in range")
-                    .dispatch(StatusProbe);
-                (node, result)
+                let broker = self.cluster.broker(node).expect("index in range");
+                (node, broker.store_stats())
             })
             .collect()
     }
@@ -919,14 +920,19 @@ mod tests {
         c.shutdown();
     }
 
-    #[test]
-    fn offload_and_delete_survive_a_lost_delete_reply() {
-        // Every request arrives twice and the first reply is lost: each
-        // delete's replay finds the copy already gone.
+    /// Two brokers behind links that deliver every request twice and lose
+    /// the first reply.
+    fn redelivering_controller() -> Controller {
         let handles = (0..2u16)
             .map(|n| crate::broker::spawn_redelivering(BrokerState::new(NodeId(n), 1 << 20)))
             .collect();
-        let mut c = Controller::new(Cluster::from_handles(handles));
+        Controller::new(Cluster::from_handles(handles))
+    }
+
+    #[test]
+    fn offload_and_delete_survive_a_lost_delete_reply() {
+        // Each delete's replay finds the copy already gone.
+        let mut c = redelivering_controller();
         publish(&mut c, "/a.html", 1, &[0, 1]);
 
         c.offload(&p("/a.html"), NodeId(0)).unwrap();
@@ -939,6 +945,36 @@ mod tests {
         c.delete(&p("/a.html")).unwrap();
         assert!(c.table().is_empty());
         assert!(coherent(&c));
+        c.shutdown();
+    }
+
+    #[test]
+    fn rename_survives_a_lost_reply() {
+        let mut c = redelivering_controller();
+        publish(&mut c, "/a.html", 1, &[0, 1]);
+        // Each rename's replay finds `to` taken by the copy it just moved.
+        c.rename(&p("/a.html"), &p("/b.html")).unwrap();
+        assert!(c.table().lookup_exact(&p("/b.html")).is_some());
+        assert!(coherent(&c), "{:?}", AntiEntropyAuditor::new().audit(&c));
+        c.shutdown();
+    }
+
+    #[test]
+    fn update_content_survives_a_lost_reply() {
+        let mut c = redelivering_controller();
+        publish(&mut c, "/mutable.html", 1, &[0, 1]);
+        assert_eq!(c.update_content(&p("/mutable.html")).unwrap(), 1);
+        assert_eq!(c.update_content(&p("/mutable.html")).unwrap(), 2);
+        let versions: Vec<u64> = (0..2)
+            .map(|n| {
+                let broker = c.cluster().broker(NodeId(n)).unwrap();
+                let meta = ShipRequest::Meta {
+                    path: p("/mutable.html"),
+                };
+                broker.record(meta).unwrap().version
+            })
+            .collect();
+        assert_eq!(versions, [2, 2], "replicas converge on one version");
         c.shutdown();
     }
 
@@ -1006,7 +1042,7 @@ mod tests {
         let status = c.status();
         assert_eq!(status.len(), 3);
         match &status[1].1 {
-            Ok(AgentOutput::Status { files, .. }) => assert_eq!(*files, 1),
+            Ok(stats) => assert_eq!(stats.objects, 1),
             other => panic!("{other:?}"),
         }
         c.shutdown();
@@ -1092,7 +1128,7 @@ mod tests {
         let b0 = broker_spans[0].snapshot();
         assert!(
             b0.iter()
-                .any(|s| s.name == "broker.ship" && s.trace == publish_root.trace),
+                .any(|s| s.name == "broker.commit" && s.trace == publish_root.trace),
             "publish ship frames traced on node 0: {b0:?}"
         );
         assert!(
@@ -1102,7 +1138,7 @@ mod tests {
         let b1 = broker_spans[1].snapshot();
         assert!(
             b1.iter()
-                .any(|s| s.name == "broker.ship" && s.trace == replicate_root.trace),
+                .any(|s| s.name == "broker.commit" && s.trace == replicate_root.trace),
             "replicate pushed to node 1 under its trace: {b1:?}"
         );
         // Every broker span has a recorded parent somewhere in the merged

@@ -12,18 +12,19 @@
 //!   [`cpms_store::ContentStore`] — the only record of what the node
 //!   holds). The
 //!   paper implements brokers in Java for portability; here each broker is
-//!   a [`cpms_wire::Service`] reachable over a [`cpms_wire`] transport —
-//!   in process, run on the dispatching thread ([`Broker::spawn`], what
-//!   [`Cluster::start`] hosts), or a real TCP daemon ([`Broker::bind`],
-//!   the `cpms-broker` binary).
-//! - [`agent::AgentRequest`] — a management function shipped to a broker
-//!   as a serialized wire message ("mobile code"): delete a file, store a
-//!   file, replicate content from a peer, report status. New functions are
-//!   added by implementing [`agent::Agent`] and adding a request variant,
-//!   matching the paper's "can be tailored or extended … without
-//!   requiring significant redesign".
-//! - [`Controller`] — receives administrator operations, dispatches the
-//!   corresponding agents to the affected brokers, and keeps the
+//!   the store's [`cpms_store::StoreService`] reachable over a
+//!   [`cpms_wire`] transport — in process, run on the dispatching thread
+//!   ([`Broker::spawn`], what [`Cluster::start`] hosts), or a real TCP
+//!   daemon ([`Broker::bind`], the `cpms-broker` binary).
+//! - [`agent`]s — a management function is one store verb, a
+//!   [`cpms_store::ShipRequest`] sent to a broker as a serialized wire
+//!   message ("mobile code"): delete, rename or touch a file, ship one
+//!   in chunks, list or verify the node's objects, report status
+//!   ([`BrokerHandle::dispatch`]). A new function is a request variant and
+//!   one arm in [`cpms_store::apply_tail`], matching the paper's "can be
+//!   tailored or extended … without requiring significant redesign".
+//! - [`Controller`] — receives administrator operations, sends the
+//!   corresponding store verbs to the affected brokers, and keeps the
 //!   distributor's URL table in sync ("the controller will change the URL
 //!   table to adapt to these changes").
 //!   The controller *is* the file-manager API: insert, delete, rename,
@@ -77,10 +78,10 @@ pub mod shell;
 pub mod store;
 
 pub use admin::{AdminClient, AdminRequest, AdminResponse, AdminServer};
-pub use agent::{Agent, AgentError, AgentOutput, AgentReply, AgentRequest, ShipAgent};
+pub use agent::AgentError;
 pub use auditor::{AntiEntropyAuditor, Drift, DriftReport};
 pub use autorep::{AutoReplicator, RebalanceAction};
-pub use broker::{Broker, BrokerHandle, BrokerService};
+pub use broker::{Broker, BrokerHandle};
 pub use controller::{Cluster, Controller, EvictReport, MgmtError};
 pub use monitor::{ClusterMonitor, NodeHealth, NodeTransportHealth};
-pub use store::{BrokerState, StoredFile};
+pub use store::BrokerState;

@@ -3,7 +3,8 @@
 //! §3.1: the broker daemon exists "to perform the administrative functions
 //! and monitor the status (e.g., load situation, failure) of the managed
 //! node". [`ClusterMonitor`] is the controller-side half: it polls every
-//! broker with a [`crate::agent::StatusProbe`] and declares a node down
+//! broker with a `Stat` ([`crate::BrokerHandle::store_stats`]) — O(1),
+//! from the store's running counters — and declares a node down
 //! after a threshold of consecutive failed polls — the signal the
 //! distributor uses to stop routing there and the auto-replicator uses to
 //! exclude replication targets.
@@ -14,7 +15,6 @@
 //! the stats surface shows not just the current verdicts but the history
 //! that produced them.
 
-use crate::agent::{AgentOutput, StatusProbe};
 use crate::controller::Cluster;
 use cpms_model::NodeId;
 use cpms_obs::MetricsRegistry;
@@ -113,14 +113,15 @@ impl ClusterMonitor {
         (0..self.misses.len())
             .map(|i| {
                 let node = NodeId(i as u16);
-                let result = cluster.broker(node).map(|b| b.dispatch(StatusProbe));
+                let result = cluster.broker(node).map(|b| b.store_stats());
                 let prev_misses = self.misses[i];
                 let health = match result {
-                    Some(Ok(AgentOutput::Status {
-                        files,
-                        used_bytes,
-                        free_bytes,
-                    })) => {
+                    Some(Ok(stats)) => {
+                        let (files, used_bytes, free_bytes) = (
+                            stats.objects as usize,
+                            stats.committed_bytes,
+                            stats.free_bytes(),
+                        );
                         self.misses[i] = 0;
                         if self.down[i] {
                             self.down[i] = false;

@@ -46,7 +46,7 @@ use crate::controller::Controller;
 use crate::monitor::{ClusterMonitor, NodeTransportHealth};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_obs::{SloVerdict, SpanId, SpanRecord, TraceId};
-use cpms_store::{ShipPort, ShipReply, ShipRequest, StoreStats};
+use cpms_store::StoreStats;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -187,18 +187,14 @@ impl Shell {
                 let mut down = 0usize;
                 for (node, status) in self.controller.status() {
                     match status {
-                        Ok(crate::agent::AgentOutput::Status {
-                            files,
-                            used_bytes,
-                            free_bytes,
-                        }) => {
+                        Ok(stats) => {
                             let _ = writeln!(
                                 out,
-                                "{node}: {files} file(s), {used_bytes}B used, {free_bytes}B free"
+                                "{node}: {} file(s), {}B used, {}B free",
+                                stats.objects,
+                                stats.committed_bytes,
+                                stats.free_bytes()
                             );
-                        }
-                        Ok(other) => {
-                            let _ = writeln!(out, "{node}: unexpected reply {other:?}");
                         }
                         Err(e) => {
                             // Evicted nodes are expected to be gone; only
@@ -554,14 +550,10 @@ impl Shell {
         }
     }
 
-    /// One node's content-store stats over the ship protocol, or `None`
-    /// when the broker is unreachable or does not answer with stats.
+    /// One node's content-store stats, or `None` when the broker is
+    /// unreachable or does not answer with stats.
     fn store_stats(&self, node: NodeId) -> Option<StoreStats> {
-        let handle = self.controller.cluster().broker(node)?;
-        match handle.ship(&ShipRequest::Stat) {
-            Ok(ShipReply::Stats(stats)) => Some(stats),
-            _ => None,
-        }
+        self.controller.cluster().broker(node)?.store_stats().ok()
     }
 }
 
@@ -694,6 +686,7 @@ fn parse_nodes(s: &str) -> Result<Vec<NodeId>, String> {
 mod tests {
     use super::*;
     use crate::controller::Cluster;
+    use cpms_store::ShipRequest;
 
     fn shell() -> Shell {
         Shell::new(Controller::new(Cluster::start(3, 1 << 20)))
@@ -881,7 +874,7 @@ mod tests {
         // Sabotage: delete node 1's copy behind the table's back.
         let handle = sh.controller.cluster().broker(NodeId(1)).unwrap();
         handle
-            .ship(&ShipRequest::Delete {
+            .dispatch(ShipRequest::Delete {
                 path: "/a.html".parse().unwrap(),
             })
             .unwrap();

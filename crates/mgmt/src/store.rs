@@ -2,33 +2,17 @@
 //!
 //! The content store is the only record of what the node holds — bytes,
 //! sizes, versions, checksums and the disk quota all live in its
-//! manifest. [`BrokerState`] hands that store to the agents; a
-//! [`StoredFile`] is how the agent protocol describes a file to store.
+//! manifest. [`BrokerState`] is that store as the broker serves it.
 
-use cpms_model::{ContentId, NodeId};
+use cpms_model::NodeId;
 use cpms_store::ContentStore;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// One file as the agent protocol describes it: the payload of a
-/// [`crate::agent::StoreFile`]. What a node holds is reported by its
-/// store's inventory ([`cpms_store::ShipRequest::Inventory`]), not in
-/// these terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StoredFile {
-    /// Which content object this file is a copy of.
-    pub content: ContentId,
-    /// Size in bytes.
-    pub size: u64,
-    /// Monotone version, bumped on each update (mutable documents).
-    pub version: u64,
-}
-
-/// The state agents execute against: the node's content store, shared
-/// with whoever else serves from it (a co-located origin server).
+/// The state a broker serves: the node's content store, shared with
+/// whoever else serves from it (a co-located origin server).
 #[derive(Debug)]
 pub struct BrokerState {
-    content: Arc<ContentStore>,
+    pub(crate) content: Arc<ContentStore>,
 }
 
 /// The name the frozen `perfbench/` spells [`BrokerState::new`] by.

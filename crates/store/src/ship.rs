@@ -1,18 +1,23 @@
 //! The content-shipping protocol: resumable chunked transfer over
 //! `cpms-wire`.
 //!
-//! The wire vocabulary is [`ShipRequest`] / [`ShipReply`]: `Begin` opens
-//! (or resumes) a staged transfer, `Chunk` ships one checksummed piece,
-//! `Commit` verifies and atomically installs, plus `Fetch`/`Meta` (pull
-//! side), `Verify`, `Inventory`, `Stat`, and `Gc` for the anti-entropy
-//! auditor and the console. Every message leaves the same state however
-//! often it is delivered, so the protocol is safe over an at-least-once
-//! lossy transport: a duplicated `Chunk` re-stages identical bytes, a
-//! replayed `Begin` resumes, and a replayed `Commit` after a lost ack
-//! finds the committed object and succeeds. One *reply* does differ on
-//! replay: a `Delete` whose ack was lost is answered
-//! `Err(NotFound)` the second time — the object is gone either way, so
-//! callers on a lossy wire accept both answers and judge by the state.
+//! The wire vocabulary is [`ShipRequest`] / [`ShipReply`], and it is a
+//! broker's whole protocol: `Begin` opens (or resumes) a staged transfer,
+//! `Chunk` ships one checksummed piece, `Commit` verifies and atomically
+//! installs, `Abort` drops a transfer, plus `Fetch`/`Meta` (pull side),
+//! `Verify`, `Inventory`, `Stat` and `Gc` for the anti-entropy auditor,
+//! the monitor and the console, and `Delete`/`Rename`/`Touch` for the
+//! controller's file operations. A new verb is a variant and one arm in
+//! [`apply_tail`]. Every message leaves the same state however often it
+//! is delivered, so the protocol is safe over an at-least-once lossy
+//! transport: a duplicated `Chunk` re-stages identical bytes, a replayed
+//! `Begin` resumes, a replayed `Commit` after a lost ack finds the
+//! committed object and succeeds, a replayed `Touch` installs the version
+//! already installed, and a replayed `Gc` is the same sweep. Two
+//! *replies* do differ on replay, and the object is gone or moved either
+//! way: a `Delete` whose ack was lost is answered `Err(NotFound)` the
+//! second time, and a `Rename` `Err(AlreadyExists)` — callers on a lossy
+//! wire judge those by the state.
 //!
 //! Chunk bytes never ride as JSON text: `Chunk` carries them as the
 //! request payload's raw tail and `Fetch` is answered with them as the
@@ -21,8 +26,8 @@
 //! decoded on receipt by [`apply`], and sent by nothing.
 //!
 //! The sending half is [`Shipper`]: it drives a [`ShipPort`] (any
-//! request/reply funnel to a remote store — a raw wire [`StoreClient`] or
-//! a broker dispatch adapter), re-sends individual rejected chunks
+//! request/reply funnel to a remote store — a [`StoreClient`] or a
+//! broker handle), re-sends individual rejected chunks
 //! (bounded per-chunk retries) and resumes whole transfers after
 //! connection loss (bounded resume count, restarting from the receiver's
 //! reported progress).
@@ -32,7 +37,9 @@ use crate::object::{
 };
 use crate::store::{ContentStore, StoreError, StoreStats};
 use cpms_model::{ContentId, UrlPath};
-use cpms_obs::{Counter, Gauge, HistogramRecorder, MetricsRegistry};
+use cpms_obs::{
+    Counter, Gauge, HistogramRecorder, MetricsRegistry, SpanCollector, TraceContext, TracedSpan,
+};
 use cpms_wire::{Client, RetryPolicy, Transport, WireError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -110,6 +117,21 @@ pub enum ShipRequest {
         /// The object's path.
         path: UrlPath,
     },
+    /// Move a committed object to another path.
+    Rename {
+        /// Current path.
+        from: UrlPath,
+        /// New path.
+        to: UrlPath,
+    },
+    /// Raise a committed object's version to at least `version` (a
+    /// content-provider update).
+    Touch {
+        /// The object's path.
+        path: UrlPath,
+        /// The version to install if it is above the current one.
+        version: u64,
+    },
 }
 
 impl ShipRequest {
@@ -128,6 +150,8 @@ impl ShipRequest {
             ShipRequest::Stat => "stat",
             ShipRequest::Gc => "gc",
             ShipRequest::Delete { .. } => "delete",
+            ShipRequest::Rename { .. } => "rename",
+            ShipRequest::Touch { .. } => "touch",
         }
     }
 }
@@ -147,7 +171,8 @@ pub enum ShipReply {
     ChunkOk,
     /// Object committed (or already was, identically).
     Committed(ObjectMeta),
-    /// Abort result: whether a transfer was dropped.
+    /// Abort result: whether the id names a transfer the store opened
+    /// (it is not staged afterwards either way).
     Aborted(bool),
     /// One chunk of a committed object.
     ChunkData {
@@ -158,7 +183,8 @@ pub enum ShipReply {
         /// FNV-1a 64 of the raw bytes.
         checksum: u64,
     },
-    /// The manifest record.
+    /// The manifest record (of a `Meta`, a `Rename`'s moved object or a
+    /// `Touch`ed one).
     MetaIs(ObjectMeta),
     /// Verification passed.
     Verified(ObjectMeta),
@@ -182,8 +208,9 @@ pub enum ShipReply {
 /// Executes one ship request that arrived without a payload tail, for a
 /// caller that cannot take one back: a `Chunk` must carry its bytes as
 /// hex in `data` (the legacy form), and a `Fetch` is answered with hex
-/// in `ChunkData::data`. The services use [`apply_tail`] and never build
-/// a hex string.
+/// in `ChunkData::data`. [`StoreService`] uses [`apply_tail`] and never
+/// builds a hex string; this form exists for the frozen benchmark's
+/// `store.ship_apply_us` probe and goes with it.
 #[must_use]
 pub fn apply(store: &ContentStore, request: &ShipRequest) -> ShipReply {
     match apply_tail(store, request, &[]) {
@@ -195,12 +222,11 @@ pub fn apply(store: &ContentStore, request: &ShipRequest) -> ShipReply {
     }
 }
 
-/// Executes one ship request against a local store — shared by the
-/// standalone [`StoreService`] and by broker services that embed a
-/// content store behind their own agent protocol. `tail` is the raw
-/// tail the request payload carried (a `Chunk`'s bytes); the returned
-/// bytes are the tail to send behind the reply (a `Fetch`ed chunk),
-/// empty for every other reply.
+/// Executes one ship request against a local store — the one place each
+/// verb is implemented: one arm per [`ShipRequest`] variant, each one
+/// call on the store. `tail` is the raw tail the request payload carried
+/// (a `Chunk`'s bytes); the returned bytes are the tail to send behind
+/// the reply (a `Fetch`ed chunk), empty for every other reply.
 #[must_use]
 pub fn apply_tail(
     store: &ContentStore,
@@ -278,22 +304,38 @@ pub fn apply_tail(
             ShipReply::Swept { transfers, bytes }
         }
         ShipRequest::Delete { path } => ok_or(store.delete(path), ShipReply::Deleted),
+        ShipRequest::Rename { from, to } => ok_or(store.rename(from, to), ShipReply::MetaIs),
+        ShipRequest::Touch { path, version } => {
+            ok_or(store.touch(path, *version), ShipReply::MetaIs)
+        }
     };
     (reply, reply_tail)
 }
 
-/// A standalone wire service hosting one content store (the data-plane
-/// daemon; brokers embed the same [`apply`] behind their agent protocol).
+/// The wire service hosting one content store: what a broker daemon
+/// serves. Requests are [`ShipRequest`] JSON payloads, replies
+/// [`ShipReply`] JSON payloads; chunk bytes ride behind either as the
+/// payload's raw tail ([`cpms_wire::with_tail`]).
 #[derive(Debug)]
 pub struct StoreService {
     store: Arc<ContentStore>,
+    spans: Option<Arc<SpanCollector>>,
 }
 
 impl StoreService {
     /// Serves `store` over the ship protocol.
     #[must_use]
     pub fn new(store: Arc<ContentStore>) -> Self {
-        StoreService { store }
+        StoreService { store, spans: None }
+    }
+
+    /// Records a `broker.<verb>` span into `spans` for every request
+    /// executed under an inbound trace context (requests arriving
+    /// untraced add nothing — a broker never roots traces of its own).
+    #[must_use]
+    pub fn with_collector(mut self, spans: Arc<SpanCollector>) -> Self {
+        self.spans = Some(spans);
+        self
     }
 
     /// The served store.
@@ -310,7 +352,26 @@ impl cpms_wire::Service for StoreService {
             .map_err(|e| format!("payload is not UTF-8: {e}"))
             .and_then(|text| serde_json::from_str::<ShipRequest>(text).map_err(|e| e.to_string()))
         {
-            Ok(req) => apply_tail(&self.store, &req, tail),
+            Ok(req) => {
+                // The request's trace context (if any) is this thread's
+                // current one — the server activated the frame's, or we
+                // are on the caller's thread — so this span parents to
+                // the caller's `wire.attempt` hop.
+                let mut span = match (&self.spans, TraceContext::current()) {
+                    (Some(spans), Some(_)) => {
+                        let mut span = TracedSpan::enter(spans, format!("broker.{}", req.verb()));
+                        span.set_detail(format!("node={}", self.store.node()));
+                        Some(span)
+                    }
+                    _ => None,
+                };
+                let (reply, bytes) = apply_tail(&self.store, &req, tail);
+                if let (Some(span), ShipReply::Err(e)) = (span.as_mut(), &reply) {
+                    span.set_error(true);
+                    span.set_detail(e.to_string());
+                }
+                (reply, bytes)
+            }
             Err(detail) => (
                 ShipReply::Err(StoreError::Io {
                     detail: format!("undecodable ship request: {detail}"),
@@ -326,9 +387,8 @@ impl cpms_wire::Service for StoreService {
 }
 
 /// The sending side's funnel to one remote store: a single
-/// request/response exchange. Implemented by [`StoreClient`] (raw wire)
-/// and by broker handles (ship requests tunneled through the agent
-/// protocol).
+/// request/response exchange. Implemented by [`StoreClient`] and by
+/// broker handles — the same call over the same protocol.
 pub trait ShipPort {
     /// Sends one ship request with `tail` riding behind it as raw bytes
     /// (a `Chunk`'s data; empty otherwise) and returns the remote store's

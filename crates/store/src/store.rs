@@ -356,8 +356,8 @@ struct Staged {
     reserved: u64,
     overwrite: bool,
     /// Progress flag for the two-phase gc: cleared by each sweep, set by
-    /// any chunk/commit activity. A transfer idle across two sweeps is
-    /// abandoned.
+    /// any chunk/commit activity. A transfer idle across two sweeps (with
+    /// staging work in between) is abandoned.
     touched: bool,
 }
 
@@ -415,6 +415,11 @@ struct Inner {
     verify_failures: u64,
     gc_transfers: u64,
     gc_bytes: u64,
+    /// Whether any staging call (`begin`, `stage_chunk`, `commit`,
+    /// `abort`) arrived since the last sweep, and what that sweep
+    /// released: a sweep with no staging since is that sweep again.
+    staged_since_sweep: bool,
+    last_sweep: (u64, u64),
 }
 
 impl Inner {
@@ -489,6 +494,8 @@ impl ContentStore {
                 verify_failures: 0,
                 gc_transfers: 0,
                 gc_bytes: 0,
+                staged_since_sweep: false,
+                last_sweep: (0, 0),
             }),
             hashed_bytes: AtomicU64::new(0),
         }
@@ -544,6 +551,8 @@ impl ContentStore {
                 verify_failures: 0,
                 gc_transfers: 0,
                 gc_bytes: 0,
+                staged_since_sweep: false,
+                last_sweep: (0, 0),
             }),
             hashed_bytes: AtomicU64::new(0),
         };
@@ -591,6 +600,7 @@ impl ContentStore {
         overwrite: bool,
     ) -> Result<(u64, Vec<u32>), StoreError> {
         let mut inner = self.lock();
+        inner.staged_since_sweep = true;
         if let Some(existing) = inner.manifest.get(path) {
             if existing.checksum == meta.checksum && existing.size == meta.size {
                 return Ok((0, (0..meta.chunk_count()).collect()));
@@ -673,6 +683,7 @@ impl ContentStore {
     ) -> Result<(), StoreError> {
         let seen = {
             let mut inner = self.lock();
+            inner.staged_since_sweep = true;
             let staged = inner
                 .staged
                 .get_mut(&transfer)
@@ -746,6 +757,7 @@ impl ContentStore {
         checksum: u64,
     ) -> Result<ObjectMeta, StoreError> {
         let mut inner = self.lock();
+        inner.staged_since_sweep = true;
         let already = inner.manifest.get(path).copied();
         let Some(staged) = inner.staged.get_mut(&transfer) else {
             // Lost-ack replay or committed-sentinel commit.
@@ -809,16 +821,16 @@ impl ContentStore {
     }
 
     /// Drops a staged transfer, releasing its reservation. Returns whether
-    /// anything was aborted.
+    /// `transfer` is an id this store opened — staged until now, or
+    /// already committed, aborted or swept — so a replayed abort answers
+    /// as the first did.
     pub fn abort(&self, transfer: u64) -> bool {
         let mut inner = self.lock();
-        match inner.staged.remove(&transfer) {
-            Some(s) => {
-                inner.staged_bytes -= s.reserved;
-                true
-            }
-            None => false,
+        inner.staged_since_sweep = true;
+        if let Some(s) = inner.staged.remove(&transfer) {
+            inner.staged_bytes -= s.reserved;
         }
+        (1..inner.next_transfer).contains(&transfer)
     }
 
     /// Stores a whole body locally in one step (the local fast path:
@@ -941,12 +953,12 @@ impl ContentStore {
         Ok(meta)
     }
 
-    /// Renames a committed object.
+    /// Renames a committed object, returning its record.
     ///
     /// # Errors
     ///
     /// [`StoreError::NotFound`] / [`StoreError::AlreadyExists`] / I/O.
-    pub fn rename(&self, from: &UrlPath, to: &UrlPath) -> Result<(), StoreError> {
+    pub fn rename(&self, from: &UrlPath, to: &UrlPath) -> Result<ObjectMeta, StoreError> {
         let mut inner = self.lock();
         if inner.manifest.contains_key(to) {
             return Err(StoreError::AlreadyExists { path: to.clone() });
@@ -958,25 +970,28 @@ impl ContentStore {
         inner.medium.rename(from, to)?;
         let meta = inner.manifest.remove(from).expect("checked above");
         inner.manifest.insert(to.clone(), meta);
-        inner.persist_manifest()
+        inner.persist_manifest()?;
+        Ok(meta)
     }
 
-    /// Bumps a committed object's version (a content update that keeps
-    /// the same bytes), returning the new version.
+    /// Raises a committed object's version to `version` (a content update
+    /// that keeps the same bytes) and returns its record. A version at or
+    /// below the current one changes nothing, so a replay is a no-op and
+    /// replicas told the same version converge on it.
     ///
     /// # Errors
     ///
     /// [`StoreError::NotFound`] / I/O.
-    pub fn touch(&self, path: &UrlPath) -> Result<u64, StoreError> {
+    pub fn touch(&self, path: &UrlPath, version: u64) -> Result<ObjectMeta, StoreError> {
         let mut inner = self.lock();
         let meta = inner
             .manifest
             .get_mut(path)
             .ok_or_else(|| StoreError::NotFound { path: path.clone() })?;
-        meta.version += 1;
-        let version = meta.version;
+        meta.version = meta.version.max(version);
+        let meta = *meta;
         inner.persist_manifest()?;
-        Ok(version)
+        Ok(meta)
     }
 
     /// Re-reads a committed object and verifies its size and checksum
@@ -1018,9 +1033,17 @@ impl ContentStore {
 
     /// Sweeps staged transfers that made no progress since the previous
     /// sweep (two-phase mark/sweep: no clocks). Returns `(transfers,
-    /// bytes)` released.
+    /// bytes)` released. A sweep with no staging call since the previous
+    /// one — a replay, or a store where nothing moved — is that sweep
+    /// again: it releases nothing more and answers the same, so a
+    /// transfer is abandoned only if it sat idle while the store did
+    /// other staging work.
     pub fn gc(&self) -> (u64, u64) {
         let mut inner = self.lock();
+        if !inner.staged_since_sweep {
+            return inner.last_sweep;
+        }
+        inner.staged_since_sweep = false;
         let dead: Vec<u64> = inner
             .staged
             .iter()
@@ -1037,7 +1060,8 @@ impl ContentStore {
         }
         inner.gc_transfers += dead.len() as u64;
         inner.gc_bytes += bytes;
-        (dead.len() as u64, bytes)
+        inner.last_sweep = (dead.len() as u64, bytes);
+        inner.last_sweep
     }
 
     /// Point-in-time accounting.
@@ -1305,7 +1329,7 @@ mod tests {
         ));
         store.rename(&p("/a"), &p("/b")).unwrap();
         assert!(store.contains(&p("/b")) && !store.contains(&p("/a")));
-        assert_eq!(store.touch(&p("/b")).unwrap(), 1);
+        assert_eq!(store.touch(&p("/b"), 1).unwrap().version, 1);
         assert_eq!(store.meta(&p("/b")).unwrap().version, 1);
         store.delete(&p("/b")).unwrap();
         assert_eq!(store.stats().committed_bytes, 0);
@@ -1378,7 +1402,7 @@ mod tests {
         let meta = store
             .put(&p("/a"), ContentId(1), 0, &[1u8; 10], false)
             .unwrap();
-        store.rename(&p("/a"), &p("/b")).unwrap();
+        assert_eq!(store.rename(&p("/a"), &p("/b")), Ok(meta));
         assert!(!store.contains(&p("/a")));
         assert_eq!(store.meta(&p("/b")), Some(meta));
         assert_eq!(store.read(&p("/b")).unwrap(), [1u8; 10]);
@@ -1403,10 +1427,13 @@ mod tests {
         store
             .put(&p("/a"), ContentId(1), 0, &[1u8; 10], false)
             .unwrap();
-        assert_eq!(store.touch(&p("/a")).unwrap(), 1);
-        assert_eq!(store.touch(&p("/a")).unwrap(), 2);
+        let version = |v| store.touch(&p("/a"), v).unwrap().version;
+        assert_eq!(version(1), 1);
+        assert_eq!(version(1), 1, "a replay changes nothing");
+        assert_eq!(version(0), 1, "never backwards");
+        assert_eq!(version(2), 2);
         assert!(matches!(
-            store.touch(&p("/zzz")),
+            store.touch(&p("/zzz"), 1),
             Err(StoreError::NotFound { .. })
         ));
     }
@@ -1487,21 +1514,27 @@ mod tests {
         let (id, _) = store.begin(&p("/idle"), meta, false).unwrap();
         // First sweep: the transfer was touched by begin → survives.
         assert_eq!(store.gc(), (0, 0));
-        // Second sweep: no progress since → swept.
+        // No staging since: the same sweep again, as a replay must be.
+        assert_eq!(store.gc(), (0, 0));
+        // Another transfer moves while /idle does not → /idle is swept.
+        let meta2 = ObjectMeta::for_body(ContentId(2), &[1u8; 128], 64, 0);
+        let (id2, _) = store.begin(&p("/busy"), meta2, false).unwrap();
         assert_eq!(store.gc(), (1, 100));
-        assert!(!store.abort(id), "already swept");
-        assert_eq!(store.stats().staged_bytes, 0);
+        assert_eq!(store.gc(), (1, 100), "a replayed sweep answers the same");
+        assert_eq!(store.stats().staged_bytes, 128);
         assert_eq!(store.stats().gc_transfers, 1);
 
         // An active transfer keeps surviving.
-        let meta2 = ObjectMeta::for_body(ContentId(2), &[1u8; 128], 64, 0);
-        let (id2, _) = store.begin(&p("/busy"), meta2, false).unwrap();
-        store.gc();
         store
             .stage_chunk(id2, 0, &[1u8; 64], fnv64(&[1u8; 64]))
             .unwrap();
         assert_eq!(store.gc(), (0, 0), "chunk activity marked it live");
+        // Aborting a swept transfer is still an abort of a known id.
+        assert!(store.abort(id));
+        assert!(!store.abort(99), "never opened");
+        // The aborts were staging calls; /busy sat through them idle.
         assert_eq!(store.gc(), (1, 128), "idle since last sweep");
+        assert_eq!(store.stats().staged_bytes, 0);
     }
 
     #[test]

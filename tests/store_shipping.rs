@@ -77,10 +77,7 @@ fn lossy_tcp_shipping_preserves_integrity() {
         let mut rejected = 0;
         for n in 0..3u16 {
             let handle = controller.cluster().broker(NodeId(n)).unwrap();
-            match handle.ship(&ShipRequest::Stat).unwrap() {
-                ShipReply::Stats(s) => rejected += s.rejected_chunks,
-                other => panic!("unexpected {other:?}"),
-            }
+            rejected += handle.store_stats().unwrap().rejected_chunks;
         }
         assert_eq!(rejected, 0, "a lossy wire must never corrupt a chunk");
         let report = AntiEntropyAuditor::new().audit(&controller);

@@ -5,9 +5,9 @@
 use cpms_dispatch::failover::{BackupDistributor, HeartbeatListener, HeartbeatSender};
 use cpms_dispatch::mapping::ConnKey;
 use cpms_dispatch::relay::Distributor;
-use cpms_mgmt::agent::{StatusProbe, StoreFile};
-use cpms_mgmt::{AgentError, AgentOutput, Broker, BrokerState, StoredFile};
+use cpms_mgmt::{AgentError, Broker, BrokerState};
 use cpms_model::{ContentId, NodeId, UrlPath};
+use cpms_store::{synthetic_body, ShipRequest, Shipper};
 use cpms_wire::{FaultPlan, FaultyTransport, InProcServer, Transport, WireError};
 use std::io::Write as _;
 use std::sync::Arc;
@@ -25,7 +25,7 @@ fn p(s: &str) -> UrlPath {
 }
 
 /// Satellite 1: a broker RPC round-trip must survive at least 10% injected
-/// frame loss purely through the client's retry/backoff. StatusProbe is
+/// frame loss purely through the client's retry/backoff. `Stat` is
 /// idempotent, so at-least-once retry semantics are safe here.
 #[test]
 fn broker_rpcs_survive_fifteen_percent_frame_loss() {
@@ -37,24 +37,15 @@ fn broker_rpcs_survive_fifteen_percent_frame_loss() {
 
         // The wire client's own retry absorbs most loss; the outer budget
         // covers the tail where a whole RPC exhausts its attempts.
+        let body = synthetic_body(ContentId(1), 32);
         retry("store through 15% loss", 3, || {
-            handle.dispatch(StoreFile {
-                path: p("/lossy.html"),
-                file: StoredFile {
-                    content: ContentId(1),
-                    size: 32,
-                    version: 0,
-                },
-                overwrite: false,
-            })
+            Shipper::new().push(&handle, &p("/lossy.html"), ContentId(1), 0, &body, false)
         });
 
         let mut successes = 0u32;
         for _ in 0..100 {
-            match handle.dispatch(StatusProbe).expect("retry absorbs loss") {
-                AgentOutput::Status { files, .. } => assert_eq!(files, 1),
-                other => panic!("unexpected reply {other:?}"),
-            }
+            let stats = handle.store_stats().expect("retry absorbs loss");
+            assert_eq!(stats.objects, 1);
             successes += 1;
         }
         let stats = handle.transport_stats();
@@ -78,7 +69,7 @@ fn poisoned_frame_surfaces_typed_error() {
             Arc::new(FaultyTransport::new(inner, FaultPlan::poisoned(0xBAD)))
         });
         let err = handle
-            .dispatch(StatusProbe)
+            .dispatch(ShipRequest::Stat)
             .expect_err("every frame is cut");
         match err {
             AgentError::Transport { node, error } => {
@@ -123,12 +114,8 @@ fn tcp_daemon_survives_partial_frames_and_garbage() {
         // The daemon still answers well-formed clients. Budgeted: the
         // garbage connections above may still be draining on slow CI.
         let remote = Broker::connect(NodeId(0), addr);
-        match retry("probe after garbage frames", 3, || {
-            remote.dispatch(StatusProbe)
-        }) {
-            AgentOutput::Status { files, .. } => assert_eq!(files, 0),
-            other => panic!("unexpected reply {other:?}"),
-        }
+        let stats = retry("probe after garbage frames", 3, || remote.store_stats());
+        assert_eq!(stats.objects, 0);
         host.shutdown().expect("clean shutdown");
     })
 }
@@ -252,10 +239,7 @@ fn lossy_rpcs_record_one_logical_span_per_call() {
 
         const CALLS: usize = 40;
         for _ in 0..CALLS {
-            match handle.dispatch(StatusProbe).expect("retry absorbs loss") {
-                AgentOutput::Status { .. } => {}
-                other => panic!("unexpected reply {other:?}"),
-            }
+            handle.store_stats().expect("retry absorbs loss");
         }
 
         let stats = handle.transport_stats();
@@ -376,11 +360,11 @@ fn garbage_extension_area_never_wedges_the_daemon() {
         // the daemon must degrade to untraced and still read the payload.
         let mut zeroed = vec![TRACE_EXT_VERSION, 33];
         zeroed.extend_from_slice(&[0u8; 33]);
-        zeroed.extend_from_slice(b"this is not an agent request");
+        zeroed.extend_from_slice(b"this is not a ship request");
         let zero_ctx = raw_frame(flagged, &zeroed);
         // Unknown extension version: same degradation contract.
         let mut unknown = vec![0x7F, 4, 1, 2, 3, 4];
-        unknown.extend_from_slice(b"still not an agent request");
+        unknown.extend_from_slice(b"still not a ship request");
         let unknown_version = raw_frame(flagged, &unknown);
 
         for (what, frame_bytes) in [
@@ -406,25 +390,20 @@ fn garbage_extension_area_never_wedges_the_daemon() {
 
         // The daemon still serves well-formed trace-capable clients.
         let remote = Broker::connect(NodeId(0), addr);
-        match retry("probe after extension garbage", 3, || {
-            remote.dispatch(StatusProbe)
-        }) {
-            AgentOutput::Status { files, .. } => assert_eq!(files, 0),
-            other => panic!("unexpected reply {other:?}"),
-        }
+        let stats = retry("probe after extension garbage", 3, || remote.store_stats());
+        assert_eq!(stats.objects, 0);
         host.shutdown().expect("clean shutdown");
     })
 }
 
 mod payload_tail {
-    use cpms_mgmt::agent::{AgentRequest, ShipAgent};
     use cpms_store::ShipRequest;
     use cpms_wire::{split_tail, with_tail};
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-        /// Any head the agent protocol can serialize — strings holding
+        /// Any head the broker protocol can serialize — strings holding
         /// `0x00`, other control characters and replacement characters
         /// included — with any bytes behind it splits back into exactly
         /// that head and exactly those bytes.
@@ -435,21 +414,19 @@ mod payload_tail {
             index in any::<u32>(),
             tail in prop::collection::vec(prop_oneof![Just(0u8), any::<u8>()], 0..300),
         ) {
-            let request = AgentRequest::Ship(ShipAgent {
-                request: ShipRequest::Chunk {
-                    transfer,
-                    index,
-                    data: String::from_utf8_lossy(&text).into_owned(),
-                    checksum: transfer.rotate_left(17),
-                },
-            });
+            let request = ShipRequest::Chunk {
+                transfer,
+                index,
+                data: String::from_utf8_lossy(&text).into_owned(),
+                checksum: transfer.rotate_left(17),
+            };
             let head = serde_json::to_string(&request).unwrap();
             prop_assert!(!head.as_bytes().contains(&0), "the writer escapes 0x00");
             let payload = with_tail(head.clone(), &tail);
             let (got_head, got_tail) = split_tail(&payload);
             prop_assert_eq!(got_head, head.as_bytes());
             prop_assert_eq!(got_tail, &tail[..]);
-            let decoded: AgentRequest =
+            let decoded: ShipRequest =
                 serde_json::from_str(std::str::from_utf8(got_head).unwrap()).unwrap();
             prop_assert_eq!(serde_json::to_string(&decoded).unwrap(), head);
         }
