@@ -9,9 +9,8 @@
 //! served by this worker without blocking:
 //!
 //! - **Request heads** accumulate in a per-connection read buffer and are
-//!   scanned incrementally ([`crate::http::head_complete`]); a timer-wheel
-//!   deadline bounds how long a client may trickle a head (slowloris
-//!   defence), replacing the old blocking `SO_RCVTIMEO` dance.
+//!   scanned incrementally ([`crate::http::head_complete`]); a deadline
+//!   bounds how long a client may trickle a head (slowloris defence).
 //! - **Relays** are non-blocking state machines over a pooled backend
 //!   connection: enqueue the request head, parse the response head
 //!   incrementally, then move the rest of the body backend → pipe →
@@ -27,12 +26,28 @@
 //!   pipelined requests parse straight out of the read buffer without
 //!   another poller round-trip.
 //!
-//! Tokens pack the slab key with a side bit (client vs backend fd), and
-//! slab keys carry generations, so a stale readiness event for a recycled
-//! slot misses harmlessly instead of touching the wrong connection.
+//! A relayed keep-alive GET costs the worker its socket calls and nothing
+//! else per request:
+//!
+//! - **The poller is not touched.** Every pooled backend socket is
+//!   registered once, when opened, under a token naming its entry in the
+//!   worker's mapping table; binding it to a client is a write to that
+//!   entry, as in the paper's distributor (§2.2). A client keeps read
+//!   interest through its relay (pipelined bytes go to its read buffer,
+//!   bounded by `HEAD_CAP`), so its interest changes only for write
+//!   backpressure, EOF or a full buffer.
+//! - **The wheel is not touched.** A connection has one deadline, stored
+//!   on the connection; the wheel timer standing for it is re-armed lazily,
+//!   so a deadline that moves later costs nothing until the timer fires.
+//! - **Tracing formats nothing** for the requests it does not sample.
+//!
+//! Tokens pack a slab key with a side bit: a client connection's key, or a
+//! pooled backend connection's key in the mapping table. Slab keys carry
+//! generations, so a stale readiness event for a recycled slot misses
+//! harmlessly instead of touching the wrong connection.
 
 use crate::http::{
-    head_complete, parse_request_head, parse_response_head, request_head, response_head,
+    head_complete, parse_request_head, parse_response_head, request_head_into, response_head_into,
     ParseError, Request,
 };
 use crate::pool::SocketPool;
@@ -54,7 +69,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -75,6 +90,10 @@ const SLOW_REQUEST: Duration = Duration::from_millis(250);
 
 /// Upper bound on a request or response head.
 const HEAD_CAP: usize = 16 * 1024;
+
+/// Bytes of a backend request head besides its path: the request line,
+/// two headers and a trace header.
+const REQUEST_HEAD_BYTES: usize = 160;
 
 /// Reusable per-worker read buffer size. It also bounds the body bytes a
 /// response carries through user space: only those that arrive with the
@@ -106,7 +125,9 @@ pub(crate) struct WorkerBoot {
     pub idx: usize,
     pub workers: usize,
     pub handle: SnapshotHandle,
-    pub pools: Arc<Vec<SocketPool>>,
+    /// This worker's pre-forked backend connections, adopted at start.
+    pub preforked: SocketPool,
+    pub pools: Arc<Vec<SocketPool<Pooled>>>,
     pub in_flight: Arc<Vec<AtomicU32>>,
     pub stats: Arc<ProxyStats>,
     pub ledgers: Arc<Vec<Mutex<HashMap<UrlPath, u64>>>>,
@@ -116,6 +137,24 @@ pub(crate) struct WorkerBoot {
     pub wake_rx: WakeReceiver,
     pub active: Arc<AtomicI64>,
     pub tenants: Arc<Vec<TenantSlot>>,
+}
+
+/// An idle pooled backend connection, as a worker's pool shard holds it:
+/// the stream, registered with the worker's poller under
+/// [`backend_token`] of `key`, its entry in the worker's mapping table.
+#[derive(Debug)]
+pub(crate) struct Pooled {
+    key: SlabKey,
+    stream: TcpStream,
+}
+
+/// One pooled backend connection's entry in the worker's mapping table,
+/// from the moment it is opened until it is discarded.
+struct Binding {
+    node: usize,
+    /// The client connection whose relay the socket carries; `None` while
+    /// it is idle in the pool.
+    client: Option<SlabKey>,
 }
 
 /// Per-worker metric handles: histogram recorders bound to this worker's
@@ -143,6 +182,7 @@ struct WorkerMetrics {
     reactor_events: Arc<Counter>,
     reactor_wakeups: Arc<Counter>,
     reactor_timers_fired: Arc<Counter>,
+    reactor_timer_arms: Arc<Counter>,
     /// The registry's span collector, resolved once so opening a span
     /// on the request path costs no registry lookup.
     spans: Arc<SpanCollector>,
@@ -174,17 +214,37 @@ impl WorkerMetrics {
             reactor_events: registry.counter("reactor_events_total"),
             reactor_wakeups: registry.counter("reactor_wakeups_total"),
             reactor_timers_fired: registry.counter("reactor_timers_fired_total"),
+            reactor_timer_arms: registry.counter("reactor_timer_arms_total"),
         }
     }
 }
 
-/// Which deadline a connection's (single) pending timer represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TimerPurpose {
-    /// The request head must complete before this fires.
-    HeadDeadline,
-    /// The backend exchange must complete before this fires.
-    RelayDeadline,
+/// The worker's poller, counting every control call into
+/// `reactor_ctl_total` — a relayed keep-alive request should make none.
+struct CountedPoller {
+    poller: Box<dyn Poller>,
+    calls: Arc<Counter>,
+}
+
+impl CountedPoller {
+    fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        self.calls.inc();
+        self.poller.register(fd, token, interest)
+    }
+
+    fn reregister(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        self.calls.inc();
+        self.poller.reregister(fd, token, interest)
+    }
+
+    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        self.calls.inc();
+        self.poller.deregister(fd)
+    }
+
+    fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<usize> {
+        self.poller.wait(events, Some(timeout))
+    }
 }
 
 /// What the event handler wants done with the connection afterwards.
@@ -209,24 +269,32 @@ enum RelayPhase {
 /// serves.
 struct Relay {
     stream: TcpStream,
+    /// The pooled connection's key in the mapping table, which its poller
+    /// token names.
+    backend: SlabKey,
     node: usize,
     /// Request-head bytes not yet written to the backend.
     out: VecDeque<u8>,
-    /// Response-head accumulation; once the head is parsed, whatever the
-    /// backend sent past the declared body (which bars the connection
-    /// from the pool).
+    /// A response head split across backend reads, accumulated until it
+    /// is whole. A head that arrives in one read never lands here.
     inbuf: Vec<u8>,
     phase: RelayPhase,
     /// Body bytes still to splice once the head is parsed.
     remaining: usize,
     started: Instant,
-    /// Interest currently registered for the backend fd.
+    /// Interest registered for the backend fd: read, except while the
+    /// request head waits for socket space.
     interest: Interest,
     /// Backend deregistered until the connection's pipe drains.
     paused: bool,
     /// True once the client response head has been enqueued — after
     /// that, a backend failure can only truncate, not turn into a 502.
     head_sent: bool,
+    /// Bytes the backend sent past the declared body in the read that
+    /// completed the head; any bars the connection from the pool.
+    stray: usize,
+    /// The backend keeps the connection open after this response.
+    reusable: bool,
     span: Option<OwnedSpan>,
 }
 
@@ -250,13 +318,19 @@ struct Conn {
     close_after_flush: bool,
     /// The client's write side reached EOF.
     client_eof: bool,
-    timer: Option<(TimerId, TimerPurpose)>,
+    /// When the current wait — for the rest of a request head, or for the
+    /// relay — must end.
+    deadline: Option<Instant>,
+    /// The wheel timer standing for `deadline`, and when it is due: never
+    /// after `deadline`. See [`set_deadline`].
+    armed: Option<(TimerId, Instant)>,
     /// Set while a request head is being accumulated or served.
     request_started: Option<Instant>,
     request_id: Option<RequestId>,
     /// The current request's keep-alive disposition.
     keep_alive: bool,
-    /// The current request's path (for slow-request post-mortems).
+    /// The current request's path (for span details and slow-request
+    /// post-mortems).
     path: Option<UrlPath>,
     span: Option<OwnedSpan>,
     /// Index into the tenant table this connection counted into.
@@ -276,7 +350,8 @@ impl Conn {
             interest: Interest::READ,
             close_after_flush: false,
             client_eof: false,
-            timer: None,
+            deadline: None,
+            armed: None,
             request_started: None,
             request_id: None,
             keep_alive: true,
@@ -296,17 +371,12 @@ impl Conn {
 
     /// The client interest this connection's state calls for.
     fn desired_interest(&self) -> Interest {
-        // Read while waiting for (more of) a request. While a relay is in
-        // flight, the client is owed bytes, or the connection is draining
-        // to close, reads stop — with level-triggered polling an unread
-        // pipelined request would spin the loop. The poller re-fires
-        // readiness when interest returns.
+        // Read until the client is done or its buffer is full — through a
+        // relay too: pipelined bytes wait in `rbuf`, which `advance_requests`
+        // serves once the client is owed nothing. A buffer at `HEAD_CAP`
+        // stops reading, so level-triggered readiness cannot spin the loop.
         let flushed = self.flushed();
-        let read = self.relay.is_none()
-            && flushed
-            && !self.close_after_flush
-            && !self.client_eof
-            && self.rbuf.len() < HEAD_CAP;
+        let read = !self.close_after_flush && !self.client_eof && self.rbuf.len() < HEAD_CAP;
         Interest {
             read,
             write: !flushed,
@@ -320,7 +390,10 @@ impl Conn {
 struct Cx {
     idx: usize,
     handle: SnapshotHandle,
-    pools: Arc<Vec<SocketPool>>,
+    pools: Arc<Vec<SocketPool<Pooled>>>,
+    /// The mapping table: every pooled backend connection this worker has
+    /// open, and the client it is bound to.
+    bindings: Slab<Binding>,
     in_flight: Arc<Vec<AtomicU32>>,
     stats: Arc<ProxyStats>,
     ledgers: Arc<Vec<Mutex<HashMap<UrlPath, u64>>>>,
@@ -329,7 +402,7 @@ struct Cx {
     tenants: Arc<Vec<TenantSlot>>,
     router: LiveRouter,
     m: WorkerMetrics,
-    poller: Box<dyn Poller>,
+    poller: CountedPoller,
     timers: TimerWheel,
     timer_conns: HashMap<TimerId, SlabKey>,
     scratch: Vec<u8>,
@@ -342,8 +415,12 @@ pub(crate) fn worker_loop(boot: WorkerBoot) {
     let mut router = LiveRouter::new(&boot.handle, 1024);
     router.attach_metrics(&boot.registry, boot.idx);
     let m = WorkerMetrics::new(&boot.registry, boot.idx, boot.workers);
-    let Ok(mut poller) = new_poller() else {
+    let Ok(poller) = new_poller() else {
         return;
+    };
+    let mut poller = CountedPoller {
+        poller,
+        calls: boot.registry.counter("reactor_ctl_total"),
     };
     if poller
         .register(boot.wake_rx.fd(), Token(WAKER_TOKEN), Interest::READ)
@@ -355,6 +432,7 @@ pub(crate) fn worker_loop(boot: WorkerBoot) {
         idx: boot.idx,
         handle: boot.handle,
         pools: boot.pools,
+        bindings: Slab::new(),
         in_flight: boot.in_flight,
         stats: boot.stats,
         ledgers: boot.ledgers,
@@ -369,6 +447,15 @@ pub(crate) fn worker_loop(boot: WorkerBoot) {
         scratch: vec![0u8; SCRATCH],
         pipes: Vec::new(),
     };
+    // A pre-forked connection that cannot be registered is dropped; the
+    // first checkout that misses it opens another.
+    for node in 0..boot.preforked.backend_count() {
+        for stream in boot.preforked.take_idle(node) {
+            if let Ok(pooled) = adopt_backend(&mut cx.poller, &mut cx.bindings, node, stream) {
+                cx.pools[cx.idx].release(node, pooled);
+            }
+        }
+    }
     let mut conns: Slab<Conn> = Slab::new();
     let mut events: Vec<Event> = Vec::with_capacity(256);
     let mut fired: Vec<TimerId> = Vec::new();
@@ -378,7 +465,7 @@ pub(crate) fn worker_loop(boot: WorkerBoot) {
             .timers
             .next_timeout(Instant::now())
             .map_or(POLL_CAP, |t| t.min(POLL_CAP));
-        if cx.poller.wait(&mut events, Some(timeout)).is_err() {
+        if cx.poller.wait(&mut events, timeout).is_err() {
             // A broken poller means the worker cannot continue; tear down.
             break;
         }
@@ -416,6 +503,24 @@ pub(crate) fn worker_loop(boot: WorkerBoot) {
     }
 }
 
+/// Makes a freshly opened backend connection part of this worker's pool:
+/// an entry in the mapping table, and its one poller registration, for
+/// read — a socket that turns readable while idle has hung up or sent
+/// bytes nobody asked for, and is discarded on the spot.
+fn adopt_backend(
+    poller: &mut CountedPoller,
+    bindings: &mut Slab<Binding>,
+    node: usize,
+    stream: TcpStream,
+) -> io::Result<Pooled> {
+    let key = bindings.insert(Binding { node, client: None });
+    if let Err(e) = poller.register(stream.as_raw_fd(), backend_token(key), Interest::READ) {
+        bindings.remove(key);
+        return Err(e);
+    }
+    Ok(Pooled { key, stream })
+}
+
 /// Adopts connections the acceptor queued for this worker.
 fn drain_handoff(cx: &mut Cx, conns: &mut Slab<Conn>, queue: &HandoffQueue) {
     while let Some(stream) = queue.pop() {
@@ -446,11 +551,30 @@ fn drain_handoff(cx: &mut Cx, conns: &mut Slab<Conn>, queue: &HandoffQueue) {
     }
 }
 
-/// Routes one readiness event to the right connection and side.
+/// Routes one readiness event to the right connection and side. A
+/// backend event reaches the client its socket is bound to through the
+/// mapping table; one on an idle socket discards it.
 fn dispatch(cx: &mut Cx, conns: &mut Slab<Conn>, ev: Event) {
     let key = ev.token.0 >> 1;
     let backend_side = ev.token.0 & 1 == 1;
-    let Some(conn) = conns.get_mut(key) else {
+    let conn_key = if backend_side {
+        let Some(binding) = cx.bindings.get(key) else {
+            return; // stale token for a discarded connection
+        };
+        match binding.client {
+            Some(client) => client,
+            None => {
+                let node = binding.node;
+                if let Some(idle) = cx.pools[cx.idx].remove_idle(node, |p| p.key == key) {
+                    discard_backend(cx, idle.key, idle.stream);
+                }
+                return;
+            }
+        }
+    } else {
+        key
+    };
+    let Some(conn) = conns.get_mut(conn_key) else {
         return; // stale token for a recycled slot
     };
     let verdict = if backend_side {
@@ -459,13 +583,43 @@ fn dispatch(cx: &mut Cx, conns: &mut Slab<Conn>, ev: Event) {
         on_client_event(cx, conn, ev)
     };
     if verdict == Verdict::Close {
-        if let Some(conn) = conns.remove(key) {
+        if let Some(conn) = conns.remove(conn_key) {
             teardown(cx, conn);
         }
     }
 }
 
-/// Handles a fired deadline.
+/// Sets the connection's one deadline. The wheel is touched only when no
+/// timer is armed or the armed one would fire too late: a deadline that
+/// moves later leaves its timer in place, and [`fire_timer`] re-arms it
+/// at the real deadline if it fires first. Clearing a deadline is just
+/// `conn.deadline = None`.
+fn set_deadline(cx: &mut Cx, conn: &mut Conn, at: Instant) {
+    conn.deadline = Some(at);
+    if conn.armed.is_none_or(|(_, due)| due > at) {
+        arm(cx, conn, at);
+    }
+}
+
+fn arm(cx: &mut Cx, conn: &mut Conn, at: Instant) {
+    disarm(cx, conn);
+    let id = cx.timers.schedule_at(at);
+    cx.timer_conns.insert(id, conn.key);
+    conn.armed = Some((id, at));
+    cx.m.reactor_timer_arms.inc();
+}
+
+fn disarm(cx: &mut Cx, conn: &mut Conn) {
+    if let Some((id, _)) = conn.armed.take() {
+        cx.timers.cancel(id);
+        cx.timer_conns.remove(&id);
+    }
+}
+
+/// Handles a fired wheel timer: nothing if the connection's deadline was
+/// cleared since it was armed, a re-arm if the deadline moved later, and
+/// otherwise the deadline's expiry — of the relay if one is in flight, of
+/// the request head if not.
 fn fire_timer(cx: &mut Cx, conns: &mut Slab<Conn>, id: TimerId) {
     let Some(key) = cx.timer_conns.remove(&id) else {
         return;
@@ -473,30 +627,33 @@ fn fire_timer(cx: &mut Cx, conns: &mut Slab<Conn>, id: TimerId) {
     let Some(conn) = conns.get_mut(key) else {
         return;
     };
-    let Some((pending, purpose)) = conn.timer else {
+    if conn.armed.map(|(armed, _)| armed) != Some(id) {
+        return;
+    }
+    conn.armed = None;
+    let Some(deadline) = conn.deadline else {
         return;
     };
-    if pending != id {
-        return; // stale: the deadline was replaced
+    if deadline > Instant::now() {
+        arm(cx, conn, deadline);
+        return;
     }
-    conn.timer = None;
+    conn.deadline = None;
     cx.m.reactor_timers_fired.inc();
-    let verdict = match purpose {
-        TimerPurpose::HeadDeadline => {
-            // Client stalled mid-request-head: parse state is
-            // unrecoverable, drop the connection (same contract as the
-            // old blocking read timeout).
-            cx.registry.events().record(
-                "parse",
-                conn.request_id,
-                "client stalled mid-request-head".to_string(),
-            );
-            if let Some(span) = conn.span.as_mut() {
-                span.set_error(true);
-            }
-            Verdict::Close
+    let verdict = if conn.relay.is_some() {
+        fail_relay(cx, conn, "backend relay timed out")
+    } else {
+        // Client stalled mid-request-head: parse state is
+        // unrecoverable, drop the connection.
+        cx.registry.events().record(
+            "parse",
+            conn.request_id,
+            "client stalled mid-request-head".to_string(),
+        );
+        if let Some(span) = conn.span.as_mut() {
+            span.set_error(true);
         }
-        TimerPurpose::RelayDeadline => fail_relay(cx, conn, "backend relay timed out"),
+        Verdict::Close
     };
     if verdict == Verdict::Close {
         if let Some(conn) = conns.remove(key) {
@@ -505,25 +662,20 @@ fn fire_timer(cx: &mut Cx, conns: &mut Slab<Conn>, id: TimerId) {
     }
 }
 
-/// Full close: cancel timers, unwind relay accounting, release fds, and
-/// record connection-level metrics. A body pipe still holding bytes
+/// Full close: cancel the timer, unwind relay accounting, release fds,
+/// and record connection-level metrics. A body pipe still holding bytes
 /// closes with the connection, so no other client can ever read them.
 fn teardown(cx: &mut Cx, mut conn: Conn) {
-    if let Some((id, _)) = conn.timer.take() {
-        cx.timers.cancel(id);
-        cx.timer_conns.remove(&id);
-    }
-    if let Some(mut relay) = conn.relay.take() {
+    disarm(cx, &mut conn);
+    if let Some(relay) = conn.relay.take() {
         cx.in_flight[relay.node].fetch_sub(1, Ordering::Relaxed);
-        if let Some(mut span) = relay.span.take() {
-            span.set_error(true);
-        }
-        let _ = cx.poller.deregister(relay.stream.as_raw_fd());
-        discard_backend(cx, relay.node, relay.stream);
+        close_relay_span(relay.span, relay.node, true);
+        discard_backend(cx, relay.backend, relay.stream);
         if let Some(span) = conn.span.as_mut() {
             span.set_error(true);
         }
     }
+    finish_request(&mut conn);
     if let Some(tenant) = conn.tenant.take() {
         cx.tenants[tenant].active.fetch_sub(1, Ordering::Relaxed);
     }
@@ -533,24 +685,6 @@ fn teardown(cx: &mut Cx, mut conn: Conn) {
     cx.m.conn_closed.inc();
     cx.m.conn_lifetime_ns
         .record(u64::try_from(conn.opened.elapsed().as_nanos()).unwrap_or(u64::MAX));
-}
-
-/// (Re)arms the connection's single deadline timer.
-fn set_conn_timer(cx: &mut Cx, conn: &mut Conn, purpose: TimerPurpose, after: Duration) {
-    if let Some((old, _)) = conn.timer.take() {
-        cx.timers.cancel(old);
-        cx.timer_conns.remove(&old);
-    }
-    let id = cx.timers.schedule_after(Instant::now(), after);
-    cx.timer_conns.insert(id, conn.key);
-    conn.timer = Some((id, purpose));
-}
-
-fn clear_conn_timer(cx: &mut Cx, conn: &mut Conn) {
-    if let Some((id, _)) = conn.timer.take() {
-        cx.timers.cancel(id);
-        cx.timer_conns.remove(&id);
-    }
 }
 
 /// Re-registers the client fd if the connection's state changed what it
@@ -568,10 +702,10 @@ fn sync_client_interest(cx: &mut Cx, conn: &mut Conn) {
 /// One readiness event on the client fd.
 fn on_client_event(cx: &mut Cx, conn: &mut Conn, ev: Event) -> Verdict {
     if !conn.interest.read && !conn.interest.write {
-        // A zero-interest registration (client parked while its relay
-        // runs) can only be woken by an error or a full hangup — either
-        // way the client is gone, and with level-triggered polling the
-        // condition would re-fire every wait.
+        // A zero-interest registration (a client that half-closed or
+        // filled its buffer, waiting on its relay) can only be woken by an
+        // error or a full hangup — either way the client is gone, and with
+        // level-triggered polling the condition would re-fire every wait.
         return Verdict::Close;
     }
     if ev.writable && !conn.flushed() && flush_client(cx, conn) == Verdict::Close {
@@ -655,7 +789,7 @@ fn flush_client(cx: &mut Cx, conn: &mut Conn) -> Verdict {
         }
     }
     match conn.relay.as_mut() {
-        Some(relay) => resume_backend(cx, conn.key, relay),
+        Some(relay) => resume_backend(cx, relay),
         None => cx.pipes.extend(conn.pipe.take()),
     }
     Verdict::Keep
@@ -672,19 +806,53 @@ fn pause_backend(cx: &mut Cx, relay: &mut Relay) {
     }
 }
 
-fn resume_backend(cx: &mut Cx, key: SlabKey, relay: &mut Relay) {
+fn resume_backend(cx: &mut Cx, relay: &mut Relay) {
     if relay.paused {
         relay.paused = false;
-        let _ = cx
-            .poller
-            .register(relay.stream.as_raw_fd(), backend_token(key), relay.interest);
+        let _ = cx.poller.register(
+            relay.stream.as_raw_fd(),
+            backend_token(relay.backend),
+            relay.interest,
+        );
     }
 }
 
-/// Drops a backend connection instead of pooling it, and counts it.
-fn discard_backend(cx: &Cx, node: usize, stream: TcpStream) {
+/// Binds a pooled connection to node `node` to the client `client`: an
+/// idle one if there is one, else a freshly opened and adopted one. The
+/// binding is one write to the mapping table; the poller is not touched.
+fn checkout_backend(cx: &mut Cx, node: usize, client: SlabKey) -> io::Result<Pooled> {
+    let pooled = cx.pools[cx.idx].checkout_with(node, |stream| {
+        adopt_backend(&mut cx.poller, &mut cx.bindings, node, stream)
+    })?;
+    if let Some(binding) = cx.bindings.get_mut(pooled.key) {
+        binding.client = Some(client);
+    }
+    Ok(pooled)
+}
+
+/// Returns a pooled connection to the pool, unbound and still registered.
+fn release_backend(cx: &mut Cx, node: usize, key: SlabKey, stream: TcpStream) {
+    if let Some(binding) = cx.bindings.get_mut(key) {
+        binding.client = None;
+    }
+    cx.pools[cx.idx].release(node, Pooled { key, stream });
+}
+
+/// Drops a backend connection for good — off the poller, out of the
+/// mapping table, closed — and counts it.
+fn discard_backend(cx: &mut Cx, key: SlabKey, stream: TcpStream) {
+    let _ = cx.poller.deregister(stream.as_raw_fd());
+    cx.bindings.remove(key);
     cx.m.pool_discards.inc();
-    cx.pools[cx.idx].discard(node, stream);
+}
+
+/// Closes a relay span. Its detail names the node, built only if the span
+/// is recorded.
+fn close_relay_span(span: Option<OwnedSpan>, node: usize, failed: bool) {
+    if let Some(mut span) = span {
+        span.set_error(failed);
+        span.fill_detail(|| format!("node={node}"));
+    }
 }
 
 /// Appends a response to the client ring and flushes opportunistically.
@@ -695,9 +863,7 @@ fn enqueue_response(
     body: &[u8],
     keep_alive: bool,
 ) -> Verdict {
-    let head = response_head(status, body.len(), keep_alive);
-    conn.wbuf.reserve(head.len() + body.len());
-    conn.wbuf.extend(head.as_bytes());
+    response_head_into(&mut conn.wbuf, status, body.len(), keep_alive);
     conn.wbuf.extend(body);
     if !keep_alive {
         conn.close_after_flush = true;
@@ -722,14 +888,18 @@ fn advance_requests(cx: &mut Cx, conn: &mut Conn) -> Verdict {
                 Verdict::Keep
             };
         }
-        if conn.request_started.is_none() {
-            // First byte of a fresh request: its clock, id, and head
-            // deadline start here.
-            conn.request_started = Some(Instant::now());
-            conn.request_id = Some(cx.registry.next_request_id());
-            cx.m.requests.inc();
-            set_conn_timer(cx, conn, TimerPurpose::HeadDeadline, REQUEST_READ_TIMEOUT);
-        }
+        let started = match conn.request_started {
+            Some(started) => started,
+            None => {
+                // First byte of a fresh request: its clock and id start
+                // here.
+                let now = Instant::now();
+                conn.request_started = Some(now);
+                conn.request_id = Some(cx.registry.next_request_id());
+                cx.m.requests.inc();
+                now
+            }
+        };
         let Some(end) = head_complete(&conn.rbuf) else {
             if conn.rbuf.len() > HEAD_CAP {
                 return respond_malformed(cx, conn, "head too large");
@@ -739,15 +909,16 @@ fn advance_requests(cx: &mut Cx, conn: &mut Conn) -> Verdict {
                 // "eof in headers" produced.
                 return respond_malformed(cx, conn, "eof in headers");
             }
-            return Verdict::Keep; // more bytes needed
+            // More bytes needed, within the window that opened with the
+            // head's first byte.
+            set_deadline(cx, conn, started + REQUEST_READ_TIMEOUT);
+            return Verdict::Keep;
         };
-        clear_conn_timer(cx, conn);
+        conn.deadline = None;
         let parsed = parse_request_head(&conn.rbuf[..end]);
         conn.rbuf.drain(..end);
-        if let Some(started) = conn.request_started {
-            cx.m.parse_ns
-                .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        }
+        cx.m.parse_ns
+            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         let request = match parsed {
             Ok(r) => r,
             Err(ParseError::Malformed(why)) => {
@@ -773,12 +944,16 @@ fn respond_malformed(cx: &mut Cx, conn: &mut Conn, why: &str) -> Verdict {
     enqueue_response(cx, conn, 400, b"bad request", false)
 }
 
-/// Clears per-request state once its response is fully enqueued.
+/// Clears per-request state once its response is fully enqueued, closing
+/// the request span. A span that ends without a detail gets the path,
+/// built only if the span is recorded.
 fn finish_request(conn: &mut Conn) {
     conn.request_started = None;
     conn.request_id = None;
-    conn.path = None;
-    conn.span = None; // drop records the span
+    let path = conn.path.take();
+    if let (Some(mut span), Some(path)) = (conn.span.take(), path) {
+        span.fill_detail(|| path.into());
+    }
 }
 
 /// Records `proxy_request_ns` for a routed (non-admin) request and leaves
@@ -829,15 +1004,14 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
         Some(inbound) => OwnedSpan::child_of(spans, inbound, "proxy.request"),
         None => OwnedSpan::root_head_sampled(spans, "proxy.request"),
     };
-    span.set_detail(request.path.as_str().to_string());
-    conn.path = Some(request.path.clone());
+    let path: &UrlPath = conn.path.insert(request.path);
 
     // --- tenant admission: the first routed request binds the
     // connection to its tenant (leading path segment); a tenant at its
     // connection cap sheds with a fast 503 and the connection closes —
     // the cap is on connections, not requests.
     if conn.tenant.is_none() {
-        if let Some(idx) = tenant_of(&cx.tenants, &request.path) {
+        if let Some(idx) = tenant_of(&cx.tenants, path) {
             let slot = &cx.tenants[idx];
             let admitted = slot
                 .active
@@ -867,7 +1041,7 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
     // --- routing decision: snapshot lookup + least in-flight replica.
     // Nodes without a configured backend address are vetoed.
     let in_flight = &cx.in_flight;
-    let target = cx.router.route(&request.path, |n| {
+    let target = cx.router.route(path, |n| {
         in_flight
             .get(n.index())
             .map_or(u64::MAX, |c| u64::from(c.load(Ordering::Relaxed)))
@@ -879,40 +1053,47 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
             .fetch_add(1, Ordering::Relaxed);
         cx.m.unroutable.inc();
         span.set_error(true);
-        span.set_detail(format!("unroutable {}", request.path));
-        cx.registry.events().record(
-            "route",
-            conn.request_id,
-            format!("unroutable path {}", request.path),
-        );
+        span.set_detail(format!("unroutable {path}"));
+        cx.registry
+            .events()
+            .record("route", conn.request_id, format!("unroutable path {path}"));
         conn.span = Some(span);
         let verdict = enqueue_response(cx, conn, 503, b"no location for path", keep_alive);
         record_request_done(cx, conn);
         finish_request(conn);
         return verdict;
     };
-    *cx.ledgers[cx.idx]
-        .lock()
-        .entry(request.path.clone())
-        .or_insert(0) += 1;
+    {
+        let mut ledger = cx.ledgers[cx.idx].lock();
+        match ledger.get_mut(path) {
+            Some(hits) => *hits += 1,
+            None => {
+                ledger.insert(path.clone(), 1);
+            }
+        }
+    }
 
     // --- bind to a pre-forked connection and start the relay state
     // machine. The relay gets its own child span whose context rides the
     // backend request as an `x-cpms-trace` header, so the origin's span
     // parents to this hop.
-    in_flight[node.index()].fetch_add(1, Ordering::Relaxed);
-    let mut relay_span = span
+    let node = node.index();
+    cx.in_flight[node].fetch_add(1, Ordering::Relaxed);
+    let relay_span = span
         .context()
         .map(|ctx| OwnedSpan::child_of(Arc::clone(&cx.m.spans), ctx, "proxy.relay"));
-    if let Some(rs) = relay_span.as_mut() {
-        rs.set_detail(format!("node={}", node.0));
-    }
+    let mut out = VecDeque::with_capacity(REQUEST_HEAD_BYTES + path.as_str().len());
+    request_head_into(
+        &mut out,
+        path,
+        relay_span.as_ref().and_then(OwnedSpan::context).as_ref(),
+    );
     conn.span = Some(span);
 
-    let backend = match cx.pools[cx.idx].checkout(node.index()) {
-        Ok(stream) => stream,
+    let pooled = match checkout_backend(cx, node, conn.key) {
+        Ok(pooled) => pooled,
         Err(e) => {
-            in_flight[node.index()].fetch_sub(1, Ordering::Relaxed);
+            cx.in_flight[node].fetch_sub(1, Ordering::Relaxed);
             cx.stats
                 .worker(cx.idx)
                 .pool_failures
@@ -921,11 +1102,9 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
             cx.registry.events().record(
                 "pool",
                 conn.request_id,
-                format!("no connection to node {}: {e}", node.0),
+                format!("no connection to node {node}: {e}"),
             );
-            if let Some(mut rs) = relay_span {
-                rs.set_error(true);
-            }
+            close_relay_span(relay_span, node, true);
             if let Some(span) = conn.span.as_mut() {
                 span.set_error(true);
             }
@@ -935,71 +1114,62 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
             return verdict;
         }
     };
-    let relay_ctx = relay_span.as_ref().and_then(OwnedSpan::context);
-    let head = request_head(&request.path, relay_ctx.as_ref());
     let mut relay = Relay {
-        stream: backend,
-        node: node.index(),
-        out: head.into_bytes().into(),
+        stream: pooled.stream,
+        backend: pooled.key,
+        node,
+        out,
         inbuf: Vec::new(),
         phase: RelayPhase::Send,
         remaining: 0,
         started: Instant::now(),
-        interest: Interest::WRITE,
+        interest: Interest::READ,
         paused: false,
         head_sent: false,
+        stray: 0,
+        reusable: true,
         span: relay_span,
     };
     // Optimistic first write: the request head almost always fits the
-    // socket buffer, so most relays register straight into read interest
-    // and cost a single registration.
-    match write_pending(&relay.stream, &mut relay.out) {
-        Ok(()) => {}
-        Err(_) => {
-            // The pooled connection is already dead; surface it as an
-            // exchange failure like the blocking path did.
-            in_flight[node.index()].fetch_sub(1, Ordering::Relaxed);
-            cx.stats
-                .worker(cx.idx)
-                .backend_errors
-                .fetch_add(1, Ordering::Relaxed);
-            cx.m.backend_errors.inc();
-            cx.registry.events().record(
-                "relay",
-                conn.request_id,
-                format!(
-                    "exchange with node {} failed: dead pooled connection",
-                    node.0
-                ),
-            );
-            if let Some(mut rs) = relay.span.take() {
-                rs.set_error(true);
-            }
-            if let Some(span) = conn.span.as_mut() {
-                span.set_error(true);
-            }
-            discard_backend(cx, node.index(), relay.stream);
-            let verdict = enqueue_response(cx, conn, 502, b"backend failure", keep_alive);
-            record_request_done(cx, conn);
-            finish_request(conn);
-            return verdict;
+    // socket buffer, so the backend keeps the read interest it was
+    // registered with.
+    if write_pending(&relay.stream, &mut relay.out).is_err() {
+        // The pooled connection is already dead; surface it as an
+        // exchange failure like the blocking path did.
+        cx.in_flight[node].fetch_sub(1, Ordering::Relaxed);
+        cx.stats
+            .worker(cx.idx)
+            .backend_errors
+            .fetch_add(1, Ordering::Relaxed);
+        cx.m.backend_errors.inc();
+        cx.registry.events().record(
+            "relay",
+            conn.request_id,
+            format!("exchange with node {node} failed: dead pooled connection"),
+        );
+        close_relay_span(relay.span, node, true);
+        if let Some(span) = conn.span.as_mut() {
+            span.set_error(true);
         }
+        discard_backend(cx, relay.backend, relay.stream);
+        let verdict = enqueue_response(cx, conn, 502, b"backend failure", keep_alive);
+        record_request_done(cx, conn);
+        finish_request(conn);
+        return verdict;
     }
-    if relay.out.is_empty() {
+    let deadline = relay.started + RELAY_TIMEOUT;
+    let rest_of_head = !relay.out.is_empty();
+    if rest_of_head {
+        relay.interest = Interest::WRITE;
+    } else {
         relay.phase = RelayPhase::Head;
-        relay.interest = Interest::READ;
     }
-    let fd = relay.stream.as_raw_fd();
-    let interest = relay.interest;
+    let (fd, token) = (relay.stream.as_raw_fd(), backend_token(relay.backend));
     conn.relay = Some(relay);
-    if cx
-        .poller
-        .register(fd, backend_token(conn.key), interest)
-        .is_err()
-    {
+    if rest_of_head && cx.poller.reregister(fd, token, Interest::WRITE).is_err() {
         return fail_relay(cx, conn, "backend registration failed");
     }
-    set_conn_timer(cx, conn, TimerPurpose::RelayDeadline, RELAY_TIMEOUT);
+    set_deadline(cx, conn, deadline);
     Verdict::Keep
 }
 
@@ -1047,7 +1217,7 @@ fn on_backend_event(cx: &mut Cx, conn: &mut Conn, ev: Event) -> Verdict {
                 relay.interest = Interest::READ;
                 let _ = cx.poller.reregister(
                     relay.stream.as_raw_fd(),
-                    backend_token(conn.key),
+                    backend_token(relay.backend),
                     Interest::READ,
                 );
             }
@@ -1067,45 +1237,67 @@ fn on_backend_event(cx: &mut Cx, conn: &mut Conn, ev: Event) -> Verdict {
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                         Err(_) => return fail_relay(cx, conn, "backend read failed"),
                     };
-                    relay.inbuf.extend_from_slice(&cx.scratch[..n]);
-                    match parse_response_head(&relay.inbuf) {
+                    // A head that arrives whole in one read — the usual
+                    // case — is parsed where it landed.
+                    let split = !relay.inbuf.is_empty();
+                    if split {
+                        relay.inbuf.extend_from_slice(&cx.scratch[..n]);
+                    }
+                    let got = if split {
+                        &relay.inbuf[..]
+                    } else {
+                        &cx.scratch[..n]
+                    };
+                    let rh = match parse_response_head(got) {
+                        Ok(Some(rh)) => rh,
                         Ok(None) => {
+                            if !split {
+                                relay.inbuf.extend_from_slice(&cx.scratch[..n]);
+                            }
                             if relay.inbuf.len() > HEAD_CAP {
                                 return fail_relay(cx, conn, "backend response head too large");
                             }
+                            continue;
                         }
                         Err(_) => return fail_relay(cx, conn, "malformed backend response"),
-                        Ok(Some(rh)) => {
-                            let take = (relay.inbuf.len() - rh.head_len).min(rh.content_length);
-                            let remaining = rh.content_length - take;
-                            // The rest of the body will need a pipe: take
-                            // it before the client is promised a 200, so
-                            // failing to get one is still an honest 502.
-                            if remaining > 0 && conn.pipe.is_none() {
-                                match cx.pipes.pop().map_or_else(Pipe::new, Ok) {
-                                    Ok(pipe) => conn.pipe = Some(pipe),
-                                    Err(_) => return fail_relay(cx, conn, "no pipe for the body"),
-                                }
-                            }
-                            // Forward a fresh head carrying the client's
-                            // keep-alive disposition, then whatever body
-                            // bytes arrived with it; anything past the
-                            // body stays in `inbuf`.
-                            let relay = conn.relay.as_mut().expect("still relaying");
-                            let head = response_head(rh.status, rh.content_length, conn.keep_alive);
-                            let body_end = rh.head_len + take;
-                            conn.wbuf.reserve(head.len() + take);
-                            conn.wbuf.extend(head.as_bytes());
-                            conn.wbuf.extend(&relay.inbuf[rh.head_len..body_end]);
-                            relay.inbuf.drain(..body_end);
-                            relay.head_sent = true;
-                            relay.remaining = remaining;
-                            relay.phase = RelayPhase::Body;
-                            cx.m.body_copied.add(take as u64);
-                            if remaining == 0 {
-                                return succeed_relay(cx, conn);
-                            }
+                    };
+                    let got_len = if split { relay.inbuf.len() } else { n };
+                    let take = (got_len - rh.head_len).min(rh.content_length);
+                    let remaining = rh.content_length - take;
+                    // The rest of the body will need a pipe: take it
+                    // before the client is promised a 200, so failing to
+                    // get one is still an honest 502.
+                    if remaining > 0 && conn.pipe.is_none() {
+                        match cx.pipes.pop().map_or_else(Pipe::new, Ok) {
+                            Ok(pipe) => conn.pipe = Some(pipe),
+                            Err(_) => return fail_relay(cx, conn, "no pipe for the body"),
                         }
+                    }
+                    // Forward a fresh head carrying the client's
+                    // keep-alive disposition, then whatever body bytes
+                    // arrived with it.
+                    let relay = conn.relay.as_mut().expect("still relaying");
+                    let got = if split {
+                        &relay.inbuf[..]
+                    } else {
+                        &cx.scratch[..n]
+                    };
+                    let body_end = rh.head_len + take;
+                    response_head_into(
+                        &mut conn.wbuf,
+                        rh.status,
+                        rh.content_length,
+                        conn.keep_alive,
+                    );
+                    conn.wbuf.extend(&got[rh.head_len..body_end]);
+                    relay.stray = got.len() - body_end;
+                    relay.reusable = rh.keep_alive;
+                    relay.head_sent = true;
+                    relay.remaining = remaining;
+                    relay.phase = RelayPhase::Body;
+                    cx.m.body_copied.add(take as u64);
+                    if remaining == 0 {
+                        return succeed_relay(cx, conn);
                     }
                 }
                 RelayPhase::Body => {
@@ -1149,18 +1341,17 @@ fn on_backend_event(cx: &mut Cx, conn: &mut Conn, ev: Event) -> Verdict {
 }
 
 /// Relay finished cleanly: return the pooled connection (only if it sent
-/// nothing past the body), close the spans, record the request, and
-/// resume serving buffered requests once the client is owed nothing.
+/// nothing past the body and stays open), close the spans, record the
+/// request, and resume serving buffered requests once the client is owed
+/// nothing.
 fn succeed_relay(cx: &mut Cx, conn: &mut Conn) -> Verdict {
-    let mut relay = conn.relay.take().expect("succeed without relay");
-    clear_conn_timer(cx, conn);
+    let relay = conn.relay.take().expect("succeed without relay");
+    conn.deadline = None;
     cx.in_flight[relay.node].fetch_sub(1, Ordering::Relaxed);
     cx.m.relay_ns
         .record(u64::try_from(relay.started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    let _ = cx.poller.deregister(relay.stream.as_raw_fd());
-    if relay.inbuf.is_empty() {
-        cx.pools[cx.idx].release(relay.node, relay.stream);
-    } else {
+    close_relay_span(relay.span, relay.node, false);
+    if relay.stray > 0 {
         // Bytes past the declared length would open the next exchange
         // on this connection: it can never be pooled again.
         cx.registry.events().record(
@@ -1168,13 +1359,19 @@ fn succeed_relay(cx: &mut Cx, conn: &mut Conn) -> Verdict {
             conn.request_id,
             format!(
                 "node {} sent {} bytes past the body; connection discarded",
-                relay.node,
-                relay.inbuf.len()
+                relay.node, relay.stray
             ),
         );
-        discard_backend(cx, relay.node, relay.stream);
+        discard_backend(cx, relay.backend, relay.stream);
+    } else if !relay.reusable {
+        // The backend is closing this connection (`Connection: close`, or
+        // HTTP/1.0 without keep-alive): the next client bound to it would
+        // get a 502.
+        discard_backend(cx, relay.backend, relay.stream);
+    } else {
+        debug_assert!(!relay.paused, "a finished body leaves no pipe to wait on");
+        release_backend(cx, relay.node, relay.backend, relay.stream);
     }
-    relay.span.take(); // drop records the relay span, un-errored
     cx.stats
         .worker(cx.idx)
         .relayed
@@ -1197,18 +1394,15 @@ fn succeed_relay(cx: &mut Cx, conn: &mut Conn) -> Verdict {
 /// 200 head, so a short body, whatever the ring and pipe still hold, is
 /// the only honest signal left).
 fn fail_relay(cx: &mut Cx, conn: &mut Conn, why: &str) -> Verdict {
-    let Some(mut relay) = conn.relay.take() else {
+    let Some(relay) = conn.relay.take() else {
         return Verdict::Keep;
     };
-    clear_conn_timer(cx, conn);
+    conn.deadline = None;
     cx.in_flight[relay.node].fetch_sub(1, Ordering::Relaxed);
     cx.m.relay_ns
         .record(u64::try_from(relay.started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    let _ = cx.poller.deregister(relay.stream.as_raw_fd());
-    discard_backend(cx, relay.node, relay.stream);
-    if let Some(mut span) = relay.span.take() {
-        span.set_error(true);
-    }
+    close_relay_span(relay.span, relay.node, true);
+    discard_backend(cx, relay.backend, relay.stream);
     if let Some(span) = conn.span.as_mut() {
         span.set_error(true);
     }

@@ -160,42 +160,92 @@ pub fn write_request_traced<W: Write>(
 }
 
 /// Serializes a backend request head (always HTTP/1.1 keep-alive on the
-/// pre-forked connections), optionally carrying a [`TRACE_HEADER`].
+/// pre-forked connections), optionally carrying a [`TRACE_HEADER`]: the
+/// bytes [`request_head_into`] appends, as one string.
 ///
-/// The head is assembled as one string: `write!` straight into an
-/// unbuffered socket issues one syscall (and, with nodelay, one TCP
-/// segment) per format fragment, which the trace header would multiply —
-/// and the proxy's non-blocking relay wants the whole head as bytes to
-/// enqueue anyway.
+/// The head is assembled whole: `write!` straight into an unbuffered
+/// socket issues one syscall (and, with nodelay, one TCP segment) per
+/// format fragment, which the trace header would multiply.
 #[must_use]
 pub fn request_head(path: &UrlPath, trace: Option<&TraceContext>) -> String {
-    match trace {
-        Some(ctx) => format!(
-            "GET {path} HTTP/1.1\r\nHost: cpms\r\nConnection: keep-alive\r\n{TRACE_HEADER}: {}\r\n\r\n",
-            ctx.to_header()
-        ),
-        None => format!("GET {path} HTTP/1.1\r\nHost: cpms\r\nConnection: keep-alive\r\n\r\n"),
+    let mut head = Vec::with_capacity(128);
+    request_head_into(&mut head, path, trace);
+    String::from_utf8(head).expect("a path and ASCII")
+}
+
+/// Appends a backend request head to `out` — the proxy's relay writes it
+/// straight into the connection's outbound buffer, with no intermediate
+/// string.
+pub fn request_head_into<B>(out: &mut B, path: &UrlPath, trace: Option<&TraceContext>)
+where
+    B: for<'a> Extend<&'a u8>,
+{
+    out.extend(b"GET ");
+    out.extend(path.as_str().as_bytes());
+    out.extend(b" HTTP/1.1\r\nHost: cpms\r\nConnection: keep-alive\r\n");
+    if let Some(ctx) = trace {
+        out.extend(TRACE_HEADER.as_bytes());
+        out.extend(b": ");
+        out.extend(&ctx.header_bytes());
+        out.extend(b"\r\n");
     }
+    out.extend(b"\r\n");
 }
 
 /// Serializes a response head for the given status, body length, and
-/// connection disposition (shared by [`write_response`] and the proxy's
-/// non-blocking write path, which enqueues heads into a connection buffer
-/// instead of writing to a stream).
+/// connection disposition: the bytes [`response_head_into`] appends, as
+/// one string (shared by [`write_response`] and the proxy's shedding
+/// path).
 #[must_use]
 pub fn response_head(status: u16, body_len: usize, keep_alive: bool) -> String {
-    let reason = match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        _ => "Error",
+    let mut head = Vec::with_capacity(96);
+    response_head_into(&mut head, status, body_len, keep_alive);
+    String::from_utf8(head).expect("heads are ASCII")
+}
+
+/// Appends a response head to `out` — the proxy's non-blocking write path
+/// enqueues heads straight into a connection's write buffer.
+pub fn response_head_into<B>(out: &mut B, status: u16, body_len: usize, keep_alive: bool)
+where
+    B: for<'a> Extend<&'a u8>,
+{
+    let reason: &[u8] = match status {
+        200 => b"OK",
+        400 => b"Bad Request",
+        404 => b"Not Found",
+        502 => b"Bad Gateway",
+        503 => b"Service Unavailable",
+        _ => b"Error",
     };
-    format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Length: {body_len}\r\nConnection: {}\r\n\r\n",
-        if keep_alive { "keep-alive" } else { "close" },
-    )
+    out.extend(b"HTTP/1.1 ");
+    decimal_into(out, status.into());
+    out.extend(b" ");
+    out.extend(reason);
+    out.extend(b"\r\nContent-Length: ");
+    decimal_into(out, body_len);
+    out.extend(if keep_alive {
+        &b"\r\nConnection: keep-alive\r\n\r\n"[..]
+    } else {
+        &b"\r\nConnection: close\r\n\r\n"[..]
+    });
+}
+
+/// Appends `n` in decimal.
+fn decimal_into<B>(out: &mut B, mut n: usize)
+where
+    B: for<'a> Extend<&'a u8>,
+{
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(&digits[at..]);
 }
 
 /// Writes a response with the given status and body.
@@ -253,7 +303,8 @@ pub fn parse_request_head(head: &[u8]) -> Result<Request, ParseError> {
 }
 
 /// A parsed response head for the streaming relay path: enough to forward
-/// the head verbatim and then count body bytes through.
+/// the head verbatim, count body bytes through, and know whether the
+/// connection may carry another exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResponseHead {
     /// Status code.
@@ -263,6 +314,10 @@ pub struct ResponseHead {
     /// Bytes the head occupies in the scanned buffer (index of the first
     /// body byte).
     pub head_len: usize,
+    /// Whether the back end keeps the connection open after this
+    /// response: false for `Connection: close`, and for HTTP/1.0 without
+    /// `Connection: keep-alive`.
+    pub keep_alive: bool,
 }
 
 /// Incrementally parses a response head from an accumulation buffer:
@@ -282,7 +337,7 @@ pub fn parse_response_head(buf: &[u8]) -> Result<Option<ResponseHead>, ParseErro
     let mut lines = text.split('\n');
     let status_line = lines.next().ok_or(ParseError::Malformed("empty head"))?;
     let mut parts = status_line.split_whitespace();
-    let _version = parts
+    let version = parts
         .next()
         .ok_or(ParseError::Malformed("missing version"))?;
     let status: u16 = parts
@@ -291,6 +346,7 @@ pub fn parse_response_head(buf: &[u8]) -> Result<Option<ResponseHead>, ParseErro
         .parse()
         .map_err(|_| ParseError::Malformed("bad status"))?;
     let mut content_length: Option<usize> = None;
+    let mut keep_alive = version != "HTTP/1.0";
     for line in lines {
         let line = line.trim_end_matches('\r');
         if line.is_empty() {
@@ -304,6 +360,13 @@ pub fn parse_response_head(buf: &[u8]) -> Result<Option<ResponseHead>, ParseErro
                         .parse()
                         .map_err(|_| ParseError::Malformed("bad content-length"))?,
                 );
+            } else if name.eq_ignore_ascii_case("connection") {
+                let value = value.trim();
+                if value.eq_ignore_ascii_case("close") {
+                    keep_alive = false;
+                } else if value.eq_ignore_ascii_case("keep-alive") {
+                    keep_alive = true;
+                }
             }
         }
     }
@@ -312,6 +375,7 @@ pub fn parse_response_head(buf: &[u8]) -> Result<Option<ResponseHead>, ParseErro
         status,
         content_length,
         head_len,
+        keep_alive,
     }))
 }
 
@@ -495,6 +559,69 @@ mod tests {
         assert!(matches!(
             parse_response_head(b"garbage\r\n\r\n"),
             Err(ParseError::Malformed(_))
+        ));
+    }
+
+    /// The buffer writers are the only serializers of heads: the proxy
+    /// writes them into its connection buffers, and `request_head` /
+    /// `response_head` wrap them. Their bytes are the ones `format!` built
+    /// before, traced or not, for every status.
+    #[test]
+    fn head_writers_produce_the_formatted_bytes() {
+        let path: UrlPath = "/dir/page.html".parse().unwrap();
+        let ctx = TraceContext::root(false).child();
+        for trace in [None, Some(&ctx)] {
+            let want = match trace {
+                Some(ctx) => format!(
+                    "GET {path} HTTP/1.1\r\nHost: cpms\r\nConnection: keep-alive\r\n{TRACE_HEADER}: {}\r\n\r\n",
+                    ctx.to_header()
+                ),
+                None => format!("GET {path} HTTP/1.1\r\nHost: cpms\r\nConnection: keep-alive\r\n\r\n"),
+            };
+            let mut ring = std::collections::VecDeque::new();
+            request_head_into(&mut ring, &path, trace);
+            assert_eq!(ring.make_contiguous(), want.as_bytes());
+            assert_eq!(request_head(&path, trace), want);
+        }
+        for (status, reason) in [
+            (200, "OK"),
+            (400, "Bad Request"),
+            (404, "Not Found"),
+            (502, "Bad Gateway"),
+            (503, "Service Unavailable"),
+            (500, "Error"),
+        ] {
+            for (len, keep_alive) in [
+                (0, true),
+                (7, false),
+                (1_048_576, true),
+                (usize::MAX, false),
+            ] {
+                let want = format!(
+                    "HTTP/1.1 {status} {reason}\r\nContent-Length: {len}\r\nConnection: {}\r\n\r\n",
+                    if keep_alive { "keep-alive" } else { "close" },
+                );
+                let mut ring = std::collections::VecDeque::new();
+                response_head_into(&mut ring, status, len, keep_alive);
+                assert_eq!(ring.make_contiguous(), want.as_bytes());
+                assert_eq!(response_head(status, len, keep_alive), want);
+            }
+        }
+    }
+
+    #[test]
+    fn response_heads_say_whether_the_connection_stays_open() {
+        let open = |raw: &[u8]| parse_response_head(raw).unwrap().unwrap().keep_alive;
+        assert!(open(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"));
+        assert!(!open(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+        ));
+        assert!(!open(
+            b"HTTP/1.1 200 OK\r\nconnection: Close\r\nContent-Length: 0\r\n\r\n"
+        ));
+        assert!(!open(b"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n"));
+        assert!(open(
+            b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 0\r\n\r\n"
         ));
     }
 

@@ -274,11 +274,9 @@ fn serve_connection(
         // parents to the relay's. Requests without a context stay
         // untraced — the origin never roots traces of its own.
         let _inherited = request.trace.map(ScopedTrace::activate);
-        let mut trace_span = request.trace.map(|_| {
-            let mut span = TracedSpan::enter(spans, "origin.request");
-            span.set_detail(format!("node={} {}", node.0, request.path));
-            span
-        });
+        let mut trace_span = request
+            .trace
+            .map(|_| TracedSpan::enter(spans, "origin.request"));
         // Look the object up under a read lock; release before any
         // execution delay.
         enum Found {
@@ -324,7 +322,9 @@ fn serve_connection(
                 write_response(&mut writer, 404, b"not found", keep_alive)?;
             }
         }
-        drop(trace_span);
+        if let Some(mut span) = trace_span {
+            span.fill_detail(|| format!("node={} {}", node.0, request.path));
+        }
         if !keep_alive {
             return Ok(());
         }
@@ -506,6 +506,42 @@ mod tests {
         write_request_traced(&mut stream, &"/_cpms/trace.json".parse().unwrap(), None).unwrap();
         let dump = String::from_utf8(read_response(&mut reader).unwrap().body).unwrap();
         assert!(dump.contains(&relay_ctx.trace.to_string()), "{dump}");
+    }
+
+    /// Under a context the proxy did not sample, a served request records
+    /// nothing and a 404 records its span all the same, detail included.
+    #[test]
+    fn an_unsampled_404_still_records_its_span() {
+        use crate::http::{read_response, write_request_traced};
+        use cpms_obs::TraceContext;
+
+        let origin = OriginServer::start(NodeId(3), site()).unwrap();
+        let relay_ctx = TraceContext::root(false).child();
+        let mut stream = TcpStream::connect(origin.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        for (path, status) in [("/index.html", 200), ("/missing", 404)] {
+            write_request_traced(&mut stream, &path.parse().unwrap(), Some(&relay_ctx)).unwrap();
+            assert_eq!(read_response(&mut reader).unwrap().status, status);
+        }
+        let span = 'found: {
+            for _ in 0..400 {
+                let spans = origin.metrics().spans().snapshot();
+                if let Some(s) = spans.iter().find(|s| s.name == "origin.request") {
+                    break 'found s.clone();
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            panic!("origin.request span never recorded");
+        };
+        assert_eq!(span.trace, relay_ctx.trace);
+        assert_eq!(span.parent, Some(relay_ctx.span));
+        assert_eq!(span.detail, "node=3 /missing");
+        assert!(span.error);
+        assert_eq!(
+            origin.metrics().spans().snapshot().len(),
+            1,
+            "the unsampled 200 records nothing"
+        );
     }
 
     #[test]

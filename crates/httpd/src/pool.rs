@@ -8,6 +8,12 @@
 //! event (`overflow_connects`) so benches can report pool pressure.
 //! Every pooled connection is non-blocking from birth: its readers and
 //! writers are the proxy's event loops.
+//!
+//! The pool's parameter `C` is what an idle list holds: the stream itself
+//! by default, or — in a proxy worker — the stream together with the key
+//! under which the worker registered it with its poller, once, when the
+//! connection was opened ([`SocketPool::checkout_with`] adopts a freshly
+//! opened one).
 
 use parking_lot::Mutex;
 use std::io;
@@ -16,9 +22,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A pool of persistent connections to a set of backends.
 #[derive(Debug)]
-pub struct SocketPool {
+pub struct SocketPool<C = TcpStream> {
     backends: Vec<SocketAddr>,
-    idle: Vec<Mutex<Vec<TcpStream>>>,
+    idle: Vec<Mutex<Vec<C>>>,
     overflow_connects: AtomicU64,
     checkouts: AtomicU64,
 }
@@ -30,20 +36,36 @@ impl SocketPool {
     ///
     /// Connection failures during pre-forking.
     pub fn prefork(backends: Vec<SocketAddr>, prefork: u32) -> io::Result<Self> {
-        let mut idle = Vec::with_capacity(backends.len());
-        for &addr in &backends {
-            let mut conns = Vec::with_capacity(prefork as usize);
+        let pool = SocketPool::empty(backends);
+        for (idx, &addr) in pool.backends.iter().enumerate() {
+            let mut idle = pool.idle[idx].lock();
             for _ in 0..prefork {
-                conns.push(connect(addr)?);
+                idle.push(connect(addr)?);
             }
-            idle.push(Mutex::new(conns));
         }
-        Ok(SocketPool {
+        Ok(pool)
+    }
+
+    /// Checks out a connection to backend `idx`, opening a new one if the
+    /// pool is empty.
+    ///
+    /// # Errors
+    ///
+    /// Connection failures when growing.
+    pub fn checkout(&self, idx: usize) -> io::Result<TcpStream> {
+        self.checkout_with(idx, Ok)
+    }
+}
+
+impl<C> SocketPool<C> {
+    /// A pool of `backends` with no idle connections yet.
+    pub fn empty(backends: Vec<SocketAddr>) -> Self {
+        SocketPool {
+            idle: backends.iter().map(|_| Mutex::new(Vec::new())).collect(),
             backends,
-            idle,
             overflow_connects: AtomicU64::new(0),
             checkouts: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Number of backends.
@@ -72,31 +94,42 @@ impl SocketPool {
         self.idle[idx].lock().len()
     }
 
-    /// Checks out a connection to backend `idx`, opening a new one if the
-    /// pool is empty.
+    /// Checks out a connection to backend `idx`; when none is idle, opens
+    /// one and hands it to `adopt` to make it a `C`.
     ///
     /// # Errors
     ///
-    /// Connection failures when growing.
-    pub fn checkout(&self, idx: usize) -> io::Result<TcpStream> {
+    /// Connection failures when growing, and whatever `adopt` returns.
+    pub fn checkout_with(
+        &self,
+        idx: usize,
+        adopt: impl FnOnce(TcpStream) -> io::Result<C>,
+    ) -> io::Result<C> {
         self.checkouts.fetch_add(1, Ordering::Relaxed);
         if let Some(conn) = self.idle[idx].lock().pop() {
             return Ok(conn);
         }
         self.overflow_connects.fetch_add(1, Ordering::Relaxed);
-        connect(self.backends[idx])
+        adopt(connect(self.backends[idx])?)
     }
 
     /// Returns a healthy connection to the pool ("releases the pre-forked
     /// connection back to available connection list").
-    pub fn release(&self, idx: usize, conn: TcpStream) {
+    pub fn release(&self, idx: usize, conn: C) {
         self.idle[idx].lock().push(conn);
     }
 
-    /// Discards a connection that saw an error (the next checkout will
-    /// re-open).
-    pub fn discard(&self, _idx: usize, conn: TcpStream) {
-        drop(conn);
+    /// Takes every idle connection to backend `idx` out of the pool.
+    pub fn take_idle(&self, idx: usize) -> Vec<C> {
+        std::mem::take(&mut *self.idle[idx].lock())
+    }
+
+    /// Takes the idle connection to backend `idx` that `which` picks out
+    /// of the pool, if it is there.
+    pub fn remove_idle(&self, idx: usize, which: impl Fn(&C) -> bool) -> Option<C> {
+        let mut idle = self.idle[idx].lock();
+        let at = idle.iter().position(which)?;
+        Some(idle.swap_remove(at))
     }
 }
 

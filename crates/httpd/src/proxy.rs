@@ -29,7 +29,7 @@
 //! up on their next request via one atomic generation check — the live
 //! analogue of the paper's controller updating the distributor's table.
 
-use crate::conn::{worker_loop, WorkerBoot};
+use crate::conn::{worker_loop, Pooled, WorkerBoot};
 use crate::http::response_head;
 use crate::pool::SocketPool;
 use cpms_obs::{Counter, MetricsRegistry, Sampler};
@@ -251,7 +251,7 @@ pub struct ContentAwareProxy {
     addr: SocketAddr,
     publisher: TablePublisher,
     stats: Arc<ProxyStats>,
-    pools: Arc<Vec<SocketPool>>,
+    pools: Arc<Vec<SocketPool<Pooled>>>,
     ledgers: Arc<Vec<Mutex<HashMap<cpms_model::UrlPath, u64>>>>,
     registry: Arc<MetricsRegistry>,
     stop: Arc<AtomicBool>,
@@ -338,12 +338,17 @@ impl ContentAwareProxy {
         let addr = listener.local_addr()?;
 
         // Shard the pre-forked connections: each worker owns a private
-        // pool so checkouts never cross threads.
+        // pool so checkouts never cross threads. A worker adopts its
+        // shard's connections into its poller at start; the shared pools
+        // hold them from then on, so any worker can report every shard.
         let per_worker = (config.prefork as usize).div_ceil(workers) as u32;
-        let pools: Arc<Vec<SocketPool>> = Arc::new(
+        let preforked = (0..workers)
+            .map(|_| SocketPool::prefork(backends.clone(), per_worker))
+            .collect::<io::Result<Vec<_>>>()?;
+        let pools: Arc<Vec<SocketPool<Pooled>>> = Arc::new(
             (0..workers)
-                .map(|_| SocketPool::prefork(backends.clone(), per_worker))
-                .collect::<io::Result<_>>()?,
+                .map(|_| SocketPool::empty(backends.clone()))
+                .collect(),
         );
         let in_flight: Arc<Vec<AtomicU32>> =
             Arc::new((0..backends.len()).map(|_| AtomicU32::new(0)).collect());
@@ -377,13 +382,14 @@ impl ContentAwareProxy {
         let mut wakers = Vec::with_capacity(workers + 1);
         let mut queues = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers + 1);
-        for idx in 0..workers {
+        for (idx, preforked) in preforked.into_iter().enumerate() {
             let (waker, wake_rx) = waker_pair()?;
             let queue = Arc::new(HandoffQueue::new(HANDOFF_CAP));
             let boot = WorkerBoot {
                 idx,
                 workers,
                 handle: publisher.handle(),
+                preforked,
                 pools: Arc::clone(&pools),
                 in_flight: Arc::clone(&in_flight),
                 stats: Arc::clone(&stats),
@@ -1106,29 +1112,85 @@ mod tests {
         assert!(span.detail.contains("unroutable"), "{}", span.detail);
     }
 
-    #[test]
-    fn pool_exhaustion_counts_apart_from_backend_errors() {
-        // Backend that exists long enough to pre-fork, then vanishes: the
-        // first request fails on the (dead) pooled connection — a backend
-        // exchange error; the second finds the pool empty and the connect
-        // refused — a pool acquire failure. The two must count apart.
+    /// A one-worker proxy routing `/a` to a back end that accepts two
+    /// connections, closes each without answering, and stops listening —
+    /// started once its pre-forked connection has hung up and been
+    /// discarded while idle, so the first request opens the second
+    /// connection. Join the handle to know the listener is gone.
+    fn proxy_over_unanswering_backend() -> (ContentAwareProxy, std::thread::JoinHandle<()>) {
         let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let gone_addr = listener.local_addr().unwrap();
+        let addr = listener.local_addr().unwrap();
+        let backend = std::thread::spawn(move || {
+            for conn in listener.incoming().take(2) {
+                drop(conn);
+            }
+        });
         let mut table = UrlTable::new();
         table.insert("/a".parse().unwrap(), entry(0, &[0])).unwrap();
         let proxy = ContentAwareProxy::start_with_config(
             TablePublisher::new(table),
-            vec![gone_addr],
+            vec![addr],
             Arc::new(MetricsRegistry::new()),
             sized(1, 1),
         )
         .unwrap();
-        drop(listener);
+        wait_for(|| {
+            let discards = proxy
+                .metrics()
+                .snapshot()
+                .counter("proxy_pool_discards_total");
+            (discards == Some(1)).then_some(())
+        });
+        (proxy, backend)
+    }
 
+    /// A request the head-sampling roll skipped still records its spans
+    /// once it fails — with the same names, parents and details a sampled
+    /// one carries, though tracing builds them only then.
+    #[test]
+    fn an_unsampled_request_ending_in_502_records_both_spans() {
+        use cpms_obs::TraceContext;
+        use std::io::{Read, Write};
+
+        let (proxy, backend) = proxy_over_unanswering_backend();
+        let inbound = TraceContext::root(false);
+        let mut stream = TcpStream::connect(proxy.addr()).unwrap();
+        write!(
+            stream,
+            "GET /a HTTP/1.1\r\nx-cpms-trace: {}\r\nConnection: close\r\n\r\n",
+            inbound.to_header()
+        )
+        .unwrap();
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).unwrap();
+        assert!(raw.starts_with(b"HTTP/1.1 502"), "{raw:?}");
+        backend.join().unwrap();
+
+        let spans = wait_for(|| {
+            let spans = proxy.metrics().spans().spans_of(inbound.trace);
+            (spans.len() == 2).then_some(spans)
+        });
+        let request = spans.iter().find(|s| s.name == "proxy.request").unwrap();
+        let relay = spans.iter().find(|s| s.name == "proxy.relay").unwrap();
+        assert_eq!(request.parent, Some(inbound.span));
+        assert_eq!(request.detail, "/a");
+        assert!(request.error);
+        assert_eq!(relay.parent, Some(request.span));
+        assert_eq!(relay.detail, "node=0");
+        assert!(relay.error);
+    }
+
+    /// The first request's exchange closes unanswered — a backend error;
+    /// the second finds the pool empty and the connect refused — a pool
+    /// acquire failure. The two must count apart.
+    #[test]
+    fn pool_exhaustion_counts_apart_from_backend_errors() {
+        let (proxy, backend) = proxy_over_unanswering_backend();
         let mut client = HttpClient::connect(proxy.addr()).unwrap();
         assert_eq!(client.get("/a").unwrap().status, 502);
+        backend.join().unwrap();
         assert_eq!(client.get("/a").unwrap().status, 502);
-        assert_eq!(proxy.backend_errors(), 1, "dead pooled connection");
+        assert_eq!(proxy.backend_errors(), 1, "unanswered exchange");
         assert_eq!(proxy.pool_failures(), 1, "refused overflow connect");
         let snap = proxy.metrics().snapshot();
         assert_eq!(snap.counter("proxy_backend_errors_total"), Some(1));

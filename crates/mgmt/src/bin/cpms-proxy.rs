@@ -318,14 +318,15 @@ fn fault_plan(node: NodeId, words: &[&str]) -> Result<(FaultPlan, String), Strin
 }
 
 /// Self-contained high-concurrency data-plane check (`cpms-proxy
-/// --smoke`): spins an in-process origin + proxy, then asserts the four
+/// --smoke`): spins an in-process origin + proxy, then asserts the five
 /// behaviours the event-driven data plane promises — (1) hundreds of
 /// churning keep-alive connections all served correctly on a fixed
 /// worker count, (2) connections over the global cap shed with an
 /// immediate 503 at accept, (3) a tenant over its per-prefix cap shed
 /// with a 503 while other tenants keep flowing, (4) 1 MiB bodies arrive
 /// byte-exact with at most 16 KiB of each through user space, the rest
-/// spliced.
+/// spliced, (5) a relayed keep-alive GET makes no poller control call and
+/// (all but) no timer-wheel arm.
 fn smoke() {
     use cpms_httpd::client::HttpClient;
     use cpms_httpd::loadgen::{self, LoadConfig};
@@ -414,7 +415,7 @@ fn smoke() {
     // --- stage 2: overload sheds fast 503s at accept.
     let overload_registry = Arc::new(MetricsRegistry::new());
     let mut small = ContentAwareProxy::start_with_config(
-        TablePublisher::new(table),
+        TablePublisher::new(table.clone()),
         vec![origin.addr()],
         Arc::clone(&overload_registry),
         ProxyConfig {
@@ -540,10 +541,55 @@ fn smoke() {
         "smoke: {responses} x 1 MiB bodies byte-exact; {spliced} B spliced, {copied} B through user space"
     );
 
+    // --- stage 5: the per-request budget. After warm-up, a relayed
+    // keep-alive GET of a small object costs the worker its socket calls
+    // and its poller waits: no register/modify/delete (a pooled backend is
+    // registered once; binding it is a table write) and no timer arm (a
+    // connection's deadline is re-armed lazily).
+    let lean_registry = Arc::new(MetricsRegistry::new());
+    let mut lean = ContentAwareProxy::start_with_config(
+        TablePublisher::new(table),
+        vec![origin.addr()],
+        Arc::clone(&lean_registry),
+        ProxyConfig {
+            workers: 1,
+            prefork: 2,
+            ..ProxyConfig::default()
+        },
+    )
+    .expect("smoke budget proxy");
+    let mut client = HttpClient::connect(lean.addr()).expect("budget conn");
+    let mut get = |n: usize| {
+        let path = &paths[n % 16];
+        let resp = client.get(path).expect("budget request");
+        assert_eq!(resp.status, 200, "small object relayed");
+        assert!(resp.body.len() <= 1024, "a small object");
+    };
+    (0..100).for_each(&mut get);
+    let gets = 10_000u64;
+    let before = lean_registry.snapshot();
+    (0..gets as usize).for_each(&mut get);
+    let after = lean_registry.snapshot();
+    let spent = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
+    let per_request = |name: &str| spent(name) as f64 / gets as f64;
+    assert_eq!(
+        spent("reactor_ctl_total"),
+        0,
+        "poller control calls over {gets} keep-alive GETs"
+    );
+    let arms = per_request("reactor_timer_arms_total");
+    assert!(arms <= 0.01, "{arms} timer-wheel arms per keep-alive GET");
+    eprintln!(
+        "smoke: {gets} keep-alive GETs on one connection: 0 poller control calls, {arms:.4} wheel arms, {:.2} polls and {:.2} events per request",
+        per_request("reactor_polls_total"),
+        per_request("reactor_events_total"),
+    );
+
+    lean.shutdown();
     big.shutdown();
     small.shutdown();
     proxy.shutdown();
-    println!("smoke ok: relay under churn, overload shedding, tenant caps, spliced bodies");
+    println!("smoke ok: relay under churn, overload shedding, tenant caps, spliced bodies, per-request budget");
 }
 
 #[cfg(test)]

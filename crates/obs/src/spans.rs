@@ -18,6 +18,7 @@
 //! the `/_cpms/trace.json` surface that `cpms-lab` scrapes and merges
 //! into the cluster-wide `traces.json`.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt;
 use std::marker::PhantomData;
@@ -95,6 +96,10 @@ pub fn unix_micros_now() -> u64 {
 /// extensions: trace (16) + span (8) + parent (8, zero = none) +
 /// flags (1, bit 0 = sampled).
 pub const CONTEXT_WIRE_LEN: usize = 33;
+
+/// Bytes of the `x-cpms-trace` header value: 32 + 16 + 16 + 2 hex
+/// digits and three dashes.
+pub const CONTEXT_HEADER_LEN: usize = 69;
 
 /// One position in a distributed trace, as carried between hops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,13 +187,25 @@ impl TraceContext {
     /// the root).
     #[must_use]
     pub fn to_header(&self) -> String {
-        format!(
-            "{:032x}-{:016x}-{:016x}-{:02x}",
-            self.trace.0,
-            self.span.0,
-            self.parent.map_or(0, |p| p.0),
-            u8::from(self.sampled)
-        )
+        String::from_utf8(self.header_bytes().to_vec()).expect("hex digits are ASCII")
+    }
+
+    /// [`TraceContext::to_header`] as fixed-size bytes on the stack, for
+    /// writers that put the header on every relayed request.
+    #[must_use]
+    pub fn header_bytes(&self) -> [u8; CONTEXT_HEADER_LEN] {
+        fn hex(out: &mut [u8], value: u128) {
+            const DIGITS: &[u8; 16] = b"0123456789abcdef";
+            for (i, byte) in out.iter_mut().rev().enumerate() {
+                *byte = DIGITS[((value >> (4 * i)) & 0xf) as usize];
+            }
+        }
+        let mut out = [b'-'; CONTEXT_HEADER_LEN];
+        hex(&mut out[..32], self.trace.0);
+        hex(&mut out[33..49], u128::from(self.span.0));
+        hex(&mut out[50..66], u128::from(self.parent.map_or(0, |p| p.0)));
+        hex(&mut out[67..], u128::from(self.sampled));
+        out
     }
 
     /// Parses the `x-cpms-trace` header value; malformed or
@@ -532,6 +549,62 @@ impl SpanCollector {
     }
 }
 
+/// One span's state between open and record, shared by [`TracedSpan`]
+/// and [`OwnedSpan`]. Opening one costs a clock read and nothing on the
+/// heap: the name is usually static, the detail is built only for a
+/// span that will be recorded (see [`TracedSpan::fill_detail`]), and the
+/// wall-clock start is derived when the record is made.
+#[derive(Debug)]
+struct Open {
+    ctx: TraceContext,
+    name: Cow<'static, str>,
+    detail: String,
+    error: bool,
+    started: Instant,
+}
+
+impl Open {
+    fn new(ctx: TraceContext, name: Cow<'static, str>) -> Open {
+        Open {
+            ctx,
+            name,
+            detail: String::new(),
+            error: false,
+            started: Instant::now(),
+        }
+    }
+
+    /// Sampled spans record, and failed ones even when the head sampling
+    /// decision said no — failures are always worth keeping.
+    fn records(&self) -> bool {
+        self.ctx.sampled || self.error
+    }
+
+    fn fill_detail(&mut self, detail: impl FnOnce() -> String) {
+        if self.detail.is_empty() && self.records() {
+            self.detail = detail();
+        }
+    }
+
+    fn record_into(self, collector: &SpanCollector) {
+        if !self.records() {
+            return;
+        }
+        let elapsed = self.started.elapsed();
+        let elapsed_micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+        collector.record(SpanRecord {
+            trace: self.ctx.trace,
+            span: self.ctx.span,
+            parent: self.ctx.parent,
+            name: self.name.into_owned(),
+            detail: self.detail,
+            start_unix_micros: unix_micros_now().saturating_sub(elapsed_micros),
+            duration_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+            error: self.error,
+        });
+    }
+}
+
 /// An RAII distributed span: on entry it derives a child of the
 /// thread's current [`TraceContext`] (or roots a new trace) and makes
 /// that child current; on drop it restores the previous context and
@@ -540,25 +613,17 @@ impl SpanCollector {
 #[derive(Debug)]
 pub struct TracedSpan<'c> {
     collector: &'c SpanCollector,
-    live: Option<LiveSpan>,
-}
-
-#[derive(Debug)]
-struct LiveSpan {
-    ctx: TraceContext,
-    _scope: ScopedTrace,
-    name: String,
-    detail: String,
-    error: bool,
-    started: Instant,
-    start_unix_micros: u64,
+    live: Option<(Open, ScopedTrace)>,
 }
 
 impl<'c> TracedSpan<'c> {
     /// Opens a span named `name`: a child of the current context, or a
     /// fresh sampled root when no trace is active on this thread.
     #[must_use]
-    pub fn enter(collector: &'c SpanCollector, name: impl Into<String>) -> TracedSpan<'c> {
+    pub fn enter(
+        collector: &'c SpanCollector,
+        name: impl Into<Cow<'static, str>>,
+    ) -> TracedSpan<'c> {
         TracedSpan::enter_rooting(collector, name, || TraceContext::root(true))
     }
 
@@ -572,7 +637,7 @@ impl<'c> TracedSpan<'c> {
     #[must_use]
     pub fn enter_head_sampled(
         collector: &'c SpanCollector,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
     ) -> TracedSpan<'c> {
         TracedSpan::enter_rooting(collector, name, || {
             TraceContext::root(collector.head_roll())
@@ -581,7 +646,7 @@ impl<'c> TracedSpan<'c> {
 
     fn enter_rooting(
         collector: &'c SpanCollector,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         root: impl FnOnce() -> TraceContext,
     ) -> TracedSpan<'c> {
         if !collector.is_enabled() {
@@ -593,57 +658,46 @@ impl<'c> TracedSpan<'c> {
         let ctx = TraceContext::current().map_or_else(root, |c| c.child());
         TracedSpan {
             collector,
-            live: Some(LiveSpan {
-                ctx,
-                _scope: ScopedTrace::activate(ctx),
-                name: name.into(),
-                detail: String::new(),
-                error: false,
-                started: Instant::now(),
-                start_unix_micros: unix_micros_now(),
-            }),
+            live: Some((Open::new(ctx, name.into()), ScopedTrace::activate(ctx))),
         }
     }
 
     /// The context this span made current (`None` when disabled).
     #[must_use]
     pub fn context(&self) -> Option<TraceContext> {
-        self.live.as_ref().map(|l| l.ctx)
+        self.live.as_ref().map(|(open, _)| open.ctx)
     }
 
     /// Replaces the span's detail text.
     pub fn set_detail(&mut self, detail: impl Into<String>) {
-        if let Some(live) = self.live.as_mut() {
-            live.detail = detail.into();
+        if let Some((open, _)) = self.live.as_mut() {
+            open.detail = detail.into();
+        }
+    }
+
+    /// Sets the detail text from `detail` if the span has none yet and
+    /// will be recorded — sampled, or already marked failed. Call it once
+    /// the outcome is known: an unsampled span that succeeds never builds
+    /// its text.
+    pub fn fill_detail(&mut self, detail: impl FnOnce() -> String) {
+        if let Some((open, _)) = self.live.as_mut() {
+            open.fill_detail(detail);
         }
     }
 
     /// Marks the span failed (error spans always survive sampling).
     pub fn set_error(&mut self, error: bool) {
-        if let Some(live) = self.live.as_mut() {
-            live.error = error;
+        if let Some((open, _)) = self.live.as_mut() {
+            open.error = error;
         }
     }
 }
 
 impl Drop for TracedSpan<'_> {
     fn drop(&mut self) {
-        let Some(live) = self.live.take() else {
-            return;
-        };
-        // Record sampled spans, plus errors even when the head
-        // sampling decision said no — failures are always worth keeping.
-        if live.ctx.sampled || live.error {
-            self.collector.record(SpanRecord {
-                trace: live.ctx.trace,
-                span: live.ctx.span,
-                parent: live.ctx.parent,
-                name: live.name,
-                detail: live.detail,
-                start_unix_micros: live.start_unix_micros,
-                duration_ns: u64::try_from(live.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                error: live.error,
-            });
+        if let Some((open, scope)) = self.live.take() {
+            drop(scope);
+            open.record_into(self.collector);
         }
     }
 }
@@ -662,35 +716,14 @@ impl Drop for TracedSpan<'_> {
 #[derive(Debug)]
 pub struct OwnedSpan {
     collector: Arc<SpanCollector>,
-    live: Option<OwnedLive>,
-}
-
-#[derive(Debug)]
-struct OwnedLive {
-    ctx: TraceContext,
-    name: String,
-    detail: String,
-    error: bool,
-    started: Instant,
-    start_unix_micros: u64,
+    live: Option<Open>,
 }
 
 impl OwnedSpan {
-    fn open(
-        collector: Arc<SpanCollector>,
-        name: impl Into<String>,
-        ctx: TraceContext,
-    ) -> OwnedSpan {
+    fn open(collector: Arc<SpanCollector>, name: &'static str, ctx: TraceContext) -> OwnedSpan {
         OwnedSpan {
             collector,
-            live: Some(OwnedLive {
-                ctx,
-                name: name.into(),
-                detail: String::new(),
-                error: false,
-                started: Instant::now(),
-                start_unix_micros: unix_micros_now(),
-            }),
+            live: Some(Open::new(ctx, Cow::Borrowed(name))),
         }
     }
 
@@ -699,7 +732,7 @@ impl OwnedSpan {
     /// [`TracedSpan::enter_head_sampled`]. A disabled collector yields an
     /// inert span (no clock reads, `context()` is `None`).
     #[must_use]
-    pub fn root_head_sampled(collector: Arc<SpanCollector>, name: impl Into<String>) -> OwnedSpan {
+    pub fn root_head_sampled(collector: Arc<SpanCollector>, name: &'static str) -> OwnedSpan {
         if !collector.is_enabled() {
             return OwnedSpan {
                 collector,
@@ -716,7 +749,7 @@ impl OwnedSpan {
     pub fn child_of(
         collector: Arc<SpanCollector>,
         parent: TraceContext,
-        name: impl Into<String>,
+        name: &'static str,
     ) -> OwnedSpan {
         if !collector.is_enabled() {
             return OwnedSpan {
@@ -731,20 +764,28 @@ impl OwnedSpan {
     /// wire (`None` when the collector was disabled at open).
     #[must_use]
     pub fn context(&self) -> Option<TraceContext> {
-        self.live.as_ref().map(|l| l.ctx)
+        self.live.as_ref().map(|open| open.ctx)
     }
 
     /// Replaces the span's detail text.
     pub fn set_detail(&mut self, detail: impl Into<String>) {
-        if let Some(live) = self.live.as_mut() {
-            live.detail = detail.into();
+        if let Some(open) = self.live.as_mut() {
+            open.detail = detail.into();
+        }
+    }
+
+    /// Sets the detail text from `detail` if the span has none yet and
+    /// will be recorded; see [`TracedSpan::fill_detail`].
+    pub fn fill_detail(&mut self, detail: impl FnOnce() -> String) {
+        if let Some(open) = self.live.as_mut() {
+            open.fill_detail(detail);
         }
     }
 
     /// Marks the span failed (error spans always survive sampling).
     pub fn set_error(&mut self, error: bool) {
-        if let Some(live) = self.live.as_mut() {
-            live.error = error;
+        if let Some(open) = self.live.as_mut() {
+            open.error = error;
         }
     }
 
@@ -754,20 +795,8 @@ impl OwnedSpan {
 
 impl Drop for OwnedSpan {
     fn drop(&mut self) {
-        let Some(live) = self.live.take() else {
-            return;
-        };
-        if live.ctx.sampled || live.error {
-            self.collector.record(SpanRecord {
-                trace: live.ctx.trace,
-                span: live.ctx.span,
-                parent: live.ctx.parent,
-                name: live.name,
-                detail: live.detail,
-                start_unix_micros: live.start_unix_micros,
-                duration_ns: u64::try_from(live.started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                error: live.error,
-            });
+        if let Some(open) = self.live.take() {
+            open.record_into(&self.collector);
         }
     }
 }
@@ -802,6 +831,16 @@ mod tests {
     fn header_round_trip_and_rejection() {
         let ctx = TraceContext::root(false).child();
         let header = ctx.to_header();
+        assert_eq!(
+            header,
+            format!(
+                "{:032x}-{:016x}-{:016x}-{:02x}",
+                ctx.trace.0,
+                ctx.span.0,
+                ctx.parent.map_or(0, |p| p.0),
+                0
+            )
+        );
         assert_eq!(TraceContext::from_header(&header), Some(ctx));
         assert_eq!(TraceContext::from_header("nonsense"), None);
         assert_eq!(TraceContext::from_header(""), None);
@@ -914,6 +953,39 @@ mod tests {
         disabled.set_enabled(false);
         let inert = OwnedSpan::root_head_sampled(Arc::clone(&disabled), "r");
         assert_eq!(inert.context(), None);
+    }
+
+    /// Detail text is built only for a span that will be recorded, and
+    /// never over one already set; a recorded span's start is its open.
+    #[test]
+    fn details_are_built_only_for_recorded_spans() {
+        let collector = Arc::new(SpanCollector::new(64));
+        let unsampled = TraceContext::root(false);
+        let mut quiet = OwnedSpan::child_of(Arc::clone(&collector), unsampled, "quiet");
+        quiet.fill_detail(|| unreachable!("an unsampled, unfailed span formats nothing"));
+        drop(quiet);
+        assert!(collector.snapshot().is_empty());
+
+        let before = unix_micros_now();
+        let mut failed = OwnedSpan::child_of(Arc::clone(&collector), unsampled, "failed");
+        failed.set_error(true);
+        failed.fill_detail(|| "node=2".to_string());
+        failed.fill_detail(|| unreachable!("a detail is filled once"));
+        drop(failed);
+        let sampled = TraceContext::root(true);
+        {
+            let _scope = ScopedTrace::activate(sampled);
+            let mut span = TracedSpan::enter(&collector, "traced");
+            span.set_detail("explicit");
+            span.fill_detail(|| unreachable!("an explicit detail stands"));
+        }
+        let kept = collector.snapshot();
+        let failed = kept.iter().find(|r| r.name == "failed").unwrap();
+        assert_eq!(failed.detail, "node=2");
+        let start = failed.start_unix_micros;
+        assert!(start >= before && start <= unix_micros_now(), "{start}");
+        let traced = kept.iter().find(|r| r.name == "traced").unwrap();
+        assert_eq!(traced.detail, "explicit");
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   `PollPoller` (portable poll(2)) — pick with [`new_poller`] /
 //!   [`new_poller_of`].
 //! - [`TimerWheel`]: hashed wheel for per-connection deadlines (idle,
-//!   request-head, relay) with O(1) schedule/cancel and lazy cancellation.
+//!   request-head, relay) with O(1) schedule, eager cancellation, and an
+//!   exact O(1) answer to "when is the next deadline".
 //! - [`Waker`]/[`WakeReceiver`]: pipe-based cross-thread wakeups that
 //!   coalesce while a loop is parked in `wait`.
 //! - [`Pipe`]: a non-blocking pipe that `splice(2)` fills from one

@@ -4,10 +4,13 @@
 //! entries from any wheel revolution, so insert is O(1) and a sweep only
 //! touches the buckets whose turn has come. Cancellation is eager: the live
 //! map remembers each timer's bucket so `cancel` removes the entry on the
-//! spot. Buckets therefore hold only live timers — crucial for callers that
-//! schedule-and-cancel a deadline per request (a proxy arming head/relay
-//! timeouts), where lazily-cancelled entries would pile up for a whole wheel
-//! revolution and turn every `next_timeout` scan into an O(garbage) crawl.
+//! spot, and buckets hold only live timers.
+//!
+//! The wheel caches its earliest live deadline, so [`TimerWheel::next_timeout`]
+//! — asked on every reactor loop turn — answers exactly in O(1), even for a
+//! deadline more than one revolution away, and a sweep with nothing due
+//! touches no bucket. The cache is refreshed only when the earliest timer
+//! fires or is cancelled, by scanning forward from it.
 //! The wheel never calls `Instant::now` itself — callers pass `now` in,
 //! which keeps expiry deterministic in tests.
 
@@ -32,8 +35,11 @@ pub struct TimerWheel {
     /// one's entry lives in (so cancel can remove the entry eagerly).
     live: HashMap<TimerId, usize>,
     next_id: TimerId,
-    /// First tick not yet swept by `expire_into`.
+    /// First tick not yet swept by `expire_into`; every live deadline is
+    /// at or past it.
     cursor: u64,
+    /// The earliest live deadline, `None` when no timer is live.
+    earliest: Option<u64>,
 }
 
 impl TimerWheel {
@@ -51,6 +57,7 @@ impl TimerWheel {
             live: HashMap::new(),
             next_id: 1,
             cursor: 0,
+            earliest: None,
         }
     }
 
@@ -62,14 +69,19 @@ impl TimerWheel {
         since.div_ceil(tick) as u64
     }
 
+    fn slot_of(&self, tick: u64) -> usize {
+        (tick % self.slots.len() as u64) as usize
+    }
+
     /// Schedule a timer at an absolute instant; returns its id.
     pub fn schedule_at(&mut self, when: Instant) -> TimerId {
         let id = self.next_id;
         self.next_id += 1;
         let deadline = self.tick_of(when).max(self.cursor);
-        let slot = (deadline % self.slots.len() as u64) as usize;
+        let slot = self.slot_of(deadline);
         self.slots[slot].push(WheelEntry { id, deadline });
         self.live.insert(id, slot);
+        self.earliest = Some(self.earliest.map_or(deadline, |e| e.min(deadline)));
         id
     }
 
@@ -86,7 +98,10 @@ impl TimerWheel {
         };
         let bucket = &mut self.slots[slot];
         if let Some(j) = bucket.iter().position(|e| e.id == id) {
-            bucket.swap_remove(j);
+            let gone = bucket.swap_remove(j);
+            if Some(gone.deadline) == self.earliest {
+                self.earliest = self.earliest_from(gone.deadline);
+            }
         }
         true
     }
@@ -104,12 +119,16 @@ impl TimerWheel {
         if now_tick < self.cursor {
             return;
         }
+        self.cursor = now_tick + 1;
+        let Some(first) = self.earliest.filter(|&e| e <= now_tick) else {
+            return; // nothing due: no bucket to look at
+        };
         let nslots = self.slots.len() as u64;
-        // If we slept past a whole revolution, every bucket is due exactly
-        // once; otherwise only the buckets for the elapsed ticks.
-        let sweep = (now_tick - self.cursor + 1).min(nslots);
-        for i in 0..sweep {
-            let slot = ((self.cursor + i) % nslots) as usize;
+        // Due deadlines lie in first..=now_tick; past a whole revolution
+        // every bucket is due exactly once.
+        let sweep = (now_tick - first + 1).min(nslots);
+        for t in first..first + sweep {
+            let slot = self.slot_of(t);
             let bucket = &mut self.slots[slot];
             let mut j = 0;
             while j < bucket.len() {
@@ -123,38 +142,33 @@ impl TimerWheel {
                 }
             }
         }
-        self.cursor = now_tick + 1;
+        self.earliest = self.earliest_from(self.cursor);
     }
 
-    /// Earliest bound on when the next live timer could fire, as a duration
-    /// from `now`. May underestimate when a bucket only holds entries from a
-    /// later revolution (the resulting wakeup finds nothing to expire, which
-    /// is harmless). Returns `None` when no timers are live.
-    ///
-    /// Buckets hold only live entries (cancel is eager), so this scans at
-    /// most `nslots` bucket headers — it runs on every reactor loop
-    /// iteration, where an O(entries) crawl would dominate the data plane.
-    pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
+    /// The earliest live deadline, given that none is before `from`. The
+    /// first tick `t` from `from` on whose bucket holds a deadline of
+    /// exactly `t` is it: any earlier deadline would have been found in its
+    /// own bucket first. A deadline past one revolution falls back to a
+    /// scan of every entry.
+    fn earliest_from(&self, from: u64) -> Option<u64> {
         if self.live.is_empty() {
             return None;
         }
-        let now_tick = self.tick_of(now);
-        let base = self.cursor.min(now_tick);
         let nslots = self.slots.len() as u64;
-        for i in 0..nslots {
-            let t = base + i;
-            let bucket = &self.slots[(t % nslots) as usize];
-            if !bucket.is_empty() {
-                if t <= now_tick {
-                    return Some(Duration::ZERO);
-                }
-                let fire_at = self.start + self.tick * (t as u32);
-                return Some(fire_at.saturating_duration_since(now));
-            }
-        }
-        // Live timers exist but every bucket holding them is beyond a full
-        // revolution horizon; wake after one revolution and rescan.
-        Some(self.tick * (nslots as u32))
+        (from..from + nslots)
+            .find(|&t| self.slots[self.slot_of(t)].iter().any(|e| e.deadline == t))
+            .or_else(|| self.slots.iter().flatten().map(|e| e.deadline).min())
+    }
+
+    /// How long from `now` until the earliest live timer is due (zero if it
+    /// already is), or `None` when no timer is live. Exact to the tick, at
+    /// any distance, in O(1).
+    pub fn next_timeout(&self, now: Instant) -> Option<Duration> {
+        let tick_ns = u64::try_from(self.tick.as_nanos()).unwrap_or(u64::MAX);
+        self.earliest.map(|t| {
+            let due = self.start + Duration::from_nanos(tick_ns.saturating_mul(t));
+            due.saturating_duration_since(now)
+        })
     }
 }
 
@@ -192,5 +206,50 @@ mod tests {
         wheel.expire_into(now + Duration::from_millis(10), &mut fired);
         assert_eq!(fired, vec![survivor]);
         assert_eq!(wheel.pending(), 0);
+    }
+
+    /// The proxy's wheel is 25 ms × 256 slots, one 6.4 s revolution, and its
+    /// relay deadline is 10 s: a bucket scan once answered 3.6 s for it (the
+    /// bucket the deadline wraps into), waking the loop for nothing.
+    #[test]
+    fn a_deadline_past_one_revolution_reads_exactly() {
+        let tick = Duration::from_millis(25);
+        let mut wheel = TimerWheel::new(tick, 256);
+        let now = Instant::now();
+        wheel.schedule_after(now, Duration::from_secs(10));
+        let wait = wheel.next_timeout(now).expect("a timer is live");
+        assert!(
+            wait >= Duration::from_secs(10) && wait <= Duration::from_secs(10) + tick,
+            "a 10 s deadline reads as {wait:?}"
+        );
+    }
+
+    #[test]
+    fn cancelling_the_earliest_timer_exposes_the_next() {
+        let tick = Duration::from_millis(25);
+        let mut wheel = TimerWheel::new(tick, 256);
+        let now = Instant::now();
+        let near = wheel.schedule_after(now, Duration::from_secs(2));
+        let far = wheel.schedule_after(now, Duration::from_secs(10));
+        let mid = wheel.schedule_after(now, Duration::from_secs(7));
+        let reads = |wheel: &TimerWheel, want: u64| {
+            let wait = wheel.next_timeout(now).expect("a timer is live");
+            let want = Duration::from_secs(want);
+            assert!(wait >= want && wait <= want + tick, "{wait:?} for {want:?}");
+        };
+        reads(&wheel, 2);
+        assert!(wheel.cancel(near));
+        reads(&wheel, 7);
+        assert!(wheel.cancel(mid));
+        reads(&wheel, 10);
+
+        // Firing the earliest exposes the next one too.
+        let soon = wheel.schedule_after(now, Duration::from_secs(1));
+        let mut fired = Vec::new();
+        wheel.expire_into(now + Duration::from_millis(1100), &mut fired);
+        assert_eq!(fired, vec![soon]);
+        reads(&wheel, 10);
+        assert!(wheel.cancel(far));
+        assert_eq!(wheel.next_timeout(now), None);
     }
 }

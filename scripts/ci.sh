@@ -51,7 +51,8 @@ echo "==> content shipping smoke (cpms-ship --smoke: loopback TCP ship under 20%
 cargo run --release -q -p cpms-mgmt --bin cpms-ship -- --smoke
 
 echo "==> proxy data-plane smoke (cpms-proxy --smoke: 400-conn churn relay, overload 503s, tenant caps,"
-echo "    1 MiB bodies byte-exact with <= 16 KiB each through user space, the rest spliced)"
+echo "    1 MiB bodies byte-exact with <= 16 KiB each through user space, the rest spliced;"
+echo "    per-request budget: 10,000 keep-alive GETs make 0 poller control calls and <= 0.01 timer arms each)"
 timeout --signal=KILL 120 ./target/release/cpms-proxy --smoke
 
 echo "==> remote console (cpms-console: a clean script exits 0 and audits consistent; a failed command exits 1)"

@@ -694,3 +694,81 @@ fn a_backend_connection_with_bytes_past_the_body_is_discarded() {
     assert_eq!((resp.status, &resp.body[..]), (200, &b"clean"[..]));
     assert_eq!(counter(&registry, "proxy_pool_discards_total"), 1);
 }
+
+/// A back end that answers `Connection: close` and hangs up has told the
+/// proxy the connection is done: it is discarded, not pooled, so the next
+/// client is not bound to a closing socket and handed a 502. Back to back,
+/// with nothing between the requests to let the hangup be seen first.
+#[test]
+fn a_backend_connection_close_is_honoured_not_pooled() {
+    let backend = scripted_backend(|_, stream| {
+        let _ = stream
+            .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\nConnection: close\r\n\r\nbye!");
+        false
+    });
+    let (proxy, registry) = one_worker_proxy(table_of(&["/close.html"]), backend, 1);
+    let mut client = HttpClient::connect(proxy.addr()).unwrap();
+    let statuses: Vec<u16> = (0..3)
+        .map(|_| client.get("/close.html").unwrap().status)
+        .collect();
+    assert_eq!(statuses, [200, 200, 200]);
+    assert_eq!(counter(&registry, "proxy_pool_discards_total"), 3);
+    assert_eq!(counter(&registry, "proxy_backend_errors_total"), 0);
+}
+
+/// A pooled connection is watched while idle: when its back end hangs up,
+/// or sends bytes nobody asked for, the proxy discards it on the spot (and
+/// counts it), and the next request is served on another connection —
+/// never fed the stray bytes as its response.
+#[test]
+fn an_idle_pooled_connection_that_hangs_up_or_babbles_is_discarded() {
+    use std::sync::{mpsc, Mutex};
+
+    // Each connection answers with its own name (the proxy's port). On
+    // `/babble.html` it then waits for the test's word and sends the start
+    // of a response nobody asked for; on `/hangup.html` it hangs up once
+    // it has answered.
+    let (babble_tx, babble_rx) = mpsc::channel::<()>();
+    let babble_rx = Mutex::new(babble_rx);
+    let backend = scripted_backend(move |path, stream| {
+        let body = format!("conn-{:05}", stream.peer_addr().unwrap().port());
+        let reply = format!(
+            "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        if stream.write_all(reply.as_bytes()).is_err() {
+            return false;
+        }
+        match path {
+            "/babble.html" => {
+                babble_rx.lock().unwrap().recv().unwrap();
+                stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Len").is_ok()
+            }
+            "/hangup.html" => false,
+            _ => true,
+        }
+    });
+    let (proxy, registry) = one_worker_proxy(
+        table_of(&["/babble.html", "/hangup.html", "/next.html"]),
+        backend,
+        1,
+    );
+    let mut client = HttpClient::connect(proxy.addr()).unwrap();
+    let discards = || counter(&registry, "proxy_pool_discards_total");
+
+    // Round one babbles on the pre-forked connection; round two hangs up
+    // on the one round one's `/next.html` opened and pooled.
+    for (trigger, after) in [("/babble.html", 1), ("/hangup.html", 2)] {
+        let first = client.get(trigger).unwrap();
+        assert_eq!(first.status, 200);
+        if trigger == "/babble.html" {
+            babble_tx.send(()).unwrap();
+        }
+        wait_until("the idle connection is discarded", || discards() == after);
+        let next = client.get("/next.html").unwrap();
+        assert_eq!(next.status, 200);
+        assert!(next.body.starts_with(b"conn-"), "{:?}", next.body);
+        assert_ne!(next.body, first.body, "served on another connection");
+        assert_eq!(counter(&registry, "proxy_backend_errors_total"), 0);
+    }
+}
