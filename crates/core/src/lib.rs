@@ -15,10 +15,10 @@
 //! | [`cpms_model`] | Domain types, the §3.3 load metric, testbed specs |
 //! | [`cpms_urltable`] | The multi-level hash URL table + lookup cache |
 //! | [`cpms_workload`] | WebBench-style corpus + request generation |
-//! | [`cpms_dispatch`] | Routing policies + TCP splicing state machine |
+//! | [`cpms_dispatch`] | Routing policies + primary/backup heartbeats |
 //! | [`cpms_sim`] | Discrete-event cluster simulator |
 //! | [`cpms_mgmt`] | Controller / brokers / agents / auto-replication |
-//! | [`cpms_httpd`] | Live socket origin server + content-aware proxy |
+//! | [`cpms_httpd`] | Live socket origin server + content-aware proxy (§2.2's splicing) |
 //!
 //! This crate ties them into an [`experiment::Experiment`] runner that
 //! regenerates each figure of the paper's evaluation, plus the

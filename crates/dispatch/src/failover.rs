@@ -7,37 +7,34 @@
 //! > primary's state. If the primary distributor fails, the backup takes
 //! > over the job of the primary and creates its own backup."
 //!
-//! State replication here ships full snapshots of the distributor's data
-//! plane (mapping table + connection pool), which both `Clone` and
-//! serialize; heartbeats detect primary failure.
+//! The paper's backup replicates the kernel module's connection state. A
+//! user-space proxy cannot migrate a live TCP connection, so a replicated
+//! mapping table buys nothing on takeover: the failed primary's clients
+//! reconnect. What a promoted backup needs is the highest URL-table
+//! publication *generation* the primary acknowledged — a new primary must
+//! publish above it — and that, with liveness, is all a [`Heartbeat`]
+//! carries ([`BackupDistributor::last_seen_generation`]).
 //!
 //! Heartbeats ride the same `cpms-wire` framing as broker RPCs: a
 //! [`HeartbeatSender`] on the primary pushes [`Heartbeat`] messages
 //! through any [`cpms_wire::Transport`] to a [`HeartbeatListener`]
-//! service wrapping the backup. Each beat also carries the primary's
-//! URL-table publication *generation*, so a promoted backup can tell
-//! whether its replicated snapshot is stale relative to the last table
-//! state the primary acknowledged ([`BackupDistributor::snapshot_is_stale`]).
+//! service wrapping the backup.
 
-use crate::relay::Distributor;
 use cpms_wire::{Client, RetryPolicy, Transport, WireError};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A heartbeat message from the primary, carrying a monotone sequence
-/// number, the URL-table publication generation at send time, and
-/// (periodically) a state snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A heartbeat message from the primary: a monotone sequence number and
+/// the URL-table publication generation at send time.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Heartbeat {
     /// Monotone heartbeat counter.
     pub seq: u64,
     /// URL-table publication generation on the primary when this beat
     /// was sent (see `cpms_urltable::TablePublisher::generation`).
     pub generation: u64,
-    /// Included every `snapshot_every` beats.
-    pub snapshot: Option<Distributor>,
 }
 
 /// The backup's acknowledgement of one heartbeat.
@@ -48,14 +45,13 @@ pub struct HeartbeatAck {
     pub seq: u64,
 }
 
-/// The backup distributor: monitors heartbeats, replicates snapshots, and
-/// promotes itself when the primary goes silent.
+/// The backup distributor: monitors heartbeats, remembers the highest
+/// table generation they reported, and declares the primary failed when
+/// it goes silent.
 #[derive(Debug, Clone)]
 pub struct BackupDistributor {
-    last_snapshot: Option<Distributor>,
     last_seq: u64,
     last_generation: u64,
-    snapshot_generation: u64,
     generation_regressions: u64,
     missed: u32,
     miss_threshold: u32,
@@ -85,18 +81,17 @@ impl BackupDistributor {
     pub fn new(miss_threshold: u32) -> Self {
         assert!(miss_threshold > 0, "threshold must be at least 1");
         BackupDistributor {
-            last_snapshot: None,
             last_seq: 0,
             last_generation: 0,
-            snapshot_generation: 0,
             generation_regressions: 0,
             missed: 0,
             miss_threshold,
         }
     }
 
-    /// Processes a received heartbeat: resets the miss counter and applies
-    /// any included snapshot. Out-of-order (stale) heartbeats are ignored.
+    /// Processes a received heartbeat: resets the miss counter and raises
+    /// the generation high-water mark. Out-of-order (stale) heartbeats are
+    /// ignored.
     pub fn on_heartbeat(&mut self, hb: Heartbeat) {
         if hb.seq < self.last_seq {
             return; // stale, reordered message
@@ -111,21 +106,13 @@ impl BackupDistributor {
         }
         self.last_generation = self.last_generation.max(hb.generation);
         self.missed = 0;
-        if let Some(snapshot) = hb.snapshot {
-            self.last_snapshot = Some(snapshot);
-            self.snapshot_generation = hb.generation;
-        }
     }
 
     /// The highest URL-table publication generation any heartbeat has
-    /// reported.
+    /// reported: a promoted backup's one input, the number its first
+    /// publication must exceed.
     pub fn last_seen_generation(&self) -> u64 {
         self.last_generation
-    }
-
-    /// The URL-table generation the replicated snapshot was taken at.
-    pub fn snapshot_generation(&self) -> u64 {
-        self.snapshot_generation
     }
 
     /// How many in-order heartbeats reported a URL-table generation
@@ -136,14 +123,6 @@ impl BackupDistributor {
     /// diagnostic-counter form.
     pub fn generation_regressions(&self) -> u64 {
         self.generation_regressions
-    }
-
-    /// Whether the primary acknowledged table publications *newer* than
-    /// the replicated snapshot. A promoted backup whose snapshot is stale
-    /// must refresh its URL table from the controller before routing, or
-    /// it may route to copies that moved since the snapshot was taken.
-    pub fn snapshot_is_stale(&self) -> bool {
-        self.last_snapshot.is_some() && self.last_generation > self.snapshot_generation
     }
 
     /// Called on each heartbeat interval in which nothing arrived.
@@ -157,21 +136,6 @@ impl BackupDistributor {
             }
         }
     }
-
-    /// Whether a takeover would have replicated state to resume from.
-    pub fn has_snapshot(&self) -> bool {
-        self.last_snapshot.is_some()
-    }
-
-    /// Promotes the backup: returns the replicated distributor state to run
-    /// as the new primary. The paper's new primary then "creates its own
-    /// backup" — callers construct a fresh [`BackupDistributor`] for that.
-    ///
-    /// Returns `None` if no snapshot was ever received (cold takeover: the
-    /// caller starts a fresh distributor and live connections are lost).
-    pub fn take_over(self) -> Option<Distributor> {
-        self.last_snapshot
-    }
 }
 
 /// Default per-beat deadline. Tight on purpose: a beat that cannot be
@@ -179,8 +143,7 @@ impl BackupDistributor {
 pub const HEARTBEAT_DEADLINE: Duration = Duration::from_millis(250);
 
 /// The primary-side heartbeat pump: pushes [`Heartbeat`]s to the backup
-/// over any [`cpms_wire::Transport`], including a full state snapshot on
-/// the first beat and every `snapshot_every` beats after.
+/// over any [`cpms_wire::Transport`].
 ///
 /// Beats are sent with [`RetryPolicy::no_retry`]: retrying a stale beat
 /// is worse than useless, because the next interval's beat carries newer
@@ -189,25 +152,16 @@ pub const HEARTBEAT_DEADLINE: Duration = Duration::from_millis(250);
 pub struct HeartbeatSender {
     client: Client,
     seq: u64,
-    snapshot_every: u64,
 }
 
 impl HeartbeatSender {
-    /// Creates a sender that snapshots every `snapshot_every` beats (the
-    /// first beat always carries a snapshot so a fresh backup warms up
-    /// immediately).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshot_every` is 0.
-    pub fn new(transport: Arc<dyn Transport>, snapshot_every: u64) -> Self {
-        assert!(snapshot_every > 0, "snapshot_every must be at least 1");
+    /// Creates a sender whose beats cross `transport`.
+    pub fn new(transport: Arc<dyn Transport>) -> Self {
         HeartbeatSender {
             client: Client::new(transport)
                 .with_deadline(HEARTBEAT_DEADLINE)
                 .with_retry(RetryPolicy::no_retry()),
             seq: 0,
-            snapshot_every,
         }
     }
 
@@ -216,25 +170,19 @@ impl HeartbeatSender {
         &self.client
     }
 
-    /// Sends the next heartbeat for `primary`, stamping it with the
-    /// primary's current URL-table publication `generation`. Returns the
-    /// acknowledged sequence number.
+    /// Sends the next heartbeat, stamping it with the primary's current
+    /// URL-table publication `generation`. Returns the acknowledged
+    /// sequence number.
     ///
     /// # Errors
     ///
     /// The wire failure if the beat or its ack was lost; the sequence
     /// number still advances, so the backup sees a gap, not a replay.
-    pub fn beat(&mut self, primary: &Distributor, generation: u64) -> Result<u64, WireError> {
+    pub fn beat(&mut self, generation: u64) -> Result<u64, WireError> {
         self.seq += 1;
-        let snapshot = if self.seq == 1 || self.seq.is_multiple_of(self.snapshot_every) {
-            Some(primary.clone())
-        } else {
-            None
-        };
         let hb = Heartbeat {
             seq: self.seq,
             generation,
-            snapshot,
         };
         let ack: HeartbeatAck = self.client.call(&hb)?;
         Ok(ack.seq)
@@ -249,7 +197,7 @@ impl HeartbeatSender {
 /// The backup-side wire service: decodes [`Heartbeat`]s, feeds them to a
 /// shared [`BackupDistributor`], and acks. Serve it with
 /// [`cpms_wire::InProcServer`] or [`cpms_wire::TcpServer`]; the shared
-/// handle keeps observing misses and can promote while the listener runs.
+/// handle keeps observing misses while the listener runs.
 #[derive(Debug, Clone)]
 pub struct HeartbeatListener {
     backup: Arc<Mutex<BackupDistributor>>,
@@ -257,7 +205,7 @@ pub struct HeartbeatListener {
 
 impl HeartbeatListener {
     /// Wraps a backup for serving. Clone the returned listener's
-    /// [`handle`][Self::handle] to keep monitoring/promotion access.
+    /// [`handle`][Self::handle] to keep monitoring access.
     pub fn new(backup: BackupDistributor) -> Self {
         HeartbeatListener {
             backup: Arc::new(Mutex::new(backup)),
@@ -276,9 +224,8 @@ impl cpms_wire::Service for HeartbeatListener {
             .ok()
             .and_then(|text| serde_json::from_str::<Heartbeat>(text).ok())
             .map_or(0, |hb| {
-                let seq = hb.seq;
                 self.backup.lock().on_heartbeat(hb);
-                seq
+                hb.seq
             });
         serde_json::to_string(&HeartbeatAck { seq })
             .expect("acks always serialize")
@@ -289,39 +236,15 @@ impl cpms_wire::Service for HeartbeatListener {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::ConnKey;
-    use cpms_model::NodeId;
 
-    fn key(port: u16) -> ConnKey {
-        ConnKey {
-            client_ip: 1,
-            client_port: port,
-        }
-    }
-
-    fn primary_with_connections() -> Distributor {
-        let mut d = Distributor::new(2, 2);
-        for port in [1u16, 2] {
-            let k = key(port);
-            d.accept_syn(k, 100, false).unwrap();
-            d.complete_handshake(k).unwrap();
-            d.bind(k, NodeId(0), 101).unwrap();
-        }
-        d
+    fn beat(seq: u64, generation: u64) -> Heartbeat {
+        Heartbeat { seq, generation }
     }
 
     #[test]
-    fn snapshot_replication_preserves_connections() {
-        let primary = primary_with_connections();
+    fn misses_up_to_the_threshold_declare_the_primary_failed() {
         let mut backup = BackupDistributor::new(3);
-        backup.on_heartbeat(Heartbeat {
-            seq: 1,
-            generation: 1,
-            snapshot: Some(primary.clone()),
-        });
-        assert!(backup.has_snapshot());
-
-        // Primary dies; threshold crossings...
+        backup.on_heartbeat(beat(1, 1));
         assert_eq!(
             backup.on_heartbeat_missed(),
             MonitorVerdict::Suspicious { missed: 1 }
@@ -331,32 +254,14 @@ mod tests {
             MonitorVerdict::Suspicious { missed: 2 }
         );
         assert_eq!(backup.on_heartbeat_missed(), MonitorVerdict::PrimaryFailed);
-
-        let new_primary = backup.take_over().expect("snapshot available");
-        // Replicated state matches what the primary had: both live
-        // connections and their pool checkouts survive.
-        assert_eq!(new_primary.mapping().len(), primary.mapping().len());
-        assert_eq!(
-            new_primary.pool().in_use(NodeId(0)),
-            primary.pool().in_use(NodeId(0))
-        );
-        // And the new primary can keep serving them: close one out.
-        let mut np = new_primary;
-        let fin = np.client_fin(key(1), 200).unwrap();
-        assert!(fin.flags.ack);
-        np.last_ack(key(1), 10, 10).unwrap();
-        assert_eq!(np.mapping().len(), 1);
+        assert_eq!(backup.last_seen_generation(), 1);
     }
 
     #[test]
     fn heartbeats_reset_miss_counter() {
         let mut backup = BackupDistributor::new(2);
         backup.on_heartbeat_missed();
-        backup.on_heartbeat(Heartbeat {
-            seq: 1,
-            generation: 0,
-            snapshot: None,
-        });
+        backup.on_heartbeat(beat(1, 0));
         // counter was reset; one more miss is only suspicious
         assert_eq!(
             backup.on_heartbeat_missed(),
@@ -367,27 +272,14 @@ mod tests {
     #[test]
     fn stale_heartbeats_ignored() {
         let mut backup = BackupDistributor::new(2);
-        let newer = primary_with_connections();
-        backup.on_heartbeat(Heartbeat {
-            seq: 10,
-            generation: 5,
-            snapshot: Some(newer),
-        });
-        // A delayed old snapshot (empty distributor) must not clobber state.
-        backup.on_heartbeat(Heartbeat {
-            seq: 3,
-            generation: 2,
-            snapshot: Some(Distributor::new(2, 2)),
-        });
-        let d = backup.take_over().unwrap();
-        assert_eq!(d.mapping().len(), 2, "kept the newer snapshot");
-    }
-
-    #[test]
-    fn cold_takeover_returns_none() {
-        let backup = BackupDistributor::new(1);
-        assert!(!backup.has_snapshot());
-        assert!(backup.take_over().is_none());
+        backup.on_heartbeat(beat(10, 5));
+        backup.on_heartbeat_missed();
+        // A delayed old beat neither lowers the generation, nor counts as
+        // a regression, nor stands in for a live primary.
+        backup.on_heartbeat(beat(3, 2));
+        assert_eq!(backup.last_seen_generation(), 5);
+        assert_eq!(backup.generation_regressions(), 0);
+        assert_eq!(backup.on_heartbeat_missed(), MonitorVerdict::PrimaryFailed);
     }
 
     #[test]
@@ -397,70 +289,35 @@ mod tests {
     }
 
     #[test]
-    fn generation_tracking_flags_stale_snapshots() {
+    fn last_seen_generation_is_the_highest_delivered() {
         let mut backup = BackupDistributor::new(2);
-        backup.on_heartbeat(Heartbeat {
-            seq: 1,
-            generation: 3,
-            snapshot: Some(primary_with_connections()),
-        });
-        assert_eq!(backup.snapshot_generation(), 3);
-        assert!(!backup.snapshot_is_stale(), "snapshot matches generation");
-
-        // The primary publishes two more table generations without
-        // shipping a fresh snapshot…
-        backup.on_heartbeat(Heartbeat {
-            seq: 2,
-            generation: 5,
-            snapshot: None,
-        });
+        assert_eq!(backup.last_seen_generation(), 0);
+        backup.on_heartbeat(beat(1, 3));
+        assert_eq!(backup.last_seen_generation(), 3);
+        backup.on_heartbeat(beat(2, 5));
+        backup.on_heartbeat(beat(3, 5));
         assert_eq!(backup.last_seen_generation(), 5);
-        assert!(backup.snapshot_is_stale(), "table moved past the snapshot");
-
-        // …until the next snapshot catches up.
-        backup.on_heartbeat(Heartbeat {
-            seq: 3,
-            generation: 5,
-            snapshot: Some(primary_with_connections()),
-        });
-        assert!(!backup.snapshot_is_stale());
     }
 
     #[test]
     fn generation_regressions_are_counted_not_clamped_silently() {
         let mut backup = BackupDistributor::new(2);
-        backup.on_heartbeat(Heartbeat {
-            seq: 1,
-            generation: 6,
-            snapshot: None,
-        });
+        backup.on_heartbeat(beat(1, 6));
         assert_eq!(backup.generation_regressions(), 0);
 
         // A reordered beat (stale seq) is dropped entirely — not a
         // regression, just the wire being a wire.
-        backup.on_heartbeat(Heartbeat {
-            seq: 0,
-            generation: 2,
-            snapshot: None,
-        });
+        backup.on_heartbeat(beat(0, 2));
         assert_eq!(backup.generation_regressions(), 0);
 
         // A *fresh* beat going backwards is the real anomaly: an amnesiac
         // primary. The high-water mark holds, the counter records it.
-        backup.on_heartbeat(Heartbeat {
-            seq: 2,
-            generation: 4,
-            snapshot: None,
-        });
+        backup.on_heartbeat(beat(2, 4));
         assert_eq!(backup.generation_regressions(), 1);
         assert_eq!(backup.last_seen_generation(), 6);
 
         // Equal generation (re-announcement) is fine.
-        backup.on_heartbeat(Heartbeat {
-            seq: 3,
-            generation: 6,
-            snapshot: None,
-        });
+        backup.on_heartbeat(beat(3, 6));
         assert_eq!(backup.generation_regressions(), 1);
     }
 
@@ -469,39 +326,45 @@ mod tests {
         let listener = HeartbeatListener::new(BackupDistributor::new(3));
         let shared = listener.handle();
         let (transport, mut server) = cpms_wire::InProcServer::spawn(listener);
-        let mut sender = HeartbeatSender::new(Arc::new(transport), 4);
+        let mut sender = HeartbeatSender::new(Arc::new(transport));
 
-        let primary = primary_with_connections();
-        // Beat 1 always snapshots; beats 2 and 3 are bare.
         for expected in 1..=3u64 {
-            let acked = sender.beat(&primary, 7).unwrap();
+            let acked = sender.beat(4 + expected).unwrap();
             assert_eq!(acked, expected);
         }
         assert_eq!(sender.seq(), 3);
-        {
-            let backup = shared.lock();
-            assert!(backup.has_snapshot());
-            assert_eq!(backup.last_seen_generation(), 7);
-            assert_eq!(backup.snapshot_generation(), 7);
-        }
+        assert_eq!(shared.lock().last_seen_generation(), 7);
 
-        // Primary dies: the shared handle promotes with replicated state.
+        // Primary's link dies: the beat is lost, the backup counts misses.
         server.stop();
-        assert!(sender.beat(&primary, 7).is_err(), "no listener anymore");
-        let promoted = shared.lock().clone().take_over().expect("warm snapshot");
-        assert_eq!(promoted.mapping().len(), primary.mapping().len());
+        assert!(sender.beat(8).is_err(), "no listener anymore");
+        let mut backup = shared.lock();
+        assert_eq!(
+            backup.last_seen_generation(),
+            7,
+            "the lost beat moved nothing"
+        );
+        assert_eq!(
+            backup.on_heartbeat_missed(),
+            MonitorVerdict::Suspicious { missed: 1 }
+        );
     }
 
     #[test]
     fn garbage_beat_is_acked_with_zero_not_applied() {
-        let listener = HeartbeatListener::new(BackupDistributor::new(1));
+        let listener = HeartbeatListener::new(BackupDistributor::new(2));
         let shared = listener.handle();
+        shared.lock().on_heartbeat_missed();
         let (transport, mut server) = cpms_wire::InProcServer::spawn(listener);
         let client = Client::new(Arc::new(transport));
         let raw = client.call_raw(b"{ not a heartbeat").unwrap();
         let ack: HeartbeatAck = serde_json::from_str(std::str::from_utf8(&raw).unwrap()).unwrap();
         assert_eq!(ack.seq, 0);
-        assert!(!shared.lock().has_snapshot());
         server.stop();
+        // Not applied: the miss counter was not reset.
+        assert_eq!(
+            shared.lock().on_heartbeat_missed(),
+            MonitorVerdict::PrimaryFailed
+        );
     }
 }

@@ -2,31 +2,22 @@
 //!
 //! Request routing for the distributed web server — §2 of the paper.
 //!
-//! Two layers live here:
-//!
-//! 1. **Routing policies** ([`Router`]): the decision logic that picks a
-//!    back-end node per request. This includes the paper's **content-aware
-//!    distributor** ([`ContentAwareRouter`]) and the baselines it is
-//!    compared against — layer-4 routing with *Weighted Least Connections*
-//!    ([`WeightedLeastConnections`], the paper's previous work \[2\]),
-//!    round-robin, and DNS-style client-sticky routing. The live
-//!    multi-worker distributor uses [`LiveRouter`] — the same
-//!    content-aware policy reading *published snapshots* of the URL table
-//!    through a per-worker cache (see [`cpms_urltable::snapshot`]).
-//!
-//! 2. **Connection-splicing mechanics**: the kernel-module machinery of
-//!    §2.2 reproduced as a deterministic state machine — the
-//!    [`mapping::MappingTable`] (per-connection TCP state:
-//!    `SYN_RECEIVED → ESTABLISHED → FIN_RECEIVED → HALF_CLOSED → CLOSED`),
-//!    the pre-forked persistent [`pool::ConnectionPool`], sequence-number
-//!    translation and header rewriting in [`relay::Distributor`], and the
-//!    primary/backup fault-tolerance scheme in [`failover`].
+//! **Routing policies** ([`Router`]) are the decision logic that picks a
+//! back-end node per request: the paper's **content-aware distributor**
+//! ([`ContentAwareRouter`]) and the baselines it is compared against —
+//! layer-4 routing with *Weighted Least Connections*
+//! ([`WeightedLeastConnections`], the paper's previous work \[2\]),
+//! round-robin, and DNS-style client-sticky routing. The live
+//! multi-worker distributor uses [`LiveRouter`] — the same content-aware
+//! policy reading *published snapshots* of the URL table through a
+//! per-worker cache (see [`cpms_urltable::snapshot`]).
 //!
 //! The policies are consumed by the simulator (`cpms-sim`), and
-//! [`LiveRouter`] by the live TCP proxy (`cpms-httpd`); the splicing
-//! state machine is exercised by unit/property tests, the `dispatch`
-//! micro-bench and the failover integration tests — the live proxy does
-//! not use it.
+//! [`LiveRouter`] by the live TCP proxy (`cpms-httpd`), whose event loop
+//! is §2.2's connection binding over real sockets: its per-worker mapping
+//! table, pre-forked socket pool and `splice(2)` relay live there. What
+//! §2.3's primary/backup scheme needs of a user-space proxy — heartbeats
+//! carrying liveness and the URL-table generation — is [`failover`].
 //!
 //! # Example: routing decisions
 //!
@@ -57,10 +48,7 @@ pub mod content_aware;
 pub mod failover;
 pub mod l4;
 pub mod live;
-pub mod mapping;
-pub mod pool;
 pub mod redirect;
-pub mod relay;
 pub mod router;
 
 pub use content_aware::ContentAwareRouter;

@@ -1,6 +1,6 @@
 //! Pre-forked persistent backend connections over real sockets.
 //!
-//! The socket-level twin of [`cpms_dispatch::pool::ConnectionPool`]: at
+//! The paper's pre-forked connection list (§2.2): at
 //! startup the proxy opens `prefork` TCP connections to every backend and
 //! keeps them alive (HTTP/1.1 keep-alive); each relayed request checks one
 //! out and returns it afterwards. If a node's list is momentarily empty

@@ -5,10 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> docs name only drivers that exist (every quoted -p <pkg> --bin|--example|--bench <name> resolves to a file)"
-unresolved=$(grep -ohE -e '-p cpms-[a-z]+ [^`#]*--(bin|example|bench) [A-Za-z0-9_-]+' \
-        -e '--manifest-path perfbench/Cargo.toml [^`#]*--bin [A-Za-z0-9_-]+' \
-        README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md |
+echo "==> docs name only things that exist (every quoted -p <pkg> --bin|--example|--bench <name> resolves to a file,"
+echo "    every -p cpms-core --test <name> to a [[test]] of crates/core/Cargo.toml, every backticked repo path to a file)"
+docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
+core_tests=$(awk '/^\[\[test\]\]/ { t = 1; next } /^\[/ { t = 0 } t && /^name = / { gsub(/"/, "", $3); print $3 }' \
+    crates/core/Cargo.toml)
+unresolved=$( {
+    grep -ohE -e '-p cpms-[a-z]+ [^`#]*--(bin|example|bench) [A-Za-z0-9_-]+' \
+        -e '--manifest-path perfbench/Cargo.toml [^`#]*--bin [A-Za-z0-9_-]+' "${docs[@]}" |
     sed -E 's/^-p cpms-([a-z]+) .*--(bin|example|bench) /\1 \2 /; s/^--manifest-path perfbench.* --bin /perfbench bin /' |
     sort -u | while read -r pkg kind name; do
         case "$pkg/$kind/$name" in
@@ -18,9 +22,18 @@ unresolved=$(grep -ohE -e '-p cpms-[a-z]+ [^`#]*--(bin|example|bench) [A-Za-z0-9
             */bench/*) file=crates/$pkg/benches/$name.rs ;;
         esac
         [ -f "$file" ] || echo "    -p cpms-$pkg --$kind $name (no $file)"
-    done)
+    done
+    grep -ohE -e '-p cpms-core --test [A-Za-z0-9_-]+' "${docs[@]}" | sort -u | while read -r _ _ _ name; do
+        grep -qxF "$name" <<<"$core_tests" || echo "    -p cpms-core --test $name (no such [[test]])"
+    done
+    # A path may carry a `::test` or `:line` suffix, or be a glob (`crates/*`).
+    grep -ohE '`(crates|tests|perfbench|scripts|examples|configs)/[^` ]*' "${docs[@]}" |
+    sed -E 's/^`//; s/::.*$//; s/:[0-9].*$//' | sort -u | while read -r path; do
+        compgen -G "$path" >/dev/null || echo "    $path (no such file)"
+    done
+} )
 if [ -n "$unresolved" ]; then
-    echo "ci: the docs name drivers that do not exist:"
+    echo "ci: the docs name drivers, tests or files that do not exist:"
     echo "$unresolved"
     exit 1
 fi
@@ -81,7 +94,7 @@ cargo test --release --locked --manifest-path perfbench/Cargo.toml
 timeout --signal=KILL 180 cargo run --release --locked --quiet --manifest-path perfbench/Cargo.toml --bin cpms-bench -- run --smoke
 git diff --exit-code -- perfbench BENCHMARK.json
 
-echo "==> .rs lines per crate (ROADMAP item 7's count: crates/*, tests included)"
+echo "==> .rs lines per crate (ROADMAP item 11's count: crates/*, tests included)"
 for crate in crates/*; do
     printf '%-18s %6d\n' "$crate" "$(find "$crate" -name '*.rs' -exec cat {} + | wc -l)"
 done

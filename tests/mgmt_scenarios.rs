@@ -1,6 +1,6 @@
 //! Management-system scenarios spanning crates: the controller driving a
-//! broker cluster while the distributor's URL table stays coherent, the
-//! §4 mutable-content policy, and distributor failover.
+//! broker cluster while the distributor's URL table stays coherent, and
+//! the §4 mutable-content policy.
 //!
 //! Every controller-driven scenario runs twice — once over in-process
 //! brokers run on the calling thread ([`Broker::spawn`]) and once over
@@ -8,9 +8,6 @@
 //! *identical* results and URL-table publication generations: the
 //! management plane's behavior is transport-invariant.
 
-use cpms_dispatch::failover::{BackupDistributor, Heartbeat, MonitorVerdict};
-use cpms_dispatch::mapping::ConnKey;
-use cpms_dispatch::relay::Distributor;
 use cpms_mgmt::{
     AntiEntropyAuditor, AutoReplicator, Broker, BrokerHandle, BrokerState, Cluster, Controller,
 };
@@ -219,57 +216,6 @@ fn auto_replication_moves_real_copies() {
         controller.shutdown();
         result
     });
-}
-
-/// §2.3: the backup distributor takes over with the primary's replicated
-/// connection state and keeps serving live connections.
-#[test]
-fn distributor_failover_preserves_connections() {
-    let mut primary = Distributor::new(3, 4);
-    let mut backup = BackupDistributor::new(2);
-
-    // Three live spliced connections.
-    let keys: Vec<ConnKey> = (1..=3u16)
-        .map(|port| ConnKey {
-            client_ip: 0x0A00_0001,
-            client_port: port,
-        })
-        .collect();
-    for (i, &k) in keys.iter().enumerate() {
-        primary.accept_syn(k, 500, false).unwrap();
-        primary.complete_handshake(k).unwrap();
-        primary.bind(k, NodeId((i % 3) as u16), 501).unwrap();
-    }
-
-    // Heartbeat with a snapshot, then the primary dies.
-    backup.on_heartbeat(Heartbeat {
-        seq: 1,
-        generation: 1,
-        snapshot: Some(primary.clone()),
-    });
-    drop(primary);
-    assert_eq!(
-        backup.on_heartbeat_missed(),
-        MonitorVerdict::Suspicious { missed: 1 }
-    );
-    assert_eq!(backup.on_heartbeat_missed(), MonitorVerdict::PrimaryFailed);
-    assert!(
-        !backup.snapshot_is_stale(),
-        "snapshot is as fresh as the last beat's generation"
-    );
-
-    // Promotion: all three connections survive and can close cleanly.
-    let mut new_primary = backup.take_over().expect("replicated state");
-    assert_eq!(new_primary.mapping().len(), 3);
-    for &k in &keys {
-        new_primary.client_fin(k, 700).unwrap();
-        new_primary.last_ack(k, 100, 1000).unwrap();
-    }
-    assert!(new_primary.mapping().is_empty());
-    // every pre-forked connection is back in the pool
-    for node in 0..3 {
-        assert_eq!(new_primary.pool().available(NodeId(node)), 4);
-    }
 }
 
 /// Broker failure surfaces as explicit errors, and the rest of the cluster

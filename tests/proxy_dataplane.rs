@@ -12,7 +12,7 @@ use cpms_model::{ContentId, ContentKind, NodeId, UrlPath};
 use cpms_obs::MetricsRegistry;
 use cpms_urltable::{TablePublisher, UrlEntry, UrlTable};
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -664,6 +664,61 @@ fn a_client_vanishing_mid_body_leaves_no_bytes_for_the_next() {
         drop(next);
         wait_until("the next client is torn down", || gauge() == 0);
     }
+}
+
+/// The paper's close sequence on live sockets: a client that sends one GET
+/// and half-closes (`FIN_RECEIVED`) still gets its whole response, then
+/// EOF (`HALF_CLOSED → CLOSED`), and "the pre-forked connection returns to
+/// the available list" — for a small body and for a 1 MiB spliced one.
+/// With one pre-forked connection, a request that found it missing would
+/// open an overflow connection.
+#[test]
+fn a_half_closed_client_gets_its_whole_response_then_eof_and_the_backend_is_pooled() {
+    let mib = pattern(1 << 20);
+    let mut site = SiteContent::new();
+    site.add_static("/a.html", b"alpha-body".to_vec());
+    site.add_static(&big_path(1 << 20), mib.clone());
+    let origin = OriginServer::start(NodeId(0), site).unwrap();
+    let (proxy, registry) =
+        one_worker_proxy(table_of(&["/a.html", &big_path(1 << 20)]), origin.addr(), 1);
+    let gauge = || {
+        registry
+            .snapshot()
+            .gauge("proxy_conn_active")
+            .unwrap_or(i64::MIN)
+    };
+
+    for (path, want) in [
+        ("/a.html".to_string(), &b"alpha-body"[..]),
+        (big_path(1 << 20), &mib[..]),
+    ] {
+        let mut conn = TcpStream::connect(proxy.addr()).unwrap();
+        conn.write_all(&get_raw(&path)).unwrap();
+        conn.shutdown(Shutdown::Write).unwrap();
+        let fin_sent = Instant::now();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut got = Vec::new();
+        conn.read_to_end(&mut got)
+            .unwrap_or_else(|e| panic!("{path}: no EOF after the FIN: {e}"));
+        assert!(
+            fin_sent.elapsed() < Duration::from_secs(5),
+            "{path}: EOF took {:?}",
+            fin_sent.elapsed()
+        );
+        let head_end = got
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("a response head")
+            + 4;
+        assert!(got.starts_with(b"HTTP/1.1 200"), "{path}");
+        assert!(got[head_end..] == *want, "{path}: body altered or short");
+        wait_until("the half-closed connection is torn down", || gauge() == 0);
+    }
+    let mut client = HttpClient::connect(proxy.addr()).unwrap();
+    assert_eq!(client.get("/a.html").unwrap().body, b"alpha-body");
+    assert_eq!(counter(&registry, "proxy_pool_discards_total"), 0);
+    assert_eq!(proxy.overflow_connects(), 0, "a backend left the pool");
+    assert!(counter(&registry, "proxy_body_spliced_bytes_total") > 0);
 }
 
 /// A back end that sends bytes past the declared body has desynchronised

@@ -2,9 +2,9 @@
 //! RPCs through lossy and poisoned transports, raw socket abuse against a
 //! live TCP daemon, and distributor promotion under heartbeat packet loss.
 
-use cpms_dispatch::failover::{BackupDistributor, HeartbeatListener, HeartbeatSender};
-use cpms_dispatch::mapping::ConnKey;
-use cpms_dispatch::relay::Distributor;
+use cpms_dispatch::failover::{
+    BackupDistributor, HeartbeatListener, HeartbeatSender, MonitorVerdict,
+};
 use cpms_mgmt::{AgentError, Broker, BrokerState};
 use cpms_model::{ContentId, NodeId, UrlPath};
 use cpms_store::{synthetic_body, ShipRequest, Shipper};
@@ -122,105 +122,57 @@ fn tcp_daemon_survives_partial_frames_and_garbage() {
 
 /// Satellite 2: promotion under packet loss. Heartbeats cross a lossy wire
 /// with no retry (the next beat supersedes a lost one); the backup must
-/// still warm up, track the primary's table generation, and promote with
-/// the replicated connection state when the primary goes silent.
+/// still track the highest table generation that reached it — the number
+/// a promoted backup publishes above — and declare the primary failed at
+/// its threshold once the primary goes silent.
 #[test]
 fn backup_promotes_after_heartbeats_under_packet_loss() {
     with_deadline("promotion_under_loss", TEST_DEADLINE, || {
-        // A primary with two live spliced connections.
-        let mut primary = Distributor::new(2, 2);
-        let keys: Vec<ConnKey> = (1..=2u16)
-            .map(|port| ConnKey {
-                client_ip: 0x0A00_0001,
-                client_port: port,
-            })
-            .collect();
-        for (i, &k) in keys.iter().enumerate() {
-            primary.accept_syn(k, 400, false).unwrap();
-            primary.complete_handshake(k).unwrap();
-            primary.bind(k, NodeId(i as u16), 401).unwrap();
-        }
-
         let listener = HeartbeatListener::new(BackupDistributor::new(3));
         let backup = listener.handle();
         let (transport, mut server) = InProcServer::spawn(listener);
-        let lossy: Arc<dyn Transport> = Arc::new(FaultyTransport::new(
+        let faults = Arc::new(FaultyTransport::new(
             Arc::new(transport),
             FaultPlan::lossy(0x5EED_BEA7, 0.30),
         ));
-        // Snapshot every 2 beats so losses cannot starve the backup of state.
-        let mut sender = HeartbeatSender::new(lossy, 2);
+        let mut sender = HeartbeatSender::new(Arc::clone(&faults) as Arc<dyn Transport>);
 
-        let mut delivered = 0u32;
+        // A beat whose request was not dropped reached the backup, even if
+        // its ack was lost on the way back.
+        let mut highest_delivered = 0u64;
         let mut lost = 0u32;
         for round in 0..30u64 {
             // The primary publishes table generations as it goes.
-            match sender.beat(&primary, round / 3) {
-                Ok(_) => delivered += 1,
-                Err(e) => {
-                    assert!(
-                        matches!(e.root(), WireError::Timeout { .. } | WireError::Closed),
-                        "losses must look like timeouts, got {e:?}"
-                    );
-                    lost += 1;
-                }
+            let generation = round / 3;
+            let dropped_before = faults.stats().dropped_requests;
+            if let Err(e) = sender.beat(generation) {
+                assert!(
+                    matches!(e.root(), WireError::Timeout { .. } | WireError::Closed),
+                    "losses must look like timeouts, got {e:?}"
+                );
+                lost += 1;
+            }
+            if faults.stats().dropped_requests == dropped_before {
+                highest_delivered = generation;
             }
         }
         assert!(lost > 0, "30% loss must lose some beats");
-        assert!(delivered > 0, "30% loss must deliver some beats");
+        assert!(highest_delivered > 0, "30% loss must deliver some beats");
 
         // Primary goes silent; the backup crosses its miss threshold.
         server.stop();
-        {
-            let mut b = backup.lock();
-            assert!(b.has_snapshot(), "snapshots got through despite loss");
-            assert!(
-                b.last_seen_generation() > 0,
-                "generation advanced through delivered beats"
-            );
-            for _ in 0..3 {
-                b.on_heartbeat_missed();
-            }
-        }
-
-        // Promotion: the replicated connections are intact and serviceable.
-        let promoted = backup.lock().clone().take_over().expect("warm state");
-        assert_eq!(promoted.mapping().len(), 2);
-        let mut np = promoted;
-        for &k in &keys {
-            np.client_fin(k, 600).unwrap();
-            np.last_ack(k, 50, 500).unwrap();
-        }
-        assert!(np.mapping().is_empty(), "promoted primary drains cleanly");
-    })
-}
-
-/// The staleness signal end to end: a backup whose snapshot predates the
-/// last acknowledged table generation must say so after promotion, so the
-/// new primary knows to refresh its URL table before routing.
-#[test]
-fn promoted_backup_detects_stale_snapshot() {
-    with_deadline("stale_snapshot", TEST_DEADLINE, || {
-        let primary = Distributor::new(1, 1);
-        let listener = HeartbeatListener::new(BackupDistributor::new(1));
-        let backup = listener.handle();
-        let (transport, mut server) = InProcServer::spawn(listener);
-        let mut sender = HeartbeatSender::new(Arc::new(transport), 100);
-
-        // Beat 1 snapshots at generation 4; later beats advance the table to
-        // generation 9 without a fresh snapshot (snapshot_every = 100).
-        sender.beat(&primary, 4).unwrap();
-        sender.beat(&primary, 7).unwrap();
-        sender.beat(&primary, 9).unwrap();
-        server.stop();
-
-        let b = backup.lock();
-        assert_eq!(b.snapshot_generation(), 4);
-        assert_eq!(b.last_seen_generation(), 9);
-        assert!(
-            b.snapshot_is_stale(),
-            "five table publications happened after the snapshot"
+        let mut b = backup.lock();
+        assert_eq!(b.last_seen_generation(), highest_delivered);
+        assert_eq!(b.generation_regressions(), 0, "loss is not a regression");
+        assert_eq!(
+            b.on_heartbeat_missed(),
+            MonitorVerdict::Suspicious { missed: 1 }
         );
+        assert_eq!(
+            b.on_heartbeat_missed(),
+            MonitorVerdict::Suspicious { missed: 2 }
+        );
+        assert_eq!(b.on_heartbeat_missed(), MonitorVerdict::PrimaryFailed);
     })
 }
 
