@@ -46,14 +46,14 @@
 //! generations, so a stale readiness event for a recycled slot misses
 //! harmlessly instead of touching the wrong connection.
 
+use crate::failure::Failure;
 use crate::http::{
     head_complete, parse_request_head, parse_response_head, request_head_into, response_head_into,
     ParseError, Request,
 };
 use crate::pool::SocketPool;
 use crate::proxy::{
-    HandoffQueue, ProxyStats, TenantSlot, METRICS_JSON_PATH, METRICS_PATH, SERIES_JSON_PATH,
-    TRACE_JSON_PATH,
+    HandoffQueue, TenantSlot, METRICS_JSON_PATH, METRICS_PATH, SERIES_JSON_PATH, TRACE_JSON_PATH,
 };
 use cpms_dispatch::LiveRouter;
 use cpms_model::UrlPath;
@@ -129,7 +129,6 @@ pub(crate) struct WorkerBoot {
     pub preforked: SocketPool,
     pub pools: Arc<Vec<SocketPool<Pooled>>>,
     pub in_flight: Arc<Vec<AtomicU32>>,
-    pub stats: Arc<ProxyStats>,
     pub ledgers: Arc<Vec<Mutex<HashMap<UrlPath, u64>>>>,
     pub registry: Arc<MetricsRegistry>,
     pub stop: Arc<AtomicBool>,
@@ -159,7 +158,8 @@ struct Binding {
 
 /// Per-worker metric handles: histogram recorders bound to this worker's
 /// shard (recording is a few relaxed atomics, no lock) plus the shared
-/// counters. Resolved once at worker start, off the request path.
+/// counters, the failure counters indexed by [`Failure`]. Resolved once
+/// at worker start, off the request path.
 struct WorkerMetrics {
     parse_ns: HistogramRecorder,
     relay_ns: HistogramRecorder,
@@ -168,16 +168,12 @@ struct WorkerMetrics {
     connections: Arc<Counter>,
     requests: Arc<Counter>,
     relayed: Arc<Counter>,
-    unroutable: Arc<Counter>,
-    backend_errors: Arc<Counter>,
-    pool_failures: Arc<Counter>,
+    failures: [Arc<Counter>; Failure::ALL.len()],
     pool_discards: Arc<Counter>,
     body_spliced: Arc<Counter>,
     body_copied: Arc<Counter>,
-    malformed: Arc<Counter>,
     conn_active: Arc<Gauge>,
     conn_closed: Arc<Counter>,
-    conn_tenant_rejected: Arc<Counter>,
     reactor_polls: Arc<Counter>,
     reactor_events: Arc<Counter>,
     reactor_wakeups: Arc<Counter>,
@@ -200,16 +196,12 @@ impl WorkerMetrics {
             connections: registry.counter("proxy_connections_total"),
             requests: registry.counter("proxy_requests_total"),
             relayed: registry.counter("proxy_relayed_total"),
-            unroutable: registry.counter("proxy_unroutable_total"),
-            backend_errors: registry.counter("proxy_backend_errors_total"),
-            pool_failures: registry.counter("proxy_pool_failures_total"),
+            failures: Failure::counters(registry),
             pool_discards: registry.counter("proxy_pool_discards_total"),
             body_spliced: registry.counter("proxy_body_spliced_bytes_total"),
             body_copied: registry.counter("proxy_body_copied_bytes_total"),
-            malformed: registry.counter("proxy_malformed_total"),
             conn_active: registry.gauge("proxy_conn_active"),
             conn_closed: registry.counter("proxy_conn_closed_total"),
-            conn_tenant_rejected: registry.counter("proxy_conn_tenant_rejected_total"),
             reactor_polls: registry.counter("reactor_polls_total"),
             reactor_events: registry.counter("reactor_events_total"),
             reactor_wakeups: registry.counter("reactor_wakeups_total"),
@@ -395,7 +387,6 @@ struct Cx {
     /// open, and the client it is bound to.
     bindings: Slab<Binding>,
     in_flight: Arc<Vec<AtomicU32>>,
-    stats: Arc<ProxyStats>,
     ledgers: Arc<Vec<Mutex<HashMap<UrlPath, u64>>>>,
     registry: Arc<MetricsRegistry>,
     active: Arc<AtomicI64>,
@@ -434,7 +425,6 @@ pub(crate) fn worker_loop(boot: WorkerBoot) {
         pools: boot.pools,
         bindings: Slab::new(),
         in_flight: boot.in_flight,
-        stats: boot.stats,
         ledgers: boot.ledgers,
         registry: boot.registry,
         active: boot.active,
@@ -528,10 +518,6 @@ fn drain_handoff(cx: &mut Cx, conns: &mut Slab<Conn>, queue: &HandoffQueue) {
             cx.active.fetch_sub(1, Ordering::Relaxed);
             continue;
         }
-        cx.stats
-            .worker(cx.idx)
-            .connections
-            .fetch_add(1, Ordering::Relaxed);
         cx.m.connections.inc();
         cx.m.conn_active.add(1);
         let fd = stream.as_raw_fd();
@@ -855,22 +841,6 @@ fn close_relay_span(span: Option<OwnedSpan>, node: usize, failed: bool) {
     }
 }
 
-/// Appends a response to the client ring and flushes opportunistically.
-fn enqueue_response(
-    cx: &mut Cx,
-    conn: &mut Conn,
-    status: u16,
-    body: &[u8],
-    keep_alive: bool,
-) -> Verdict {
-    response_head_into(&mut conn.wbuf, status, body.len(), keep_alive);
-    conn.wbuf.extend(body);
-    if !keep_alive {
-        conn.close_after_flush = true;
-    }
-    flush_client(cx, conn)
-}
-
 /// Serves every complete request already buffered (keep-alive clients
 /// may pipeline several). Stops when a relay starts, the client is owed
 /// bytes (a response queued behind a pipe would overtake its body), the
@@ -902,12 +872,12 @@ fn advance_requests(cx: &mut Cx, conn: &mut Conn) -> Verdict {
         };
         let Some(end) = head_complete(&conn.rbuf) else {
             if conn.rbuf.len() > HEAD_CAP {
-                return respond_malformed(cx, conn, "head too large");
+                return refuse(cx, conn, Failure::Malformed, "head too large");
             }
             if conn.client_eof {
                 // EOF mid-head: same 400 the blocking parser's
                 // "eof in headers" produced.
-                return respond_malformed(cx, conn, "eof in headers");
+                return refuse(cx, conn, Failure::Malformed, "eof in headers");
             }
             // More bytes needed, within the window that opened with the
             // head's first byte.
@@ -921,9 +891,7 @@ fn advance_requests(cx: &mut Cx, conn: &mut Conn) -> Verdict {
             .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
         let request = match parsed {
             Ok(r) => r,
-            Err(ParseError::Malformed(why)) => {
-                return respond_malformed(cx, conn, why);
-            }
+            Err(ParseError::Malformed(why)) => return refuse(cx, conn, Failure::Malformed, why),
             Err(_) => return Verdict::Close,
         };
         if handle_request(cx, conn, request) == Verdict::Close {
@@ -932,16 +900,34 @@ fn advance_requests(cx: &mut Cx, conn: &mut Conn) -> Verdict {
     }
 }
 
-/// 400s the client and closes, recording the parse failure.
-fn respond_malformed(cx: &mut Cx, conn: &mut Conn, why: &str) -> Verdict {
-    cx.m.malformed.inc();
-    cx.registry.events().record(
-        "parse",
-        conn.request_id,
-        format!("malformed request: {why}"),
-    );
+/// Answers the current request with `failure`: the one exit for every
+/// response the proxy makes itself. The connection stays open only if
+/// the client asked and the failure allows it.
+fn refuse(cx: &mut Cx, conn: &mut Conn, failure: Failure, detail: &str) -> Verdict {
+    note_failure(cx, conn, failure, detail);
+    if !failure.response_into(&mut conn.wbuf, conn.keep_alive) {
+        conn.close_after_flush = true;
+    }
+    flush_client(cx, conn)
+}
+
+/// Counts `failure` once, records its event, marks the request span
+/// failed with the same `token: path: detail` reason, and closes the
+/// request.
+fn note_failure(cx: &mut Cx, conn: &mut Conn, failure: Failure, detail: &str) {
+    cx.m.failures[failure as usize].inc();
+    let token = failure.token();
+    let reason = match &conn.path {
+        Some(path) => format!("{token}: {path}: {detail}"),
+        None => format!("{token}: {detail}"),
+    };
+    if let Some(span) = conn.span.as_mut() {
+        span.set_error(true);
+        span.set_detail(reason.clone());
+    }
+    cx.registry.events().record(token, conn.request_id, reason);
+    record_request_done(cx, conn);
     finish_request(conn);
-    enqueue_response(cx, conn, 400, b"bad request", false)
 }
 
 /// Clears per-request state once its response is fully enqueued, closing
@@ -956,17 +942,17 @@ fn finish_request(conn: &mut Conn) {
     }
 }
 
-/// Records `proxy_request_ns` for a routed (non-admin) request and leaves
-/// a post-mortem event when it was slow.
-fn record_request_done(cx: &mut Cx, conn: &mut Conn) {
-    let Some(started) = conn.request_started else {
+/// Records `proxy_request_ns` for a routed request — one with a path, so
+/// not an admin scrape or a malformed head — and leaves a post-mortem
+/// event when it was slow.
+fn record_request_done(cx: &mut Cx, conn: &Conn) {
+    let (Some(started), Some(path)) = (conn.request_started, &conn.path) else {
         return;
     };
     let elapsed = started.elapsed();
     cx.m.request_ns
         .record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
     if elapsed >= SLOW_REQUEST {
-        let path = conn.path.as_ref().map_or("?", |p| p.as_str());
         cx.registry.events().record(
             "request",
             conn.request_id,
@@ -975,16 +961,20 @@ fn record_request_done(cx: &mut Cx, conn: &mut Conn) {
     }
 }
 
-/// One parsed request: admin surface, tenant admission, routing, and
-/// relay start.
+/// One parsed request: admin surface, method check, tenant admission,
+/// routing, and relay start.
 fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
     let keep_alive = request.keep_alive;
     conn.keep_alive = keep_alive;
+    // Only a GET without a body is served: a HEAD would be answered with
+    // a body, and a request's body bytes would parse as the next request.
+    let served = request.method == "GET" && !request.has_body;
 
     // --- admin surface: the stats endpoints are served by the proxy
     // itself, not routed to a backend, and stay out of request_ns and
     // the trace stream — scrapes are not traffic.
     let admin_body = match request.path.as_str() {
+        _ if !served => None,
         METRICS_PATH => Some(render_metrics(cx, false)),
         METRICS_JSON_PATH => Some(render_metrics(cx, true)),
         TRACE_JSON_PATH => Some(cx.registry.spans().to_json()),
@@ -993,18 +983,30 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
     };
     if let Some(body) = admin_body {
         finish_request(conn);
-        return enqueue_response(cx, conn, 200, body.as_bytes(), keep_alive);
+        response_head_into(&mut conn.wbuf, 200, body.len(), keep_alive);
+        conn.wbuf.extend(body.as_bytes());
+        conn.close_after_flush = !keep_alive;
+        return flush_client(cx, conn);
     }
 
     // --- trace root: the proxy is the cluster's entry point, so every
-    // relayed request opens (or, when the client carried an
+    // routed request opens (or, when the client carried an
     // `x-cpms-trace` header, continues) a distributed trace here.
     let spans = Arc::clone(&cx.m.spans);
-    let mut span = match request.trace {
+    let span = conn.span.insert(match request.trace {
         Some(inbound) => OwnedSpan::child_of(spans, inbound, "proxy.request"),
         None => OwnedSpan::root_head_sampled(spans, "proxy.request"),
-    };
+    });
+    let relay_ctx = span.context();
     let path: &UrlPath = conn.path.insert(request.path);
+    if !served {
+        let detail = if request.has_body {
+            format!("{} with a body", request.method)
+        } else {
+            request.method
+        };
+        return refuse(cx, conn, Failure::Unsupported, &detail);
+    }
 
     // --- tenant admission: the first routed request binds the
     // connection to its tenant (leading path segment); a tenant at its
@@ -1019,22 +1021,11 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
                     (n < slot.cap).then_some(n + 1)
                 })
                 .is_ok();
-            if admitted {
-                conn.tenant = Some(idx);
-            } else {
-                cx.m.conn_tenant_rejected.inc();
-                span.set_error(true);
-                span.set_detail(format!("tenant {} over connection cap", slot.prefix));
-                cx.registry.events().record(
-                    "admission",
-                    conn.request_id,
-                    format!("tenant {} over connection cap", slot.prefix),
-                );
-                conn.span = Some(span);
-                record_request_done(cx, conn);
-                finish_request(conn);
-                return enqueue_response(cx, conn, 503, b"tenant over capacity", false);
+            if !admitted {
+                let detail = format!("tenant {} holds its {} connections", slot.prefix, slot.cap);
+                return refuse(cx, conn, Failure::TenantOverCap, &detail);
             }
+            conn.tenant = Some(idx);
         }
     }
 
@@ -1047,21 +1038,7 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
             .map_or(u64::MAX, |c| u64::from(c.load(Ordering::Relaxed)))
     });
     let Some((node, _entry)) = target else {
-        cx.stats
-            .worker(cx.idx)
-            .unroutable
-            .fetch_add(1, Ordering::Relaxed);
-        cx.m.unroutable.inc();
-        span.set_error(true);
-        span.set_detail(format!("unroutable {path}"));
-        cx.registry
-            .events()
-            .record("route", conn.request_id, format!("unroutable path {path}"));
-        conn.span = Some(span);
-        let verdict = enqueue_response(cx, conn, 503, b"no location for path", keep_alive);
-        record_request_done(cx, conn);
-        finish_request(conn);
-        return verdict;
+        return refuse(cx, conn, Failure::Unroutable, "no location");
     };
     {
         let mut ledger = cx.ledgers[cx.idx].lock();
@@ -1079,42 +1056,30 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
     // parents to this hop.
     let node = node.index();
     cx.in_flight[node].fetch_add(1, Ordering::Relaxed);
-    let relay_span = span
-        .context()
-        .map(|ctx| OwnedSpan::child_of(Arc::clone(&cx.m.spans), ctx, "proxy.relay"));
+    let relay_span =
+        relay_ctx.map(|ctx| OwnedSpan::child_of(Arc::clone(&cx.m.spans), ctx, "proxy.relay"));
     let mut out = VecDeque::with_capacity(REQUEST_HEAD_BYTES + path.as_str().len());
     request_head_into(
         &mut out,
         path,
         relay_span.as_ref().and_then(OwnedSpan::context).as_ref(),
     );
-    conn.span = Some(span);
 
     let pooled = match checkout_backend(cx, node, conn.key) {
         Ok(pooled) => pooled,
         Err(e) => {
             cx.in_flight[node].fetch_sub(1, Ordering::Relaxed);
-            cx.stats
-                .worker(cx.idx)
-                .pool_failures
-                .fetch_add(1, Ordering::Relaxed);
-            cx.m.pool_failures.inc();
-            cx.registry.events().record(
-                "pool",
-                conn.request_id,
-                format!("no connection to node {node}: {e}"),
-            );
             close_relay_span(relay_span, node, true);
-            if let Some(span) = conn.span.as_mut() {
-                span.set_error(true);
-            }
-            let verdict = enqueue_response(cx, conn, 502, b"backend failure", keep_alive);
-            record_request_done(cx, conn);
-            finish_request(conn);
-            return verdict;
+            return refuse(
+                cx,
+                conn,
+                Failure::BackendConnect,
+                &format!("node {node}: {e}"),
+            );
         }
     };
-    let mut relay = Relay {
+    let started = Instant::now();
+    let relay = conn.relay.insert(Relay {
         stream: pooled.stream,
         backend: pooled.key,
         node,
@@ -1122,54 +1087,30 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
         inbuf: Vec::new(),
         phase: RelayPhase::Send,
         remaining: 0,
-        started: Instant::now(),
+        started,
         interest: Interest::READ,
         paused: false,
         head_sent: false,
         stray: 0,
         reusable: true,
         span: relay_span,
-    };
+    });
     // Optimistic first write: the request head almost always fits the
     // socket buffer, so the backend keeps the read interest it was
     // registered with.
     if write_pending(&relay.stream, &mut relay.out).is_err() {
-        // The pooled connection is already dead; surface it as an
-        // exchange failure like the blocking path did.
-        cx.in_flight[node].fetch_sub(1, Ordering::Relaxed);
-        cx.stats
-            .worker(cx.idx)
-            .backend_errors
-            .fetch_add(1, Ordering::Relaxed);
-        cx.m.backend_errors.inc();
-        cx.registry.events().record(
-            "relay",
-            conn.request_id,
-            format!("exchange with node {node} failed: dead pooled connection"),
-        );
-        close_relay_span(relay.span, node, true);
-        if let Some(span) = conn.span.as_mut() {
-            span.set_error(true);
-        }
-        discard_backend(cx, relay.backend, relay.stream);
-        let verdict = enqueue_response(cx, conn, 502, b"backend failure", keep_alive);
-        record_request_done(cx, conn);
-        finish_request(conn);
-        return verdict;
+        return fail_relay(cx, conn, "dead pooled connection");
     }
-    let deadline = relay.started + RELAY_TIMEOUT;
-    let rest_of_head = !relay.out.is_empty();
-    if rest_of_head {
-        relay.interest = Interest::WRITE;
-    } else {
+    if relay.out.is_empty() {
         relay.phase = RelayPhase::Head;
+    } else {
+        relay.interest = Interest::WRITE;
+        let (fd, token) = (relay.stream.as_raw_fd(), backend_token(relay.backend));
+        if cx.poller.reregister(fd, token, Interest::WRITE).is_err() {
+            return fail_relay(cx, conn, "backend registration failed");
+        }
     }
-    let (fd, token) = (relay.stream.as_raw_fd(), backend_token(relay.backend));
-    conn.relay = Some(relay);
-    if rest_of_head && cx.poller.reregister(fd, token, Interest::WRITE).is_err() {
-        return fail_relay(cx, conn, "backend registration failed");
-    }
-    set_deadline(cx, conn, deadline);
+    set_deadline(cx, conn, started + RELAY_TIMEOUT);
     Verdict::Keep
 }
 
@@ -1372,10 +1313,6 @@ fn succeed_relay(cx: &mut Cx, conn: &mut Conn) -> Verdict {
         debug_assert!(!relay.paused, "a finished body leaves no pipe to wait on");
         release_backend(cx, relay.node, relay.backend, relay.stream);
     }
-    cx.stats
-        .worker(cx.idx)
-        .relayed
-        .fetch_add(1, Ordering::Relaxed);
     cx.m.relayed.inc();
     record_request_done(cx, conn);
     finish_request(conn);
@@ -1389,10 +1326,10 @@ fn succeed_relay(cx: &mut Cx, conn: &mut Conn) -> Verdict {
     settle(cx, conn)
 }
 
-/// Relay failed: discard the pooled connection and either 502 (head not
-/// yet sent) or truncate by closing (mid-body — the client already has a
-/// 200 head, so a short body, whatever the ring and pipe still hold, is
-/// the only honest signal left).
+/// Relay failed: discard the pooled connection and either refuse with
+/// [`Failure::BackendFailed`] (head not yet sent) or truncate by closing
+/// (mid-body — the client already has a 200 head, so a short body,
+/// whatever the ring and pipe still hold, is the only honest signal left).
 fn fail_relay(cx: &mut Cx, conn: &mut Conn, why: &str) -> Verdict {
     let Some(relay) = conn.relay.take() else {
         return Verdict::Keep;
@@ -1403,29 +1340,14 @@ fn fail_relay(cx: &mut Cx, conn: &mut Conn, why: &str) -> Verdict {
         .record(u64::try_from(relay.started.elapsed().as_nanos()).unwrap_or(u64::MAX));
     close_relay_span(relay.span, relay.node, true);
     discard_backend(cx, relay.backend, relay.stream);
-    if let Some(span) = conn.span.as_mut() {
-        span.set_error(true);
-    }
-    cx.stats
-        .worker(cx.idx)
-        .backend_errors
-        .fetch_add(1, Ordering::Relaxed);
-    cx.m.backend_errors.inc();
-    cx.registry.events().record(
-        "relay",
-        conn.request_id,
-        format!("exchange with node {} failed: {why}", relay.node),
-    );
+    let detail = format!("node {}: {why}", relay.node);
     let verdict = if relay.head_sent {
-        // Truncation: close out the partial body.
+        note_failure(cx, conn, Failure::BackendFailed, &detail);
         conn.close_after_flush = true;
         flush_client(cx, conn)
     } else {
-        let keep_alive = conn.keep_alive;
-        enqueue_response(cx, conn, 502, b"backend failure", keep_alive)
+        refuse(cx, conn, Failure::BackendFailed, &detail)
     };
-    record_request_done(cx, conn);
-    finish_request(conn);
     if verdict == Verdict::Close {
         return Verdict::Close;
     }

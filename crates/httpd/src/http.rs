@@ -14,7 +14,8 @@ pub const TRACE_HEADER: &str = "x-cpms-trace";
 /// A parsed HTTP request head.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
-    /// The method (`GET`, `HEAD`, …). Only `GET` is served.
+    /// The method (`GET`, `HEAD`, …). The proxy relays only a `GET`
+    /// without a body.
     pub method: String,
     /// The request target, normalized.
     pub path: UrlPath,
@@ -24,6 +25,9 @@ pub struct Request {
     pub http10: bool,
     /// Whether the connection should stay open after this exchange.
     pub keep_alive: bool,
+    /// The head declares a body: a `Content-Length` other than 0, or any
+    /// `Transfer-Encoding`. Its bytes follow the head on the connection.
+    pub has_body: bool,
     /// The distributed-trace context carried by an [`TRACE_HEADER`]
     /// header, if a valid one was present. A malformed value degrades
     /// to `None` — bad tracing must never fail a request.
@@ -100,8 +104,10 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ParseError> {
         .parse()
         .map_err(|_| ParseError::Malformed("bad path"))?;
 
-    // Headers: we care about Connection and the trace context.
+    // Headers: we care about Connection, a declared body and the trace
+    // context.
     let mut keep_alive = !http10;
+    let mut has_body = false;
     let mut trace = None;
     loop {
         let mut header = String::new();
@@ -120,6 +126,10 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ParseError> {
                 } else if value.eq_ignore_ascii_case("keep-alive") {
                     keep_alive = true;
                 }
+            } else if name.eq_ignore_ascii_case("content-length") {
+                has_body |= value.trim() != "0";
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                has_body = true;
             } else if name.eq_ignore_ascii_case(TRACE_HEADER) {
                 trace = TraceContext::from_header(value);
             }
@@ -130,6 +140,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ParseError> {
         path,
         http10,
         keep_alive,
+        has_body,
         trace,
     })
 }
@@ -213,6 +224,7 @@ where
         200 => b"OK",
         400 => b"Bad Request",
         404 => b"Not Found",
+        501 => b"Not Implemented",
         502 => b"Bad Gateway",
         503 => b"Service Unavailable",
         _ => b"Error",
@@ -459,6 +471,20 @@ mod tests {
     }
 
     #[test]
+    fn a_declared_body_is_noted() {
+        for (header, has_body) in [
+            ("", false),
+            ("Content-Length: 0\r\n", false),
+            ("content-length: 5\r\n", true),
+            ("Transfer-Encoding: chunked\r\n", true),
+        ] {
+            let raw = format!("POST /a HTTP/1.1\r\n{header}\r\n");
+            let req = read_request(&mut raw.as_bytes()).unwrap();
+            assert_eq!(req.has_body, has_body, "{header:?}");
+        }
+    }
+
+    #[test]
     fn parse_strips_query() {
         let raw = b"GET /cgi-bin/q.cgi?x=1&y=2 HTTP/1.1\r\n\r\n";
         let req = read_request(&mut BufReader::new(&raw[..])).unwrap();
@@ -587,6 +613,7 @@ mod tests {
             (200, "OK"),
             (400, "Bad Request"),
             (404, "Not Found"),
+            (501, "Not Implemented"),
             (502, "Bad Gateway"),
             (503, "Service Unavailable"),
             (500, "Error"),

@@ -57,12 +57,14 @@
 
 pub mod client;
 mod conn;
+mod failure;
 pub mod http;
 pub mod loadgen;
 pub mod origin;
 pub mod pool;
 pub mod proxy;
 
+pub use failure::Failure;
 pub use http::TRACE_HEADER;
 pub use origin::{OriginServer, SiteContent};
 pub use proxy::{

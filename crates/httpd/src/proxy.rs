@@ -20,9 +20,14 @@
 //! Workers never share mutable routing state — each owns a
 //! [`cpms_dispatch::LiveRouter`] (pinned URL-table snapshot + private
 //! lookup cache), a shard of the pre-forked connection pool, its own
-//! counters, and a private hit ledger. The only cross-worker state is the shared in-flight counters
-//! used for replica choice, the admission counters, and the snapshot
-//! publication protocol itself.
+//! histogram shards, and a private hit ledger. The only cross-worker state
+//! is the shared in-flight counters used for replica choice, the admission
+//! counters, the registry's counters, and the snapshot publication
+//! protocol itself.
+//!
+//! Every response the proxy writes itself — a request it cannot or will
+//! not relay, or a connection shed at accept — is one [`Failure`], which
+//! fixes its status, body, counter and whether the connection survives.
 //!
 //! Management mutates the table through the proxy's [`TablePublisher`]:
 //! each mutation publishes a fresh immutable snapshot, which workers pick
@@ -30,7 +35,7 @@
 //! analogue of the paper's controller updating the distributor's table.
 
 use crate::conn::{worker_loop, Pooled, WorkerBoot};
-use crate::http::response_head;
+use crate::failure::Failure;
 use crate::pool::SocketPool;
 use cpms_obs::{Counter, MetricsRegistry, Sampler};
 use cpms_reactor::{new_poller, waker_pair, Event, Interest, Token, Waker};
@@ -40,7 +45,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -87,80 +92,6 @@ const ACCEPT_POLL_CAP: Duration = Duration::from_millis(500);
 /// keep-alive clients reconnecting inside one acceptor scheduling
 /// quantum), where std's default 128 drops SYNs.
 const LISTEN_BACKLOG: u32 = 4096;
-
-/// One worker's counters. Written by exactly one thread; read by anyone.
-#[derive(Debug, Default)]
-pub struct WorkerStats {
-    /// Requests successfully relayed.
-    pub relayed: AtomicU64,
-    /// Requests with no table record (503 to the client).
-    pub unroutable: AtomicU64,
-    /// Requests whose backend exchange failed (502 to the client).
-    pub backend_errors: AtomicU64,
-    /// Requests that could not even obtain a backend connection —
-    /// counted apart from [`backend_errors`](Self::backend_errors)
-    /// because pool exhaustion points at capacity, not at a sick node.
-    pub pool_failures: AtomicU64,
-    /// Connections this worker adopted.
-    pub connections: AtomicU64,
-}
-
-/// Counters the proxy exposes: per-worker cells, aggregated on read, so
-/// workers never contend on a shared counter cache line.
-#[derive(Debug)]
-pub struct ProxyStats {
-    workers: Vec<WorkerStats>,
-}
-
-impl ProxyStats {
-    fn new(workers: usize) -> Self {
-        ProxyStats {
-            workers: (0..workers).map(|_| WorkerStats::default()).collect(),
-        }
-    }
-
-    /// Number of workers.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// One worker's counters.
-    pub fn worker(&self, idx: usize) -> &WorkerStats {
-        &self.workers[idx]
-    }
-
-    /// Requests relayed, summed over workers.
-    pub fn relayed(&self) -> u64 {
-        self.sum(|w| &w.relayed)
-    }
-
-    /// Unroutable requests, summed over workers.
-    pub fn unroutable(&self) -> u64 {
-        self.sum(|w| &w.unroutable)
-    }
-
-    /// Backend failures, summed over workers.
-    pub fn backend_errors(&self) -> u64 {
-        self.sum(|w| &w.backend_errors)
-    }
-
-    /// Backend-pool acquire failures, summed over workers.
-    pub fn pool_failures(&self) -> u64 {
-        self.sum(|w| &w.pool_failures)
-    }
-
-    /// Adopted connections, summed over workers.
-    pub fn connections(&self) -> u64 {
-        self.sum(|w| &w.connections)
-    }
-
-    fn sum(&self, cell: impl Fn(&WorkerStats) -> &AtomicU64) -> u64 {
-        self.workers
-            .iter()
-            .map(|w| cell(w).load(Ordering::Relaxed))
-            .sum()
-    }
-}
 
 /// A per-tenant concurrent-connection cap: tenants are the leading path
 /// segment (`/shop/...` → tenant `shop`), so one tenant's connection
@@ -250,7 +181,8 @@ impl HandoffQueue {
 pub struct ContentAwareProxy {
     addr: SocketAddr,
     publisher: TablePublisher,
-    stats: Arc<ProxyStats>,
+    relayed: Arc<Counter>,
+    failures: [Arc<Counter>; Failure::ALL.len()],
     pools: Arc<Vec<SocketPool<Pooled>>>,
     ledgers: Arc<Vec<Mutex<HashMap<cpms_model::UrlPath, u64>>>>,
     registry: Arc<MetricsRegistry>,
@@ -263,15 +195,14 @@ pub struct ContentAwareProxy {
 
 impl std::fmt::Debug for ContentAwareProxy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ContentAwareProxy")
-            .field("addr", &self.addr)
-            .field("workers", &self.stats.worker_count())
-            .field("connections", &self.stats.connections())
-            .field("relayed", &self.stats.relayed())
-            .field("unroutable", &self.stats.unroutable())
-            .field("backend_errors", &self.stats.backend_errors())
-            .field("pool_failures", &self.stats.pool_failures())
-            .finish()
+        let mut out = f.debug_struct("ContentAwareProxy");
+        out.field("addr", &self.addr)
+            .field("workers", &self.worker_count())
+            .field("relayed", &self.relayed());
+        for failure in Failure::ALL {
+            out.field(failure.token(), &self.failures(failure));
+        }
+        out.finish()
     }
 }
 
@@ -352,7 +283,6 @@ impl ContentAwareProxy {
         );
         let in_flight: Arc<Vec<AtomicU32>> =
             Arc::new((0..backends.len()).map(|_| AtomicU32::new(0)).collect());
-        let stats = Arc::new(ProxyStats::new(workers));
         let ledgers: Arc<Vec<Mutex<HashMap<cpms_model::UrlPath, u64>>>> =
             Arc::new((0..workers).map(|_| Mutex::new(HashMap::new())).collect());
         let stop = Arc::new(AtomicBool::new(false));
@@ -369,10 +299,9 @@ impl ContentAwareProxy {
                 .collect(),
         );
 
-        // Surface the shedding and sizing metrics from the start so a
-        // scrape sees them at zero rather than absent.
-        registry.counter("proxy_conn_rejected_total");
-        registry.counter("proxy_conn_tenant_rejected_total");
+        // Surface the failure, shedding and sizing metrics from the start
+        // so a scrape sees them at zero rather than absent.
+        let failures = Failure::counters(&registry);
         registry.counter("reactor_accept_errors_total");
         registry.gauge("proxy_conn_active");
         registry
@@ -392,7 +321,6 @@ impl ContentAwareProxy {
                 preforked,
                 pools: Arc::clone(&pools),
                 in_flight: Arc::clone(&in_flight),
-                stats: Arc::clone(&stats),
                 ledgers: Arc::clone(&ledgers),
                 registry: Arc::clone(&registry),
                 stop: Arc::clone(&stop),
@@ -418,7 +346,7 @@ impl ContentAwareProxy {
             stop: Arc::clone(&stop),
             active: Arc::clone(&active),
             max_conns: config.max_conns,
-            rejected: registry.counter("proxy_conn_rejected_total"),
+            rejected: Arc::clone(&failures[Failure::Overloaded as usize]),
             accept_errors: registry.counter("reactor_accept_errors_total"),
             wake_rx: accept_rx,
         };
@@ -438,7 +366,8 @@ impl ContentAwareProxy {
         Ok(ContentAwareProxy {
             addr,
             publisher,
-            stats,
+            relayed: registry.counter("proxy_relayed_total"),
+            failures,
             pools,
             ledgers,
             registry,
@@ -468,12 +397,7 @@ impl ContentAwareProxy {
 
     /// Number of worker threads (the acceptor is not counted).
     pub fn worker_count(&self) -> usize {
-        self.stats.worker_count()
-    }
-
-    /// Per-worker counters (aggregates are on the struct).
-    pub fn stats(&self) -> &ProxyStats {
-        &self.stats
+        self.pools.len()
     }
 
     /// The metrics registry every worker records into: the one handed
@@ -488,24 +412,16 @@ impl ContentAwareProxy {
         u64::try_from(self.active.load(Ordering::Relaxed)).unwrap_or(0)
     }
 
-    /// Requests relayed successfully (all workers).
+    /// Requests relayed successfully: the registry's
+    /// `proxy_relayed_total`.
     pub fn relayed(&self) -> u64 {
-        self.stats.relayed()
+        self.relayed.get()
     }
 
-    /// Requests rejected for lack of a table record (all workers).
-    pub fn unroutable(&self) -> u64 {
-        self.stats.unroutable()
-    }
-
-    /// Requests that failed at the backend (all workers).
-    pub fn backend_errors(&self) -> u64 {
-        self.stats.backend_errors()
-    }
-
-    /// Requests that could not obtain a backend connection (all workers).
-    pub fn pool_failures(&self) -> u64 {
-        self.stats.pool_failures()
+    /// Occurrences of `failure`: the registry counter it names
+    /// ([`Failure::counter`]).
+    pub fn failures(&self, failure: Failure) -> u64 {
+        self.failures[failure as usize].get()
     }
 
     /// Checkouts that had to open a fresh backend connection, summed over
@@ -660,8 +576,7 @@ fn accept_burst(
         match boot.listener.accept() {
             Ok((stream, _)) => {
                 if boot.active.load(Ordering::Relaxed) >= boot.max_conns as i64 {
-                    boot.rejected.inc();
-                    shed_overload(&stream);
+                    shed_overload(&boot.rejected, &stream);
                     continue;
                 }
                 boot.active.fetch_add(1, Ordering::Relaxed);
@@ -671,8 +586,7 @@ fn accept_burst(
                     Ok(()) => boot.worker_wakers[idx].wake(),
                     Err(stream) => {
                         boot.active.fetch_sub(1, Ordering::Relaxed);
-                        boot.rejected.inc();
-                        shed_overload(&stream);
+                        shed_overload(&boot.rejected, &stream);
                     }
                 }
             }
@@ -688,20 +602,19 @@ fn accept_burst(
     }
 }
 
-/// Sends a fast 503 on a connection that will not be admitted. The
-/// accepted socket is still blocking (accept does not inherit the
-/// listener's non-blocking flag) and the response is far smaller than a
-/// socket buffer, but a write timeout guards against a pathological peer
-/// stalling the acceptor anyway.
-fn shed_overload(stream: &TcpStream) {
+/// Refuses a connection that will not be admitted with
+/// [`Failure::Overloaded`], counted on `rejected`. The accepted socket is
+/// still blocking (accept does not inherit the listener's non-blocking
+/// flag) and the response is far smaller than a socket buffer, but a
+/// write timeout guards against a pathological peer stalling the acceptor
+/// anyway.
+fn shed_overload(rejected: &Counter, mut stream: &TcpStream) {
+    rejected.inc();
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let body: &[u8] = b"proxy over capacity";
-    let head = response_head(503, body.len(), false);
-    let mut out = stream;
-    let _ = out
-        .write_all(head.as_bytes())
-        .and_then(|()| out.write_all(body));
+    let mut out = Vec::new();
+    Failure::Overloaded.response_into(&mut out, false);
+    let _ = stream.write_all(&out);
 }
 
 #[cfg(test)]
@@ -762,7 +675,6 @@ mod tests {
         let mut client = HttpClient::connect(proxy.addr()).unwrap();
         let resp = client.get("/unknown").unwrap();
         assert_eq!(resp.status, 503);
-        assert_eq!(proxy.unroutable(), 1);
         // the connection survived the 503 (keep-alive)
         assert_eq!(client.get("/a").unwrap().status, 200);
         assert_eq!(client.reconnects(), 0);
@@ -871,18 +783,14 @@ mod tests {
             }
         });
         assert_eq!(proxy.relayed(), 40);
-        assert_eq!(proxy.stats().connections(), 4);
-        // Aggregation really is a sum of per-worker cells.
-        let per_worker: u64 = (0..proxy.worker_count())
-            .map(|i| proxy.stats().worker(i).relayed.load(Ordering::Relaxed))
-            .sum();
-        assert_eq!(per_worker, 40);
-        // With round-robin handoff of 4 connections over 4 workers, the
-        // work cannot all land on one worker.
-        let busy_workers = (0..proxy.worker_count())
-            .filter(|&i| proxy.stats().worker(i).relayed.load(Ordering::Relaxed) > 0)
-            .count();
-        assert!(busy_workers > 1, "only {busy_workers} worker(s) served");
+        // Each worker's hit ledger holds the requests it routed: the
+        // acceptor hands the 4 connections round-robin to the 4 workers.
+        let per_worker: Vec<u64> = proxy
+            .ledgers
+            .iter()
+            .map(|ledger| ledger.lock().values().sum())
+            .collect();
+        assert_eq!(per_worker, [10; 4]);
     }
 
     #[test]
@@ -955,7 +863,6 @@ mod tests {
         let mut client = HttpClient::connect(proxy.addr()).unwrap();
         let resp = client.get("/a").unwrap();
         assert_eq!(resp.status, 502);
-        assert!(proxy.backend_errors() >= 1);
     }
 
     #[test]
@@ -995,7 +902,7 @@ mod tests {
         assert!(json.contains("\"proxy_relayed_total\": 3"), "{json}");
         assert!(json.contains("\"histograms\""), "{json}");
         // The 503 left a post-mortem event correlated to its request id.
-        assert!(json.contains("unroutable path /unknown"), "{json}");
+        assert!(json.contains("unroutable: /unknown: no location"), "{json}");
     }
 
     #[test]
@@ -1173,28 +1080,15 @@ mod tests {
         let request = spans.iter().find(|s| s.name == "proxy.request").unwrap();
         let relay = spans.iter().find(|s| s.name == "proxy.relay").unwrap();
         assert_eq!(request.parent, Some(inbound.span));
-        assert_eq!(request.detail, "/a");
+        assert!(
+            request.detail.starts_with("backend_failed: /a: node 0: "),
+            "{}",
+            request.detail
+        );
         assert!(request.error);
         assert_eq!(relay.parent, Some(request.span));
         assert_eq!(relay.detail, "node=0");
         assert!(relay.error);
-    }
-
-    /// The first request's exchange closes unanswered — a backend error;
-    /// the second finds the pool empty and the connect refused — a pool
-    /// acquire failure. The two must count apart.
-    #[test]
-    fn pool_exhaustion_counts_apart_from_backend_errors() {
-        let (proxy, backend) = proxy_over_unanswering_backend();
-        let mut client = HttpClient::connect(proxy.addr()).unwrap();
-        assert_eq!(client.get("/a").unwrap().status, 502);
-        backend.join().unwrap();
-        assert_eq!(client.get("/a").unwrap().status, 502);
-        assert_eq!(proxy.backend_errors(), 1, "unanswered exchange");
-        assert_eq!(proxy.pool_failures(), 1, "refused overflow connect");
-        let snap = proxy.metrics().snapshot();
-        assert_eq!(snap.counter("proxy_backend_errors_total"), Some(1));
-        assert_eq!(snap.counter("proxy_pool_failures_total"), Some(1));
     }
 
     #[test]
@@ -1208,11 +1102,11 @@ mod tests {
         client.get("/missing").unwrap();
         let debug = format!("{proxy:?}");
         for field in [
-            "connections: 1",
+            "workers: 4",
             "relayed: 1",
             "unroutable: 1",
-            "backend_errors: 0",
-            "pool_failures: 0",
+            "backend_failed: 0",
+            "backend_connect: 0",
         ] {
             assert!(debug.contains(field), "{field} missing from {debug}");
         }

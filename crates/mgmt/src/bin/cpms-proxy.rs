@@ -323,14 +323,15 @@ fn fault_plan(node: NodeId, words: &[&str]) -> Result<(FaultPlan, String), Strin
 /// churning keep-alive connections all served correctly on a fixed
 /// worker count, (2) connections over the global cap shed with an
 /// immediate 503 at accept, (3) a tenant over its per-prefix cap shed
-/// with a 503 while other tenants keep flowing, (4) 1 MiB bodies arrive
+/// with a 503 while other tenants keep flowing — each 503's body the
+/// failure's token, (4) 1 MiB bodies arrive
 /// byte-exact with at most 16 KiB of each through user space, the rest
 /// spliced, (5) a relayed keep-alive GET makes no poller control call and
 /// (all but) no timer-wheel arm.
 fn smoke() {
     use cpms_httpd::client::HttpClient;
     use cpms_httpd::loadgen::{self, LoadConfig};
-    use cpms_httpd::{OriginServer, SiteContent};
+    use cpms_httpd::{Failure, OriginServer, SiteContent};
     use cpms_model::{ContentId, ContentKind, UrlPath};
     use cpms_urltable::{TablePublisher, UrlEntry, UrlTable};
     use std::io::Read as _;
@@ -441,8 +442,8 @@ fn smoke() {
     shed.read_to_end(&mut refusal).expect("read 503");
     let refusal = String::from_utf8_lossy(&refusal);
     assert!(
-        refusal.starts_with("HTTP/1.1 503"),
-        "over-cap connection gets an immediate 503, got: {refusal:?}"
+        refusal.starts_with("HTTP/1.1 503") && refusal.ends_with(Failure::Overloaded.token()),
+        "over-cap connection gets an immediate 503 saying so, got: {refusal:?}"
     );
     assert!(
         overload_registry
@@ -453,7 +454,7 @@ fn smoke() {
         "shed connection counted"
     );
     drop(idle);
-    eprintln!("smoke: connection 33 of a 32-cap proxy shed with an immediate 503");
+    eprintln!("smoke: connection 33 of a 32-cap proxy shed with an immediate 503 `overloaded`");
 
     // --- stage 3: per-tenant cap sheds the 5th /t0 connection only.
     let mut held: Vec<HttpClient> = Vec::new();
@@ -465,7 +466,11 @@ fn smoke() {
     }
     let mut fifth = HttpClient::connect(proxy.addr()).expect("tenant conn 5");
     let resp = fifth.get("/t0/page.html").expect("over-cap response");
-    assert_eq!(resp.status, 503, "tenant over its cap is shed");
+    assert_eq!(
+        (resp.status, &resp.body[..]),
+        (503, Failure::TenantOverCap.token().as_bytes()),
+        "tenant over its cap is shed, and told why"
+    );
     let mut other = HttpClient::connect(proxy.addr()).expect("other-tenant conn");
     let resp = other.get("/obj/0.html").expect("other-tenant request");
     assert_eq!(resp.status, 200, "other tenants unaffected");
@@ -477,7 +482,9 @@ fn smoke() {
         "tenant shed counted once"
     );
     drop(held);
-    eprintln!("smoke: tenant cap held at 4 concurrent connections, 5th shed with 503");
+    eprintln!(
+        "smoke: tenant cap held at 4 concurrent connections, 5th shed with 503 `tenant_over_cap`"
+    );
 
     // --- stage 4: 1 MiB bodies move backend → pipe → client; only what
     // arrives with the response head passes through user space.

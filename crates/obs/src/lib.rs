@@ -56,7 +56,7 @@ pub use series::{
 };
 pub use slo::{SloRule, SloVerdict, SloWatchdog};
 pub use spans::{
-    OwnedSpan, ScopedTrace, SpanCollector, SpanId, SpanRecord, TraceContext, TraceId, TracedSpan,
-    CONTEXT_WIRE_LEN,
+    splitmix64, OwnedSpan, ScopedTrace, SpanCollector, SpanId, SpanRecord, TraceContext, TraceId,
+    TracedSpan, CONTEXT_WIRE_LEN,
 };
 pub use trace::{Event, EventLog, RequestId, Span};

@@ -57,7 +57,12 @@ impl fmt::Display for SpanId {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// The splitmix64 output for state `x`: the state advanced by one golden
+/// gamma, then mixed. The tree's one copy — trace ids, sampling rolls,
+/// wire jitter and fault plans, synthetic bodies and simulated script
+/// costs all draw from it, so their streams replay from their seeds.
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

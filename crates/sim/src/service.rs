@@ -9,6 +9,7 @@
 //! millisecond-scale parse.
 
 use cpms_model::{ContentId, ContentKind, SimDuration};
+use cpms_obs::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// Tunable service-time parameters.
@@ -99,13 +100,6 @@ impl Default for ServiceModel {
     fn default() -> Self {
         ServiceModel::paper_defaults()
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

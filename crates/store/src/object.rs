@@ -196,11 +196,8 @@ pub fn synthetic_body(content: ContentId, size: u64) -> Vec<u8> {
     // splitmix64 keyed by the content id; 8 bytes per draw.
     let mut state = 0x9E37_79B9_7F4A_7C15_u64 ^ (u64::from(content.0) << 17);
     while out.len() < size {
+        let z = cpms_obs::splitmix64(state);
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
         for byte in z.to_le_bytes() {
             if out.len() == size {
                 break;
@@ -290,5 +287,23 @@ mod tests {
         // declared-size changes do not shuffle all bytes.
         let short = synthetic_body(ContentId(1), 100);
         assert_eq!(&a[..100], &short[..]);
+    }
+
+    /// Bodies draw from the tree's one `splitmix64`; both are pinned to
+    /// the values of the inline copy it replaced, so no body, and no
+    /// checksum a store holds for one, moves.
+    #[test]
+    fn synthetic_bodies_and_splitmix64_are_pinned() {
+        assert_eq!(cpms_obs::splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(cpms_obs::splitmix64(1), 0x910A_2DEC_8902_5CC1);
+        assert_eq!(cpms_obs::splitmix64(0xDEAD_BEEF), 0x4ADF_B90F_68C9_EB9B);
+        assert_eq!(
+            synthetic_body(ContentId(0), 11),
+            b"\xf4\x65\xb9\xa1\x6a\x9e\x78\x6e\x4f\x45\x09"
+        );
+        assert_eq!(
+            synthetic_body(ContentId(7), 13),
+            b"\x69\x1f\x91\x9d\xbf\x37\x7c\x8b\xf6\xa8\x71\x65\x0a"
+        );
     }
 }

@@ -41,13 +41,9 @@ pub const HEADER_LEN: usize = 12;
 
 /// Flags-byte bit: the payload is prefixed with a trace extension
 /// (`[ext_version][ext_len][ext bytes…]`, checksummed with the body).
+/// Every version-2 reader strips it, so a sender attaches one whenever it
+/// has a context: nothing is negotiated. Readers ignore the other bits.
 pub const FLAG_TRACE: u8 = 0x01;
-
-/// Flags-byte bit: the sender understands frame extensions. Senders set
-/// it on every frame; a peer attaches [`FLAG_TRACE`] extensions only
-/// after seeing it, so extension-less builds (which never read the
-/// flags byte) keep receiving plain frames.
-pub const FLAG_TRACE_CAPABLE: u8 = 0x02;
 
 /// Version byte of the trace extension this build writes.
 pub const TRACE_EXT_VERSION: u8 = 1;
@@ -125,25 +121,21 @@ pub fn checksum(payload: &[u8]) -> u32 {
 
 /// Encodes `payload` as one plain (extension-less, zero-flags) frame.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    encode_frame_ext(payload, 0, None)
+    encode_frame_ext(payload, None)
 }
 
-/// Encodes `payload` as one frame with explicit `flags` and an optional
-/// trace-context extension. Attaching a context sets [`FLAG_TRACE`] and
-/// prefixes the checksummed payload area with
+/// Encodes `payload` as one frame with an optional trace-context
+/// extension. Attaching a context sets [`FLAG_TRACE`] and prefixes the
+/// checksummed payload area with
 /// `[TRACE_EXT_VERSION][ext_len][context bytes]`.
-pub fn encode_frame_ext(payload: &[u8], flags: u8, trace: Option<&TraceContext>) -> Vec<u8> {
+pub fn encode_frame_ext(payload: &[u8], trace: Option<&TraceContext>) -> Vec<u8> {
     let ext = trace.map(TraceContext::to_bytes);
     let ext_overhead = ext.map_or(0, |e| 2 + e.len());
     let body_len = ext_overhead + payload.len();
     let mut out = Vec::with_capacity(HEADER_LEN + body_len);
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
-    out.push(if ext.is_some() {
-        flags | FLAG_TRACE
-    } else {
-        flags & !FLAG_TRACE
-    });
+    out.push(if ext.is_some() { FLAG_TRACE } else { 0 });
     out.extend_from_slice(&u32::try_from(body_len).unwrap_or(u32::MAX).to_be_bytes());
     // Checksum covers extension + payload; computed over the assembled
     // body below, then patched into the header.
@@ -166,11 +158,11 @@ pub fn encode_frame_ext(payload: &[u8], flags: u8, trace: Option<&TraceContext>)
 /// [`WireError::TooLarge`] if the payload exceeds [`MAX_FRAME`];
 /// otherwise I/O failures classified by [`WireError::from_io`].
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    write_frame_ext(w, payload, 0, None)
+    write_frame_ext(w, payload, None)
 }
 
-/// Writes `payload` as one frame with explicit `flags` and an optional
-/// trace-context extension (see [`encode_frame_ext`]).
+/// Writes `payload` as one frame with an optional trace-context
+/// extension (see [`encode_frame_ext`]).
 ///
 /// # Errors
 ///
@@ -178,7 +170,6 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError>
 pub fn write_frame_ext<W: Write>(
     w: &mut W,
     payload: &[u8],
-    flags: u8,
     trace: Option<&TraceContext>,
 ) -> Result<(), WireError> {
     let ext_overhead = if trace.is_some() {
@@ -192,7 +183,7 @@ pub fn write_frame_ext<W: Write>(
             max: MAX_FRAME,
         });
     }
-    let frame = encode_frame_ext(payload, flags, trace);
+    let frame = encode_frame_ext(payload, trace);
     w.write_all(&frame).map_err(|e| WireError::from_io(0, &e))?;
     w.flush().map_err(|e| WireError::from_io(0, &e))
 }
@@ -225,24 +216,14 @@ pub enum FrameOrEof {
     Eof,
 }
 
-/// A verified frame with its flags byte and any trace extension
-/// decoded: what [`read_frame_ext_or_eof`] yields.
+/// A verified frame with any trace extension decoded: what
+/// [`read_frame_ext_or_eof`] yields.
 #[derive(Debug)]
 pub struct TracedFrame {
     /// The message payload (extension stripped).
     pub payload: Vec<u8>,
-    /// The header flags byte as received.
-    pub flags: u8,
     /// The carried trace context, if a valid one was attached.
     pub trace: Option<TraceContext>,
-}
-
-impl TracedFrame {
-    /// Whether the sender advertised frame-extension capability.
-    #[must_use]
-    pub fn peer_traces(&self) -> bool {
-        self.flags & FLAG_TRACE_CAPABLE != 0
-    }
 }
 
 /// Outcome of [`read_frame_ext_or_eof`].
@@ -256,8 +237,8 @@ pub enum TracedFrameOrEof {
 
 /// Reads one frame, treating clean EOF *before the first header byte* as
 /// end-of-stream rather than an error — the server side of a
-/// connection loop wants exactly this. The flags byte and trace
-/// extension are decoded and stripped: an unknown extension version or
+/// connection loop wants exactly this. A trace extension is decoded and
+/// stripped: an unknown extension version or
 /// a semantically invalid context degrades to an untraced payload,
 /// while a structurally broken extension (too short for its own
 /// framing) is the typed [`WireError::BadExtension`].
@@ -288,7 +269,7 @@ pub fn read_frame_ext_or_eof<R: Read>(r: &mut R) -> Result<TracedFrameOrEof, Wir
     if header[2] != VERSION {
         return Err(WireError::BadVersion { seen: header[2] });
     }
-    let flags = header[3];
+    let traced = header[3] & FLAG_TRACE != 0;
     let len = u64::from(u32::from_be_bytes([
         header[4], header[5], header[6], header[7],
     ]));
@@ -317,7 +298,7 @@ pub fn read_frame_ext_or_eof<R: Read>(r: &mut R) -> Result<TracedFrameOrEof, Wir
         });
     }
     let mut trace = None;
-    if flags & FLAG_TRACE != 0 {
+    if traced {
         if payload.len() < 2 {
             return Err(WireError::BadExtension {
                 detail: format!(
@@ -343,15 +324,11 @@ pub fn read_frame_ext_or_eof<R: Read>(r: &mut R) -> Result<TracedFrameOrEof, Wir
         }
         payload.drain(..2 + ext_len);
     }
-    Ok(TracedFrameOrEof::Frame(TracedFrame {
-        payload,
-        flags,
-        trace,
-    }))
+    Ok(TracedFrameOrEof::Frame(TracedFrame { payload, trace }))
 }
 
-/// Reads one frame as [`read_frame_ext_or_eof`] but discards the flags
-/// byte and trace extension, yielding just the payload.
+/// Reads one frame as [`read_frame_ext_or_eof`] but discards the trace
+/// extension, yielding just the payload.
 ///
 /// # Errors
 ///
@@ -534,14 +511,13 @@ mod tests {
     fn traced_frame_round_trip() {
         let ctx = TraceContext::root(true).child();
         let mut buf = Vec::new();
-        write_frame_ext(&mut buf, b"payload", FLAG_TRACE_CAPABLE, Some(&ctx)).unwrap();
+        write_frame_ext(&mut buf, b"payload", Some(&ctx)).unwrap();
+        assert_eq!(buf[3], FLAG_TRACE);
         let mut cursor = Cursor::new(buf);
         match read_frame_ext_or_eof(&mut cursor).unwrap() {
             TracedFrameOrEof::Frame(frame) => {
                 assert_eq!(frame.payload, b"payload");
                 assert_eq!(frame.trace, Some(ctx));
-                assert!(frame.peer_traces());
-                assert_ne!(frame.flags & FLAG_TRACE, 0);
             }
             TracedFrameOrEof::Eof => panic!("expected a frame"),
         }
@@ -551,7 +527,7 @@ mod tests {
     fn plain_reader_strips_extensions_transparently() {
         let ctx = TraceContext::root(false);
         let mut buf = Vec::new();
-        write_frame_ext(&mut buf, b"legacy view", 0, Some(&ctx)).unwrap();
+        write_frame_ext(&mut buf, b"legacy view", Some(&ctx)).unwrap();
         // A caller using the extension-less API still sees just the
         // payload — never the extension bytes.
         assert_eq!(read_frame(&mut Cursor::new(buf)).unwrap(), b"legacy view");
@@ -560,12 +536,12 @@ mod tests {
     #[test]
     fn untraced_frames_read_back_without_a_context() {
         let mut buf = Vec::new();
-        write_frame_ext(&mut buf, b"plain", FLAG_TRACE_CAPABLE, None).unwrap();
+        write_frame_ext(&mut buf, b"plain", None).unwrap();
+        assert_eq!(buf[3], 0, "no extension, no flag");
         match read_frame_ext_or_eof(&mut Cursor::new(buf)).unwrap() {
             TracedFrameOrEof::Frame(frame) => {
                 assert_eq!(frame.payload, b"plain");
                 assert_eq!(frame.trace, None);
-                assert!(frame.peer_traces());
             }
             TracedFrameOrEof::Eof => panic!("expected a frame"),
         }
@@ -574,7 +550,7 @@ mod tests {
     #[test]
     fn unknown_extension_version_degrades_to_untraced() {
         let ctx = TraceContext::root(true);
-        let mut buf = encode_frame_ext(b"future", 0, Some(&ctx));
+        let mut buf = encode_frame_ext(b"future", Some(&ctx));
         // Bump the extension version byte and re-checksum: a frame from
         // a future build we cannot interpret.
         buf[HEADER_LEN] = TRACE_EXT_VERSION + 1;

@@ -59,11 +59,6 @@ pub use transport::{InProcServer, InProcTransport, Service, TcpServer, TcpTransp
 /// fault plans replay from their seeds.
 fn splitmix_unit(state: &std::sync::atomic::AtomicU64) -> f64 {
     const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut z = state
-        .fetch_add(GAMMA, std::sync::atomic::Ordering::Relaxed)
-        .wrapping_add(GAMMA);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = cpms_obs::splitmix64(state.fetch_add(GAMMA, std::sync::atomic::Ordering::Relaxed));
     (z >> 11) as f64 / (1u64 << 53) as f64
 }

@@ -19,7 +19,7 @@
 //! which is exactly the behavior a per-node broker wants.
 
 use crate::error::WireError;
-use crate::frame::{read_frame_ext_or_eof, write_frame_ext, TracedFrameOrEof, FLAG_TRACE_CAPABLE};
+use crate::frame::{read_frame_ext_or_eof, write_frame, write_frame_ext, TracedFrameOrEof};
 use cpms_obs::{ScopedTrace, TraceContext};
 use std::collections::HashMap;
 use std::fmt;
@@ -170,18 +170,14 @@ impl<S> Drop for InProcServer<S> {
 ///
 /// The connection is established lazily on first call and kept across
 /// calls. On any failure the connection is dropped; the next call
-/// reconnects (and [`Transport::reconnects`] counts it).
+/// reconnects (and [`Transport::reconnects`] counts it). Every request
+/// carries the caller's current trace context, from the first call on.
 #[derive(Debug)]
 pub struct TcpTransport {
     addr: SocketAddr,
     conn: Mutex<Option<TcpStream>>,
     connected_once: AtomicBool,
     reconnects: AtomicU64,
-    // Trace-extension negotiation: requests carry a context only after
-    // a response advertised FLAG_TRACE_CAPABLE, so extension-less peers
-    // never see flagged payloads. Sticky across reconnects — a capable
-    // peer stays capable.
-    peer_capable: AtomicBool,
 }
 
 impl TcpTransport {
@@ -193,15 +189,7 @@ impl TcpTransport {
             conn: Mutex::new(None),
             connected_once: AtomicBool::new(false),
             reconnects: AtomicU64::new(0),
-            peer_capable: AtomicBool::new(false),
         }
-    }
-
-    /// Whether the peer has advertised frame-extension capability (so
-    /// requests carry trace contexts).
-    #[must_use]
-    pub fn peer_traces(&self) -> bool {
-        self.peer_capable.load(Ordering::Relaxed)
     }
 
     /// The peer address.
@@ -238,18 +226,10 @@ impl Transport for TcpTransport {
             .set_write_timeout(Some(remaining))
             .and_then(|()| stream.set_read_timeout(Some(remaining)))
             .map_err(|e| WireError::from_io(deadline_ms, &e))?;
-        let trace = if self.peer_capable.load(Ordering::Relaxed) {
-            TraceContext::current()
-        } else {
-            None
-        };
-        let result = write_frame_ext(&mut stream, request, FLAG_TRACE_CAPABLE, trace.as_ref())
+        let result = write_frame_ext(&mut stream, request, TraceContext::current().as_ref())
             .and_then(|()| read_frame_ext_or_eof(&mut stream));
         match result {
             Ok(TracedFrameOrEof::Frame(frame)) => {
-                if frame.peer_traces() {
-                    self.peer_capable.store(true, Ordering::Relaxed);
-                }
                 *guard = Some(stream); // reuse the connection
                 Ok(frame.payload)
             }
@@ -391,10 +371,7 @@ fn serve_connection(mut conn: TcpStream, service: &dyn Host) -> Result<(), WireE
             None => ScopedTrace::clear(),
         };
         let response = service.run(&frame.payload)?;
-        // Responses always advertise extension capability (old clients
-        // never read the flags byte) — this is the negotiation signal
-        // that lets a new client start attaching trace contexts.
-        write_frame_ext(&mut conn, &response, FLAG_TRACE_CAPABLE, None)?;
+        write_frame(&mut conn, &response)?;
     }
     Ok(())
 }
@@ -509,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn tcp_negotiates_capability_then_propagates_context() {
+    fn tcp_propagates_context_from_the_first_call() {
         let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
         let sink = std::sync::Arc::clone(&seen);
         let mut server = TcpServer::bind("127.0.0.1:0".parse().unwrap(), move |_req: &[u8]| {
@@ -518,23 +495,18 @@ mod tests {
         })
         .unwrap();
         let t = TcpTransport::new(server.addr());
-        assert!(!t.peer_traces(), "capability unknown before any response");
         let ctx = TraceContext::root(true);
         {
             let _scope = ScopedTrace::activate(ctx);
-            // First call: peer capability unknown, so the frame is
-            // untraced — the response negotiates capability.
             t.call(b"first", Duration::from_secs(2)).unwrap();
-            assert!(t.peer_traces(), "response advertised capability");
-            t.call(b"second", Duration::from_secs(2)).unwrap();
         }
+        t.call(b"untraced", Duration::from_secs(2)).unwrap();
         server.stop();
         let seen = seen.lock().unwrap();
-        assert_eq!(seen[0], None, "pre-negotiation frames are untraced");
         assert_eq!(
-            seen[1],
-            Some(ctx),
-            "post-negotiation frames carry the context"
+            *seen,
+            [Some(ctx), None],
+            "the first frame carries the caller's context; none leaks"
         );
     }
 
@@ -590,7 +562,7 @@ mod tests {
         let (service, _entered) = recorder();
         let mut server = TcpServer::bind(loopback(), service).unwrap();
         let mut frame = Vec::new();
-        write_frame_ext(&mut frame, b"late", FLAG_TRACE_CAPABLE, None).unwrap();
+        write_frame(&mut frame, b"late").unwrap();
         let mut staller = TcpStream::connect(server.addr()).unwrap();
         staller
             .set_read_timeout(Some(Duration::from_secs(2)))

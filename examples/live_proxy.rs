@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p cpms-core --example live_proxy`
 
 use cpms_httpd::client::HttpClient;
-use cpms_httpd::{ContentAwareProxy, OriginServer, SiteContent};
+use cpms_httpd::{ContentAwareProxy, Failure, OriginServer, SiteContent};
 use cpms_model::{ContentId, ContentKind, NodeId, UrlPath};
 use cpms_urltable::{UrlEntry, UrlTable};
 use std::time::{Duration, Instant};
@@ -88,8 +88,8 @@ fn main() -> std::io::Result<()> {
     println!(
         "proxy relayed {} requests ({} unroutable, {} backend errors)",
         proxy.relayed(),
-        proxy.unroutable(),
-        proxy.backend_errors()
+        proxy.failures(Failure::Unroutable),
+        proxy.failures(Failure::BackendFailed)
     );
     Ok(())
 }

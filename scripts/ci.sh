@@ -63,7 +63,8 @@ cargo run --release -q -p cpms-mgmt --bin cpms-broker -- --smoke
 echo "==> content shipping smoke (cpms-ship --smoke: loopback TCP ship under 20% loss + anti-entropy)"
 cargo run --release -q -p cpms-mgmt --bin cpms-ship -- --smoke
 
-echo "==> proxy data-plane smoke (cpms-proxy --smoke: 400-conn churn relay, overload 503s, tenant caps,"
+echo "==> proxy data-plane smoke (cpms-proxy --smoke: 400-conn churn relay, overload and tenant-cap 503s"
+echo "    whose bodies are the failure's token (overloaded, tenant_over_cap),"
 echo "    1 MiB bodies byte-exact with <= 16 KiB each through user space, the rest spliced;"
 echo "    per-request budget: 10,000 keep-alive GETs make 0 poller control calls and <= 0.01 timer arms each)"
 timeout --signal=KILL 120 ./target/release/cpms-proxy --smoke

@@ -7,7 +7,7 @@
 
 use cpms_httpd::client::HttpClient;
 use cpms_httpd::http::read_response;
-use cpms_httpd::{ContentAwareProxy, OriginServer, ProxyConfig, SiteContent};
+use cpms_httpd::{ContentAwareProxy, Failure, OriginServer, ProxyConfig, SiteContent, TenantCap};
 use cpms_model::{ContentId, ContentKind, NodeId, UrlPath};
 use cpms_obs::MetricsRegistry;
 use cpms_urltable::{TablePublisher, UrlEntry, UrlTable};
@@ -131,7 +131,7 @@ fn conn_active_gauge_returns_to_zero_after_all_admission_paths() {
             workers: 1,
             prefork: 2,
             max_conns: 4,
-            tenant_caps: vec![cpms_httpd::TenantCap {
+            tenant_caps: vec![TenantCap {
                 prefix: "a.html".to_string(),
                 max_conns: 2,
             }],
@@ -826,4 +826,132 @@ fn an_idle_pooled_connection_that_hangs_up_or_babbles_is_discarded() {
         assert_ne!(next.body, first.body, "served on another connection");
         assert_eq!(counter(&registry, "proxy_backend_errors_total"), 0);
     }
+}
+
+/// Every response the proxy makes itself is one `Failure`, driven here
+/// through a live proxy per variant: the variant's status with its token
+/// as the body, one count on its own counter and none on any other, the
+/// connection closed or kept as the variant says, and — for a request
+/// that opened a span — the span failed with the token first in its
+/// detail.
+#[test]
+fn every_failure_answers_its_status_and_token_and_counts_once() {
+    let (origin, table) = single_origin();
+    let refusing = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let hanging_up = scripted_backend(|_, _| false);
+    for failure in Failure::ALL {
+        let mut config = ProxyConfig {
+            workers: 1,
+            prefork: 1,
+            ..ProxyConfig::default()
+        };
+        let mut backend = origin.addr();
+        let mut request = "GET /a.html HTTP/1.1\r\nHost: x\r\n\r\n";
+        match failure {
+            Failure::Malformed => request = "GARBAGE\r\n\r\n",
+            Failure::Unsupported => request = "HEAD /a.html HTTP/1.1\r\nHost: x\r\n\r\n",
+            Failure::TenantOverCap => {
+                config.tenant_caps = vec![TenantCap {
+                    prefix: "a.html".to_string(),
+                    max_conns: 0,
+                }];
+            }
+            Failure::Unroutable => request = "GET /nowhere HTTP/1.1\r\nHost: x\r\n\r\n",
+            Failure::BackendConnect => (backend, config.prefork) = (refusing, 0),
+            Failure::BackendFailed => backend = hanging_up,
+            // Shed at accept, before a request is read.
+            Failure::Overloaded => (config.max_conns, request) = (0, ""),
+        }
+        let registry = Arc::new(MetricsRegistry::new());
+        let proxy = ContentAwareProxy::start_with_config(
+            TablePublisher::new(table.clone()),
+            vec![backend],
+            Arc::clone(&registry),
+            config,
+        )
+        .unwrap();
+        let conn = TcpStream::connect(proxy.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reader = BufReader::new(&conn);
+        for round in 0..2 {
+            (&conn).write_all(request.as_bytes()).unwrap();
+            let resp = read_response(&mut reader).unwrap();
+            assert_eq!(
+                (resp.status, &resp.body[..]),
+                (failure.status(), failure.token().as_bytes()),
+                "{failure:?}"
+            );
+            if round == 0 {
+                for other in Failure::ALL {
+                    assert_eq!(
+                        counter(&registry, other.counter()),
+                        u64::from(other == failure),
+                        "{failure:?} moved {}",
+                        other.counter()
+                    );
+                }
+            }
+            if failure.closes() {
+                let mut rest = Vec::new();
+                reader.read_to_end(&mut rest).unwrap();
+                assert!(rest.is_empty(), "{failure:?} closes: {rest:?}");
+                break;
+            }
+            // Kept open: the same request again gets the same answer.
+        }
+        if !matches!(failure, Failure::Malformed | Failure::Overloaded) {
+            let spans = || registry.spans().snapshot();
+            wait_until("the request span is recorded", || {
+                spans().iter().any(|s| s.name == "proxy.request")
+            });
+            let span = spans()
+                .into_iter()
+                .find(|s| s.name == "proxy.request")
+                .unwrap();
+            assert!(span.error, "{failure:?}");
+            assert!(
+                span.detail.starts_with(&format!("{}: /", failure.token())),
+                "{failure:?}: {}",
+                span.detail
+            );
+        }
+    }
+}
+
+/// The proxy relays a GET without a body and refuses anything else with
+/// one 501 and a close: a HEAD relayed as a GET gets a body its client
+/// will not read, and a request body would parse as the next request —
+/// here smuggling a GET past the client's framing.
+#[test]
+fn a_head_or_a_request_with_a_body_gets_one_501_and_a_close() {
+    let (origin, table) = single_origin();
+    let (proxy, registry) = one_worker_proxy(table, origin.addr(), 1);
+    let smuggled = "GET /b.html HTTP/1.1\r\nHost: x\r\n\r\n";
+    let with_body = |method: &str| {
+        format!(
+            "{method} /a.html HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{smuggled}",
+            smuggled.len()
+        )
+    };
+    for request in [
+        "HEAD /a.html HTTP/1.1\r\nHost: x\r\n\r\n".to_string(),
+        with_body("POST"),
+        with_body("GET"),
+    ] {
+        let mut conn = TcpStream::connect(proxy.addr()).unwrap();
+        conn.write_all(request.as_bytes()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut got = Vec::new();
+        conn.read_to_end(&mut got).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            "HTTP/1.1 501 Not Implemented\r\nContent-Length: 11\r\nConnection: close\r\n\r\nunsupported",
+            "{request:?}"
+        );
+    }
+    assert_eq!(origin.served(), 0);
+    assert_eq!(counter(&registry, "proxy_relayed_total"), 0);
 }

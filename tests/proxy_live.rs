@@ -3,7 +3,7 @@
 //! management-driven migration while traffic flows.
 
 use cpms_httpd::client::HttpClient;
-use cpms_httpd::{ContentAwareProxy, OriginServer, SiteContent};
+use cpms_httpd::{ContentAwareProxy, Failure, OriginServer, SiteContent};
 use cpms_model::{ContentId, ContentKind, NodeId, UrlPath};
 use cpms_urltable::{UrlEntry, UrlTable};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -98,7 +98,7 @@ fn content_aware_proxy_serves_partitioned_site() {
     assert_eq!(origins[1].served(), 1);
     assert_eq!(origins[2].served(), 1);
     assert_eq!(proxy.relayed(), 3);
-    assert_eq!(proxy.unroutable(), 0);
+    assert_eq!(proxy.failures(Failure::Unroutable), 0);
 }
 
 #[test]

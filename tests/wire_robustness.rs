@@ -221,60 +221,6 @@ fn lossy_rpcs_record_one_logical_span_per_call() {
     })
 }
 
-/// Tracing satellite: a trace-capable client talking to an extension-less
-/// peer (one that never sets `FLAG_TRACE_CAPABLE` on its frames) must
-/// degrade to plain untraced frames — the extension is negotiated, never
-/// assumed.
-#[test]
-fn extensionless_peer_receives_plain_frames() {
-    use cpms_wire::frame::{self, TracedFrameOrEof};
-    with_deadline("extensionless_peer", TEST_DEADLINE, || {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let seen: Arc<std::sync::Mutex<Vec<(u8, bool)>>> = Arc::default();
-        let log = Arc::clone(&seen);
-        let server = std::thread::spawn(move || {
-            // An old build: echoes zero-flag frames and never reads
-            // extensions beyond what the decoder strips.
-            let (mut conn, _) = listener.accept().unwrap();
-            while let Ok(TracedFrameOrEof::Frame(f)) = frame::read_frame_ext_or_eof(&mut conn) {
-                log.lock().unwrap().push((f.flags, f.trace.is_some()));
-                frame::write_frame(&mut conn, b"pong").unwrap();
-            }
-        });
-
-        let transport = cpms_wire::TcpTransport::new(addr);
-        let ctx = cpms_obs::TraceContext::root(true);
-        let _trace = cpms_obs::ScopedTrace::activate(ctx);
-        for _ in 0..3 {
-            let reply = transport
-                .call(b"ping", Duration::from_secs(5))
-                .expect("plain peer still answers");
-            assert_eq!(reply, b"pong");
-        }
-        assert!(
-            !transport.peer_traces(),
-            "a zero-flag peer must never be marked trace-capable"
-        );
-        drop(transport);
-        server.join().unwrap();
-
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 3);
-        for &(flags, traced) in seen.iter() {
-            assert_ne!(
-                flags & frame::FLAG_TRACE_CAPABLE,
-                0,
-                "the new build always advertises capability"
-            );
-            assert!(
-                !traced,
-                "no trace extension may be attached before the peer advertises"
-            );
-        }
-    })
-}
-
 /// Tracing satellite: raw garbage in the extension area of frames sent to
 /// a live TCP daemon — truncated extension headers, over-announced
 /// lengths, unknown versions, invalid contexts — must surface as typed
@@ -282,9 +228,7 @@ fn extensionless_peer_receives_plain_frames() {
 /// the daemon for later well-formed clients.
 #[test]
 fn garbage_extension_area_never_wedges_the_daemon() {
-    use cpms_wire::frame::{
-        checksum, FLAG_TRACE, FLAG_TRACE_CAPABLE, MAGIC, TRACE_EXT_VERSION, VERSION,
-    };
+    use cpms_wire::frame::{checksum, FLAG_TRACE, MAGIC, TRACE_EXT_VERSION, VERSION};
     with_deadline("garbage_extension", TEST_DEADLINE, || {
         let mut host = Broker::bind(
             "127.0.0.1:0".parse().unwrap(),
@@ -293,31 +237,30 @@ fn garbage_extension_area_never_wedges_the_daemon() {
         .unwrap();
         let addr = host.addr().expect("tcp daemon has an address");
 
-        let raw_frame = |flags: u8, body: &[u8]| -> Vec<u8> {
-            let mut out = vec![MAGIC[0], MAGIC[1], VERSION, flags];
+        let raw_frame = |body: &[u8]| -> Vec<u8> {
+            let mut out = vec![MAGIC[0], MAGIC[1], VERSION, FLAG_TRACE];
             out.extend_from_slice(&u32::try_from(body.len()).unwrap().to_be_bytes());
             out.extend_from_slice(&checksum(body).to_be_bytes());
             out.extend_from_slice(body);
             out
         };
-        let flagged = FLAG_TRACE | FLAG_TRACE_CAPABLE;
 
         // Body too short for the extension's own two-byte header.
-        let too_short = raw_frame(flagged, &[TRACE_EXT_VERSION]);
+        let too_short = raw_frame(&[TRACE_EXT_VERSION]);
         // Extension announces 200 context bytes; only 10 are present.
         let mut over = vec![TRACE_EXT_VERSION, 200];
         over.extend_from_slice(&[0xAB; 10]);
-        let over_announced = raw_frame(flagged, &over);
+        let over_announced = raw_frame(&over);
         // Structurally valid but semantically dead context (all zeros):
         // the daemon must degrade to untraced and still read the payload.
         let mut zeroed = vec![TRACE_EXT_VERSION, 33];
         zeroed.extend_from_slice(&[0u8; 33]);
         zeroed.extend_from_slice(b"this is not a ship request");
-        let zero_ctx = raw_frame(flagged, &zeroed);
+        let zero_ctx = raw_frame(&zeroed);
         // Unknown extension version: same degradation contract.
         let mut unknown = vec![0x7F, 4, 1, 2, 3, 4];
         unknown.extend_from_slice(b"still not a ship request");
-        let unknown_version = raw_frame(flagged, &unknown);
+        let unknown_version = raw_frame(&unknown);
 
         for (what, frame_bytes) in [
             ("too-short extension", too_short),
@@ -340,7 +283,7 @@ fn garbage_extension_area_never_wedges_the_daemon() {
                 .unwrap_or_else(|e| panic!("{what}: daemon must close or answer, got {e}"));
         }
 
-        // The daemon still serves well-formed trace-capable clients.
+        // The daemon still serves well-formed clients.
         let remote = Broker::connect(NodeId(0), addr);
         let stats = retry("probe after extension garbage", 3, || remote.store_stats());
         assert_eq!(stats.objects, 0);
