@@ -234,7 +234,7 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
     }
     let pairs: Vec<(SocketAddr, SocketAddr)> = brokers.iter().map(|b| (b.wire, b.http)).collect();
     let proxy: ProxyProc = spawn_proxy(&pairs)?;
-    let mut admin = AdminClient::connect(proxy.admin).map_err(|e| format!("connect admin: {e}"))?;
+    let admin = AdminClient::new(proxy.admin);
     eprintln!(
         "cpms-lab: {} broker(s) + proxy up in {} ms",
         brokers.len(),
@@ -285,7 +285,7 @@ fn run_inner(scenario: &Scenario, lab_dir: &Path, started: Instant) -> Result<La
 
     for r in 0..scenario.workload.requests {
         while next_fault < faults.len() && faults[next_fault].at_request <= r {
-            fire_fault(&faults[next_fault], &mut brokers, &mut admin, &mut killed)?;
+            fire_fault(&faults[next_fault], &mut brokers, &admin, &mut killed)?;
             next_fault += 1;
         }
         let object = stream.next().expect("streams are infinite");
@@ -636,7 +636,7 @@ fn build_stream(scenario: &Scenario) -> Box<dyn Iterator<Item = usize>> {
 fn fire_fault(
     fault: &crate::scenario::FaultSpec,
     brokers: &mut [BrokerProc],
-    admin: &mut AdminClient,
+    admin: &AdminClient,
     killed: &mut HashSet<u16>,
 ) -> Result<(), String> {
     let node = fault.node;
@@ -675,7 +675,7 @@ fn fire_fault(
     }
 }
 
-fn admin_fault(admin: &mut AdminClient, cmd: &str) -> Result<(), String> {
+fn admin_fault(admin: &AdminClient, cmd: &str) -> Result<(), String> {
     let resp = admin.send(cmd).map_err(|e| format!("admin {cmd:?}: {e}"))?;
     if resp.ok {
         Ok(())

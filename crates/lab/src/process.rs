@@ -197,7 +197,7 @@ pub struct ProxyProc {
     pub proc: ChildProc,
     /// Client-facing HTTP endpoint (the distributor).
     pub http: SocketAddr,
-    /// ND-JSON admin endpoint.
+    /// Admin endpoint: the controller's [`cpms_mgmt::admin`] wire service.
     pub admin: SocketAddr,
 }
 

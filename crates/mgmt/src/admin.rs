@@ -1,9 +1,11 @@
-//! A newline-delimited-JSON admin API for management daemons.
+//! The admin API of a management daemon, as a [`cpms_wire`] service.
 //!
-//! The [`Shell`](crate::shell::Shell) is the remote console; this socket
+//! The [`Shell`](crate::shell::Shell) is the remote console; this service
 //! is how a cluster orchestrator (the `cpms-lab` harness) reaches the
-//! shell of the one daemon that owns a controller. The protocol is one
-//! JSON object per line in each direction:
+//! shell of the one daemon that owns a controller. A daemon hosts
+//! [`service`] on a [`cpms_wire::TcpServer`] and a driver calls it
+//! through an [`AdminClient`]: one wire frame each way, each carrying one
+//! JSON object.
 //!
 //! ```text
 //! -> {"cmd": "publish /a.html html 1024 0,1"}
@@ -14,21 +16,25 @@
 //! health commands that *detected* a problem (`audit` finding drift), so
 //! a driver can gate on it directly.
 //!
-//! The socket is for **control**. Introspection — metrics, traces, the
+//! The wire supplies the rest, as it does for the brokers: a bound on
+//! every request ([`cpms_wire::frame::MAX_FRAME`]), checksummed frames, a
+//! thread per peer, so a peer stalled mid-frame holds only its own
+//! connection, per-call deadlines, and the caller's trace context.
+//!
+//! The service is for **control**. Introspection — metrics, traces, the
 //! flight recorder's series — is served over HTTP at `/_cpms/*` by every
 //! process, controller or not.
 
+use cpms_wire::{Client, RetryPolicy, Service, TcpTransport, WireError};
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::io::BufRead;
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 
-/// The longest request line the server reads, newline excluded. A longer
-/// one is answered `ok: false` and its connection closed, so a peer that
-/// never sends a newline costs this much memory and no more.
-const MAX_REQUEST_LINE: usize = 64 * 1024;
+/// How long one admin call may take: `audit` and `repair` visit every
+/// node, each under its own wire deadlines and retries.
+const ADMIN_DEADLINE: Duration = Duration::from_secs(30);
 
 /// One admin request: a single shell command line.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,196 +72,106 @@ impl AdminResponse {
     }
 }
 
-/// What `stop()` needs from the accept thread: whether to stop, and a
-/// clone of the connection being served, to shut down.
-#[derive(Debug, Default)]
-struct Live {
-    stopped: bool,
-    conn: Option<TcpStream>,
-}
-
-/// A TCP listener serving the ND-JSON admin protocol, dispatching each
-/// request line to a handler. Connections are served one at a time on
-/// the accept thread — the admin plane has a single driver, and
-/// serializing keeps the handler a plain `FnMut` over mutable daemon
-/// state.
-#[derive(Debug)]
-pub struct AdminServer {
-    addr: SocketAddr,
-    live: Arc<Mutex<Live>>,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl AdminServer {
-    /// Binds `addr` (port 0 picks an ephemeral port) and serves requests
-    /// through `handler` on a background thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the listener bind failure.
-    pub fn bind(
-        addr: SocketAddr,
-        mut handler: impl FnMut(&str) -> AdminResponse + Send + 'static,
-    ) -> io::Result<AdminServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let live = Arc::new(Mutex::new(Live::default()));
-        let accept_live = Arc::clone(&live);
-        let accept_thread = std::thread::Builder::new()
-            .name("cpms-admin".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    let Ok(stream) = conn else { continue };
-                    {
-                        // Checked and registered under one lock, so a
-                        // `stop()` either sees this connection or is seen.
-                        let mut live = accept_live.lock().expect("admin live lock");
-                        if live.stopped {
-                            break;
-                        }
-                        let Ok(clone) = stream.try_clone() else {
-                            continue;
-                        };
-                        live.conn = Some(clone);
-                    }
-                    let _ = serve_connection(stream, &mut handler);
-                    accept_live.lock().expect("admin live lock").conn = None;
-                }
-            })?;
-        Ok(AdminServer {
-            addr,
-            live,
-            accept_thread: Some(accept_thread),
-        })
-    }
-
-    /// The bound address.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops serving and joins the accept thread. A connected client's
-    /// read half is shut down: an idle connection ends at once, one
-    /// mid-request still gets its answer.
-    pub fn stop(&mut self) {
-        let Some(accept_thread) = self.accept_thread.take() else {
-            return;
+/// The admin protocol around `handler`, as a wire [`Service`]: each
+/// request payload decodes to an [`AdminRequest`] whose command line the
+/// handler answers. A payload that does not decode is answered `ok: false`
+/// and never reaches the handler.
+pub fn service(mut handler: impl FnMut(&str) -> AdminResponse + Send + 'static) -> impl Service {
+    move |request: &[u8]| {
+        let response = match std::str::from_utf8(request)
+            .map_err(|e| format!("payload is not UTF-8: {e}"))
+            .and_then(|text| serde_json::from_str::<AdminRequest>(text).map_err(|e| e.to_string()))
+        {
+            Ok(request) => handler(&request.cmd),
+            Err(detail) => AdminResponse::err(format!("bad admin request: {detail}")),
         };
-        if let Ok(mut live) = self.live.lock() {
-            live.stopped = true;
-            if let Some(conn) = &live.conn {
-                let _ = conn.shutdown(Shutdown::Read);
-            }
-        }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        let _ = accept_thread.join();
+        serde_json::to_string(&response)
+            .expect("admin responses always serialize")
+            .into_bytes()
     }
 }
 
-impl Drop for AdminServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// One connection's read-dispatch-write loop, until the client hangs up,
-/// `stop()` shuts the socket down, or a request line runs past
-/// [`MAX_REQUEST_LINE`].
-fn serve_connection(
-    stream: TcpStream,
-    handler: &mut impl FnMut(&str) -> AdminResponse,
-) -> io::Result<()> {
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut reader = BufReader::new(stream);
-    let mut line = Vec::new();
-    loop {
-        line.clear();
-        let limit = MAX_REQUEST_LINE as u64 + 1;
-        if reader.by_ref().take(limit).read_until(b'\n', &mut line)? == 0 {
-            return Ok(());
-        }
-        let too_long = line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n');
-        let request = line.trim_ascii();
-        let response = if too_long {
-            AdminResponse::err(format!(
-                "request line too long (over {MAX_REQUEST_LINE} bytes)"
-            ))
-        } else if request.is_empty() {
-            continue;
-        } else {
-            match serde_json::from_str::<AdminRequest>(&String::from_utf8_lossy(request)) {
-                Ok(request) => handler(&request.cmd),
-                Err(e) => AdminResponse::err(format!("bad request line: {e}")),
-            }
-        };
-        let encoded = serde_json::to_string(&response).expect("response serializes");
-        writer.write_all(encoded.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        if too_long {
-            return Ok(());
-        }
-    }
-}
-
-/// A client for the ND-JSON admin protocol: one persistent connection,
-/// one request/response pair per [`AdminClient::send`].
+/// A driver's handle on one daemon's admin [`service`]: a wire
+/// [`Client`] with one persistent connection, made on the first call and
+/// again after a failed one.
 #[derive(Debug)]
 pub struct AdminClient {
-    writer: BufWriter<TcpStream>,
-    reader: BufReader<TcpStream>,
+    client: Client,
 }
 
 impl AdminClient {
-    /// Connects to an [`AdminServer`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates connect failures.
-    pub fn connect(addr: SocketAddr) -> io::Result<AdminClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        Ok(AdminClient {
-            writer: BufWriter::new(stream.try_clone()?),
-            reader: BufReader::new(stream),
-        })
+    /// A client for the admin service at `addr`. Does not connect yet.
+    #[must_use]
+    pub fn new(addr: SocketAddr) -> AdminClient {
+        let transport = Arc::new(TcpTransport::new(addr));
+        AdminClient {
+            // Never retried: commands are not idempotent. A replayed
+            // `publish` would publish twice under the next content id.
+            client: Client::new(transport)
+                .with_deadline(ADMIN_DEADLINE)
+                .with_retry(RetryPolicy::no_retry()),
+        }
     }
 
-    /// Sends one command line and reads its response.
+    /// Sends one command line and returns the daemon's answer.
     ///
     /// # Errors
     ///
-    /// I/O failures, a closed connection, or an unparseable response.
-    pub fn send(&mut self, cmd: &str) -> io::Result<AdminResponse> {
-        let encoded = serde_json::to_string(&AdminRequest {
+    /// The call's [`WireError`]: the daemon unreachable or gone, the
+    /// deadline passed, or an answer that does not decode.
+    pub fn send(&self, cmd: &str) -> Result<AdminResponse, WireError> {
+        self.client.call(&AdminRequest {
             cmd: cmd.to_string(),
         })
-        .expect("request serializes");
-        self.writer.write_all(encoded.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "admin server closed the connection",
-            ));
+    }
+}
+
+/// Blocks until stdin ends, fails, or carries a `shutdown` line: how an
+/// orchestrator holding a daemon's stdin pipe stops it, by closing the
+/// pipe or on purpose.
+pub fn until_stdin_closes() {
+    let stdin = std::io::stdin();
+    let mut line = String::new();
+    loop {
+        line.clear();
+        match stdin.lock().read_line(&mut line) {
+            Ok(0) | Err(_) => return,
+            Ok(_) if line.trim() == "shutdown" => return,
+            Ok(_) => {}
         }
-        serde_json::from_str(&line)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpms_wire::frame::{encode_frame, HEADER_LEN, MAGIC, MAX_FRAME, VERSION};
+    use cpms_wire::{TcpServer, Transport};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::Instant;
+
+    fn loopback() -> SocketAddr {
+        "127.0.0.1:0".parse().unwrap()
+    }
+
+    fn ping(cmd: &str) -> AdminResponse {
+        if cmd == "ping" {
+            AdminResponse::ok("pong")
+        } else {
+            AdminResponse::err(format!("unknown {cmd:?}"))
+        }
+    }
+
+    fn ping_server() -> TcpServer<impl Service> {
+        TcpServer::bind(loopback(), service(ping)).unwrap()
+    }
 
     #[test]
     fn round_trips_commands_and_failures() {
         let mut server = ping_server();
-        let mut client = AdminClient::connect(server.addr()).unwrap();
+        let client = AdminClient::new(server.addr());
         assert_eq!(client.send("ping").unwrap(), AdminResponse::ok("pong"));
         let bad = client.send("nope").unwrap();
         assert!(!bad.ok);
@@ -264,82 +180,128 @@ mod tests {
         assert_eq!(client.send("ping").unwrap(), AdminResponse::ok("pong"));
         server.stop();
         // After stop, new connections get no service.
-        assert!(AdminClient::connect(server.addr())
-            .and_then(|mut c| c.send("ping"))
-            .is_err());
+        assert!(AdminClient::new(server.addr()).send("ping").is_err());
     }
 
     #[test]
-    fn malformed_lines_answer_with_an_error() {
-        let server = AdminServer::bind("127.0.0.1:0".parse().unwrap(), |_| {
-            AdminResponse::ok("fine")
-        })
-        .unwrap();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        let mut writer = BufWriter::new(stream.try_clone().unwrap());
-        writer.write_all(b"this is not json\n").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line).unwrap();
-        let response: AdminResponse = serde_json::from_str(&line).unwrap();
-        assert!(!response.ok);
-        assert!(response.output.contains("bad request line"));
-    }
-
-    fn ping_server() -> AdminServer {
-        AdminServer::bind("127.0.0.1:0".parse().unwrap(), |cmd| {
-            if cmd == "ping" {
-                AdminResponse::ok("pong")
-            } else {
-                AdminResponse::err(format!("unknown {cmd:?}"))
+    fn a_command_whose_answer_is_lost_is_not_sent_again() {
+        // A peer that takes each request and hangs up without answering:
+        // a retrying client would reconnect and run the command twice.
+        let listener = std::net::TcpListener::bind(loopback()).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let requests = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&requests);
+        std::thread::spawn(move || {
+            for mut conn in listener.incoming().flatten() {
+                if conn.read(&mut [0; 64]).is_ok_and(|n| n > 0) {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                }
             }
-        })
-        .unwrap()
+        });
+        let client = AdminClient::new(addr);
+        assert!(client.send("publish /a.html html 10 0").is_err());
+        assert_eq!(
+            requests.load(Ordering::SeqCst),
+            1,
+            "sent once, not replayed"
+        );
     }
 
     #[test]
-    fn over_long_lines_are_refused_and_the_next_client_served() {
+    fn undecodable_requests_answer_not_ok_and_skip_the_handler() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&calls);
+        let mut server = TcpServer::bind(
+            loopback(),
+            service(move |cmd| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                ping(cmd)
+            }),
+        )
+        .unwrap();
+        let raw = TcpTransport::new(server.addr());
+        for payload in [
+            &b"this is not json"[..],
+            b"{\"cmd\": 5}",
+            b"{}",
+            b"{\"cmd\": \"ping\"}\0tail",
+            &[0xFF, 0xFE, b'{'],
+        ] {
+            let reply = raw.call(payload, Duration::from_secs(2)).unwrap();
+            let response: AdminResponse =
+                serde_json::from_str(std::str::from_utf8(&reply).unwrap()).unwrap();
+            assert!(!response.ok, "{payload:?}: {response:?}");
+            assert!(
+                response.output.contains("bad admin request"),
+                "{payload:?}: {response:?}"
+            );
+        }
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "the handler saw none");
+        // The same connection still serves a good request.
+        let reply = raw
+            .call(br#"{"cmd": "ping"}"#, Duration::from_secs(2))
+            .unwrap();
+        assert_eq!(reply, br#"{"ok":true,"output":"pong"}"#);
+        assert_eq!(raw.reconnects(), 0, "one connection throughout");
+        server.stop();
+    }
+
+    #[test]
+    fn hostile_bytes_cost_their_own_connection_and_stall_no_other_client() {
         let server = ping_server();
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        stream
+        let reads_eof = |mut stream: TcpStream| {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut rest = Vec::new();
+            // The server drops the connection: EOF, or a reset.
+            let _ = stream.read_to_end(&mut rest);
+            assert!(rest.is_empty(), "answered garbage with {rest:?}");
+        };
+        // Not a frame at all.
+        let mut garbage = TcpStream::connect(server.addr()).unwrap();
+        garbage.write_all(b"{\"cmd\": \"ping\"}\n").unwrap();
+        reads_eof(garbage);
+        // A well-formed header announcing a frame past the bound: refused
+        // before a byte of it is allocated.
+        let mut huge = TcpStream::connect(server.addr()).unwrap();
+        let too_long = u32::try_from(MAX_FRAME + 1).unwrap().to_be_bytes();
+        let mut header = vec![MAGIC[0], MAGIC[1], VERSION, 0];
+        header.extend_from_slice(&too_long);
+        header.extend_from_slice(&[0; 4]);
+        assert_eq!(header.len(), HEADER_LEN);
+        huge.write_all(&header).unwrap();
+        reads_eof(huge);
+
+        // A peer stalled mid-header holds only its own connection.
+        let frame = encode_frame(br#"{"cmd": "ping"}"#);
+        let mut staller = TcpStream::connect(server.addr()).unwrap();
+        staller.write_all(&frame[..5]).unwrap();
+        let client = AdminClient::new(server.addr());
+        let start = Instant::now();
+        assert_eq!(client.send("ping").unwrap(), AdminResponse::ok("pong"));
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "served in {:?} beside a stalled peer",
+            start.elapsed()
+        );
+        // ... and loses nothing for being slow.
+        staller.write_all(&frame[5..]).unwrap();
+        staller
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        let mut writer = BufWriter::new(stream.try_clone().unwrap());
-        let mut reader = BufReader::new(stream);
-        // Exactly the limit still parses: padding is whitespace.
-        let mut at_limit = br#"{"cmd": "ping"}"#.to_vec();
-        at_limit.resize(MAX_REQUEST_LINE, b' ');
-        writer.write_all(&at_limit).unwrap();
-        writer.write_all(b"\n").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert_eq!(
-            serde_json::from_str::<AdminResponse>(&line).unwrap(),
-            AdminResponse::ok("pong")
-        );
-        // One byte more, and no newline ever: answered, then hung up on.
-        writer.write_all(&vec![b'x'; MAX_REQUEST_LINE + 1]).unwrap();
-        writer.flush().unwrap();
-        line.clear();
-        reader.read_line(&mut line).unwrap();
-        let refused: AdminResponse = serde_json::from_str(&line).unwrap();
-        assert!(!refused.ok, "{refused:?}");
-        assert!(refused.output.contains("too long"), "{refused:?}");
-        line.clear();
-        assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
-        let mut next = AdminClient::connect(server.addr()).unwrap();
-        assert_eq!(next.send("ping").unwrap(), AdminResponse::ok("pong"));
+        let reply = cpms_wire::frame::read_frame(&mut staller).unwrap();
+        assert_eq!(reply, br#"{"ok":true,"output":"pong"}"#);
     }
 
     #[test]
     fn stop_is_prompt_with_an_idle_client_connected() {
         let mut server = ping_server();
-        let mut idle = AdminClient::connect(server.addr()).unwrap();
+        let idle = AdminClient::new(server.addr());
         assert_eq!(idle.send("ping").unwrap(), AdminResponse::ok("pong"));
         let (done, stopped) = std::sync::mpsc::channel();
         let stopper = std::thread::spawn(move || {
-            let started = std::time::Instant::now();
+            let started = Instant::now();
             server.stop();
             let _ = done.send(started.elapsed());
         });

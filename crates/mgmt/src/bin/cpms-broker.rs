@@ -148,19 +148,7 @@ fn daemon(addr: &str, rest: &[String]) {
             None => String::new(),
         }
     );
-    // Serve until the operator (or the orchestrator holding our stdin
-    // pipe) tells us to stop: an explicit `shutdown` line or EOF.
-    let stdin = std::io::stdin();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match std::io::BufRead::read_line(&mut stdin.lock(), &mut line) {
-            Ok(0) => break,
-            Ok(_) if line.trim() == "shutdown" => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
+    cpms_mgmt::admin::until_stdin_closes();
     if let Some(s) = sampler.as_mut() {
         s.stop();
     }

@@ -1,6 +1,6 @@
 //! The distributor as a standalone daemon: a content-aware proxy, the
-//! management controller that feeds its URL table, and an ND-JSON admin
-//! socket — the front end of a multi-process paper testbed.
+//! management controller that feeds its URL table, and an admin socket —
+//! the front end of a multi-process paper testbed.
 //!
 //! Usage:
 //!   cpms-proxy \[--admin ADDR\] \[--prefork N\] \[--workers N\]
@@ -30,11 +30,11 @@
 //! ```
 //!
 //! then serves until stdin closes or the admin socket receives
-//! `shutdown`. The admin socket is for **control**: it speaks
-//! [`cpms_mgmt::admin`]'s ND-JSON, every [`Shell`] command (`publish`,
-//! `audit`, `evict`, `help`, …) plus the verbs that need this daemon's
-//! own state — the chaos switches wired to per-link [`FaultSwitch`]es,
-//! and the stop verb:
+//! `shutdown`. The admin socket is for **control**: it is the
+//! [`cpms_mgmt::admin`] wire service, answering every [`Shell`] command
+//! (`publish`, `audit`, `evict`, `help`, …) plus the verbs that need this
+//! daemon's own state — the chaos switches wired to per-link
+//! [`FaultSwitch`]es, and the stop verb:
 //!
 //! ```text
 //! fault <node> loss <rate> [seed]   arm frame loss on the node's link
@@ -56,12 +56,12 @@
 //! `slo_breach_total`.
 
 use cpms_httpd::{ContentAwareProxy, ProxyConfig, TenantCap};
-use cpms_mgmt::admin::{AdminResponse, AdminServer};
+use cpms_mgmt::admin::{self, AdminResponse};
 use cpms_mgmt::shell::{parse_node, Shell};
 use cpms_mgmt::{Broker, Cluster, Controller};
 use cpms_model::NodeId;
 use cpms_obs::{MetricsRegistry, SloRule, SloWatchdog};
-use cpms_wire::{FaultPlan, FaultSwitch, Transport};
+use cpms_wire::{FaultPlan, FaultSwitch, TcpServer, Transport};
 use std::net::SocketAddr;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -191,9 +191,10 @@ fn main() {
     let mut shell = Shell::new(controller);
     let (stop_tx, stop_rx) = mpsc::channel::<&'static str>();
     let admin_stop = stop_tx.clone();
-    let admin = AdminServer::bind(admin_addr, move |cmd| {
-        dispatch(&mut shell, &switches, &admin_stop, cmd)
-    })
+    let mut admin = TcpServer::bind(
+        admin_addr,
+        admin::service(move |cmd| dispatch(&mut shell, &switches, &admin_stop, cmd)),
+    )
     .expect("bind admin listener");
 
     println!(
@@ -214,24 +215,16 @@ fn main() {
     // Serve until whoever holds our stdin pipe drops it, someone types
     // `shutdown`, or the admin socket asks for it.
     std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match std::io::BufRead::read_line(&mut stdin.lock(), &mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) if line.trim() == "shutdown" => break,
-                Ok(_) => {}
-            }
-        }
+        admin::until_stdin_closes();
         let _ = stop_tx.send("stdin closed");
     });
     let reason = stop_rx.recv().unwrap_or("stop channel closed");
     eprintln!("cpms-proxy: shutting down ({reason})");
     let mut proxy = proxy;
-    let mut admin = admin;
-    admin.stop();
     proxy.shutdown();
+    // Last, so an admin `shutdown` has had the proxy's whole teardown to
+    // write its answer.
+    admin.stop();
 }
 
 /// Handles one admin command: the fault switches and the stop verb

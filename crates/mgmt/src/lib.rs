@@ -32,7 +32,7 @@
 //!   ([`Controller::table`]).
 //! - The §3 remote console — [`shell::Shell`], one command language over
 //!   the controller, driven from stdin by the `cpms-console` binary and
-//!   over a daemon's [`admin`] socket by the same lines.
+//!   through a daemon's [`admin`] wire service by the same lines.
 //!
 //! Plus §3.3's [`autorep::AutoReplicator`]: the load-balancing policy that
 //! replicates popular content to underutilized nodes and sheds copies from
@@ -77,7 +77,7 @@ pub mod monitor;
 pub mod shell;
 pub mod store;
 
-pub use admin::{AdminClient, AdminRequest, AdminResponse, AdminServer};
+pub use admin::{AdminClient, AdminRequest, AdminResponse};
 pub use agent::AgentError;
 pub use auditor::{AntiEntropyAuditor, Drift, DriftReport};
 pub use autorep::{AutoReplicator, RebalanceAction};

@@ -4,7 +4,8 @@
 //! it to perform management operations").
 //!
 //! The `cpms-console` binary feeds it stdin lines; a daemon's
-//! [`AdminServer`](crate::admin::AdminServer) feeds it socket lines. Both
+//! [`admin::service`](crate::admin::service) feeds it the command lines
+//! that arrive over the wire. Both
 //! get the same [`AdminResponse`]: `ok` is `false` for a command error
 //! (bad arguments, "no such node") *and* for a health command that
 //! detected a problem, so scripts and CI turn either into a nonzero exit.

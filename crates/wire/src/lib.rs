@@ -2,7 +2,8 @@
 //!
 //! The control-plane transport: length-prefixed, checksummed,
 //! serde-framed request/response messaging between the management
-//! daemons (controller ↔ brokers, primary ↔ backup distributor).
+//! daemons (controller ↔ brokers, primary ↔ backup distributor, and an
+//! orchestrator → the controller daemon's admin service).
 //!
 //! The paper's management system (§3) is explicitly distributed — brokers
 //! are standalone daemons on each backend node, agents are *shipped* to
