@@ -8,7 +8,9 @@
 //!     1.02 bytes, and sender and receivers together may run at most
 //!     1.55 bytes through `fnv64`, per payload byte shipped — counts
 //!     that repeat exactly, so chunk bytes spelled as text again, or a
-//!     checksum pass creeping back in, fail it without a timing. Then
+//!     checksum pass creeping back in, fail it without a timing — and
+//!     both stores must end with no transfer and no byte left staged,
+//!     so every commit released its buffer and its reservation. Then
 //!     binds three broker daemons on loopback whose client transports
 //!     cross a fault-injecting wire at 20% frame loss, publishes a
 //!     multi-chunk corpus through the controller's shipping pipeline,
@@ -95,18 +97,26 @@ fn clean_wire_leg() {
         ratio <= WIRE_BYTES_PER_SHIPPED_BYTE,
         "wire carried {wire} B for {shipped} B shipped: {ratio:.3} > {WIRE_BYTES_PER_SHIPPED_BYTE}"
     );
+    let stores: Vec<StoreStats> = (0..2).map(|n| store_stats(&controller, n)).collect();
     let hashed = snapshot.counter("ship_hashed_bytes_total").unwrap_or(0)
-        + (0..2)
-            .map(|n| store_stats(&controller, n).hashed_bytes)
-            .sum::<u64>();
+        + stores.iter().map(|s| s.hashed_bytes).sum::<u64>();
     let passes = hashed as f64 / shipped as f64;
     assert!(
         passes <= HASHED_BYTES_PER_SHIPPED_BYTE,
         "{hashed} B hashed for {shipped} B shipped: {passes:.3} > {HASHED_BYTES_PER_SHIPPED_BYTE}"
     );
+    // Every commit released its staging buffer and its reservation.
+    let staged_transfers: u64 = stores.iter().map(|s| s.staged_transfers).sum();
+    let staged_bytes: u64 = stores.iter().map(|s| s.staged_bytes).sum();
+    assert_eq!(
+        (staged_transfers, staged_bytes),
+        (0, 0),
+        "transfers left staged: {stores:?}"
+    );
     controller.shutdown();
     eprintln!(
-        "smoke: clean wire carried {ratio:.3} bytes, fnv64 ran over {passes:.3} bytes, per shipped byte"
+        "smoke: clean wire carried {ratio:.3} bytes, fnv64 ran over {passes:.3} bytes, per shipped byte; \
+         {staged_transfers} transfers and {staged_bytes} bytes left staged"
     );
 }
 

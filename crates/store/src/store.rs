@@ -11,11 +11,13 @@
 //!   accepting it — a poisoned chunk is rejected, counted, and must be
 //!   re-sent — and, in the same pass over the bytes, folds the
 //!   whole-object checksum forward over the chunks that arrive in order;
+//!   an accepted chunk is copied into its range of the transfer's one
+//!   body buffer;
 //! - [`ContentStore::commit`] finishes that fold over whatever chunks it
 //!   has not covered, verifies the whole-object checksum, and only then
-//!   assembles the chunks and makes the object visible in the manifest
-//!   (and durable, for disk-backed stores). Until commit, the object
-//!   does not exist: readers never observe a partial body.
+//!   hands that buffer to the medium and makes the object visible in the
+//!   manifest (and durable, for disk-backed stores). Until commit, the
+//!   object does not exist: readers never observe a partial body.
 //! - [`ContentStore::gc`] sweeps staged transfers that made no progress
 //!   since the previous sweep (abandoned mid-flight ships).
 //!
@@ -26,6 +28,7 @@
 use crate::object::{fnv64, fnv64_fold, ObjectMeta, DEFAULT_CHUNK_SIZE, FNV_BASIS};
 use cpms_model::{ContentId, NodeId, UrlPath};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -97,9 +100,10 @@ pub enum StoreError {
         /// The unknown transfer id.
         transfer: u64,
     },
-    /// A filesystem failure on a disk-backed store.
+    /// A storage failure: a filesystem call on a disk-backed store, or
+    /// no memory for a transfer's body buffer.
     Io {
-        /// The OS error, rendered.
+        /// What failed, rendered.
         detail: String,
     },
 }
@@ -272,16 +276,19 @@ impl Medium {
         }
     }
 
-    fn write(&mut self, path: &UrlPath, body: &[u8]) -> Result<(), StoreError> {
+    /// Stores `body` at `path`. Memory keeps an owned body as it is —
+    /// a committed transfer's buffer becomes the object — and copies a
+    /// borrowed one; disk writes either and renames.
+    fn write(&mut self, path: &UrlPath, body: Cow<'_, [u8]>) -> Result<(), StoreError> {
         match self {
             Medium::Memory(map) => {
-                map.insert(path.clone(), body.to_vec());
+                map.insert(path.clone(), body.into_owned());
                 Ok(())
             }
             Medium::Disk { root } => {
                 let file = Self::object_file(root, path);
                 let tmp = file.with_extension("tmp");
-                std::fs::write(&tmp, body).map_err(|e| StoreError::io(&e))?;
+                std::fs::write(&tmp, &body).map_err(|e| StoreError::io(&e))?;
                 std::fs::rename(&tmp, &file).map_err(|e| StoreError::io(&e))
             }
         }
@@ -346,7 +353,14 @@ impl Fold {
 struct Staged {
     path: UrlPath,
     meta: ObjectMeta,
-    chunks: Vec<Option<Vec<u8>>>,
+    /// The object's bytes, each staged chunk in its own range: no memory
+    /// until the first chunk lands (so a `begin` alone holds none), then
+    /// `meta.size` bytes reserved once, and filled up to the furthest
+    /// chunk staged. `commit` installs this buffer as the body.
+    body: Vec<u8>,
+    /// One bit per chunk, set once its range of `body` holds staged
+    /// bytes; allocated with `body`.
+    present: Vec<u64>,
     /// `stage_chunk` advances it when the chunk at `folded` arrives and
     /// resets it when a chunk below `folded` is replaced by different
     /// bytes; `commit` finishes it.
@@ -362,16 +376,61 @@ struct Staged {
 }
 
 impl Staged {
-    /// Stores a verified `chunk` at `index` and keeps the fold true to
-    /// the staged bytes. `seen` is the fold as the stager read it before
-    /// hashing (with the store lock released) and `running` is
-    /// `seen.running` continued over `chunk`.
-    fn land(&mut self, index: u32, chunk: Vec<u8>, seen: Fold, running: u64) {
+    fn new(path: &UrlPath, meta: ObjectMeta, overwrite: bool) -> Self {
+        Staged {
+            path: path.clone(),
+            meta,
+            body: Vec::new(),
+            present: Vec::new(),
+            fold: Fold::START,
+            reserved: meta.size,
+            overwrite,
+            touched: true,
+        }
+    }
+
+    fn has(&self, index: u32) -> bool {
+        self.present
+            .get(index as usize / 64)
+            .is_some_and(|word| word >> (index % 64) & 1 == 1)
+    }
+
+    /// Copies a verified `chunk` into its range of the body and keeps the
+    /// fold true to the staged bytes. `seen` is the fold as the stager
+    /// read it before hashing (with the store lock released) and
+    /// `running` is `seen.running` continued over `chunk`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] if the body buffer, reserved by the first chunk
+    /// to land, cannot be.
+    fn land(
+        &mut self,
+        index: u32,
+        chunk: &[u8],
+        seen: Fold,
+        running: u64,
+    ) -> Result<(), StoreError> {
+        if self.present.is_empty() {
+            let no_memory = |detail: String| StoreError::Io {
+                detail: format!("cannot stage {}: {detail}", self.path),
+            };
+            let size = usize::try_from(self.meta.size).map_err(|e| no_memory(e.to_string()))?;
+            self.body
+                .try_reserve_exact(size)
+                .map_err(|e| no_memory(e.to_string()))?;
+            self.present = vec![0; self.meta.chunk_count().div_ceil(64) as usize];
+        }
+        let range = self
+            .meta
+            .chunk_range(index)
+            .expect("stage_chunk checked the index");
         if index < self.fold.folded {
-            // A replay of identical bytes leaves the fold standing. Other
-            // bytes take it back to the start: it must describe exactly
-            // the chunks `commit` will install.
-            if self.chunks[index as usize].as_deref() != Some(&chunk[..]) {
+            // Every chunk below the fold is staged. A replay of identical
+            // bytes leaves the fold standing; other bytes take it back to
+            // the start: it must describe exactly the bytes `commit` will
+            // install.
+            if self.body[range.clone()] != *chunk {
                 self.fold = Fold::START;
             }
         } else if index == seen.folded && self.fold == seen {
@@ -385,15 +444,32 @@ impl Staged {
                 running,
             };
         }
-        self.chunks[index as usize] = Some(chunk);
+        // The body's length is always a chunk boundary, so a chunk lies
+        // wholly inside it or wholly past it. Past it, the chunk appends:
+        // in order there is nothing to zero, and a chunk that overtook
+        // its predecessors zero-fills the gap they will be copied into.
+        // Either way the body stays inside the capacity reserved above.
+        if range.start < self.body.len() {
+            self.body[range].copy_from_slice(chunk);
+        } else {
+            self.body.resize(range.start, 0);
+            self.body.extend_from_slice(chunk);
+        }
+        self.present[index as usize / 64] |= 1 << (index % 64);
+        Ok(())
     }
 
     fn received(&self) -> u64 {
-        self.chunks.iter().flatten().map(|c| c.len() as u64).sum()
+        (0..self.meta.chunk_count())
+            .filter(|&i| self.has(i))
+            .filter_map(|i| self.meta.chunk_len(i))
+            .map(u64::from)
+            .sum()
     }
 
     fn missing(&self) -> u64 {
-        self.chunks.iter().filter(|c| c.is_none()).count() as u64
+        let landed: u32 = self.present.iter().map(|word| word.count_ones()).sum();
+        u64::from(self.meta.chunk_count() - landed)
     }
 }
 
@@ -444,7 +520,12 @@ impl Inner {
     /// Installs a fully verified body as the committed object at `path`.
     /// The single place committed state changes on ingest: callers have
     /// already verified the checksum.
-    fn install(&mut self, path: &UrlPath, meta: ObjectMeta, body: &[u8]) -> Result<(), StoreError> {
+    fn install(
+        &mut self,
+        path: &UrlPath,
+        meta: ObjectMeta,
+        body: Cow<'_, [u8]>,
+    ) -> Result<(), StoreError> {
         self.medium.write(path, body)?;
         if let Some(replaced) = self.manifest.insert(path.clone(), meta) {
             self.uncount(&replaced);
@@ -611,12 +692,7 @@ impl ContentStore {
         }
         if let Some((&id, staged)) = inner.staged.iter().find(|(_, s)| &s.path == path) {
             if staged.meta.checksum == meta.checksum && staged.meta.size == meta.size {
-                let have: Vec<u32> = staged
-                    .chunks
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, c)| c.as_ref().map(|_| i as u32))
-                    .collect();
+                let have: Vec<u32> = (0..meta.chunk_count()).filter(|&i| staged.has(i)).collect();
                 let resumed = !have.is_empty();
                 let staged = inner.staged.get_mut(&id).expect("just found");
                 staged.touched = true;
@@ -645,18 +721,7 @@ impl ContentStore {
         let id = inner.next_transfer;
         inner.next_transfer += 1;
         inner.staged_bytes += meta.size;
-        inner.staged.insert(
-            id,
-            Staged {
-                path: path.clone(),
-                meta,
-                chunks: vec![None; meta.chunk_count() as usize],
-                fold: Fold::START,
-                reserved: meta.size,
-                overwrite,
-                touched: true,
-            },
-        );
+        inner.staged.insert(id, Staged::new(path, meta, overwrite));
         Ok((id, Vec::new()))
     }
 
@@ -708,12 +773,11 @@ impl ContentStore {
             }
             staged.fold
         };
-        // Hash and copy with the lock released: the node's origin reads
-        // through the same lock. Transfer ids are never reused, so the
-        // geometry checked above still holds if the id is still staged.
+        // Hash with the lock released: the node's origin reads through the
+        // same lock. Transfer ids are never reused, so the geometry
+        // checked above still holds if the id is still staged.
         let (got, running) = fnv64_fold(seen.running, data);
         self.count_hashed(data.len());
-        let chunk = data.to_vec();
         let mut inner = self.lock();
         let staged = inner
             .staged
@@ -729,15 +793,15 @@ impl ContentStore {
                 got,
             });
         }
-        staged.land(index, chunk, seen, running);
-        Ok(())
+        staged.land(index, data, seen, running)
     }
 
     /// Commits a staged transfer: finishes the whole-object checksum the
     /// staging fold began (over every chunk the fold has not covered —
     /// none when they arrived in order), verifies it against both the
-    /// staged meta and the caller-announced `checksum`, then assembles
-    /// the chunks and atomically installs the object.
+    /// staged meta and the caller-announced `checksum`, then atomically
+    /// installs the staged body buffer, moved and not copied, as the
+    /// object.
     /// Idempotent: committing a transfer that already committed (id `0`
     /// sentinel or a re-sent commit after a lost ack) succeeds if the
     /// committed object matches `checksum`.
@@ -794,14 +858,13 @@ impl ContentStore {
                 return Err(StoreError::AlreadyExists { path: path.clone() });
             }
         }
-        let mut got = staged.fold.running;
-        for chunk in staged.chunks[staged.fold.folded as usize..]
-            .iter()
-            .flatten()
-        {
-            got = fnv64_fold(got, chunk).1;
-            self.count_hashed(chunk.len());
-        }
+        let unfolded = staged
+            .meta
+            .chunk_range(staged.fold.folded)
+            .map_or(staged.body.len(), |range| range.start);
+        let rest = &staged.body[unfolded..];
+        let got = fnv64_fold(staged.fold.running, rest).1;
+        self.count_hashed(rest.len());
         if got != checksum || got != staged.meta.checksum {
             inner.verify_failures += 1;
             return Err(StoreError::ChecksumMismatch {
@@ -810,13 +873,9 @@ impl ContentStore {
                 got,
             });
         }
-        let mut body = Vec::with_capacity(usize::try_from(staged.meta.size).unwrap_or(0));
-        for chunk in staged.chunks.iter().flatten() {
-            body.extend_from_slice(chunk);
-        }
         let staged = inner.staged.remove(&transfer).expect("still held");
         inner.staged_bytes -= staged.reserved;
-        inner.install(path, staged.meta, &body)?;
+        inner.install(path, staged.meta, Cow::Owned(staged.body))?;
         Ok(staged.meta)
     }
 
@@ -869,7 +928,7 @@ impl ContentStore {
                 free,
             });
         }
-        inner.install(path, meta, body)?;
+        inner.install(path, meta, Cow::Borrowed(body))?;
         Ok(meta)
     }
 
@@ -1116,7 +1175,7 @@ impl ContentStore {
         } else {
             body[0] ^= 0xFF;
         }
-        inner.medium.write(path, &body)
+        inner.medium.write(path, Cow::Owned(body))
     }
 }
 
@@ -1129,16 +1188,18 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// Stages every chunk of `from` into `transfer`, in order.
+    fn stage_all(store: &ContentStore, transfer: u64, meta: &ObjectMeta, from: &[u8]) {
+        for i in 0..meta.chunk_count() {
+            let chunk = &from[meta.chunk_range(i).unwrap()];
+            store.stage_chunk(transfer, i, chunk, fnv64(chunk)).unwrap();
+        }
+    }
+
     fn ship(store: &ContentStore, path: &UrlPath, meta: ObjectMeta, body: &[u8]) -> ObjectMeta {
         let (id, have) = store.begin(path, meta, false).unwrap();
-        for i in 0..meta.chunk_count() {
-            if have.contains(&i) {
-                continue;
-            }
-            let range = meta.chunk_range(i).unwrap();
-            let chunk = &body[range];
-            store.stage_chunk(id, i, chunk, fnv64(chunk)).unwrap();
-        }
+        assert!(have.is_empty(), "ships into a store that has none of it");
+        stage_all(store, id, &meta, body);
         store.commit(id, path, meta.checksum).unwrap()
     }
 
@@ -1210,7 +1271,7 @@ mod tests {
         // ...and chunk 2 lands with the state it read before that.
         let mut inner = store.lock();
         let staged = inner.staged.get_mut(&id).unwrap();
-        staged.land(2, chunk.to_vec(), seen, running);
+        staged.land(2, chunk, seen, running).unwrap();
         assert_eq!(staged.fold, Fold::START, "the stale state was not built on");
         drop(inner);
         let last = &body[3000..];
@@ -1225,6 +1286,112 @@ mod tests {
                 got: fnv64(&assembled),
             })
         );
+    }
+
+    /// The body memory holds for `path`.
+    fn memory_body(store: &ContentStore, path: &UrlPath) -> *const u8 {
+        let inner = store.lock();
+        let Medium::Memory(map) = &inner.medium else {
+            panic!("an in-memory store");
+        };
+        map[path].as_ptr()
+    }
+
+    #[test]
+    fn an_in_order_commit_installs_the_staging_buffer_itself() {
+        let store = ContentStore::in_memory(NodeId(0), 1 << 20);
+        let body = synthetic_body(ContentId(1), 10_000);
+        let meta = ObjectMeta::for_body(ContentId(1), &body, 1024, 0);
+        let (id, _) = store.begin(&p("/a"), meta, false).unwrap();
+        stage_all(&store, id, &meta, &body);
+        let staging = store.lock().staged[&id].body.as_ptr();
+        store.commit(id, &p("/a"), meta.checksum).unwrap();
+        assert_eq!(
+            memory_body(&store, &p("/a")),
+            staging,
+            "the committed body is the buffer the chunks were staged into"
+        );
+        assert_eq!(store.read(&p("/a")).unwrap(), body);
+    }
+
+    #[test]
+    fn a_begin_holds_no_body_until_a_chunk_lands() {
+        let store = ContentStore::in_memory(NodeId(0), 1 << 20);
+        let body = synthetic_body(ContentId(1), 10_000);
+        let meta = ObjectMeta::for_body(ContentId(1), &body, 1024, 0);
+        let (id, _) = store.begin(&p("/a"), meta, false).unwrap();
+        let held = |store: &ContentStore| {
+            let inner = store.lock();
+            let staged = &inner.staged[&id];
+            (staged.body.capacity(), staged.present.capacity())
+        };
+        assert_eq!(held(&store), (0, 0), "begin allocates nothing");
+        assert_eq!(store.begin(&p("/a"), meta, false).unwrap(), (id, vec![]));
+        assert_eq!(
+            held(&store),
+            (0, 0),
+            "nor does a resume with nothing staged"
+        );
+        assert_eq!(store.stats().staged_bytes, 10_000, "the quota is reserved");
+        let last = &body[9216..];
+        store.stage_chunk(id, 9, last, fnv64(last)).unwrap();
+        assert_eq!(
+            held(&store).0,
+            10_000,
+            "the first chunk sizes the body once"
+        );
+    }
+
+    #[test]
+    fn a_replaced_chunk_resent_honestly_commits_the_honest_bytes() {
+        let store = ContentStore::in_memory(NodeId(0), 1 << 20);
+        let body = synthetic_body(ContentId(1), 4000);
+        let other = synthetic_body(ContentId(2), 1000);
+        let meta = ObjectMeta::for_body(ContentId(1), &body, 1000, 0);
+        let (id, _) = store.begin(&p("/a"), meta, false).unwrap();
+        stage_all(&store, id, &meta, &body);
+        // Chunk 1 is overwritten by other bytes carrying their own sum:
+        // the staging buffer holds them, and commit refuses them.
+        store.stage_chunk(id, 1, &other, fnv64(&other)).unwrap();
+        let mut replaced = body.clone();
+        replaced[1000..2000].copy_from_slice(&other);
+        assert_eq!(store.lock().staged[&id].body, replaced);
+        assert_eq!(
+            store.commit(id, &p("/a"), meta.checksum),
+            Err(StoreError::ChecksumMismatch {
+                path: p("/a"),
+                expected: meta.checksum,
+                got: fnv64(&replaced),
+            })
+        );
+        // The honest re-send overwrites them in place.
+        let honest = &body[1000..2000];
+        store.stage_chunk(id, 1, honest, fnv64(honest)).unwrap();
+        assert_eq!(store.commit(id, &p("/a"), meta.checksum), Ok(meta));
+        assert_eq!(store.read(&p("/a")).unwrap(), body);
+    }
+
+    #[test]
+    fn a_body_too_large_to_allocate_is_a_typed_error() {
+        let store = ContentStore::in_memory(NodeId(0), u64::MAX);
+        // More than `isize::MAX` bytes, whose last chunk is 10 bytes long.
+        let chunk_size = u32::MAX;
+        let size = (1_u64 << 31 | 1) * u64::from(chunk_size) + 10;
+        let meta = ObjectMeta {
+            content: ContentId(1),
+            size,
+            checksum: 0,
+            chunk_size,
+            version: 0,
+        };
+        let (id, _) = store.begin(&p("/huge"), meta, false).unwrap();
+        let last = meta.chunk_count() - 1;
+        assert_eq!(meta.chunk_len(last), Some(10));
+        let err = store.stage_chunk(id, last, &[7; 10], fnv64(&[7; 10]));
+        assert!(matches!(err, Err(StoreError::Io { .. })), "{err:?}");
+        assert_eq!(store.stats().staged_transfers, 1, "the transfer stays open");
+        assert!(store.abort(id));
+        assert_eq!(store.stats().staged_bytes, 0);
     }
 
     #[test]

@@ -91,6 +91,8 @@ struct WireMetrics {
     rpcs: Arc<Counter>,
     errors: Arc<Counter>,
     retries: Arc<Counter>,
+    /// Nanoseconds slept between attempts, as the backoff asked for.
+    backoff_sleep_ns: Arc<Counter>,
     timeouts: Arc<Counter>,
     tx_bytes: Arc<Counter>,
     rx_bytes: Arc<Counter>,
@@ -107,6 +109,7 @@ impl WireMetrics {
             rpcs: registry.counter("wire_rpc_total"),
             errors: registry.counter("wire_rpc_errors_total"),
             retries: registry.counter("wire_retries_total"),
+            backoff_sleep_ns: registry.counter("wire_backoff_sleep_ns_total"),
             timeouts: registry.counter("wire_timeouts_total"),
             tx_bytes: registry.counter("wire_tx_bytes_total"),
             rx_bytes: registry.counter("wire_rx_bytes_total"),
@@ -385,12 +388,15 @@ impl Client {
                         });
                     }
                     self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.metrics
-                        .lock()
-                        .expect("wire metrics lock")
-                        .retries
-                        .inc();
-                    std::thread::sleep(self.jittered(backoff));
+                    let sleep = self.jittered(backoff);
+                    {
+                        let metrics = self.metrics.lock().expect("wire metrics lock");
+                        metrics.retries.inc();
+                        metrics
+                            .backoff_sleep_ns
+                            .add(u64::try_from(sleep.as_nanos()).unwrap_or(u64::MAX));
+                    }
+                    std::thread::sleep(sleep);
                     backoff = (backoff * 2).min(self.retry.max_backoff);
                 }
             }
@@ -412,6 +418,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faulty::{FaultPlan, FaultyTransport};
     use crate::transport::InProcServer;
     use std::sync::atomic::AtomicU32;
 
@@ -549,6 +556,54 @@ mod tests {
         assert_eq!(snap.counter("wire_retries_total"), Some(2));
         assert_eq!(snap.counter("wire_timeouts_total"), Some(3));
         assert_eq!(snap.counter("wire_rpc_errors_total"), Some(3));
+        server.stop();
+    }
+
+    #[test]
+    fn backoff_sleep_counter_is_the_sum_of_the_sleeps_taken() {
+        let (transport, mut server) = InProcServer::spawn(ping_service());
+        let clean: Arc<dyn Transport> = Arc::new(transport);
+        let slept_ns = |registry: &MetricsRegistry| {
+            registry
+                .snapshot()
+                .counter("wire_backoff_sleep_ns_total")
+                .unwrap()
+        };
+
+        let registry = Arc::new(MetricsRegistry::new());
+        let client = Client::new(Arc::clone(&clean));
+        client.attach_metrics(&registry);
+        for n in 0..20u64 {
+            let _: Pong = client.call(&Ping { n }).unwrap();
+        }
+        assert_eq!(slept_ns(&registry), 0, "a clean wire never backs off");
+
+        let retry = RetryPolicy {
+            max_attempts: 5,
+            base_backoff: Duration::from_micros(100),
+            max_backoff: Duration::from_micros(300),
+            jitter: 0.5,
+            seed: 17,
+        };
+        // A twin client draws the same jitter stream: replaying each
+        // call's doubling schedule on it yields the sleeps taken.
+        let twin = Client::new(Arc::clone(&clean)).with_retry(retry.clone());
+        let lossy = FaultyTransport::new(clean, FaultPlan::lossy(29, 0.5));
+        let registry = Arc::new(MetricsRegistry::new());
+        let client = Client::new(Arc::new(lossy)).with_retry(retry.clone());
+        client.attach_metrics(&registry);
+        let mut expected = Duration::ZERO;
+        for n in 0..40u64 {
+            let before = client.stats().retries;
+            let _ = client.call::<Ping, Pong>(&Ping { n });
+            let mut backoff = retry.base_backoff;
+            for _ in before..client.stats().retries {
+                expected += twin.jittered(backoff);
+                backoff = (backoff * 2).min(retry.max_backoff);
+            }
+        }
+        assert!(client.stats().retries > 10, "{:?}", client.stats());
+        assert_eq!(slept_ns(&registry), expected.as_nanos() as u64);
         server.stop();
     }
 

@@ -60,7 +60,8 @@ cargo run --release -q -p cpms-bench --bin request_latency -- --smoke
 echo "==> networked broker smoke (cpms-broker --smoke: loopback TCP + fault injection)"
 cargo run --release -q -p cpms-mgmt --bin cpms-broker -- --smoke
 
-echo "==> content shipping smoke (cpms-ship --smoke: loopback TCP ship under 20% loss + anti-entropy)"
+echo "==> content shipping smoke (cpms-ship --smoke: clean wire <= 1.02 wire bytes and <= 1.55 fnv64 bytes per shipped byte,"
+echo "    0 transfers and 0 bytes left staged on both stores; then loopback TCP ship under 20% loss + anti-entropy)"
 cargo run --release -q -p cpms-mgmt --bin cpms-ship -- --smoke
 
 echo "==> proxy data-plane smoke (cpms-proxy --smoke: 400-conn churn relay, overload and tenant-cap 503s"
