@@ -394,9 +394,15 @@ pub fn parse_response_head(buf: &[u8]) -> Result<Option<ResponseHead>, ParseErro
 /// Reads one response (head + `Content-Length` body) from a buffered
 /// stream.
 ///
+/// The announced length is reserved in one allocation when it can be.
+/// When it cannot, the body grows as bytes arrive, so a peer announcing
+/// more than it sends costs an error, not the process.
+///
 /// # Errors
 ///
-/// [`ParseError`] variants as for [`read_request`].
+/// [`ParseError`] variants as for [`read_request`]; a body shorter than
+/// its `Content-Length` is [`ParseError::Io`] with
+/// [`io::ErrorKind::UnexpectedEof`].
 pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, ParseError> {
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
@@ -434,8 +440,13 @@ pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, ParseError>
         }
     }
     let len = content_length.ok_or(ParseError::Malformed("missing content-length"))?;
-    let mut body = vec![0u8; len];
-    io::Read::read_exact(reader, &mut body)?;
+    let mut body = Vec::new();
+    // Failing to reserve is not an error yet: the bytes decide.
+    let _ = body.try_reserve_exact(len);
+    io::Read::read_to_end(&mut io::Read::take(reader, len as u64), &mut body)?;
+    if body.len() < len {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     Ok(Response { status, body })
 }
 
@@ -511,11 +522,27 @@ mod tests {
 
     #[test]
     fn response_roundtrip() {
-        let mut wire = Vec::new();
-        write_response(&mut wire, 200, b"hello world", true).unwrap();
-        let resp = read_response(&mut BufReader::new(&wire[..])).unwrap();
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.body, b"hello world");
+        for body in [b"hello world".to_vec(), vec![7; 100_000]] {
+            let mut wire = Vec::new();
+            write_response(&mut wire, 200, &body, true).unwrap();
+            let resp = read_response(&mut BufReader::new(&wire[..])).unwrap();
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.body, body);
+            // Reserved once at the announced length, never grown.
+            assert_eq!(resp.body.capacity(), body.len());
+        }
+    }
+
+    #[test]
+    fn response_announcing_more_than_it_sends_is_an_error() {
+        let hostile = b"HTTP/1.1 200 OK\r\nContent-Length: 4611686018427387904\r\n\r\nxx";
+        let err = read_response(&mut BufReader::new(&hostile[..])).unwrap_err();
+        assert!(
+            matches!(&err, ParseError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{err:?}"
+        );
+        let short = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nabc";
+        assert!(read_response(&mut BufReader::new(&short[..])).is_err());
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl<C> SocketPool<C> {
         self.backends.len()
     }
 
-    /// The address of backend `idx`.
-    pub fn backend_addr(&self, idx: usize) -> SocketAddr {
-        self.backends[idx]
-    }
-
     /// Total checkouts so far.
     pub fn checkouts(&self) -> u64 {
         self.checkouts.load(Ordering::Relaxed)

@@ -145,7 +145,10 @@ pub fn until_stdin_closes() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpms_wire::frame::{encode_frame, HEADER_LEN, MAGIC, MAX_FRAME, VERSION};
+    use cpms_wire::frame::{
+        encode_frame, read_frame_ext_or_eof, TracedFrameOrEof, HEADER_LEN, MAGIC, MAX_FRAME,
+        VERSION,
+    };
     use cpms_wire::{TcpServer, Transport};
     use std::io::{Read, Write};
     use std::net::TcpStream;
@@ -290,8 +293,12 @@ mod tests {
         staller
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        let reply = cpms_wire::frame::read_frame(&mut staller).unwrap();
-        assert_eq!(reply, br#"{"ok":true,"output":"pong"}"#);
+        match read_frame_ext_or_eof(&mut staller).unwrap() {
+            TracedFrameOrEof::Frame(reply) => {
+                assert_eq!(reply.payload, br#"{"ok":true,"output":"pong"}"#);
+            }
+            TracedFrameOrEof::Eof => panic!("the stalled request went unanswered"),
+        }
     }
 
     #[test]

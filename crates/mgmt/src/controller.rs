@@ -16,8 +16,10 @@ use crate::agent::AgentError;
 use crate::broker::{Broker, BrokerHandle};
 use crate::store::BrokerState;
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
-use cpms_obs::{Counter, Gauge, HistogramRecorder, MetricsRegistry, Span, TracedSpan};
-use cpms_store::{ShipError, ShipMetrics, ShipRequest, Shipper, StoreStats, TransferScheduler};
+use cpms_obs::{
+    Counter, Gauge, HistogramRecorder, MetricsRegistry, ScopedTrace, Span, TraceContext, TracedSpan,
+};
+use cpms_store::{ShipError, ShipMetrics, ShipRequest, Shipper};
 use cpms_urltable::{SnapshotHandle, TableError, TablePublisher, UrlEntry, UrlTable};
 use cpms_wire::WireError;
 use std::collections::HashSet;
@@ -232,7 +234,6 @@ pub struct Controller {
     cluster: Cluster,
     metrics: ControllerMetrics,
     shipper: Shipper,
-    sched: TransferScheduler,
     decommissioned: HashSet<NodeId>,
 }
 
@@ -247,7 +248,6 @@ impl Controller {
             cluster,
             metrics: ControllerMetrics::new(registry),
             shipper,
-            sched: TransferScheduler::default(),
             decommissioned: HashSet::new(),
         }
     }
@@ -264,12 +264,6 @@ impl Controller {
         self.cluster.attach_metrics(registry);
         // Transfer counters and latency too.
         self.shipper = Shipper::new().with_metrics(ShipMetrics::attach(registry));
-    }
-
-    /// The transfer scheduler (in-flight/lifetime transfer counts for
-    /// the console).
-    pub fn scheduler(&self) -> &TransferScheduler {
-        &self.sched
     }
 
     /// The registry management operations are recorded into.
@@ -485,8 +479,9 @@ impl Controller {
     }
 
     /// Publishes a new object with an explicit body: ships the bytes to
-    /// each target broker's content store (concurrently, bounded by the
-    /// transfer scheduler), and only after every copy has **committed**
+    /// each target broker's content store (the first from this thread,
+    /// each other one from a scoped thread of its own, all under this
+    /// operation's trace), and only after every copy has **committed**
     /// records the object in the URL table — so no published generation
     /// ever routes a lookup to a node lacking the content. The table
     /// entry's size and checksum come from the committed store object,
@@ -534,22 +529,46 @@ impl Controller {
         // hashed once per publication — whole-object checksum and chunk
         // sums in one walk — not once per copy.
         let (meta, sums) = shipper.describe(content, body, cpms_store::DEFAULT_CHUNK_SIZE, 0);
-        let results = self.sched.run(handles, |_, handle| {
-            shipper
-                .push_described(handle, path, meta, &sums, body, false)
-                .map(|outcome| (handle.node(), outcome))
+        let push =
+            &|handle: &BrokerHandle| shipper.push_described(handle, path, meta, &sums, body, false);
+        // The first target is pushed from this thread, which would
+        // otherwise only wait. A spawned thread starts with no trace
+        // context, so each carries this one: its RPCs stay children of
+        // the publication's span instead of rooting traces of their own.
+        let ctx = TraceContext::current();
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let mut targets = handles.iter();
+            let first = targets.next();
+            let spawned: Vec<_> = targets
+                .map(|&handle| {
+                    scope.spawn(move || {
+                        let _trace = ctx.map(ScopedTrace::activate);
+                        push(handle)
+                    })
+                })
+                .collect();
+            first
+                .map(|&handle| push(handle))
+                .into_iter()
+                .chain(
+                    spawned
+                        .into_iter()
+                        .map(|h| h.join().expect("push panicked")),
+                )
+                .collect()
         });
+        // `results[i]` is the push to `nodes[i]`.
         let mut stored: Vec<NodeId> = Vec::new();
         let mut committed: Option<cpms_store::ObjectMeta> = None;
         let mut failure: Option<MgmtError> = None;
-        for (i, result) in results.into_iter().enumerate() {
+        for (&node, result) in nodes.iter().zip(results) {
             match result {
-                Ok((node, outcome)) => {
+                Ok(outcome) => {
                     stored.push(node);
                     committed.get_or_insert(outcome.meta);
                 }
                 Err(e) => {
-                    failure.get_or_insert(Self::ship_failure(nodes[i], e));
+                    failure.get_or_insert(Self::ship_failure(node, e));
                 }
             }
         }
@@ -778,17 +797,6 @@ impl Controller {
             version = version.max(self.broker(n)?.record(touch)?.version);
         }
         Ok(version)
-    }
-
-    /// Asks every broker for its store accounting.
-    pub fn status(&self) -> Vec<(NodeId, Result<StoreStats, AgentError>)> {
-        (0..self.cluster.len())
-            .map(|i| {
-                let node = NodeId(i as u16);
-                let broker = self.cluster.broker(node).expect("index in range");
-                (node, broker.store_stats())
-            })
-            .collect()
     }
 }
 
@@ -1037,14 +1045,16 @@ mod tests {
 
     #[test]
     fn status_covers_all_nodes() {
+        // The console's per-node view is one monitor sweep: a `Stat` per
+        // broker, its answer carried in the verdict.
         let mut c = controller(3);
         publish(&mut c, "/a", 1, &[1]);
-        let status = c.status();
-        assert_eq!(status.len(), 3);
-        match &status[1].1 {
-            Ok(stats) => assert_eq!(stats.objects, 1),
-            other => panic!("{other:?}"),
-        }
+        let status = crate::ClusterMonitor::new(3, 1).poll_controller(&c);
+        let objects: Vec<Option<u64>> = status
+            .iter()
+            .map(|(_, health)| health.stats().map(|s| s.objects))
+            .collect();
+        assert_eq!(objects, [Some(0), Some(1), Some(0)]);
         c.shutdown();
     }
 
@@ -1108,7 +1118,10 @@ mod tests {
         let registry = Arc::new(cpms_obs::MetricsRegistry::new());
         c.set_metrics(&registry);
 
-        publish(&mut c, "/traced", 1, &[0]);
+        // Node 0 is pushed from the calling thread, node 1 from a spawned
+        // one; both must land in the publication's trace.
+        publish(&mut c, "/traced", 1, &[0, 1]);
+        c.offload(&p("/traced"), NodeId(1)).unwrap();
         c.replicate(&p("/traced"), NodeId(1)).unwrap();
 
         let ctrl = registry.spans().snapshot();
@@ -1136,6 +1149,11 @@ mod tests {
             "replicate pulled from node 0 under its trace"
         );
         let b1 = broker_spans[1].snapshot();
+        assert!(
+            b1.iter()
+                .any(|s| s.name == "broker.commit" && s.trace == publish_root.trace),
+            "publish ship frames traced on node 1, the spawned target: {b1:?}"
+        );
         assert!(
             b1.iter()
                 .any(|s| s.name == "broker.commit" && s.trace == replicate_root.trace),

@@ -7,7 +7,9 @@
 //! from the store's running counters — and declares a node down
 //! after a threshold of consecutive failed polls — the signal the
 //! distributor uses to stop routing there and the auto-replicator uses to
-//! exclude replication targets.
+//! exclude replication targets. A verdict on a node that answered carries
+//! its [`StoreStats`], so one sweep is every per-node number the console
+//! shows.
 //!
 //! Every health *transition* (healthy → suspect, suspect → down,
 //! down → recovered) is also an observable event: with a metrics registry
@@ -18,20 +20,14 @@
 use crate::controller::Cluster;
 use cpms_model::NodeId;
 use cpms_obs::MetricsRegistry;
+use cpms_store::StoreStats;
 use std::sync::Arc;
 
 /// Health verdict for one node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeHealth {
-    /// The broker answered its probe.
-    Healthy {
-        /// Files stored on the node.
-        files: usize,
-        /// Bytes in use.
-        used_bytes: u64,
-        /// Bytes free.
-        free_bytes: u64,
-    },
+    /// The broker answered its probe with these store stats.
+    Healthy(StoreStats),
     /// Probes are failing but the threshold has not been crossed yet.
     Suspect {
         /// Consecutive failed probes so far.
@@ -43,20 +39,21 @@ pub enum NodeHealth {
     /// node is available, but the verdict is distinct from `Healthy` for
     /// exactly one poll so operators (and the auto-replicator) can see
     /// the comeback rather than silently absorbing it.
-    Recovered {
-        /// Files stored on the node.
-        files: usize,
-        /// Bytes in use.
-        used_bytes: u64,
-        /// Bytes free.
-        free_bytes: u64,
-    },
+    Recovered(StoreStats),
 }
 
 impl NodeHealth {
     /// Whether the node should receive traffic and replicas.
     pub fn is_available(&self) -> bool {
         !matches!(self, NodeHealth::Down)
+    }
+
+    /// The store stats the probe answered with; `None` when it missed.
+    pub fn stats(&self) -> Option<&StoreStats> {
+        match self {
+            NodeHealth::Healthy(stats) | NodeHealth::Recovered(stats) => Some(stats),
+            NodeHealth::Suspect { .. } | NodeHealth::Down => None,
+        }
     }
 }
 
@@ -117,11 +114,6 @@ impl ClusterMonitor {
                 let prev_misses = self.misses[i];
                 let health = match result {
                     Some(Ok(stats)) => {
-                        let (files, used_bytes, free_bytes) = (
-                            stats.objects as usize,
-                            stats.committed_bytes,
-                            stats.free_bytes(),
-                        );
                         self.misses[i] = 0;
                         if self.down[i] {
                             self.down[i] = false;
@@ -130,20 +122,12 @@ impl ClusterMonitor {
                                 "recovered from down",
                                 Some("mgmt_node_recoveries_total"),
                             );
-                            NodeHealth::Recovered {
-                                files,
-                                used_bytes,
-                                free_bytes,
-                            }
+                            NodeHealth::Recovered(stats)
                         } else {
                             if prev_misses > 0 {
                                 self.observe_transition(node, "suspect cleared", None);
                             }
-                            NodeHealth::Healthy {
-                                files,
-                                used_bytes,
-                                free_bytes,
-                            }
+                            NodeHealth::Healthy(stats)
                         }
                     }
                     _ => {
@@ -256,7 +240,7 @@ mod tests {
         let verdicts = monitor.poll(&cluster);
         assert_eq!(verdicts.len(), 3);
         for (_, health) in &verdicts {
-            assert!(matches!(health, NodeHealth::Healthy { files: 0, .. }));
+            assert!(matches!(health, NodeHealth::Healthy(stats) if stats.objects == 0));
             assert!(health.is_available());
         }
         assert!(monitor.down_nodes().is_empty());
@@ -271,7 +255,7 @@ mod tests {
         cluster.kill_node(NodeId(1));
 
         let verdicts = monitor.poll(&cluster);
-        assert!(matches!(verdicts[0].1, NodeHealth::Healthy { .. }));
+        assert!(matches!(verdicts[0].1, NodeHealth::Healthy(_)));
         assert_eq!(verdicts[1].1, NodeHealth::Suspect { misses: 1 });
         assert!(verdicts[1].1.is_available(), "grace period before Down");
 
@@ -291,7 +275,7 @@ mod tests {
         let mut monitor = ClusterMonitor::new(1, 3);
         monitor.misses[0] = 2;
         let verdicts = monitor.poll(&cluster);
-        assert!(matches!(verdicts[0].1, NodeHealth::Healthy { .. }));
+        assert!(matches!(verdicts[0].1, NodeHealth::Healthy(_)));
         assert!(monitor.down_nodes().is_empty());
         cluster.shutdown();
     }
@@ -309,7 +293,7 @@ mod tests {
         monitor.down[0] = true;
         let verdicts = monitor.poll(&cluster);
         assert!(
-            matches!(verdicts[0].1, NodeHealth::Recovered { .. }),
+            matches!(verdicts[0].1, NodeHealth::Recovered(_)),
             "got {:?}",
             verdicts[0].1
         );
@@ -317,7 +301,7 @@ mod tests {
 
         // The next poll is plain healthy again — Recovered is one-shot.
         let verdicts = monitor.poll(&cluster);
-        assert!(matches!(verdicts[0].1, NodeHealth::Healthy { .. }));
+        assert!(matches!(verdicts[0].1, NodeHealth::Healthy(_)));
 
         let snap = registry.snapshot();
         assert_eq!(snap.counter("mgmt_node_recoveries_total"), Some(1));

@@ -47,7 +47,6 @@ use crate::controller::Controller;
 use crate::monitor::{ClusterMonitor, NodeTransportHealth};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_obs::{SloVerdict, SpanId, SpanRecord, TraceId};
-use cpms_store::StoreStats;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -186,9 +185,9 @@ impl Shell {
             "status" => {
                 let mut out = String::new();
                 let mut down = 0usize;
-                for (node, status) in self.controller.status() {
-                    match status {
-                        Ok(stats) => {
+                for (node, health) in self.monitor.poll_controller(&self.controller) {
+                    match health.stats() {
+                        Some(stats) => {
                             let _ = writeln!(
                                 out,
                                 "{node}: {} file(s), {}B used, {}B free",
@@ -197,13 +196,13 @@ impl Shell {
                                 stats.free_bytes()
                             );
                         }
-                        Err(e) => {
+                        None => {
                             // Evicted nodes are expected to be gone; only
                             // unplanned absences are a health failure.
                             if !self.controller.is_decommissioned(node) {
                                 down += 1;
                             }
-                            let _ = writeln!(out, "{node}: DOWN ({e})");
+                            let _ = writeln!(out, "{node}: DOWN (no answer to its probe)");
                         }
                     }
                 }
@@ -238,7 +237,7 @@ impl Shell {
                     return Err("usage: nodes".to_string());
                 }
                 // Probe first so miss counters and RTTs are current.
-                self.monitor.poll_controller(&self.controller);
+                let verdicts = self.monitor.poll_controller(&self.controller);
                 let rows = self.monitor.transport_health(self.controller.cluster());
                 let mut out = String::new();
                 let _ = writeln!(
@@ -255,13 +254,13 @@ impl Shell {
                     "reconnects",
                     "store"
                 );
-                for row in &rows {
+                for (row, (_, health)) in rows.iter().zip(&verdicts) {
                     let rtt = if row.last_rtt_ns == 0 {
                         "-".to_string()
                     } else {
                         format!("{:.1}us", row.last_rtt_ns as f64 / 1_000.0)
                     };
-                    let store = match self.store_stats(row.node) {
+                    let store = match health.stats() {
                         Some(s) => format!("{}obj", s.objects),
                         None => "-".to_string(),
                     };
@@ -286,6 +285,7 @@ impl Shell {
                 if !args.is_empty() {
                     return Err("usage: store".to_string());
                 }
+                let verdicts = self.monitor.poll_controller(&self.controller);
                 let report = AntiEntropyAuditor::new().audit(&self.controller);
                 let mut drift_per_node: HashMap<NodeId, usize> = HashMap::new();
                 for d in &report.drift {
@@ -297,10 +297,8 @@ impl Shell {
                     "{:<5} {:>8} {:>8} {:>12} {:>12} {:>7} {:>9} {:>6}",
                     "node", "objects", "chunks", "used", "capacity", "staged", "rejected", "drift"
                 );
-                let controller = &self.controller;
-                for i in 0..controller.node_count() {
-                    let node = NodeId(i as u16);
-                    match self.store_stats(node) {
+                for (node, health) in &verdicts {
+                    match health.stats() {
                         Some(s) => {
                             let _ = writeln!(
                                 out,
@@ -312,7 +310,7 @@ impl Shell {
                                 s.capacity_bytes,
                                 s.staged_transfers,
                                 s.rejected_chunks,
-                                drift_per_node.get(&node).copied().unwrap_or(0)
+                                drift_per_node.get(node).copied().unwrap_or(0)
                             );
                         }
                         None => {
@@ -320,12 +318,17 @@ impl Shell {
                         }
                     }
                 }
-                let sched = controller.scheduler();
+                // The shipper's own counts: a transfer is in flight until it
+                // ends as one of `ship_transfers_total` (committed) or
+                // `ship_failed_transfers_total`.
+                let registry = self.controller.metrics();
+                let inflight = u64::try_from(registry.gauge("ship_inflight").get()).unwrap_or(0);
+                let committed = registry.counter("ship_transfers_total").get();
+                let failed = registry.counter("ship_failed_transfers_total").get();
                 let _ = writeln!(
                     out,
-                    "transfers: {} in flight, {} started total",
-                    sched.inflight(),
-                    sched.started_total()
+                    "transfers: {inflight} in flight, {} started total, {failed} failed",
+                    inflight + committed + failed
                 );
                 let _ = write!(out, "{}", report.summary());
                 Ok(AdminResponse {
@@ -418,7 +421,7 @@ impl Shell {
     /// store occupancy, counter rates from the flight recorder (when
     /// one is installed), live gauges, and per-stage latency quantiles.
     fn top_view(&mut self) -> String {
-        self.monitor.poll_controller(&self.controller);
+        let verdicts = self.monitor.poll_controller(&self.controller);
         let rows = self.monitor.transport_health(self.controller.cluster());
         let registry = Arc::clone(self.controller.metrics());
         let snap = registry.snapshot();
@@ -439,9 +442,9 @@ impl Shell {
             "{:<5} {:<8} {:>8} {:>12} {:>12}",
             "node", "state", "objects", "used", "capacity"
         );
-        for row in &rows {
+        for (row, (_, health)) in rows.iter().zip(&verdicts) {
             let state = state_label(row);
-            match self.store_stats(row.node) {
+            match health.stats() {
                 Some(s) => {
                     let _ = writeln!(
                         out,
@@ -549,12 +552,6 @@ impl Shell {
             ok: !breached && down.is_empty(),
             output: out.trim_end().to_string(),
         }
-    }
-
-    /// One node's content-store stats, or `None` when the broker is
-    /// unreachable or does not answer with stats.
-    fn store_stats(&self, node: NodeId) -> Option<StoreStats> {
-        self.controller.cluster().broker(node)?.store_stats().ok()
     }
 }
 
@@ -849,7 +846,11 @@ mod tests {
         for node in ["n0", "n1", "n2"] {
             assert!(store.contains(node), "{store}");
         }
-        assert!(store.contains("in flight"), "{store}");
+        // Two pushes committed, read from the shipper's metrics.
+        assert!(
+            store.contains("transfers: 0 in flight, 2 started total, 0 failed"),
+            "{store}"
+        );
         // n0 and n1 hold the object; 600 bytes committed on each.
         let n0 = store.lines().find(|l| l.starts_with("n0")).unwrap();
         assert!(n0.contains("600B"), "{store}");
@@ -889,23 +890,49 @@ mod tests {
         sh.shutdown();
     }
 
-    #[test]
-    fn audit_asks_each_node_for_one_inventory_and_one_verify_per_routed_copy() {
-        let mut sh = shell();
-        assert!(out(&mut sh, "publish /a.html html 600 0,1").starts_with("published"));
-        assert!(out(&mut sh, "publish /b.html html 600 1").starts_with("published"));
-        assert!(out(&mut sh, "publish /c.html html 600 0,1").starts_with("published"));
+    /// The broker calls `line` costs each of the shell's 3 nodes.
+    fn calls_per_node(sh: &mut Shell, line: &str) -> Vec<u64> {
         let calls = |sh: &Shell| -> Vec<u64> {
             let cluster = sh.controller.cluster();
             (0..3)
                 .map(|n| cluster.broker(NodeId(n)).unwrap().transport_stats().calls)
                 .collect()
         };
-        let before = calls(&sh);
-        assert!(out(&mut sh, "audit").starts_with("consistent"));
-        let cost: Vec<u64> = calls(&sh).iter().zip(&before).map(|(a, b)| a - b).collect();
+        let before = calls(sh);
+        out(sh, line);
+        calls(sh).iter().zip(&before).map(|(a, b)| a - b).collect()
+    }
+
+    #[test]
+    fn audit_asks_each_node_for_one_inventory_and_one_verify_per_routed_copy() {
+        let mut sh = shell();
+        assert!(out(&mut sh, "publish /a.html html 600 0,1").starts_with("published"));
+        assert!(out(&mut sh, "publish /b.html html 600 1").starts_with("published"));
+        assert!(out(&mut sh, "publish /c.html html 600 0,1").starts_with("published"));
         // n0 is routed 2 copies, n1 3, n2 none.
-        assert_eq!(cost, [1 + 2, 1 + 3, 1], "one pass, no second listing");
+        assert_eq!(
+            calls_per_node(&mut sh, "audit"),
+            [1 + 2, 1 + 3, 1],
+            "one pass, no second listing"
+        );
+        sh.shutdown();
+    }
+
+    #[test]
+    fn each_node_view_asks_each_node_for_one_stat() {
+        let mut sh = shell();
+        assert!(out(&mut sh, "publish /a.html html 600 0,1").starts_with("published"));
+        assert!(out(&mut sh, "publish /b.html html 600 1").starts_with("published"));
+        for view in ["nodes", "top", "status", "health"] {
+            assert_eq!(calls_per_node(&mut sh, view), [1, 1, 1], "{view}");
+        }
+        // `store` adds the audit's calls: an `Inventory`, and a `Verify`
+        // per routed copy (n0 has 1, n1 2, n2 none).
+        assert_eq!(
+            calls_per_node(&mut sh, "store"),
+            [1 + 1 + 1, 1 + 1 + 2, 1 + 1],
+            "store"
+        );
         sh.shutdown();
     }
 

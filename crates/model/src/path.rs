@@ -204,12 +204,6 @@ impl UrlPath {
             || (self.normalized.starts_with(&ancestor.normalized)
                 && self.normalized.as_bytes().get(ancestor.normalized.len()) == Some(&b'/'))
     }
-
-    /// In-memory size of the path text, used for the §5.2 URL-table memory
-    /// accounting.
-    pub fn byte_len(&self) -> usize {
-        self.normalized.len()
-    }
 }
 
 impl fmt::Display for UrlPath {

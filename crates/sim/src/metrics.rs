@@ -197,7 +197,6 @@ pub struct Collector {
     misroutes: u64,
     response_micros: HashMap<RequestClass, Vec<u64>>,
     priority_micros: HashMap<Priority, Vec<u64>>,
-    per_node_requests: HashMap<NodeId, u64>,
     load_samples: Vec<LoadSample>,
 }
 
@@ -233,7 +232,6 @@ impl Collector {
             .entry(outcome.priority)
             .or_default()
             .push(outcome.response_time().as_micros());
-        *self.per_node_requests.entry(outcome.served_by).or_insert(0) += 1;
         self.load_samples.push(sample);
     }
 
@@ -303,14 +301,7 @@ impl Collector {
         self.misroutes = 0;
         self.response_micros.clear();
         self.priority_micros.clear();
-        self.per_node_requests.clear();
         report
-    }
-
-    /// Requests served per node this window (consumed by the simulation
-    /// when assembling node reports).
-    pub fn node_requests(&self, node: NodeId) -> u64 {
-        self.per_node_requests.get(&node).copied().unwrap_or(0)
     }
 }
 

@@ -301,16 +301,6 @@ impl<'c> Simulation<'c> {
         &mut self.table
     }
 
-    /// The routing policy's name.
-    pub fn router_name(&self) -> &'static str {
-        self.router.name()
-    }
-
-    /// Live cluster state (connection counts).
-    pub fn cluster_state(&self) -> &ClusterState {
-        &self.state
-    }
-
     /// Injects a node failure or recovery.
     pub fn set_node_alive(&mut self, node: NodeId, alive: bool) {
         self.state.set_alive(node, alive);

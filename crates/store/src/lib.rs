@@ -9,8 +9,10 @@
 //! quota/disk-usage accounting. Between nodes, content moves over
 //! `cpms-wire` through the ship protocol ([`ShipRequest`] /
 //! [`ShipReply`]): resumable chunked transfers with per-chunk checksum
-//! validation, bounded-retry resume after connection loss, and a
-//! bounded-concurrency [`TransferScheduler`] for controller-side fan-out.
+//! validation and bounded-retry resume after connection loss. A
+//! [`Shipper`] pushes to one store per call; the controller fans a
+//! publication out itself, one scoped thread per extra target, and its
+//! transfer counts are the `ship_*` metrics [`ShipMetrics`] records.
 //!
 //! The load-bearing invariant the rest of the system builds on:
 //! **commit before publish**. An object only becomes visible (readable,
@@ -23,12 +25,10 @@
 #![warn(missing_docs)]
 
 mod object;
-mod sched;
 mod ship;
 mod store;
 
 pub use object::{fnv64, hex_decode, hex_encode, synthetic_body, ObjectMeta, DEFAULT_CHUNK_SIZE};
-pub use sched::TransferScheduler;
 pub use ship::{
     apply, apply_tail, ShipError, ShipMetrics, ShipOutcome, ShipPort, ShipReply, ShipRequest,
     Shipper, StoreClient, StoreService, SHIP_DEADLINE,

@@ -863,7 +863,9 @@ impl Shipper {
     /// # Errors
     ///
     /// [`ShipError::Store`] (e.g. not found), [`ShipError::Wire`] /
-    /// [`ShipError::Exhausted`] on persistent transport failure.
+    /// [`ShipError::Exhausted`] on persistent transport failure,
+    /// [`ShipError::Protocol`] when the announced size or chunk count
+    /// cannot be allocated.
     pub fn pull(
         &self,
         port: &dyn ShipPort,
@@ -881,8 +883,24 @@ impl Shipper {
                 })
             }
         };
-        let mut body = Vec::with_capacity(usize::try_from(meta.size).unwrap_or(0));
-        let mut sums = Vec::with_capacity(meta.chunk_count() as usize);
+        // The peer's record sizes both buffers: reserve them fallibly, so
+        // an absurd announcement costs this pull and not the process.
+        let no_memory = |detail: String| ShipError::Protocol {
+            detail: format!(
+                "{} announced {} ({}B in {} chunk(s)) too large to pull: {detail}",
+                port.peer(),
+                path,
+                meta.size,
+                meta.chunk_count()
+            ),
+        };
+        let size = usize::try_from(meta.size).map_err(|e| no_memory(e.to_string()))?;
+        let mut body = Vec::new();
+        body.try_reserve_exact(size)
+            .map_err(|e| no_memory(e.to_string()))?;
+        let mut sums = Vec::new();
+        sums.try_reserve_exact(meta.chunk_count() as usize)
+            .map_err(|e| no_memory(e.to_string()))?;
         let mut got = FNV_BASIS;
         for index in 0..meta.chunk_count() {
             let (bytes, sum, running) = self.fetch_chunk(port, path, &meta, index, got)?;
@@ -1221,6 +1239,33 @@ mod tests {
             .put(&p("/old"), ContentId(7), 0, &body, false)
             .unwrap();
         let err = Shipper::new().pull(&port, &p("/old")).unwrap_err();
+        assert!(matches!(err, ShipError::Protocol { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn pull_of_an_absurd_announced_size_is_a_typed_error() {
+        /// A peer whose every `Meta` announces an object of 4 EiB.
+        struct Boastful;
+        impl ShipPort for Boastful {
+            fn ship_tail(
+                &self,
+                request: &ShipRequest,
+                _tail: &[u8],
+            ) -> Result<(ShipReply, Vec<u8>), WireError> {
+                let reply = match request {
+                    ShipRequest::Meta { .. } => ShipReply::MetaIs(ObjectMeta {
+                        content: ContentId(1),
+                        size: 1 << 62,
+                        checksum: 0,
+                        chunk_size: DEFAULT_CHUNK_SIZE,
+                        version: 0,
+                    }),
+                    other => panic!("pull went on to {other:?}"),
+                };
+                Ok((reply, Vec::new()))
+            }
+        }
+        let err = Shipper::new().pull(&Boastful, &p("/huge")).unwrap_err();
         assert!(matches!(err, ShipError::Protocol { .. }), "{err:?}");
     }
 

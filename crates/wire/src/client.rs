@@ -419,6 +419,7 @@ impl Client {
 mod tests {
     use super::*;
     use crate::faulty::{FaultPlan, FaultyTransport};
+    use crate::frame::{read_frame_ext_or_eof, TracedFrameOrEof};
     use crate::transport::InProcServer;
     use std::sync::atomic::AtomicU32;
 
@@ -710,14 +711,16 @@ mod tests {
     fn frame_checksum_covers_the_tail() {
         let payload = with_tail("{\"n\":1}".to_string(), HOSTILE_TAIL);
         let mut frame = crate::frame::encode_frame(&payload);
-        assert_eq!(
-            crate::frame::read_frame(&mut &frame[..]).unwrap(),
-            payload,
-            "the frame carries head and tail verbatim"
-        );
+        match read_frame_ext_or_eof(&mut &frame[..]).unwrap() {
+            TracedFrameOrEof::Frame(read) => assert_eq!(
+                read.payload, payload,
+                "the frame carries head and tail verbatim"
+            ),
+            TracedFrameOrEof::Eof => panic!("expected a frame"),
+        }
         let last = frame.len() - 1;
         frame[last] ^= 0x01;
-        let err = crate::frame::read_frame(&mut &frame[..]).unwrap_err();
+        let err = read_frame_ext_or_eof(&mut &frame[..]).unwrap_err();
         assert!(matches!(err, WireError::Corrupt { .. }), "{err:?}");
     }
 

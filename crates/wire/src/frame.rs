@@ -206,16 +206,6 @@ fn read_exact_counting<R: Read>(
     Ok(())
 }
 
-/// Outcome of [`read_frame_or_eof`]: a payload, or a clean end-of-stream
-/// before any byte of a new frame arrived.
-#[derive(Debug)]
-pub enum FrameOrEof {
-    /// A complete, verified payload.
-    Frame(Vec<u8>),
-    /// The stream ended cleanly between frames.
-    Eof,
-}
-
 /// A verified frame with any trace extension decoded: what
 /// [`read_frame_ext_or_eof`] yields.
 #[derive(Debug)]
@@ -226,7 +216,8 @@ pub struct TracedFrame {
     pub trace: Option<TraceContext>,
 }
 
-/// Outcome of [`read_frame_ext_or_eof`].
+/// Outcome of [`read_frame_ext_or_eof`]: a frame, or a clean
+/// end-of-stream before any byte of a new frame arrived.
 #[derive(Debug)]
 pub enum TracedFrameOrEof {
     /// A complete, verified frame.
@@ -327,37 +318,27 @@ pub fn read_frame_ext_or_eof<R: Read>(r: &mut R) -> Result<TracedFrameOrEof, Wir
     Ok(TracedFrameOrEof::Frame(TracedFrame { payload, trace }))
 }
 
-/// Reads one frame as [`read_frame_ext_or_eof`] but discards the trace
-/// extension, yielding just the payload.
-///
-/// # Errors
-///
-/// As [`read_frame_ext_or_eof`].
-pub fn read_frame_or_eof<R: Read>(r: &mut R) -> Result<FrameOrEof, WireError> {
-    match read_frame_ext_or_eof(r)? {
-        TracedFrameOrEof::Frame(frame) => Ok(FrameOrEof::Frame(frame.payload)),
-        TracedFrameOrEof::Eof => Ok(FrameOrEof::Eof),
-    }
-}
-
-/// Reads one frame; a clean EOF anywhere is an error (the client side of
-/// a call, which expects exactly one response).
-///
-/// # Errors
-///
-/// As [`read_frame_or_eof`], plus [`WireError::Closed`] on clean EOF
-/// before the header.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
-    match read_frame_or_eof(r)? {
-        FrameOrEof::Frame(payload) => Ok(payload),
-        FrameOrEof::Eof => Err(WireError::Closed),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    /// The next frame's payload, or the error reading it; a clean EOF
+    /// reads as `None`.
+    fn read(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
+        Ok(match read_frame_ext_or_eof(r)? {
+            TracedFrameOrEof::Frame(frame) => Some(frame.payload),
+            TracedFrameOrEof::Eof => None,
+        })
+    }
+
+    /// The one frame in `buf`, or the error reading it.
+    fn read_one(buf: Vec<u8>) -> Result<TracedFrame, WireError> {
+        match read_frame_ext_or_eof(&mut Cursor::new(buf))? {
+            TracedFrameOrEof::Frame(frame) => Ok(frame),
+            TracedFrameOrEof::Eof => panic!("expected a frame"),
+        }
+    }
 
     #[test]
     fn round_trip() {
@@ -365,12 +346,9 @@ mod tests {
         write_frame(&mut buf, b"hello wire").unwrap();
         write_frame(&mut buf, b"").unwrap();
         let mut cursor = Cursor::new(buf);
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"hello wire");
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"");
-        assert!(matches!(
-            read_frame_or_eof(&mut cursor).unwrap(),
-            FrameOrEof::Eof
-        ));
+        assert_eq!(read(&mut cursor).unwrap().unwrap(), b"hello wire");
+        assert_eq!(read(&mut cursor).unwrap().unwrap(), b"");
+        assert_eq!(read(&mut cursor).unwrap(), None);
     }
 
     #[test]
@@ -378,7 +356,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"0123456789").unwrap();
         buf.truncate(HEADER_LEN + 4);
-        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
+        let err = read_one(buf).unwrap_err();
         assert_eq!(
             err,
             WireError::Truncated {
@@ -393,14 +371,15 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"abc").unwrap();
         buf.truncate(5);
-        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
+        let err = read_one(buf).unwrap_err();
         assert!(matches!(err, WireError::Truncated { got: 5, .. }));
     }
 
     #[test]
     fn clean_eof_on_client_read_is_closed() {
-        let err = read_frame(&mut Cursor::new(Vec::new())).unwrap_err();
-        assert_eq!(err, WireError::Closed);
+        // End-of-stream, not an error: the caller decides, and a client
+        // awaiting a reply maps it to `WireError::Closed`.
+        assert_eq!(read(&mut Cursor::new(Vec::new())).unwrap(), None);
     }
 
     #[test]
@@ -409,7 +388,7 @@ mod tests {
         write_frame(&mut buf, b"payload").unwrap();
         let last = buf.len() - 1;
         buf[last] ^= 0xFF;
-        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
+        let err = read_one(buf).unwrap_err();
         assert!(matches!(err, WireError::Corrupt { .. }), "{err:?}");
     }
 
@@ -418,13 +397,13 @@ mod tests {
         let mut buf = encode_frame(b"x");
         buf[0] = 0;
         assert!(matches!(
-            read_frame(&mut Cursor::new(buf)).unwrap_err(),
+            read_one(buf).unwrap_err(),
             WireError::BadMagic { seen: [0, 0x57] }
         ));
         let mut buf = encode_frame(b"x");
         buf[2] = 9;
         assert!(matches!(
-            read_frame(&mut Cursor::new(buf)).unwrap_err(),
+            read_one(buf).unwrap_err(),
             WireError::BadVersion { seen: 9 }
         ));
     }
@@ -434,7 +413,7 @@ mod tests {
         let mut buf = encode_frame(b"x");
         buf[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(matches!(
-            read_frame(&mut Cursor::new(buf)).unwrap_err(),
+            read_one(buf).unwrap_err(),
             WireError::TooLarge { .. }
         ));
     }
@@ -502,7 +481,7 @@ mod tests {
         buf.extend_from_slice(&fnv1a.to_be_bytes());
         buf.extend_from_slice(payload);
         assert_eq!(
-            read_frame(&mut Cursor::new(buf)).unwrap_err(),
+            read_one(buf).unwrap_err(),
             WireError::BadVersion { seen: 1 }
         );
     }
@@ -513,14 +492,9 @@ mod tests {
         let mut buf = Vec::new();
         write_frame_ext(&mut buf, b"payload", Some(&ctx)).unwrap();
         assert_eq!(buf[3], FLAG_TRACE);
-        let mut cursor = Cursor::new(buf);
-        match read_frame_ext_or_eof(&mut cursor).unwrap() {
-            TracedFrameOrEof::Frame(frame) => {
-                assert_eq!(frame.payload, b"payload");
-                assert_eq!(frame.trace, Some(ctx));
-            }
-            TracedFrameOrEof::Eof => panic!("expected a frame"),
-        }
+        let frame = read_one(buf).unwrap();
+        assert_eq!(frame.payload, b"payload");
+        assert_eq!(frame.trace, Some(ctx));
     }
 
     #[test]
@@ -528,9 +502,9 @@ mod tests {
         let ctx = TraceContext::root(false);
         let mut buf = Vec::new();
         write_frame_ext(&mut buf, b"legacy view", Some(&ctx)).unwrap();
-        // A caller using the extension-less API still sees just the
-        // payload — never the extension bytes.
-        assert_eq!(read_frame(&mut Cursor::new(buf)).unwrap(), b"legacy view");
+        // An unsampled context still rides as an extension, and the
+        // reader strips it: the payload never holds extension bytes.
+        assert_eq!(read_one(buf).unwrap().payload, b"legacy view");
     }
 
     #[test]
@@ -538,13 +512,9 @@ mod tests {
         let mut buf = Vec::new();
         write_frame_ext(&mut buf, b"plain", None).unwrap();
         assert_eq!(buf[3], 0, "no extension, no flag");
-        match read_frame_ext_or_eof(&mut Cursor::new(buf)).unwrap() {
-            TracedFrameOrEof::Frame(frame) => {
-                assert_eq!(frame.payload, b"plain");
-                assert_eq!(frame.trace, None);
-            }
-            TracedFrameOrEof::Eof => panic!("expected a frame"),
-        }
+        let frame = read_one(buf).unwrap();
+        assert_eq!(frame.payload, b"plain");
+        assert_eq!(frame.trace, None);
     }
 
     #[test]
@@ -556,13 +526,9 @@ mod tests {
         buf[HEADER_LEN] = TRACE_EXT_VERSION + 1;
         let crc = checksum(&buf[HEADER_LEN..]);
         buf[8..12].copy_from_slice(&crc.to_be_bytes());
-        match read_frame_ext_or_eof(&mut Cursor::new(buf)).unwrap() {
-            TracedFrameOrEof::Frame(frame) => {
-                assert_eq!(frame.payload, b"future");
-                assert_eq!(frame.trace, None, "unknown version is skipped, not fatal");
-            }
-            TracedFrameOrEof::Eof => panic!("expected a frame"),
-        }
+        let frame = read_one(buf).unwrap();
+        assert_eq!(frame.payload, b"future");
+        assert_eq!(frame.trace, None, "unknown version is skipped, not fatal");
     }
 
     #[test]
@@ -577,7 +543,7 @@ mod tests {
         buf.extend_from_slice(&u32::try_from(body.len()).unwrap().to_be_bytes());
         buf.extend_from_slice(&checksum(&body).to_be_bytes());
         buf.append(&mut body);
-        let err = read_frame_ext_or_eof(&mut Cursor::new(buf)).unwrap_err();
+        let err = read_one(buf).unwrap_err();
         assert!(
             matches!(err, WireError::BadExtension { .. }),
             "typed error, got {err:?}"
@@ -605,12 +571,8 @@ mod tests {
         buf.extend_from_slice(&u32::try_from(body.len()).unwrap().to_be_bytes());
         buf.extend_from_slice(&checksum(&body).to_be_bytes());
         buf.append(&mut body);
-        match read_frame_ext_or_eof(&mut Cursor::new(buf)).unwrap() {
-            TracedFrameOrEof::Frame(frame) => {
-                assert_eq!(frame.payload, b"still fine");
-                assert_eq!(frame.trace, None);
-            }
-            TracedFrameOrEof::Eof => panic!("expected a frame"),
-        }
+        let frame = read_one(buf).unwrap();
+        assert_eq!(frame.payload, b"still fine");
+        assert_eq!(frame.trace, None);
     }
 }

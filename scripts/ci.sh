@@ -70,9 +70,11 @@ echo "    1 MiB bodies byte-exact with <= 16 KiB each through user space, the re
 echo "    per-request budget: 10,000 keep-alive GETs make 0 poller control calls and <= 0.01 timer arms each)"
 timeout --signal=KILL 120 ./target/release/cpms-proxy --smoke
 
-echo "==> remote console (cpms-console: a clean script exits 0 and audits consistent; a failed command exits 1)"
-console_out=$(printf 'publish /ci/a.html html 1024 0,1\nls\naudit\n' | ./target/release/cpms-console 3 16)
+echo "==> remote console (cpms-console: a clean script exits 0 and audits consistent, \`store\` counts its 2 pushes"
+echo "    from the shipper's ship_* metrics; a failed command exits 1)"
+console_out=$(printf 'publish /ci/a.html html 1024 0,1\nls\naudit\nstore\n' | ./target/release/cpms-console 3 16)
 grep -q '^consistent' <<<"$console_out"
+grep -q '^transfers: 0 in flight, 2 started total, 0 failed$' <<<"$console_out"
 console_status=0
 printf 'delete /nope\n' | ./target/release/cpms-console 3 16 >/dev/null 2>&1 || console_status=$?
 if [ "$console_status" -ne 1 ]; then
