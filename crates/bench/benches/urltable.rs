@@ -109,8 +109,8 @@ fn churn_path(table: &UrlTable) -> UrlPath {
 
 /// Runs `readers` routing threads for [`CELL_DURATION`] against the seed
 /// design and returns total lookups completed. This reproduces the seed
-/// proxy's per-request routing step exactly: every worker takes the
-/// *exclusive* lock and calls `lookup_and_hit` (hit accounting was inline,
+/// proxy's per-request routing step: every worker takes the *exclusive*
+/// lock for its lookup (the seed bumped a per-record hit counter inline,
 /// so even reads needed `write()`), with no cache in the request path.
 fn run_rwlock_cell(table: &UrlTable, probes: &[UrlPath], readers: usize, rate: u32) -> u64 {
     let shared = Arc::new(RwLock::new(table.clone()));
@@ -130,8 +130,8 @@ fn run_rwlock_cell(table: &UrlTable, probes: &[UrlPath], readers: usize, rate: u
                     for _ in 0..64 {
                         let path = &probes[i % probes.len()];
                         i += 1;
-                        let mut guard = shared.write();
-                        black_box(guard.lookup_and_hit(path));
+                        let guard = shared.write();
+                        black_box(guard.lookup(path));
                         ops += 1;
                     }
                 }
@@ -256,8 +256,8 @@ fn bench_contended() {
         "table_objects": table.len(),
         "cell_duration_ms": CELL_DURATION.as_millis() as u64,
         "designs": {
-            "rwlock": "seed: Arc<RwLock<UrlTable>>, write()+lookup_and_hit per request (inline hit accounting forces the exclusive lock, no cache in the request path)",
-            "snapshot": "TablePublisher snapshots, per-thread SnapshotReader (wait-free pinned reads through a private cache; hit accounting deferred to worker ledgers)",
+            "rwlock": "seed: Arc<RwLock<UrlTable>>, write()+lookup per request (the seed's inline hit accounting forced the exclusive lock, no cache in the request path)",
+            "snapshot": "TablePublisher snapshots, per-thread SnapshotReader (wait-free pinned reads through a private cache)",
         },
         "cells": cells,
     });

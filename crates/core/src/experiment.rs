@@ -4,11 +4,13 @@
 use crate::placement::PlacementPolicy;
 use crate::routing::RouterChoice;
 use cpms_mgmt::AutoReplicator;
-#[allow(unused_imports)] // referenced in docs
-use cpms_model::ClusterConfig;
 use cpms_model::{LoadTracker, NodeSpec, SimDuration, WorkloadKind};
 use cpms_sim::{SimConfig, SimReport, Simulation};
 use cpms_workload::{Corpus, CorpusBuilder, WorkloadSpec};
+
+/// Seed of every experiment's generated corpus: runs that differ in their
+/// request seed still serve the same site.
+const CORPUS_SEED: u64 = 1;
 
 /// Auto-replication settings for an experiment (§3.3 running between
 /// measurement intervals).
@@ -39,7 +41,6 @@ impl Default for RebalanceConfig {
 #[derive(Debug, Clone)]
 pub struct ExperimentBuilder {
     corpus_objects: usize,
-    corpus_seed: u64,
     nodes: Vec<NodeSpec>,
     placement: PlacementPolicy,
     router: RouterChoice,
@@ -57,7 +58,6 @@ impl Default for ExperimentBuilder {
     fn default() -> Self {
         ExperimentBuilder {
             corpus_objects: 8_700,
-            corpus_seed: 1,
             nodes: NodeSpec::paper_testbed(),
             placement: PlacementPolicy::FullReplication,
             router: RouterChoice::WeightedLeastConnections,
@@ -77,12 +77,6 @@ impl ExperimentBuilder {
     /// Sets the corpus size (default: the paper's ~8 700 objects).
     pub fn corpus_objects(mut self, n: usize) -> Self {
         self.corpus_objects = n;
-        self
-    }
-
-    /// Sets the corpus generation seed.
-    pub fn corpus_seed(mut self, seed: u64) -> Self {
-        self.corpus_seed = seed;
         self
     }
 
@@ -147,33 +141,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Applies a declarative [`cpms_model::ClusterConfig`] (e.g. parsed
-    /// from JSON): nodes, placement kind, and — when its rebalance
-    /// threshold is set — an auto-replication schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config fails [`cpms_model::ClusterConfig::validate`].
-    pub fn cluster_config(mut self, config: &cpms_model::ClusterConfig) -> Self {
-        config.validate().expect("valid cluster config");
-        self.nodes = config.nodes.clone();
-        self.placement = PlacementPolicy::from_kind(config.placement);
-        if !config.placement.needs_content_aware_routing() {
-            self.router = RouterChoice::WeightedLeastConnections;
-        } else {
-            self.router = RouterChoice::ContentAware {
-                cache_entries: 4096,
-            };
-        }
-        if let Some(threshold) = config.rebalance_threshold {
-            self.rebalance = Some(RebalanceConfig {
-                threshold,
-                ..RebalanceConfig::default()
-            });
-        }
-        self
-    }
-
     /// Builds the experiment (generates the corpus).
     ///
     /// # Panics
@@ -185,7 +152,7 @@ impl ExperimentBuilder {
         assert!(self.clients > 0, "experiment needs clients");
         let corpus = CorpusBuilder::paper_site()
             .total_objects(self.corpus_objects)
-            .seed(self.corpus_seed)
+            .seed(CORPUS_SEED)
             .build();
         Experiment {
             corpus,
@@ -393,29 +360,6 @@ mod tests {
             result.rebalance_actions > 0,
             "skewed single-copy placement should trigger replication"
         );
-    }
-
-    #[test]
-    fn cluster_config_round_trip() {
-        let json = r#"{
-            "nodes": [
-                {"cpu_mhz": 350, "mem_bytes": 134217728, "disk": "Scsi",
-                 "disk_bytes": 8589934592, "nic_bits_per_sec": 100000000,
-                 "software": "LinuxApache"},
-                {"cpu_mhz": 150, "mem_bytes": 67108864, "disk": "Ide",
-                 "disk_bytes": 4294967296, "nic_bits_per_sec": 100000000,
-                 "software": "LinuxApache"}
-            ],
-            "placement": "PartitionedByType",
-            "rebalance_threshold": 0.3
-        }"#;
-        let config: cpms_model::ClusterConfig =
-            serde_json::from_str(json).expect("parse cluster config");
-        let result = quick().cluster_config(&config).build().run();
-        assert_eq!(result.placement, "partitioned");
-        assert_eq!(result.router, "content-aware");
-        assert!(result.report.throughput_rps() > 0.0);
-        assert!(!result.interval_reports.is_empty(), "rebalance engaged");
     }
 
     #[test]

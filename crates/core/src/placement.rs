@@ -53,27 +53,6 @@ pub enum PlacementPolicy {
 }
 
 impl PlacementPolicy {
-    /// Maps a serialized [`cpms_model::PlacementKind`] (from a
-    /// [`cpms_model::ClusterConfig`]) onto a concrete policy with default
-    /// parameters.
-    pub fn from_kind(kind: cpms_model::PlacementKind) -> Self {
-        match kind {
-            cpms_model::PlacementKind::FullReplication => PlacementPolicy::FullReplication,
-            cpms_model::PlacementKind::SharedNfs => PlacementPolicy::SharedNfs,
-            cpms_model::PlacementKind::PartitionedByType => PlacementPolicy::PartitionedByType {
-                segregate_dynamic: true,
-            },
-            cpms_model::PlacementKind::PartialReplication => PlacementPolicy::PartialReplication {
-                segregate_dynamic: true,
-                hot_fraction: 0.05,
-                copies: 2,
-            },
-            // `PlacementKind` is non-exhaustive; map future kinds to the
-            // conservative default.
-            _ => PlacementPolicy::FullReplication,
-        }
-    }
-
     /// Builds the URL table realizing this policy.
     pub fn build_table(&self, corpus: &Corpus, specs: &[NodeSpec]) -> UrlTable {
         match *self {

@@ -22,7 +22,6 @@ pub const CONTENT_AWARE_DECISION_COST: SimDuration = SimDuration::from_micros(35
 #[derive(Debug)]
 pub struct ContentAwareRouter {
     cache: LookupCache,
-    decision_cost: SimDuration,
     lookups: u64,
     misses: u64,
 }
@@ -33,17 +32,9 @@ impl ContentAwareRouter {
     pub fn new(cache_entries: u64) -> Self {
         ContentAwareRouter {
             cache: LookupCache::new(cache_entries),
-            decision_cost: CONTENT_AWARE_DECISION_COST,
             lookups: 0,
             misses: 0,
         }
-    }
-
-    /// Overrides the per-request decision cost (for sensitivity studies).
-    #[must_use]
-    pub fn with_decision_cost(mut self, cost: SimDuration) -> Self {
-        self.decision_cost = cost;
-        self
     }
 
     /// Total routing lookups performed.
@@ -96,7 +87,7 @@ impl Router for ContentAwareRouter {
                     .partial_cmp(&state.normalized_load(*b))
                     .expect("loads are finite")
             })?;
-        Some(RouteDecision::new(node, self.decision_cost))
+        Some(RouteDecision::new(node, CONTENT_AWARE_DECISION_COST))
     }
 }
 
@@ -200,10 +191,10 @@ mod tests {
     }
 
     #[test]
-    fn decision_cost_override() {
+    fn charges_the_constant_decision_cost() {
         let (table, state, path) = setup();
-        let mut r = ContentAwareRouter::new(16).with_decision_cost(SimDuration::from_micros(99));
+        let mut r = ContentAwareRouter::new(16);
         let d = r.route(&req(&path), &state, &table).unwrap();
-        assert_eq!(d.cost, SimDuration::from_micros(99));
+        assert_eq!(d.cost, CONTENT_AWARE_DECISION_COST);
     }
 }

@@ -65,7 +65,6 @@ use cpms_reactor::{
     WakeReceiver,
 };
 use cpms_urltable::SnapshotHandle;
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
@@ -129,7 +128,6 @@ pub(crate) struct WorkerBoot {
     pub preforked: SocketPool,
     pub pools: Arc<Vec<SocketPool<Pooled>>>,
     pub in_flight: Arc<Vec<AtomicU32>>,
-    pub ledgers: Arc<Vec<Mutex<HashMap<UrlPath, u64>>>>,
     pub registry: Arc<MetricsRegistry>,
     pub stop: Arc<AtomicBool>,
     pub queue: Arc<HandoffQueue>,
@@ -387,7 +385,6 @@ struct Cx {
     /// open, and the client it is bound to.
     bindings: Slab<Binding>,
     in_flight: Arc<Vec<AtomicU32>>,
-    ledgers: Arc<Vec<Mutex<HashMap<UrlPath, u64>>>>,
     registry: Arc<MetricsRegistry>,
     active: Arc<AtomicI64>,
     tenants: Arc<Vec<TenantSlot>>,
@@ -425,7 +422,6 @@ pub(crate) fn worker_loop(boot: WorkerBoot) {
         pools: boot.pools,
         bindings: Slab::new(),
         in_flight: boot.in_flight,
-        ledgers: boot.ledgers,
         registry: boot.registry,
         active: boot.active,
         tenants: boot.tenants,
@@ -1040,15 +1036,6 @@ fn handle_request(cx: &mut Cx, conn: &mut Conn, request: Request) -> Verdict {
     let Some((node, _entry)) = target else {
         return refuse(cx, conn, Failure::Unroutable, "no location");
     };
-    {
-        let mut ledger = cx.ledgers[cx.idx].lock();
-        match ledger.get_mut(path) {
-            Some(hits) => *hits += 1,
-            None => {
-                ledger.insert(path.clone(), 1);
-            }
-        }
-    }
 
     // --- bind to a pre-forked connection and start the relay state
     // machine. The relay gets its own child span whose context rides the

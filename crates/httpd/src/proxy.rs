@@ -19,11 +19,10 @@
 //!
 //! Workers never share mutable routing state — each owns a
 //! [`cpms_dispatch::LiveRouter`] (pinned URL-table snapshot + private
-//! lookup cache), a shard of the pre-forked connection pool, its own
-//! histogram shards, and a private hit ledger. The only cross-worker state
-//! is the shared in-flight counters used for replica choice, the admission
-//! counters, the registry's counters, and the snapshot publication
-//! protocol itself.
+//! lookup cache), a shard of the pre-forked connection pool and its own
+//! histogram shards. The only cross-worker state is the shared in-flight
+//! counters used for replica choice, the admission counters, the
+//! registry's counters, and the snapshot publication protocol itself.
 //!
 //! Every response the proxy writes itself — a request it cannot or will
 //! not relay, or a connection shed at accept — is one [`Failure`], which
@@ -41,7 +40,7 @@ use cpms_obs::{Counter, MetricsRegistry, Sampler};
 use cpms_reactor::{new_poller, waker_pair, Event, Interest, Token, Waker};
 use cpms_urltable::{SnapshotHandle, TablePublisher, UrlTable};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -184,7 +183,6 @@ pub struct ContentAwareProxy {
     relayed: Arc<Counter>,
     failures: [Arc<Counter>; Failure::ALL.len()],
     pools: Arc<Vec<SocketPool<Pooled>>>,
-    ledgers: Arc<Vec<Mutex<HashMap<cpms_model::UrlPath, u64>>>>,
     registry: Arc<MetricsRegistry>,
     stop: Arc<AtomicBool>,
     active: Arc<AtomicI64>,
@@ -283,8 +281,6 @@ impl ContentAwareProxy {
         );
         let in_flight: Arc<Vec<AtomicU32>> =
             Arc::new((0..backends.len()).map(|_| AtomicU32::new(0)).collect());
-        let ledgers: Arc<Vec<Mutex<HashMap<cpms_model::UrlPath, u64>>>> =
-            Arc::new((0..workers).map(|_| Mutex::new(HashMap::new())).collect());
         let stop = Arc::new(AtomicBool::new(false));
         let active = Arc::new(AtomicI64::new(0));
         let tenants: Arc<Vec<TenantSlot>> = Arc::new(
@@ -321,7 +317,6 @@ impl ContentAwareProxy {
                 preforked,
                 pools: Arc::clone(&pools),
                 in_flight: Arc::clone(&in_flight),
-                ledgers: Arc::clone(&ledgers),
                 registry: Arc::clone(&registry),
                 stop: Arc::clone(&stop),
                 queue: Arc::clone(&queue),
@@ -369,7 +364,6 @@ impl ContentAwareProxy {
             relayed: registry.counter("proxy_relayed_total"),
             failures,
             pools,
-            ledgers,
             registry,
             stop,
             active,
@@ -428,36 +422,6 @@ impl ContentAwareProxy {
     /// the per-worker pool shards.
     pub fn overflow_connects(&self) -> u64 {
         self.pools.iter().map(SocketPool::overflow_connects).sum()
-    }
-
-    /// Routed hits recorded by workers but not yet folded into the table,
-    /// summed across ledgers.
-    pub fn pending_hits(&self) -> u64 {
-        self.ledgers
-            .iter()
-            .map(|l| l.lock().values().sum::<u64>())
-            .sum()
-    }
-
-    /// Drains every worker's hit ledger into the published table (one
-    /// snapshot publication, no generation bump — hit counts are not
-    /// routing data). The management plane calls this periodically to see
-    /// per-object hit counts without putting a write on the request path.
-    pub fn flush_hits(&self) {
-        let mut drained: HashMap<cpms_model::UrlPath, u64> = HashMap::new();
-        for ledger in self.ledgers.iter() {
-            for (path, count) in ledger.lock().drain() {
-                *drained.entry(path).or_insert(0) += count;
-            }
-        }
-        if drained.is_empty() {
-            return;
-        }
-        self.publisher.update(|t| {
-            for (path, count) in &drained {
-                t.record_hits(path, *count);
-            }
-        });
     }
 
     /// Stops accepting new connections, closes every open one, and joins
@@ -783,13 +747,10 @@ mod tests {
             }
         });
         assert_eq!(proxy.relayed(), 40);
-        // Each worker's hit ledger holds the requests it routed: the
-        // acceptor hands the 4 connections round-robin to the 4 workers.
-        let per_worker: Vec<u64> = proxy
-            .ledgers
-            .iter()
-            .map(|ledger| ledger.lock().values().sum())
-            .collect();
+        // Each worker's pool shard counts one checkout per request it
+        // relayed: the acceptor hands the 4 connections round-robin to the
+        // 4 workers.
+        let per_worker: Vec<u64> = proxy.pools.iter().map(SocketPool::checkouts).collect();
         assert_eq!(per_worker, [10; 4]);
     }
 
@@ -1110,29 +1071,5 @@ mod tests {
         ] {
             assert!(debug.contains(field), "{field} missing from {debug}");
         }
-    }
-
-    #[test]
-    fn table_hit_counters_accumulate() {
-        let o0 = start_origin(0, &[("/a", b"x")]);
-        let mut table = UrlTable::new();
-        table.insert("/a".parse().unwrap(), entry(0, &[0])).unwrap();
-        let proxy = ContentAwareProxy::start(table, vec![o0.addr()], 1).unwrap();
-        let mut client = HttpClient::connect(proxy.addr()).unwrap();
-        for _ in 0..5 {
-            client.get("/a").unwrap();
-        }
-        // Hits accrue in per-worker ledgers, off the request path…
-        assert_eq!(proxy.pending_hits(), 5);
-        // …and folding them in makes them visible in the published table.
-        proxy.flush_hits();
-        assert_eq!(proxy.pending_hits(), 0);
-        let hits = proxy
-            .handle()
-            .load()
-            .lookup(&"/a".parse().unwrap())
-            .unwrap()
-            .hits();
-        assert_eq!(hits, 5);
     }
 }

@@ -1,7 +1,7 @@
 //! Declarative scenario files: the lab's entire run — topology, object
 //! catalogue, workload shape, fault timeline, and pass/fail budgets — is
 //! one JSON document, so a new chaos experiment is a config edit, not a
-//! code change (the same philosophy as `configs/paper_testbed.json`).
+//! code change.
 //!
 //! Optional knobs are `Option` fields: the vendored serde derive maps a
 //! missing key to `None`, and the accessors below supply the defaults.

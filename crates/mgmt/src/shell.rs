@@ -170,12 +170,11 @@ impl Shell {
                         entry.locations().iter().map(|n| n.to_string()).collect();
                     let _ = writeln!(
                         out,
-                        "{:<40} {:>7} {:>9}B {:<9} hits={:<6} on {}",
+                        "{:<40} {:>7} {:>9}B {:<9} on {}",
                         path.to_string(),
                         entry.kind().to_string(),
                         entry.size_bytes(),
                         entry.priority().to_string(),
-                        entry.hits(),
                         nodes.join(",")
                     );
                 }

@@ -1,59 +1,9 @@
 //! Serializable experiment configuration.
 //!
 //! The bench harness and examples describe runs declaratively; this module
-//! holds the shared, serde-friendly configuration types.
+//! holds the shared, serde-friendly workload selector.
 
-use crate::error::ModelError;
-use crate::node::NodeSpec;
 use serde::{Deserialize, Serialize};
-
-/// Which content placement scheme a run uses — the three configurations of
-/// the paper's §5.3 experiments, plus partial replication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum PlacementKind {
-    /// Configuration 1: the entire document set replicated on every node,
-    /// fronted by a layer-4 router with weighted least connections.
-    FullReplication,
-    /// Configuration 2: the entire document set on one shared NFS server;
-    /// every web node fetches remotely, fronted by a layer-4 router.
-    SharedNfs,
-    /// Configuration 3: the document tree partitioned by content type (and
-    /// large files pinned to big/fast-disk nodes), fronted by the
-    /// content-aware distributor.
-    PartitionedByType,
-    /// Partitioning plus replication of hot/critical content on several
-    /// nodes (what auto-replication converges to).
-    PartialReplication,
-}
-
-impl PlacementKind {
-    /// Label used in experiment reports.
-    pub const fn label(self) -> &'static str {
-        match self {
-            PlacementKind::FullReplication => "full-replication",
-            PlacementKind::SharedNfs => "shared-nfs",
-            PlacementKind::PartitionedByType => "partitioned",
-            PlacementKind::PartialReplication => "partial-replication",
-        }
-    }
-
-    /// Whether this scheme requires a content-aware (layer-7) front end.
-    /// Full replication and NFS work with a content-blind layer-4 router
-    /// because every node can serve everything.
-    pub const fn needs_content_aware_routing(self) -> bool {
-        matches!(
-            self,
-            PlacementKind::PartitionedByType | PlacementKind::PartialReplication
-        )
-    }
-}
-
-impl std::fmt::Display for PlacementKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Which synthetic workload a run uses (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -78,99 +28,5 @@ impl WorkloadKind {
 impl std::fmt::Display for WorkloadKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Declarative description of a cluster for an experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClusterConfig {
-    /// Back-end server nodes.
-    pub nodes: Vec<NodeSpec>,
-    /// Placement scheme.
-    pub placement: PlacementKind,
-    /// Auto-replication overload/underutilization threshold as a fraction of
-    /// the average load (`None` disables auto-replication).
-    pub rebalance_threshold: Option<f64>,
-}
-
-impl ClusterConfig {
-    /// A config over the paper's nine-machine testbed.
-    pub fn paper_testbed(placement: PlacementKind) -> Self {
-        ClusterConfig {
-            nodes: NodeSpec::paper_testbed(),
-            placement,
-            rebalance_threshold: None,
-        }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidConfig`] if there are no nodes or the
-    /// rebalance threshold is not in `(0, 10]`.
-    pub fn validate(&self) -> Result<(), ModelError> {
-        if self.nodes.is_empty() {
-            return Err(ModelError::InvalidConfig {
-                field: "nodes",
-                reason: "cluster must have at least one node",
-            });
-        }
-        if let Some(t) = self.rebalance_threshold {
-            if !(t > 0.0 && t <= 10.0 && t.is_finite()) {
-                return Err(ModelError::InvalidConfig {
-                    field: "rebalance_threshold",
-                    reason: "threshold must be in (0, 10]",
-                });
-            }
-        }
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn placement_labels() {
-        assert_eq!(PlacementKind::FullReplication.label(), "full-replication");
-        assert_eq!(PlacementKind::SharedNfs.to_string(), "shared-nfs");
-    }
-
-    #[test]
-    fn routing_requirements() {
-        assert!(!PlacementKind::FullReplication.needs_content_aware_routing());
-        assert!(!PlacementKind::SharedNfs.needs_content_aware_routing());
-        assert!(PlacementKind::PartitionedByType.needs_content_aware_routing());
-        assert!(PlacementKind::PartialReplication.needs_content_aware_routing());
-    }
-
-    #[test]
-    fn paper_testbed_config() {
-        let c = ClusterConfig::paper_testbed(PlacementKind::PartitionedByType);
-        assert_eq!(c.nodes.len(), 9);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn validation_rejects_bad_configs() {
-        let mut c = ClusterConfig::paper_testbed(PlacementKind::FullReplication);
-        c.nodes.clear();
-        assert!(c.validate().is_err());
-
-        let mut c = ClusterConfig::paper_testbed(PlacementKind::FullReplication);
-        c.rebalance_threshold = Some(0.0);
-        assert!(c.validate().is_err());
-        c.rebalance_threshold = Some(0.25);
-        c.validate().unwrap();
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = ClusterConfig::paper_testbed(PlacementKind::SharedNfs);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: ClusterConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 }

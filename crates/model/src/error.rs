@@ -18,13 +18,6 @@ pub enum ModelError {
         /// Which field was invalid.
         field: &'static str,
     },
-    /// A configuration value was out of range.
-    InvalidConfig {
-        /// Which field was invalid.
-        field: &'static str,
-        /// Human-readable reason.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -38,9 +31,6 @@ impl fmt::Display for ModelError {
                     f,
                     "invalid node specification: field `{field}` out of range"
                 )
-            }
-            ModelError::InvalidConfig { field, reason } => {
-                write!(f, "invalid configuration: field `{field}`: {reason}")
             }
         }
     }

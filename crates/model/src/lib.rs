@@ -45,7 +45,7 @@ pub mod path;
 pub mod request;
 pub mod time;
 
-pub use config::{ClusterConfig, PlacementKind, WorkloadKind};
+pub use config::WorkloadKind;
 pub use content::{ContentId, ContentItem, ContentKind, Priority};
 pub use error::ModelError;
 pub use load::{LoadSample, LoadTracker, NodeLoad};

@@ -4,8 +4,7 @@
 //! atomic read-modify-writes (sum and max) on a **per-worker shard** —
 //! no locks, no allocation, no cross-worker cache-line traffic when each
 //! worker records through its own [`HistogramRecorder`]. Shards are
-//! folded only when a summary is taken, the same shard-and-fold pattern
-//! the proxy already uses for its hit ledgers.
+//! folded only when a summary is taken.
 //!
 //! Bucket layout: values `0..=15` map to exact buckets; above that each
 //! power-of-two octave is split into four linear sub-buckets, giving a

@@ -289,7 +289,7 @@ impl<'c> Simulation<'c> {
         self.now
     }
 
-    /// The URL table (placement + hit counters).
+    /// The URL table (placement).
     pub fn table(&self) -> &UrlTable {
         &self.table
     }
@@ -440,12 +440,6 @@ impl<'c> Simulation<'c> {
                 return;
             }
         };
-        // Bump the URL-table hit counter exactly as the distributor does
-        // (content-blind routers skip the table, so only charge it for
-        // content-aware policies).
-        if self.router.is_content_aware() {
-            let _ = self.table.lookup_and_hit(item.path());
-        }
         let size = item.size_bytes();
         // Response bytes occupy the dispatcher only when they are relayed
         // through it (splicing / L4 rewriting). Redirected and DNS-routed

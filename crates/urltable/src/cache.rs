@@ -171,11 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn hit_count_updates_do_not_invalidate() {
+    fn no_op_mutations_do_not_invalidate() {
         let mut t = table_with(&["/a.html"]);
         let mut c = LookupCache::new(16);
         c.lookup(&t, &p("/a.html")).unwrap();
-        t.lookup_and_hit(&p("/a.html")).unwrap();
+        assert!(!t.add_location(&p("/a.html"), NodeId(0)).unwrap());
         c.lookup(&t, &p("/a.html")).unwrap();
         assert_eq!(c.raw_hits(), 1, "second lookup is a (fresh) cache hit");
     }

@@ -7,7 +7,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper (§2.2): "The URL table holds content-related information (e.g.,
 /// location of the document, document sizes, priority, hits, etc.), which
-/// helps the distributor to make the routing decisions."
+/// helps the distributor to make the routing decisions." The record holds
+/// the routing data only: per-object access frequency, which §3.3 weighs
+/// load by, is counted per interval by `cpms_model::LoadTracker`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UrlEntry {
     content: ContentId,
@@ -15,12 +17,11 @@ pub struct UrlEntry {
     size_bytes: u64,
     priority: Priority,
     locations: Vec<NodeId>,
-    hits: u64,
     checksum: u64,
 }
 
 impl UrlEntry {
-    /// Creates an entry with no locations, normal priority, zero hits.
+    /// Creates an entry with no locations and normal priority.
     pub fn new(content: ContentId, kind: ContentKind, size_bytes: u64) -> Self {
         UrlEntry {
             content,
@@ -28,7 +29,6 @@ impl UrlEntry {
             size_bytes,
             priority: Priority::Normal,
             locations: Vec::new(),
-            hits: 0,
             checksum: 0,
         }
     }
@@ -92,28 +92,11 @@ impl UrlEntry {
         self.locations.len()
     }
 
-    /// Accumulated hit count (bumped by the distributor on each routed
-    /// request).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
     /// Whole-object checksum of the committed bytes, or `0` if unknown.
     /// The anti-entropy auditor compares this against each hosting
     /// node's store manifest to find stale copies.
     pub fn checksum(&self) -> u64 {
         self.checksum
-    }
-
-    /// Records one routed request.
-    pub fn record_hit(&mut self) {
-        self.hits += 1;
-    }
-
-    /// Records `count` routed requests at once (folding in a distributor
-    /// worker's batched hit ledger).
-    pub fn add_hits(&mut self, count: u64) {
-        self.hits += count;
     }
 
     /// Adds a replica location. Returns `false` if the node already hosted
@@ -179,15 +162,6 @@ mod tests {
         assert!(!e.remove_location(NodeId(1)));
         assert!(!e.hosted_on(NodeId(1)));
         assert_eq!(e.replica_count(), 0);
-    }
-
-    #[test]
-    fn hits_accumulate() {
-        let mut e = entry();
-        assert_eq!(e.hits(), 0);
-        e.record_hit();
-        e.record_hit();
-        assert_eq!(e.hits(), 2);
     }
 
     #[test]

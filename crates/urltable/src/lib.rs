@@ -14,7 +14,8 @@
 //!
 //! - [`UrlTable`] — the multi-level hash table (a hash-trie keyed by path
 //!   segments) with per-object records ([`UrlEntry`]: locations, size,
-//!   priority, hit count),
+//!   priority, checksum; per-object access frequency is
+//!   `cpms_model::LoadTracker`'s, per interval),
 //! - [`LookupCache`] — the recently-accessed-entry cache, built on a
 //!   generic O(1) [`lru::LruCache`],
 //! - [`TablePublisher`] / [`SnapshotHandle`] / [`SnapshotReader`] — the

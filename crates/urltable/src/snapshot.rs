@@ -76,11 +76,11 @@ impl TablePublisher {
     }
 
     /// A second publisher over the same shared snapshot state, so two
-    /// writers (e.g. the management controller and the proxy's hit-ledger
-    /// flush) can mutate one logical table. Safe because `update` holds
-    /// the shared write lock across the whole clone → mutate → publish
-    /// sequence: concurrent updates from sibling publishers serialize
-    /// rather than losing whichever publishes first.
+    /// writers (e.g. the management controller and a direct edit through
+    /// the proxy's own publisher) can mutate one logical table. Safe
+    /// because `update` holds the shared write lock across the whole
+    /// clone → mutate → publish sequence: concurrent updates from sibling
+    /// publishers serialize rather than losing whichever publishes first.
     pub fn share(&self) -> TablePublisher {
         TablePublisher {
             shared: Arc::clone(&self.shared),
@@ -112,10 +112,11 @@ impl TablePublisher {
     /// that no longer exist).
     ///
     /// The write lock is held across the whole clone → mutate → publish
-    /// sequence, so concurrent `update` calls (e.g. a management mutation
-    /// racing a hit-ledger flush) serialize instead of both cloning the
-    /// same base and silently discarding whichever publishes first. As a
-    /// consequence, `mutate` must not call back into this publisher.
+    /// sequence, so concurrent `update` calls (e.g. a management delete
+    /// racing a write through a sibling publisher) serialize instead of
+    /// both cloning the same base and silently discarding whichever
+    /// publishes first. As a consequence, `mutate` must not call back
+    /// into this publisher.
     pub fn update<T>(&self, mutate: impl FnOnce(&mut UrlTable) -> T) -> T {
         let mut current = self.shared.current.write();
         let mut table = UrlTable::clone(&current);
@@ -301,8 +302,10 @@ mod tests {
         publisher.update(|t| t.insert(p("/a"), e(1))).unwrap();
         let g1 = handle.generation();
         assert!(g1 > g0);
-        // A hit bump publishes a snapshot but is not a routing change.
-        publisher.update(|t| t.record_hits(&p("/a"), 3));
+        // A publication that changes no routing data keeps the generation.
+        assert!(!publisher
+            .update(|t| t.add_location(&p("/a"), NodeId(0)))
+            .unwrap());
         assert_eq!(handle.generation(), g1);
     }
 

@@ -14,8 +14,6 @@ pub struct TableStats {
     /// Approximate resident memory in bytes (§5.2 reports ~260 KB for
     /// ~8 700 objects).
     pub memory_bytes: usize,
-    /// Total hits across all records.
-    pub total_hits: u64,
     /// Records per content kind.
     pub entries_by_kind: HashMap<ContentKind, usize>,
     /// Replica count per node: how many objects each node hosts.
@@ -36,14 +34,12 @@ pub struct TableStats {
 impl TableStats {
     /// Computes statistics for `table`.
     pub fn collect(table: &UrlTable) -> Self {
-        let mut total_hits = 0;
         let mut entries_by_kind: HashMap<ContentKind, usize> = HashMap::new();
         let mut objects_per_node: HashMap<NodeId, usize> = HashMap::new();
         let mut replica_sum = 0usize;
         let mut entries = 0usize;
         for (_, entry) in table.iter() {
             entries += 1;
-            total_hits += entry.hits();
             *entries_by_kind.entry(entry.kind()).or_insert(0) += 1;
             replica_sum += entry.replica_count();
             for &node in entry.locations() {
@@ -53,7 +49,6 @@ impl TableStats {
         TableStats {
             entries,
             memory_bytes: table.memory_bytes(),
-            total_hits,
             entries_by_kind,
             objects_per_node,
             mean_replication_factor: if entries == 0 {
@@ -103,11 +98,8 @@ mod tests {
             UrlEntry::new(ContentId(1), ContentKind::Cgi, 10).with_locations([NodeId(1)]),
         )
         .unwrap();
-        t.lookup_and_hit(&p("/a.html"));
-
         let s = TableStats::collect(&t);
         assert_eq!(s.entries, 2);
-        assert_eq!(s.total_hits, 1);
         assert_eq!(s.entries_by_kind[&ContentKind::StaticHtml], 1);
         assert_eq!(s.entries_by_kind[&ContentKind::Cgi], 1);
         assert_eq!(s.objects_per_node[&NodeId(1)], 2);

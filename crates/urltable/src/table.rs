@@ -118,8 +118,8 @@ impl Dir {
 /// how a whole subtree is placed with one entry.
 ///
 /// Mutations bump an internal *generation* counter that lookup caches use
-/// for O(1) invalidation (hit-count updates do not invalidate, since they
-/// never change routing data).
+/// for O(1) invalidation; a call that changes nothing (a location the
+/// record already has, say) leaves it alone.
 #[derive(Debug, Clone, Default)]
 pub struct UrlTable {
     root: Arc<Dir>,
@@ -205,86 +205,6 @@ impl UrlTable {
         match self.find(path)? {
             Child::Leaf(e) => Some(e),
             Child::Dir(_) => None,
-        }
-    }
-
-    /// Looks up the record for `path` (exact or ancestor default), bumping
-    /// its hit counter — what the distributor does per routed request. Hit
-    /// bumps do **not** change the table generation.
-    pub fn lookup_and_hit(&mut self, path: &UrlPath) -> Option<&UrlEntry> {
-        let entry = self.routed_entry_mut(path)?;
-        entry.record_hit();
-        Some(&*entry)
-    }
-
-    /// Adds `count` hits to the record routing `path` (exact or ancestor
-    /// default), returning whether a record was found. Used by distributors
-    /// that batch per-worker hit ledgers and fold them into the table
-    /// periodically instead of taking a write path per request. Like
-    /// [`UrlTable::lookup_and_hit`], this does **not** change the
-    /// generation.
-    pub fn record_hits(&mut self, path: &UrlPath, count: u64) -> bool {
-        match self.routed_entry_mut(path) {
-            Some(entry) => {
-                entry.add_hits(count);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The mutable record that `lookup` would resolve `path` to.
-    fn routed_entry_mut(&mut self, path: &UrlPath) -> Option<&mut UrlEntry> {
-        // Walk with indices to sidestep the borrow of the returned entry.
-        enum Hit {
-            Exact,
-            Default { depth: usize },
-            Miss,
-        }
-        let mut best_default_depth: Option<usize> = self.root.default.as_ref().map(|_| 0);
-        let hit = {
-            let mut dir = &*self.root;
-            let mut segments = path.segments().enumerate().peekable();
-            let mut outcome = Hit::Miss;
-            while let Some((depth, seg)) = segments.next() {
-                match dir.children.get(seg) {
-                    Some(Child::Leaf(_)) if segments.peek().is_none() => {
-                        outcome = Hit::Exact;
-                        break;
-                    }
-                    Some(Child::Dir(d)) => {
-                        if d.default.is_some() {
-                            best_default_depth = Some(depth + 1);
-                        }
-                        dir = d;
-                    }
-                    _ => break,
-                }
-            }
-            match outcome {
-                Hit::Exact => Hit::Exact,
-                _ => match best_default_depth {
-                    Some(depth) => Hit::Default { depth },
-                    None => Hit::Miss,
-                },
-            }
-        };
-        match hit {
-            Hit::Exact => match self.find_mut(path)? {
-                Child::Leaf(e) => Some(e),
-                Child::Dir(_) => None,
-            },
-            Hit::Default { depth } => {
-                let mut dir = Arc::make_mut(&mut self.root);
-                for seg in path.segments().take(depth) {
-                    dir = match dir.children.get_mut(seg) {
-                        Some(Child::Dir(d)) => Arc::make_mut(d),
-                        _ => unreachable!("default depth walked a directory chain"),
-                    };
-                }
-                Some(dir.default.as_deref_mut().expect("default at this depth"))
-            }
-            Hit::Miss => None,
         }
     }
 
@@ -632,17 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_hit_bumps_counter_not_generation() {
-        let mut t = UrlTable::new();
-        t.insert(p("/x"), e(1)).unwrap();
-        let g = t.generation();
-        t.lookup_and_hit(&p("/x")).unwrap();
-        t.lookup_and_hit(&p("/x")).unwrap();
-        assert_eq!(t.lookup(&p("/x")).unwrap().hits(), 2);
-        assert_eq!(t.generation(), g, "hit bumps must not invalidate caches");
-    }
-
-    #[test]
     fn locations_update_generation() {
         let mut t = UrlTable::new();
         t.insert(p("/x"), e(1)).unwrap();
@@ -819,9 +728,6 @@ mod tests {
                         .unwrap());
                 }),
                 copied_levels(&mut t, |t| {
-                    assert!(t.record_hits(&p("/cold/a5/b1/c45.html"), 3));
-                }),
-                copied_levels(&mut t, |t| {
                     t.rename(&p("/cold/a5/b1/c45.html"), &p("/cold/a5/b1/moved.html"))
                         .unwrap();
                 }),
@@ -835,7 +741,7 @@ mod tests {
             ]
         };
         let small = counts(1_000);
-        assert_eq!(small, [4, 4, 4, 4, 4, 2, 0]);
+        assert_eq!(small, [4, 4, 4, 4, 2, 0]);
         assert_eq!(counts(100_000), small);
     }
 
@@ -931,7 +837,7 @@ mod tests {
     }
 
     #[test]
-    fn dir_default_hits_accumulate() {
+    fn dir_default_routes_until_removed() {
         let mut t = UrlTable::new();
         t.set_dir_default(
             &p("/img"),
@@ -939,15 +845,20 @@ mod tests {
         )
         .unwrap();
         t.insert(p("/img/exact.gif"), e(2)).unwrap();
-        let g = t.generation();
-        assert!(t.lookup_and_hit(&p("/img/a.gif")).is_some());
-        assert!(t.lookup_and_hit(&p("/img/b.gif")).is_some());
-        assert!(t.lookup_and_hit(&p("/img/exact.gif")).is_some());
-        assert_eq!(t.generation(), g, "hit bumps do not invalidate");
-        // default got 2 hits, exact record 1
+        for path in ["/img/a.gif", "/img/b.gif"] {
+            assert_eq!(t.lookup(&p(path)).unwrap().content(), ContentId(1));
+        }
+        assert_eq!(
+            t.lookup(&p("/img/exact.gif")).unwrap().content(),
+            ContentId(2),
+            "an exact record beats the default"
+        );
         let removed = t.remove_dir_default(&p("/img")).unwrap();
-        assert_eq!(removed.hits(), 2);
-        assert_eq!(t.lookup(&p("/img/exact.gif")).unwrap().hits(), 1);
+        assert_eq!(removed.content(), ContentId(1));
+        assert_eq!(
+            t.lookup(&p("/img/exact.gif")).unwrap().content(),
+            ContentId(2)
+        );
         assert!(t.lookup(&p("/img/a.gif")).is_none(), "default removed");
     }
 

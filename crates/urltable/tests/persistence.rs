@@ -34,7 +34,6 @@ enum Op {
     RemoveLoc(UrlPath, u16),
     SetDefault(UrlPath, u32),
     RemoveDefault(UrlPath),
-    Hits(UrlPath, u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -46,7 +45,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (path_strategy(1), 0u16..8).prop_map(|(p, n)| Op::RemoveLoc(p, n)),
         (path_strategy(0), any::<u32>()).prop_map(|(d, id)| Op::SetDefault(d, id)),
         path_strategy(0).prop_map(Op::RemoveDefault),
-        (path_strategy(1), 1u64..5).prop_map(|(p, n)| Op::Hits(p, n)),
     ]
 }
 
@@ -65,14 +63,12 @@ fn apply(table: &mut UrlTable, op: &Op) {
         Op::RemoveLoc(p, n) => drop(table.remove_location(p, NodeId(*n))),
         Op::SetDefault(d, id) => drop(table.set_dir_default(d, entry(*id))),
         Op::RemoveDefault(d) => drop(table.remove_dir_default(d)),
-        Op::Hits(p, n) => drop(table.record_hits(p, *n)),
     }
 }
 
 /// Everything observable about a table, owned: counters, every record
-/// (locations and hit counts included), and what each directory of the
-/// path alphabet routes a miss to (which exposes directory defaults and
-/// their hit counts).
+/// (locations included), and what each directory of the path alphabet
+/// routes a miss to (which exposes directory defaults).
 #[derive(Debug, PartialEq)]
 struct Flat {
     len: usize,
@@ -112,7 +108,7 @@ impl Flat {
 proptest! {
     /// Snapshots taken at random points of a random operation sequence
     /// still read exactly as they did when taken, after every later
-    /// operation — hit folding and subtree renames included — has run.
+    /// operation — subtree renames included — has run.
     #[test]
     fn later_mutations_never_show_through_earlier_snapshots(
         steps in prop::collection::vec((op_strategy(), any::<bool>()), 1..200),

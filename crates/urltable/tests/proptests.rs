@@ -26,7 +26,6 @@ enum Op {
     Remove(UrlPath),
     AddLoc(UrlPath, u16),
     RemoveLoc(UrlPath, u16),
-    Hit(UrlPath),
 }
 
 fn dir_strategy() -> impl Strategy<Value = UrlPath> {
@@ -45,7 +44,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         path_strategy().prop_map(Op::Remove),
         (path_strategy(), 0u16..8).prop_map(|(p, n)| Op::AddLoc(p, n)),
         (path_strategy(), 0u16..8).prop_map(|(p, n)| Op::RemoveLoc(p, n)),
-        path_strategy().prop_map(Op::Hit),
     ]
 }
 
@@ -55,7 +53,7 @@ proptest! {
     #[test]
     fn table_matches_flat_model(ops in prop::collection::vec(op_strategy(), 1..200)) {
         let mut table = UrlTable::new();
-        let mut model: HashMap<UrlPath, (u32, HashSet<u16>, u64)> = HashMap::new();
+        let mut model: HashMap<UrlPath, (u32, HashSet<u16>)> = HashMap::new();
 
         for op in ops {
             match op {
@@ -66,7 +64,7 @@ proptest! {
                     );
                     if r.is_ok() {
                         prop_assert!(!model.contains_key(&p));
-                        model.insert(p, (id, HashSet::new(), 0));
+                        model.insert(p, (id, HashSet::new()));
                     }
                 }
                 Op::Remove(p) => {
@@ -76,7 +74,7 @@ proptest! {
                 Op::AddLoc(p, n) => {
                     let r = table.add_location(&p, NodeId(n));
                     match model.get_mut(&p) {
-                        Some((_, locs, _)) => {
+                        Some((_, locs)) => {
                             prop_assert_eq!(r.unwrap(), locs.insert(n));
                         }
                         None => prop_assert!(r.is_err()),
@@ -85,20 +83,10 @@ proptest! {
                 Op::RemoveLoc(p, n) => {
                     let r = table.remove_location(&p, NodeId(n));
                     match model.get_mut(&p) {
-                        Some((_, locs, _)) => {
+                        Some((_, locs)) => {
                             prop_assert_eq!(r.unwrap(), locs.remove(&n));
                         }
                         None => prop_assert!(r.is_err()),
-                    }
-                }
-                Op::Hit(p) => {
-                    let r = table.lookup_and_hit(&p);
-                    match model.get_mut(&p) {
-                        Some((_, _, hits)) => {
-                            *hits += 1;
-                            prop_assert!(r.is_some());
-                        }
-                        None => prop_assert!(r.is_none()),
                     }
                 }
             }
@@ -106,10 +94,9 @@ proptest! {
 
         // Final state equivalence.
         prop_assert_eq!(table.len(), model.len());
-        for (p, (id, locs, hits)) in &model {
+        for (p, (id, locs)) in &model {
             let entry = table.lookup(p).expect("model entry present in table");
             prop_assert_eq!(entry.content(), ContentId(*id));
-            prop_assert_eq!(entry.hits(), *hits);
             let table_locs: HashSet<u16> = entry.locations().iter().map(|n| n.0).collect();
             prop_assert_eq!(&table_locs, locs);
         }
@@ -229,7 +216,6 @@ proptest! {
                 Op::Remove(p) => { let _ = table.remove(&p); }
                 Op::AddLoc(p, n) => { let _ = table.add_location(&p, NodeId(n)); }
                 Op::RemoveLoc(p, n) => { let _ = table.remove_location(&p, NodeId(n)); }
-                Op::Hit(p) => { let _ = table.lookup_and_hit(&p); }
             }
             // After every mutation, a probe through the cache must agree
             // with the table (for routing-relevant fields).
@@ -251,9 +237,9 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Full mutation-op model: every public mutation (insert, remove, rename,
-// add/remove_location, set/remove_dir_default, hit) against a flat reference
-// model that also predicts the exact error variant and the generation
-// counter.
+// add/remove_location, set/remove_dir_default), interleaved with lookups,
+// against a flat reference model that also predicts the exact error variant
+// and the generation counter.
 // ---------------------------------------------------------------------------
 
 /// Paths over a deliberately tiny alphabet so that collisions — and with
@@ -289,7 +275,7 @@ enum FullOp {
     RemoveLoc(UrlPath, u16),
     SetDefault(UrlPath, u32),
     RemoveDefault(UrlPath),
-    Hit(UrlPath),
+    Lookup(UrlPath),
 }
 
 fn full_op_strategy() -> impl Strategy<Value = FullOp> {
@@ -301,7 +287,7 @@ fn full_op_strategy() -> impl Strategy<Value = FullOp> {
         (tight_path_strategy(), 0u16..8).prop_map(|(p, n)| FullOp::RemoveLoc(p, n)),
         (tight_dir_strategy(), any::<u32>()).prop_map(|(d, id)| FullOp::SetDefault(d, id)),
         tight_dir_strategy().prop_map(FullOp::RemoveDefault),
-        tight_path_strategy().prop_map(FullOp::Hit),
+        tight_path_strategy().prop_map(FullOp::Lookup),
     ]
 }
 
@@ -331,7 +317,6 @@ fn replace_prefix(path: &UrlPath, from: &UrlPath, to: &UrlPath) -> UrlPath {
 struct Rec {
     id: u32,
     locs: HashSet<u16>,
-    hits: u64,
 }
 
 impl Rec {
@@ -339,7 +324,6 @@ impl Rec {
         Rec {
             id,
             locs: HashSet::new(),
-            hits: 0,
         }
     }
 }
@@ -431,7 +415,6 @@ proptest! {
                         Some(rec) => {
                             let entry = r.expect("model says a record exists");
                             prop_assert_eq!(entry.content(), ContentId(rec.id));
-                            prop_assert_eq!(entry.hits(), rec.hits);
                             model.prune_above(&p);
                             bumped = true;
                         }
@@ -526,8 +509,6 @@ proptest! {
                             model.add_dir_chain(strict_prefixes(&d));
                             model.dirs.insert(d.clone());
                         }
-                        // Replacing an existing default installs a fresh
-                        // entry (hit count restarts at zero).
                         model.defaults.insert(d, Rec::new(id));
                         bumped = true;
                     }
@@ -538,7 +519,6 @@ proptest! {
                         Some(rec) => {
                             let entry = r.expect("model says a default exists");
                             prop_assert_eq!(entry.content(), ContentId(rec.id));
-                            prop_assert_eq!(entry.hits(), rec.hits);
                             // The table keeps the now-possibly-empty
                             // directory chain alive; the model's dirs set is
                             // deliberately not pruned here.
@@ -550,26 +530,17 @@ proptest! {
                         ),
                     }
                 }
-                FullOp::Hit(p) => {
-                    let got = table.lookup_and_hit(&p).map(|e| (e.content().0, e.hits()));
-                    let expected = if let Some(rec) = model.records.get_mut(&p) {
-                        rec.hits += 1;
-                        Some((rec.id, rec.hits))
-                    } else {
-                        match model
+                FullOp::Lookup(p) => {
+                    let got = table.lookup(&p).map(|e| e.content().0);
+                    let routed = model.records.get(&p).or_else(|| {
+                        model
                             .defaults
-                            .iter_mut()
+                            .iter()
                             .filter(|(d, _)| p.starts_with(d))
                             .max_by_key(|(d, _)| d.depth())
-                        {
-                            Some((_, rec)) => {
-                                rec.hits += 1;
-                                Some((rec.id, rec.hits))
-                            }
-                            None => None,
-                        }
-                    };
-                    prop_assert_eq!(got, expected, "hit {}", p);
+                            .map(|(_, rec)| rec)
+                    });
+                    prop_assert_eq!(got, routed.map(|rec| rec.id), "lookup {}", p);
                 }
             }
             prop_assert_eq!(
@@ -586,7 +557,6 @@ proptest! {
         for (p, rec) in &model.records {
             let entry = table.lookup(p).expect("model record present in table");
             prop_assert_eq!(entry.content(), ContentId(rec.id));
-            prop_assert_eq!(entry.hits(), rec.hits);
             let locs: HashSet<u16> = entry.locations().iter().map(|n| n.0).collect();
             prop_assert_eq!(&locs, &rec.locs);
         }
@@ -594,7 +564,6 @@ proptest! {
             // Looking up the directory itself resolves its own default.
             let entry = table.lookup(d).expect("model default present in table");
             prop_assert_eq!(entry.content(), ContentId(rec.id));
-            prop_assert_eq!(entry.hits(), rec.hits);
         }
         let iter_paths: HashSet<UrlPath> = table.iter().map(|(p, _)| p).collect();
         let model_paths: HashSet<UrlPath> = model.records.keys().cloned().collect();

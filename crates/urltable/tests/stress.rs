@@ -249,12 +249,12 @@ fn concurrent_updates_are_never_lost() {
     );
 }
 
-/// Management deletes racing a hit-count flush (the proxy's `flush_hits`
-/// publishes through the same `update` path) must stay deleted — the
-/// flush's copy-on-write publication may not resurrect a record whose
-/// delete was already published.
+/// Management deletes racing a second writer that keeps toggling a live
+/// record's replica set through the same `update` path must stay deleted:
+/// the toggler's copy-on-write publication may not resurrect a record
+/// whose delete was already published.
 #[test]
-fn deletes_racing_hit_flushes_stay_deleted() {
+fn deletes_racing_replica_toggles_stay_deleted() {
     const PATHS: usize = 64;
 
     let paths = stress_paths(PATHS);
@@ -280,12 +280,22 @@ fn deletes_racing_hit_flushes_stay_deleted() {
     let stop = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {
-        let flusher_stop = Arc::clone(&stop);
-        let flusher_publisher = &publisher;
-        let flusher_hot = hot.clone();
+        let toggler_stop = Arc::clone(&stop);
+        let toggler_publisher = &publisher;
+        let toggler_hot = hot.clone();
         scope.spawn(move || {
-            while !flusher_stop.load(Ordering::Relaxed) {
-                flusher_publisher.update(|t| t.record_hits(&flusher_hot, 1));
+            while !toggler_stop.load(Ordering::Relaxed) {
+                for add in [true, false] {
+                    toggler_publisher
+                        .update(|t| {
+                            if add {
+                                t.add_location(&toggler_hot, NodeId(1))
+                            } else {
+                                t.remove_location(&toggler_hot, NodeId(1))
+                            }
+                        })
+                        .unwrap();
+                }
             }
         });
 
@@ -299,20 +309,22 @@ fn deletes_racing_hit_flushes_stay_deleted() {
     for path in &paths {
         assert!(
             last.lookup(path).is_none(),
-            "hit flush resurrected published delete of {path}"
+            "replica toggle resurrected published delete of {path}"
         );
     }
-    assert!(
-        last.lookup(&hot).is_some(),
-        "hit flush lost the live record"
+    assert_eq!(
+        last.lookup(&hot).map(UrlEntry::locations),
+        Some(&[NodeId(0)][..]),
+        "replica toggles lost the live record or left it half-toggled"
     );
 }
 
-/// Hit-count publications (e.g. the proxy's `flush_hits`) do not advance the
-/// routing generation, so readers keep their pins and caches; a routing
-/// mutation immediately afterwards still re-pins them.
+/// A publication that changes no routing data — an `update` whose
+/// mutation fails — does not advance the routing generation, so readers
+/// keep their pins and caches; a routing mutation immediately afterwards
+/// still re-pins them.
 #[test]
-fn hit_publications_do_not_force_repins() {
+fn publications_that_change_no_routing_data_do_not_repin() {
     let path = p("/hot/page.html");
     let mut table = UrlTable::new();
     table
@@ -327,22 +339,23 @@ fn hit_publications_do_not_force_repins() {
     assert!(reader.lookup(&path).is_some());
     let pinned = reader.pinned_generation();
 
-    // Fold in hit counts: a publication, but not a routing change.
-    publisher.update(|t| t.record_hits(&path, 1000));
+    // A failed mutation still publishes a snapshot, but not a routing change.
+    assert!(publisher
+        .update(|t| t.remove(&p("/hot/absent.html")))
+        .is_err());
     assert!(reader.lookup(&path).is_some());
     assert_eq!(
         reader.pinned_generation(),
         pinned,
-        "hit-only publications must not move the routing generation"
+        "a publication without a routing change must not move the generation"
     );
 
-    // A genuine routing mutation does re-pin, and the reader sees both the
-    // new replica and the accumulated hits.
+    // A genuine routing mutation does re-pin, and the reader sees the new
+    // replica.
     publisher
         .update(|t| t.add_location(&path, NodeId(3)))
         .unwrap();
     let entry = reader.lookup(&path).expect("record still routed");
     assert!(reader.pinned_generation() > pinned);
-    assert!(entry.locations().contains(&NodeId(3)));
-    assert_eq!(entry.hits(), 1000);
+    assert_eq!(entry.locations(), [NodeId(0), NodeId(3)]);
 }

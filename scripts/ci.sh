@@ -6,7 +6,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> docs name only things that exist (every quoted -p <pkg> --bin|--example|--bench <name> resolves to a file,"
-echo "    every -p cpms-core --test <name> to a [[test]] of crates/core/Cargo.toml, every backticked repo path to a file)"
+echo "    every -p cpms-core --test <name> to a [[test]] of crates/core/Cargo.toml, every backticked repo path to a file,"
+echo "    every backticked \`Type::member\` of a repo struct, enum or trait to a fn or field of it)"
 docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
 core_tests=$(awk '/^\[\[test\]\]/ { t = 1; next } /^\[/ { t = 0 } t && /^name = / { gsub(/"/, "", $3); print $3 }' \
     crates/core/Cargo.toml)
@@ -30,6 +31,19 @@ unresolved=$( {
     grep -ohE '`(crates|tests|perfbench|scripts|examples|configs)/[^` ]*' "${docs[@]}" |
     sed -E 's/^`//; s/::.*$//; s/:[0-9].*$//' | sort -u | while read -r path; do
         compgen -G "$path" >/dev/null || echo "    $path (no such file)"
+    done
+    # `Type::member` where Type is a struct, enum or trait of the repo: some
+    # file defining or implementing Type has `fn member` or a `member:`
+    # field, or Type derives Clone and member is `clone`.
+    rs=$(find crates perfbench/src -name '*.rs')
+    grep -ohE '`[^`]+`' "${docs[@]}" | grep -oE '\b[A-Z][A-Za-z0-9_]*::[a-z_][a-z0-9_]*\b' | sort -u |
+    while IFS=: read -r ty _ member; do
+        item="(pub(\([a-z]+\))? )?(struct|enum|trait) $ty\b"
+        defs=$(grep -lE "^\s*$item" $rs) || continue
+        homes=$(grep -lE "^\s*($item|impl(<[^>]*>)? ([A-Za-z0-9_:<>]+ for )?$ty\b)" $rs)
+        grep -qE "\bfn $member\b|^\s*(pub(\([a-z]+\))? )?$member:" $homes && continue
+        [ "$member" = clone ] && grep -hB4 -E "$item" $defs | grep -q 'derive(.*Clone' && continue
+        echo "    $ty::$member (no fn or field $member on $ty)"
     done
 } )
 if [ -n "$unresolved" ]; then

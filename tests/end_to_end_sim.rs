@@ -258,25 +258,3 @@ fn replication_provides_availability_under_node_failure() {
     );
     assert!(replicated.throughput_rps() > single_copy.throughput_rps());
 }
-
-#[test]
-fn checked_in_cluster_config_loads_and_runs() {
-    let json = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../configs/paper_testbed.json"),
-    )
-    .expect("configs/paper_testbed.json present");
-    let config: cpms_model::ClusterConfig = serde_json::from_str(&json).expect("parses");
-    assert_eq!(config.nodes.len(), 9, "the paper's nine machines");
-    let result = Experiment::builder()
-        .corpus_objects(500)
-        .windows(SimDuration::from_secs(1), SimDuration::from_secs(4))
-        .clients(8)
-        .cluster_config(&config)
-        .build()
-        .run();
-    assert_eq!(result.placement, "partitioned");
-    assert!(result.report.throughput_rps() > 10.0);
-    // Display renders without panicking and mentions the headline number.
-    let text = result.report.to_string();
-    assert!(text.contains("req/s"));
-}
