@@ -101,13 +101,6 @@ mod tests {
         for choice in choices {
             let router = choice.build();
             assert!(!router.name().is_empty());
-            assert_eq!(
-                router.is_content_aware(),
-                matches!(
-                    choice,
-                    RouterChoice::ContentAware { .. } | RouterChoice::HttpRedirect { .. }
-                )
-            );
         }
     }
 }

@@ -58,10 +58,6 @@ impl Router for ContentAwareRouter {
         "content-aware"
     }
 
-    fn is_content_aware(&self) -> bool {
-        true
-    }
-
     fn route(
         &mut self,
         req: &RoutingRequest<'_>,
@@ -126,7 +122,6 @@ mod tests {
             let d = r.route(&req(&path), &state, &table).unwrap();
             assert!(d.node == NodeId(1) || d.node == NodeId(2));
         }
-        assert!(r.is_content_aware());
     }
 
     #[test]

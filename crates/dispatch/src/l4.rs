@@ -233,11 +233,4 @@ mod tests {
             .is_none());
         assert!(RandomRouter::new(1).route(&req(&p), &s, &t).is_none());
     }
-
-    #[test]
-    fn l4_policies_are_content_blind() {
-        assert!(!RoundRobin::new().is_content_aware());
-        assert!(!WeightedLeastConnections::new().is_content_aware());
-        assert!(!RandomRouter::new(1).is_content_aware());
-    }
 }

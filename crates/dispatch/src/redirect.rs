@@ -68,10 +68,6 @@ impl Router for HttpRedirectRouter {
         "http-redirect"
     }
 
-    fn is_content_aware(&self) -> bool {
-        true
-    }
-
     fn route(
         &mut self,
         req: &RoutingRequest<'_>,
@@ -141,10 +137,9 @@ mod tests {
     }
 
     #[test]
-    fn is_content_aware_and_counts_misses() {
+    fn counts_misses() {
         let (table, state, _) = setup();
         let mut r = HttpRedirectRouter::new(64, SimDuration::from_millis(1));
-        assert!(r.is_content_aware());
         let missing: UrlPath = "/missing".parse().unwrap();
         let req = RoutingRequest {
             client: 0,

@@ -169,12 +169,6 @@ pub trait Router: Send {
         table: &UrlTable,
     ) -> Option<RouteDecision>;
 
-    /// Whether the policy reads the HTTP request (layer-7). Content-blind
-    /// policies can run on a layer-4 router.
-    fn is_content_aware(&self) -> bool {
-        false
-    }
-
     /// Notification that a request previously routed to `node` completed.
     /// Default: no-op; policies with internal accounting can override.
     fn on_complete(&mut self, _node: NodeId) {}
@@ -272,7 +266,6 @@ mod tests {
         let d2 = r.route(&req(5), &s, &table).unwrap();
         assert_eq!(d1.node, d2.node, "same client always lands on same node");
         assert_eq!(d1.node, NodeId(1));
-        assert!(!r.is_content_aware());
     }
 
     #[test]

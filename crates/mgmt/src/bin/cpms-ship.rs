@@ -17,7 +17,9 @@
 //!     then injects three kinds of drift (a deleted replica, an orphan
 //!     object, a stale copy) and proves the anti-entropy auditor
 //!     repairs all of it. Exits 0 only if every byte arrived intact
-//!     (zero checksum rejections) and the final audit is clean.
+//!     (zero checksum rejections), the final audit is clean, and the
+//!     lossy leg slept at most 20 ms in retry backoff (it prints its
+//!     retries and that sleep).
 
 use cpms_mgmt::{AgentError, AntiEntropyAuditor, Broker, BrokerState, Cluster, Controller};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
@@ -49,6 +51,12 @@ fn store_stats(controller: &Controller, n: u16) -> StoreStats {
 }
 
 const LOSS: f64 = 0.20;
+
+/// Backoff the lossy leg's clients may sleep, all together, in ms. The
+/// seeded loss and jitter make it repeat exactly: 13.5 ms over 19
+/// retries when each call's first retry goes at once, 110.2 ms when that
+/// retry sleeps too.
+const LOSSY_BACKOFF_SLEEP_MS: f64 = 20.0;
 
 /// Wire bytes the clean leg may send per payload byte shipped. Raw chunk
 /// tails cost ~1.004 (frame header + a ~100-byte head per 64 KiB chunk,
@@ -251,6 +259,16 @@ fn smoke() {
     }
     assert!(clean, "post-repair audit must converge to clean");
     eprintln!("smoke: anti-entropy repaired 3/3, audit converged clean");
+
+    // 6. What the loss cost in sleep: a call's first retry goes at once.
+    let snapshot = controller.metrics().snapshot();
+    let retries = snapshot.counter("wire_retries_total").unwrap_or(0);
+    let slept_ms = snapshot.counter("wire_backoff_sleep_ns_total").unwrap_or(0) as f64 / 1e6;
+    eprintln!("smoke: lossy leg retried {retries} frames and slept {slept_ms:.1} ms in backoff");
+    assert!(
+        slept_ms <= LOSSY_BACKOFF_SLEEP_MS,
+        "{slept_ms:.1} ms of backoff > {LOSSY_BACKOFF_SLEEP_MS} ms: does a first retry sleep?"
+    );
 
     controller.shutdown();
     eprintln!("smoke: content shipping over lossy TCP PASSED");

@@ -8,17 +8,16 @@
 //! > and then send the agent that performs the content management function
 //! > to propagate these changes to the whole system."
 //!
-//! Every mutating operation therefore has two halves, in order: send
-//! store verbs to the affected brokers, then update the URL table — so
-//! the distributor only routes to copies that actually exist.
+//! Every mutating operation therefore has two halves, ordered so the
+//! distributor only routes to copies that actually exist: a copy is
+//! shipped and committed before the URL table lists it (publish,
+//! replicate), and unlisted before it is deleted (offload, delete).
 
 use crate::agent::AgentError;
 use crate::broker::{Broker, BrokerHandle};
 use crate::store::BrokerState;
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
-use cpms_obs::{
-    Counter, Gauge, HistogramRecorder, MetricsRegistry, ScopedTrace, Span, TraceContext, TracedSpan,
-};
+use cpms_obs::{Counter, Gauge, HistogramRecorder, MetricsRegistry, Span, TracedSpan};
 use cpms_store::{ShipError, ShipMetrics, ShipRequest, Shipper};
 use cpms_urltable::{SnapshotHandle, TableError, TablePublisher, UrlEntry, UrlTable};
 use cpms_wire::WireError;
@@ -479,19 +478,21 @@ impl Controller {
     }
 
     /// Publishes a new object with an explicit body: ships the bytes to
-    /// each target broker's content store (the first from this thread,
-    /// each other one from a scoped thread of its own, all under this
-    /// operation's trace), and only after every copy has **committed**
-    /// records the object in the URL table — so no published generation
-    /// ever routes a lookup to a node lacking the content. The table
-    /// entry's size and checksum come from the committed store object,
-    /// not from what the caller declared. If any transfer fails, the
-    /// copies already committed are rolled back.
+    /// each target broker's content store, one target after another in
+    /// `nodes` order from this thread (so under this operation's trace),
+    /// and only after every copy has **committed** records the object in
+    /// the URL table — so no published generation ever routes a lookup
+    /// to a node lacking the content. The table entry's size and
+    /// checksum come from the committed store object, not from what the
+    /// caller declared. The first transfer that fails ends the
+    /// publication: the copies already committed are rolled back, and
+    /// the targets after it are never begun.
     ///
     /// # Errors
     ///
-    /// [`MgmtError::Agent`] on transfer/broker failure (after rollback),
-    /// [`MgmtError::Table`] if the path is already published.
+    /// [`MgmtError::Agent`] from the first transfer that failed (after
+    /// rollback; a wire failure names its node), [`MgmtError::Table`] if
+    /// the path is already published.
     pub fn publish_bytes(
         &mut self,
         path: &UrlPath,
@@ -524,60 +525,32 @@ impl Controller {
             .iter()
             .map(|&n| self.broker(n))
             .collect::<Result<_, _>>()?;
-        let shipper = &self.shipper;
         // One description of the body for every replica: the bytes are
         // hashed once per publication — whole-object checksum and chunk
         // sums in one walk — not once per copy.
-        let (meta, sums) = shipper.describe(content, body, cpms_store::DEFAULT_CHUNK_SIZE, 0);
-        let push =
-            &|handle: &BrokerHandle| shipper.push_described(handle, path, meta, &sums, body, false);
-        // The first target is pushed from this thread, which would
-        // otherwise only wait. A spawned thread starts with no trace
-        // context, so each carries this one: its RPCs stay children of
-        // the publication's span instead of rooting traces of their own.
-        let ctx = TraceContext::current();
-        let results: Vec<_> = std::thread::scope(|scope| {
-            let mut targets = handles.iter();
-            let first = targets.next();
-            let spawned: Vec<_> = targets
-                .map(|&handle| {
-                    scope.spawn(move || {
-                        let _trace = ctx.map(ScopedTrace::activate);
-                        push(handle)
-                    })
-                })
-                .collect();
-            first
-                .map(|&handle| push(handle))
-                .into_iter()
-                .chain(
-                    spawned
-                        .into_iter()
-                        .map(|h| h.join().expect("push panicked")),
-                )
-                .collect()
-        });
-        // `results[i]` is the push to `nodes[i]`.
-        let mut stored: Vec<NodeId> = Vec::new();
+        let (meta, sums) = self
+            .shipper
+            .describe(content, body, cpms_store::DEFAULT_CHUNK_SIZE, 0);
+        // In `nodes` order, from this thread, so every RPC is a child of
+        // the publication's span. The first failure ends the fan-out:
+        // the copies already committed are rolled back and later targets
+        // are never begun.
         let mut committed: Option<cpms_store::ObjectMeta> = None;
-        let mut failure: Option<MgmtError> = None;
-        for (&node, result) in nodes.iter().zip(results) {
-            match result {
+        for (i, (&node, &handle)) in nodes.iter().zip(&handles).enumerate() {
+            match self
+                .shipper
+                .push_described(handle, path, meta, &sums, body, false)
+            {
                 Ok(outcome) => {
-                    stored.push(node);
                     committed.get_or_insert(outcome.meta);
                 }
                 Err(e) => {
-                    failure.get_or_insert(Self::ship_failure(node, e));
+                    for done in &handles[..i] {
+                        let _ = done.delete_copy(path);
+                    }
+                    return Err(Self::ship_failure(node, e));
                 }
             }
-        }
-        if let Some(e) = failure {
-            // Roll back the copies that did commit.
-            for &done in &stored {
-                let _ = self.broker(done)?.delete_copy(path);
-            }
-            return Err(e);
         }
         // Entry size/checksum reflect the committed bytes, not the
         // caller's declaration.
@@ -588,21 +561,21 @@ impl Controller {
                 path.clone(),
                 UrlEntry::new(content, kind, size)
                     .with_priority(priority)
-                    .with_locations(stored)
+                    .with_locations(nodes.iter().copied())
                     .with_checksum(checksum),
             )
         })?;
         Ok(())
     }
 
-    /// Deletes an object everywhere: agents to every hosting broker, then
-    /// the table record.
+    /// Deletes an object everywhere: the table record first, then agents
+    /// to every hosting broker.
     ///
     /// # Errors
     ///
-    /// [`MgmtError::Table`] if unknown; broker failures are surfaced but
-    /// the table record is still removed (the distributor must stop
-    /// routing to a half-deleted object).
+    /// [`MgmtError::Table`] if unknown; broker failures are surfaced, but
+    /// the table record is already gone, and a copy left behind is an
+    /// orphan the audit's repair removes.
     pub fn delete(&mut self, path: &UrlPath) -> Result<(), MgmtError> {
         self.timed("delete", |c| c.delete_impl(path))
     }
@@ -614,13 +587,14 @@ impl Controller {
             .ok_or_else(|| TableError::NotFound { path: path.clone() })?
             .locations()
             .to_vec();
+        // Unpublish before delete, as `offload` does.
+        self.update_table(|t| t.remove(path))?;
         let mut first_err: Option<MgmtError> = None;
         for n in locations {
             if let Err(e) = self.broker(n)?.delete_copy(path) {
                 first_err.get_or_insert(e.into());
             }
         }
-        self.update_table(|t| t.remove(path))?;
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -688,7 +662,8 @@ impl Controller {
     }
 
     /// Removes the copy of an object from `node` (offloading a server), but
-    /// never the last copy.
+    /// never the last copy. The location leaves the table before the
+    /// copy leaves the node.
     ///
     /// # Errors
     ///
@@ -712,8 +687,12 @@ impl Controller {
         if entry.replica_count() <= 1 {
             return Err(MgmtError::LastCopy { path: path.clone() });
         }
-        self.broker(node)?.delete_copy(path)?;
+        // Unpublish, then delete: no generation routes to the node while
+        // its copy goes away. A copy whose delete fails stays behind as
+        // an orphan, which the audit's repair removes.
+        let handle = self.broker(node)?;
         self.update_table(|t| t.remove_location(path, node))?;
+        handle.delete_copy(path)?;
         Ok(())
     }
 
@@ -881,6 +860,146 @@ mod tests {
         assert!(matches!(err, MgmtError::Agent(_)));
         assert!(c.table().is_empty());
         assert!(coherent(&c), "rollback removed partial copies");
+        c.shutdown();
+    }
+
+    /// A link that shows every request it carries to `watch`, on the
+    /// calling thread, before forwarding it.
+    struct Watched {
+        inner: Arc<dyn cpms_wire::Transport>,
+        watch: Box<dyn Fn(&ShipRequest) + Send + Sync>,
+    }
+
+    impl fmt::Debug for Watched {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("Watched")
+        }
+    }
+
+    impl cpms_wire::Transport for Watched {
+        fn call(
+            &self,
+            request: &[u8],
+            deadline: std::time::Duration,
+        ) -> Result<Vec<u8>, WireError> {
+            let (head, _) = cpms_wire::split_tail(request);
+            let text = std::str::from_utf8(head).expect("UTF-8 head");
+            (self.watch)(&serde_json::from_str(text).expect("a ship request"));
+            self.inner.call(request, deadline)
+        }
+
+        fn kind(&self) -> &'static str {
+            "watched"
+        }
+    }
+
+    fn watched(
+        watch: impl Fn(&ShipRequest) + Send + Sync + 'static,
+    ) -> impl FnOnce(Arc<dyn cpms_wire::Transport>) -> Arc<dyn cpms_wire::Transport> {
+        move |inner| {
+            Arc::new(Watched {
+                inner,
+                watch: Box::new(watch),
+            })
+        }
+    }
+
+    #[test]
+    fn a_publication_pushes_every_replica_from_the_calling_thread() {
+        let callers = Arc::new(std::sync::Mutex::new(HashSet::new()));
+        let handles = (0..3u16)
+            .map(|n| {
+                let callers = Arc::clone(&callers);
+                Broker::bind_wrapped(
+                    "127.0.0.1:0".parse().unwrap(),
+                    BrokerState::new(NodeId(n), 1 << 20),
+                    watched(move |_| {
+                        callers.lock().unwrap().insert(std::thread::current().id());
+                    }),
+                )
+                .unwrap()
+            })
+            .collect();
+        let mut c = Controller::new(Cluster::from_handles(handles));
+        publish(&mut c, "/a.html", 1, &[0, 1, 2]);
+        assert_eq!(
+            *callers.lock().unwrap(),
+            HashSet::from([std::thread::current().id()]),
+            "every broker call came from the publishing thread"
+        );
+        assert!(coherent(&c));
+        c.shutdown();
+    }
+
+    #[test]
+    fn a_failed_push_ends_the_publication_before_later_targets() {
+        // Node 1 has only 50 bytes: its push of 100 fails, so node 2's is
+        // never begun.
+        let mut c = Controller::new(Cluster::start_with_capacities(&[1 << 20, 50, 1 << 20]));
+        let registry = Arc::new(MetricsRegistry::new());
+        c.set_metrics(&registry);
+        let err = c
+            .publish(
+                &p("/big"),
+                ContentId(1),
+                ContentKind::StaticHtml,
+                100,
+                Priority::Normal,
+                &[NodeId(0), NodeId(1), NodeId(2)],
+            )
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MgmtError::Agent(AgentError::Store(cpms_store::StoreError::DiskFull { .. }))
+            ),
+            "{err}"
+        );
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("ship_transfers_total"), Some(1), "node 0 only");
+        assert_eq!(snap.counter("ship_failed_transfers_total"), Some(1));
+        assert!(c.table().is_empty());
+        assert!(coherent(&c), "node 0's copy was rolled back");
+        c.shutdown();
+    }
+
+    #[test]
+    fn offload_and_delete_unpublish_before_deleting_the_copy() {
+        // Node 0's link checks the published table as each `Delete`
+        // crosses it: the path must no longer list node 0.
+        let table = Arc::new(std::sync::OnceLock::<SnapshotHandle>::new());
+        let listed_at_delete = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let node0 = {
+            let (table, listed) = (Arc::clone(&table), Arc::clone(&listed_at_delete));
+            Broker::spawn_wrapped(
+                BrokerState::new(NodeId(0), 1 << 20),
+                watched(move |request| {
+                    if let ShipRequest::Delete { path } = request {
+                        let hosted = table
+                            .get()
+                            .and_then(|h| {
+                                h.load().lookup_exact(path).map(|e| e.hosted_on(NodeId(0)))
+                            })
+                            .unwrap_or(false);
+                        listed.lock().unwrap().push((path.clone(), hosted));
+                    }
+                }),
+            )
+        };
+        let node1 = Broker::spawn(BrokerState::new(NodeId(1), 1 << 20));
+        let mut c = Controller::new(Cluster::from_handles(vec![node0, node1]));
+        table.set(c.handle()).unwrap();
+        publish(&mut c, "/offloaded", 1, &[0, 1]);
+        publish(&mut c, "/deleted", 2, &[0, 1]);
+
+        c.offload(&p("/offloaded"), NodeId(0)).unwrap();
+        c.delete(&p("/deleted")).unwrap();
+        assert_eq!(
+            *listed_at_delete.lock().unwrap(),
+            [(p("/offloaded"), false), (p("/deleted"), false)],
+            "each copy was deleted while the table still routed to it"
+        );
+        assert!(coherent(&c));
         c.shutdown();
     }
 
@@ -1118,8 +1237,8 @@ mod tests {
         let registry = Arc::new(cpms_obs::MetricsRegistry::new());
         c.set_metrics(&registry);
 
-        // Node 0 is pushed from the calling thread, node 1 from a spawned
-        // one; both must land in the publication's trace.
+        // Both nodes are pushed from the calling thread, one after the
+        // other; both must land in the publication's trace.
         publish(&mut c, "/traced", 1, &[0, 1]);
         c.offload(&p("/traced"), NodeId(1)).unwrap();
         c.replicate(&p("/traced"), NodeId(1)).unwrap();
@@ -1152,7 +1271,7 @@ mod tests {
         assert!(
             b1.iter()
                 .any(|s| s.name == "broker.commit" && s.trace == publish_root.trace),
-            "publish ship frames traced on node 1, the spawned target: {b1:?}"
+            "publish ship frames traced on node 1, the second target: {b1:?}"
         );
         assert!(
             b1.iter()

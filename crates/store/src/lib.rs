@@ -10,8 +10,8 @@
 //! `cpms-wire` through the ship protocol ([`ShipRequest`] /
 //! [`ShipReply`]): resumable chunked transfers with per-chunk checksum
 //! validation and bounded-retry resume after connection loss. A
-//! [`Shipper`] pushes to one store per call; the controller fans a
-//! publication out itself, one scoped thread per extra target, and its
+//! [`Shipper`] pushes to one store per call; the controller pushes a
+//! publication's targets one after another from its own thread, and its
 //! transfer counts are the `ship_*` metrics [`ShipMetrics`] records.
 //!
 //! The load-bearing invariant the rest of the system builds on:

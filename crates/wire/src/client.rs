@@ -3,11 +3,11 @@
 //!
 //! A transport carries exactly one request/response exchange; the client
 //! is where *policy* lives: how long one call may take (deadline), how
-//! many attempts a retryable failure earns, how attempts are spaced
-//! (exponential backoff with deterministic jitter), and how every
-//! exchange is observed (per-RPC latency histogram, retry/timeout/error
-//! counters, on-the-wire byte counters) in a shared
-//! [`MetricsRegistry`].
+//! many attempts a retryable failure earns, how attempts are spaced (the
+//! first retry at once, later ones after exponential backoff with
+//! deterministic jitter), and how every exchange is observed (per-RPC
+//! latency histogram, retry/timeout/error counters, on-the-wire byte
+//! counters) in a shared [`MetricsRegistry`].
 
 use crate::error::WireError;
 use crate::frame::HEADER_LEN;
@@ -20,14 +20,17 @@ use std::time::{Duration, Instant};
 
 /// How attempts of one RPC are spaced.
 ///
-/// The first attempt runs immediately; each retryable failure earns the
-/// next attempt after an exponentially growing backoff with deterministic
-/// jitter (seeded, so tests reproduce exactly).
+/// The first attempt runs immediately, and so does the first retry: a
+/// lost frame is most often a one-off, and a sleep before resending it
+/// only adds to the call's latency. Each later retryable failure earns
+/// the next attempt after an exponentially growing backoff with
+/// deterministic jitter (seeded, so tests reproduce exactly).
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total attempts allowed, including the first. 1 disables retry.
     pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
+    /// Backoff before the second retry (the first goes at once);
+    /// doubles per subsequent retry.
     pub base_backoff: Duration,
     /// Backoff ceiling.
     pub max_backoff: Duration,
@@ -318,7 +321,8 @@ impl Client {
             .as_deref()
             .map(|c| TracedSpan::enter(c, "wire.call"));
         let mut attempt: u32 = 0;
-        let mut backoff = self.retry.base_backoff;
+        // `None` until the first retry has gone out unslept.
+        let mut backoff: Option<Duration> = None;
         loop {
             attempt += 1;
             let start = Instant::now();
@@ -388,7 +392,7 @@ impl Client {
                         });
                     }
                     self.retries.fetch_add(1, Ordering::Relaxed);
-                    let sleep = self.jittered(backoff);
+                    let sleep = backoff.map_or(Duration::ZERO, |b| self.jittered(b));
                     {
                         let metrics = self.metrics.lock().expect("wire metrics lock");
                         metrics.retries.inc();
@@ -397,7 +401,9 @@ impl Client {
                             .add(u64::try_from(sleep.as_nanos()).unwrap_or(u64::MAX));
                     }
                     std::thread::sleep(sleep);
-                    backoff = (backoff * 2).min(self.retry.max_backoff);
+                    backoff = Some(backoff.map_or(self.retry.base_backoff, |b| {
+                        (b * 2).min(self.retry.max_backoff)
+                    }));
                 }
             }
         }
@@ -587,7 +593,9 @@ mod tests {
             seed: 17,
         };
         // A twin client draws the same jitter stream: replaying each
-        // call's doubling schedule on it yields the sleeps taken.
+        // call's schedule on it yields the sleeps taken. The first retry
+        // sleeps nothing and draws no jitter; the second backs off from
+        // the base, doubling after.
         let twin = Client::new(Arc::clone(&clean)).with_retry(retry.clone());
         let lossy = FaultyTransport::new(clean, FaultPlan::lossy(29, 0.5));
         let registry = Arc::new(MetricsRegistry::new());
@@ -598,14 +606,33 @@ mod tests {
             let before = client.stats().retries;
             let _ = client.call::<Ping, Pong>(&Ping { n });
             let mut backoff = retry.base_backoff;
-            for _ in before..client.stats().retries {
+            for _ in (before + 1)..client.stats().retries {
                 expected += twin.jittered(backoff);
                 backoff = (backoff * 2).min(retry.max_backoff);
             }
         }
         assert!(client.stats().retries > 10, "{:?}", client.stats());
+        assert!(!expected.is_zero(), "some call retried more than once");
         assert_eq!(slept_ns(&registry), expected.as_nanos() as u64);
         server.stop();
+    }
+
+    #[test]
+    fn a_call_that_fails_once_retries_without_sleeping() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let client = Client::new(Arc::new(Flaky {
+            remaining_failures: AtomicU32::new(1),
+        }))
+        .with_retry(RetryPolicy {
+            base_backoff: Duration::from_secs(1),
+            ..RetryPolicy::default()
+        });
+        client.attach_metrics(&registry);
+        assert_eq!(client.call_raw(b"once").unwrap(), b"once");
+        assert_eq!(client.stats().retries, 1);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("wire_retries_total"), Some(1));
+        assert_eq!(snap.counter("wire_backoff_sleep_ns_total"), Some(0));
     }
 
     #[test]
