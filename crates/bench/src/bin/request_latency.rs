@@ -23,14 +23,15 @@
 //! without rewriting the committed results file).
 
 use cpms_httpd::client::HttpClient;
-use cpms_httpd::loadgen::{self, LoadConfig};
+use cpms_httpd::loadgen::{self, LoadConfig, LoadReport};
 use cpms_httpd::{ContentAwareProxy, OriginServer, ProxyConfig, SiteContent, METRICS_PATH};
 use cpms_mgmt::{Cluster, Controller};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_obs::{HistogramSummary, MetricsRegistry};
 use cpms_urltable::{TablePublisher, UrlEntry, UrlTable};
+use cpms_workload::ZipfSampler;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 
 const NODES: usize = 3;
@@ -67,27 +68,6 @@ impl Config {
     }
 }
 
-/// Cumulative Zipf weights over `n` ranks: rank i gets 1/(i+1)^theta.
-fn zipf_cdf(n: usize) -> Vec<f64> {
-    let mut acc = 0.0;
-    let mut cdf: Vec<f64> = (0..n)
-        .map(|i| {
-            acc += 1.0 / ((i + 1) as f64).powf(ZIPF_THETA);
-            acc
-        })
-        .collect();
-    let total = *cdf.last().expect("n > 0");
-    for c in &mut cdf {
-        *c /= total;
-    }
-    cdf
-}
-
-fn sample_rank(cdf: &[f64], rng: &mut StdRng) -> usize {
-    let u: f64 = rng.gen();
-    cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
-}
-
 /// Client-side latency summary of one workload arm, measured at the
 /// socket so it is independent of the server's own histograms (which
 /// accumulate across passes).
@@ -98,14 +78,16 @@ struct PassStats {
 }
 
 impl PassStats {
-    fn of(mut samples: Vec<u64>) -> PassStats {
-        samples.sort_unstable();
+    fn of(samples: Vec<u64>) -> PassStats {
         let total: u128 = samples.iter().map(|&n| u128::from(n)).sum();
-        let at = |q: f64| samples[((samples.len() - 1) as f64 * q) as usize];
+        let report = LoadReport {
+            latencies_ns: samples,
+            ..LoadReport::default()
+        };
         PassStats {
-            mean_ns: total as f64 / samples.len() as f64,
-            p50_ns: at(0.50),
-            p99_ns: at(0.99),
+            mean_ns: total as f64 / report.latencies_ns.len() as f64,
+            p50_ns: report.percentile_ns(0.50),
+            p99_ns: report.percentile_ns(0.99),
         }
     }
 }
@@ -244,7 +226,7 @@ fn drive_child(args: &[String]) {
 fn drive_round(
     addr: std::net::SocketAddr,
     config: &Config,
-    cdf: &[f64],
+    zipf: &ZipfSampler,
     paths: &[String],
     seed_base: u64,
     into: &mut Vec<u64>,
@@ -260,7 +242,7 @@ fn drive_round(
                 let mut client = HttpClient::connect(addr).unwrap();
                 let mut local = Vec::with_capacity(config.requests_per_client);
                 for _ in 0..config.requests_per_client {
-                    let path = &paths[sample_rank(cdf, &mut rng)];
+                    let path = &paths[zipf.sample(&mut rng)];
                     let start = std::time::Instant::now();
                     let response = client.get(path).expect("request succeeds");
                     local.push(start.elapsed().as_nanos() as u64);
@@ -329,16 +311,16 @@ fn main() {
 
     // --- drive the Zipf workload with keep-alive clients.
     let addr = proxy.addr();
-    let cdf = zipf_cdf(config.paths);
+    let zipf = ZipfSampler::new(config.paths, ZIPF_THETA);
     std::thread::scope(|scope| {
         for client_idx in 0..config.clients {
-            let cdf = &cdf;
+            let zipf = &zipf;
             let paths = &paths;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(42 + client_idx as u64);
                 let mut client = HttpClient::connect(addr).unwrap();
                 for _ in 0..config.requests_per_client {
-                    let path = &paths[sample_rank(cdf, &mut rng)];
+                    let path = &paths[zipf.sample(&mut rng)];
                     let response = client.get(path).expect("request succeeds");
                     assert_eq!(response.status, 200, "GET {path}");
                 }
@@ -403,7 +385,7 @@ fn main() {
         {
             registry.spans().set_enabled(arm == 1);
             let before = lookup_totals();
-            drive_round(addr, &config, &cdf, &paths, seed, samples);
+            drive_round(addr, &config, &zipf, &paths, seed, samples);
             let after = lookup_totals();
             lookup[arm].0 += after.0 - before.0;
             lookup[arm].1 += after.1 - before.1;
@@ -448,7 +430,7 @@ fn main() {
         {
             let mut sampler =
                 (arm == 1).then(|| cpms_obs::Sampler::start(&registry, RECORD_INTERVAL));
-            drive_round(addr, &config, &cdf, &paths, seed, samples);
+            drive_round(addr, &config, &zipf, &paths, seed, samples);
             if let Some(s) = sampler.as_mut() {
                 s.stop();
             }

@@ -197,16 +197,6 @@ impl LiveRouter {
     pub fn unroutable(&self) -> u64 {
         self.misses
     }
-
-    /// Hit rate of this worker's private cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.reader.cache_hit_rate()
-    }
-
-    /// The generation of the snapshot this worker currently pins.
-    pub fn pinned_generation(&self) -> u64 {
-        self.reader.pinned_generation()
-    }
 }
 
 #[cfg(test)]

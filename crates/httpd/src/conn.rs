@@ -49,7 +49,7 @@
 use crate::failure::Failure;
 use crate::http::{
     head_complete, parse_request_head, parse_response_head, request_head_into, response_head_into,
-    ParseError, Request,
+    ParseError, Request, HEAD_CAP,
 };
 use crate::pool::SocketPool;
 use crate::proxy::{
@@ -69,7 +69,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -86,9 +86,6 @@ const RELAY_TIMEOUT: Duration = Duration::from_secs(10);
 /// Requests slower end-to-end than this leave a post-mortem event even
 /// when they succeed.
 const SLOW_REQUEST: Duration = Duration::from_millis(250);
-
-/// Upper bound on a request or response head.
-const HEAD_CAP: usize = 16 * 1024;
 
 /// Bytes of a backend request head besides its path: the request line,
 /// two headers and a trace header.
@@ -132,7 +129,6 @@ pub(crate) struct WorkerBoot {
     pub stop: Arc<AtomicBool>,
     pub queue: Arc<HandoffQueue>,
     pub wake_rx: WakeReceiver,
-    pub active: Arc<AtomicI64>,
     pub tenants: Arc<Vec<TenantSlot>>,
 }
 
@@ -212,7 +208,7 @@ impl WorkerMetrics {
 /// The worker's poller, counting every control call into
 /// `reactor_ctl_total` — a relayed keep-alive request should make none.
 struct CountedPoller {
-    poller: Box<dyn Poller>,
+    poller: Poller,
     calls: Arc<Counter>,
 }
 
@@ -386,7 +382,6 @@ struct Cx {
     bindings: Slab<Binding>,
     in_flight: Arc<Vec<AtomicU32>>,
     registry: Arc<MetricsRegistry>,
-    active: Arc<AtomicI64>,
     tenants: Arc<Vec<TenantSlot>>,
     router: LiveRouter,
     m: WorkerMetrics,
@@ -423,7 +418,6 @@ pub(crate) fn worker_loop(boot: WorkerBoot) {
         bindings: Slab::new(),
         in_flight: boot.in_flight,
         registry: boot.registry,
-        active: boot.active,
         tenants: boot.tenants,
         router,
         m,
@@ -476,8 +470,8 @@ pub(crate) fn worker_loop(boot: WorkerBoot) {
         }
     }
 
-    // Teardown: close every connection (and any not yet adopted) so the
-    // global active count drops to zero.
+    // Teardown: close every connection (and any not yet adopted) so
+    // `proxy_conn_active`, counted from admission, drops to zero.
     for key in conns.keys() {
         if let Some(conn) = conns.remove(key) {
             teardown(&mut cx, conn);
@@ -485,7 +479,7 @@ pub(crate) fn worker_loop(boot: WorkerBoot) {
     }
     while let Some(stream) = boot.queue.pop() {
         drop(stream);
-        cx.active.fetch_sub(1, Ordering::Relaxed);
+        cx.m.conn_active.sub(1);
     }
 }
 
@@ -511,11 +505,10 @@ fn adopt_backend(
 fn drain_handoff(cx: &mut Cx, conns: &mut Slab<Conn>, queue: &HandoffQueue) {
     while let Some(stream) = queue.pop() {
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-            cx.active.fetch_sub(1, Ordering::Relaxed);
+            cx.m.conn_active.sub(1);
             continue;
         }
         cx.m.connections.inc();
-        cx.m.conn_active.add(1);
         let fd = stream.as_raw_fd();
         let key = conns.insert(Conn::new(stream, Instant::now()));
         if let Some(conn) = conns.get_mut(key) {
@@ -662,7 +655,6 @@ fn teardown(cx: &mut Cx, mut conn: Conn) {
         cx.tenants[tenant].active.fetch_sub(1, Ordering::Relaxed);
     }
     let _ = cx.poller.deregister(conn.stream.as_raw_fd());
-    cx.active.fetch_sub(1, Ordering::Relaxed);
     cx.m.conn_active.sub(1);
     cx.m.conn_closed.inc();
     cx.m.conn_lifetime_ns

@@ -11,6 +11,9 @@ use std::io::{self, BufRead, Write};
 /// proxy→origin relay path (see [`TraceContext::to_header`]).
 pub const TRACE_HEADER: &str = "x-cpms-trace";
 
+/// Upper bound on a request or response head.
+pub(crate) const HEAD_CAP: usize = 16 * 1024;
+
 /// A parsed HTTP request head.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -404,42 +407,30 @@ pub fn parse_response_head(buf: &[u8]) -> Result<Option<ResponseHead>, ParseErro
 /// its `Content-Length` is [`ParseError::Io`] with
 /// [`io::ErrorKind::UnexpectedEof`].
 pub fn read_response<R: BufRead>(reader: &mut R) -> Result<Response, ParseError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Err(ParseError::ConnectionClosed);
-    }
-    let mut parts = line.split_whitespace();
-    let _version = parts
-        .next()
-        .ok_or(ParseError::Malformed("missing version"))?;
-    let status: u16 = parts
-        .next()
-        .ok_or(ParseError::Malformed("missing status"))?
-        .parse()
-        .map_err(|_| ParseError::Malformed("bad status"))?;
-
-    let mut content_length: Option<usize> = None;
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Err(ParseError::Malformed("eof in headers"));
+    // Collect the head line by line; a blank line may end it, and
+    // [`parse_response_head`] decides.
+    let mut head = Vec::new();
+    let parsed = loop {
+        let start = head.len();
+        let read =
+            io::Read::take(&mut *reader, (HEAD_CAP - start) as u64).read_until(b'\n', &mut head)?;
+        if read == 0 {
+            return Err(if start == 0 {
+                ParseError::ConnectionClosed
+            } else {
+                ParseError::Malformed("eof in headers")
+            });
         }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = Some(
-                    value
-                        .trim()
-                        .parse()
-                        .map_err(|_| ParseError::Malformed("bad content-length"))?,
-                );
+        if matches!(&head[start..], b"\n" | b"\r\n") {
+            if let Some(parsed) = parse_response_head(&head)? {
+                break parsed;
             }
         }
-    }
-    let len = content_length.ok_or(ParseError::Malformed("missing content-length"))?;
+        if head.len() >= HEAD_CAP {
+            return Err(ParseError::Malformed("head too large"));
+        }
+    };
+    let (status, len) = (parsed.status, parsed.content_length);
     let mut body = Vec::new();
     // Failing to reserve is not an error yet: the bytes decide.
     let _ = body.try_reserve_exact(len);
@@ -543,6 +534,19 @@ mod tests {
         );
         let short = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nabc";
         assert!(read_response(&mut BufReader::new(&short[..])).is_err());
+    }
+
+    #[test]
+    fn a_response_head_past_the_cap_is_an_error() {
+        let mut endless = b"HTTP/1.1 200 OK\r\n".to_vec();
+        while endless.len() < 2 * HEAD_CAP {
+            endless.extend_from_slice(b"X-Pad: yes\r\n");
+        }
+        let err = read_response(&mut BufReader::new(&endless[..])).unwrap_err();
+        assert!(
+            matches!(err, ParseError::Malformed("head too large")),
+            "{err:?}"
+        );
     }
 
     #[test]

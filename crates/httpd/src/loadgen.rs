@@ -119,7 +119,7 @@ struct Driver<'a> {
     addr: SocketAddr,
     paths: &'a [UrlPath],
     config: &'a LoadConfig,
-    poller: Box<dyn cpms_reactor::Poller>,
+    poller: cpms_reactor::Poller,
     timers: TimerWheel,
     timer_conns: HashMap<TimerId, SlabKey>,
     conns: Slab<Conn>,

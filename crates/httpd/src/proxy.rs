@@ -7,15 +7,14 @@
 //! while the client sees a single ordinary HTTP server.
 //!
 //! The proxy is **event-driven**: one acceptor thread plus `workers`
-//! event-loop workers, each built on the `cpms-reactor` readiness layer
-//! (epoll on Linux, poll(2) elsewhere). The acceptor owns the listening
-//! socket, enforces the global connection cap (shedding the excess with
-//! an immediate 503 rather than letting it queue), and hands accepted
-//! sockets to workers round-robin through bounded queues. Each worker
-//! then serves *all* of its connections — thousands of keep-alive clients
-//! per thread — from one poll loop of non-blocking state machines (see
-//! `conn.rs`); thread count is fixed by configuration, not by
-//! concurrency.
+//! event-loop workers, each built on the `cpms-reactor` epoll readiness
+//! layer. The acceptor owns the listening socket, enforces the global
+//! connection cap (shedding the excess with an immediate 503 rather than
+//! letting it queue), and hands accepted sockets to workers round-robin
+//! through bounded queues. Each worker then serves *all* of its
+//! connections — thousands of keep-alive clients per thread — from one
+//! poll loop of non-blocking state machines (see `conn.rs`); thread count
+//! is fixed by configuration, not by concurrency.
 //!
 //! Workers never share mutable routing state — each owns a
 //! [`cpms_dispatch::LiveRouter`] (pinned URL-table snapshot + private
@@ -36,7 +35,7 @@
 use crate::conn::{worker_loop, Pooled, WorkerBoot};
 use crate::failure::Failure;
 use crate::pool::SocketPool;
-use cpms_obs::{Counter, MetricsRegistry, Sampler};
+use cpms_obs::{Counter, Gauge, MetricsRegistry, Sampler};
 use cpms_reactor::{new_poller, waker_pair, Event, Interest, Token, Waker};
 use cpms_urltable::{SnapshotHandle, TablePublisher, UrlTable};
 use parking_lot::Mutex;
@@ -44,7 +43,7 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -185,7 +184,7 @@ pub struct ContentAwareProxy {
     pools: Arc<Vec<SocketPool<Pooled>>>,
     registry: Arc<MetricsRegistry>,
     stop: Arc<AtomicBool>,
-    active: Arc<AtomicI64>,
+    conn_active: Arc<Gauge>,
     wakers: Vec<Waker>,
     workers: Vec<JoinHandle<()>>,
     sampler: Option<Sampler>,
@@ -282,7 +281,6 @@ impl ContentAwareProxy {
         let in_flight: Arc<Vec<AtomicU32>> =
             Arc::new((0..backends.len()).map(|_| AtomicU32::new(0)).collect());
         let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicI64::new(0));
         let tenants: Arc<Vec<TenantSlot>> = Arc::new(
             config
                 .tenant_caps
@@ -299,7 +297,7 @@ impl ContentAwareProxy {
         // so a scrape sees them at zero rather than absent.
         let failures = Failure::counters(&registry);
         registry.counter("reactor_accept_errors_total");
-        registry.gauge("proxy_conn_active");
+        let conn_active = registry.gauge("proxy_conn_active");
         registry
             .gauge("reactor_workers")
             .set(i64::try_from(workers).unwrap_or(i64::MAX));
@@ -321,7 +319,6 @@ impl ContentAwareProxy {
                 stop: Arc::clone(&stop),
                 queue: Arc::clone(&queue),
                 wake_rx,
-                active: Arc::clone(&active),
                 tenants: Arc::clone(&tenants),
             };
             handles.push(
@@ -339,7 +336,7 @@ impl ContentAwareProxy {
             queues,
             worker_wakers: wakers.clone(),
             stop: Arc::clone(&stop),
-            active: Arc::clone(&active),
+            conn_active: Arc::clone(&conn_active),
             max_conns: config.max_conns,
             rejected: Arc::clone(&failures[Failure::Overloaded as usize]),
             accept_errors: registry.counter("reactor_accept_errors_total"),
@@ -366,7 +363,7 @@ impl ContentAwareProxy {
             pools,
             registry,
             stop,
-            active,
+            conn_active,
             wakers,
             workers: handles,
             sampler,
@@ -401,9 +398,10 @@ impl ContentAwareProxy {
         &self.registry
     }
 
-    /// Connections currently admitted (accepted and not yet closed).
+    /// Connections currently admitted (accepted and not yet closed): the
+    /// registry's `proxy_conn_active`.
     pub fn active_connections(&self) -> u64 {
-        u64::try_from(self.active.load(Ordering::Relaxed)).unwrap_or(0)
+        u64::try_from(self.conn_active.get()).unwrap_or(0)
     }
 
     /// Requests relayed successfully: the registry's
@@ -455,7 +453,9 @@ struct AcceptorBoot {
     queues: Vec<Arc<HandoffQueue>>,
     worker_wakers: Vec<Waker>,
     stop: Arc<AtomicBool>,
-    active: Arc<AtomicI64>,
+    /// `proxy_conn_active`: incremented here at admission, decremented by
+    /// the worker that closes the connection.
+    conn_active: Arc<Gauge>,
     max_conns: usize,
     rejected: Arc<Counter>,
     accept_errors: Arc<Counter>,
@@ -523,7 +523,7 @@ fn acceptor_loop(boot: AcceptorBoot) {
             }
         }
         if ready && !parked {
-            parked = accept_burst(&boot, &mut *poller, &mut timers, &mut next);
+            parked = accept_burst(&boot, &mut poller, &mut timers, &mut next);
         }
     }
 }
@@ -532,24 +532,24 @@ fn acceptor_loop(boot: AcceptorBoot) {
 /// error parked the listener.
 fn accept_burst(
     boot: &AcceptorBoot,
-    poller: &mut dyn cpms_reactor::Poller,
+    poller: &mut cpms_reactor::Poller,
     timers: &mut cpms_reactor::TimerWheel,
     next: &mut usize,
 ) -> bool {
     loop {
         match boot.listener.accept() {
             Ok((stream, _)) => {
-                if boot.active.load(Ordering::Relaxed) >= boot.max_conns as i64 {
+                if boot.conn_active.get() >= boot.max_conns as i64 {
                     shed_overload(&boot.rejected, &stream);
                     continue;
                 }
-                boot.active.fetch_add(1, Ordering::Relaxed);
+                boot.conn_active.add(1);
                 let idx = *next % boot.queues.len();
                 *next = next.wrapping_add(1);
                 match boot.queues[idx].push(stream) {
                     Ok(()) => boot.worker_wakers[idx].wake(),
                     Err(stream) => {
-                        boot.active.fetch_sub(1, Ordering::Relaxed);
+                        boot.conn_active.sub(1);
                         shed_overload(&boot.rejected, &stream);
                     }
                 }

@@ -7,10 +7,9 @@
 //!
 //! Pieces, all safe to use from `#![forbid(unsafe_code)]` crates:
 //!
-//! - [`Poller`]: level-triggered readiness selection, implemented by
-//!   `EpollPoller` (Linux epoll via raw syscall bindings) and
-//!   `PollPoller` (portable poll(2)) — pick with [`new_poller`] /
-//!   [`new_poller_of`].
+//! - [`Poller`]: level-triggered readiness selection over Linux epoll
+//!   (raw syscall bindings), built by [`new_poller`]. The crate is
+//!   Linux-only, like the `splice(2)` relay it serves.
 //! - [`TimerWheel`]: hashed wheel for per-connection deadlines (idle,
 //!   request-head, relay) with O(1) schedule, eager cancellation, and an
 //!   exact O(1) answer to "when is the next deadline".
@@ -26,7 +25,7 @@
 //!   socket-construction moments where `std::net` would stall or shed.
 //!
 //! The only `unsafe` lives in the private `sys` module, which binds the
-//! handful of syscalls (`epoll_*`, `poll`, `pipe2`, `splice`, `*rlimit`,
+//! handful of syscalls (`epoll_*`, `pipe2`, `splice`, `*rlimit`,
 //! and the socket family) by hand so the workspace keeps its
 //! no-external-dependency invariant.
 
@@ -45,7 +44,7 @@ mod wake;
 pub use limits::{current_nofile_limit, raise_nofile_limit};
 pub use net::{connect_nonblocking, listen_with_backlog, take_connect_error};
 pub use pipe::Pipe;
-pub use poller::{new_poller, new_poller_of, Event, Interest, Poller, PollerKind, Token};
+pub use poller::{new_poller, Event, Interest, Poller, Token};
 pub use slab::{Slab, SlabKey};
 pub use timer::{TimerId, TimerWheel};
 pub use wake::{waker_pair, WakeReceiver, Waker};
@@ -58,141 +57,129 @@ mod tests {
     use std::os::unix::io::AsRawFd;
     use std::time::{Duration, Instant};
 
-    fn both_pollers() -> Vec<(PollerKind, Box<dyn Poller>)> {
-        [PollerKind::Epoll, PollerKind::Poll]
-            .into_iter()
-            .map(|k| (k, new_poller_of(k).expect("poller")))
-            .collect()
-    }
-
     #[test]
     fn pollers_report_accept_readiness() {
-        for (kind, mut poller) in both_pollers() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.set_nonblocking(true).unwrap();
-            poller
-                .register(listener.as_raw_fd(), Token(7), Interest::READ)
-                .unwrap();
+        let mut poller = new_poller().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        poller
+            .register(listener.as_raw_fd(), Token(7), Interest::READ)
+            .unwrap();
 
-            let mut events = Vec::new();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert_eq!(n, 0, "{kind:?}: no readiness before a client connects");
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0, "no readiness before a client connects");
 
-            let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .unwrap();
-            assert_eq!(n, 1, "{kind:?}: pending connection wakes the poller");
-            assert_eq!(events[0].token, Token(7));
-            assert!(events[0].readable);
-        }
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(n, 1, "pending connection wakes the poller");
+        assert_eq!(events[0].token, Token(7));
+        assert!(events[0].readable);
     }
 
     #[test]
     fn pollers_honor_interest_changes_and_deregister() {
-        for (kind, mut poller) in both_pollers() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            client.set_nonblocking(true).unwrap();
+        let mut poller = new_poller().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        client.set_nonblocking(true).unwrap();
 
-            // A fresh connected socket is writable but not readable.
-            poller
-                .register(client.as_raw_fd(), Token(1), Interest::BOTH)
-                .unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .unwrap();
-            assert!(events[0].writable, "{kind:?}: connected socket writable");
-            assert!(!events[0].readable, "{kind:?}: nothing to read yet");
+        // A fresh connected socket is writable but not readable.
+        poller
+            .register(client.as_raw_fd(), Token(1), Interest::BOTH)
+            .unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert!(events[0].writable, "connected socket writable");
+        assert!(!events[0].readable, "nothing to read yet");
 
-            // Dropping write interest silences it until data arrives.
-            poller
-                .reregister(client.as_raw_fd(), Token(2), Interest::READ)
-                .unwrap();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert_eq!(n, 0, "{kind:?}: read-only interest stays quiet");
+        // Dropping write interest silences it until data arrives.
+        poller
+            .reregister(client.as_raw_fd(), Token(2), Interest::READ)
+            .unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0, "read-only interest stays quiet");
 
-            (&server).write_all(b"x").unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .unwrap();
-            assert_eq!(events[0].token, Token(2), "{kind:?}: token updated");
-            assert!(events[0].readable);
+        (&server).write_all(b"x").unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert_eq!(events[0].token, Token(2), "token updated");
+        assert!(events[0].readable);
 
-            poller.deregister(client.as_raw_fd()).unwrap();
-            assert_eq!(poller.registered(), 0);
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert_eq!(n, 0, "{kind:?}: deregistered fd emits nothing");
-        }
+        poller.deregister(client.as_raw_fd()).unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0, "deregistered fd emits nothing");
     }
 
     #[test]
     fn pollers_surface_peer_hangup_as_readable() {
-        for (kind, mut poller) in both_pollers() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            client.set_nonblocking(true).unwrap();
-            poller
-                .register(client.as_raw_fd(), Token(9), Interest::READ)
-                .unwrap();
-            drop(server);
+        let mut poller = new_poller().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        client.set_nonblocking(true).unwrap();
+        poller
+            .register(client.as_raw_fd(), Token(9), Interest::READ)
+            .unwrap();
+        drop(server);
 
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(2)))
-                .unwrap();
-            assert!(
-                events[0].readable,
-                "{kind:?}: hangup must wake readers so they observe EOF"
-            );
-            let mut c = client;
-            let mut buf = [0u8; 8];
-            assert_eq!(c.read(&mut buf).unwrap(), 0, "{kind:?}: read sees EOF");
-        }
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert!(
+            events[0].readable,
+            "hangup must wake readers so they observe EOF"
+        );
+        let mut c = client;
+        let mut buf = [0u8; 8];
+        assert_eq!(c.read(&mut buf).unwrap(), 0, "read sees EOF");
     }
 
     #[test]
     fn waker_interrupts_a_parked_wait() {
-        for (kind, mut poller) in both_pollers() {
-            let (waker, receiver) = waker_pair().unwrap();
-            poller
-                .register(receiver.fd(), Token(42), Interest::READ)
-                .unwrap();
+        let mut poller = new_poller().unwrap();
+        let (waker, receiver) = waker_pair().unwrap();
+        poller
+            .register(receiver.fd(), Token(42), Interest::READ)
+            .unwrap();
 
-            // Keep `waker` alive locally: dropping the last clone closes the
-            // pipe's write end, which reads as a hangup event.
-            let remote = waker.clone();
-            let handle = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                remote.wake();
-                remote.wake(); // coalesces with the first
-            });
-            let mut events = Vec::new();
-            let start = Instant::now();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                start.elapsed() < Duration::from_secs(4),
-                "{kind:?}: wake cut the wait short"
-            );
-            assert_eq!(events[0].token, Token(42));
-            handle.join().unwrap();
-            receiver.drain();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert_eq!(n, 0, "{kind:?}: drained waker goes quiet");
-        }
+        // Keep `waker` alive locally: dropping the last clone closes the
+        // pipe's write end, which reads as a hangup event.
+        let remote = waker.clone();
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            remote.wake();
+            remote.wake(); // coalesces with the first
+        });
+        let mut events = Vec::new();
+        let start = Instant::now();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            start.elapsed() < Duration::from_secs(4),
+            "wake cut the wait short"
+        );
+        assert_eq!(events[0].token, Token(42));
+        handle.join().unwrap();
+        receiver.drain();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0, "drained waker goes quiet");
     }
 
     #[test]

@@ -1,13 +1,9 @@
-//! Readiness polling behind a single [`Poller`] trait.
+//! Readiness polling over Linux epoll.
 //!
-//! Two implementations share the trait: [`EpollPoller`] (Linux, O(ready)
-//! wakeups, the production default) and [`PollPoller`] (portable poll(2),
-//! O(registered) per wait, used as a fallback and to cross-check semantics in
-//! tests). Both are level-triggered: an event keeps firing while the
-//! condition holds, so state machines may do partial work per wakeup without
-//! losing readiness.
+//! [`Poller`] is level-triggered: an event keeps firing while the condition
+//! holds, so state machines may do partial work per wakeup without losing
+//! readiness. A wait costs O(ready), not O(registered).
 
-use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
@@ -61,52 +57,12 @@ pub struct Event {
     pub is_error: bool,
 }
 
-/// A level-triggered readiness selector over raw file descriptors.
-///
-/// Implementations own no fds other than their internal bookkeeping; callers
-/// keep ownership of registered descriptors and must deregister before
-/// closing them.
-pub trait Poller: Send {
-    /// Start watching `fd` with the given interest.
-    fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()>;
-    /// Replace the interest set (and token) of an already-registered fd.
-    fn reregister(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()>;
-    /// Stop watching `fd`.
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
-    /// Block until readiness or timeout; `None` blocks indefinitely.
-    /// Clears and refills `events`, returning how many arrived.
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize>;
-    /// How many fds are currently registered.
-    fn registered(&self) -> usize;
-}
-
-/// Selects which poller implementation to construct.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollerKind {
-    /// Linux epoll (production default on Linux).
-    Epoll,
-    /// Portable poll(2) sweep.
-    Poll,
-}
-
-/// Build the platform-default poller (epoll on Linux, poll elsewhere).
-pub fn new_poller() -> io::Result<Box<dyn Poller>> {
-    #[cfg(target_os = "linux")]
-    {
-        new_poller_of(PollerKind::Epoll)
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        new_poller_of(PollerKind::Poll)
-    }
-}
-
-/// Build a specific poller implementation (tests exercise both).
-pub fn new_poller_of(kind: PollerKind) -> io::Result<Box<dyn Poller>> {
-    match kind {
-        PollerKind::Epoll => Ok(Box::new(EpollPoller::new()?)),
-        PollerKind::Poll => Ok(Box::new(PollPoller::new())),
-    }
+/// Build a poller: a new epoll instance (close-on-exec).
+pub fn new_poller() -> io::Result<Poller> {
+    Ok(Poller {
+        ep: sys::epoll_create()?,
+        scratch: Vec::with_capacity(256),
+    })
 }
 
 fn timeout_ms(timeout: Option<Duration>) -> i32 {
@@ -126,23 +82,16 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
-/// Linux epoll-backed poller.
-pub struct EpollPoller {
+/// A level-triggered readiness selector over raw file descriptors.
+///
+/// It owns only its epoll descriptor; callers keep ownership of registered
+/// descriptors and must deregister before closing them.
+pub struct Poller {
     ep: sys::OwnedFd,
     scratch: Vec<sys::epoll_event>,
-    registered: usize,
 }
 
-impl EpollPoller {
-    /// Create a new epoll instance (close-on-exec).
-    pub fn new() -> io::Result<EpollPoller> {
-        Ok(EpollPoller {
-            ep: sys::epoll_create()?,
-            scratch: Vec::with_capacity(256),
-            registered: 0,
-        })
-    }
-
+impl Poller {
     fn mask(interest: Interest) -> u32 {
         let mut m = 0;
         if interest.read {
@@ -157,26 +106,29 @@ impl EpollPoller {
         }
         m
     }
-}
 
-impl Poller for EpollPoller {
-    fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        sys::epoll_add(&self.ep, fd, Self::mask(interest), token.0)?;
-        self.registered += 1;
-        Ok(())
+    /// Start watching `fd` with the given interest.
+    pub fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+        sys::epoll_add(&self.ep, fd, Self::mask(interest), token.0)
     }
 
-    fn reregister(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
+    /// Replace the interest set (and token) of an already-registered fd.
+    pub fn reregister(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
         sys::epoll_mod(&self.ep, fd, Self::mask(interest), token.0)
     }
 
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        sys::epoll_del(&self.ep, fd)?;
-        self.registered = self.registered.saturating_sub(1);
-        Ok(())
+    /// Stop watching `fd`.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        sys::epoll_del(&self.ep, fd)
     }
 
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
+    /// Block until readiness or timeout; `None` blocks indefinitely.
+    /// Clears and refills `events`, returning how many arrived.
+    pub fn wait(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         events.clear();
         let n = match sys::epoll_wait_into(&self.ep, &mut self.scratch, timeout_ms(timeout)) {
             Ok(n) => n,
@@ -196,119 +148,5 @@ impl Poller for EpollPoller {
             });
         }
         Ok(events.len())
-    }
-
-    fn registered(&self) -> usize {
-        self.registered
-    }
-}
-
-/// Portable poll(2)-backed poller.
-///
-/// Keeps a dense pollfd array plus an fd -> slot index so register and
-/// deregister stay O(1) (deregister swap-removes).
-pub struct PollPoller {
-    fds: Vec<sys::pollfd>,
-    tokens: Vec<Token>,
-    index: HashMap<RawFd, usize>,
-}
-
-impl PollPoller {
-    /// Create an empty poll set.
-    pub fn new() -> PollPoller {
-        PollPoller {
-            fds: Vec::new(),
-            tokens: Vec::new(),
-            index: HashMap::new(),
-        }
-    }
-
-    fn events_mask(interest: Interest) -> sys::c_short {
-        let mut m = 0;
-        if interest.read {
-            m |= sys::POLLIN;
-        }
-        if interest.write {
-            m |= sys::POLLOUT;
-        }
-        m
-    }
-}
-
-impl Default for PollPoller {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Poller for PollPoller {
-    fn register(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        if self.index.contains_key(&fd) {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                "fd already registered",
-            ));
-        }
-        self.index.insert(fd, self.fds.len());
-        self.fds.push(sys::pollfd {
-            fd,
-            events: Self::events_mask(interest),
-            revents: 0,
-        });
-        self.tokens.push(token);
-        Ok(())
-    }
-
-    fn reregister(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        let &slot = self
-            .index
-            .get(&fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.fds[slot].events = Self::events_mask(interest);
-        self.tokens[slot] = token;
-        Ok(())
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let slot = self
-            .index
-            .remove(&fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.fds.swap_remove(slot);
-        self.tokens.swap_remove(slot);
-        if slot < self.fds.len() {
-            self.index.insert(self.fds[slot].fd, slot);
-        }
-        Ok(())
-    }
-
-    fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-        events.clear();
-        let n = match sys::poll_fds(&mut self.fds, timeout_ms(timeout)) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
-            Err(e) => return Err(e),
-        };
-        if n > 0 {
-            for (pfd, token) in self.fds.iter().zip(self.tokens.iter()) {
-                let bits = pfd.revents;
-                if bits == 0 {
-                    continue;
-                }
-                let err = bits & (sys::POLLERR | sys::POLLNVAL) != 0;
-                let hup = bits & sys::POLLHUP != 0;
-                events.push(Event {
-                    token: *token,
-                    readable: bits & sys::POLLIN != 0 || hup || err,
-                    writable: bits & sys::POLLOUT != 0 || hup || err,
-                    is_error: err,
-                });
-            }
-        }
-        Ok(events.len())
-    }
-
-    fn registered(&self) -> usize {
-        self.fds.len()
     }
 }

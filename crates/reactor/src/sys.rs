@@ -11,15 +11,13 @@
 use std::io;
 
 pub type c_int = i32;
-pub type c_short = i16;
-pub type nfds_t = u64;
 
 // epoll_ctl ops.
 pub const EPOLL_CTL_ADD: c_int = 1;
 pub const EPOLL_CTL_DEL: c_int = 2;
 pub const EPOLL_CTL_MOD: c_int = 3;
 
-// epoll event bits (identical values to the poll(2) bits below where shared).
+// epoll event bits.
 pub const EPOLLIN: u32 = 0x001;
 pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
@@ -27,13 +25,6 @@ pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
 
 pub const EPOLL_CLOEXEC: c_int = 0x80000;
-
-// poll(2) event bits.
-pub const POLLIN: c_short = 0x001;
-pub const POLLOUT: c_short = 0x004;
-pub const POLLERR: c_short = 0x008;
-pub const POLLHUP: c_short = 0x010;
-pub const POLLNVAL: c_short = 0x020;
 
 // pipe2 flags.
 pub const O_NONBLOCK: c_int = 0x800;
@@ -64,15 +55,6 @@ pub const EINPROGRESS: c_int = 115;
 pub struct epoll_event {
     pub events: u32,
     pub u64: u64,
-}
-
-/// poll(2) descriptor record.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct pollfd {
-    pub fd: c_int,
-    pub events: c_short,
-    pub revents: c_short,
 }
 
 #[repr(C)]
@@ -108,7 +90,6 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut epoll_event, maxevents: c_int, timeout: c_int)
         -> c_int;
-    fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
     fn pipe2(pipefd: *mut c_int, flags: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
     fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
@@ -216,12 +197,6 @@ pub fn epoll_wait_into(
     // capacity; we set the length only to the count it reports.
     let n = cvt(unsafe { epoll_wait(epfd.raw(), out.as_mut_ptr(), cap, timeout_ms) })?;
     unsafe { out.set_len(n as usize) };
-    Ok(n as usize)
-}
-
-/// poll(2) over a caller-built descriptor set; returns how many have revents.
-pub fn poll_fds(fds: &mut [pollfd], timeout_ms: c_int) -> io::Result<usize> {
-    let n = cvt(unsafe { poll(fds.as_mut_ptr(), fds.len() as nfds_t, timeout_ms) })?;
     Ok(n as usize)
 }
 
