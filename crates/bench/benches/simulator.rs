@@ -48,7 +48,7 @@ fn bench_sim(c: &mut Criterion) {
                     config.build(),
                     &corpus,
                     table,
-                    Box::new(ContentAwareRouter::new(4_096)),
+                    Box::new(ContentAwareRouter::new()),
                     &WorkloadSpec::workload_a(),
                 )
             },

@@ -1,15 +1,16 @@
 //! The content-aware distributor's routing policy (§2.2).
 //!
-//! On each request the distributor parses the URL, consults the URL table
-//! (through the recently-accessed-entry cache), and picks the best node
-//! *among those hosting the object* — we use least normalized load, the
-//! natural refinement of the authors' WLC baseline. The measured per-lookup
-//! cost (§5.2: ~4.32 µs average at peak on a 350 MHz machine) plus HTTP
-//! parse and connection-binding overhead is charged as the decision cost.
+//! On each request the distributor parses the URL, consults the URL table,
+//! and picks the best node *among those hosting the object* — we use least
+//! normalized load, the natural refinement of the authors' WLC baseline, and
+//! [`crate::HttpRedirectRouter`] makes the same choice. The measured
+//! per-lookup cost (§5.2: ~4.32 µs average at peak on a 350 MHz machine)
+//! plus HTTP parse and connection-binding overhead is charged as the
+//! decision cost.
 
 use crate::router::{ClusterState, RouteDecision, Router, RoutingRequest};
-use cpms_model::SimDuration;
-use cpms_urltable::{LookupCache, UrlTable};
+use cpms_model::{NodeId, SimDuration};
+use cpms_urltable::UrlTable;
 
 /// Per-request overhead of the content-aware distributor: TCP handshake
 /// bookkeeping, HTTP request parse, URL-table lookup, connection binding.
@@ -19,38 +20,29 @@ use cpms_urltable::{LookupCache, UrlTable};
 pub const CONTENT_AWARE_DECISION_COST: SimDuration = SimDuration::from_micros(35);
 
 /// The content-aware routing policy.
-#[derive(Debug)]
-pub struct ContentAwareRouter {
-    cache: LookupCache,
-    lookups: u64,
-    misses: u64,
-}
+#[derive(Debug, Default)]
+pub struct ContentAwareRouter;
 
 impl ContentAwareRouter {
-    /// Creates the router with a lookup cache of `cache_entries` recent
-    /// records (0 disables caching — the §5.2 ablation).
-    pub fn new(cache_entries: u64) -> Self {
-        ContentAwareRouter {
-            cache: LookupCache::new(cache_entries),
-            lookups: 0,
-            misses: 0,
-        }
+    /// Creates the router.
+    pub fn new() -> Self {
+        ContentAwareRouter
     }
+}
 
-    /// Total routing lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Lookups that found no record (unroutable requests).
-    pub fn unroutable(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate of the recently-accessed-entry cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.cache.hit_rate()
-    }
+/// The content-aware replica choice: among `locations`, the alive node with
+/// the least normalized load (the first such node on a tie).
+pub(crate) fn choose_replica(locations: &[NodeId], state: &ClusterState) -> Option<NodeId> {
+    locations
+        .iter()
+        .copied()
+        .filter(|n| state.is_alive(*n))
+        .min_by(|a, b| {
+            state
+                .normalized_load(*a)
+                .partial_cmp(&state.normalized_load(*b))
+                .expect("loads are finite")
+        })
 }
 
 impl Router for ContentAwareRouter {
@@ -64,25 +56,7 @@ impl Router for ContentAwareRouter {
         state: &ClusterState,
         table: &UrlTable,
     ) -> Option<RouteDecision> {
-        self.lookups += 1;
-        let entry = match self.cache.lookup(table, req.path) {
-            Some(e) => e,
-            None => {
-                self.misses += 1;
-                return None;
-            }
-        };
-        let node = entry
-            .locations()
-            .iter()
-            .copied()
-            .filter(|n| state.is_alive(*n))
-            .min_by(|a, b| {
-                state
-                    .normalized_load(*a)
-                    .partial_cmp(&state.normalized_load(*b))
-                    .expect("loads are finite")
-            })?;
+        let node = choose_replica(table.lookup(req.path)?.locations(), state)?;
         Some(RouteDecision::new(node, CONTENT_AWARE_DECISION_COST))
     }
 }
@@ -117,7 +91,7 @@ mod tests {
     #[test]
     fn routes_only_to_hosting_nodes() {
         let (table, state, path) = setup();
-        let mut r = ContentAwareRouter::new(16);
+        let mut r = ContentAwareRouter::new();
         for _ in 0..10 {
             let d = r.route(&req(&path), &state, &table).unwrap();
             assert!(d.node == NodeId(1) || d.node == NodeId(2));
@@ -127,7 +101,7 @@ mod tests {
     #[test]
     fn picks_least_loaded_replica() {
         let (table, mut state, path) = setup();
-        let mut r = ContentAwareRouter::new(16);
+        let mut r = ContentAwareRouter::new();
         state.connection_opened(NodeId(1));
         state.connection_opened(NodeId(1));
         let d = r.route(&req(&path), &state, &table).unwrap();
@@ -137,17 +111,15 @@ mod tests {
     #[test]
     fn unknown_path_is_unroutable() {
         let (table, state, _) = setup();
-        let mut r = ContentAwareRouter::new(16);
+        let mut r = ContentAwareRouter::new();
         let missing: UrlPath = "/nope.html".parse().unwrap();
         assert!(r.route(&req(&missing), &state, &table).is_none());
-        assert_eq!(r.unroutable(), 1);
-        assert_eq!(r.lookups(), 1);
     }
 
     #[test]
     fn dead_replicas_skipped() {
         let (table, mut state, path) = setup();
-        let mut r = ContentAwareRouter::new(16);
+        let mut r = ContentAwareRouter::new();
         state.set_alive(NodeId(1), false);
         assert_eq!(
             r.route(&req(&path), &state, &table).unwrap().node,
@@ -160,35 +132,20 @@ mod tests {
     #[test]
     fn sees_replication_changes() {
         let (mut table, mut state, path) = setup();
-        let mut r = ContentAwareRouter::new(16);
-        // warm the cache
+        let mut r = ContentAwareRouter::new();
         r.route(&req(&path), &state, &table).unwrap();
         // auto-replication adds node 3 and the others get busy
         table.add_location(&path, NodeId(3)).unwrap();
         state.connection_opened(NodeId(1));
         state.connection_opened(NodeId(2));
         let d = r.route(&req(&path), &state, &table).unwrap();
-        assert_eq!(
-            d.node,
-            NodeId(3),
-            "cache must observe table generation bump"
-        );
-    }
-
-    #[test]
-    fn cache_hit_rate_accumulates() {
-        let (table, state, path) = setup();
-        let mut r = ContentAwareRouter::new(16);
-        for _ in 0..10 {
-            r.route(&req(&path), &state, &table).unwrap();
-        }
-        assert!(r.cache_hit_rate() > 0.8);
+        assert_eq!(d.node, NodeId(3), "the next lookup sees the new copy");
     }
 
     #[test]
     fn charges_the_constant_decision_cost() {
         let (table, state, path) = setup();
-        let mut r = ContentAwareRouter::new(16);
+        let mut r = ContentAwareRouter::new();
         let d = r.route(&req(&path), &state, &table).unwrap();
         assert_eq!(d.cost, CONTENT_AWARE_DECISION_COST);
     }

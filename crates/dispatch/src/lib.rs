@@ -34,7 +34,7 @@
 //!         .with_locations([NodeId(2)]),
 //! ).unwrap();
 //!
-//! let mut router = ContentAwareRouter::new(64);
+//! let mut router = ContentAwareRouter::new();
 //! let state = ClusterState::new(vec![1.0; 4]);
 //! let req = RoutingRequest { client: 0, path: &path, kind: ContentKind::StaticHtml };
 //! let decision = router.route(&req, &state, &table).unwrap();

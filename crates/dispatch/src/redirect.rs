@@ -16,9 +16,10 @@
 //! dispatcher. This is exactly the trade the paper analyzes, packaged as
 //! an ablation.
 
+use crate::content_aware::choose_replica;
 use crate::router::{ClusterState, RouteDecision, Router, RoutingRequest};
 use cpms_model::SimDuration;
-use cpms_urltable::{LookupCache, UrlTable};
+use cpms_urltable::UrlTable;
 
 /// Application-level processing of the redirect at the dispatcher:
 /// user-space accept + parse + 302 serialization, rather than the kernel
@@ -28,33 +29,15 @@ pub const REDIRECT_DECISION_COST: SimDuration = SimDuration::from_micros(120);
 /// Content-aware routing delivered by HTTP `302` redirects.
 #[derive(Debug)]
 pub struct HttpRedirectRouter {
-    cache: LookupCache,
     client_rtt: SimDuration,
-    lookups: u64,
-    misses: u64,
 }
 
 impl HttpRedirectRouter {
     /// Creates the router. `client_rtt` is the client↔cluster round-trip
     /// time; redirection charges two extra round trips per request (the
     /// 302 itself, then the new connection's handshake).
-    pub fn new(cache_entries: u64, client_rtt: SimDuration) -> Self {
-        HttpRedirectRouter {
-            cache: LookupCache::new(cache_entries),
-            client_rtt,
-            lookups: 0,
-            misses: 0,
-        }
-    }
-
-    /// Total routing lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Lookups that found no record.
-    pub fn unroutable(&self) -> u64 {
-        self.misses
+    pub fn new(client_rtt: SimDuration) -> Self {
+        HttpRedirectRouter { client_rtt }
     }
 
     /// The extra client-visible latency each redirected request pays.
@@ -74,25 +57,7 @@ impl Router for HttpRedirectRouter {
         state: &ClusterState,
         table: &UrlTable,
     ) -> Option<RouteDecision> {
-        self.lookups += 1;
-        let entry = match self.cache.lookup(table, req.path) {
-            Some(e) => e,
-            None => {
-                self.misses += 1;
-                return None;
-            }
-        };
-        let node = entry
-            .locations()
-            .iter()
-            .copied()
-            .filter(|n| state.is_alive(*n))
-            .min_by(|a, b| {
-                state
-                    .normalized_load(*a)
-                    .partial_cmp(&state.normalized_load(*b))
-                    .expect("loads are finite")
-            })?;
+        let node = choose_replica(table.lookup(req.path)?.locations(), state)?;
         Some(
             RouteDecision::new(node, REDIRECT_DECISION_COST)
                 .with_client_latency(self.redirect_latency())
@@ -123,7 +88,7 @@ mod tests {
     #[test]
     fn charges_two_round_trips_to_the_client() {
         let (table, state, path) = setup();
-        let mut r = HttpRedirectRouter::new(64, SimDuration::from_millis(40));
+        let mut r = HttpRedirectRouter::new(SimDuration::from_millis(40));
         let req = RoutingRequest {
             client: 0,
             path: &path,
@@ -137,9 +102,9 @@ mod tests {
     }
 
     #[test]
-    fn counts_misses() {
+    fn unknown_path_is_unroutable() {
         let (table, state, _) = setup();
-        let mut r = HttpRedirectRouter::new(64, SimDuration::from_millis(1));
+        let mut r = HttpRedirectRouter::new(SimDuration::from_millis(1));
         let missing: UrlPath = "/missing".parse().unwrap();
         let req = RoutingRequest {
             client: 0,
@@ -147,14 +112,12 @@ mod tests {
             kind: ContentKind::StaticHtml,
         };
         assert!(r.route(&req, &state, &table).is_none());
-        assert_eq!(r.unroutable(), 1);
-        assert_eq!(r.lookups(), 1);
     }
 
     #[test]
     fn dead_nodes_not_redirected_to() {
         let (table, mut state, path) = setup();
-        let mut r = HttpRedirectRouter::new(64, SimDuration::from_millis(1));
+        let mut r = HttpRedirectRouter::new(SimDuration::from_millis(1));
         state.set_alive(NodeId(1), false);
         let req = RoutingRequest {
             client: 0,

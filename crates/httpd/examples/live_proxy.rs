@@ -2,7 +2,7 @@
 //! content, fronted by the content-aware proxy, with a live management
 //! operation (replication) taking effect mid-run.
 //!
-//! Run with: `cargo run --release -p cpms-core --example live_proxy`
+//! Run with: `cargo run --release -p cpms-httpd --example live_proxy`
 
 use cpms_httpd::client::HttpClient;
 use cpms_httpd::{ContentAwareProxy, Failure, OriginServer, SiteContent};

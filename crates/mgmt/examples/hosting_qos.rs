@@ -2,7 +2,7 @@
 //! different priorities, plus single-copy placement for mutable documents,
 //! managed through the controller/broker/agent stack.
 //!
-//! Run with: `cargo run --release -p cpms-core --example hosting_qos`
+//! Run with: `cargo run --release -p cpms-mgmt --example hosting_qos`
 
 use cpms_mgmt::{AntiEntropyAuditor, Cluster, Controller};
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};

@@ -19,7 +19,9 @@ use crate::store::BrokerState;
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_obs::{Counter, Gauge, HistogramRecorder, MetricsRegistry, Span, TracedSpan};
 use cpms_store::{ShipError, ShipMetrics, ShipRequest, Shipper};
-use cpms_urltable::{SnapshotHandle, TableError, TablePublisher, UrlEntry, UrlTable};
+use cpms_urltable::{
+    RebalanceAction, SnapshotHandle, TableError, TablePublisher, UrlEntry, UrlTable,
+};
 use cpms_wire::WireError;
 use std::collections::HashSet;
 use std::fmt;
@@ -696,6 +698,20 @@ impl Controller {
         Ok(())
     }
 
+    /// Carries out one §3.3 auto-replication plan
+    /// ([`cpms_urltable::AutoReplicator::plan`]): each action is a
+    /// [`Controller::replicate`] or a [`Controller::offload`], so agents
+    /// move the files. Returns per-action results.
+    pub fn rebalance(&mut self, actions: &[RebalanceAction]) -> Vec<Result<(), MgmtError>> {
+        actions
+            .iter()
+            .map(|action| match action {
+                RebalanceAction::Replicate { path, to } => self.replicate(path, *to),
+                RebalanceAction::Offload { path, from } => self.offload(path, *from),
+            })
+            .collect()
+    }
+
     /// Renames an object or a whole subtree, on every hosting node and in
     /// the table.
     ///
@@ -1327,5 +1343,58 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, MgmtError::NoSuchNode(NodeId(9))));
         c.shutdown();
+    }
+
+    #[test]
+    fn end_to_end_through_controller() {
+        use cpms_model::{LoadSample, LoadTracker, SimDuration};
+        use cpms_urltable::AutoReplicator;
+        let mut controller = controller(3);
+        controller
+            .publish(
+                &p("/hot.html"),
+                ContentId(1),
+                ContentKind::StaticHtml,
+                100,
+                Priority::Normal,
+                &[NodeId(0)],
+            )
+            .unwrap();
+
+        let mut tracker = LoadTracker::new(vec![1.0, 1.0, 1.0]);
+        for _ in 0..50 {
+            tracker.record(LoadSample {
+                node: NodeId(0),
+                content: ContentId(1),
+                kind: ContentKind::StaticHtml,
+                processing_time: SimDuration::from_millis(20),
+            });
+        }
+        tracker.record(LoadSample {
+            node: NodeId(1),
+            content: ContentId(1),
+            kind: ContentKind::StaticHtml,
+            processing_time: SimDuration::from_millis(1),
+        });
+
+        let planner = AutoReplicator::new(0.25);
+        let actions = planner.plan(
+            &tracker,
+            &controller.table(),
+            |id| (id == ContentId(1)).then(|| p("/hot.html")),
+            |_, _| true,
+        );
+        let results = controller.rebalance(&actions);
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        assert!(
+            controller
+                .table()
+                .lookup(&p("/hot.html"))
+                .unwrap()
+                .replica_count()
+                > 1
+        );
+        assert!(coherent(&controller));
+        controller.shutdown();
     }
 }

@@ -34,10 +34,10 @@
 //!   the controller, driven from stdin by the `cpms-console` binary and
 //!   through a daemon's [`admin`] wire service by the same lines.
 //!
-//! Plus §3.3's [`autorep::AutoReplicator`]: the load-balancing policy that
-//! replicates popular content to underutilized nodes and sheds copies from
-//! overloaded ones, driven by the paper's `l_i` / `L_j` metrics
-//! ([`cpms_model::load`]).
+//! §3.3's auto-replication plans with [`cpms_urltable::AutoReplicator`]
+//! (popular content to underutilized nodes, copies shed from overloaded
+//! ones, driven by the paper's `l_i` / `L_j` metrics in
+//! [`cpms_model::load`]); [`Controller::rebalance`] carries the plan out.
 //!
 //! # Example
 //!
@@ -70,7 +70,6 @@
 pub mod admin;
 pub mod agent;
 pub mod auditor;
-pub mod autorep;
 pub mod broker;
 pub mod controller;
 pub mod monitor;
@@ -80,7 +79,6 @@ pub mod store;
 pub use admin::{AdminClient, AdminRequest, AdminResponse};
 pub use agent::AgentError;
 pub use auditor::{AntiEntropyAuditor, Drift, DriftReport};
-pub use autorep::{AutoReplicator, RebalanceAction};
 pub use broker::{Broker, BrokerHandle};
 pub use controller::{Cluster, Controller, EvictReport, MgmtError};
 pub use monitor::{ClusterMonitor, NodeHealth, NodeTransportHealth};

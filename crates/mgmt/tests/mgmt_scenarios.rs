@@ -8,12 +8,11 @@
 //! *identical* results and URL-table publication generations: the
 //! management plane's behavior is transport-invariant.
 
-use cpms_mgmt::{
-    AntiEntropyAuditor, AutoReplicator, Broker, BrokerHandle, BrokerState, Cluster, Controller,
-};
+use cpms_mgmt::{AntiEntropyAuditor, Broker, BrokerHandle, BrokerState, Cluster, Controller};
 use cpms_model::{
     ContentId, ContentKind, LoadSample, LoadTracker, NodeId, Priority, SimDuration, UrlPath,
 };
+use cpms_urltable::AutoReplicator;
 
 fn p(s: &str) -> UrlPath {
     s.parse().unwrap()
@@ -192,7 +191,7 @@ fn auto_replication_moves_real_copies() {
             |_, _| true,
         );
         assert!(!actions.is_empty(), "skew must trigger actions");
-        let results = AutoReplicator::apply_to_controller(&actions, &mut controller);
+        let results = controller.rebalance(&actions);
         assert!(results.iter().all(Result::is_ok), "{results:?}");
 
         // Replicas now exist beyond node 0, and the files are really there.
@@ -254,7 +253,8 @@ fn broker_failure_is_contained() {
 /// a dead node never receives replicas.
 #[test]
 fn monitor_excludes_dead_nodes_from_replication() {
-    use cpms_mgmt::{AutoReplicator, ClusterMonitor, RebalanceAction};
+    use cpms_mgmt::ClusterMonitor;
+    use cpms_urltable::RebalanceAction;
 
     for (mode, host) in BOTH_HOSTS {
         let mut controller = Controller::new(cluster(host, 3, 10 << 20));
@@ -308,7 +308,7 @@ fn monitor_excludes_dead_nodes_from_replication() {
                 assert_ne!(*to, NodeId(2), "dead node must not receive replicas");
             }
         }
-        let results = AutoReplicator::apply_to_controller(&actions, &mut controller);
+        let results = controller.rebalance(&actions);
         assert!(results.iter().all(Result::is_ok), "{results:?}");
         // Nobody evicted the dead node, and the audit says so; among the
         // living there is no drift.

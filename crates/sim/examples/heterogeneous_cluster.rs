@@ -4,10 +4,11 @@
 //! enabled for the proposed system.
 //!
 //! Run with:
-//! `cargo run --release -p cpms-core --example heterogeneous_cluster`
+//! `cargo run --release -p cpms-sim --example heterogeneous_cluster`
 
-use cpms_core::prelude::*;
-use cpms_core::report::{class_gains, render_class_gains, render_throughput_table};
+use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
+use cpms_sim::report::{class_gains, render_class_gains, render_throughput_table, FigureSeries};
+use cpms_sim::{Experiment, PlacementPolicy, RebalanceConfig, RouterChoice};
 
 fn main() {
     let clients = [16u32, 48, 96, 120];
@@ -37,9 +38,7 @@ fn main() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 4096,
-        })
+        .router(RouterChoice::ContentAware)
         .rebalance(RebalanceConfig::default())
         .build()
         .sweep_clients(&clients);

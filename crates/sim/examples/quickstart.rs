@@ -1,10 +1,11 @@
 //! Quickstart: build a small heterogeneous cluster, compare the paper's
 //! three placement schemes on a static workload, and print the result.
 //!
-//! Run with: `cargo run --release -p cpms-core --example quickstart`
+//! Run with: `cargo run --release -p cpms-sim --example quickstart`
 
-use cpms_core::prelude::*;
-use cpms_core::report::render_throughput_table;
+use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
+use cpms_sim::report::{render_throughput_table, FigureSeries};
+use cpms_sim::{Experiment, ExperimentResult, PlacementPolicy, RouterChoice};
 
 fn main() {
     // A small corpus keeps the example fast; the bench binaries use the
@@ -37,9 +38,7 @@ fn main() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 1024,
-        })
+        .router(RouterChoice::ContentAware)
         .build()
         .sweep_clients(&clients);
 
@@ -51,7 +50,7 @@ fn main() {
     println!("{}", render_throughput_table(&series));
 
     // Cache hit rates explain the ordering (the paper's §5.3 argument).
-    let hit = |results: &[cpms_core::ExperimentResult]| {
+    let hit = |results: &[ExperimentResult]| {
         let r = &results.last().expect("nonempty sweep").report;
         r.nodes.iter().map(|n| n.cache_hit_rate).sum::<f64>() / r.nodes.len() as f64
     };

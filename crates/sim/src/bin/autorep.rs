@@ -13,13 +13,14 @@
 //! imbalance falls interval over interval and throughput rises; without
 //! it both stay bad.
 //!
-//! Run with: `cargo run --release -p cpms-bench --bin autorep`
+//! Run with: `cargo run --release -p cpms-sim --bin autorep`
 
 use cpms_dispatch::ContentAwareRouter;
-use cpms_mgmt::AutoReplicator;
-use cpms_model::{LoadTracker, NodeId, NodeSpec, RequestClass, SimDuration};
+use cpms_model::{
+    ContentKind, LoadSample, LoadTracker, NodeId, NodeSpec, RequestClass, SimDuration,
+};
 use cpms_sim::{SimConfig, Simulation};
-use cpms_urltable::{UrlEntry, UrlTable};
+use cpms_urltable::{AutoReplicator, UrlEntry, UrlTable};
 use cpms_workload::{Corpus, CorpusBuilder, WorkloadSpec};
 
 /// The naive skewed partition: class ids are hottest-first, so contiguous
@@ -48,7 +49,7 @@ struct IntervalRow {
 }
 
 /// Which interval load metric drives the planner.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Metric {
     /// No rebalancing at all.
     None,
@@ -72,7 +73,7 @@ fn run(metric: Metric, intervals: u32) -> Vec<IntervalRow> {
         config.build(),
         &corpus,
         table,
-        Box::new(ContentAwareRouter::new(4096)),
+        Box::new(ContentAwareRouter::new()),
         &WorkloadSpec::workload_a(),
     );
     let planner = AutoReplicator::new(0.15)
@@ -94,32 +95,25 @@ fn run(metric: Metric, intervals: u32) -> Vec<IntervalRow> {
             imbalance: if avg > 0.0 { max / avg } else { 0.0 },
             throughput: report.throughput_rps(),
         });
-        if metric != Metric::None {
-            // The planner consumes whichever tracker variant the metric
-            // prescribes; imbalance above is always reported with the
-            // paper metric so the rows are comparable.
-            let planning_tracker = match metric {
-                Metric::Paper => tracker,
-                Metric::NaiveCount => {
-                    let mut naive = LoadTracker::new(weights.clone());
-                    for s in &report.load_samples {
-                        naive.record(cpms_model::LoadSample {
-                            kind: cpms_model::ContentKind::StaticHtml,
-                            processing_time: SimDuration::from_millis(10),
-                            ..*s
-                        });
-                    }
-                    naive
+        // The planner consumes whichever tracker variant the metric
+        // prescribes; imbalance above is always reported with the paper
+        // metric so the rows are comparable.
+        match metric {
+            Metric::None => {}
+            Metric::Paper => {
+                sim.rebalance(&planner, &tracker);
+            }
+            Metric::NaiveCount => {
+                let mut naive = LoadTracker::new(weights.clone());
+                for s in &report.load_samples {
+                    naive.record(LoadSample {
+                        kind: ContentKind::StaticHtml,
+                        processing_time: SimDuration::from_millis(10),
+                        ..*s
+                    });
                 }
-                Metric::None => unreachable!("guarded above"),
-            };
-            let actions = planner.plan(
-                &planning_tracker,
-                sim.table(),
-                |id| Some(corpus.get(id).path().clone()),
-                |node, kind| specs[node.index()].can_serve_kind(kind),
-            );
-            AutoReplicator::apply_to_table(&actions, sim.table_mut());
+                sim.rebalance(&planner, &naive);
+            }
         }
     }
     rows

@@ -13,10 +13,11 @@
 //! replication because smaller per-node working sets raise memory-cache
 //! hit rates.
 //!
-//! Run with: `cargo run --release -p cpms-bench --bin fig2`
+//! Run with: `cargo run --release -p cpms-sim --bin fig2`
 
-use cpms_core::prelude::*;
-use cpms_core::report::render_throughput_table;
+use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
+use cpms_sim::report::{render_throughput_table, FigureSeries};
+use cpms_sim::{Experiment, PlacementPolicy, RouterChoice};
 
 fn main() {
     let clients: Vec<u32> = vec![8, 16, 32, 48, 64, 96, 120];
@@ -48,9 +49,7 @@ fn main() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 4096,
-        })
+        .router(RouterChoice::ContentAware)
         .build()
         .sweep_clients(&clients);
 

@@ -15,10 +15,11 @@
 //! heavy dynamic requests to slow nodes (and ASP cannot even run on the
 //! non-IIS nodes).
 //!
-//! Run with: `cargo run --release -p cpms-bench --bin fig3`
+//! Run with: `cargo run --release -p cpms-sim --bin fig3`
 
-use cpms_core::prelude::*;
-use cpms_core::report::render_throughput_table;
+use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
+use cpms_sim::report::{render_throughput_table, FigureSeries};
+use cpms_sim::{Experiment, PlacementPolicy, RouterChoice};
 
 fn main() {
     let clients: Vec<u32> = vec![8, 16, 32, 48, 64, 96, 120];
@@ -45,9 +46,7 @@ fn main() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 4096,
-        })
+        .router(RouterChoice::ContentAware)
         .build()
         .sweep_clients(&clients);
 

@@ -11,10 +11,11 @@
 //! "because the content segregation prevents short Web requests from
 //! being delayed by long running request."
 //!
-//! Run with: `cargo run --release -p cpms-bench --bin fig4`
+//! Run with: `cargo run --release -p cpms-sim --bin fig4`
 
-use cpms_core::prelude::*;
-use cpms_core::report::{class_gains, render_class_gains};
+use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
+use cpms_sim::report::{class_gains, render_class_gains};
+use cpms_sim::{Experiment, PlacementPolicy, RouterChoice};
 
 fn main() {
     const SATURATION_CLIENTS: u32 = 120;
@@ -39,9 +40,7 @@ fn main() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 4096,
-        })
+        .router(RouterChoice::ContentAware)
         .build()
         .run();
 

@@ -6,7 +6,7 @@
 //! larger usable capacity (partitioned + content-aware) keeps its knee
 //! further to the right — the same Figure-2 story from the latency side.
 //!
-//! Run with: `cargo run --release -p cpms-bench --bin latency_curve`
+//! Run with: `cargo run --release -p cpms-sim --bin latency_curve`
 
 use cpms_dispatch::{ContentAwareRouter, Router, WeightedLeastConnections};
 use cpms_model::{NodeSpec, SimDuration};
@@ -28,7 +28,7 @@ fn run(mode: &str, rate: f64, corpus: &cpms_workload::Corpus, specs: &[NodeSpec]
         ),
         _ => (
             placement::partition_by_type(corpus, specs, placement::StaticSpread::AllNodes),
-            Box::new(ContentAwareRouter::new(4096)),
+            Box::new(ContentAwareRouter::new()),
         ),
     };
     let mut config = SimConfig::builder();

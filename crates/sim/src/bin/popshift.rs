@@ -8,12 +8,12 @@
 //! hot set; without it, the shifted load concentrates on whichever nodes
 //! happen to host the new head.
 //!
-//! Run with: `cargo run --release -p cpms-bench --bin popshift`
+//! Run with: `cargo run --release -p cpms-sim --bin popshift`
 
 use cpms_dispatch::ContentAwareRouter;
-use cpms_mgmt::AutoReplicator;
 use cpms_model::{LoadTracker, NodeSpec, SimDuration};
 use cpms_sim::{placement, SimConfig, Simulation};
+use cpms_urltable::AutoReplicator;
 use cpms_workload::{CorpusBuilder, RequestSampler, WorkloadSpec};
 
 const INTERVALS_BEFORE: u32 = 3;
@@ -42,7 +42,7 @@ fn run(rebalance: bool) -> Vec<Row> {
         config.build(),
         &corpus,
         table,
-        Box::new(ContentAwareRouter::new(4096)),
+        Box::new(ContentAwareRouter::new()),
         &spec,
     );
     let planner = AutoReplicator::new(0.15)
@@ -61,13 +61,7 @@ fn run(rebalance: bool) -> Vec<Row> {
         let avg = tracker.average_load();
         let max = loads.iter().map(|l| l.load).fold(0.0f64, f64::max);
         if rebalance {
-            let actions = planner.plan(
-                &tracker,
-                sim.table(),
-                |id| Some(corpus.get(id).path().clone()),
-                |node, kind| specs[node.index()].can_serve_kind(kind),
-            );
-            AutoReplicator::apply_to_table(&actions, sim.table_mut());
+            sim.rebalance(&planner, &tracker);
         }
         Row {
             label,

@@ -9,9 +9,10 @@
 //! delivery mechanism differs: spliced relaying vs a 302 + fresh client
 //! connection. Swept over client↔cluster RTTs from LAN to WAN.
 //!
-//! Run with: `cargo run --release -p cpms-bench --bin redirect`
+//! Run with: `cargo run --release -p cpms-sim --bin redirect`
 
-use cpms_core::prelude::*;
+use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
+use cpms_sim::{Experiment, PlacementPolicy, RouterChoice};
 
 fn main() {
     let base = || {
@@ -29,12 +30,7 @@ fn main() {
 
     eprintln!("redirect: comparing splicing vs HTTP redirection across client RTTs...");
 
-    let spliced = base()
-        .router(RouterChoice::ContentAware {
-            cache_entries: 4096,
-        })
-        .build()
-        .run();
+    let spliced = base().router(RouterChoice::ContentAware).build().run();
 
     println!("§2.1 ablation — connection splicing vs HTTP redirection\n");
     println!(
@@ -59,7 +55,6 @@ fn main() {
     for rtt_ms in [1u64, 10, 40, 80] {
         let redirected = base()
             .router(RouterChoice::HttpRedirect {
-                cache_entries: 4096,
                 client_rtt_micros: rtt_ms * 1_000,
             })
             .build()

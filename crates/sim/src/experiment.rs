@@ -1,11 +1,28 @@
 //! The experiment runner: one declarative description per figure/table of
 //! the paper's evaluation, executed on the simulator.
+//!
+//! ```
+//! use cpms_model::{NodeSpec, WorkloadKind};
+//! use cpms_sim::{Experiment, PlacementPolicy, RouterChoice};
+//!
+//! let result = Experiment::builder()
+//!     .corpus_objects(500)
+//!     .nodes(vec![NodeSpec::testbed_350(); 4])
+//!     .placement(PlacementPolicy::PartitionedByType { segregate_dynamic: false })
+//!     .router(RouterChoice::ContentAware)
+//!     .workload(WorkloadKind::A)
+//!     .clients(16)
+//!     .seed(7)
+//!     .build()
+//!     .run();
+//! assert!(result.report.throughput_rps() > 0.0);
+//! ```
 
 use crate::placement::PlacementPolicy;
 use crate::routing::RouterChoice;
-use cpms_mgmt::AutoReplicator;
+use crate::{SimConfig, SimReport, Simulation};
 use cpms_model::{LoadTracker, NodeSpec, SimDuration, WorkloadKind};
-use cpms_sim::{SimConfig, SimReport, Simulation};
+use cpms_urltable::AutoReplicator;
 use cpms_workload::{Corpus, CorpusBuilder, WorkloadSpec};
 
 /// Seed of every experiment's generated corpus: runs that differ in their
@@ -238,22 +255,7 @@ impl Experiment {
                 for sample in &report.load_samples {
                     tracker.record(*sample);
                 }
-                let actions = planner.plan(
-                    &tracker,
-                    sim.table(),
-                    |id| Some(self.corpus.get(id).path().clone()),
-                    |node, kind| specs[node.index()].can_serve_kind(kind),
-                );
-                rebalance_actions += AutoReplicator::apply_to_table(&actions, sim.table_mut());
-                // Offloaded copies leave the node's cache too.
-                for action in &actions {
-                    if let cpms_mgmt::RebalanceAction::Offload { path, from } = action {
-                        if let Some(entry) = sim.table().lookup(path) {
-                            let content = entry.content();
-                            sim.evict_from_cache(*from, content);
-                        }
-                    }
-                }
+                rebalance_actions += sim.rebalance(&planner, &tracker);
                 interval_reports.push(report);
             }
         }
@@ -323,7 +325,7 @@ mod tests {
             .placement(PlacementPolicy::PartitionedByType {
                 segregate_dynamic: true,
             })
-            .router(RouterChoice::ContentAware { cache_entries: 256 })
+            .router(RouterChoice::ContentAware)
             .build()
             .run();
         assert!(result.report.class(RequestClass::Cgi).is_some());
@@ -345,7 +347,7 @@ mod tests {
             .placement(PlacementPolicy::PartitionedByType {
                 segregate_dynamic: false,
             })
-            .router(RouterChoice::ContentAware { cache_entries: 256 })
+            .router(RouterChoice::ContentAware)
             .clients(24)
             .rebalance(RebalanceConfig {
                 threshold: 0.10,

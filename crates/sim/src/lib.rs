@@ -21,6 +21,13 @@
 //! LAN, and a population of **closed-loop clients** (WebBench semantics:
 //! issue, wait for the full response, think, repeat).
 //!
+//! On top of it sits the evaluation's front end: [`Experiment`] runs one
+//! declarative description per figure of §5.3 over the [`PlacementPolicy`]
+//! and [`RouterChoice`] menus, [`report`] turns results into the figures'
+//! rows, and the `fig2`, `fig3`, `fig4`, `redirect`, `latency_curve`,
+//! `autorep` and `popshift` binaries regenerate each result. Between
+//! windows, [`Simulation::rebalance`] runs §3.3's auto-replication round.
+//!
 //! # Example
 //!
 //! ```
@@ -51,15 +58,21 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod experiment;
 pub mod metrics;
 pub mod nfs;
 pub mod node;
 pub mod placement;
+pub mod report;
+pub mod routing;
 pub mod service;
 pub mod sim;
 pub mod station;
 
+pub use experiment::{Experiment, ExperimentBuilder, ExperimentResult, RebalanceConfig};
 pub use metrics::{ClassReport, NodeReport, PriorityReport, SimReport};
+pub use placement::PlacementPolicy;
+pub use routing::RouterChoice;
 pub use service::ServiceModel;
 pub use sim::{Arrival, SimConfig, SimConfigBuilder, Simulation};
 pub use station::Station;

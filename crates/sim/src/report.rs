@@ -139,8 +139,8 @@ pub fn render_class_gains(rows: &[ClassGainRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimReport;
     use cpms_model::SimDuration;
-    use cpms_sim::SimReport;
 
     fn result(clients: u32, completed: u64) -> ExperimentResult {
         ExperimentResult {
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn class_gain_math() {
-        use cpms_sim::ClassReport;
+        use crate::ClassReport;
         let mk = |rps: f64| ExperimentResult {
             report: SimReport {
                 classes: vec![ClassReport {

@@ -11,12 +11,8 @@ use cpms_model::SimDuration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RouterChoice {
-    /// The paper's layer-7 content-aware distributor, with an LRU cache of
-    /// recently routed table entries (§5.2).
-    ContentAware {
-        /// Entries in the recently-accessed-entry cache (0 disables it).
-        cache_entries: u64,
-    },
+    /// The paper's layer-7 content-aware distributor.
+    ContentAware,
     /// Layer-4 Weighted Least Connections (the paper's previous work \[2\],
     /// fronting configurations 1 and 2).
     WeightedLeastConnections,
@@ -33,8 +29,6 @@ pub enum RouterChoice {
     /// §2.1 rejects as heavyweight (one extra connection + round trips per
     /// request).
     HttpRedirect {
-        /// Entries in the recently-accessed-entry cache.
-        cache_entries: u64,
         /// Client↔cluster round-trip time in microseconds (the penalty is
         /// two of these per request).
         client_rtt_micros: u64,
@@ -45,18 +39,12 @@ impl RouterChoice {
     /// Instantiates the policy.
     pub fn build(&self) -> Box<dyn Router> {
         match *self {
-            RouterChoice::ContentAware { cache_entries } => {
-                Box::new(ContentAwareRouter::new(cache_entries))
-            }
+            RouterChoice::ContentAware => Box::new(ContentAwareRouter::new()),
             RouterChoice::WeightedLeastConnections => Box::new(WeightedLeastConnections::new()),
             RouterChoice::RoundRobin => Box::new(RoundRobin::new()),
             RouterChoice::Random { seed } => Box::new(RandomRouter::new(seed)),
             RouterChoice::DnsRoundRobin => Box::new(DnsRoundRobin::new()),
-            RouterChoice::HttpRedirect {
-                cache_entries,
-                client_rtt_micros,
-            } => Box::new(HttpRedirectRouter::new(
-                cache_entries,
+            RouterChoice::HttpRedirect { client_rtt_micros } => Box::new(HttpRedirectRouter::new(
                 SimDuration::from_micros(client_rtt_micros),
             )),
         }
@@ -65,7 +53,7 @@ impl RouterChoice {
     /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
-            RouterChoice::ContentAware { .. } => "content-aware",
+            RouterChoice::ContentAware => "content-aware",
             RouterChoice::WeightedLeastConnections => "l4-wlc",
             RouterChoice::RoundRobin => "l4-rr",
             RouterChoice::Random { .. } => "l4-random",
@@ -88,13 +76,12 @@ mod tests {
     #[test]
     fn builds_every_policy() {
         let choices = [
-            RouterChoice::ContentAware { cache_entries: 64 },
+            RouterChoice::ContentAware,
             RouterChoice::WeightedLeastConnections,
             RouterChoice::RoundRobin,
             RouterChoice::Random { seed: 1 },
             RouterChoice::DnsRoundRobin,
             RouterChoice::HttpRedirect {
-                cache_entries: 64,
                 client_rtt_micros: 1_000,
             },
         ];

@@ -10,10 +10,10 @@ use crate::service::ServiceModel;
 use crate::station::Station;
 use cpms_dispatch::{ClusterState, Router, RoutingRequest};
 use cpms_model::{
-    ContentId, ContentKind, LoadSample, NodeId, NodeSpec, RequestClass, RequestId, RequestOutcome,
-    SimDuration, SimTime,
+    ContentId, ContentKind, LoadSample, LoadTracker, NodeId, NodeSpec, RequestClass, RequestId,
+    RequestOutcome, SimDuration, SimTime,
 };
-use cpms_urltable::UrlTable;
+use cpms_urltable::{AutoReplicator, RebalanceAction, UrlTable};
 use cpms_workload::{Corpus, RequestSampler, Trace, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -187,9 +187,9 @@ enum Event {
 /// Run it in windows: [`Simulation::run_window`] advances simulated time by
 /// a fixed span and returns that window's [`SimReport`]; the convenience
 /// [`Simulation::run`] does a discarded warm-up window followed by a
-/// measured window. Between windows callers may mutate the URL table
-/// (auto-replication, management operations) — the running system picks the
-/// changes up exactly as the paper's distributor does.
+/// measured window. Between windows [`Simulation::rebalance`] may run a
+/// §3.3 auto-replication round — the running system picks the changes up
+/// exactly as the paper's distributor does.
 pub struct Simulation<'c> {
     corpus: &'c Corpus,
     table: UrlTable,
@@ -294,22 +294,35 @@ impl<'c> Simulation<'c> {
         &self.table
     }
 
-    /// Mutable access to the URL table, for management operations between
-    /// windows (replication, offload). The running router observes changes
-    /// immediately via the table generation.
-    pub fn table_mut(&mut self) -> &mut UrlTable {
-        &mut self.table
-    }
-
     /// Injects a node failure or recovery.
     pub fn set_node_alive(&mut self, node: NodeId, alive: bool) {
         self.state.set_alive(node, alive);
     }
 
-    /// Drops `content` from `node`'s file cache (management offload makes
-    /// the bytes unavailable locally).
-    pub fn evict_from_cache(&mut self, node: NodeId, content: ContentId) {
-        self.nodes[node.index()].cache_evict(content);
+    /// Runs one §3.3 auto-replication round between windows: `planner`
+    /// plans from `tracker` over this simulation's table (resolving ids
+    /// through its corpus, checking hostability against its node specs),
+    /// the plan is applied to the table, and each applied offload drops the
+    /// object from that node's memory cache. Returns how many actions were
+    /// applied.
+    pub fn rebalance(&mut self, planner: &AutoReplicator, tracker: &LoadTracker) -> usize {
+        let corpus = self.corpus;
+        let specs = &self.config.nodes;
+        let actions = planner.plan(
+            tracker,
+            &self.table,
+            |id| Some(corpus.get(id).path().clone()),
+            |node, kind| specs[node.index()].can_serve_kind(kind),
+        );
+        let applied = AutoReplicator::apply_to_table(&actions, &mut self.table);
+        for action in &applied {
+            if let RebalanceAction::Offload { path, from } = action {
+                if let Some(entry) = self.table.lookup(path) {
+                    self.nodes[from.index()].cache_evict(entry.content());
+                }
+            }
+        }
+        applied.len()
     }
 
     /// Runs a discarded warm-up window then a measured window; returns the
@@ -754,7 +767,7 @@ mod tests {
             config(8),
             &corpus,
             table,
-            Box::new(ContentAwareRouter::new(256)),
+            Box::new(ContentAwareRouter::new()),
             &WorkloadSpec::workload_a(),
         );
         let report = sim.run(SimDuration::from_secs(1), SimDuration::from_secs(5));
@@ -764,13 +777,56 @@ mod tests {
     }
 
     #[test]
+    fn rebalance_evicts_only_applied_offloads() {
+        // One object on nodes 0 and 1, both overloaded by it: the plan
+        // offloads it from both, the table refuses the second offload (the
+        // last copy), and only the node that gave its copy up loses it
+        // from its cache.
+        let corpus = small_corpus();
+        let id = corpus.class_ids(RequestClass::Static)[0];
+        let item = corpus.get(id);
+        let mut table = UrlTable::new();
+        table
+            .insert(
+                item.path().clone(),
+                cpms_urltable::UrlEntry::new(id, item.kind(), item.size_bytes())
+                    .with_locations([NodeId(0), NodeId(1)]),
+            )
+            .unwrap();
+        let mut sim = Simulation::new(
+            config(1),
+            &corpus,
+            table,
+            Box::new(ContentAwareRouter::new()),
+            &WorkloadSpec::workload_a(),
+        );
+        let mut tracker = LoadTracker::new(vec![1.0; 4]);
+        for node in [0, 1] {
+            sim.nodes[node].cache_insert(id, item.size_bytes(), &sim.config.service);
+            for _ in 0..10 {
+                tracker.record(LoadSample {
+                    node: NodeId(node as u16),
+                    content: id,
+                    kind: item.kind(),
+                    processing_time: SimDuration::from_millis(10),
+                });
+            }
+        }
+        assert_eq!(sim.rebalance(&AutoReplicator::new(0.25), &tracker), 1);
+        let entry = sim.table().lookup(item.path()).unwrap();
+        assert_eq!(entry.locations(), [NodeId(1)]);
+        assert!(!sim.nodes[0].cache_lookup(id), "the offloaded copy left");
+        assert!(sim.nodes[1].cache_lookup(id), "the last copy stays warm");
+    }
+
+    #[test]
     fn empty_table_makes_content_aware_unroutable() {
         let corpus = small_corpus();
         let mut sim = Simulation::new(
             config(4),
             &corpus,
             UrlTable::new(),
-            Box::new(ContentAwareRouter::new(16)),
+            Box::new(ContentAwareRouter::new()),
             &WorkloadSpec::workload_a(),
         );
         let report = sim.run_window(SimDuration::from_secs(2));
@@ -976,7 +1032,7 @@ mod tests {
             total
         };
         let wlc = run(Box::new(WeightedLeastConnections::new()));
-        let ca = run(Box::new(ContentAwareRouter::new(128)));
+        let ca = run(Box::new(ContentAwareRouter::new()));
         assert_eq!(wlc, trace.len() as u64, "every trace entry served");
         assert_eq!(ca, trace.len() as u64, "identical offered stream");
     }

@@ -1,10 +1,11 @@
 //! End-to-end simulation tests: full experiments through the public API,
 //! checking system-level invariants rather than figure shapes (those live
-//! in `figure_shapes.rs`).
+//! in the root `tests/figure_shapes.rs`).
 
-use cpms_core::prelude::*;
+use cpms_model::{NodeId, NodeSpec, RequestClass, SimDuration, WorkloadKind};
+use cpms_sim::{Experiment, ExperimentBuilder, PlacementPolicy, RebalanceConfig, RouterChoice};
 
-fn quick() -> cpms_core::ExperimentBuilder {
+fn quick() -> ExperimentBuilder {
     Experiment::builder()
         .corpus_objects(800)
         .nodes(NodeSpec::paper_testbed())
@@ -46,14 +47,14 @@ fn every_placement_router_combo_that_should_work_works() {
             PlacementPolicy::PartitionedByType {
                 segregate_dynamic: false,
             },
-            RouterChoice::ContentAware { cache_entries: 512 },
+            RouterChoice::ContentAware,
             WorkloadKind::A,
         ),
         (
             PlacementPolicy::PartitionedByType {
                 segregate_dynamic: true,
             },
-            RouterChoice::ContentAware { cache_entries: 512 },
+            RouterChoice::ContentAware,
             WorkloadKind::B,
         ),
         (
@@ -62,7 +63,7 @@ fn every_placement_router_combo_that_should_work_works() {
                 hot_fraction: 0.1,
                 copies: 2,
             },
-            RouterChoice::ContentAware { cache_entries: 512 },
+            RouterChoice::ContentAware,
             WorkloadKind::B,
         ),
     ];
@@ -123,7 +124,7 @@ fn video_requests_are_rare_but_heavy() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware { cache_entries: 512 })
+        .router(RouterChoice::ContentAware)
         .clients(32)
         .windows(SimDuration::from_secs(2), SimDuration::from_secs(20))
         .build()
@@ -147,7 +148,7 @@ fn rebalancing_does_not_lose_content() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware { cache_entries: 512 })
+        .router(RouterChoice::ContentAware)
         .clients(24)
         .rebalance(RebalanceConfig {
             threshold: 0.1,
@@ -181,14 +182,13 @@ fn http_redirection_pays_round_trips() {
     };
     let spliced = quick()
         .placement(placement)
-        .router(RouterChoice::ContentAware { cache_entries: 512 })
+        .router(RouterChoice::ContentAware)
         .clients(24)
         .build()
         .run();
     let redirected = quick()
         .placement(placement)
         .router(RouterChoice::HttpRedirect {
-            cache_entries: 512,
             client_rtt_micros: 40_000, // 40 ms WAN clients
         })
         .clients(24)
@@ -238,7 +238,7 @@ fn replication_provides_availability_under_node_failure() {
             config.build(),
             &corpus,
             table,
-            Box::new(ContentAwareRouter::new(256)),
+            Box::new(ContentAwareRouter::new()),
             &WorkloadSpec::workload_a(),
         );
         let _ = sim.run_window(SimDuration::from_secs(2));

@@ -35,7 +35,7 @@ proptest! {
         let router: Box<dyn cpms_dispatch::Router> = match router_pick {
             0 => Box::new(WeightedLeastConnections::new()),
             1 => Box::new(RoundRobin::new()),
-            _ => Box::new(ContentAwareRouter::new(128)),
+            _ => Box::new(ContentAwareRouter::new()),
         };
         let mut config = SimConfig::builder();
         config.nodes(specs).clients(clients).seed(seed);
@@ -87,7 +87,7 @@ proptest! {
                 config.build(),
                 &corpus,
                 table,
-                Box::new(ContentAwareRouter::new(64)),
+                Box::new(ContentAwareRouter::new()),
                 &WorkloadSpec::workload_a(),
             );
             sim.run_window(SimDuration::from_secs(3))

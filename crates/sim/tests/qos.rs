@@ -2,10 +2,11 @@
 //! capable nodes must get measurably better service, and the per-priority
 //! reporting that proves it must be present.
 
-use cpms_core::prelude::*;
 use cpms_model::Priority;
+use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
+use cpms_sim::{Experiment, ExperimentBuilder, PlacementPolicy, RouterChoice};
 
-fn base() -> cpms_core::ExperimentBuilder {
+fn base() -> ExperimentBuilder {
     Experiment::builder()
         .corpus_objects(4_000)
         .nodes(NodeSpec::paper_testbed())
@@ -21,9 +22,7 @@ fn per_priority_reports_are_emitted() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 2048,
-        })
+        .router(RouterChoice::ContentAware)
         .build()
         .run();
     // The corpus marks ~2% of objects critical; both bands must appear.
@@ -47,9 +46,7 @@ fn qos_pinning_improves_critical_latency() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 2048,
-        })
+        .router(RouterChoice::ContentAware)
         .build()
         .run();
     let pinned = base()
@@ -57,9 +54,7 @@ fn qos_pinning_improves_critical_latency() {
             segregate_dynamic: false,
             critical_copies: 2,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 2048,
-        })
+        .router(RouterChoice::ContentAware)
         .build()
         .run();
 
@@ -89,9 +84,7 @@ fn critical_beats_normal_under_pinning() {
             segregate_dynamic: false,
             critical_copies: 3,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 2048,
-        })
+        .router(RouterChoice::ContentAware)
         .build()
         .run();
     let critical = pinned

@@ -23,7 +23,10 @@
 //!   read the table wait-free while the controller publishes mutations
 //!   (see `snapshot`),
 //! - memory-footprint accounting reproducing the §5.2 measurement
-//!   (~8 700 objects ⇒ ~260 KB).
+//!   (~8 700 objects ⇒ ~260 KB),
+//! - [`AutoReplicator`] — §3.3's auto-replication planner, which reads a
+//!   `cpms_model::LoadTracker` and writes table location edits
+//!   ([`RebalanceAction`]).
 //!
 //! # Example
 //!
@@ -50,12 +53,14 @@
 pub mod cache;
 pub mod entry;
 pub mod lru;
+pub mod rebalance;
 pub mod snapshot;
 pub mod stats;
 pub mod table;
 
 pub use cache::LookupCache;
 pub use entry::UrlEntry;
+pub use rebalance::{AutoReplicator, RebalanceAction};
 pub use snapshot::{SnapshotHandle, SnapshotReader, TablePublisher};
 pub use stats::TableStats;
 pub use table::{TableError, UrlTable};

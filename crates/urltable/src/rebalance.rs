@@ -10,13 +10,13 @@
 //! > popular content to this underutilized server."
 //!
 //! [`AutoReplicator::plan`] turns one interval's [`LoadTracker`] state into
-//! a list of [`RebalanceAction`]s; the caller applies them through the
-//! [`crate::Controller`] (live cluster) or directly to a `UrlTable`
-//! (simulation).
+//! a list of [`RebalanceAction`]s, which are URL-table location edits. The
+//! live cluster applies them through `cpms_mgmt::Controller::rebalance`,
+//! whose agents move the bytes; the simulator applies them directly to its
+//! table with [`AutoReplicator::apply_to_table`].
 
-use crate::controller::{Controller, MgmtError};
+use crate::UrlTable;
 use cpms_model::{ContentId, ContentKind, LoadTracker, NodeId, UrlPath};
-use cpms_urltable::UrlTable;
 use std::collections::HashSet;
 
 /// One rebalancing step.
@@ -177,43 +177,25 @@ impl AutoReplicator {
     }
 
     /// Applies actions directly to a URL table (the simulation path, where
-    /// file movement is implicit). Returns how many actions were applied;
-    /// actions that no longer make sense (object gone, last copy) are
+    /// file movement is implicit) and returns the ones that took effect.
+    /// Actions that no longer make sense (object gone, last copy) are
     /// skipped.
-    pub fn apply_to_table(actions: &[RebalanceAction], table: &mut UrlTable) -> usize {
-        let mut applied = 0;
-        for action in actions {
-            match action {
+    pub fn apply_to_table<'a>(
+        actions: &'a [RebalanceAction],
+        table: &mut UrlTable,
+    ) -> Vec<&'a RebalanceAction> {
+        actions
+            .iter()
+            .filter(|action| match action {
                 RebalanceAction::Replicate { path, to } => {
-                    if table.add_location(path, *to).unwrap_or(false) {
-                        applied += 1;
-                    }
+                    table.add_location(path, *to).unwrap_or(false)
                 }
                 RebalanceAction::Offload { path, from } => {
                     let safe = table
                         .lookup_exact(path)
-                        .map(|e| e.replica_count() > 1 && e.hosted_on(*from))
-                        .unwrap_or(false);
-                    if safe && table.remove_location(path, *from).unwrap_or(false) {
-                        applied += 1;
-                    }
+                        .is_some_and(|e| e.replica_count() > 1 && e.hosted_on(*from));
+                    safe && table.remove_location(path, *from).unwrap_or(false)
                 }
-            }
-        }
-        applied
-    }
-
-    /// Applies actions through the controller (the live-cluster path:
-    /// agents actually move the files). Returns per-action results.
-    pub fn apply_to_controller(
-        actions: &[RebalanceAction],
-        controller: &mut Controller,
-    ) -> Vec<Result<(), MgmtError>> {
-        actions
-            .iter()
-            .map(|action| match action {
-                RebalanceAction::Replicate { path, to } => controller.replicate(path, *to),
-                RebalanceAction::Offload { path, from } => controller.offload(path, *from),
             })
             .collect()
     }
@@ -222,8 +204,8 @@ impl AutoReplicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UrlEntry;
     use cpms_model::{ContentKind, LoadSample, SimDuration};
-    use cpms_urltable::UrlEntry;
     use std::collections::HashMap;
 
     fn p(s: &str) -> UrlPath {
@@ -392,7 +374,7 @@ mod tests {
             },
         ];
         let applied = AutoReplicator::apply_to_table(&actions, &mut table);
-        assert_eq!(applied, 1, "only the sound action applies");
+        assert_eq!(applied, [&actions[0]], "only the sound action applies");
         assert_eq!(table.lookup(&p("/hot.html")).unwrap().replica_count(), 2);
         assert_eq!(table.lookup(&p("/warm.html")).unwrap().replica_count(), 1);
     }
@@ -431,60 +413,6 @@ mod tests {
             |_, _| true,
         );
         assert_eq!(actions.len(), 3);
-    }
-
-    #[test]
-    fn end_to_end_through_controller() {
-        use crate::controller::{Cluster, Controller};
-        let mut controller = Controller::new(Cluster::start(3, 1 << 20));
-        controller
-            .publish(
-                &p("/hot.html"),
-                ContentId(1),
-                ContentKind::StaticHtml,
-                100,
-                cpms_model::Priority::Normal,
-                &[NodeId(0)],
-            )
-            .unwrap();
-
-        let mut tracker = LoadTracker::new(vec![1.0, 1.0, 1.0]);
-        for _ in 0..50 {
-            tracker.record(LoadSample {
-                node: NodeId(0),
-                content: ContentId(1),
-                kind: ContentKind::StaticHtml,
-                processing_time: SimDuration::from_millis(20),
-            });
-        }
-        tracker.record(LoadSample {
-            node: NodeId(1),
-            content: ContentId(1),
-            kind: ContentKind::StaticHtml,
-            processing_time: SimDuration::from_millis(1),
-        });
-
-        let planner = AutoReplicator::new(0.25);
-        let actions = planner.plan(
-            &tracker,
-            &controller.table(),
-            |id| (id == ContentId(1)).then(|| p("/hot.html")),
-            |_, _| true,
-        );
-        let results = AutoReplicator::apply_to_controller(&actions, &mut controller);
-        assert!(results.iter().all(Result::is_ok), "{results:?}");
-        assert!(
-            controller
-                .table()
-                .lookup(&p("/hot.html"))
-                .unwrap()
-                .replica_count()
-                > 1
-        );
-        assert!(crate::AntiEntropyAuditor::new()
-            .audit(&controller)
-            .is_clean());
-        controller.shutdown();
     }
 
     #[test]

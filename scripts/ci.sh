@@ -5,32 +5,29 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> docs name only things that exist (every quoted -p <pkg> --bin|--example|--bench <name> resolves to a file,"
-echo "    every -p cpms-core --test <name> to a [[test]] of crates/core/Cargo.toml, every backticked repo path to a file,"
+echo "==> docs name only things that exist (every quoted -p <pkg> --bin|--example|--bench|--test <name> resolves to a file"
+echo "    of crates/<pkg>, every backticked repo path to a file,"
 echo "    every backticked \`Type::member\` of a repo struct, enum or trait to a fn or field of it)"
 docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
-core_tests=$(awk '/^\[\[test\]\]/ { t = 1; next } /^\[/ { t = 0 } t && /^name = / { gsub(/"/, "", $3); print $3 }' \
-    crates/core/Cargo.toml)
 unresolved=$( {
-    grep -ohE -e '-p cpms-[a-z]+ [^`#]*--(bin|example|bench) [A-Za-z0-9_-]+' \
+    grep -ohE -e '-p cpms-[a-z]+ [^`#]*--(bin|example|bench|test) [A-Za-z0-9_-]+' \
         -e '--manifest-path perfbench/Cargo.toml [^`#]*--bin [A-Za-z0-9_-]+' "${docs[@]}" |
-    sed -E 's/^-p cpms-([a-z]+) .*--(bin|example|bench) /\1 \2 /; s/^--manifest-path perfbench.* --bin /perfbench bin /' |
+    sed -E 's/^-p cpms-([a-z]+) .*--(bin|example|bench|test) /\1 \2 /; s/^--manifest-path perfbench.* --bin /perfbench bin /' |
     sort -u | while read -r pkg kind name; do
         case "$pkg/$kind/$name" in
             perfbench/bin/cpms-bench) file=perfbench/src/main.rs ;;
             */bin/*) file=crates/$pkg/src/bin/$name.rs ;;
-            */example/*) file=examples/$name.rs ;;
+            */example/*) file=crates/$pkg/examples/$name.rs ;;
             */bench/*) file=crates/$pkg/benches/$name.rs ;;
+            */test/*) file=crates/$pkg/tests/$name.rs ;;
         esac
         [ -f "$file" ] || echo "    -p cpms-$pkg --$kind $name (no $file)"
     done
-    grep -ohE -e '-p cpms-core --test [A-Za-z0-9_-]+' "${docs[@]}" | sort -u | while read -r _ _ _ name; do
-        grep -qxF "$name" <<<"$core_tests" || echo "    -p cpms-core --test $name (no such [[test]])"
-    done
-    # A path may carry a `::test` or `:line` suffix, or be a glob (`crates/*`).
+    # A path may carry a `::test` or `:line` suffix, end in a slash, or be a
+    # glob (`crates/*`).
     grep -ohE '`(crates|tests|perfbench|scripts|examples|configs)/[^` ]*' "${docs[@]}" |
     sed -E 's/^`//; s/::.*$//; s/:[0-9].*$//' | sort -u | while read -r path; do
-        compgen -G "$path" >/dev/null || echo "    $path (no such file)"
+        compgen -G "${path%/}" >/dev/null || echo "    $path (no such file)"
     done
     # `Type::member` where Type is a struct, enum or trait of the repo: some
     # file defining or implementing Type has `fn member` or a `member:`
@@ -113,10 +110,11 @@ cargo test --release --locked --manifest-path perfbench/Cargo.toml
 timeout --signal=KILL 180 cargo run --release --locked --quiet --manifest-path perfbench/Cargo.toml --bin cpms-bench -- run --smoke
 git diff --exit-code -- perfbench BENCHMARK.json
 
-echo "==> .rs lines per crate (ROADMAP item 11's count: crates/*, tests included)"
-for crate in crates/*; do
+echo "==> .rs lines per crate (ROADMAP item 11's count: crates/*, with each crate's tests and examples,"
+echo "    then the two simulator tests still in the root tests/, which cpms-sim attaches by path)"
+for crate in crates/* tests; do
     printf '%-18s %6d\n' "$crate" "$(find "$crate" -name '*.rs' -exec cat {} + | wc -l)"
 done
-printf '%-18s %6d\n' total "$(find crates -name '*.rs' -exec cat {} + | wc -l)"
+printf '%-18s %6d\n' total "$(find crates tests -name '*.rs' -exec cat {} + | wc -l)"
 
 echo "ci: all gates passed"

@@ -2,11 +2,13 @@
 //! rough ratios must hold on reduced-size runs (the bench binaries run the
 //! full-scale versions).
 
-use cpms_core::prelude::*;
+use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
+use cpms_sim::report::class_gains;
+use cpms_sim::{Experiment, ExperimentBuilder, ExperimentResult, PlacementPolicy, RouterChoice};
 
 const CLIENTS: [u32; 3] = [16, 48, 96];
 
-fn base() -> cpms_core::ExperimentBuilder {
+fn base() -> ExperimentBuilder {
     Experiment::builder()
         .corpus_objects(8_700)
         .nodes(NodeSpec::paper_testbed())
@@ -34,9 +36,7 @@ fn figure2_ordering_holds() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 4096,
-        })
+        .router(RouterChoice::ContentAware)
         .workload(WorkloadKind::A)
         .build()
         .sweep_clients(&CLIENTS);
@@ -66,7 +66,7 @@ fn figure2_ordering_holds() {
 
     // The cache-hit mechanism: partitioned nodes must have much better hit
     // rates than fully replicated nodes.
-    let hit = |r: &cpms_core::ExperimentResult| {
+    let hit = |r: &ExperimentResult| {
         r.report.nodes.iter().map(|n| n.cache_hit_rate).sum::<f64>() / r.report.nodes.len() as f64
     };
     assert!(
@@ -91,9 +91,7 @@ fn figure3_proposed_system_wins_workload_b() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 4096,
-        })
+        .router(RouterChoice::ContentAware)
         .workload(WorkloadKind::B)
         .build()
         .sweep_clients(&CLIENTS);
@@ -125,15 +123,13 @@ fn figure4_every_class_gains_at_saturation() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware {
-            cache_entries: 4096,
-        })
+        .router(RouterChoice::ContentAware)
         .workload(WorkloadKind::B)
         .clients(clients)
         .build()
         .run();
 
-    let gains = cpms_core::report::class_gains(&baseline, &proposed);
+    let gains = class_gains(&baseline, &proposed);
     for class in ["static", "cgi", "asp"] {
         let row = gains
             .iter()

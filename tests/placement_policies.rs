@@ -2,9 +2,11 @@
 //! whole stack (routing + simulation + management) can operate on, and
 //! policies honor the paper's placement rules.
 
-use cpms_core::prelude::*;
 use cpms_model::ContentKind;
+use cpms_model::NodeSpec;
+use cpms_sim::PlacementPolicy;
 use cpms_urltable::TableStats;
+use cpms_workload::{Corpus, CorpusBuilder};
 
 fn corpus() -> Corpus {
     CorpusBuilder::paper_site().seed(3).build()
