@@ -34,7 +34,7 @@ pub struct SpanRow {
     pub span: String,
     /// Parent span id, `None` for trace roots.
     pub parent: Option<String>,
-    /// Span name (`proxy.request`, `wire.call`, `broker.commit`, …).
+    /// Span name (`proxy.request`, `wire.call`, `broker.put`, `broker.get`, …).
     pub name: String,
     /// Free-form detail.
     pub detail: String,

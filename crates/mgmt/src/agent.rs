@@ -7,7 +7,8 @@
 //!
 //! Here an agent is one store verb the broker executes: the controller
 //! sends a [`ShipRequest`] — `Delete`, `Rename`, `Touch`, `Stat`,
-//! `Inventory`, a transfer's `Begin`/`Chunk`/`Commit`, … — to a node's
+//! `Inventory`, a one-chunk copy's `Put`, a larger one's
+//! `Begin`/`Chunk`/`Commit`, … — to a node's
 //! broker over a `cpms-wire` transport ([`crate::BrokerHandle::dispatch`]),
 //! the broker runs it against the node's content store
 //! ([`cpms_store::apply_tail`]) and the [`cpms_store::ShipReply`] rides
@@ -169,12 +170,14 @@ mod tests {
 
     #[test]
     fn replayed_store_is_done_conflict_and_oversize_are_refused() {
-        let (h, _) = broker(1000);
-        push(&h, "/a", 1, 600, false).unwrap();
-        // A store re-sent after its first copy landed: nothing to send,
-        // the same answer as every other replayed frame.
+        let (h, store) = broker(1000);
+        let first = push(&h, "/a", 1, 600, false).unwrap();
+        // A store re-sent after its first copy landed: its one `Put` is
+        // answered with the committed copy, the same answer as every
+        // other replayed frame, and installs nothing new.
         let replay = push(&h, "/a", 1, 600, false).unwrap();
-        assert_eq!(replay.chunks_sent, 0);
+        assert_eq!(replay.meta, first.meta);
+        assert_eq!(store.stats().committed_total, 1);
         assert_eq!(status(&h), (1, 600, 400));
         // A different object at the occupied path is still a conflict.
         assert_eq!(

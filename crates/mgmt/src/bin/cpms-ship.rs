@@ -8,8 +8,10 @@
 //!     1.02 bytes, and sender and receivers together may run at most
 //!     1.55 bytes through `fnv64`, per payload byte shipped — counts
 //!     that repeat exactly, so chunk bytes spelled as text again, or a
-//!     checksum pass creeping back in, fail it without a timing — and
-//!     both stores must end with no transfer and no byte left staged,
+//!     checksum pass creeping back in, fail it without a timing — the
+//!     two publications must take exactly 14 RPCs (a one-chunk copy is
+//!     one `Put`, a four-chunk one `Begin`, four `Chunk`s and `Commit`),
+//!     and both stores must end with no transfer and no byte left staged,
 //!     so every commit released its buffer and its reservation. Then
 //!     binds three broker daemons on loopback whose client transports
 //!     cross a fault-injecting wire at 20% frame loss, publishes a
@@ -53,14 +55,15 @@ fn store_stats(controller: &Controller, n: u16) -> StoreStats {
 const LOSS: f64 = 0.20;
 
 /// Backoff the lossy leg's clients may sleep, all together, in ms. The
-/// seeded loss and jitter make it repeat exactly: 13.5 ms over 19
-/// retries when each call's first retry goes at once, 110.2 ms when that
+/// seeded loss and jitter make it repeat exactly: 13.5 ms over 18
+/// retries when each call's first retry goes at once, 104.6 ms when that
 /// retry sleeps too.
 const LOSSY_BACKOFF_SLEEP_MS: f64 = 20.0;
 
 /// Wire bytes the clean leg may send per payload byte shipped. Raw chunk
 /// tails cost ~1.004 (frame header + a ~100-byte head per 64 KiB chunk,
-/// plus a `Begin` and a `Commit` per copy); hex inside JSON cost 2.03.
+/// plus a `Begin` and a `Commit` per multi-chunk copy); hex inside JSON
+/// cost 2.03.
 const WIRE_BYTES_PER_SHIPPED_BYTE: f64 = 1.02;
 
 /// Bytes the clean leg may run through `fnv64`, sender and receivers
@@ -70,9 +73,14 @@ const WIRE_BYTES_PER_SHIPPED_BYTE: f64 = 1.02;
 /// all replicas and `commit` folded what staging had already hashed.)
 const HASHED_BYTES_PER_SHIPPED_BYTE: f64 = 1.55;
 
+/// The clean leg's round trips: its 65,536 B object is one chunk, one
+/// `Put` per replica; its 200,000 B object is four, so `Begin`, four
+/// `Chunk`s and `Commit` per replica. Two replicas each.
+const CLEAN_LEG_RPCS: u64 = 2 * (1 + (1 + 4 + 1));
+
 /// Publishes large objects over a lossless wire and holds the bytes the
 /// wire carried, and the bytes that were hashed, against the bytes that
-/// were shipped.
+/// were shipped, and the round trips against the frames each copy needs.
 fn clean_wire_leg() {
     let handles: Vec<_> = (0..2u16)
         .map(|n| {
@@ -100,6 +108,8 @@ fn clean_wire_leg() {
     let wire = snapshot.counter("wire_tx_bytes_total").unwrap_or(0);
     let shipped = snapshot.counter("ship_bytes_total").unwrap_or(0);
     assert_eq!(shipped, 2 * (65_536 + 200_000), "every byte was shipped");
+    let rpcs = snapshot.counter("wire_rpc_total").unwrap_or(0);
+    assert_eq!(rpcs, CLEAN_LEG_RPCS, "round trips of the clean leg");
     let ratio = wire as f64 / shipped as f64;
     assert!(
         ratio <= WIRE_BYTES_PER_SHIPPED_BYTE,
@@ -123,8 +133,8 @@ fn clean_wire_leg() {
     );
     controller.shutdown();
     eprintln!(
-        "smoke: clean wire carried {ratio:.3} bytes, fnv64 ran over {passes:.3} bytes, per shipped byte; \
-         {staged_transfers} transfers and {staged_bytes} bytes left staged"
+        "smoke: clean wire carried {ratio:.3} bytes, fnv64 ran over {passes:.3} bytes, per shipped byte, \
+         in {rpcs} RPCs; {staged_transfers} transfers and {staged_bytes} bytes left staged"
     );
 }
 

@@ -432,7 +432,7 @@ mod tests {
         put(&h, "/x", 1);
         assert_eq!(h.store_stats().unwrap().objects, 1);
         let stats = h.transport_stats();
-        assert_eq!(stats.calls, 4, "begin, chunk, commit, stat");
+        assert_eq!(stats.calls, 2, "put, stat");
         assert!(stats.last_rtt_ns > 0);
         let state = h.shutdown().expect("final state");
         assert!(state.content().contains(&p("/x")));
@@ -651,7 +651,19 @@ mod tests {
         }
         let s_body = synthetic_body(ContentId(2), 200);
         let c_body = synthetic_body(ContentId(5), 200);
+        let put_body = synthetic_body(ContentId(6), 100);
         let verbs: Vec<(&str, Call)> = vec![
+            (
+                "put",
+                send(
+                    ShipRequest::Put {
+                        path: p("/p"),
+                        meta: ObjectMeta::for_body(ContentId(6), &put_body, 128, 0),
+                        overwrite: false,
+                    },
+                    put_body.clone(),
+                ),
+            ),
             (
                 "begin",
                 send(
@@ -700,6 +712,7 @@ mod tests {
                     Vec::new(),
                 ),
             ),
+            ("get", send(ShipRequest::Get { path: p("/a") }, Vec::new())),
             (
                 "meta",
                 send(ShipRequest::Meta { path: p("/a") }, Vec::new()),
@@ -731,7 +744,7 @@ mod tests {
                 ),
             ),
         ];
-        assert_eq!(verbs.len(), 13, "every verb of the broker protocol");
+        assert_eq!(verbs.len(), 15, "every verb of the broker protocol");
         for (verb, call) in &verbs {
             let once = busy_store();
             let twice = busy_store();

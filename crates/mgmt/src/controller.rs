@@ -1272,28 +1272,39 @@ mod tests {
             .iter()
             .any(|s| s.name == "wire.call" && s.trace == publish_root.trace));
         // The brokers — separate collectors, reached over the wire —
-        // recorded their halves of the same traces.
+        // recorded their halves of the same traces. The object is one
+        // chunk, so each copy is one `Put` and the pull one `Get`.
         let b0 = broker_spans[0].snapshot();
         assert!(
             b0.iter()
-                .any(|s| s.name == "broker.commit" && s.trace == publish_root.trace),
+                .any(|s| s.name == "broker.put" && s.trace == publish_root.trace),
             "publish ship frames traced on node 0: {b0:?}"
         );
         assert!(
-            b0.iter().any(|s| s.trace == replicate_root.trace),
-            "replicate pulled from node 0 under its trace"
+            b0.iter()
+                .any(|s| s.name == "broker.get" && s.trace == replicate_root.trace),
+            "replicate pulled from node 0 under its trace: {b0:?}"
         );
         let b1 = broker_spans[1].snapshot();
         assert!(
             b1.iter()
-                .any(|s| s.name == "broker.commit" && s.trace == publish_root.trace),
+                .any(|s| s.name == "broker.put" && s.trace == publish_root.trace),
             "publish ship frames traced on node 1, the second target: {b1:?}"
         );
         assert!(
             b1.iter()
-                .any(|s| s.name == "broker.commit" && s.trace == replicate_root.trace),
+                .any(|s| s.name == "broker.put" && s.trace == replicate_root.trace),
             "replicate pushed to node 1 under its trace: {b1:?}"
         );
+        // A one-chunk publication to two nodes is one `Put` on each.
+        let mut publish_spans: Vec<&str> = b0
+            .iter()
+            .chain(b1.iter())
+            .filter(|s| s.trace == publish_root.trace)
+            .map(|s| s.name.as_str())
+            .collect();
+        publish_spans.sort_unstable();
+        assert_eq!(publish_spans, ["broker.put", "broker.put"]);
         // Every broker span has a recorded parent somewhere in the merged
         // set — no orphans.
         let mut known: std::collections::HashSet<u64> = ctrl.iter().map(|s| s.span.0).collect();
@@ -1302,6 +1313,52 @@ mod tests {
             let parent = span.parent.expect("broker spans always have parents");
             assert!(known.contains(&parent.0), "orphan broker span {span:?}");
         }
+        c.shutdown();
+    }
+
+    #[test]
+    fn a_one_chunk_copy_is_one_round_trip() {
+        let mut c = controller(3);
+        let registry = Arc::new(cpms_obs::MetricsRegistry::new());
+        c.set_metrics(&registry);
+        let rpcs = || registry.snapshot().counter("wire_rpc_total").unwrap_or(0);
+        let nodes = [NodeId(0), NodeId(1)];
+        let counted = |c: &mut Controller, op: &dyn Fn(&mut Controller)| {
+            let before = rpcs();
+            op(c);
+            rpcs() - before
+        };
+        let chunk = u64::from(cpms_store::DEFAULT_CHUNK_SIZE);
+        let publish = |path: &'static str, size: u64| {
+            move |c: &mut Controller| {
+                c.publish(
+                    &p(path),
+                    ContentId(1),
+                    ContentKind::StaticHtml,
+                    size,
+                    Priority::Normal,
+                    &nodes,
+                )
+                .unwrap();
+            }
+        };
+        // A `Put` per replica.
+        assert_eq!(counted(&mut c, &publish("/one", 1024)), 2);
+        // A `Get` from the source, a `Put` to the target.
+        assert_eq!(
+            counted(&mut c, &|c| c.replicate(&p("/one"), NodeId(2)).unwrap()),
+            2
+        );
+        // Two chunks: `Begin`, two `Chunk`s and `Commit` per replica.
+        assert_eq!(counted(&mut c, &publish("/two", 2 * chunk)), 8);
+        // Three chunks: `Begin`, three `Chunk`s and `Commit` per replica.
+        assert_eq!(counted(&mut c, &publish("/three", 3 * chunk)), 10);
+        // `Get`, two `Fetch`es; then `Begin`, three `Chunk`s, `Commit`.
+        assert_eq!(
+            counted(&mut c, &|c| c.replicate(&p("/three"), NodeId(2)).unwrap()),
+            8
+        );
+        assert!(coherent(&c));
         c.shutdown();
     }
 

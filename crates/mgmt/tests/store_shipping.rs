@@ -86,10 +86,11 @@ fn lossy_tcp_shipping_preserves_integrity() {
     })
 }
 
-/// A port that corrupts the bytes of each chunk the first time it
-/// crosses, leaving the announced checksum honest — so the receiver
-/// must detect the mismatch and reject the chunk. It sits above the
-/// wire: the frame that carries the flipped byte checksums clean.
+/// A port that corrupts the bytes of each chunk — a `Chunk`'s, or the
+/// one a `Put` carries whole — the first time it crosses, leaving the
+/// announced checksum honest — so the receiver must detect the mismatch
+/// and reject the chunk. It sits above the wire: the frame that carries
+/// the flipped byte checksums clean.
 struct CorruptingPort<P> {
     inner: P,
     poisoned_once: Mutex<HashSet<u32>>,
@@ -101,8 +102,13 @@ impl<P: ShipPort> ShipPort for CorruptingPort<P> {
         request: &ShipRequest,
         tail: &[u8],
     ) -> Result<(ShipReply, Vec<u8>), WireError> {
-        if let ShipRequest::Chunk { index, .. } = request {
-            if self.poisoned_once.lock().unwrap().insert(*index) {
+        let index = match request {
+            ShipRequest::Chunk { index, .. } => Some(*index),
+            ShipRequest::Put { .. } => Some(0),
+            _ => None,
+        };
+        if let Some(index) = index {
+            if self.poisoned_once.lock().unwrap().insert(index) {
                 let mut bad = tail.to_vec();
                 bad[0] ^= 0xFF;
                 return self.inner.ship_tail(request, &bad);
@@ -113,35 +119,42 @@ impl<P: ShipPort> ShipPort for CorruptingPort<P> {
 }
 
 /// Scenario 2 — poisoned chunks are rejected by the per-chunk checksum and
-/// re-sent; the committed object is byte-identical and verifies.
+/// re-sent; the committed object is byte-identical and verifies. A
+/// one-chunk object is one `Put`, rejected and re-sent whole.
 #[test]
 fn poisoned_chunks_are_rejected_and_resent() {
     with_deadline("poisoned_chunks", TEST_DEADLINE, || {
-        let store = Arc::new(ContentStore::in_memory(NodeId(0), 1 << 20));
-        let (transport, server) = InProcServer::spawn(StoreService::new(Arc::clone(&store)));
-        std::mem::forget(server);
-        let port = CorruptingPort {
-            inner: StoreClient::new(Arc::new(transport)),
-            poisoned_once: Mutex::new(HashSet::new()),
-        };
+        // 18,000 B in 4 KiB chunks: 5 chunks, the last one short; and
+        // 3,000 B in one.
+        for (size, chunk_size, chunks) in [(18_000, 4096, 5), (3000, DEFAULT_CHUNK_SIZE, 1)] {
+            let store = Arc::new(ContentStore::in_memory(NodeId(0), 1 << 20));
+            let (transport, server) = InProcServer::spawn(StoreService::new(Arc::clone(&store)));
+            std::mem::forget(server);
+            let port = CorruptingPort {
+                inner: StoreClient::new(Arc::new(transport)),
+                poisoned_once: Mutex::new(HashSet::new()),
+            };
+            let body = synthetic_body(ContentId(9), size);
+            let meta = ObjectMeta::for_body(ContentId(9), &body, chunk_size, 0);
+            let target = path("/poisoned/payload.bin");
+            let outcome = Shipper::new()
+                .push_meta(&port, &target, meta, &body, false)
+                .expect("every chunk heals on the second attempt");
 
-        // 18,000 B in 4 KiB chunks: 5 chunks, the last one short.
-        let body = synthetic_body(ContentId(9), 18_000);
-        let meta = ObjectMeta::for_body(ContentId(9), &body, 4096, 0);
-        let target = path("/poisoned/payload.bin");
-        let outcome = Shipper::new()
-            .push_meta(&port, &target, meta, &body, false)
-            .expect("every chunk heals on the second attempt");
-
-        assert_eq!(outcome.chunks_sent, 5);
-        assert!(
-            outcome.chunk_retries >= 5,
-            "each chunk was rejected once then re-sent: {outcome:?}"
-        );
-        let stats = store.stats();
-        assert_eq!(stats.rejected_chunks, 5, "receiver counted every poison");
-        assert_eq!(store.read(&target).unwrap(), body, "committed bytes honest");
-        assert_eq!(store.verify(&target).unwrap().checksum, fnv64(&body));
+            assert_eq!(outcome.chunks_sent, chunks);
+            assert!(
+                u64::from(outcome.chunk_retries) >= chunks,
+                "each chunk was rejected once then re-sent: {outcome:?}"
+            );
+            let stats = store.stats();
+            assert_eq!(
+                stats.rejected_chunks, chunks,
+                "receiver counted every poison"
+            );
+            assert_eq!(stats.committed_total, 1);
+            assert_eq!(store.read(&target).unwrap(), body, "committed bytes honest");
+            assert_eq!(store.verify(&target).unwrap().checksum, fnv64(&body));
+        }
     })
 }
 

@@ -23,7 +23,7 @@ use crate::content::{ContentId, ContentKind};
 use crate::node::NodeId;
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The paper's heuristic load constants for a content kind.
 ///
@@ -83,12 +83,15 @@ pub struct NodeLoad {
 ///
 /// The tracker also maintains per-`(node, content)` access frequencies: the
 /// paper weights each content's load by its access frequency within the
-/// interval, which is what makes *hot* content dominate `L_j`.
+/// interval, which is what makes *hot* content dominate `L_j`. They are
+/// kept in content-id order, so every sum is taken in one order and every
+/// ranking breaks its ties one way: the same samples give bit-identical
+/// loads in every process, whatever order they arrived in.
 #[derive(Debug, Clone)]
 pub struct LoadTracker {
     weights: Vec<f64>,
     /// Per-node: content -> (kind, total processing time, hits) this interval.
-    per_node: Vec<HashMap<ContentId, ContentLoadAcc>>,
+    per_node: Vec<BTreeMap<ContentId, ContentLoadAcc>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -115,7 +118,7 @@ impl LoadTracker {
         let n = weights.len();
         LoadTracker {
             weights,
-            per_node: vec![HashMap::new(); n],
+            per_node: vec![BTreeMap::new(); n],
         }
     }
 
@@ -199,8 +202,9 @@ impl LoadTracker {
     }
 
     /// The contents served by `node` this interval, hottest (by accumulated
-    /// weighted load) first. Auto-replication picks replication candidates
-    /// from the front and offload candidates likewise.
+    /// weighted load) first, equal loads in content-id order.
+    /// Auto-replication picks replication candidates from the front and
+    /// offload candidates likewise.
     pub fn hottest_content(&self, node: NodeId) -> Vec<(ContentId, f64)> {
         let mut v: Vec<(ContentId, f64)> = self.per_node[node.index()]
             .iter()
@@ -210,6 +214,7 @@ impl LoadTracker {
                 (*id, request_load(acc.kind, mean_time) * acc.hits as f64)
             })
             .collect();
+        // Stable, over the map's id order: equal loads stay in id order.
         v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("load values are finite"));
         v
     }
@@ -304,6 +309,49 @@ mod tests {
         assert_eq!(hot[0].0, ContentId(2));
         assert_eq!(hot[1].0, ContentId(1));
         assert!(hot[0].1 > hot[1].1);
+    }
+
+    #[test]
+    fn loads_and_rankings_do_not_depend_on_arrival_order() {
+        // Per-content loads whose float sum depends on the order it is
+        // taken in, and two contents tied for hottest.
+        let samples: Vec<LoadSample> = (1..=40)
+            .flat_map(|id| {
+                let ms = 1 + (id * 7) % 13;
+                let kind = if id % 3 == 0 {
+                    ContentKind::Cgi
+                } else {
+                    ContentKind::StaticHtml
+                };
+                let hits = if id == 9 || id == 12 { 30 } else { id % 4 + 1 };
+                let ms = if id == 9 || id == 12 {
+                    20
+                } else {
+                    u64::from(ms)
+                };
+                (0..hits).map(move |_| sample(0, id, kind, ms))
+            })
+            .collect();
+        let mut forward = LoadTracker::new(vec![1.0]);
+        let mut backward = LoadTracker::new(vec![1.0]);
+        for s in &samples {
+            forward.record(*s);
+        }
+        for s in samples.iter().rev() {
+            backward.record(*s);
+        }
+        let bits = |t: &LoadTracker| -> Vec<(u64, u64)> {
+            t.node_loads()
+                .iter()
+                .map(|l| (l.load.to_bits(), l.requests))
+                .collect()
+        };
+        assert_eq!(bits(&forward), bits(&backward));
+        let hot = forward.hottest_content(NodeId(0));
+        assert_eq!(hot, backward.hottest_content(NodeId(0)));
+        // Contents 9 and 12 tie at the top; the lower id goes first.
+        assert_eq!((hot[0].0, hot[1].0), (ContentId(9), ContentId(12)));
+        assert_eq!(hot[0].1.to_bits(), hot[1].1.to_bits());
     }
 
     #[test]

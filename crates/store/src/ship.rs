@@ -2,26 +2,30 @@
 //! `cpms-wire`.
 //!
 //! The wire vocabulary is [`ShipRequest`] / [`ShipReply`], and it is a
-//! broker's whole protocol: `Begin` opens (or resumes) a staged transfer,
-//! `Chunk` ships one checksummed piece, `Commit` verifies and atomically
-//! installs, `Abort` drops a transfer, plus `Fetch`/`Meta` (pull side),
-//! `Verify`, `Inventory`, `Stat` and `Gc` for the anti-entropy auditor,
-//! the monitor and the console, and `Delete`/`Rename`/`Touch` for the
-//! controller's file operations. A new verb is a variant and one arm in
-//! [`apply_tail`]. Every message leaves the same state however often it
-//! is delivered, so the protocol is safe over an at-least-once lossy
-//! transport: a duplicated `Chunk` re-stages identical bytes, a replayed
-//! `Begin` resumes, a replayed `Commit` after a lost ack finds the
-//! committed object and succeeds, a replayed `Touch` installs the version
-//! already installed, and a replayed `Gc` is the same sweep. Two
+//! broker's whole protocol: `Put` ships an object of at most one chunk
+//! whole, verified and installed in one round trip; a larger one goes as
+//! `Begin`, which opens (or resumes) a staged transfer, `Chunk`, which
+//! ships one checksummed piece, and `Commit`, which verifies and
+//! atomically installs; `Abort` drops a transfer. On the pull side `Get`
+//! answers an object's record with its first chunk, and `Fetch` each
+//! chunk after it (`Meta` reads a record alone). `Verify`, `Inventory`,
+//! `Stat` and `Gc` serve the anti-entropy auditor, the monitor and the
+//! console, and `Delete`/`Rename`/`Touch` the controller's file
+//! operations. A new verb is a variant and one arm in [`apply_tail`].
+//! Every message leaves the same state however often it is delivered, so
+//! the protocol is safe over an at-least-once lossy transport: a
+//! duplicated `Chunk` re-stages identical bytes, a replayed `Begin`
+//! resumes, a replayed `Commit` or `Put` after a lost ack finds the
+//! identical committed object and succeeds, a replayed `Touch` installs
+//! the version already installed, and a replayed `Gc` is the same sweep. Two
 //! *replies* do differ on replay, and the object is gone or moved either
 //! way: a `Delete` whose ack was lost is answered `Err(NotFound)` the
 //! second time, and a `Rename` `Err(AlreadyExists)` — callers on a lossy
 //! wire judge those by the state.
 //!
-//! Chunk bytes never ride as JSON text: `Chunk` carries them as the
-//! request payload's raw tail and `Fetch` is answered with them as the
-//! reply's tail (`cpms_wire::with_tail`), the message's `data` field left
+//! Chunk bytes never ride as JSON text: `Chunk` and `Put` carry them as
+//! the request payload's raw tail, and `Get` and `Fetch` are answered with
+//! them as the reply's tail (`cpms_wire::with_tail`), a `data` field left
 //! empty. The older form — the bytes hex-encoded into `data` — is still
 //! decoded on receipt by [`apply`], and sent by nothing.
 //!
@@ -84,6 +88,16 @@ pub enum ShipRequest {
         /// Whole-object checksum.
         checksum: u64,
     },
+    /// Verify and install an object of at most one chunk in one step:
+    /// the whole body is the payload's tail.
+    Put {
+        /// Destination path.
+        path: UrlPath,
+        /// The object being shipped.
+        meta: ObjectMeta,
+        /// Whether to replace an existing different object.
+        overwrite: bool,
+    },
     /// Drop a staged transfer.
     Abort {
         /// The transfer id.
@@ -95,6 +109,12 @@ pub enum ShipRequest {
         path: UrlPath,
         /// Chunk index.
         index: u32,
+    },
+    /// Open a pull: a committed object's manifest record, answered with
+    /// its first chunk as the reply's tail.
+    Get {
+        /// The object's path.
+        path: UrlPath,
     },
     /// Read a committed object's manifest record.
     Meta {
@@ -142,8 +162,10 @@ impl ShipRequest {
             ShipRequest::Begin { .. } => "begin",
             ShipRequest::Chunk { .. } => "chunk",
             ShipRequest::Commit { .. } => "commit",
+            ShipRequest::Put { .. } => "put",
             ShipRequest::Abort { .. } => "abort",
             ShipRequest::Fetch { .. } => "fetch",
+            ShipRequest::Get { .. } => "get",
             ShipRequest::Meta { .. } => "meta",
             ShipRequest::Verify { .. } => "verify",
             ShipRequest::Inventory => "inventory",
@@ -183,6 +205,14 @@ pub enum ShipReply {
         /// FNV-1a 64 of the raw bytes.
         checksum: u64,
     },
+    /// A `Get`'s answer: the object's record and its first chunk, whose
+    /// bytes are the reply payload's tail.
+    Got {
+        /// The manifest record.
+        meta: ObjectMeta,
+        /// FNV-1a 64 of the first chunk's bytes.
+        checksum: u64,
+    },
     /// The manifest record (of a `Meta`, a `Rename`'s moved object or a
     /// `Touch`ed one).
     MetaIs(ObjectMeta),
@@ -208,9 +238,11 @@ pub enum ShipReply {
 /// Executes one ship request that arrived without a payload tail, for a
 /// caller that cannot take one back: a `Chunk` must carry its bytes as
 /// hex in `data` (the legacy form), and a `Fetch` is answered with hex
-/// in `ChunkData::data`. [`StoreService`] uses [`apply_tail`] and never
-/// builds a hex string; this form exists for the frozen benchmark's
-/// `store.ship_apply_us` probe and goes with it.
+/// in `ChunkData::data`. `Put` and `Get` have no tailless form: a `Put`
+/// here carries no body, and a `Got` loses its chunk. [`StoreService`]
+/// uses [`apply_tail`] and never builds a hex string; this form exists
+/// for the frozen benchmark's `store.ship_apply_us` probe and goes with
+/// it.
 #[must_use]
 pub fn apply(store: &ContentStore, request: &ShipRequest) -> ShipReply {
     match apply_tail(store, request, &[]) {
@@ -225,8 +257,9 @@ pub fn apply(store: &ContentStore, request: &ShipRequest) -> ShipReply {
 /// Executes one ship request against a local store — the one place each
 /// verb is implemented: one arm per [`ShipRequest`] variant, each one
 /// call on the store. `tail` is the raw tail the request payload carried
-/// (a `Chunk`'s bytes); the returned bytes are the tail to send behind
-/// the reply (a `Fetch`ed chunk), empty for every other reply.
+/// (a `Chunk`'s or a `Put`'s bytes); the returned bytes are the tail to
+/// send behind the reply (a `Fetch`ed chunk, a `Get`'s first chunk),
+/// empty for every other reply.
 #[must_use]
 pub fn apply_tail(
     store: &ContentStore,
@@ -282,6 +315,14 @@ pub fn apply_tail(
             store.commit(*transfer, path, *checksum),
             ShipReply::Committed,
         ),
+        ShipRequest::Put {
+            path,
+            meta,
+            overwrite,
+        } => ok_or(
+            store.put_whole(path, *meta, tail, *overwrite),
+            ShipReply::Committed,
+        ),
         ShipRequest::Abort { transfer } => ShipReply::Aborted(store.abort(*transfer)),
         ShipRequest::Fetch { path, index } => {
             ok_or(store.read_chunk(path, *index), |(bytes, checksum)| {
@@ -292,6 +333,10 @@ pub fn apply_tail(
                 }
             })
         }
+        ShipRequest::Get { path } => ok_or(store.read_head(path), |(meta, bytes, checksum)| {
+            reply_tail = bytes;
+            ShipReply::Got { meta, checksum }
+        }),
         ShipRequest::Meta { path } => match store.meta(path) {
             Some(meta) => ShipReply::MetaIs(meta),
             None => ShipReply::Err(StoreError::NotFound { path: path.clone() }),
@@ -391,9 +436,9 @@ impl cpms_wire::Service for StoreService {
 /// broker handles — the same call over the same protocol.
 pub trait ShipPort {
     /// Sends one ship request with `tail` riding behind it as raw bytes
-    /// (a `Chunk`'s data; empty otherwise) and returns the remote store's
-    /// reply with the tail that rode behind it (a `Fetch`ed chunk; empty
-    /// otherwise).
+    /// (a `Chunk`'s or a `Put`'s data; empty otherwise) and returns the
+    /// remote store's reply with the tail that rode behind it (a `Fetch`ed
+    /// chunk or a `Get`'s first chunk; empty otherwise).
     ///
     /// # Errors
     ///
@@ -602,7 +647,9 @@ impl Shipper {
 
     /// Ships `body` to the remote store as `path`, resuming through
     /// connection loss and re-sending rejected chunks, until the remote
-    /// store confirms a committed object with the right checksum.
+    /// store confirms a committed object with the right checksum. An
+    /// object of at most one chunk goes as one `Put`; a larger one as
+    /// `Begin`, its `Chunk`s and `Commit`.
     ///
     /// # Errors
     ///
@@ -673,7 +720,8 @@ impl Shipper {
     /// honest body before it met the port, so a chunk damaged on the way
     /// is refused by the receiver ([`StoreError::ChunkRejected`]), and a
     /// `meta` that does not describe the body by its commit
-    /// ([`StoreError::ChecksumMismatch`]).
+    /// ([`StoreError::ChecksumMismatch`]) — or, for a one-chunk `Put`,
+    /// whose one check covers both, as a rejected chunk.
     ///
     /// # Errors
     ///
@@ -740,7 +788,8 @@ impl Shipper {
         result.map(|()| outcome)
     }
 
-    /// One full pass: begin (resume), send missing chunks, commit.
+    /// One full pass: an object of at most one chunk is one `Put`; a
+    /// larger one is begin (resume), send missing chunks, commit.
     fn push_attempt(
         &self,
         port: &dyn ShipPort,
@@ -750,6 +799,17 @@ impl Shipper {
         overwrite: bool,
         outcome: &mut ShipOutcome,
     ) -> Result<ObjectMeta, ShipError> {
+        if meta.chunk_count() <= 1 {
+            let put = ShipRequest::Put {
+                path: path.clone(),
+                meta,
+                overwrite,
+            };
+            return self.send_chunk(port, &put, body, outcome, |reply| match reply {
+                ShipReply::Committed(m) => Ok(m),
+                other => Err(other),
+            });
+        }
         let begun = port
             .ship(&ShipRequest::Begin {
                 path: path.clone(),
@@ -773,8 +833,16 @@ impl Shipper {
                 continue;
             }
             let range = meta.chunk_range(index).expect("index in range");
-            let chunk = (&body[range], sums[index as usize]);
-            self.send_chunk(port, path, transfer, index, chunk, outcome)?;
+            let chunk = ShipRequest::Chunk {
+                transfer,
+                index,
+                data: String::new(),
+                checksum: sums[index as usize],
+            };
+            self.send_chunk(port, &chunk, &body[range], outcome, |reply| match reply {
+                ShipReply::ChunkOk => Ok(()),
+                other => Err(other),
+            })?;
         }
         let committed = port
             .ship(&ShipRequest::Commit {
@@ -792,23 +860,19 @@ impl Shipper {
         }
     }
 
-    /// Sends one chunk with bounded re-sends for wire failures and
-    /// checksum rejections.
-    fn send_chunk(
+    /// Sends `request` with `chunk` as its tail — one `Chunk` of a staged
+    /// transfer, or a whole object's `Put` — with bounded re-sends for
+    /// wire failures and checksum rejections, and hands the reply that
+    /// took the bytes to `accept`, which returns what it wanted from it or
+    /// gives back a reply the verb has no business answering.
+    fn send_chunk<T>(
         &self,
         port: &dyn ShipPort,
-        path: &UrlPath,
-        transfer: u64,
-        index: u32,
-        (chunk, checksum): (&[u8], u64),
+        request: &ShipRequest,
+        chunk: &[u8],
         outcome: &mut ShipOutcome,
-    ) -> Result<(), ShipError> {
-        let request = ShipRequest::Chunk {
-            transfer,
-            index,
-            data: String::new(),
-            checksum,
-        };
+        accept: impl Fn(ShipReply) -> Result<T, ShipReply>,
+    ) -> Result<T, ShipError> {
         let mut last: Option<ShipError> = None;
         for attempt in 0..CHUNK_ATTEMPTS {
             if attempt > 0 {
@@ -817,25 +881,23 @@ impl Shipper {
                     m.chunk_retries.inc();
                 }
             }
-            match port.ship_tail(&request, chunk).map(|(reply, _tail)| reply) {
-                Ok(ShipReply::ChunkOk) => {
+            match port.ship_tail(request, chunk).map(|(reply, _tail)| reply) {
+                Ok(ShipReply::Err(e @ StoreError::ChunkRejected { .. })) => {
+                    // Poisoned in flight: re-send the honest bytes.
+                    last = Some(ShipError::Store(e));
+                }
+                Ok(ShipReply::Err(e)) => return Err(ShipError::Store(e)),
+                Ok(reply) => {
+                    let taken = accept(reply).map_err(|other| ShipError::Protocol {
+                        detail: format!("{} answered {other:?} by {}", request.verb(), port.peer()),
+                    })?;
                     outcome.chunks_sent += 1;
                     outcome.bytes_sent += chunk.len() as u64;
                     if let Some(m) = &self.metrics {
                         m.chunks.inc();
                         m.bytes.add(chunk.len() as u64);
                     }
-                    return Ok(());
-                }
-                Ok(ShipReply::Err(e @ StoreError::ChunkRejected { .. })) => {
-                    // Poisoned in flight: re-send the honest bytes.
-                    last = Some(ShipError::Store(e));
-                }
-                Ok(ShipReply::Err(e)) => return Err(ShipError::Store(e)),
-                Ok(other) => {
-                    return Err(ShipError::Protocol {
-                        detail: format!("Chunk answered {other:?} by {}", port.peer()),
-                    })
+                    return Ok(taken);
                 }
                 Err(wire) => {
                     let e = ShipError::Wire(wire);
@@ -849,12 +911,14 @@ impl Shipper {
         // Out of per-chunk attempts: surface the last failure. If it is
         // resumable the outer loop re-begins and skips staged progress.
         Err(last.unwrap_or(ShipError::Protocol {
-            detail: format!("chunk {index} of {path} ran out of attempts"),
+            detail: format!("{} ran out of attempts", request.verb()),
         }))
     }
 
-    /// Pulls a committed object from the remote store, verifying every
-    /// chunk and — folded in the same pass, since chunks are fetched in
+    /// Pulls a committed object from the remote store: a `Get` answers
+    /// the manifest record with the first chunk, and a `Fetch` each chunk
+    /// after it — so a one-chunk object is one round trip. Every chunk is
+    /// verified and — folded in the same pass, since chunks arrive in
     /// order — the whole body. Corrupted chunks are re-fetched. Returns
     /// the manifest record, the per-chunk sums it verified (what
     /// [`Shipper::push_described`] needs to send the body on without
@@ -871,15 +935,15 @@ impl Shipper {
         port: &dyn ShipPort,
         path: &UrlPath,
     ) -> Result<(ObjectMeta, Vec<u64>, Vec<u8>), ShipError> {
-        let meta = match port
-            .ship(&ShipRequest::Meta { path: path.clone() })
+        let (meta, first) = match port
+            .ship_tail(&ShipRequest::Get { path: path.clone() }, &[])
             .map_err(ShipError::Wire)?
         {
-            ShipReply::MetaIs(m) => m,
-            ShipReply::Err(e) => return Err(ShipError::Store(e)),
-            other => {
+            (ShipReply::Got { meta, checksum }, bytes) => (meta, (checksum, bytes)),
+            (ShipReply::Err(e), _) => return Err(ShipError::Store(e)),
+            (other, _) => {
                 return Err(ShipError::Protocol {
-                    detail: format!("Meta answered {other:?} by {}", port.peer()),
+                    detail: format!("Get answered {other:?} by {}", port.peer()),
                 })
             }
         };
@@ -902,8 +966,10 @@ impl Shipper {
         sums.try_reserve_exact(meta.chunk_count() as usize)
             .map_err(|e| no_memory(e.to_string()))?;
         let mut got = FNV_BASIS;
+        let mut first = Some(first);
         for index in 0..meta.chunk_count() {
-            let (bytes, sum, running) = self.fetch_chunk(port, path, &meta, index, got)?;
+            let (bytes, sum, running) =
+                self.fetch_chunk(port, path, &meta, index, got, first.take())?;
             body.extend_from_slice(&bytes);
             sums.push(sum);
             got = running;
@@ -920,7 +986,10 @@ impl Shipper {
 
     /// Fetches and verifies chunk `index`: its bytes, their sum, and
     /// `running` (the whole-object FNV state before this chunk)
-    /// continued over them.
+    /// continued over them. `delivered` is the chunk's checksum and
+    /// bytes when they already arrived (the first chunk rides on the
+    /// `Get`): they are verified as a fetched chunk is, and fetched again
+    /// if they fail.
     fn fetch_chunk(
         &self,
         port: &dyn ShipPort,
@@ -928,6 +997,7 @@ impl Shipper {
         meta: &ObjectMeta,
         index: u32,
         running: u64,
+        mut delivered: Option<(u64, Vec<u8>)>,
     ) -> Result<(Vec<u8>, u64, u64), ShipError> {
         let expected_len = meta.chunk_len(index).expect("index in range") as usize;
         let request = ShipRequest::Fetch {
@@ -942,50 +1012,53 @@ impl Shipper {
                     m.chunk_retries.inc();
                 }
             }
-            match port.ship_tail(&request, &[]) {
-                Ok((ShipReply::ChunkData { data, .. }, _)) if !data.is_empty() => {
-                    return Err(ShipError::Protocol {
-                        detail: format!(
-                            "Fetch answered hex chunk data by {}: it predates payload tails",
-                            port.peer()
-                        ),
-                    })
-                }
-                Ok((ShipReply::ChunkData { checksum, .. }, bytes)) => {
-                    let (got, running) = fnv64_fold(running, &bytes);
-                    if let Some(m) = &self.metrics {
-                        m.hashed_bytes.add(bytes.len() as u64);
+            let (checksum, bytes) = match delivered.take() {
+                Some(chunk) => chunk,
+                None => match port.ship_tail(&request, &[]) {
+                    Ok((ShipReply::ChunkData { data, .. }, _)) if !data.is_empty() => {
+                        return Err(ShipError::Protocol {
+                            detail: format!(
+                                "Fetch answered hex chunk data by {}: it predates payload tails",
+                                port.peer()
+                            ),
+                        })
                     }
-                    if bytes.len() != expected_len || got != checksum {
-                        // Corrupted in flight: re-fetch.
-                        last = Some(ShipError::Store(StoreError::ChunkRejected {
-                            path: path.clone(),
-                            index,
-                            expected: checksum,
-                            got,
-                        }));
+                    Ok((ShipReply::ChunkData { checksum, .. }, bytes)) => (checksum, bytes),
+                    Ok((ShipReply::Err(e), _)) => return Err(ShipError::Store(e)),
+                    Ok((other, _)) => {
+                        return Err(ShipError::Protocol {
+                            detail: format!("Fetch answered {other:?} by {}", port.peer()),
+                        })
+                    }
+                    Err(wire) => {
+                        let e = ShipError::Wire(wire);
+                        if !e.is_resumable() {
+                            return Err(e);
+                        }
+                        last = Some(e);
                         continue;
                     }
-                    if let Some(m) = &self.metrics {
-                        m.chunks.inc();
-                        m.bytes.add(bytes.len() as u64);
-                    }
-                    return Ok((bytes, got, running));
-                }
-                Ok((ShipReply::Err(e), _)) => return Err(ShipError::Store(e)),
-                Ok((other, _)) => {
-                    return Err(ShipError::Protocol {
-                        detail: format!("Fetch answered {other:?} by {}", port.peer()),
-                    })
-                }
-                Err(wire) => {
-                    let e = ShipError::Wire(wire);
-                    if !e.is_resumable() {
-                        return Err(e);
-                    }
-                    last = Some(e);
-                }
+                },
+            };
+            let (got, running) = fnv64_fold(running, &bytes);
+            if let Some(m) = &self.metrics {
+                m.hashed_bytes.add(bytes.len() as u64);
             }
+            if bytes.len() != expected_len || got != checksum {
+                // Corrupted in flight: re-fetch.
+                last = Some(ShipError::Store(StoreError::ChunkRejected {
+                    path: path.clone(),
+                    index,
+                    expected: checksum,
+                    got,
+                }));
+                continue;
+            }
+            if let Some(m) = &self.metrics {
+                m.chunks.inc();
+                m.bytes.add(bytes.len() as u64);
+            }
+            return Ok((bytes, got, running));
         }
         Err(ShipError::Exhausted {
             path: path.clone(),
@@ -1017,13 +1090,15 @@ mod tests {
     #[test]
     fn push_and_pull_roundtrip() {
         let (store, client) = spawn_store(0, 1 << 20);
-        let body = synthetic_body(ContentId(1), 50_000);
+        // Three chunks: `Begin`, `Chunk`s and `Commit`.
+        let body = synthetic_body(ContentId(1), 150_000);
         let shipper = Shipper::new();
         let outcome = shipper
             .push(&client, &p("/obj"), ContentId(1), 0, &body, false)
             .unwrap();
-        assert_eq!(outcome.meta.size, 50_000);
-        assert_eq!(outcome.bytes_sent, 50_000);
+        assert_eq!(outcome.meta.size, 150_000);
+        assert_eq!(outcome.meta.chunk_count(), 3);
+        assert_eq!(outcome.bytes_sent, 150_000);
         assert_eq!(outcome.resumes, 0);
         assert_eq!(store.read(&p("/obj")).unwrap(), body);
 
@@ -1042,24 +1117,55 @@ mod tests {
             .unwrap();
         assert_eq!(again.chunks_sent, 0);
         assert_eq!(again.chunks_skipped, outcome.chunks_sent);
+
+        // One chunk is one `Put`, which carries its body every time: a
+        // re-sent identical `Put` is answered with the committed object
+        // and installs nothing new.
+        let one = synthetic_body(ContentId(2), 50_000);
+        let first = shipper
+            .push(&client, &p("/one"), ContentId(2), 0, &one, false)
+            .unwrap();
+        let installed = store.stats().committed_total;
+        let again = shipper
+            .push(&client, &p("/one"), ContentId(2), 0, &one, false)
+            .unwrap();
+        assert_eq!(again.meta, first.meta);
+        assert_eq!(store.stats().committed_total, installed);
+        assert_eq!(store.stats().objects, 2);
+        let (meta, sums, pulled) = shipper.pull(&client, &p("/one")).unwrap();
+        assert_eq!((meta, sums, pulled), (first.meta, vec![fnv64(&one)], one));
     }
 
     #[test]
     fn push_survives_lossy_transport() {
-        let store = Arc::new(ContentStore::in_memory(NodeId(0), 1 << 20));
-        let (transport, server) = InProcServer::spawn(StoreService::new(Arc::clone(&store)));
-        std::mem::forget(server);
-        let lossy = FaultyTransport::new(Arc::new(transport), FaultPlan::lossy(42, 0.15));
-        let client = StoreClient::new(Arc::new(lossy));
-        let body = synthetic_body(ContentId(2), 40_000);
-        let outcome = Shipper::new()
-            .push(&client, &p("/lossy"), ContentId(2), 0, &body, false)
-            .unwrap();
-        assert_eq!(store.read(&p("/lossy")).unwrap(), body);
-        assert_eq!(store.stats().rejected_chunks, 0, "loss ≠ corruption");
-        // Committed exactly once despite duplicates/replays.
-        assert_eq!(store.stats().objects, 1);
-        let _ = outcome;
+        // One chunk goes as one `Put`; three as `Begin`, `Chunk`s and
+        // `Commit`.
+        for size in [40_000, 150_000] {
+            let store = Arc::new(ContentStore::in_memory(NodeId(0), 1 << 20));
+            let (transport, server) = InProcServer::spawn(StoreService::new(Arc::clone(&store)));
+            std::mem::forget(server);
+            let lossy = Arc::new(FaultyTransport::new(
+                Arc::new(transport),
+                FaultPlan::lossy(42, 0.15),
+            ));
+            let client = StoreClient::new(Arc::clone(&lossy) as Arc<dyn cpms_wire::Transport>);
+            let body = synthetic_body(ContentId(2), size);
+            Shipper::new()
+                .push(&client, &p("/lossy"), ContentId(2), 0, &body, false)
+                .unwrap();
+            // This seed loses a reply after the store ran the request, so
+            // the push lives through a replay.
+            assert!(
+                lossy.stats().dropped_responses >= 1,
+                "{size} B: {:?}",
+                lossy.stats()
+            );
+            assert_eq!(store.read(&p("/lossy")).unwrap(), body);
+            let stats = store.stats();
+            assert_eq!(stats.rejected_chunks, 0, "loss ≠ corruption");
+            // Committed exactly once despite duplicates/replays.
+            assert_eq!((stats.objects, stats.committed_total), (1, 1), "{size} B");
+        }
     }
 
     /// Opens a transfer of `body` in 1000-byte chunks on a fresh store.
@@ -1234,7 +1340,8 @@ mod tests {
             }
         }
         let port = LegacyPort(ContentStore::in_memory(NodeId(0), 1 << 20));
-        let body = synthetic_body(ContentId(7), 9000);
+        // Several chunks, so the pull goes on past its `Get` to `Fetch`es.
+        let body = synthetic_body(ContentId(7), 3 * u64::from(DEFAULT_CHUNK_SIZE));
         port.0
             .put(&p("/old"), ContentId(7), 0, &body, false)
             .unwrap();
@@ -1244,7 +1351,7 @@ mod tests {
 
     #[test]
     fn pull_of_an_absurd_announced_size_is_a_typed_error() {
-        /// A peer whose every `Meta` announces an object of 4 EiB.
+        /// A peer whose every `Get` announces an object of 4 EiB.
         struct Boastful;
         impl ShipPort for Boastful {
             fn ship_tail(
@@ -1253,13 +1360,16 @@ mod tests {
                 _tail: &[u8],
             ) -> Result<(ShipReply, Vec<u8>), WireError> {
                 let reply = match request {
-                    ShipRequest::Meta { .. } => ShipReply::MetaIs(ObjectMeta {
-                        content: ContentId(1),
-                        size: 1 << 62,
+                    ShipRequest::Get { .. } => ShipReply::Got {
+                        meta: ObjectMeta {
+                            content: ContentId(1),
+                            size: 1 << 62,
+                            checksum: 0,
+                            chunk_size: DEFAULT_CHUNK_SIZE,
+                            version: 0,
+                        },
                         checksum: 0,
-                        chunk_size: DEFAULT_CHUNK_SIZE,
-                        version: 0,
-                    }),
+                    },
                     other => panic!("pull went on to {other:?}"),
                 };
                 Ok((reply, Vec::new()))
@@ -1267,6 +1377,228 @@ mod tests {
         }
         let err = Shipper::new().pull(&Boastful, &p("/huge")).unwrap_err();
         assert!(matches!(err, ShipError::Protocol { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn hostile_puts_get_typed_refusals_and_leave_nothing_behind() {
+        let store = ContentStore::in_memory(NodeId(0), 1 << 20);
+        let body = synthetic_body(ContentId(5), 2500);
+        let honest = ObjectMeta::for_body(ContentId(5), &body, DEFAULT_CHUNK_SIZE, 0);
+        let put = |meta: ObjectMeta| ShipRequest::Put {
+            path: p("/t"),
+            meta,
+            overwrite: false,
+        };
+        let bad_chunk: fn(&StoreError) -> bool =
+            |e| matches!(e, StoreError::BadChunk { index: 0, .. });
+        let rejected: fn(&StoreError) -> bool =
+            |e| matches!(e, StoreError::ChunkRejected { index: 0, .. });
+        let long = [&body[..], &[0]].concat();
+        let cases = [
+            ("short tail", honest, &body[..2499], bad_chunk),
+            ("long tail", honest, &long[..], bad_chunk),
+            (
+                "two-chunk meta",
+                ObjectMeta::for_body(ContentId(5), &body, 2000, 0),
+                &body[..],
+                bad_chunk,
+            ),
+            (
+                "zero chunk size",
+                ObjectMeta {
+                    chunk_size: 0,
+                    ..honest
+                },
+                &body[..],
+                bad_chunk,
+            ),
+            (
+                "checksum lie",
+                ObjectMeta {
+                    checksum: honest.checksum ^ 1,
+                    ..honest
+                },
+                &body[..],
+                rejected,
+            ),
+        ];
+        let before = store.stats();
+        for (case, meta, tail, refused) in cases {
+            let (reply, reply_tail) = apply_tail(&store, &put(meta), tail);
+            assert!(
+                matches!(&reply, ShipReply::Err(e) if refused(e)),
+                "{case}: {reply:?}"
+            );
+            assert!(reply_tail.is_empty());
+            assert!(!store.contains(&p("/t")), "{case}: nothing installed");
+            let stats = store.stats();
+            assert_eq!(
+                (
+                    stats.staged_transfers,
+                    stats.staged_bytes,
+                    stats.free_bytes()
+                ),
+                (0, 0, before.free_bytes()),
+                "{case}: nothing reserved"
+            );
+        }
+        assert_eq!(store.stats().rejected_chunks, 1, "the lie was counted");
+        // The honest `Put` of the same body installs it.
+        let (reply, _) = apply_tail(&store, &put(honest), &body);
+        assert_eq!(reply, ShipReply::Committed(honest));
+        assert_eq!(store.read(&p("/t")).unwrap(), body);
+    }
+
+    #[test]
+    fn a_put_keeps_the_overwrite_and_quota_rules_and_replays_safely() {
+        let store = ContentStore::in_memory(NodeId(0), 5000);
+        let put = |body: &[u8], overwrite: bool| {
+            let meta = ObjectMeta::for_body(ContentId(5), body, DEFAULT_CHUNK_SIZE, 0);
+            let request = ShipRequest::Put {
+                path: p("/t"),
+                meta,
+                overwrite,
+            };
+            (meta, apply_tail(&store, &request, body).0)
+        };
+        let (meta, reply) = put(&[1; 3000], false);
+        assert_eq!(reply, ShipReply::Committed(meta));
+        // Replayed after a lost ack, with or without `overwrite`: the
+        // committed object answers, and nothing is installed again.
+        for overwrite in [false, true] {
+            assert_eq!(put(&[1; 3000], overwrite).1, ShipReply::Committed(meta));
+        }
+        assert_eq!(store.stats().committed_total, 1);
+        assert!(matches!(
+            put(&[2; 3000], false).1,
+            ShipReply::Err(StoreError::AlreadyExists { .. })
+        ));
+        // Replacing counts the old object's bytes as free: 4000 fits
+        // where 3000 stood; 5001 does not fit at all.
+        let (replacement, reply) = put(&[2; 4000], true);
+        assert_eq!(reply, ShipReply::Committed(replacement));
+        assert_eq!(store.stats().committed_bytes, 4000);
+        assert!(matches!(
+            put(&[3; 5001], true).1,
+            ShipReply::Err(StoreError::DiskFull { needed: 5001, .. })
+        ));
+        assert_eq!(store.read(&p("/t")).unwrap(), [2; 4000]);
+    }
+
+    #[test]
+    fn get_answers_the_record_with_the_first_chunk() {
+        let store = ContentStore::in_memory(NodeId(0), 1 << 20);
+        let missing = ShipRequest::Get { path: p("/none") };
+        assert_eq!(
+            apply_tail(&store, &missing, &[]),
+            (
+                ShipReply::Err(StoreError::NotFound { path: p("/none") }),
+                Vec::new()
+            )
+        );
+        let body = synthetic_body(ContentId(5), 2500);
+        let meta = ObjectMeta::for_body(ContentId(5), &body, 1000, 0);
+        store
+            .put_whole(
+                &p("/empty"),
+                ObjectMeta::for_body(ContentId(6), &[], 1000, 0),
+                &[],
+                false,
+            )
+            .unwrap();
+        let (transfer, _) = store.begin(&p("/t"), meta, false).unwrap();
+        for index in 0..meta.chunk_count() {
+            let bytes = &body[meta.chunk_range(index).unwrap()];
+            store
+                .stage_chunk(transfer, index, bytes, fnv64(bytes))
+                .unwrap();
+        }
+        store.commit(transfer, &p("/t"), meta.checksum).unwrap();
+        assert_eq!(
+            apply_tail(&store, &ShipRequest::Get { path: p("/t") }, &[]),
+            (
+                ShipReply::Got {
+                    meta,
+                    checksum: fnv64(&body[..1000])
+                },
+                body[..1000].to_vec()
+            )
+        );
+        // A zero-byte object's first chunk is empty.
+        let (reply, tail) = apply_tail(&store, &ShipRequest::Get { path: p("/empty") }, &[]);
+        assert!(
+            matches!(reply, ShipReply::Got { meta, checksum } if meta.size == 0 && checksum == fnv64(&[])),
+            "{reply:?}"
+        );
+        assert!(tail.is_empty());
+        let (pulled, _, empty) = Shipper::new()
+            .pull(&LocalPort(&store), &p("/empty"))
+            .unwrap();
+        assert_eq!((pulled.size, empty), (0, Vec::new()));
+        let err = Shipper::new()
+            .pull(&LocalPort(&store), &p("/none"))
+            .unwrap_err();
+        assert!(
+            matches!(err, ShipError::Store(StoreError::NotFound { .. })),
+            "{err:?}"
+        );
+    }
+
+    /// A store reached without a wire.
+    struct LocalPort<'a>(&'a ContentStore);
+
+    impl ShipPort for LocalPort<'_> {
+        fn ship_tail(
+            &self,
+            request: &ShipRequest,
+            tail: &[u8],
+        ) -> Result<(ShipReply, Vec<u8>), WireError> {
+            Ok(apply_tail(self.0, request, tail))
+        }
+    }
+
+    #[test]
+    fn a_got_whose_chunk_arrives_short_is_fetched_again() {
+        /// Cuts the first chunk short on its way back from the `Get`, and
+        /// records every verb it carries.
+        struct ShortGot<'a>(&'a ContentStore, std::sync::Mutex<Vec<&'static str>>);
+        impl ShipPort for ShortGot<'_> {
+            fn ship_tail(
+                &self,
+                request: &ShipRequest,
+                tail: &[u8],
+            ) -> Result<(ShipReply, Vec<u8>), WireError> {
+                self.1.lock().unwrap().push(request.verb());
+                let (reply, mut bytes) = apply_tail(self.0, request, tail);
+                if matches!(request, ShipRequest::Get { .. }) {
+                    bytes.pop();
+                }
+                Ok((reply, bytes))
+            }
+        }
+        let registry = Arc::new(MetricsRegistry::new());
+        let shipper = Shipper::new().with_metrics(ShipMetrics::attach(&registry));
+        for size in [3000, 150_000] {
+            let store = ContentStore::in_memory(NodeId(0), 1 << 20);
+            let body = synthetic_body(ContentId(5), size);
+            store.put(&p("/t"), ContentId(5), 0, &body, false).unwrap();
+            let port = ShortGot(&store, std::sync::Mutex::new(Vec::new()));
+            let (meta, _, pulled) = shipper.pull(&port, &p("/t")).unwrap();
+            assert_eq!((meta.size, pulled), (size, body));
+            let verbs = port.1.into_inner().unwrap();
+            let fetches = meta.chunk_count() as usize;
+            assert_eq!(verbs[0], "get");
+            assert_eq!(
+                verbs[1..],
+                vec!["fetch"; fetches][..],
+                "chunk 0 again, then the rest"
+            );
+        }
+        assert_eq!(
+            registry.snapshot().counter("ship_chunk_retries_total"),
+            Some(2),
+            "one re-fetch per pull"
+        );
     }
 
     #[test]

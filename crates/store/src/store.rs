@@ -21,6 +21,10 @@
 //! - [`ContentStore::gc`] sweeps staged transfers that made no progress
 //!   since the previous sweep (abandoned mid-flight ships).
 //!
+//! An object of at most one chunk skips staging: [`ContentStore::put_whole`]
+//! holds the whole body to the same geometry and checksum checks in one
+//! pass and installs it through the same install step as `commit`.
+//!
 //! Two media: `in_memory` (tests, in-process clusters) and `open` (a real
 //! directory: object files plus a `manifest.json` rewritten atomically
 //! via tmp-file + rename).
@@ -536,6 +540,42 @@ impl Inner {
         self.persist_manifest()
     }
 
+    /// Installs a whole verified `body` under the overwrite and quota
+    /// rules, and returns the record that then stands at `path`. An
+    /// identical committed object (same size and checksum) is that
+    /// record, installed again only if `reinstall_identical`.
+    fn install_whole(
+        &mut self,
+        path: &UrlPath,
+        meta: ObjectMeta,
+        body: &[u8],
+        overwrite: bool,
+        reinstall_identical: bool,
+    ) -> Result<ObjectMeta, StoreError> {
+        let replaced = match self.manifest.get(path) {
+            Some(m)
+                if !reinstall_identical && m.checksum == meta.checksum && m.size == meta.size =>
+            {
+                return Ok(*m);
+            }
+            Some(_) if !overwrite => {
+                return Err(StoreError::AlreadyExists { path: path.clone() });
+            }
+            Some(m) => m.size,
+            None => 0,
+        };
+        let free = self.free() + replaced;
+        if meta.size > free {
+            return Err(StoreError::DiskFull {
+                path: path.clone(),
+                needed: meta.size,
+                free,
+            });
+        }
+        self.install(path, meta, Cow::Borrowed(body))?;
+        Ok(meta)
+    }
+
     /// Takes an object that left the manifest out of the accounting.
     fn uncount(&mut self, gone: &ObjectMeta) {
         self.committed_bytes -= gone.size;
@@ -909,27 +949,71 @@ impl ContentStore {
     ) -> Result<ObjectMeta, StoreError> {
         let meta = ObjectMeta::for_body(content, body, DEFAULT_CHUNK_SIZE, version);
         self.count_hashed(body.len());
-        let mut inner = self.lock();
-        let replaced = match inner.manifest.get(path) {
-            Some(m) if !overwrite => {
-                if m.checksum == meta.checksum && m.size == meta.size {
-                    return Ok(*m);
-                }
-                return Err(StoreError::AlreadyExists { path: path.clone() });
-            }
-            Some(m) => m.size,
-            None => 0,
+        // An overwriting put installs even identical bytes: its version
+        // may be new.
+        self.lock()
+            .install_whole(path, meta, body, overwrite, overwrite)
+    }
+
+    /// Installs an object of at most one chunk that arrived whole (the
+    /// receiving half of a one-frame `Put`), holding it to every check
+    /// the staged path makes: `body` must be `meta.size` bytes, `meta`
+    /// must describe at most one chunk of a positive chunk size, and
+    /// `fnv64(body)` must be `meta.checksum` — the one hash pass on this
+    /// side. The same overwrite and quota rules as [`ContentStore::put`]
+    /// then apply, except that an identical committed object (same size
+    /// and checksum) is answered as it stands whatever `overwrite` says,
+    /// as [`ContentStore::begin`] answers it: a `Put` replayed after a
+    /// lost ack installs nothing new.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::BadChunk`] on geometry, [`StoreError::ChunkRejected`]
+    /// on a checksum mismatch (counted in `rejected_chunks`: the sender
+    /// re-sends), [`StoreError::AlreadyExists`] / [`StoreError::DiskFull`]
+    /// / I/O. A refused body leaves nothing installed or reserved.
+    pub fn put_whole(
+        &self,
+        path: &UrlPath,
+        meta: ObjectMeta,
+        body: &[u8],
+        overwrite: bool,
+    ) -> Result<ObjectMeta, StoreError> {
+        let bad = |detail: String| StoreError::BadChunk {
+            path: path.clone(),
+            index: 0,
+            detail,
         };
-        let free = inner.free() + replaced;
-        if meta.size > free {
-            return Err(StoreError::DiskFull {
+        if meta.chunk_size == 0 {
+            return Err(bad("chunk size 0".to_string()));
+        }
+        if meta.chunk_count() > 1 {
+            return Err(bad(format!(
+                "{} chunks announced, a whole put carries at most one",
+                meta.chunk_count()
+            )));
+        }
+        if body.len() as u64 != meta.size {
+            return Err(bad(format!(
+                "length {} != announced size {}",
+                body.len(),
+                meta.size
+            )));
+        }
+        // Hash with the lock released, as `stage_chunk` does.
+        let got = fnv64(body);
+        self.count_hashed(body.len());
+        let mut inner = self.lock();
+        if got != meta.checksum {
+            inner.rejected_chunks += 1;
+            return Err(StoreError::ChunkRejected {
                 path: path.clone(),
-                needed: meta.size,
-                free,
+                index: 0,
+                expected: meta.checksum,
+                got,
             });
         }
-        inner.install(path, meta, Cow::Borrowed(body))?;
-        Ok(meta)
+        inner.install_whole(path, meta, body, overwrite, false)
     }
 
     /// Reads a committed object's body.
@@ -952,24 +1036,47 @@ impl ContentStore {
     ///
     /// [`StoreError::NotFound`] / [`StoreError::BadChunk`] / I/O.
     pub fn read_chunk(&self, path: &UrlPath, index: u32) -> Result<(Vec<u8>, u64), StoreError> {
-        let chunk = {
+        self.read_part(path, |meta| {
+            meta.chunk_range(index).ok_or_else(|| StoreError::BadChunk {
+                path: path.clone(),
+                index,
+                detail: format!("index out of range (object has {})", meta.chunk_count()),
+            })
+        })
+        .map(|(_meta, chunk, sum)| (chunk, sum))
+    }
+
+    /// Reads a committed object's manifest record with its first chunk
+    /// (empty for a zero-byte object) and that chunk's FNV checksum, all
+    /// under one lock so the three describe one object: the serving half
+    /// of a `Get`, which opens every pull.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NotFound`] / I/O.
+    pub fn read_head(&self, path: &UrlPath) -> Result<(ObjectMeta, Vec<u8>, u64), StoreError> {
+        self.read_part(path, |meta| Ok(meta.chunk_range(0).unwrap_or(0..0)))
+    }
+
+    /// Reads the part of the object at `path` that `range` picks from its
+    /// record, and hashes it with the lock released.
+    fn read_part(
+        &self,
+        path: &UrlPath,
+        range: impl FnOnce(&ObjectMeta) -> Result<std::ops::Range<usize>, StoreError>,
+    ) -> Result<(ObjectMeta, Vec<u8>, u64), StoreError> {
+        let (meta, chunk) = {
             let inner = self.lock();
-            let meta = inner
+            let meta = *inner
                 .manifest
                 .get(path)
                 .ok_or_else(|| StoreError::NotFound { path: path.clone() })?;
-            let range = meta
-                .chunk_range(index)
-                .ok_or_else(|| StoreError::BadChunk {
-                    path: path.clone(),
-                    index,
-                    detail: format!("index out of range (object has {})", meta.chunk_count()),
-                })?;
-            inner.medium.read_range(path, range)?
+            let range = range(&meta)?;
+            (meta, inner.medium.read_range(path, range)?)
         };
         let sum = fnv64(&chunk);
         self.count_hashed(chunk.len());
-        Ok((chunk, sum))
+        Ok((meta, chunk, sum))
     }
 
     /// The manifest record for `path`, if committed.
@@ -1652,6 +1759,12 @@ mod tests {
             .unwrap();
         assert_eq!(store.stats().committed_bytes, 950);
         assert_eq!(store.stats().chunks, 1, "the replaced object's chunk left");
+        // An overwrite of identical bytes installs them again, with the
+        // version it names.
+        let same = store
+            .put(&p("/a"), ContentId(1), 2, &[2u8; 950], true)
+            .unwrap();
+        assert_eq!((same.version, store.stats().committed_total), (2, 3));
         assert!(matches!(
             store.put(&p("/a"), ContentId(1), 2, &[3u8; 1100], true),
             Err(StoreError::DiskFull { .. })

@@ -72,7 +72,8 @@ echo "==> networked broker smoke (cpms-broker --smoke: loopback TCP + fault inje
 cargo run --release -q -p cpms-mgmt --bin cpms-broker -- --smoke
 
 echo "==> content shipping smoke (cpms-ship --smoke: clean wire <= 1.02 wire bytes and <= 1.55 fnv64 bytes per shipped byte,"
-echo "    0 transfers and 0 bytes left staged on both stores; then loopback TCP ship under 20% loss + anti-entropy,"
+echo "    exactly 14 wire RPCs (a one-chunk copy is one Put), 0 transfers and 0 bytes left staged on both stores;"
+echo "    then loopback TCP ship under 20% loss + anti-entropy,"
 echo "    whose retries sleep <= 20 ms of backoff in total: a call's first retry goes at once)"
 cargo run --release -q -p cpms-mgmt --bin cpms-ship -- --smoke
 
