@@ -409,7 +409,7 @@ pub(crate) fn spawn_redelivering(state: BrokerState) -> BrokerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpms_store::{fnv64, synthetic_body, ContentStore, ShipError, Shipper};
+    use cpms_store::{fnv64, synthetic_body, ContentStore, ShipError, Shipper, DEFAULT_CHUNK_SIZE};
 
     fn p(s: &str) -> UrlPath {
         s.parse().unwrap()
@@ -570,34 +570,58 @@ mod tests {
 
     #[test]
     fn a_broker_that_predates_tails_refuses_a_chunk_with_a_codec_error() {
-        // The service as it was: the whole payload goes to the decoder.
-        let store = ContentStore::in_memory(NodeId(5), 1 << 20);
-        let (transport, _server) = InProcServer::spawn(move |request: &[u8]| {
-            let reply = match std::str::from_utf8(request)
-                .map_err(|e| e.to_string())
-                .and_then(|t| serde_json::from_str::<ShipRequest>(t).map_err(|e| e.to_string()))
-            {
-                Ok(request) => cpms_store::apply(&store, &request),
-                Err(detail) => ShipReply::Err(StoreError::Io {
-                    detail: format!("undecodable ship request: {detail}"),
-                }),
+        // A two-chunk body goes `Begin` (tail-free, so answered) and then
+        // a tail-bearing `Chunk`; a one-chunk body is a tail-bearing `Put`.
+        let two_chunks = vec![7u8; 2 * DEFAULT_CHUNK_SIZE as usize];
+        for (body, verbs) in [
+            (&two_chunks[..], &["begin", "chunk"][..]),
+            (&[7u8; 5000][..], &["put"][..]),
+        ] {
+            // The service as it was: the whole payload goes to the decoder.
+            let store = ContentStore::in_memory(NodeId(5), 1 << 20);
+            let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let log = Arc::clone(&seen);
+            let (transport, _server) = InProcServer::spawn(move |request: &[u8]| {
+                let reply = match std::str::from_utf8(request)
+                    .map_err(|e| e.to_string())
+                    .and_then(|t| serde_json::from_str::<ShipRequest>(t).map_err(|e| e.to_string()))
+                {
+                    Ok(request) => {
+                        log.lock().unwrap().push(request.verb());
+                        cpms_store::apply(&store, &request)
+                    }
+                    Err(detail) => {
+                        // Note which verb the refused payload's head names.
+                        let head = request.split(|b| *b == 0).next().unwrap();
+                        let verb = std::str::from_utf8(head)
+                            .ok()
+                            .and_then(|t| serde_json::from_str::<ShipRequest>(t).ok());
+                        log.lock().unwrap().push(verb.map_or("?", |r| r.verb()));
+                        ShipReply::Err(StoreError::Io {
+                            detail: format!("undecodable ship request: {detail}"),
+                        })
+                    }
+                };
+                serde_json::to_string(&reply).unwrap().into_bytes()
+            });
+            let old = BrokerHandle {
+                node: NodeId(5),
+                client: Broker::default_client(Arc::new(transport), NodeId(5)),
+                server: None,
+                remote: true,
             };
-            serde_json::to_string(&reply).unwrap().into_bytes()
-        });
-        let old = BrokerHandle {
-            node: NodeId(5),
-            client: Broker::default_client(Arc::new(transport), NodeId(5)),
-            server: None,
-            remote: true,
-        };
-        let err = Shipper::new()
-            .push(&old, &p("/new"), ContentId(1), 0, &[7u8; 5000], false)
-            .unwrap_err();
-        match err {
-            ShipError::Store(StoreError::Io { detail }) if detail.starts_with("undecodable") => {}
-            other => panic!("{other:?}"),
+            let err = Shipper::new()
+                .push(&old, &p("/new"), ContentId(1), 0, body, false)
+                .unwrap_err();
+            match err {
+                ShipError::Store(StoreError::Io { detail })
+                    if detail.starts_with("undecodable") => {}
+                other => panic!("{other:?}"),
+            }
+            assert_eq!(old.transport_stats().retries, 0, "refused once, for good");
+            let seen = seen.lock().unwrap();
+            assert_eq!(&seen[..], verbs, "{seen:?}");
         }
-        assert_eq!(old.transport_stats().retries, 0, "refused once, for good");
     }
 
     /// A store with something for every verb to act on: `/a` committed;

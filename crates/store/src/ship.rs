@@ -1487,7 +1487,7 @@ mod tests {
 
     #[test]
     fn get_answers_the_record_with_the_first_chunk() {
-        let store = ContentStore::in_memory(NodeId(0), 1 << 20);
+        let (store, client) = spawn_store(0, 1 << 20);
         let missing = ShipRequest::Get { path: p("/none") };
         assert_eq!(
             apply_tail(&store, &missing, &[]),
@@ -1531,30 +1531,13 @@ mod tests {
             "{reply:?}"
         );
         assert!(tail.is_empty());
-        let (pulled, _, empty) = Shipper::new()
-            .pull(&LocalPort(&store), &p("/empty"))
-            .unwrap();
+        let (pulled, _, empty) = Shipper::new().pull(&client, &p("/empty")).unwrap();
         assert_eq!((pulled.size, empty), (0, Vec::new()));
-        let err = Shipper::new()
-            .pull(&LocalPort(&store), &p("/none"))
-            .unwrap_err();
+        let err = Shipper::new().pull(&client, &p("/none")).unwrap_err();
         assert!(
             matches!(err, ShipError::Store(StoreError::NotFound { .. })),
             "{err:?}"
         );
-    }
-
-    /// A store reached without a wire.
-    struct LocalPort<'a>(&'a ContentStore);
-
-    impl ShipPort for LocalPort<'_> {
-        fn ship_tail(
-            &self,
-            request: &ShipRequest,
-            tail: &[u8],
-        ) -> Result<(ShipReply, Vec<u8>), WireError> {
-            Ok(apply_tail(self.0, request, tail))
-        }
     }
 
     #[test]
