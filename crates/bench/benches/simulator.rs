@@ -1,9 +1,8 @@
 //! Criterion benchmark of the discrete-event simulator's event throughput
 //! (simulated seconds per wall-clock second at paper scale).
 
-use cpms_dispatch::{ContentAwareRouter, WeightedLeastConnections};
 use cpms_model::{NodeSpec, SimDuration};
-use cpms_sim::{placement, SimConfig, Simulation};
+use cpms_sim::{placement, Router, SimConfig, Simulation};
 use cpms_workload::{CorpusBuilder, WorkloadSpec};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -25,7 +24,7 @@ fn bench_sim(c: &mut Criterion) {
                     config.build(),
                     &corpus,
                     table,
-                    Box::new(WeightedLeastConnections::new()),
+                    Router::WeightedLeastConnections,
                     &WorkloadSpec::workload_a(),
                 )
             },
@@ -48,7 +47,7 @@ fn bench_sim(c: &mut Criterion) {
                     config.build(),
                     &corpus,
                     table,
-                    Box::new(ContentAwareRouter::new()),
+                    Router::ContentAware,
                     &WorkloadSpec::workload_a(),
                 )
             },

@@ -1,8 +1,8 @@
 //! The content-aware routing policy against a *published snapshot* of the
 //! URL table — what each worker thread of the live distributor runs.
 //!
-//! [`ContentAwareRouter`](crate::ContentAwareRouter) serves the simulator,
-//! where one single-threaded event loop owns the table and mutates it in
+//! The simulator's `cpms_sim::routing::Router::ContentAware` runs in one
+//! single-threaded event loop that owns the table and mutates it in
 //! place. The live proxy (`cpms-httpd`) is multi-worker: the controller
 //! publishes immutable table snapshots through a
 //! [`TablePublisher`](cpms_urltable::TablePublisher) and every worker

@@ -30,17 +30,23 @@ pub struct SocketPool<C = TcpStream> {
 }
 
 impl SocketPool {
-    /// Opens `prefork` connections to each backend.
+    /// Opens `prefork` connections to each backend. A backend that refuses
+    /// the connect is down: its idle list starts empty and fills through
+    /// overflow connects once it is up.
     ///
     /// # Errors
     ///
-    /// Connection failures during pre-forking.
+    /// Connection failures during pre-forking other than a refusal.
     pub fn prefork(backends: Vec<SocketAddr>, prefork: u32) -> io::Result<Self> {
         let pool = SocketPool::empty(backends);
         for (idx, &addr) in pool.backends.iter().enumerate() {
             let mut idle = pool.idle[idx].lock();
             for _ in 0..prefork {
-                idle.push(connect(addr)?);
+                match connect(addr) {
+                    Ok(conn) => idle.push(conn),
+                    Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => break,
+                    Err(e) => return Err(e),
+                }
             }
         }
         Ok(pool)
@@ -151,8 +157,14 @@ mod tests {
     #[test]
     fn prefork_and_reuse() {
         let o = origin();
-        let pool = SocketPool::prefork(vec![o.addr()], 3).unwrap();
-        assert_eq!(pool.idle_count(0), 3);
+        // A backend that is down at startup (its port refuses) gets no
+        // connections and stops nothing.
+        let refusing = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let pool = SocketPool::prefork(vec![o.addr(), refusing], 3).unwrap();
+        assert_eq!((pool.idle_count(0), pool.idle_count(1)), (3, 0));
         let c1 = pool.checkout(0).unwrap();
         let c2 = pool.checkout(0).unwrap();
         assert_eq!(pool.idle_count(0), 1);

@@ -860,7 +860,7 @@ fn every_failure_answers_its_status_and_token_and_counts_once() {
                 }];
             }
             Failure::Unroutable => request = "GET /nowhere HTTP/1.1\r\nHost: x\r\n\r\n",
-            Failure::BackendConnect => (backend, config.prefork) = (refusing, 0),
+            Failure::BackendConnect => backend = refusing,
             Failure::BackendFailed => backend = hanging_up,
             // Shed at accept, before a request is read.
             Failure::Overloaded => (config.max_conns, request) = (0, ""),

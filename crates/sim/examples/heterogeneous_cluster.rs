@@ -8,7 +8,7 @@
 
 use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
 use cpms_sim::report::{class_gains, render_class_gains, render_throughput_table, FigureSeries};
-use cpms_sim::{Experiment, PlacementPolicy, RebalanceConfig, RouterChoice};
+use cpms_sim::{Experiment, PlacementPolicy, RebalanceConfig, Router};
 
 fn main() {
     let clients = [16u32, 48, 96, 120];
@@ -28,7 +28,7 @@ fn main() {
     // behind the content-blind WLC router.
     let baseline = base()
         .placement(PlacementPolicy::FullReplicationCapable)
-        .router(RouterChoice::WeightedLeastConnections)
+        .router(Router::WeightedLeastConnections)
         .build()
         .sweep_clients(&clients);
 
@@ -38,7 +38,7 @@ fn main() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .rebalance(RebalanceConfig::default())
         .build()
         .sweep_clients(&clients);

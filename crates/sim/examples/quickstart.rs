@@ -5,7 +5,7 @@
 
 use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
 use cpms_sim::report::{render_throughput_table, FigureSeries};
-use cpms_sim::{Experiment, ExperimentResult, PlacementPolicy, RouterChoice};
+use cpms_sim::{Experiment, ExperimentResult, PlacementPolicy, Router};
 
 fn main() {
     // A small corpus keeps the example fast; the bench binaries use the
@@ -24,13 +24,13 @@ fn main() {
 
     let full = base()
         .placement(PlacementPolicy::FullReplication)
-        .router(RouterChoice::WeightedLeastConnections)
+        .router(Router::WeightedLeastConnections)
         .build()
         .sweep_clients(&clients);
 
     let nfs = base()
         .placement(PlacementPolicy::SharedNfs)
-        .router(RouterChoice::WeightedLeastConnections)
+        .router(Router::WeightedLeastConnections)
         .build()
         .sweep_clients(&clients);
 
@@ -38,7 +38,7 @@ fn main() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .build()
         .sweep_clients(&clients);
 

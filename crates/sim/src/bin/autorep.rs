@@ -15,11 +15,10 @@
 //!
 //! Run with: `cargo run --release -p cpms-sim --bin autorep`
 
-use cpms_dispatch::ContentAwareRouter;
 use cpms_model::{
     ContentKind, LoadSample, LoadTracker, NodeId, NodeSpec, RequestClass, SimDuration,
 };
-use cpms_sim::{SimConfig, Simulation};
+use cpms_sim::{Router, SimConfig, Simulation};
 use cpms_urltable::{AutoReplicator, UrlEntry, UrlTable};
 use cpms_workload::{Corpus, CorpusBuilder, WorkloadSpec};
 
@@ -73,7 +72,7 @@ fn run(metric: Metric, intervals: u32) -> Vec<IntervalRow> {
         config.build(),
         &corpus,
         table,
-        Box::new(ContentAwareRouter::new()),
+        Router::ContentAware,
         &WorkloadSpec::workload_a(),
     );
     let planner = AutoReplicator::new(0.15)

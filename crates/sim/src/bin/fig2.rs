@@ -17,7 +17,7 @@
 
 use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
 use cpms_sim::report::{render_throughput_table, FigureSeries};
-use cpms_sim::{Experiment, PlacementPolicy, RouterChoice};
+use cpms_sim::{Experiment, PlacementPolicy, Router};
 
 fn main() {
     let clients: Vec<u32> = vec![8, 16, 32, 48, 64, 96, 120];
@@ -37,19 +37,19 @@ fn main() {
 
     let full = base()
         .placement(PlacementPolicy::FullReplication)
-        .router(RouterChoice::WeightedLeastConnections)
+        .router(Router::WeightedLeastConnections)
         .build()
         .sweep_clients(&clients);
     let nfs = base()
         .placement(PlacementPolicy::SharedNfs)
-        .router(RouterChoice::WeightedLeastConnections)
+        .router(Router::WeightedLeastConnections)
         .build()
         .sweep_clients(&clients);
     let partitioned = base()
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .build()
         .sweep_clients(&clients);
 

@@ -19,7 +19,7 @@
 
 use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
 use cpms_sim::report::{render_throughput_table, FigureSeries};
-use cpms_sim::{Experiment, PlacementPolicy, RouterChoice};
+use cpms_sim::{Experiment, PlacementPolicy, Router};
 
 fn main() {
     let clients: Vec<u32> = vec![8, 16, 32, 48, 64, 96, 120];
@@ -39,14 +39,14 @@ fn main() {
 
     let full = base()
         .placement(PlacementPolicy::FullReplicationCapable)
-        .router(RouterChoice::WeightedLeastConnections)
+        .router(Router::WeightedLeastConnections)
         .build()
         .sweep_clients(&clients);
     let segregated = base()
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .build()
         .sweep_clients(&clients);
 

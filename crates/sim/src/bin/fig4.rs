@@ -15,7 +15,7 @@
 
 use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
 use cpms_sim::report::{class_gains, render_class_gains};
-use cpms_sim::{Experiment, PlacementPolicy, RouterChoice};
+use cpms_sim::{Experiment, PlacementPolicy, Router};
 
 fn main() {
     const SATURATION_CLIENTS: u32 = 120;
@@ -33,14 +33,14 @@ fn main() {
 
     let baseline = base()
         .placement(PlacementPolicy::FullReplicationCapable)
-        .router(RouterChoice::WeightedLeastConnections)
+        .router(Router::WeightedLeastConnections)
         .build()
         .run();
     let proposed = base()
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .build()
         .run();
 

@@ -8,9 +8,8 @@
 //!
 //! Run with: `cargo run --release -p cpms-sim --bin latency_curve`
 
-use cpms_dispatch::{ContentAwareRouter, Router, WeightedLeastConnections};
 use cpms_model::{NodeSpec, SimDuration};
-use cpms_sim::{placement, SimConfig, Simulation};
+use cpms_sim::{placement, Router, SimConfig, Simulation};
 use cpms_workload::{CorpusBuilder, WorkloadSpec};
 
 struct Point {
@@ -21,14 +20,14 @@ struct Point {
 }
 
 fn run(mode: &str, rate: f64, corpus: &cpms_workload::Corpus, specs: &[NodeSpec]) -> Point {
-    let (table, router): (_, Box<dyn Router>) = match mode {
+    let (table, router) = match mode {
         "full" => (
             placement::replicate_everywhere(corpus, specs.len()),
-            Box::new(WeightedLeastConnections::new()),
+            Router::WeightedLeastConnections,
         ),
         _ => (
             placement::partition_by_type(corpus, specs, placement::StaticSpread::AllNodes),
-            Box::new(ContentAwareRouter::new()),
+            Router::ContentAware,
         ),
     };
     let mut config = SimConfig::builder();

@@ -10,9 +10,8 @@
 //!
 //! Run with: `cargo run --release -p cpms-sim --bin popshift`
 
-use cpms_dispatch::ContentAwareRouter;
 use cpms_model::{LoadTracker, NodeSpec, SimDuration};
-use cpms_sim::{placement, SimConfig, Simulation};
+use cpms_sim::{placement, Router, SimConfig, Simulation};
 use cpms_urltable::AutoReplicator;
 use cpms_workload::{CorpusBuilder, RequestSampler, WorkloadSpec};
 
@@ -38,13 +37,7 @@ fn run(rebalance: bool) -> Vec<Row> {
 
     let mut config = SimConfig::builder();
     config.nodes(specs.clone()).clients(64).seed(9);
-    let mut sim = Simulation::new(
-        config.build(),
-        &corpus,
-        table,
-        Box::new(ContentAwareRouter::new()),
-        &spec,
-    );
+    let mut sim = Simulation::new(config.build(), &corpus, table, Router::ContentAware, &spec);
     let planner = AutoReplicator::new(0.15)
         .with_max_actions(24)
         .with_hot_candidates(12);

@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release -p cpms-sim --bin redirect`
 
 use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
-use cpms_sim::{Experiment, PlacementPolicy, RouterChoice};
+use cpms_sim::{Experiment, PlacementPolicy, Router};
 
 fn main() {
     let base = || {
@@ -30,7 +30,7 @@ fn main() {
 
     eprintln!("redirect: comparing splicing vs HTTP redirection across client RTTs...");
 
-    let spliced = base().router(RouterChoice::ContentAware).build().run();
+    let spliced = base().router(Router::ContentAware).build().run();
 
     println!("§2.1 ablation — connection splicing vs HTTP redirection\n");
     println!(
@@ -54,8 +54,8 @@ fn main() {
     })];
     for rtt_ms in [1u64, 10, 40, 80] {
         let redirected = base()
-            .router(RouterChoice::HttpRedirect {
-                client_rtt_micros: rtt_ms * 1_000,
+            .router(Router::HttpRedirect {
+                client_rtt: SimDuration::from_millis(rtt_ms),
             })
             .build()
             .run();

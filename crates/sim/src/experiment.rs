@@ -3,13 +3,13 @@
 //!
 //! ```
 //! use cpms_model::{NodeSpec, WorkloadKind};
-//! use cpms_sim::{Experiment, PlacementPolicy, RouterChoice};
+//! use cpms_sim::{Experiment, PlacementPolicy, Router};
 //!
 //! let result = Experiment::builder()
 //!     .corpus_objects(500)
 //!     .nodes(vec![NodeSpec::testbed_350(); 4])
 //!     .placement(PlacementPolicy::PartitionedByType { segregate_dynamic: false })
-//!     .router(RouterChoice::ContentAware)
+//!     .router(Router::ContentAware)
 //!     .workload(WorkloadKind::A)
 //!     .clients(16)
 //!     .seed(7)
@@ -19,7 +19,7 @@
 //! ```
 
 use crate::placement::PlacementPolicy;
-use crate::routing::RouterChoice;
+use crate::routing::Router;
 use crate::{SimConfig, SimReport, Simulation};
 use cpms_model::{LoadTracker, NodeSpec, SimDuration, WorkloadKind};
 use cpms_urltable::AutoReplicator;
@@ -60,7 +60,7 @@ pub struct ExperimentBuilder {
     corpus_objects: usize,
     nodes: Vec<NodeSpec>,
     placement: PlacementPolicy,
-    router: RouterChoice,
+    router: Router,
     workload: WorkloadKind,
     clients: u32,
     warmup: SimDuration,
@@ -77,7 +77,7 @@ impl Default for ExperimentBuilder {
             corpus_objects: 8_700,
             nodes: NodeSpec::paper_testbed(),
             placement: PlacementPolicy::FullReplication,
-            router: RouterChoice::WeightedLeastConnections,
+            router: Router::WeightedLeastConnections,
             workload: WorkloadKind::A,
             clients: 32,
             warmup: SimDuration::from_secs(10),
@@ -110,7 +110,7 @@ impl ExperimentBuilder {
     }
 
     /// Sets the routing policy.
-    pub fn router(mut self, router: RouterChoice) -> Self {
+    pub fn router(mut self, router: Router) -> Self {
         self.router = router;
         self
     }
@@ -226,7 +226,6 @@ impl Experiment {
         let b = &self.builder;
         let specs = b.nodes.clone();
         let table = b.placement.build_table(&self.corpus, &specs);
-        let router = b.router.build();
         let spec = workload_spec(b.workload);
 
         let mut config = SimConfig::builder();
@@ -238,7 +237,7 @@ impl Experiment {
         if b.placement.needs_nfs() {
             config.nfs(b.nfs_server.clone());
         }
-        let mut sim = Simulation::new(config.build(), &self.corpus, table, router, &spec);
+        let mut sim = Simulation::new(config.build(), &self.corpus, table, b.router, &spec);
 
         // Warm-up (discarded).
         let _ = sim.run_window(b.warmup);
@@ -325,7 +324,7 @@ mod tests {
             .placement(PlacementPolicy::PartitionedByType {
                 segregate_dynamic: true,
             })
-            .router(RouterChoice::ContentAware)
+            .router(Router::ContentAware)
             .build()
             .run();
         assert!(result.report.class(RequestClass::Cgi).is_some());
@@ -347,7 +346,7 @@ mod tests {
             .placement(PlacementPolicy::PartitionedByType {
                 segregate_dynamic: false,
             })
-            .router(RouterChoice::ContentAware)
+            .router(Router::ContentAware)
             .clients(24)
             .rebalance(RebalanceConfig {
                 threshold: 0.10,

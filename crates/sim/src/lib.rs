@@ -23,7 +23,7 @@
 //!
 //! On top of it sits the evaluation's front end: [`Experiment`] runs one
 //! declarative description per figure of §5.3 over the [`PlacementPolicy`]
-//! and [`RouterChoice`] menus, [`report`] turns results into the figures'
+//! and [`Router`] menus, [`report`] turns results into the figures'
 //! rows, and the `fig2`, `fig3`, `fig4`, `redirect`, `latency_curve`,
 //! `autorep` and `popshift` binaries regenerate each result. Between
 //! windows, [`Simulation::rebalance`] runs §3.3's auto-replication round.
@@ -31,8 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use cpms_sim::{SimConfig, Simulation};
-//! use cpms_dispatch::WeightedLeastConnections;
+//! use cpms_sim::{Router, SimConfig, Simulation};
 //! use cpms_model::{NodeSpec, SimDuration};
 //! use cpms_workload::{CorpusBuilder, WorkloadSpec};
 //!
@@ -47,7 +46,7 @@
 //!     config,
 //!     &corpus,
 //!     table,
-//!     Box::new(WeightedLeastConnections::new()),
+//!     Router::WeightedLeastConnections,
 //!     &WorkloadSpec::workload_a(),
 //! );
 //! let report = sim.run(SimDuration::from_secs(2), SimDuration::from_secs(10));
@@ -72,7 +71,7 @@ pub mod station;
 pub use experiment::{Experiment, ExperimentBuilder, ExperimentResult, RebalanceConfig};
 pub use metrics::{ClassReport, NodeReport, PriorityReport, SimReport};
 pub use placement::PlacementPolicy;
-pub use routing::RouterChoice;
+pub use routing::Router;
 pub use service::ServiceModel;
 pub use sim::{Arrival, SimConfig, SimConfigBuilder, Simulation};
 pub use station::Station;

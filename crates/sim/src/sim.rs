@@ -6,9 +6,9 @@ use crate::engine::EventQueue;
 use crate::metrics::{Collector, NfsReport, NodeReport, SimReport};
 use crate::nfs::NfsServer;
 use crate::node::SimNode;
+use crate::routing::{ClusterState, Router, RoutingRequest};
 use crate::service::ServiceModel;
 use crate::station::Station;
-use cpms_dispatch::{ClusterState, Router, RoutingRequest};
 use cpms_model::{
     ContentId, ContentKind, LoadSample, LoadTracker, NodeId, NodeSpec, RequestClass, RequestId,
     RequestOutcome, SimDuration, SimTime,
@@ -193,7 +193,7 @@ enum Event {
 pub struct Simulation<'c> {
     corpus: &'c Corpus,
     table: UrlTable,
-    router: Box<dyn Router>,
+    router: Router,
     sampler: RequestSampler,
     state: ClusterState,
     nodes: Vec<SimNode>,
@@ -224,7 +224,7 @@ impl<'c> Simulation<'c> {
         config: SimConfig,
         corpus: &'c Corpus,
         table: UrlTable,
-        router: Box<dyn Router>,
+        router: Router,
         spec: &WorkloadSpec,
     ) -> Self {
         let weights: Vec<f64> = config.nodes.iter().map(NodeSpec::weight).collect();
@@ -440,7 +440,6 @@ impl<'c> Simulation<'c> {
         let req = RoutingRequest {
             client,
             path: item.path(),
-            kind: item.kind(),
         };
         let decision = match self.router.route(&req, &self.state, &self.table) {
             Some(d) => d,
@@ -594,7 +593,6 @@ impl<'c> Simulation<'c> {
 
     fn handle_done(&mut self, job: Job) {
         self.state.connection_closed(job.node);
-        self.router.on_complete(job.node);
         self.in_flight -= 1;
         let outcome = RequestOutcome {
             id: job.id,
@@ -625,7 +623,6 @@ impl<'c> Simulation<'c> {
     /// retries; no outcome is recorded.
     fn finish_errored(&mut self, job: Job) {
         self.state.connection_closed(job.node);
-        self.router.on_complete(job.node);
         self.in_flight -= 1;
         if self.config.arrival == Arrival::ClosedLoop {
             self.queue.push(
@@ -640,7 +637,7 @@ impl std::fmt::Debug for Simulation<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("now", &self.now)
-            .field("router", &self.router.name())
+            .field("router", &self.router.label())
             .field("nodes", &self.nodes.len())
             .field("clients", &self.config.clients)
             .field("in_flight", &self.in_flight)
@@ -652,7 +649,6 @@ impl std::fmt::Debug for Simulation<'_> {
 mod tests {
     use super::*;
     use crate::placement;
-    use cpms_dispatch::{ContentAwareRouter, RoundRobin, WeightedLeastConnections};
     use cpms_workload::CorpusBuilder;
 
     fn small_corpus() -> Corpus {
@@ -675,7 +671,7 @@ mod tests {
             config(16),
             &corpus,
             table,
-            Box::new(WeightedLeastConnections::new()),
+            Router::WeightedLeastConnections,
             &WorkloadSpec::workload_a(),
         );
         let report = sim.run(SimDuration::from_secs(2), SimDuration::from_secs(10));
@@ -698,7 +694,7 @@ mod tests {
                 config(8),
                 &corpus,
                 table,
-                Box::new(WeightedLeastConnections::new()),
+                Router::WeightedLeastConnections,
                 &WorkloadSpec::workload_a(),
             );
             sim.run(SimDuration::from_secs(1), SimDuration::from_secs(5))
@@ -722,7 +718,7 @@ mod tests {
                 .build(),
             &corpus,
             table,
-            Box::new(WeightedLeastConnections::new()),
+            Router::WeightedLeastConnections,
             &WorkloadSpec::workload_a(),
         );
         let cold = sim.run_window(SimDuration::from_secs(5));
@@ -747,7 +743,7 @@ mod tests {
             config(8),
             &corpus,
             table,
-            Box::new(RoundRobin::new()),
+            Router::RoundRobin { next: 0 },
             &WorkloadSpec::workload_a(),
         );
         let report = sim.run(SimDuration::from_secs(1), SimDuration::from_secs(5));
@@ -767,7 +763,7 @@ mod tests {
             config(8),
             &corpus,
             table,
-            Box::new(ContentAwareRouter::new()),
+            Router::ContentAware,
             &WorkloadSpec::workload_a(),
         );
         let report = sim.run(SimDuration::from_secs(1), SimDuration::from_secs(5));
@@ -797,7 +793,7 @@ mod tests {
             config(1),
             &corpus,
             table,
-            Box::new(ContentAwareRouter::new()),
+            Router::ContentAware,
             &WorkloadSpec::workload_a(),
         );
         let mut tracker = LoadTracker::new(vec![1.0; 4]);
@@ -826,7 +822,7 @@ mod tests {
             config(4),
             &corpus,
             UrlTable::new(),
-            Box::new(ContentAwareRouter::new()),
+            Router::ContentAware,
             &WorkloadSpec::workload_a(),
         );
         let report = sim.run_window(SimDuration::from_secs(2));
@@ -854,7 +850,7 @@ mod tests {
                 b.build(),
                 &corpus,
                 table,
-                Box::new(WeightedLeastConnections::new()),
+                Router::WeightedLeastConnections,
                 &WorkloadSpec::workload_a(),
             );
             sim.run(SimDuration::from_secs(2), SimDuration::from_secs(10))
@@ -879,7 +875,7 @@ mod tests {
             config(8),
             &corpus,
             table,
-            Box::new(WeightedLeastConnections::new()),
+            Router::WeightedLeastConnections,
             &WorkloadSpec::workload_a(),
         );
         let _ = sim.run_window(SimDuration::from_secs(2));
@@ -904,7 +900,7 @@ mod tests {
                 .build(),
             &corpus,
             table,
-            Box::new(WeightedLeastConnections::new()),
+            Router::WeightedLeastConnections,
             &WorkloadSpec::workload_a(),
         );
         let report = sim.run_window(SimDuration::from_secs(3));
@@ -927,7 +923,7 @@ mod tests {
                 .build(),
             &corpus,
             table,
-            Box::new(WeightedLeastConnections::new()),
+            Router::WeightedLeastConnections,
             &WorkloadSpec::workload_a(),
         );
         let mut prev_in_flight = 0u64;
@@ -957,7 +953,7 @@ mod tests {
             config.build(),
             &corpus,
             table,
-            Box::new(WeightedLeastConnections::new()),
+            Router::WeightedLeastConnections,
             &WorkloadSpec::workload_a(),
         );
         let report = sim.run(SimDuration::from_secs(2), SimDuration::from_secs(20));
@@ -984,7 +980,7 @@ mod tests {
                 config.build(),
                 &corpus,
                 table,
-                Box::new(WeightedLeastConnections::new()),
+                Router::WeightedLeastConnections,
                 &WorkloadSpec::workload_a(),
             );
             sim.run(SimDuration::from_secs(2), SimDuration::from_secs(15))
@@ -1005,7 +1001,7 @@ mod tests {
         let mut sampler = RequestSampler::new(&corpus, &WorkloadSpec::workload_a(), 31);
         let trace = Trace::record(&mut sampler, 2_000);
 
-        let run = |router: Box<dyn cpms_dispatch::Router>| {
+        let run = |router: Router| {
             let table = placement::replicate_everywhere(&corpus, 3);
             let mut config = SimConfig::builder();
             config
@@ -1031,8 +1027,8 @@ mod tests {
             }
             total
         };
-        let wlc = run(Box::new(WeightedLeastConnections::new()));
-        let ca = run(Box::new(ContentAwareRouter::new()));
+        let wlc = run(Router::WeightedLeastConnections);
+        let ca = run(Router::ContentAware);
         assert_eq!(wlc, trace.len() as u64, "every trace entry served");
         assert_eq!(ca, trace.len() as u64, "identical offered stream");
     }
@@ -1053,7 +1049,7 @@ mod tests {
             config.build(),
             &corpus,
             table,
-            Box::new(WeightedLeastConnections::new()),
+            Router::WeightedLeastConnections,
             &WorkloadSpec::workload_a(),
         )
         .with_trace(&trace);
@@ -1076,7 +1072,7 @@ mod tests {
                 .build(),
             &corpus,
             table,
-            Box::new(WeightedLeastConnections::new()),
+            Router::WeightedLeastConnections,
             &WorkloadSpec::workload_a(),
         );
         let report = sim.run(SimDuration::from_secs(2), SimDuration::from_secs(10));

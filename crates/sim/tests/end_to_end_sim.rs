@@ -1,9 +1,9 @@
 //! End-to-end simulation tests: full experiments through the public API,
 //! checking system-level invariants rather than figure shapes (those live
-//! in the root `tests/figure_shapes.rs`).
+//! in `figure_shapes.rs`).
 
 use cpms_model::{NodeId, NodeSpec, RequestClass, SimDuration, WorkloadKind};
-use cpms_sim::{Experiment, ExperimentBuilder, PlacementPolicy, RebalanceConfig, RouterChoice};
+use cpms_sim::{Experiment, ExperimentBuilder, PlacementPolicy, RebalanceConfig, Router};
 
 fn quick() -> ExperimentBuilder {
     Experiment::builder()
@@ -20,41 +20,41 @@ fn every_placement_router_combo_that_should_work_works() {
     let combos = [
         (
             PlacementPolicy::FullReplication,
-            RouterChoice::WeightedLeastConnections,
+            Router::WeightedLeastConnections,
             WorkloadKind::A,
         ),
         (
             PlacementPolicy::FullReplication,
-            RouterChoice::RoundRobin,
+            Router::RoundRobin { next: 0 },
             WorkloadKind::A,
         ),
         (
             PlacementPolicy::FullReplication,
-            RouterChoice::DnsRoundRobin,
+            Router::DnsRoundRobin,
             WorkloadKind::A,
         ),
         (
             PlacementPolicy::FullReplication,
-            RouterChoice::Random { seed: 3 },
+            Router::Random { state: 3 },
             WorkloadKind::A,
         ),
         (
             PlacementPolicy::SharedNfs,
-            RouterChoice::WeightedLeastConnections,
+            Router::WeightedLeastConnections,
             WorkloadKind::A,
         ),
         (
             PlacementPolicy::PartitionedByType {
                 segregate_dynamic: false,
             },
-            RouterChoice::ContentAware,
+            Router::ContentAware,
             WorkloadKind::A,
         ),
         (
             PlacementPolicy::PartitionedByType {
                 segregate_dynamic: true,
             },
-            RouterChoice::ContentAware,
+            Router::ContentAware,
             WorkloadKind::B,
         ),
         (
@@ -63,7 +63,7 @@ fn every_placement_router_combo_that_should_work_works() {
                 hot_fraction: 0.1,
                 copies: 2,
             },
-            RouterChoice::ContentAware,
+            Router::ContentAware,
             WorkloadKind::B,
         ),
     ];
@@ -124,7 +124,7 @@ fn video_requests_are_rare_but_heavy() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .clients(32)
         .windows(SimDuration::from_secs(2), SimDuration::from_secs(20))
         .build()
@@ -148,7 +148,7 @@ fn rebalancing_does_not_lose_content() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .clients(24)
         .rebalance(RebalanceConfig {
             threshold: 0.1,
@@ -182,14 +182,14 @@ fn http_redirection_pays_round_trips() {
     };
     let spliced = quick()
         .placement(placement)
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .clients(24)
         .build()
         .run();
     let redirected = quick()
         .placement(placement)
-        .router(RouterChoice::HttpRedirect {
-            client_rtt_micros: 40_000, // 40 ms WAN clients
+        .router(Router::HttpRedirect {
+            client_rtt: SimDuration::from_millis(40), // WAN clients
         })
         .clients(24)
         .build()
@@ -210,8 +210,7 @@ fn replication_provides_availability_under_node_failure() {
     // multiple nodes for achieving high availability." Single-copy
     // partitioning loses content when its node dies; partial replication
     // keeps the hot set reachable.
-    use cpms_dispatch::ContentAwareRouter;
-    use cpms_sim::{placement, SimConfig, Simulation};
+    use cpms_sim::{placement, Router, SimConfig, Simulation};
     use cpms_workload::{CorpusBuilder, WorkloadSpec};
 
     // Mutable content is deliberately single-copy (§4) and so can never
@@ -238,7 +237,7 @@ fn replication_provides_availability_under_node_failure() {
             config.build(),
             &corpus,
             table,
-            Box::new(ContentAwareRouter::new()),
+            Router::ContentAware,
             &WorkloadSpec::workload_a(),
         );
         let _ = sim.run_window(SimDuration::from_secs(2));

@@ -4,7 +4,7 @@
 
 use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
 use cpms_sim::report::class_gains;
-use cpms_sim::{Experiment, ExperimentBuilder, ExperimentResult, PlacementPolicy, RouterChoice};
+use cpms_sim::{Experiment, ExperimentBuilder, ExperimentResult, PlacementPolicy, Router};
 
 const CLIENTS: [u32; 3] = [16, 48, 96];
 
@@ -22,13 +22,13 @@ fn base() -> ExperimentBuilder {
 fn figure2_ordering_holds() {
     let full = base()
         .placement(PlacementPolicy::FullReplication)
-        .router(RouterChoice::WeightedLeastConnections)
+        .router(Router::WeightedLeastConnections)
         .workload(WorkloadKind::A)
         .build()
         .sweep_clients(&CLIENTS);
     let nfs = base()
         .placement(PlacementPolicy::SharedNfs)
-        .router(RouterChoice::WeightedLeastConnections)
+        .router(Router::WeightedLeastConnections)
         .workload(WorkloadKind::A)
         .build()
         .sweep_clients(&CLIENTS);
@@ -36,7 +36,7 @@ fn figure2_ordering_holds() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .workload(WorkloadKind::A)
         .build()
         .sweep_clients(&CLIENTS);
@@ -83,7 +83,7 @@ fn figure2_ordering_holds() {
 fn figure3_proposed_system_wins_workload_b() {
     let full = base()
         .placement(PlacementPolicy::FullReplicationCapable)
-        .router(RouterChoice::WeightedLeastConnections)
+        .router(Router::WeightedLeastConnections)
         .workload(WorkloadKind::B)
         .build()
         .sweep_clients(&CLIENTS);
@@ -91,7 +91,7 @@ fn figure3_proposed_system_wins_workload_b() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .workload(WorkloadKind::B)
         .build()
         .sweep_clients(&CLIENTS);
@@ -114,7 +114,7 @@ fn figure4_every_class_gains_at_saturation() {
     let clients = 96;
     let baseline = base()
         .placement(PlacementPolicy::FullReplicationCapable)
-        .router(RouterChoice::WeightedLeastConnections)
+        .router(Router::WeightedLeastConnections)
         .workload(WorkloadKind::B)
         .clients(clients)
         .build()
@@ -123,7 +123,7 @@ fn figure4_every_class_gains_at_saturation() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: true,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .workload(WorkloadKind::B)
         .clients(clients)
         .build()

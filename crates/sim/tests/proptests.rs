@@ -1,9 +1,8 @@
 //! Property tests for the simulator: conservation, determinism, and
 //! sanity of reports across randomized configurations.
 
-use cpms_dispatch::{ContentAwareRouter, RoundRobin, WeightedLeastConnections};
 use cpms_model::{NodeSpec, SimDuration};
-use cpms_sim::{placement, SimConfig, Simulation};
+use cpms_sim::{placement, Router, SimConfig, Simulation};
 use cpms_workload::{CorpusBuilder, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -32,10 +31,10 @@ proptest! {
     ) {
         let corpus = CorpusBuilder::small_site().seed(seed).build();
         let table = placement::replicate_everywhere(&corpus, specs.len());
-        let router: Box<dyn cpms_dispatch::Router> = match router_pick {
-            0 => Box::new(WeightedLeastConnections::new()),
-            1 => Box::new(RoundRobin::new()),
-            _ => Box::new(ContentAwareRouter::new()),
+        let router: Router = match router_pick {
+            0 => Router::WeightedLeastConnections,
+            1 => Router::RoundRobin { next: 0 },
+            _ => Router::ContentAware,
         };
         let mut config = SimConfig::builder();
         config.nodes(specs).clients(clients).seed(seed);
@@ -87,7 +86,7 @@ proptest! {
                 config.build(),
                 &corpus,
                 table,
-                Box::new(ContentAwareRouter::new()),
+                Router::ContentAware,
                 &WorkloadSpec::workload_a(),
             );
             sim.run_window(SimDuration::from_secs(3))
@@ -112,7 +111,7 @@ proptest! {
             config.build(),
             &corpus,
             table,
-            Box::new(WeightedLeastConnections::new()),
+            Router::WeightedLeastConnections,
             &WorkloadSpec::workload_b(),
         );
         let r = sim.run_window(SimDuration::from_secs(4));

@@ -4,7 +4,7 @@
 
 use cpms_model::Priority;
 use cpms_model::{NodeSpec, SimDuration, WorkloadKind};
-use cpms_sim::{Experiment, ExperimentBuilder, PlacementPolicy, RouterChoice};
+use cpms_sim::{Experiment, ExperimentBuilder, PlacementPolicy, Router};
 
 fn base() -> ExperimentBuilder {
     Experiment::builder()
@@ -22,7 +22,7 @@ fn per_priority_reports_are_emitted() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .build()
         .run();
     // The corpus marks ~2% of objects critical; both bands must appear.
@@ -46,7 +46,7 @@ fn qos_pinning_improves_critical_latency() {
         .placement(PlacementPolicy::PartitionedByType {
             segregate_dynamic: false,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .build()
         .run();
     let pinned = base()
@@ -54,7 +54,7 @@ fn qos_pinning_improves_critical_latency() {
             segregate_dynamic: false,
             critical_copies: 2,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .build()
         .run();
 
@@ -84,7 +84,7 @@ fn critical_beats_normal_under_pinning() {
             segregate_dynamic: false,
             critical_copies: 3,
         })
-        .router(RouterChoice::ContentAware)
+        .router(Router::ContentAware)
         .build()
         .run();
     let critical = pinned

@@ -49,6 +49,13 @@ if [ -n "$unresolved" ]; then
     exit 1
 fi
 
+echo "==> the simulator links no daemon crate (cargo tree -p cpms-sim lists none of cpms-dispatch, cpms-wire, cpms-httpd, cpms-mgmt)"
+sim_tree=$(cargo tree --locked --offline -p cpms-sim -e normal --prefix none)
+if grep -E '^cpms-(dispatch|wire|httpd|mgmt) ' <<<"$sim_tree"; then
+    echo "ci: cpms-sim links the daemon crates above"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -111,11 +118,10 @@ cargo test --release --locked --manifest-path perfbench/Cargo.toml
 timeout --signal=KILL 180 cargo run --release --locked --quiet --manifest-path perfbench/Cargo.toml --bin cpms-bench -- run --smoke
 git diff --exit-code -- perfbench BENCHMARK.json
 
-echo "==> .rs lines per crate (ROADMAP item 11's count: crates/*, with each crate's tests and examples,"
-echo "    then the two simulator tests still in the root tests/, which cpms-sim attaches by path)"
-for crate in crates/* tests; do
+echo "==> .rs lines per crate (ROADMAP item 11's count: crates/*, with each crate's tests and examples)"
+for crate in crates/*; do
     printf '%-18s %6d\n' "$crate" "$(find "$crate" -name '*.rs' -exec cat {} + | wc -l)"
 done
-printf '%-18s %6d\n' total "$(find crates tests -name '*.rs' -exec cat {} + | wc -l)"
+printf '%-18s %6d\n' total "$(find crates -name '*.rs' -exec cat {} + | wc -l)"
 
 echo "ci: all gates passed"
