@@ -88,54 +88,7 @@ fn main() {
         cache.hit_rate()
     );
 
-    // --- ablation: directory-granular table (one default record per
-    // content directory instead of one record per object)
-    let mut compact = cpms_urltable::UrlTable::new();
-    let mut dirs = std::collections::BTreeSet::new();
-    for (_, item) in corpus.iter() {
-        if let Some(parent) = item.path().parent() {
-            dirs.insert(parent);
-        }
-    }
-    for (i, dir) in dirs.iter().enumerate() {
-        compact
-            .set_dir_default(
-                dir,
-                cpms_urltable::UrlEntry::new(
-                    cpms_model::ContentId(i as u32),
-                    cpms_model::ContentKind::OtherStatic,
-                    0,
-                )
-                .with_locations([cpms_model::NodeId((i % 9) as u16)]),
-            )
-            .expect("fresh directory");
-    }
-    let start = Instant::now();
-    let mut resolved = 0usize;
-    for path in &paths {
-        if compact.lookup(path).is_some() {
-            resolved += 1;
-        }
-    }
-    let compact_time = start.elapsed();
-    assert_eq!(
-        resolved, LOOKUPS,
-        "every path resolves via its directory default"
-    );
-    println!(
-        "\nablation — directory-granular table: {} defaults (vs {} records), \
-         {} bytes ({:.1}% of per-object), avg lookup {:.3} µs",
-        compact.dir_default_count(),
-        stats.entries,
-        compact.memory_bytes(),
-        compact.memory_bytes() as f64 / stats.memory_bytes as f64 * 100.0,
-        per(compact_time)
-    );
-
     let report = serde_json::json!({
-        "compact_defaults": compact.dir_default_count(),
-        "compact_memory_bytes": compact.memory_bytes(),
-        "compact_avg_lookup_us": per(compact_time),
         "objects": stats.entries,
         "memory_bytes": stats.memory_bytes,
         "lookups": LOOKUPS,

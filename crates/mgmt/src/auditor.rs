@@ -17,7 +17,6 @@ use crate::broker::BrokerHandle;
 use crate::controller::Controller;
 use cpms_model::{NodeId, UrlPath};
 use cpms_store::{ObjectMeta, ShipReply, ShipRequest, Shipper};
-use cpms_urltable::UrlEntry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -238,7 +237,7 @@ impl AntiEntropyAuditor {
             let Some(inventory) = inventory else { continue };
             for path in inventory.keys() {
                 let routed = table
-                    .lookup_exact(path)
+                    .lookup(path)
                     .map(|e| e.hosted_on(node))
                     .unwrap_or(false);
                 if !routed {
@@ -252,40 +251,6 @@ impl AntiEntropyAuditor {
         report
     }
 
-    /// Pulls verified bytes for `path` — with the chunk sums the pull
-    /// verified them against — from any healthy replica other than
-    /// `avoid`.
-    fn pull_healthy(
-        &self,
-        controller: &Controller,
-        entry: &UrlEntry,
-        path: &UrlPath,
-        avoid: NodeId,
-    ) -> Result<(ObjectMeta, Vec<u64>, Vec<u8>), String> {
-        let mut last = "no other replica".to_string();
-        for &source in entry.locations() {
-            if source == avoid {
-                continue;
-            }
-            let Some(handle) = controller.cluster().broker(source) else {
-                continue;
-            };
-            match self.shipper.pull(handle, path) {
-                Ok((meta, sums, body)) => {
-                    if meta.content != entry.content()
-                        || (entry.checksum() != 0 && meta.checksum != entry.checksum())
-                    {
-                        last = format!("{source} also stale ({:#x})", meta.checksum);
-                        continue;
-                    }
-                    return Ok((meta, sums, body));
-                }
-                Err(e) => last = e.to_string(),
-            }
-        }
-        Err(last)
-    }
-
     /// Detects drift and repairs it: missing copies are re-shipped from
     /// a healthy replica, orphans deleted, stale copies overwritten
     /// with verified bytes. Run [`AntiEntropyAuditor::audit`] again
@@ -296,10 +261,12 @@ impl AntiEntropyAuditor {
         for drift in report.drift.clone() {
             let outcome: Result<(), String> = match &drift {
                 Drift::MissingObject { path, node } | Drift::StaleObject { path, node, .. } => {
-                    match table.lookup_exact(path) {
+                    match table.lookup(path) {
                         None => Err("no longer in the table".to_string()),
-                        Some(entry) => self.pull_healthy(controller, entry, path, *node).and_then(
-                            |(meta, sums, body)| {
+                        Some(entry) => controller
+                            .pull_recorded(path, entry, Some(*node))
+                            .map_err(|e| e.to_string())
+                            .and_then(|(meta, sums, body)| {
                                 let handle = controller
                                     .cluster()
                                     .broker(*node)
@@ -316,8 +283,7 @@ impl AntiEntropyAuditor {
                                     .push_described(handle, path, meta, &sums, &body, true)
                                     .map(|_| ())
                                     .map_err(|e| e.to_string())
-                            },
-                        ),
+                            }),
                     }
                 }
                 Drift::OrphanObject { path, node } => controller
@@ -338,8 +304,10 @@ impl AntiEntropyAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::tests::put_behind_the_table;
     use crate::controller::Cluster;
     use cpms_model::{ContentId, ContentKind, Priority};
+    use cpms_urltable::UrlEntry;
 
     fn p(s: &str) -> UrlPath {
         s.parse().unwrap()
@@ -378,16 +346,6 @@ mod tests {
             "audit clean: stores agree with the URL table"
         );
         c.shutdown();
-    }
-
-    /// Ships `(content, size)`'s synthetic bytes to `path` on `node`
-    /// (overwriting), the table none the wiser.
-    fn put_behind_the_table(c: &Controller, node: u16, path: &str, content: u32, size: u64) {
-        let body = cpms_store::synthetic_body(ContentId(content), size);
-        let broker = c.cluster().broker(NodeId(node)).unwrap();
-        Shipper::new()
-            .push(broker, &p(path), ContentId(content), 0, &body, true)
-            .unwrap();
     }
 
     /// `c` carries one injected drift item, on node 1: `repair` finds it

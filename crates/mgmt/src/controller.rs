@@ -18,7 +18,7 @@ use crate::broker::{Broker, BrokerHandle};
 use crate::store::BrokerState;
 use cpms_model::{ContentId, ContentKind, NodeId, Priority, UrlPath};
 use cpms_obs::{Counter, Gauge, HistogramRecorder, MetricsRegistry, Span, TracedSpan};
-use cpms_store::{ShipError, ShipMetrics, ShipRequest, Shipper};
+use cpms_store::{ObjectMeta, ShipError, ShipMetrics, ShipRequest, Shipper, StoreError};
 use cpms_urltable::{
     RebalanceAction, SnapshotHandle, TableError, TablePublisher, UrlEntry, UrlTable,
 };
@@ -518,7 +518,7 @@ impl Controller {
         nodes: &[NodeId],
         body: &[u8],
     ) -> Result<(), MgmtError> {
-        if self.table().lookup_exact(path).is_some() {
+        if self.table().lookup(path).is_some() {
             return Err(MgmtError::Table(TableError::AlreadyExists {
                 path: path.clone(),
             }));
@@ -585,7 +585,7 @@ impl Controller {
     fn delete_impl(&mut self, path: &UrlPath) -> Result<(), MgmtError> {
         let locations = self
             .table()
-            .lookup_exact(path)
+            .lookup(path)
             .ok_or_else(|| TableError::NotFound { path: path.clone() })?
             .locations()
             .to_vec();
@@ -606,14 +606,16 @@ impl Controller {
     /// Replicates an object onto `target` (the receiving half of §3.3's
     /// auto-replication, also exposed to the administrator for manual
     /// fault-tolerance placement). The copy is real data movement: the
-    /// bytes are pulled — chunk-verified — from a healthy source replica
-    /// and pushed to the target's content store; the table location is
-    /// added only after the target has committed them.
+    /// bytes are pulled — chunk-verified — from a source replica whose
+    /// copy is the one the table records, and pushed to the target's
+    /// content store; the table location is added only after the target
+    /// has committed them.
     ///
     /// # Errors
     ///
     /// [`MgmtError::AlreadyHostedOn`] if the target already has a copy;
-    /// [`MgmtError::Agent`] if the transfer fails (table untouched).
+    /// [`MgmtError::Agent`] if no source holds the recorded copy or the
+    /// transfer fails (table untouched).
     pub fn replicate(&mut self, path: &UrlPath, target: NodeId) -> Result<(), MgmtError> {
         self.timed("replicate", |c| c.replicate_impl(path, target))
     }
@@ -621,7 +623,7 @@ impl Controller {
     fn replicate_impl(&mut self, path: &UrlPath, target: NodeId) -> Result<(), MgmtError> {
         let snapshot = self.table();
         let entry = snapshot
-            .lookup_exact(path)
+            .lookup(path)
             .ok_or_else(|| TableError::NotFound { path: path.clone() })?;
         if entry.hosted_on(target) {
             return Err(MgmtError::AlreadyHostedOn {
@@ -630,29 +632,7 @@ impl Controller {
             });
         }
         self.broker(target)?;
-        // Pull verified bytes from the first source replica that answers.
-        let mut pulled = None;
-        let mut last_err: Option<MgmtError> = None;
-        for &source in entry.locations() {
-            match self.broker(source) {
-                Ok(handle) => match self.shipper.pull(handle, path) {
-                    Ok(x) => {
-                        pulled = Some(x);
-                        break;
-                    }
-                    Err(e) => last_err = Some(Self::ship_failure(source, e)),
-                },
-                Err(e) => last_err = Some(e),
-            }
-        }
-        let (meta, sums, body) = match pulled {
-            Some(x) => x,
-            None => {
-                return Err(last_err.unwrap_or(MgmtError::Agent(AgentError::Store(
-                    cpms_store::StoreError::NotFound { path: path.clone() },
-                ))))
-            }
-        };
+        let (meta, sums, body) = self.pull_recorded(path, entry, None)?;
         // The pull verified these sums against these bytes: send them on
         // without hashing the body again.
         self.shipper
@@ -661,6 +641,49 @@ impl Controller {
         // Commit before publish: the location becomes routable only now.
         self.update_table(|t| t.add_location(path, target))?;
         Ok(())
+    }
+
+    /// Pulls `path`'s bytes, chunk-verified and with the sums they were
+    /// verified against, from the first of `entry`'s locations other than
+    /// `avoid` whose copy is the one `entry` records: its content id and,
+    /// where the table has one, its checksum. A stale copy is passed over
+    /// like an unreachable one, so it never spreads to another node.
+    ///
+    /// # Errors
+    ///
+    /// The last source's failure: its transfer error, or
+    /// [`StoreError::ChecksumMismatch`] for a stale copy.
+    pub(crate) fn pull_recorded(
+        &self,
+        path: &UrlPath,
+        entry: &UrlEntry,
+        avoid: Option<NodeId>,
+    ) -> Result<(ObjectMeta, Vec<u64>, Vec<u8>), MgmtError> {
+        let refused = |e: StoreError| MgmtError::Agent(AgentError::Store(e));
+        let mut last = refused(StoreError::NotFound { path: path.clone() });
+        for &source in entry.locations().iter().filter(|&&n| Some(n) != avoid) {
+            let pulled = self.broker(source).and_then(|handle| {
+                self.shipper
+                    .pull(handle, path)
+                    .map_err(|e| Self::ship_failure(source, e))
+            });
+            last = match pulled {
+                Err(e) => e,
+                Ok((meta, sums, body)) => {
+                    if meta.content == entry.content()
+                        && (entry.checksum() == 0 || meta.checksum == entry.checksum())
+                    {
+                        return Ok((meta, sums, body));
+                    }
+                    refused(StoreError::ChecksumMismatch {
+                        path: path.clone(),
+                        expected: entry.checksum(),
+                        got: meta.checksum,
+                    })
+                }
+            };
+        }
+        Err(last)
     }
 
     /// Removes the copy of an object from `node` (offloading a server), but
@@ -678,7 +701,7 @@ impl Controller {
     fn offload_impl(&mut self, path: &UrlPath, node: NodeId) -> Result<(), MgmtError> {
         let snapshot = self.table();
         let entry = snapshot
-            .lookup_exact(path)
+            .lookup(path)
             .ok_or_else(|| TableError::NotFound { path: path.clone() })?;
         if !entry.hosted_on(node) {
             return Err(MgmtError::NotHostedOn {
@@ -774,7 +797,7 @@ impl Controller {
     fn update_content_impl(&mut self, path: &UrlPath) -> Result<u64, MgmtError> {
         let locations = self
             .table()
-            .lookup_exact(path)
+            .lookup(path)
             .ok_or_else(|| TableError::NotFound { path: path.clone() })?
             .locations()
             .to_vec();
@@ -796,7 +819,7 @@ impl Controller {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::auditor::AntiEntropyAuditor;
 
@@ -993,9 +1016,7 @@ mod tests {
                     if let ShipRequest::Delete { path } = request {
                         let hosted = table
                             .get()
-                            .and_then(|h| {
-                                h.load().lookup_exact(path).map(|e| e.hosted_on(NodeId(0)))
-                            })
+                            .and_then(|h| h.load().lookup(path).map(|e| e.hosted_on(NodeId(0))))
                             .unwrap_or(false);
                         listed.lock().unwrap().push((path.clone(), hosted));
                     }
@@ -1049,6 +1070,54 @@ mod tests {
         c.shutdown();
     }
 
+    /// Ships `(content, size)`'s synthetic bytes to `path` on `node`
+    /// (overwriting), the table none the wiser.
+    pub(crate) fn put_behind_the_table(
+        c: &Controller,
+        node: u16,
+        path: &str,
+        content: u32,
+        size: u64,
+    ) {
+        let body = cpms_store::synthetic_body(ContentId(content), size);
+        let broker = c.cluster().broker(NodeId(node)).unwrap();
+        Shipper::new()
+            .push(broker, &p(path), ContentId(content), 0, &body, true)
+            .unwrap();
+    }
+
+    #[test]
+    fn replicate_ships_only_the_copy_the_table_records() {
+        let mut c = controller(4);
+        publish(&mut c, "/a", 1, &[0, 1]);
+        put_behind_the_table(&c, 0, "/a", 1, 80);
+        c.replicate(&p("/a"), NodeId(2)).unwrap();
+        let recorded = c.table().lookup(&p("/a")).unwrap().checksum();
+        let target = c.broker(NodeId(2)).unwrap();
+        let shipped = target.record(ShipRequest::Meta { path: p("/a") }).unwrap();
+        assert_eq!(shipped.checksum, recorded, "n1's copy, not n0's");
+
+        // Every source stale: nothing ships, nothing is published.
+        publish(&mut c, "/b", 2, &[0, 1]);
+        put_behind_the_table(&c, 0, "/b", 2, 80);
+        put_behind_the_table(&c, 1, "/b", 7, 100);
+        let before = c.table();
+        let err = c.replicate(&p("/b"), NodeId(3)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                MgmtError::Agent(AgentError::Store(StoreError::ChecksumMismatch { .. }))
+            ),
+            "{err}"
+        );
+        let after = c.table();
+        assert_eq!(after.generation(), before.generation());
+        assert_eq!(after.lookup(&p("/b")), before.lookup(&p("/b")));
+        let target = c.broker(NodeId(3)).unwrap();
+        assert!(target.record(ShipRequest::Meta { path: p("/b") }).is_err());
+        c.shutdown();
+    }
+
     #[test]
     fn delete_everywhere() {
         let mut c = controller(3);
@@ -1097,7 +1166,7 @@ mod tests {
         publish(&mut c, "/a.html", 1, &[0, 1]);
         // Each rename's replay finds `to` taken by the copy it just moved.
         c.rename(&p("/a.html"), &p("/b.html")).unwrap();
-        assert!(c.table().lookup_exact(&p("/b.html")).is_some());
+        assert!(c.table().lookup(&p("/b.html")).is_some());
         assert!(coherent(&c), "{:?}", AntiEntropyAuditor::new().audit(&c));
         c.shutdown();
     }

@@ -66,10 +66,11 @@ pub struct Shell {
 impl Shell {
     /// Wraps a controller. Content ids are auto-assigned per publish.
     pub fn new(controller: Controller) -> Self {
-        let nodes = controller.node_count();
+        let mut monitor = ClusterMonitor::new(controller.node_count(), 3);
+        monitor.attach_metrics(controller.metrics());
         Shell {
             controller,
-            monitor: ClusterMonitor::new(nodes, 3),
+            monitor,
             next_content: 0,
         }
     }
@@ -832,6 +833,12 @@ mod tests {
             .find(|l| l.starts_with("n1"))
             .expect("n1 row present");
         assert!(n1_row.contains("down"), "{nodes}");
+        let stats = out(&mut sh, "stats");
+        let down_total = ["mgmt_node_down_total", "1"];
+        assert!(
+            stats.lines().any(|l| l.split_whitespace().eq(down_total)),
+            "{stats}"
+        );
         sh.shutdown();
     }
 

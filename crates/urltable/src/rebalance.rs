@@ -137,7 +137,7 @@ impl AutoReplicator {
                 let Some(path) = resolve(content) else {
                     continue;
                 };
-                let Some(entry) = table.lookup_exact(&path) else {
+                let Some(entry) = table.lookup(&path) else {
                     continue;
                 };
                 if !entry.hosted_on(hot.node) {
@@ -192,7 +192,7 @@ impl AutoReplicator {
                 }
                 RebalanceAction::Offload { path, from } => {
                     let safe = table
-                        .lookup_exact(path)
+                        .lookup(path)
                         .is_some_and(|e| e.replica_count() > 1 && e.hosted_on(*from));
                     safe && table.remove_location(path, *from).unwrap_or(false)
                 }

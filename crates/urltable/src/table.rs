@@ -75,18 +75,9 @@ enum Child {
 #[derive(Debug, Clone, Default)]
 struct Dir {
     children: HashMap<String, Child>,
-    /// Directory-level default record: requests for paths under this
-    /// directory that have no exact record resolve here. Lets an
-    /// administrator place a whole subtree with one table entry (plus
-    /// per-object exceptions), shrinking the table dramatically.
-    default: Option<Box<UrlEntry>>,
 }
 
 impl Dir {
-    fn is_empty(&self) -> bool {
-        self.children.is_empty() && self.default.is_none()
-    }
-
     /// Descends from `root` along `segments` for writing, creating missing
     /// levels and un-sharing each level on the way. `None` if a segment is
     /// a file.
@@ -110,12 +101,9 @@ impl Dir {
 }
 
 /// The content-aware distributor's URL table: a multi-level hash table with
-/// one level per level of the content tree.
-///
-/// Besides exact per-object records, interior directories may carry a
-/// *default record* ([`UrlTable::set_dir_default`]): a lookup that finds no
-/// exact match resolves to the deepest ancestor default instead. This is
-/// how a whole subtree is placed with one entry.
+/// one level per level of the content tree and one record per object.
+/// Directories are only interior levels: they hold no record, and the
+/// last record under one takes it out of the table.
 ///
 /// Mutations bump an internal *generation* counter that lookup caches use
 /// for O(1) invalidation; a call that changes nothing (a location the
@@ -124,7 +112,6 @@ impl Dir {
 pub struct UrlTable {
     root: Arc<Dir>,
     len: usize,
-    dir_defaults: usize,
     generation: u64,
 }
 
@@ -178,93 +165,19 @@ impl UrlTable {
         }
     }
 
-    /// Looks up the record for `path`: the exact record if present, else
-    /// the deepest ancestor directory's default record.
+    /// Looks up the record for `path`: one hash probe per level, `None`
+    /// for the root, a directory, or a path that runs through a file.
     pub fn lookup(&self, path: &UrlPath) -> Option<&UrlEntry> {
-        let mut dir = &*self.root;
-        let mut best_default: Option<&UrlEntry> = self.root.default.as_deref();
-        let mut segments = path.segments().peekable();
-        while let Some(seg) = segments.next() {
-            match dir.children.get(seg) {
-                Some(Child::Leaf(e)) if segments.peek().is_none() => return Some(e),
-                Some(Child::Dir(d)) => {
-                    if let Some(default) = d.default.as_deref() {
-                        best_default = Some(default);
-                    }
-                    dir = d;
-                }
-                _ => return best_default,
-            }
-        }
-        best_default
-    }
-
-    /// Looks up only the exact record for `path`, ignoring directory
-    /// defaults.
-    pub fn lookup_exact(&self, path: &UrlPath) -> Option<&UrlEntry> {
         match self.find(path)? {
             Child::Leaf(e) => Some(e),
             Child::Dir(_) => None,
         }
     }
 
-    /// Sets (or replaces) the default record of a directory: lookups under
-    /// `dir_path` with no exact record resolve to it. The root path sets a
-    /// table-wide default.
-    ///
-    /// # Errors
-    ///
-    /// [`TableError::NotADirectory`] if `dir_path` (or an interior segment)
-    /// is a file.
-    pub fn set_dir_default(
-        &mut self,
-        dir_path: &UrlPath,
-        entry: UrlEntry,
-    ) -> Result<(), TableError> {
-        let Some(dir) = Dir::make_path(&mut self.root, dir_path.segments()) else {
-            return Err(TableError::NotADirectory {
-                path: dir_path.clone(),
-            });
-        };
-        if dir.default.replace(Box::new(entry)).is_none() {
-            self.dir_defaults += 1;
-        }
-        self.generation += 1;
-        Ok(())
-    }
-
-    /// Removes a directory default, returning it.
-    ///
-    /// # Errors
-    ///
-    /// [`TableError::NotFound`] if the directory has no default.
-    pub fn remove_dir_default(&mut self, dir_path: &UrlPath) -> Result<UrlEntry, TableError> {
-        let mut dir = Arc::make_mut(&mut self.root);
-        for seg in dir_path.segments() {
-            dir = match dir.children.get_mut(seg) {
-                Some(Child::Dir(d)) => Arc::make_mut(d),
-                _ => {
-                    return Err(TableError::NotFound {
-                        path: dir_path.clone(),
-                    })
-                }
-            };
-        }
-        match dir.default.take() {
-            Some(entry) => {
-                self.dir_defaults -= 1;
-                self.generation += 1;
-                Ok(*entry)
-            }
-            None => Err(TableError::NotFound {
-                path: dir_path.clone(),
-            }),
-        }
-    }
-
-    /// Number of directory default records.
-    pub fn dir_default_count(&self) -> usize {
-        self.dir_defaults
+    /// The name the frozen `perfbench/` spells [`UrlTable::lookup`] by.
+    #[doc(hidden)]
+    pub fn lookup_exact(&self, path: &UrlPath) -> Option<&UrlEntry> {
+        self.lookup(path)
     }
 
     /// Removes the record for `path`, pruning now-empty interior
@@ -349,7 +262,7 @@ impl UrlTable {
             Child::Leaf(_) => return None,
         };
         let detached = Self::detach(sub, rest)?;
-        if sub.is_empty() {
+        if sub.children.is_empty() {
             dir.children.remove(*first);
         }
         Some(detached)
@@ -443,9 +356,6 @@ impl UrlTable {
                 + std::mem::size_of::<Dir>()
                 + dir.children.capacity()
                     * (std::mem::size_of::<String>() + std::mem::size_of::<Child>());
-            if let Some(default) = &dir.default {
-                total += default.memory_bytes();
-            }
             for (name, child) in &dir.children {
                 total += name.len();
                 match child {
@@ -786,105 +696,6 @@ mod tests {
         }
         let m1 = t.memory_bytes();
         assert!(m1 > m0 + 1000 * std::mem::size_of::<UrlEntry>());
-    }
-
-    #[test]
-    fn dir_defaults_resolve_lookups() {
-        let mut t = UrlTable::new();
-        t.set_dir_default(
-            &p("/img"),
-            UrlEntry::new(ContentId(100), ContentKind::Image, 0).with_locations([NodeId(4)]),
-        )
-        .unwrap();
-        // any path under /img resolves to the default...
-        let hit = t.lookup(&p("/img/deep/dir/x.gif")).unwrap();
-        assert_eq!(hit.content(), ContentId(100));
-        assert_eq!(hit.locations(), [NodeId(4)]);
-        // ...but exact records win
-        t.insert(p("/img/hot.gif"), e(7)).unwrap();
-        assert_eq!(
-            t.lookup(&p("/img/hot.gif")).unwrap().content(),
-            ContentId(7)
-        );
-        assert!(t.lookup_exact(&p("/img/cold.gif")).is_none());
-        // outside the subtree, nothing resolves
-        assert!(t.lookup(&p("/doc/y.html")).is_none());
-        assert_eq!(t.dir_default_count(), 1);
-    }
-
-    #[test]
-    fn nested_defaults_deepest_wins() {
-        let mut t = UrlTable::new();
-        t.set_dir_default(
-            &UrlPath::root(),
-            UrlEntry::new(ContentId(1), ContentKind::OtherStatic, 0).with_locations([NodeId(0)]),
-        )
-        .unwrap();
-        t.set_dir_default(
-            &p("/video"),
-            UrlEntry::new(ContentId(2), ContentKind::Video, 0).with_locations([NodeId(8)]),
-        )
-        .unwrap();
-        assert_eq!(
-            t.lookup(&p("/anything.txt")).unwrap().content(),
-            ContentId(1)
-        );
-        assert_eq!(
-            t.lookup(&p("/video/clip.mpg")).unwrap().content(),
-            ContentId(2),
-            "deepest ancestor default wins"
-        );
-    }
-
-    #[test]
-    fn dir_default_routes_until_removed() {
-        let mut t = UrlTable::new();
-        t.set_dir_default(
-            &p("/img"),
-            UrlEntry::new(ContentId(1), ContentKind::Image, 0).with_locations([NodeId(0)]),
-        )
-        .unwrap();
-        t.insert(p("/img/exact.gif"), e(2)).unwrap();
-        for path in ["/img/a.gif", "/img/b.gif"] {
-            assert_eq!(t.lookup(&p(path)).unwrap().content(), ContentId(1));
-        }
-        assert_eq!(
-            t.lookup(&p("/img/exact.gif")).unwrap().content(),
-            ContentId(2),
-            "an exact record beats the default"
-        );
-        let removed = t.remove_dir_default(&p("/img")).unwrap();
-        assert_eq!(removed.content(), ContentId(1));
-        assert_eq!(
-            t.lookup(&p("/img/exact.gif")).unwrap().content(),
-            ContentId(2)
-        );
-        assert!(t.lookup(&p("/img/a.gif")).is_none(), "default removed");
-    }
-
-    #[test]
-    fn dir_default_errors_and_generation() {
-        let mut t = UrlTable::new();
-        t.insert(p("/file"), e(1)).unwrap();
-        assert!(matches!(
-            t.set_dir_default(&p("/file"), e(2)),
-            Err(TableError::NotADirectory { .. })
-        ));
-        assert!(matches!(
-            t.remove_dir_default(&p("/missing")),
-            Err(TableError::NotFound { .. })
-        ));
-        let g = t.generation();
-        t.set_dir_default(&p("/d"), e(3)).unwrap();
-        assert_eq!(t.generation(), g + 1, "defaults are routing data");
-    }
-
-    #[test]
-    fn dir_defaults_count_in_memory() {
-        let mut t = UrlTable::new();
-        let m0 = t.memory_bytes();
-        t.set_dir_default(&p("/a"), e(1)).unwrap();
-        assert!(t.memory_bytes() > m0);
     }
 
     #[test]

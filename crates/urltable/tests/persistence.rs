@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 /// Paths over a tiny alphabet, so operations keep landing on the same few
 /// levels — shared ones included — and renames move whole subtrees.
-fn path_strategy(min_depth: usize) -> impl Strategy<Value = UrlPath> {
-    prop::collection::vec("[abc]", min_depth..4).prop_map(|segs| {
+fn path_strategy() -> impl Strategy<Value = UrlPath> {
+    prop::collection::vec("[abc]", 1..4).prop_map(|segs| {
         let mut p = UrlPath::root();
         for s in segs {
             p = p.join(&s).expect("generated segments are valid");
@@ -32,19 +32,15 @@ enum Op {
     Rename(UrlPath, UrlPath),
     AddLoc(UrlPath, u16),
     RemoveLoc(UrlPath, u16),
-    SetDefault(UrlPath, u32),
-    RemoveDefault(UrlPath),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (path_strategy(1), any::<u32>()).prop_map(|(p, id)| Op::Insert(p, id)),
-        path_strategy(1).prop_map(Op::Remove),
-        (path_strategy(1), path_strategy(1)).prop_map(|(f, t)| Op::Rename(f, t)),
-        (path_strategy(1), 0u16..8).prop_map(|(p, n)| Op::AddLoc(p, n)),
-        (path_strategy(1), 0u16..8).prop_map(|(p, n)| Op::RemoveLoc(p, n)),
-        (path_strategy(0), any::<u32>()).prop_map(|(d, id)| Op::SetDefault(d, id)),
-        path_strategy(0).prop_map(Op::RemoveDefault),
+        (path_strategy(), any::<u32>()).prop_map(|(p, id)| Op::Insert(p, id)),
+        path_strategy().prop_map(Op::Remove),
+        (path_strategy(), path_strategy()).prop_map(|(f, t)| Op::Rename(f, t)),
+        (path_strategy(), 0u16..8).prop_map(|(p, n)| Op::AddLoc(p, n)),
+        (path_strategy(), 0u16..8).prop_map(|(p, n)| Op::RemoveLoc(p, n)),
     ]
 }
 
@@ -61,45 +57,26 @@ fn apply(table: &mut UrlTable, op: &Op) {
         Op::Rename(from, to) => drop(table.rename(from, to)),
         Op::AddLoc(p, n) => drop(table.add_location(p, NodeId(*n))),
         Op::RemoveLoc(p, n) => drop(table.remove_location(p, NodeId(*n))),
-        Op::SetDefault(d, id) => drop(table.set_dir_default(d, entry(*id))),
-        Op::RemoveDefault(d) => drop(table.remove_dir_default(d)),
     }
 }
 
-/// Everything observable about a table, owned: counters, every record
-/// (locations included), and what each directory of the path alphabet
-/// routes a miss to (which exposes directory defaults).
+/// Everything observable about a table, owned: counters and every record
+/// (locations included).
 #[derive(Debug, PartialEq)]
 struct Flat {
     len: usize,
     generation: u64,
-    dir_defaults: usize,
     records: BTreeMap<String, UrlEntry>,
-    routed: BTreeMap<String, Option<UrlEntry>>,
 }
 
 impl Flat {
     fn of(table: &UrlTable) -> Flat {
-        let mut dirs = vec![UrlPath::root()];
-        for depth in 0..3 {
-            for dir in dirs.clone().iter().filter(|d| d.depth() == depth) {
-                dirs.extend(["a", "b", "c"].map(|s| dir.join(s).expect("valid segment")));
-            }
-        }
         Flat {
             len: table.len(),
             generation: table.generation(),
-            dir_defaults: table.dir_default_count(),
             records: table
                 .iter()
                 .map(|(path, entry)| (path.to_string(), entry.clone()))
-                .collect(),
-            routed: dirs
-                .iter()
-                .map(|dir| {
-                    let miss = dir.join("zz").expect("valid segment");
-                    (dir.to_string(), table.lookup(&miss).cloned())
-                })
                 .collect(),
         }
     }

@@ -28,16 +28,6 @@ enum Op {
     RemoveLoc(UrlPath, u16),
 }
 
-fn dir_strategy() -> impl Strategy<Value = UrlPath> {
-    prop::collection::vec(segment_strategy(), 0..3).prop_map(|segs| {
-        let mut p = UrlPath::root();
-        for s in segs {
-            p = p.join(&s).expect("generated segments are valid");
-        }
-        p
-    })
-}
-
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (path_strategy(), any::<u32>()).prop_map(|(p, id)| Op::Insert(p, id)),
@@ -146,55 +136,6 @@ proptest! {
         }
     }
 
-    /// The routing view (exact record, else deepest ancestor default) is
-    /// exactly what `lookup` returns, modelled independently from the set
-    /// of inserted records and defaults.
-    #[test]
-    fn dir_defaults_match_reference_model(
-        records in prop::collection::hash_map(path_strategy(), any::<u32>(), 0..20),
-        defaults in prop::collection::hash_map(dir_strategy(), any::<u32>(), 0..6),
-        probes in prop::collection::vec(path_strategy(), 1..40),
-    ) {
-        let mut table = UrlTable::new();
-        let mut inserted: HashMap<UrlPath, u32> = HashMap::new();
-        for (p, id) in &records {
-            if table
-                .insert(p.clone(), UrlEntry::new(ContentId(*id), ContentKind::StaticHtml, 1))
-                .is_ok()
-            {
-                inserted.insert(p.clone(), *id);
-            }
-        }
-        let mut set_defaults: HashMap<UrlPath, u32> = HashMap::new();
-        for (d, id) in &defaults {
-            if table
-                .set_dir_default(d, UrlEntry::new(ContentId(*id), ContentKind::Image, 1))
-                .is_ok()
-            {
-                set_defaults.insert(d.clone(), *id);
-            }
-        }
-        for probe in probes {
-            let got = table.lookup(&probe).map(|e| e.content().0);
-            // Reference model: exact record wins; else the default of the
-            // deepest ancestor directory (root included, probing the
-            // directory itself included) that has one.
-            let expected = inserted.get(&probe).copied().or_else(|| {
-                let mut best: Option<(usize, u32)> = None;
-                for (d, id) in &set_defaults {
-                    if probe.starts_with(d) {
-                        let depth = d.depth();
-                        if best.map(|(bd, _)| depth > bd).unwrap_or(true) {
-                            best = Some((depth, *id));
-                        }
-                    }
-                }
-                best.map(|(_, id)| id)
-            });
-            prop_assert_eq!(got, expected, "probe {}", probe);
-        }
-    }
-
     /// A cached lookup always returns exactly what an uncached table lookup
     /// returns, under interleaved mutations (cache coherence).
     #[test]
@@ -237,9 +178,9 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Full mutation-op model: every public mutation (insert, remove, rename,
-// add/remove_location, set/remove_dir_default), interleaved with lookups,
-// against a flat reference model that also predicts the exact error variant
-// and the generation counter.
+// add/remove_location), interleaved with lookups, against a flat reference
+// model that also predicts the exact error variant, the generation counter
+// and the table's directories.
 // ---------------------------------------------------------------------------
 
 /// Paths over a deliberately tiny alphabet so that collisions — and with
@@ -255,17 +196,6 @@ fn tight_path_strategy() -> impl Strategy<Value = UrlPath> {
     })
 }
 
-/// Directory paths for defaults; may be the root.
-fn tight_dir_strategy() -> impl Strategy<Value = UrlPath> {
-    prop::collection::vec("[abc]", 0..3).prop_map(|segs| {
-        let mut p = UrlPath::root();
-        for s in segs {
-            p = p.join(&s).expect("generated segments are valid");
-        }
-        p
-    })
-}
-
 #[derive(Debug, Clone)]
 enum FullOp {
     Insert(UrlPath, u32),
@@ -273,8 +203,6 @@ enum FullOp {
     Rename(UrlPath, UrlPath),
     AddLoc(UrlPath, u16),
     RemoveLoc(UrlPath, u16),
-    SetDefault(UrlPath, u32),
-    RemoveDefault(UrlPath),
     Lookup(UrlPath),
 }
 
@@ -285,8 +213,6 @@ fn full_op_strategy() -> impl Strategy<Value = FullOp> {
         (tight_path_strategy(), tight_path_strategy()).prop_map(|(f, t)| FullOp::Rename(f, t)),
         (tight_path_strategy(), 0u16..8).prop_map(|(p, n)| FullOp::AddLoc(p, n)),
         (tight_path_strategy(), 0u16..8).prop_map(|(p, n)| FullOp::RemoveLoc(p, n)),
-        (tight_dir_strategy(), any::<u32>()).prop_map(|(d, id)| FullOp::SetDefault(d, id)),
-        tight_dir_strategy().prop_map(FullOp::RemoveDefault),
         tight_path_strategy().prop_map(FullOp::Lookup),
     ]
 }
@@ -328,48 +254,36 @@ impl Rec {
     }
 }
 
-/// Flat reference model of the trie: records and directory defaults as maps,
-/// plus the set of *currently existing* interior directory nodes. The dirs
-/// set is what lets the model predict DestinationExists / NotFound exactly:
-/// the table prunes emptied directories after remove/detach but deliberately
-/// keeps them after `remove_dir_default`, so node existence is not derivable
-/// from the two maps alone.
+/// Flat reference model of the trie: the records, as one map. The table
+/// holds no directory without a record below it, so its directories are
+/// exactly the strict prefixes of the records.
 #[derive(Debug, Default)]
 struct RefModel {
     records: HashMap<UrlPath, Rec>,
-    defaults: HashMap<UrlPath, Rec>,
-    dirs: HashSet<UrlPath>,
 }
 
 impl RefModel {
+    fn is_dir(&self, p: &UrlPath) -> bool {
+        p.is_root() || self.records.keys().any(|r| r != p && r.starts_with(p))
+    }
+
     fn node_exists(&self, p: &UrlPath) -> bool {
-        p.is_root() || self.records.contains_key(p) || self.dirs.contains(p)
+        self.records.contains_key(p) || self.is_dir(p)
     }
+}
 
-    /// Whether directory `q` still holds anything: a default of its own or
-    /// any record / directory / default strictly below it.
-    fn occupied(&self, q: &UrlPath) -> bool {
-        self.defaults.keys().any(|d| d.starts_with(q))
-            || self.records.keys().any(|r| r != q && r.starts_with(q))
-            || self.dirs.iter().any(|d| d != q && d.starts_with(q))
+/// Every path `tight_path_strategy` can draw.
+fn tight_paths() -> Vec<UrlPath> {
+    let mut out = Vec::new();
+    let mut level = vec![UrlPath::root()];
+    for _ in 0..3 {
+        level = level
+            .iter()
+            .flat_map(|dir| ["a", "b", "c"].map(|s| dir.join(s).expect("valid segment")))
+            .collect();
+        out.extend(level.iter().cloned());
     }
-
-    /// Mirrors the table's bottom-up pruning of emptied directories along
-    /// `p`'s ancestry after a detach/remove at `p`.
-    fn prune_above(&mut self, p: &UrlPath) {
-        for q in strict_prefixes(p).into_iter().rev() {
-            if self.occupied(&q) {
-                break;
-            }
-            self.dirs.remove(&q);
-        }
-    }
-
-    fn add_dir_chain(&mut self, prefixes: Vec<UrlPath>) {
-        for q in prefixes {
-            self.dirs.insert(q);
-        }
-    }
+    out
 }
 
 proptest! {
@@ -382,6 +296,7 @@ proptest! {
     ) {
         let mut table = UrlTable::new();
         let mut model = RefModel::default();
+        let all_paths = tight_paths();
 
         for op in ops {
             let g0 = table.generation();
@@ -404,7 +319,6 @@ proptest! {
                         );
                     } else {
                         prop_assert!(r.is_ok(), "insert {} should succeed: {:?}", p, r);
-                        model.add_dir_chain(strict_prefixes(&p));
                         model.records.insert(p, Rec::new(id));
                         bumped = true;
                     }
@@ -415,7 +329,6 @@ proptest! {
                         Some(rec) => {
                             let entry = r.expect("model says a record exists");
                             prop_assert_eq!(entry.content(), ContentId(rec.id));
-                            model.prune_above(&p);
                             bumped = true;
                         }
                         None => prop_assert!(
@@ -448,20 +361,17 @@ proptest! {
                         );
                     } else {
                         prop_assert!(r.is_ok(), "rename {} -> {} should succeed: {:?}", from, to, r);
-                        let rewrite = |k: &UrlPath| {
-                            if k.starts_with(&from) {
-                                replace_prefix(k, &from, &to)
-                            } else {
-                                k.clone()
-                            }
-                        };
-                        model.records =
-                            model.records.drain().map(|(k, v)| (rewrite(&k), v)).collect();
-                        model.defaults =
-                            model.defaults.drain().map(|(k, v)| (rewrite(&k), v)).collect();
-                        model.dirs = model.dirs.drain().map(|k| rewrite(&k)).collect();
-                        model.prune_above(&from);
-                        model.add_dir_chain(strict_prefixes(&to));
+                        model.records = model
+                            .records
+                            .drain()
+                            .map(|(k, v)| {
+                                if k.starts_with(&from) {
+                                    (replace_prefix(&k, &from, &to), v)
+                                } else {
+                                    (k, v)
+                                }
+                            })
+                            .collect();
                         bumped = true;
                     }
                 }
@@ -493,54 +403,9 @@ proptest! {
                         ),
                     }
                 }
-                FullOp::SetDefault(d, id) => {
-                    let r = table.set_dir_default(
-                        &d,
-                        UrlEntry::new(ContentId(id), ContentKind::Image, 32),
-                    );
-                    if model.records.keys().any(|rec| d.starts_with(rec)) {
-                        prop_assert!(
-                            matches!(r, Err(TableError::NotADirectory { .. })),
-                            "set_dir_default {} through a file: {:?}", d, r
-                        );
-                    } else {
-                        prop_assert!(r.is_ok(), "set_dir_default {} should succeed: {:?}", d, r);
-                        if !d.is_root() {
-                            model.add_dir_chain(strict_prefixes(&d));
-                            model.dirs.insert(d.clone());
-                        }
-                        model.defaults.insert(d, Rec::new(id));
-                        bumped = true;
-                    }
-                }
-                FullOp::RemoveDefault(d) => {
-                    let r = table.remove_dir_default(&d);
-                    match model.defaults.remove(&d) {
-                        Some(rec) => {
-                            let entry = r.expect("model says a default exists");
-                            prop_assert_eq!(entry.content(), ContentId(rec.id));
-                            // The table keeps the now-possibly-empty
-                            // directory chain alive; the model's dirs set is
-                            // deliberately not pruned here.
-                            bumped = true;
-                        }
-                        None => prop_assert!(
-                            matches!(r, Err(TableError::NotFound { .. })),
-                            "remove_dir_default {}: {:?}", d, r
-                        ),
-                    }
-                }
                 FullOp::Lookup(p) => {
                     let got = table.lookup(&p).map(|e| e.content().0);
-                    let routed = model.records.get(&p).or_else(|| {
-                        model
-                            .defaults
-                            .iter()
-                            .filter(|(d, _)| p.starts_with(d))
-                            .max_by_key(|(d, _)| d.depth())
-                            .map(|(_, rec)| rec)
-                    });
-                    prop_assert_eq!(got, routed.map(|rec| rec.id), "lookup {}", p);
+                    prop_assert_eq!(got, model.records.get(&p).map(|rec| rec.id), "lookup {}", p);
                 }
             }
             prop_assert_eq!(
@@ -548,30 +413,28 @@ proptest! {
                 g0 + u64::from(bumped),
                 "generation after {:?}", (&bumped,)
             );
+            // No directory outlives the last record below it.
+            for q in &all_paths {
+                prop_assert_eq!(table.is_dir(q), model.is_dir(q), "is_dir {}", q);
+            }
         }
 
-        // Final state equivalence: counts, every record, every default, and
-        // the iterator's view.
+        // Final state equivalence: counts, every record, and the iterator's
+        // view.
         prop_assert_eq!(table.len(), model.records.len());
-        prop_assert_eq!(table.dir_default_count(), model.defaults.len());
         for (p, rec) in &model.records {
             let entry = table.lookup(p).expect("model record present in table");
             prop_assert_eq!(entry.content(), ContentId(rec.id));
             let locs: HashSet<u16> = entry.locations().iter().map(|n| n.0).collect();
             prop_assert_eq!(&locs, &rec.locs);
         }
-        for (d, rec) in &model.defaults {
-            // Looking up the directory itself resolves its own default.
-            let entry = table.lookup(d).expect("model default present in table");
-            prop_assert_eq!(entry.content(), ContentId(rec.id));
-        }
         let iter_paths: HashSet<UrlPath> = table.iter().map(|(p, _)| p).collect();
         let model_paths: HashSet<UrlPath> = model.records.keys().cloned().collect();
         prop_assert_eq!(iter_paths, model_paths);
     }
 
-    /// `set_dir_default` through a file and `insert` below a file always
-    /// fail with NotADirectory and leave the table untouched.
+    /// `insert` below a file always fails with NotADirectory and leaves the
+    /// table untouched.
     #[test]
     fn paths_through_files_are_rejected(
         file in tight_path_strategy(),
@@ -587,14 +450,11 @@ proptest! {
         }
         let g = table.generation();
 
-        let r = table.set_dir_default(&deeper, UrlEntry::new(ContentId(2), ContentKind::Image, 8));
-        prop_assert!(matches!(r, Err(TableError::NotADirectory { .. })));
         let r = table.insert(deeper.clone(), UrlEntry::new(ContentId(3), ContentKind::Cgi, 8));
         prop_assert!(matches!(r, Err(TableError::NotADirectory { .. })));
 
         prop_assert_eq!(table.generation(), g);
         prop_assert_eq!(table.len(), 1);
-        prop_assert_eq!(table.dir_default_count(), 0);
         prop_assert_eq!(table.lookup(&file).unwrap().content(), ContentId(1));
         prop_assert!(table.lookup(&deeper).is_none());
     }

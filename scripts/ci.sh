@@ -75,6 +75,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps $(ls crates | sed 's/^/-p cpms-/'
 echo "==> metrics smoke (request_latency --smoke)"
 cargo run --release -q -p cpms-bench --bin request_latency -- --smoke
 
+echo "==> §5.2 URL table (sec52_urltable, run from a scratch directory so the checked-in bench_results/ stays as it is:"
+echo "    every one of the 1M sampled corpus paths resolves, uncached and through the lookup cache)"
+sec52_bin=$PWD/target/release/sec52_urltable
+sec52_dir=$(mktemp -d)
+(cd "$sec52_dir" && "$sec52_bin")
+rm -rf "$sec52_dir"
+
 echo "==> networked broker smoke (cpms-broker --smoke: loopback TCP + fault injection)"
 cargo run --release -q -p cpms-mgmt --bin cpms-broker -- --smoke
 
