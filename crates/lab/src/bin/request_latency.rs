@@ -18,7 +18,7 @@
 //! (`cpms_obs::Sampler`), both timed at the client so the reported
 //! ratios are end-to-end hot-path cost, not self-measurement.
 //!
-//! Run with: `cargo run --release -p cpms-bench --bin request_latency`
+//! Run with: `cargo run --release -p cpms-lab --bin request_latency`
 //! (add `--smoke` for the quick CI pass that asserts the metric surface
 //! without rewriting the committed results file).
 

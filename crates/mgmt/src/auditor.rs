@@ -16,7 +16,7 @@
 use crate::broker::BrokerHandle;
 use crate::controller::Controller;
 use cpms_model::{NodeId, UrlPath};
-use cpms_store::{ObjectMeta, ShipReply, ShipRequest, Shipper};
+use cpms_store::{ObjectMeta, ShipReply, ShipRequest};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -134,17 +134,18 @@ impl DriftReport {
 const INVENTORY_ATTEMPTS: u32 = 3;
 
 /// Walks node inventories and reconciles them with the URL table.
+///
+/// A repair ships through the controller's own shipper, so re-shipped
+/// copies count in its `ship_*` metrics like any other transfer.
 #[derive(Debug, Default)]
-pub struct AntiEntropyAuditor {
-    shipper: Shipper,
-}
+pub struct AntiEntropyAuditor;
 
 impl AntiEntropyAuditor {
     /// An auditor: 3 inventory attempts per node, every routed copy
     /// re-hashed on its node.
     #[must_use]
     pub fn new() -> Self {
-        AntiEntropyAuditor::default()
+        AntiEntropyAuditor
     }
 
     /// Fetches one node's committed inventory with bounded retries.
@@ -279,7 +280,8 @@ impl AntiEntropyAuditor {
                                     // as "already committed".
                                     handle.delete_copy(path).map_err(|e| e.to_string())?;
                                 }
-                                self.shipper
+                                controller
+                                    .shipper()
                                     .push_described(handle, path, meta, &sums, &body, true)
                                     .map(|_| ())
                                     .map_err(|e| e.to_string())

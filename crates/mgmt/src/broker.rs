@@ -571,14 +571,16 @@ mod tests {
     #[test]
     fn a_broker_that_predates_tails_refuses_a_chunk_with_a_codec_error() {
         // A two-chunk body goes `Begin` (tail-free, so answered) and then
-        // a tail-bearing `Chunk`; a one-chunk body is a tail-bearing `Put`.
+        // a tail-bearing `Chunk`, and the push that gives up aborts what
+        // it began; a one-chunk body is a tail-bearing `Put`.
         let two_chunks = vec![7u8; 2 * DEFAULT_CHUNK_SIZE as usize];
         for (body, verbs) in [
-            (&two_chunks[..], &["begin", "chunk"][..]),
+            (&two_chunks[..], &["begin", "chunk", "abort"][..]),
             (&[7u8; 5000][..], &["put"][..]),
         ] {
             // The service as it was: the whole payload goes to the decoder.
-            let store = ContentStore::in_memory(NodeId(5), 1 << 20);
+            let store = Arc::new(ContentStore::in_memory(NodeId(5), 1 << 20));
+            let service_store = Arc::clone(&store);
             let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
             let log = Arc::clone(&seen);
             let (transport, _server) = InProcServer::spawn(move |request: &[u8]| {
@@ -588,7 +590,7 @@ mod tests {
                 {
                     Ok(request) => {
                         log.lock().unwrap().push(request.verb());
-                        cpms_store::apply(&store, &request)
+                        cpms_store::apply(&service_store, &request)
                     }
                     Err(detail) => {
                         // Note which verb the refused payload's head names.
@@ -621,6 +623,9 @@ mod tests {
             assert_eq!(old.transport_stats().retries, 0, "refused once, for good");
             let seen = seen.lock().unwrap();
             assert_eq!(&seen[..], verbs, "{seen:?}");
+            // Nothing is left staged or reserved against the quota.
+            let stats = store.stats();
+            assert_eq!((stats.staged_transfers, stats.staged_bytes), (0, 0));
         }
     }
 

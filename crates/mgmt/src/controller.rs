@@ -643,6 +643,12 @@ impl Controller {
         Ok(())
     }
 
+    /// The shipper every transfer the controller starts goes through,
+    /// recording into its `ship_*` metrics.
+    pub(crate) fn shipper(&self) -> &Shipper {
+        &self.shipper
+    }
+
     /// Pulls `path`'s bytes, chunk-verified and with the sums they were
     /// verified against, from the first of `entry`'s locations other than
     /// `avoid` whose copy is the one `entry` records: its content id and,

@@ -890,8 +890,13 @@ mod tests {
         assert!(audit.contains("missing /a.html"), "{audit}");
         let store = fail(&mut sh, "store");
         assert!(store.contains("drift item(s)"), "{store}");
-        // repair heals it; the follow-up audit is healthy again.
+        // repair heals it through the controller's shipper, so the
+        // re-shipped copy counts as a third transfer; the follow-up audit
+        // is healthy again.
+        let transfers = sh.controller.metrics().counter("ship_transfers_total");
+        assert_eq!(transfers.get(), 2);
         assert!(out(&mut sh, "repair").contains("repaired"));
+        assert_eq!(transfers.get(), 3);
         assert!(out(&mut sh, "audit").starts_with("consistent"));
         sh.shutdown();
     }

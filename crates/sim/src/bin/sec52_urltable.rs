@@ -10,7 +10,7 @@
 //! under a Zipf-skewed request stream — with and without the
 //! recently-accessed-entry cache (the paper's demultiplexing speedup).
 //!
-//! Run with: `cargo run --release -p cpms-bench --bin sec52_urltable`
+//! Run with: `cargo run --release -p cpms-sim --bin sec52_urltable`
 
 use cpms_model::UrlPath;
 use cpms_sim::placement;

@@ -6,12 +6,13 @@
 //! whole, verified and installed in one round trip; a larger one goes as
 //! `Begin`, which opens (or resumes) a staged transfer, `Chunk`, which
 //! ships one checksummed piece, and `Commit`, which verifies and
-//! atomically installs; `Abort` drops a transfer. On the pull side `Get`
-//! answers an object's record with its first chunk, and `Fetch` each
-//! chunk after it (`Meta` reads a record alone). `Verify`, `Inventory`,
-//! `Stat` and `Gc` serve the anti-entropy auditor, the monitor and the
-//! console, and `Delete`/`Rename`/`Touch` the controller's file
-//! operations. A new verb is a variant and one arm in [`apply_tail`].
+//! atomically installs; `Abort` drops a transfer, and a push that gives
+//! up after its `Begin` sends one. On the pull side `Get` answers an
+//! object's record with its first chunk, and `Fetch` each chunk after it
+//! (`Meta` reads a record alone). `Verify` and `Inventory` serve the
+//! anti-entropy auditor, `Stat` the monitor and the console, and
+//! `Delete`/`Rename`/`Touch` the controller's file operations; `Gc`
+//! sweeps idle staged transfers, and nothing in the tree sends it. A new verb is a variant and one arm in [`apply_tail`].
 //! Every message leaves the same state however often it is delivered, so
 //! the protocol is safe over an at-least-once lossy transport: a
 //! duplicated `Chunk` re-stages identical bytes, a replayed `Begin`
@@ -754,8 +755,16 @@ impl Shipper {
             resumes: 0,
             chunk_retries: 0,
         };
+        let mut opened = None;
         let result = loop {
-            match self.push_attempt(port, path, (meta, sums), body, overwrite, &mut outcome) {
+            match self.push_attempt(
+                port,
+                path,
+                (meta, sums),
+                body,
+                overwrite,
+                (&mut outcome, &mut opened),
+            ) {
                 Ok(committed) => {
                     outcome.meta = committed;
                     break Ok(());
@@ -776,6 +785,12 @@ impl Shipper {
                 Err(e) => break Err(e),
             }
         };
+        if let (Err(_), Some(transfer)) = (&result, opened) {
+            // Giving up: release what the receiver staged and reserved for
+            // the transfer now, not whenever the path is begun again. Best
+            // effort: the link may be what failed.
+            let _ = port.ship(&ShipRequest::Abort { transfer });
+        }
         if let Some(m) = &self.metrics {
             m.inflight.sub(1);
             m.transfer_ns
@@ -789,7 +804,8 @@ impl Shipper {
     }
 
     /// One full pass: an object of at most one chunk is one `Put`; a
-    /// larger one is begin (resume), send missing chunks, commit.
+    /// larger one is begin (resume), send missing chunks, commit. The
+    /// transfer a `Begin` opened is left in `opened`.
     fn push_attempt(
         &self,
         port: &dyn ShipPort,
@@ -797,7 +813,7 @@ impl Shipper {
         (meta, sums): (ObjectMeta, &[u64]),
         body: &[u8],
         overwrite: bool,
-        outcome: &mut ShipOutcome,
+        (outcome, opened): (&mut ShipOutcome, &mut Option<u64>),
     ) -> Result<ObjectMeta, ShipError> {
         if meta.chunk_count() <= 1 {
             let put = ShipRequest::Put {
@@ -826,6 +842,7 @@ impl Shipper {
                 })
             }
         };
+        *opened = Some(transfer);
         let have: std::collections::HashSet<u32> = have.into_iter().collect();
         for index in 0..meta.chunk_count() {
             if have.contains(&index) {

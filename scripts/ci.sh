@@ -5,11 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> docs name only things that exist (every quoted -p <pkg> --bin|--example|--bench|--test <name> resolves to a file"
-echo "    of crates/<pkg>, every backticked repo path to a file,"
+echo "==> docs name only things that exist (every quoted -p cpms-<pkg> names a crates/<pkg>, and with"
+echo "    --bin|--example|--bench|--test <name> a file of it, every backticked repo path to a file,"
 echo "    every backticked \`Type::member\` of a repo struct, enum or trait to a fn or field of it)"
 docs=(README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md)
 unresolved=$( {
+    grep -ohE -e '-p cpms-[a-z]+' "${docs[@]}" | sort -u | while read -r _ pkg; do
+        [ -d "crates/${pkg#cpms-}" ] || echo "    -p $pkg (no crates/${pkg#cpms-})"
+    done
     grep -ohE -e '-p cpms-[a-z]+ [^`#]*--(bin|example|bench|test) [A-Za-z0-9_-]+' \
         -e '--manifest-path perfbench/Cargo.toml [^`#]*--bin [A-Za-z0-9_-]+' "${docs[@]}" |
     sed -E 's/^-p cpms-([a-z]+) .*--(bin|example|bench|test) /\1 \2 /; s/^--manifest-path perfbench.* --bin /perfbench bin /' |
@@ -73,7 +76,7 @@ echo "==> cargo doc -D warnings (crates/* only: a broken or private intra-doc li
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps $(ls crates | sed 's/^/-p cpms-/')
 
 echo "==> metrics smoke (request_latency --smoke)"
-cargo run --release -q -p cpms-bench --bin request_latency -- --smoke
+cargo run --release -q -p cpms-lab --bin request_latency -- --smoke
 
 echo "==> §5.2 URL table (sec52_urltable, run from a scratch directory so the checked-in bench_results/ stays as it is:"
 echo "    every one of the 1M sampled corpus paths resolves, uncached and through the lookup cache)"
